@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-sarif lint-baseline test race short bench bench-smoke bench-diff sweep examples ci clean trace-smoke coll-smoke
+.PHONY: all build lint lint-sarif lint-baseline test race short bench bench-smoke bench-diff sweep examples ci clean trace-smoke coll-smoke alloc-smoke
 
 all: build lint test
 
@@ -111,12 +111,22 @@ coll-smoke:
 		-trace $$tmp/trace.json -metrics $$tmp/metrics.prom; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
+# alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation
+# claims of the wire codec, the delivery engine, the flight recorder, the
+# metrics hot path, the buffer queue and the rtscts+simnet byte path —
+# three times over at GOMAXPROCS=1 and 2: a pooled path that only holds on
+# one P, or only on a lucky first run, fails here rather than in a benchmark.
+ALLOCPKGS = ./internal/core ./internal/wire ./internal/rtscts ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics
+alloc-smoke:
+	GOMAXPROCS=1 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)
+	GOMAXPROCS=2 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)
+
 # Regenerate every paper experiment (EXPERIMENTS.md records one such run).
 sweep:
 	$(GO) run ./cmd/sweep
 
 # ci is everything the GitHub Actions workflow runs, for local parity.
-ci: build lint test race trace-smoke coll-smoke
+ci: build lint test race alloc-smoke trace-smoke coll-smoke
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -3,7 +3,8 @@
 // for recorded results):
 //
 //	E1/E2  BenchmarkFigure6*          wait time vs work interval
-//	E3     BenchmarkPingPong*         zero-length / sized latency
+//	E3     BenchmarkPingPong*,        zero-length / sized latency,
+//	       BenchmarkBulk256KSimnet    bulk put+ack bytes and allocations
 //	E4     BenchmarkWire*             Tables 1–4 wire handling cost
 //	E5     BenchmarkMemScale          unexpected-memory scaling
 //	E6     BenchmarkTranslate*        Figure 3/4 match-list walk cost
@@ -92,6 +93,71 @@ func benchPingPong(b *testing.B, fab portals.Fabric, size int) {
 func BenchmarkPingPong0B(b *testing.B)         { benchPingPong(b, portals.Myrinet(), 0) }
 func BenchmarkPingPong1KB(b *testing.B)        { benchPingPong(b, portals.Myrinet(), 1024) }
 func BenchmarkPingPong0BLoopback(b *testing.B) { benchPingPong(b, portals.Loopback(), 0) }
+
+// BenchmarkBulk256KSimnet is the repository benchmark's bulk256k_simnet
+// operation (benchmark/, BENCHMARK.json) as a microbenchmark, so the
+// BENCH_*.json trajectory records the number the gate sees: one 256 KiB
+// acknowledged put over zero-wire simnet + rtscts — MTU 4096, RTS/CTS
+// rendezvous, 65 fragments — from Put to the ack event. Run with -benchmem:
+// B/op and allocs/op are the point; ns/op on a zero-wire fabric is the
+// copies and the goroutine hand-offs.
+func BenchmarkBulk256KSimnet(b *testing.B) {
+	const size = 256 << 10
+	rel := rtscts.DefaultConfig()
+	// No loss to recover from: keep the retransmit timer clear of host stalls.
+	rel.RTO, rel.RTOMin = 200*time.Millisecond, 200*time.Millisecond
+	m := portals.NewMachine(portals.SimFabric(simnet.Config{MTU: 4096}, rel))
+	defer m.Close()
+	rx, err := m.NIInit(1, 1, portals.Limits{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tx, err := m.NIInit(2, 1, portals.Limits{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	me, err := rx.MEAttach(0, portals.AnyProcess, 1, 0, portals.Retain, portals.After)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rx.MDAttach(me, portals.MD{
+		Start: make([]byte, size), Threshold: portals.ThresholdInfinite,
+		Options: portals.MDOpPut | portals.MDManageRemote,
+	}, portals.Retain); err != nil {
+		b.Fatal(err)
+	}
+	eq, err := tx.EQAlloc(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	md, err := tx.MDBind(portals.MD{Start: make([]byte, size), Threshold: portals.ThresholdInfinite, EQ: eq}, portals.Retain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	putAck := func() {
+		if err := tx.Put(md, portals.AckReq, rx.ID(), 0, 0, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			ev, err := tx.EQPoll(eq, 10*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ev.Type == portals.EventAck {
+				return
+			}
+		}
+	}
+	for i := 0; i < 50; i++ { // warm the pools and the per-peer state
+		putAck()
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putAck()
+	}
+}
 
 // ------------------------------------------------------------------- E4 --
 

@@ -22,12 +22,15 @@ import (
 	"sync/atomic"
 )
 
-// Size classes are powers of two from 256 B to 64 KiB; requests above the
-// largest class fall back to a plain allocation and are never pooled
-// (jumbo buffers would otherwise pin large memory in the pool).
+// Size classes are powers of two from 256 B to 1 MiB, so a bulk message
+// (a 256 KiB put plus its wire header) rides pooled memory from the
+// initiator's gather to the target's delivery; requests above the largest
+// class fall back to a plain allocation and are never pooled. What an idle
+// class can pin is bounded by sync.Pool itself: a buffer nobody asked for
+// across two garbage collections is dropped.
 const (
 	minClassBits = 8
-	numClasses   = 9
+	numClasses   = 13
 	maxPooled    = 1 << (minClassBits + numClasses - 1)
 )
 

@@ -69,3 +69,58 @@ func TestUsageCounters(t *testing.T) {
 		t.Errorf("expected at least one recorded hit, have %d", h1)
 	}
 }
+
+// The queue is FIFO across wrap-around and growth, hands back exactly the
+// buffers it was given, and keeps its capacity: once warm, a push/pop cycle
+// at any depth it has already seen allocates nothing.
+func TestQueueOrderAndAllocs(t *testing.T) {
+	var q Queue
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("zero Queue is not empty")
+	}
+	bufs := make([]*Buf, 40)
+	for i := range bufs {
+		bufs[i] = Get(1)
+	}
+	next := 0 // index of the buffer Pop must return next
+	push := 0
+	for round := 0; round < 5; round++ { // interleave so head wraps while the ring grows
+		for i := 0; i < 8; i++ {
+			q.Push(bufs[push])
+			push++
+		}
+		for i := 0; i < 3; i++ {
+			if q.Pop() != bufs[next] {
+				t.Fatalf("pop %d out of order", next)
+			}
+			next++
+		}
+	}
+	if q.Len() != push-next {
+		t.Fatalf("Len = %d, want %d", q.Len(), push-next)
+	}
+	for ; next < push; next++ {
+		if q.Pop() != bufs[next] {
+			t.Fatalf("pop %d out of order", next)
+		}
+	}
+	if q.Pop() != nil {
+		t.Fatal("drained queue returned a buffer")
+	}
+	for _, s := range q.ring {
+		if s != nil {
+			t.Fatal("a popped slot still pins its buffer")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		q.Push(bufs[0])
+		q.Push(bufs[1])
+		q.Pop()
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("warm push/pop allocates %v times", n)
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+}

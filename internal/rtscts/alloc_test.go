@@ -1,0 +1,70 @@
+package rtscts
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/transport/simnet"
+	"repro/internal/types"
+)
+
+// TestSteadyStateAllocs pins the owned-buffer byte path: once the pool and
+// the per-peer state are warm, a whole send → fragment → fabric →
+// reassemble → deliver → ack cycle allocates nothing inside rtscts and
+// simnet — eager or rendezvous, one fragment or sixty-five. The handler
+// below is the test's own and allocates nothing either.
+func TestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, tc := range []struct {
+		name string
+		size int
+		mtu  int
+	}{
+		{"eager-64B", 64, simnet.Instant().MTU},
+		{"rendezvous-256KiB", 256 << 10, simnet.Instant().MTU},
+		{"rendezvous-256KiB-mtu4096", 256 << 10, 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fabric := simnet.Instant()
+			fabric.MTU = tc.mtu
+			net := simnet.New(fabric)
+			defer net.Close()
+			delivered := make(chan int, 1)
+			b, err := Attach(net, 2, Config{}, func(_ types.NID, msg []byte) { delivered <- len(msg) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			a, err := Attach(net, 1, Config{}, func(types.NID, []byte) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+
+			msg := make([]byte, tc.size)
+			cycle := func() {
+				if err := a.Send(2, msg); err != nil {
+					t.Fatal(err)
+				}
+				if n := <-delivered; n != tc.size {
+					t.Fatalf("delivered %d bytes, want %d", n, tc.size)
+				}
+				// The cycle ends when the last ack has retired the message.
+				for st, _ := a.Peer(2); st.InFlight != 0; st, _ = a.Peer(2) {
+					runtime.Gosched()
+				}
+			}
+			for i := 0; i < 200; i++ { // warm pools, rings, batch backings, per-peer state
+				cycle()
+			}
+			if n := testing.AllocsPerRun(100, cycle); n != 0 {
+				t.Fatalf("steady-state cycle allocates %v times, want 0", n)
+			}
+			if tc.size > DefaultConfig().EagerMax && a.Stats().RTSSent.Load() == 0 {
+				t.Fatal("large message did not use rendezvous")
+			}
+		})
+	}
+}

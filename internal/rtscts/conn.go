@@ -93,25 +93,25 @@ type Stats struct {
 	CTSSent         atomic.Int64 //lint:guardedby atomic
 	AcksSent        atomic.Int64 //lint:guardedby atomic
 	MsgsDelivered   atomic.Int64 //lint:guardedby atomic
-	Backoff         metrics.Histogram
+	// BadLength counts in-sequence fragments discarded for impossible
+	// framing: a length above MaxMessage, a payload that overruns its
+	// message, a malformed RTS/CTS, an unknown message kind, or a
+	// continuation fragment with no message open.
+	BadLength atomic.Int64 //lint:guardedby atomic
+	Backoff   metrics.Histogram
 }
 
 // Conn is a node's reliable attachment: it implements transport.Endpoint
-// over an unreliable PacketEndpoint (simnet or real UDP sockets).
+// and transport.BufSender over an unreliable PacketEndpoint (simnet or real
+// UDP sockets).
 type Conn struct {
-	cfg     Config
-	ep      PacketEndpoint
-	handler transport.Handler      // per-message dispatch; nil in batch mode
-	bh      transport.BatchHandler // batch dispatch; nil in handler mode
-	mtu     int
-	stats   Stats
+	cfg   Config
+	ep    PacketEndpoint
+	bh    transport.BatchHandler
+	mtu   int
+	stats Stats
 
-	// pending accumulates completed messages between Flush calls in batch
-	// mode. It is touched only by the packet network's single dispatch
-	// goroutine (the AttachPacketBatch contract), so it needs no lock.
-	pending []transport.Delivery
-
-	// ready gates inbound dispatch until attachPacket has finished wiring
+	// ready gates inbound dispatch until AttachPacketBatch has finished wiring
 	// the Conn (in particular ep): a real packet network may start its read
 	// loop inside AttachPacket, before ep is assigned, and the goroutine
 	// spawn alone gives that loop no happens-before edge to the later
@@ -124,6 +124,18 @@ type Conn struct {
 	senders   map[types.NID]*peerSender   //lint:guardedby mu
 	receivers map[types.NID]*peerReceiver //lint:guardedby mu
 	closed    bool                        //lint:guardedby mu
+
+	// Completed messages wait in pending until flush hands them up. One
+	// feeder at a time runs the handler (flushing); the others leave their
+	// messages for it, which is what keeps batches serial per endpoint —
+	// the transport.BatchHandler contract — on fabrics that feed a Conn
+	// from one goroutine per source. The lock is never held across the
+	// handler.
+	dmu      sync.Mutex
+	pending  []transport.Delivery //lint:guardedby dmu
+	spare    []transport.Delivery //lint:guardedby dmu  recycled batch backing
+	flushing bool                 //lint:guardedby dmu
+	dclosed  bool                 //lint:guardedby dmu
 }
 
 // Attach registers nid on the simulated fabric with reliability on top.
@@ -134,41 +146,42 @@ func Attach(net *simnet.Network, nid types.NID, cfg Config, h transport.Handler)
 
 // AttachPacket registers nid on any unreliable packet network with
 // reliability on top. The handler receives complete, exactly-once,
-// in-order messages.
+// in-order messages, each borrowed for the duration of the call: it is
+// AttachPacketBatch with a handler that calls h and then releases.
 func AttachPacket(pn PacketNetwork, nid types.NID, cfg Config, h transport.Handler) (*Conn, error) {
 	if h == nil {
 		return nil, fmt.Errorf("rtscts: nil handler")
 	}
-	return attachPacket(pn, nid, cfg, h, nil)
+	return AttachPacketBatch(pn, nid, cfg, func(batch []transport.Delivery) {
+		for i := range batch {
+			h(batch[i].Src, batch[i].Msg)
+			batch[i].Release()
+		}
+	})
 }
 
-// AttachPacketBatch is AttachPacket with batched delivery: completed
-// messages accumulate until the packet network calls Flush, which hands
-// them to bh with buffer ownership per transport.BatchHandler. The network
-// MUST feed all packets for this Conn and call Flush from one goroutine
-// (its read loop); that single-goroutine dispatch is what lets the batch
-// accumulate without a lock.
+// AttachPacketBatch registers nid on any unreliable packet network with
+// reliability on top and owned, batched delivery: completed messages
+// accumulate until the packet network signals the end of a dispatch burst
+// (PacketNetwork.AttachPacket's flush), then go to bh as one batch with
+// buffer ownership per transport.BatchHandler.
 func AttachPacketBatch(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandler) (*Conn, error) {
 	if bh == nil {
 		return nil, fmt.Errorf("rtscts: nil batch handler")
 	}
-	return attachPacket(pn, nid, cfg, nil, bh)
-}
-
-func attachPacket(pn PacketNetwork, nid types.NID, cfg Config, h transport.Handler, bh transport.BatchHandler) (*Conn, error) {
 	c := &Conn{
 		cfg:       cfg.withDefaults(),
-		handler:   h,
 		bh:        bh,
 		mtu:       pn.MTU(),
 		senders:   make(map[types.NID]*peerSender),
 		receivers: make(map[types.NID]*peerReceiver),
 		ready:     make(chan struct{}),
 	}
-	if c.mtu <= pktHeaderSize {
-		return nil, fmt.Errorf("rtscts: fabric MTU %d too small for %d-byte headers", c.mtu, pktHeaderSize)
+	// An RTS must fit one packet: control messages are never reassembled.
+	if c.mtu < pktHeaderSize+rtsSize {
+		return nil, fmt.Errorf("rtscts: fabric MTU %d below the %d-byte minimum (header plus RTS)", c.mtu, pktHeaderSize+rtsSize)
 	}
-	ep, err := pn.AttachPacket(nid, c.gatedPacket)
+	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.flush)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +192,7 @@ func attachPacket(pn PacketNetwork, nid types.NID, cfg Config, h transport.Handl
 }
 
 // gatedPacket is the handler registered with the packet network. It holds
-// early packets at the gate until attachPacket has published ep, then
+// early packets at the gate until AttachPacketBatch has published ep, then
 // degenerates to a single atomic load in front of onPacket.
 func (c *Conn) gatedPacket(src types.NID, pkt []byte) {
 	if !c.attached.Load() {
@@ -218,7 +231,7 @@ func (c *Conn) Peer(dst types.NID) (st PeerState, ok bool) {
 		RTTVar:   s.rttvar,
 		RTO:      s.rto,
 		Window:   s.wnd,
-		InFlight: len(s.inFlight),
+		InFlight: int(s.nextSeq - s.base),
 		Base:     s.base,
 		NextSeq:  s.nextSeq,
 	}
@@ -242,6 +255,7 @@ func (c *Conn) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_rtscts_cts_total", "rendezvous CTS grants sent", ls, st.CTSSent.Load)
 	r.CounterFunc("portals_rtscts_acks_total", "cumulative acks sent", ls, st.AcksSent.Load)
 	r.CounterFunc("portals_rtscts_delivered_total", "complete messages delivered in order", ls, st.MsgsDelivered.Load)
+	r.CounterFunc("portals_rtscts_bad_length_total", "in-sequence fragments discarded for impossible length or framing", ls, st.BadLength.Load)
 	r.RegisterHistogram("portals_rtscts_backoff_ns",
 		"retransmission backoff delay per attempt (capped exponential, jittered)", ls, &st.Backoff)
 	// Window gauges aggregate across destinations: the slowest peer's SRTT
@@ -293,29 +307,71 @@ func (c *Conn) LocalNID() types.NID { return c.ep.LocalNID() }
 // the message is accepted by the per-peer sender (local completion); the
 // reliability machinery retransmits as needed. Send never blocks on the
 // network, so it is safe to call from delivery handlers (the engine
-// emitting acks/replies).
+// emitting acks/replies). msg is copied, once, into a pooled buffer; the
+// caller may reuse it as soon as Send returns.
 func (c *Conn) Send(dst types.NID, msg []byte) error {
-	s, err := c.sender(dst)
-	if err != nil {
-		return err
-	}
-	return s.enqueue(msg)
+	buf := bufpool.Get(len(msg))
+	copy(buf.Bytes(), msg)
+	return c.SendBuf(dst, buf)
 }
 
-// Flush hands the completed messages accumulated since the last Flush to
-// the batch handler (ownership transfers per transport.Delivery). Batch
-// mode only; it must be called from the goroutine that feeds onPacket.
-// In handler mode it is a no-op.
-func (c *Conn) Flush() {
-	if c.bh == nil || len(c.pending) == 0 {
+// SendBuf is Send without the copy (transport.BufSender): the per-peer
+// sender queues buf itself, fragments it in place, and releases it when the
+// last fragment is acknowledged — or here, on every path that fails.
+//
+//lint:consumes buf
+//lint:noalloc the consuming send path: queue push into a ring, no copy
+func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
+	if n := len(buf.Bytes()); n > MaxMessage {
+		buf.Release()
+		//lint:ignore noalloc oversized message: refused off the fast path
+		return fmt.Errorf("rtscts: message of %d bytes exceeds the %d-byte limit", n, MaxMessage)
+	}
+	s, err := c.sender(dst)
+	if err != nil {
+		buf.Release()
+		return err
+	}
+	return s.enqueue(buf)
+}
+
+// deliver queues one completed message for the next flush.
+func (c *Conn) deliver(d transport.Delivery) {
+	c.stats.MsgsDelivered.Add(1)
+	c.dmu.Lock()
+	if c.dclosed {
+		c.dmu.Unlock()
+		d.Release()
 		return
 	}
-	batch := c.pending
-	c.bh(batch)
-	for i := range batch {
-		batch[i] = transport.Delivery{}
+	//lint:ignore noalloc amortized: pending and spare swap between two backings that stop growing at the largest batch
+	c.pending = append(c.pending, d)
+	c.dmu.Unlock()
+}
+
+// flush hands the messages completed since the last flush to the batch
+// handler (ownership transfers per transport.Delivery). The packet network
+// calls it at the end of each dispatch burst. If another feeder is already
+// inside the handler, the messages are left for it: it keeps draining until
+// nothing is pending, so batches stay serial and per-source order holds.
+func (c *Conn) flush() {
+	c.dmu.Lock()
+	if c.flushing {
+		c.dmu.Unlock()
+		return
 	}
-	c.pending = batch[:0]
+	c.flushing = true
+	for len(c.pending) > 0 {
+		batch := c.pending
+		c.pending = c.spare[:0]
+		c.dmu.Unlock()
+		c.bh(batch)
+		clear(batch)
+		c.dmu.Lock()
+		c.spare = batch
+	}
+	c.flushing = false
+	c.dmu.Unlock()
 }
 
 // Close detaches from the fabric and stops all per-peer machinery.
@@ -330,11 +386,28 @@ func (c *Conn) Close() error {
 	for _, s := range c.senders {
 		senders = append(senders, s)
 	}
+	receivers := make([]*peerReceiver, 0, len(c.receivers))
+	for _, r := range c.receivers {
+		receivers = append(receivers, r)
+	}
 	c.mu.Unlock()
 	for _, s := range senders {
 		s.shutdown()
 	}
-	return c.ep.Close()
+	err := c.ep.Close()
+	// What was received but never handed up goes back to the pool:
+	// half-assembled messages, and completions no flush will follow.
+	for _, r := range receivers {
+		r.shutdown()
+	}
+	c.dmu.Lock()
+	c.dclosed = true
+	for i := range c.pending {
+		c.pending[i].Release()
+	}
+	c.pending = nil
+	c.dmu.Unlock()
+	return err
 }
 
 func (c *Conn) sender(dst types.NID) (*peerSender, error) {
@@ -346,6 +419,7 @@ func (c *Conn) sender(dst types.NID) (*peerSender, error) {
 	s, ok := c.senders[dst]
 	if !ok {
 		s = newPeerSender(c, dst)
+		//lint:ignore noalloc first contact with a peer builds its sender; afterwards this is a lookup
 		c.senders[dst] = s
 	}
 	return s, nil
@@ -363,23 +437,6 @@ func (c *Conn) receiver(src types.NID) *peerReceiver {
 		c.receivers[src] = r
 	}
 	return r
-}
-
-// deliver dispatches one completed application message: batch mode
-// accumulates it for Flush (ownership moves into pending), handler mode
-// invokes the handler and recycles the pooled buffer.
-//
-//lint:consumes buf
-func (c *Conn) deliver(src types.NID, msg []byte, buf *bufpool.Buf) {
-	c.stats.MsgsDelivered.Add(1)
-	if c.bh != nil {
-		c.pending = append(c.pending, transport.Delivery{Src: src, Msg: msg, Buf: buf})
-		return
-	}
-	c.handler(src, msg)
-	if buf != nil {
-		buf.Release()
-	}
 }
 
 // onPacket is the fabric-side entry point; it runs on the packet network's

@@ -17,6 +17,30 @@
 //
 // Per-pair state is created lazily on first communication; the interface
 // presented upward stays connectionless (§4.1).
+//
+// # Who owns the bytes
+//
+// A message crosses the layer as one owned pooled buffer in and one owned
+// pooled buffer out; the fabric's per-packet copy is the only copy between
+// them, and rtscts itself never holds a packet-sized buffer.
+//
+//   - Send side. SendBuf takes the caller's buffer (Send copies once into a
+//     pooled buffer and then is SendBuf). The buffer waits in the per-peer
+//     queue, then belongs to the per-peer run goroutine while it is cut into
+//     fragments. The window holds descriptors — buffer, offset, length,
+//     prebuilt header — not packets; the descriptor of a message's final
+//     fragment holds the buffer's only reference. Message bytes are read
+//     (first transmission and every retransmission) and released (the
+//     cumulative ack that retires the final fragment, or shutdown) only with
+//     the window lock held, so a retransmission can never read a buffer an
+//     ack has already returned to the pool. Every failure path of SendBuf
+//     releases the buffer too.
+//   - Receive side. A message's first fragment obtains the pooled delivery
+//     buffer and each fragment is copied straight to its offset. On
+//     completion the buffer leaves as an owned transport.Delivery; the batch
+//     handler (or, for a transport.Handler attach, the adapter that calls
+//     the handler) releases it. A buffer whose message never completes is
+//     released by Close.
 package rtscts
 
 import (
@@ -38,7 +62,7 @@ const (
 // Message kinds carried in the first fragment's flags (bits 2..3).
 const (
 	msgApp uint8 = 0 // application message, delivered to the handler
-	msgRTS uint8 = 1 // request to send (rendezvous start), aux = length
+	msgRTS uint8 = 1 // request to send (rendezvous start), payload = length
 	msgCTS uint8 = 2 // clear to send (rendezvous grant)
 )
 
@@ -47,15 +71,25 @@ const msgKindShift = 2
 // pktHeaderSize is the per-packet overhead added by this layer.
 const pktHeaderSize = 20
 
-// encodePacket builds header+payload into a fresh buffer.
-func encodePacket(kind, flags uint8, seq, aux uint64, payload []byte) []byte {
-	buf := make([]byte, pktHeaderSize+len(payload))
-	buf[0] = kind
-	buf[1] = flags
-	binary.BigEndian.PutUint64(buf[4:], seq)
-	binary.BigEndian.PutUint64(buf[12:], aux)
-	copy(buf[pktHeaderSize:], payload)
-	return buf
+// rtsSize is the payload of an RTS: the announced message length.
+const rtsSize = 8
+
+// MaxMessage is the largest message the layer carries. Send refuses longer
+// ones, and a receiver discards any fragment or announcement that claims
+// more — the length field is peer-controlled, and nothing a peer writes
+// there may size an allocation beyond this.
+const MaxMessage = 1 << 30
+
+// putHeader writes a packet header in place. Headers live inside the
+// structures that outlast the send (window descriptors, the receiver's ack
+// scratch), never on a caller's stack: SendPacket is an interface call, so a
+// stack array handed to it would escape to the heap once per packet.
+func putHeader(hdr *[pktHeaderSize]byte, kind, flags uint8, seq, aux uint64) {
+	hdr[0] = kind
+	hdr[1] = flags
+	hdr[2], hdr[3] = 0, 0
+	binary.BigEndian.PutUint64(hdr[4:], seq)
+	binary.BigEndian.PutUint64(hdr[12:], aux)
 }
 
 func decodePacket(pkt []byte) (kind, flags uint8, seq, aux uint64, payload []byte, err error) {

@@ -1,0 +1,153 @@
+package rtscts
+
+import (
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/transport/simnet"
+)
+
+// The length fields of a first fragment are the peer's word. Whatever they
+// claim, the receiver must not panic, must not size an allocation on the
+// claim alone, must count each discarded packet exactly once, and must keep
+// the stream usable for the next well-formed message.
+func TestHostileLengths(t *testing.T) {
+	const peer = 7
+	eager := DefaultConfig().EagerMax
+	first := func(kind uint8) uint8 { return flagFirst | kind<<msgKindShift }
+	rts := func(announced uint64) []byte {
+		return binary.BigEndian.AppendUint64(nil, announced)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		flags     uint8
+		aux       uint64
+		payload   []byte
+		rejected  bool
+		delivered int // messages handed up by this packet
+		open      int // largest delivery buffer the packet may leave open (0: none)
+	}{
+		{name: "aux=0 empty message", flags: first(msgApp), aux: 0, delivered: 1},
+		{name: "aux=0 with payload", flags: first(msgApp), aux: 0, payload: []byte("xy"), rejected: true},
+		{name: "aux=1 one byte", flags: first(msgApp), aux: 1, payload: []byte("x"), delivered: 1},
+		{name: "aux=1 overrun", flags: first(msgApp), aux: 1, payload: []byte("xy"), rejected: true},
+		{name: "EagerMax+1 without RTS", flags: first(msgApp), aux: uint64(eager) + 1, payload: make([]byte, 100), open: 2 * eager},
+		{name: "aux=1<<40", flags: first(msgApp), aux: 1 << 40, payload: make([]byte, 100), rejected: true},
+		{name: "aux=1<<63", flags: first(msgApp), aux: 1 << 63, payload: make([]byte, 100), rejected: true},
+		{name: "aux=max", flags: first(msgApp), aux: ^uint64(0), rejected: true},
+		{name: "continuation with nothing open", flags: 0, payload: make([]byte, 100), rejected: true},
+		{name: "RTS announcing 1<<40", flags: first(msgRTS), aux: rtsSize, payload: rts(1 << 40), rejected: true},
+		{name: "RTS with short payload", flags: first(msgRTS), aux: rtsSize, payload: []byte{1, 2, 3}, rejected: true},
+		{name: "CTS with payload", flags: first(msgCTS), aux: 0, payload: []byte("x"), rejected: true},
+		{name: "unknown message kind", flags: first(3), aux: 64, payload: make([]byte, 64), rejected: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := simnet.New(simnet.Instant())
+			defer net.Close()
+			var sink msgSink
+			c, err := Attach(net, 1, Config{}, sink.handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			feed := func(seq uint64, flags uint8, aux uint64, payload []byte) {
+				c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, payload))
+				c.flush()
+			}
+
+			feed(0, tc.flags, tc.aux, tc.payload)
+
+			st := c.Stats()
+			wantBad := int64(0)
+			if tc.rejected {
+				wantBad = 1
+			}
+			if got := st.BadLength.Load(); got != wantBad {
+				t.Errorf("bad_length = %d, want %d", got, wantBad)
+			}
+			if d, o := st.DupsDiscarded.Load(), st.OutOfOrder.Load(); d != 0 || o != 0 {
+				t.Errorf("an in-sequence packet was also counted as dup (%d) or out of order (%d)", d, o)
+			}
+			if tc.rejected && st.CTSSent.Load()+st.MsgsDelivered.Load() != 0 {
+				t.Error("a rejected packet still produced a grant or a delivery")
+			}
+			if got := sink.count(); got != tc.delivered {
+				t.Errorf("delivered %d messages, want %d", got, tc.delivered)
+			}
+			r := c.receiver(peer)
+			r.mu.Lock()
+			switch {
+			case r.asm == nil && tc.open > 0:
+				t.Error("accepted fragment left no message open")
+			case r.asm != nil && cap(r.asm.Bytes()) > tc.open:
+				t.Errorf("receiver committed %d bytes on the peer's word, want at most %d", cap(r.asm.Bytes()), tc.open)
+			}
+			expected := r.expected
+			r.mu.Unlock()
+			if expected != 1 {
+				t.Fatalf("stream did not move past the packet: expected seq %d, want 1", expected)
+			}
+
+			// The stream is still usable: the next well-formed message arrives.
+			feed(1, first(msgApp), 5, []byte("hello"))
+			waitFor(t, 5*time.Second, func() bool { return sink.count() == tc.delivered+1 })
+			if got := string(sink.get(tc.delivered)); got != "hello" {
+				t.Errorf("message after the hostile packet = %q, want %q", got, "hello")
+			}
+			if got := st.BadLength.Load(); got != wantBad {
+				t.Errorf("bad_length moved to %d on a well-formed message", got)
+			}
+		})
+	}
+}
+
+// An unannounced message beyond the eager limit is accepted, but its buffer
+// grows with the bytes that actually arrive, never ahead of them.
+func TestUnannouncedLargeMessageGrowsWithArrival(t *testing.T) {
+	const peer = 7
+	fabric := simnet.Instant()
+	fabric.MTU = 4096
+	net := simnet.New(fabric)
+	defer net.Close()
+	var sink msgSink
+	eager := 8 << 10
+	c, err := Attach(net, 1, Config{EagerMax: eager}, sink.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const total = 200_000
+	want := make([]byte, total)
+	for i := range want {
+		want[i] = byte(i * 31)
+	}
+	frag := fabric.MTU - pktHeaderSize
+	r := c.receiver(peer)
+	for off, seq := 0, uint64(0); off < total; seq++ {
+		n := min(frag, total-off)
+		var flags uint8
+		var aux uint64
+		if off == 0 {
+			flags, aux = flagFirst|msgApp<<msgKindShift, total
+		}
+		c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, want[off:off+n]))
+		c.flush()
+		off += n
+		r.mu.Lock()
+		if r.asm != nil {
+			if committed, bound := cap(r.asm.Bytes()), 2*max(off, eager); committed > bound {
+				t.Fatalf("after %d bytes the receiver holds %d, want at most %d", off, committed, bound)
+			}
+		}
+		r.mu.Unlock()
+	}
+	if sink.count() != 1 || string(sink.get(0)) != string(want) {
+		t.Fatal("grown message corrupted or not delivered")
+	}
+	if got := c.Stats().BadLength.Load(); got != 0 {
+		t.Fatalf("bad_length = %d for a well-formed unannounced message", got)
+	}
+}

@@ -38,5 +38,13 @@ func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint
 	return Attach(n.sim, nid, n.cfg, h)
 }
 
+// AttachBatch is Attach with owned, batched delivery
+// (transport.BatchNetwork): each reassembled message reaches bh in the
+// pooled buffer it was reassembled in, so the delivery engine queues it
+// onto a lane without copying.
+func (n *Network) AttachBatch(nid types.NID, bh transport.BatchHandler) (transport.Endpoint, error) {
+	return AttachPacketBatch(simPacketNetwork{n.sim}, nid, n.cfg, bh)
+}
+
 // Close tears down the fabric.
 func (n *Network) Close() error { return n.sim.Close() }

@@ -7,17 +7,24 @@ import (
 
 // PacketHandler is invoked by a packet network with each raw datagram
 // addressed to the local node. src identifies the sending node; the callee
-// must not retain pkt after returning.
+// must not retain pkt after returning. All packets from one source are fed
+// by one goroutine at a time (rtscts keeps its reassembly state per source
+// on that promise); different sources may be fed concurrently.
 type PacketHandler func(src types.NID, pkt []byte)
 
 // PacketEndpoint is a node's attachment to an unreliable packet fabric —
-// the service rtscts builds reliability on. SendPacket is best-effort
-// (loss, duplication, and reordering are the reliability layer's job) and
-// MUST NOT block: it is called from ack/delivery paths that portalsvet
-// proves non-blocking (application bypass, §5.1). Implementations enqueue
-// or tail-drop; they never wait on sockets or pacing.
+// the service rtscts builds reliability on. SendPacket transmits hdr
+// followed by payload as one datagram, gathering both into whatever
+// buffer the fabric queues, so rtscts never materialises a packet of its
+// own; it must not retain either slice after returning (either may be
+// empty). It is best-effort (loss, duplication, and reordering are the
+// reliability layer's job) and MUST NOT block: it is called from
+// ack/delivery paths that portalsvet proves non-blocking (application
+// bypass, §5.1) and with the sender's window lock held. Implementations
+// enqueue or tail-drop; they never wait on sockets or pacing, and never
+// call back into rtscts.
 type PacketEndpoint interface {
-	SendPacket(dst types.NID, pkt []byte) error
+	SendPacket(dst types.NID, hdr, payload []byte) error
 	LocalNID() types.NID
 	Close() error
 }
@@ -26,19 +33,27 @@ type PacketEndpoint interface {
 // Both the in-memory simulator (simnet) and the real-socket UDP transport
 // implement it; the reliability engine is identical over either.
 type PacketNetwork interface {
-	// AttachPacket registers nid and its raw-packet handler.
-	AttachPacket(nid types.NID, h PacketHandler) (PacketEndpoint, error)
+	// AttachPacket registers nid and its raw-packet handler. The network
+	// calls flush, from the goroutine that just fed h, after the last
+	// packet of every dispatch burst — after every packet if it has no
+	// bursts: messages completed by the burst are handed up then, as one
+	// batch.
+	AttachPacket(nid types.NID, h PacketHandler, flush func()) (PacketEndpoint, error)
 	// MTU reports the largest datagram the fabric carries.
 	MTU() int
 }
 
 // simPacketNetwork adapts *simnet.Network to PacketNetwork. simnet's
 // Endpoint already satisfies PacketEndpoint (SendPacket tail-drops when a
-// link queue is full — it never blocks).
+// link queue is full — it never blocks); its links deliver packet by
+// packet, so every packet is its own burst.
 type simPacketNetwork struct{ n *simnet.Network }
 
-func (s simPacketNetwork) AttachPacket(nid types.NID, h PacketHandler) (PacketEndpoint, error) {
-	return s.n.Attach(nid, simnet.PacketHandler(h))
+func (s simPacketNetwork) AttachPacket(nid types.NID, h PacketHandler, flush func()) (PacketEndpoint, error) {
+	return s.n.Attach(nid, func(src types.NID, pkt []byte) {
+		h(src, pkt)
+		flush()
+	})
 }
 
 func (s simPacketNetwork) MTU() int { return s.n.MTU() }

@@ -5,119 +5,215 @@ import (
 	"sync"
 
 	"repro/internal/bufpool"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // peerReceiver holds the in-order reception state for one source: the
-// expected sequence number and the current message reassembly.
+// expected sequence number and the message being reassembled. All packets
+// from one source arrive on one goroutine (PacketHandler), so mu is only
+// ever contended by Close.
 type peerReceiver struct {
 	mu       sync.Mutex
 	expected uint64 //lint:guardedby mu
+	closed   bool   //lint:guardedby mu
 
-	// Reassembly of the in-progress message. Fragments of one message are
-	// contiguous on the stream (the sender serializes them), so a single
-	// buffer suffices.
-	asmKind  uint8  //lint:guardedby mu
-	asmTotal uint64 //lint:guardedby mu
-	asmBuf   []byte //lint:guardedby mu
-	asmOpen  bool   //lint:guardedby mu
+	// granted is the length announced by the RTS this receiver last
+	// answered; the message that claims exactly that length gets its whole
+	// buffer up front.
+	granted uint64 //lint:guardedby mu
+
+	// Reassembly in place. Fragments of one message are contiguous on the
+	// stream (the sender serializes them), so one open message suffices:
+	// asm is its delivery buffer (nil: no message open), asmOff the bytes
+	// received so far — the offset the next fragment is copied to.
+	asm      *bufpool.Buf //lint:guardedby mu
+	asmTotal int          //lint:guardedby mu
+	asmOff   int          //lint:guardedby mu
+
+	ackHdr [pktHeaderSize]byte //lint:guardedby mu  scratch for the outgoing ack
 }
 
-// completion is one fully reassembled message ready for dispatch.
-// Application payloads ride pooled buffers (buf non-nil) so steady-state
-// receive recycles memory; tiny control messages (RTS/CTS) are plain.
-type completion struct {
-	kind uint8
-	msg  []byte
-	buf  *bufpool.Buf
+// What one accepted fragment completed.
+const (
+	doneNothing uint8 = iota
+	doneApp           // the open application message is whole
+	doneRTS           // a rendezvous announcement: grant it
+	doneCTS           // a rendezvous grant for our sender
+)
+
+// accept feeds one in-sequence fragment to reassembly. ok is false when the
+// fragment's framing is impossible and it was discarded; every length in
+// it is the peer's word, so nothing is allocated on that word alone: the
+// whole buffer only for a length this receiver granted or one within the
+// eager limit, growth with the bytes that actually arrive otherwise, and
+// nothing at all above MaxMessage. Called with mu held.
+//
+//lint:requires mu
+func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []byte) (done uint8, ok bool) {
+	if flags&flagFirst == 0 {
+		if r.asm == nil {
+			return doneNothing, false // continuation of a message that was never opened
+		}
+		return r.fill(payload)
+	}
+	r.abandon() // a conforming sender finishes one message before starting the next
+	switch msgKind(flags) {
+	case msgApp:
+		if aux > MaxMessage || uint64(len(payload)) > aux {
+			return doneNothing, false
+		}
+		commit := int(aux)
+		if aux != r.granted && commit > eagerMax {
+			commit = max(eagerMax, len(payload))
+		}
+		r.granted = 0
+		r.asm, r.asmTotal, r.asmOff = bufpool.Get(commit), int(aux), 0
+		return r.fill(payload)
+	case msgRTS:
+		if aux != rtsSize || len(payload) != rtsSize {
+			return doneNothing, false
+		}
+		announced := binary.BigEndian.Uint64(payload)
+		if announced > MaxMessage {
+			return doneNothing, false
+		}
+		r.granted = announced
+		return doneRTS, true
+	case msgCTS:
+		if aux != 0 || len(payload) != 0 {
+			return doneNothing, false
+		}
+		return doneCTS, true
+	}
+	return doneNothing, false // unknown message kind
+}
+
+// fill copies one fragment to its offset in the open message's buffer,
+// growing the buffer by size class when the message was opened with less
+// than its claimed length. A fragment that overruns the claimed length
+// discards the message. Called with mu held.
+//
+//lint:requires mu
+func (r *peerReceiver) fill(payload []byte) (done uint8, ok bool) {
+	end := r.asmOff + len(payload)
+	if end > r.asmTotal {
+		r.abandon()
+		return doneNothing, false
+	}
+	room := whole(r.asm)
+	if end > len(room) {
+		// Only an unannounced message beyond the eager limit grows; a
+		// conforming sender's buffer was sized whole when it was opened.
+		grown := bufpool.Get(min(r.asmTotal, max(2*len(room), end)))
+		old := room[:r.asmOff]
+		room = whole(grown)
+		copy(room, old)
+		r.asm.Release()
+		r.asm = grown
+	}
+	copy(room[r.asmOff:end], payload)
+	r.asmOff = end
+	if end == r.asmTotal {
+		return doneApp, true
+	}
+	return doneNothing, true
+}
+
+// whole is all of b's memory, not just the length it was obtained with: a
+// buffer opened short grows into its size class before it is replaced.
+func whole(b *bufpool.Buf) []byte {
+	room := b.Bytes()
+	return room[:cap(room)]
+}
+
+// abandon discards the open message, if any. Called with mu held.
+//
+//lint:requires mu
+func (r *peerReceiver) abandon() {
+	if r.asm != nil {
+		r.asm.Release()
+		r.asm = nil
+	}
+}
+
+// shutdown returns a half-assembled message to the pool and refuses
+// whatever the fabric still delivers.
+func (r *peerReceiver) shutdown() {
+	r.mu.Lock()
+	r.closed = true
+	r.abandon()
+	r.mu.Unlock()
 }
 
 // onData processes one sequenced fragment per Go-Back-N: accept exactly
 // the expected sequence, acknowledge cumulatively, discard everything
 // else (duplicates and out-of-order packets trigger a duplicate ack that
 // speeds sender recovery — three of them fire the peer's fast retransmit).
+// An in-sequence fragment with impossible framing is consumed and counted,
+// not refused: the stream moves on, and only the peer's own message is lost.
+//
+//lint:noalloc the per-fragment receive path: one copy to the fragment's offset, one header-only ack
 func (c *Conn) onData(src types.NID, r *peerReceiver, flags uint8, seq, aux uint64, payload []byte) {
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return
+	}
 	if seq != r.expected {
 		if seq < r.expected {
 			c.stats.DupsDiscarded.Add(1)
 		} else {
 			c.stats.OutOfOrder.Add(1)
 		}
-		ack := r.expected
+		r.sendAck(c, src)
 		r.mu.Unlock()
-		c.sendAck(src, ack)
 		return
 	}
 	r.expected++
-
-	// In-order fragment: feed reassembly.
-	var complete []completion
-	if flags&flagFirst != 0 {
-		r.asmKind = msgKind(flags)
-		r.asmTotal = aux
-		r.asmBuf = r.asmBuf[:0]
-		r.asmOpen = true
+	done, ok := r.accept(c.cfg.EagerMax, flags, aux, payload)
+	if !ok {
+		c.stats.BadLength.Add(1)
 	}
-	if r.asmOpen {
-		r.asmBuf = append(r.asmBuf, payload...)
-		if uint64(len(r.asmBuf)) >= r.asmTotal {
-			var done completion
-			done.kind = r.asmKind
-			if r.asmKind == msgApp {
-				done.buf = bufpool.Get(int(r.asmTotal))
-				done.msg = done.buf.Bytes()
-			} else {
-				done.msg = make([]byte, r.asmTotal)
-			}
-			copy(done.msg, r.asmBuf[:r.asmTotal])
-			complete = append(complete, done)
-			r.asmOpen = false
-		}
+	var msg transport.Delivery
+	if done == doneApp {
+		msg = transport.Delivery{Src: src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
+		r.asm = nil // ownership moves to the delivery
 	}
-	ack := r.expected
+	r.sendAck(c, src)
 	r.mu.Unlock()
 
-	c.sendAck(src, ack)
-
-	for _, m := range complete {
-		switch m.kind {
-		case msgApp:
-			c.deliver(src, m.msg, m.buf)
-		case msgRTS:
-			// Rendezvous announcement: grant immediately. A production
-			// implementation would check receive-buffer budget here; the
-			// protocol cost (the extra round trip) is what we model.
-			if len(m.msg) == 8 {
-				_ = binary.BigEndian.Uint64(m.msg) // announced length
-			}
-			if s, err := c.sender(src); err == nil {
-				// The grant is issued off the delivery goroutine: sendCTS
-				// blocks while the Go-Back-N window toward src is full, and
-				// the acks that would open it arrive on this very goroutine
-				// (the src->us link delayer) — granting inline deadlocks the
-				// link once the window fills. Application bypass (§5.1)
-				// requires the delivery path itself never to wait on
-				// protocol backpressure. At most one RTS per peer is
-				// outstanding (the peer's run loop blocks on the grant), so
-				// this spawns at most one short-lived goroutine per peer.
-				go s.sendCTS()
-			}
-		case msgCTS:
-			c.mu.Lock()
-			s := c.senders[src]
-			c.mu.Unlock()
-			if s != nil {
-				s.grantReceived()
-			}
+	switch done {
+	case doneApp:
+		c.deliver(msg)
+	case doneRTS:
+		// Rendezvous announcement: grant immediately. A production
+		// implementation would check receive-buffer budget here; the
+		// protocol cost (the extra round trip) is what we model. At most
+		// one RTS per peer is outstanding (the peer's run loop waits for
+		// the grant).
+		if s, err := c.sender(src); err == nil {
+			s.oweCTS()
+		}
+	case doneCTS:
+		c.mu.Lock()
+		s := c.senders[src]
+		c.mu.Unlock()
+		if s != nil {
+			s.grantReceived()
 		}
 	}
 }
 
-// sendAck transmits a cumulative acknowledgment. Acks are unsequenced and
-// unreliable; a lost ack is repaired by the next one or by retransmission.
-func (c *Conn) sendAck(dst types.NID, cumAck uint64) {
+// sendAck transmits the stream's cumulative acknowledgment. Acks are
+// unsequenced, unreliable and header-only; a lost ack is repaired by the
+// next one or by retransmission. Called with mu held: the header is built
+// in the receiver's own scratch.
+//
+//lint:requires mu
+//lint:noalloc header-only packet built in the receiver's scratch
+func (r *peerReceiver) sendAck(c *Conn, dst types.NID) {
 	c.stats.AcksSent.Add(1)
-	pkt := encodePacket(pktAck, 0, cumAck, 0, nil)
-	_ = c.ep.SendPacket(dst, pkt)
+	putHeader(&r.ackHdr, pktAck, 0, r.expected, 0)
+	_ = c.ep.SendPacket(dst, r.ackHdr[:], nil)
 }

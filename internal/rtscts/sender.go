@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs/trace"
 	"repro/internal/types"
 )
@@ -16,14 +17,26 @@ import (
 // plain reordering fires spurious resends, more and recovery lags).
 const dupAckThreshold = 3
 
-// txPkt is one sequenced packet awaiting acknowledgment. sent timestamps
-// the most recent transmission; retx marks packets that have ever been
+// txDesc describes one sequenced packet awaiting acknowledgment: where its
+// payload lies in the message buffer, not a copy of it. sent timestamps the
+// most recent transmission; retx marks packets that have ever been
 // retransmitted, which Karn's rule excludes from RTT sampling (an ack for
 // a retransmitted packet is ambiguous — it may answer either transmission).
-type txPkt struct {
-	data []byte
-	sent time.Time
-	retx bool
+type txDesc struct {
+	hdr     [pktHeaderSize]byte // wire header, built once at first transmission
+	payload []byte              // a window of the message buffer; empty for header-only packets
+	owner   *bufpool.Buf        // set on a message's final fragment only: the buffer's one reference
+	sent    time.Time
+	retx    bool
+}
+
+// retire drops the descriptor's view of its message once the packet is
+// acknowledged or abandoned; retiring the final fragment releases the
+// buffer.
+func (d *txDesc) retire() {
+	d.payload = nil
+	d.owner.Release()
+	d.owner = nil
 }
 
 // peerSender owns the reliable stream toward one destination: the message
@@ -37,35 +50,34 @@ type peerSender struct {
 	c   *Conn
 	dst types.NID
 
-	// Message queue, drained by the run goroutine. Unbounded so Send never
-	// blocks (local completion = accepted here).
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  [][]byte //lint:guardedby qmu
-	closed bool     //lint:guardedby qmu
+	// Work for the run goroutine: queued messages (unbounded, so Send never
+	// blocks — local completion = accepted here), grants owed to the peer,
+	// and the state of our own rendezvous. run is the only goroutine that
+	// puts sequenced packets on the stream, which is what keeps the
+	// fragments of one message contiguous (the receiver reassembles one
+	// message at a time).
+	qmu      sync.Mutex
+	qcond    *sync.Cond
+	queue    bufpool.Queue //lint:guardedby qmu
+	owedCTS  int           //lint:guardedby qmu  RTS announcements from the peer not yet granted
+	awaiting bool          //lint:guardedby qmu  our RTS is out, its CTS not yet seen
+	granted  bool          //lint:guardedby qmu  the CTS arrived; the held message may go
+	closed   bool          //lint:guardedby qmu
 
-	// txMu serializes fragment emission so fragments of different
-	// messages never interleave on the stream (the receiver reassembles
-	// one message at a time). The CTS fast path takes it briefly.
+	// Window state, guarded by wmu. Packets are transmitted WITH wmu held:
+	// message bytes are read and released only under it, so the ack that
+	// retires a message cannot return its buffer to the pool while a
+	// (re)transmission is still gathering from it. SendPacket never blocks
+	// and never calls back, so the fabric's locks simply nest inside.
 	//
-	// Lock order (portalsvet lockorder): txMu is outermost on the
-	// transmit path; the window lock and the in-memory network's locks
-	// nest inside it.
-	//
-	//lint:lockrank peerSender.txMu < peerSender.wmu
-	//lint:lockrank peerSender.txMu < Network.mu
-	//lint:lockrank peerSender.txMu < link.mu
-	//lint:lockrank peerSender.txMu < node.qmu
-	txMu sync.Mutex
-
-	// Window state, guarded by wmu. Packets are sent after wmu is
-	// released — never under it — so wmu ranks below nothing on the
-	// transmit side.
+	//lint:lockrank peerSender.wmu < Network.mu
+	//lint:lockrank peerSender.wmu < link.mu
+	//lint:lockrank peerSender.wmu < node.qmu
 	wmu      sync.Mutex
 	wcond    *sync.Cond
 	nextSeq  uint64    //lint:guardedby wmu
 	base     uint64    //lint:guardedby wmu  lowest unacked sequence
-	inFlight []txPkt   //lint:guardedby wmu  packets [base, nextSeq), for retransmission
+	inFlight []txDesc  //lint:guardedby wmu  ring of cfg.Window slots; packet seq lives at seq % len
 	lastSend time.Time //lint:guardedby wmu
 
 	// Adaptive state, guarded by wmu.
@@ -83,39 +95,44 @@ type peerSender struct {
 	rtoNs  atomic.Int64 //lint:guardedby atomic
 	wndNow atomic.Int64 //lint:guardedby atomic
 
-	// Rendezvous: grants arrive from the receive path.
-	ctsCh chan struct{}
-
 	done chan struct{}
 }
 
 func newPeerSender(c *Conn, dst types.NID) *peerSender {
-	s := &peerSender{c: c, dst: dst, ctsCh: make(chan struct{}, 4), done: make(chan struct{})}
+	//lint:ignore noalloc first contact with a peer builds its sender (window ring, two goroutines); never again
+	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window), done: make(chan struct{})}
 	s.qcond = sync.NewCond(&s.qmu)
 	s.wcond = sync.NewCond(&s.wmu)
 	s.rto = c.cfg.RTO
 	s.wnd = c.cfg.Window
 	s.rtoNs.Store(int64(s.rto))
 	s.wndNow.Store(int64(s.wnd))
+	//lint:ignore noalloc per-peer goroutine, started once at first contact
 	go s.run()
+	//lint:ignore noalloc per-peer goroutine, started once at first contact
 	go s.retransmitLoop()
 	return s
 }
 
-func (s *peerSender) enqueue(msg []byte) error {
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
+// enqueue accepts one message for the stream, taking the buffer.
+//
+//lint:consumes buf
+func (s *peerSender) enqueue(buf *bufpool.Buf) error {
 	s.qmu.Lock()
 	if s.closed {
 		s.qmu.Unlock()
+		buf.Release()
 		return types.ErrClosed
 	}
-	s.queue = append(s.queue, cp)
+	s.queue.Push(buf)
 	s.qmu.Unlock()
 	s.qcond.Signal()
 	return nil
 }
 
+// shutdown stops the sender and returns every buffer it still holds to the
+// pool: the queued messages here, the in-flight ones under wmu — after done
+// is closed, so nothing is recorded or transmitted behind the sweep.
 func (s *peerSender) shutdown() {
 	s.qmu.Lock()
 	if s.closed {
@@ -123,125 +140,167 @@ func (s *peerSender) shutdown() {
 		return
 	}
 	s.closed = true
-	s.queue = nil
+	for s.queue.Len() > 0 {
+		s.queue.Pop().Release()
+	}
 	s.qmu.Unlock()
 	s.qcond.Broadcast()
-	s.wmu.Lock()
-	s.wcond.Broadcast()
-	s.wmu.Unlock()
 	close(s.done)
-}
-
-func (s *peerSender) isClosed() bool {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.closed
+	s.wmu.Lock()
+	for ; s.base < s.nextSeq; s.base++ {
+		s.desc(s.base).retire()
+	}
+	s.wmu.Unlock()
+	s.wcond.Broadcast()
 }
 
 // run drains the message queue in FIFO order, performing rendezvous for
-// messages beyond the eager threshold. FIFO draining is what gives Portals
-// its ordered-delivery guarantee across eager and rendezvous messages.
+// messages beyond the eager threshold, and issues the grants this node owes
+// the peer. FIFO draining is what gives Portals its ordered-delivery
+// guarantee across eager and rendezvous messages. While a rendezvous
+// message waits for its grant no later message overtakes it, but grants
+// still go out — two nodes in simultaneous rendezvous would otherwise
+// deadlock.
 func (s *peerSender) run() {
+	var held *bufpool.Buf // announced by RTS, waiting for its CTS
 	for {
 		s.qmu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for !s.closed && s.owedCTS == 0 && !s.granted && (held != nil || s.queue.Len() == 0) {
 			s.qcond.Wait()
 		}
-		if s.closed {
+		switch {
+		case s.closed:
 			s.qmu.Unlock()
+			if held != nil {
+				held.Release()
+			}
+			return
+		case s.owedCTS > 0:
+			s.owedCTS--
+			s.qmu.Unlock()
+			s.sendMessage(msgCTS, nil)
+			s.c.stats.CTSSent.Add(1)
+			continue
+		}
+		if held == nil {
+			if msg := s.queue.Pop(); len(msg.Bytes()) > s.c.cfg.EagerMax {
+				// Rendezvous: announce, then hold the message for the grant.
+				s.awaiting = true
+				s.qmu.Unlock()
+				rts := bufpool.Get(rtsSize)
+				binary.BigEndian.PutUint64(rts.Bytes(), uint64(len(msg.Bytes())))
+				s.sendMessage(msgRTS, rts)
+				s.c.stats.RTSSent.Add(1)
+				held = msg
+			} else {
+				s.qmu.Unlock()
+				s.sendMessage(msgApp, msg)
+			}
+			continue
+		}
+		// The grant arrived.
+		s.granted = false
+		s.qmu.Unlock()
+		s.sendMessage(msgApp, held)
+		held = nil
+	}
+}
+
+// grantReceived is called by the receive path when a CTS arrives. A CTS
+// nobody is waiting for is a protocol error and is ignored.
+func (s *peerSender) grantReceived() {
+	s.qmu.Lock()
+	if s.awaiting {
+		s.awaiting, s.granted = false, true
+	}
+	s.qmu.Unlock()
+	s.qcond.Signal()
+}
+
+// oweCTS is called by the receive path when an RTS arrives. The grant is
+// issued by the run goroutine, never inline: emitting it blocks while the
+// Go-Back-N window toward the peer is full, and the acks that would open it
+// arrive on the very goroutine that delivered the RTS. Application bypass
+// (§5.1) requires the delivery path itself never to wait on protocol
+// backpressure.
+func (s *peerSender) oweCTS() {
+	s.qmu.Lock()
+	s.owedCTS++
+	s.qmu.Unlock()
+	s.qcond.Signal()
+}
+
+// sendMessage fragments one message onto the reliable stream, taking buf
+// (nil for a message with no payload): every fragment but the last borrows
+// a window of it, the final fragment's descriptor inherits it, and it is
+// released here if the sender closes first.
+//
+//lint:consumes buf
+func (s *peerSender) sendMessage(kind uint8, buf *bufpool.Buf) {
+	frag := s.c.mtu - pktHeaderSize
+	var rest []byte
+	if buf != nil {
+		rest = buf.Bytes()
+	}
+	flags, aux := flagFirst|kind<<msgKindShift, uint64(len(rest))
+	for ; len(rest) > frag; rest = rest[frag:] {
+		if !s.sendReliable(flags, aux, rest[:frag], nil) {
+			buf.Release()
 			return
 		}
-		msg := s.queue[0]
-		s.queue = s.queue[1:]
-		s.qmu.Unlock()
-
-		if len(msg) > s.c.cfg.EagerMax {
-			// Rendezvous: announce, then wait for the grant. The stream
-			// stays open for control traffic (our CTS grants to the peer
-			// take the txMu fast path), but no later message overtakes.
-			var lenBuf [8]byte
-			binary.BigEndian.PutUint64(lenBuf[:], uint64(len(msg)))
-			s.sendMessage(msgRTS, lenBuf[:])
-			s.c.stats.RTSSent.Add(1)
-			select {
-			case <-s.ctsCh:
-			case <-s.done:
-				return
-			}
-		}
-		s.sendMessage(msgApp, msg)
+		flags, aux = 0, 0
 	}
+	s.sendReliable(flags, aux, rest, buf)
 }
 
-// grantReceived is called by the receive path when a CTS arrives.
-func (s *peerSender) grantReceived() {
-	select {
-	case s.ctsCh <- struct{}{}:
-	default: // protocol error (spurious CTS); ignore
-	}
+// desc is the window slot of packet seq. Called with wmu held.
+//
+//lint:requires wmu
+func (s *peerSender) desc(seq uint64) *txDesc {
+	return &s.inFlight[seq%uint64(len(s.inFlight))]
 }
 
-// sendCTS emits a grant from the receive path. It must not wait behind
-// queued application messages (that would deadlock two nodes doing
-// simultaneous rendezvous), hence the direct txMu path.
-func (s *peerSender) sendCTS() {
-	s.sendMessage(msgCTS, nil)
-	s.c.stats.CTSSent.Add(1)
+// transmit puts one in-flight packet on the fabric: its prebuilt header
+// plus a window of the message buffer, gathered by the fabric into its own
+// packet. Called with wmu held — see the window-state comment.
+//
+//lint:requires wmu
+func (s *peerSender) transmit(d *txDesc) {
+	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload) // loss is the retransmit loop's job
 }
 
-// sendMessage fragments one message onto the reliable stream.
-func (s *peerSender) sendMessage(kind uint8, payload []byte) {
-	s.txMu.Lock()
-	defer s.txMu.Unlock()
-	frag := s.c.mtu - pktHeaderSize
-	total := uint64(len(payload))
-	first := true
-	rest := payload
-	for {
-		n := len(rest)
-		if n > frag {
-			n = frag
-		}
-		var flags uint8
-		var aux uint64
-		if first {
-			flags = flagFirst | kind<<msgKindShift
-			aux = total
-		}
-		//lint:ignore lockdiscipline txMu intentionally spans window waits: fragments of one message must stay contiguous on the stream (the receiver reassembles exactly one message at a time), so emission cannot release txMu while sendReliable waits for window space
-		s.sendReliable(flags, aux, rest[:n])
-		rest = rest[n:]
-		first = false
-		if len(rest) == 0 {
-			break
-		}
-	}
-}
-
-// sendReliable assigns the next sequence number, records the packet for
-// retransmission, and transmits it, blocking while the window is full.
-func (s *peerSender) sendReliable(flags uint8, aux uint64, payload []byte) {
+// sendReliable assigns the next sequence number, records the packet's
+// descriptor for retransmission, and transmits it, blocking while the
+// window is full. owner is the message buffer when payload is its final
+// fragment, nil otherwise; the descriptor takes it. Once the sender is
+// closed sendReliable records nothing, releases owner, and reports false.
+//
+//lint:consumes owner
+//lint:noalloc the per-fragment path: a ring slot, a header written in place, one fabric gather
+func (s *peerSender) sendReliable(flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
 	s.wmu.Lock()
 	for s.nextSeq-s.base >= uint64(s.wnd) && !s.isClosedFast() {
 		s.wcond.Wait()
 	}
 	if s.isClosedFast() {
 		s.wmu.Unlock()
-		return
+		owner.Release()
+		return false
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	pkt := encodePacket(pktData, flags, seq, aux, payload)
 	now := time.Now()
-	s.inFlight = append(s.inFlight, txPkt{data: pkt, sent: now})
+	d := s.desc(seq)
+	*d = txDesc{payload: payload, owner: owner, sent: now}
+	putHeader(&d.hdr, pktData, flags, seq, aux)
 	s.lastSend = now
-	s.wmu.Unlock()
-
 	// Packet-level spans are keyed (src NID, pid 0, packet seq); pid 0
 	// distinguishes them from the (initiator NID/PID, header seq) message
 	// spans above the reliability layer.
-	trace.Record(trace.StageWireTx, uint32(s.c.LocalNID()), 0, seq, uint64(len(pkt)))
-	_ = s.c.ep.SendPacket(s.dst, pkt) // loss is the retransmit loop's job
+	trace.Record(trace.StageWireTx, uint32(s.c.LocalNID()), 0, seq, uint64(pktHeaderSize+len(payload)))
+	s.transmit(d)
+	s.wmu.Unlock()
+	return true
 }
 
 // isClosedFast avoids the queue lock inside window waits.
@@ -307,23 +366,21 @@ func (s *peerSender) shrinkWindow(num, den int) {
 // receiver is discarding out-of-order packets past a hole; the third such
 // dup-ack fires an immediate Go-Back-N resend (fast retransmit), once per
 // outstanding window.
+//
+//lint:noalloc acks arrive on the delivery path; retiring descriptors returns memory, it takes none
 func (s *peerSender) onAck(cumAck uint64) {
 	s.wmu.Lock()
 	if cumAck > s.base {
-		n := cumAck - s.base
-		if n > uint64(len(s.inFlight)) {
-			n = uint64(len(s.inFlight))
-		}
+		n := min(cumAck, s.nextSeq) - s.base
 		now := time.Now()
 		sample := time.Duration(-1)
-		for i := int(n) - 1; i >= 0; i-- {
-			if !s.inFlight[i].retx {
-				sample = now.Sub(s.inFlight[i].sent)
-				break
+		for end := s.base + n; s.base < end; s.base++ {
+			d := s.desc(s.base)
+			if !d.retx {
+				sample = now.Sub(d.sent) // ascending, so the newest clean packet wins
 			}
+			d.retire()
 		}
-		s.inFlight = s.inFlight[n:]
-		s.base += n
 		s.lastSend = now
 		s.dupAcks = 0
 		if sample >= 0 {
@@ -343,39 +400,52 @@ func (s *peerSender) onAck(cumAck uint64) {
 	// the receiver saw something past a hole. Count toward fast
 	// retransmit, but only once per window (NewReno-style recover guard —
 	// dup-acks generated by our own resend burst must not re-fire it).
-	if cumAck == s.base && len(s.inFlight) > 0 && s.base >= s.recover {
+	if cumAck == s.base && s.nextSeq > s.base && s.base >= s.recover {
 		s.dupAcks++
 		if s.dupAcks >= dupAckThreshold {
 			s.dupAcks = 0
 			s.recover = s.nextSeq
-			resend := make([][]byte, len(s.inFlight))
-			for i := range s.inFlight {
-				s.inFlight[i].retx = true
-				resend[i] = s.inFlight[i].data
-			}
-			s.lastSend = time.Now()
+			from, to := s.markRetx()
 			s.shrinkWindow(3, 4)
-			baseSeq := s.base
 			s.wmu.Unlock()
-			s.fastRetransmit(baseSeq, resend)
+			s.c.stats.FastRetransmits.Add(1)
+			s.resend(from, to, 0)
 			return
 		}
 	}
 	s.wmu.Unlock()
 }
 
-// fastRetransmit resends the window immediately (no locks held: packet
-// emission nests network locks and must stay off wmu).
-func (s *peerSender) fastRetransmit(baseSeq uint64, resend [][]byte) {
-	s.c.stats.FastRetransmits.Add(1)
+// markRetx flags the whole outstanding window as retransmitted (Karn) and
+// restarts the stall clock, returning the window's bounds. Called with wmu
+// held.
+//
+//lint:requires wmu
+func (s *peerSender) markRetx() (from, to uint64) {
+	for seq := s.base; seq < s.nextSeq; seq++ {
+		s.desc(seq).retx = true
+	}
+	s.lastSend = time.Now()
+	return s.base, s.nextSeq
+}
+
+// resend retransmits packets [from, to) — Go-Back-N: the window as it stood
+// when the loss was noticed. wmu is taken per packet, so acks are never
+// held up behind a whole window of copies, and a packet an ack retired in
+// the meantime is skipped: its slot, and its message buffer, may already
+// belong to something else.
+func (s *peerSender) resend(from, to uint64, delay time.Duration) {
 	traced := trace.Enabled()
-	for i, pkt := range resend {
-		s.c.stats.Retransmits.Add(1)
-		if traced {
-			trace.Record(trace.StageRetransmit, uint32(s.c.LocalNID()), 0,
-				baseSeq+uint64(i), 0)
+	for seq := from; seq < to; seq++ {
+		s.wmu.Lock()
+		if seq >= s.base && !s.isClosedFast() {
+			s.c.stats.Retransmits.Add(1)
+			if traced {
+				trace.Record(trace.StageRetransmit, uint32(s.c.LocalNID()), 0, seq, uint64(delay))
+			}
+			s.transmit(s.desc(seq))
 		}
-		_ = s.c.ep.SendPacket(s.dst, pkt)
+		s.wmu.Unlock()
 	}
 }
 
@@ -412,16 +482,10 @@ func (s *peerSender) retransmitLoop() {
 			lastBase = s.base
 			delay = rto
 		}
-		stuck := len(s.inFlight) > 0 && time.Since(s.lastSend) >= delay
-		var resend [][]byte
-		baseSeq := s.base
+		stuck := s.nextSeq > s.base && time.Since(s.lastSend) >= delay
+		var from, to uint64
 		if stuck {
-			resend = make([][]byte, len(s.inFlight))
-			for i := range s.inFlight {
-				s.inFlight[i].retx = true
-				resend[i] = s.inFlight[i].data
-			}
-			s.lastSend = time.Now()
+			from, to = s.markRetx()
 			s.dupAcks = 0
 			s.shrinkWindow(1, 2)
 		}
@@ -431,15 +495,7 @@ func (s *peerSender) retransmitLoop() {
 		wait := jitter(rng, rto/2)
 		if stuck {
 			s.c.stats.Backoff.Observe(int64(delay))
-			traced := trace.Enabled()
-			for i, pkt := range resend {
-				s.c.stats.Retransmits.Add(1)
-				if traced {
-					trace.Record(trace.StageRetransmit, uint32(s.c.LocalNID()), 0,
-						baseSeq+uint64(i), uint64(delay))
-				}
-				_ = s.c.ep.SendPacket(s.dst, pkt)
-			}
+			s.resend(from, to, delay)
 			delay *= 2
 			if delay > s.c.cfg.RTOMax {
 				delay = s.c.cfg.RTOMax

@@ -279,8 +279,8 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 
 // fakeBurstNet is a minimal PacketNetwork with the UDP transport's
 // dispatch shape: one goroutine per node drains a queue, hands each packet
-// to the conn, and calls Flush at burst boundaries. It exists to test
-// AttachPacketBatch's accumulate-then-Flush contract in-process.
+// to the conn, and calls flush at burst boundaries. It exists to test
+// AttachPacketBatch's accumulate-then-flush contract in-process.
 type fakeBurstNet struct {
 	mu    sync.Mutex
 	nodes map[types.NID]*fakeBurstEP
@@ -292,13 +292,11 @@ type fakeBurstPkt struct {
 }
 
 type fakeBurstEP struct {
-	net *fakeBurstNet
-	nid types.NID
-	h   PacketHandler
-	ch  chan fakeBurstPkt
-
-	mu    sync.Mutex
+	net   *fakeBurstNet
+	nid   types.NID
+	h     PacketHandler
 	flush func()
+	ch    chan fakeBurstPkt
 }
 
 func newFakeBurstNet() *fakeBurstNet {
@@ -307,19 +305,13 @@ func newFakeBurstNet() *fakeBurstNet {
 
 func (n *fakeBurstNet) MTU() int { return 1024 }
 
-func (n *fakeBurstNet) AttachPacket(nid types.NID, h PacketHandler) (PacketEndpoint, error) {
-	ep := &fakeBurstEP{net: n, nid: nid, h: h, ch: make(chan fakeBurstPkt, 4096)}
+func (n *fakeBurstNet) AttachPacket(nid types.NID, h PacketHandler, flush func()) (PacketEndpoint, error) {
+	ep := &fakeBurstEP{net: n, nid: nid, h: h, flush: flush, ch: make(chan fakeBurstPkt, 4096)}
 	n.mu.Lock()
 	n.nodes[nid] = ep
 	n.mu.Unlock()
 	go ep.dispatch()
 	return ep, nil
-}
-
-func (ep *fakeBurstEP) setFlush(f func()) {
-	ep.mu.Lock()
-	ep.flush = f
-	ep.mu.Unlock()
 }
 
 func (ep *fakeBurstEP) dispatch() {
@@ -337,24 +329,18 @@ func (ep *fakeBurstEP) dispatch() {
 				break drain
 			}
 		}
-		ep.mu.Lock()
-		f := ep.flush
-		ep.mu.Unlock()
-		if f != nil {
-			f()
-		}
+		ep.flush()
 	}
 }
 
-func (ep *fakeBurstEP) SendPacket(dst types.NID, pkt []byte) error {
+func (ep *fakeBurstEP) SendPacket(dst types.NID, hdr, payload []byte) error {
 	ep.net.mu.Lock()
 	peer := ep.net.nodes[dst]
 	ep.net.mu.Unlock()
 	if peer == nil {
 		return nil // unreachable peer: silent loss
 	}
-	cp := make([]byte, len(pkt))
-	copy(cp, pkt)
+	cp := append(append([]byte(nil), hdr...), payload...)
 	select {
 	case peer.ch <- fakeBurstPkt{src: ep.nid, data: cp}:
 	default: // queue full: tail drop
@@ -388,14 +374,12 @@ func TestBatchModeDeliversPooledBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	net.nodes[2].setFlush(rc.Flush)
 
 	sc, err := AttachPacket(net, 1, DefaultConfig(), func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	net.nodes[1].setFlush(sc.Flush) // handler mode: Flush is a no-op
 
 	const n = 80
 	for i := 0; i < n; i++ {
@@ -431,6 +415,6 @@ func TestBatchModeDeliversPooledBatches(t *testing.T) {
 		}
 	}
 	if batches > n {
-		t.Fatalf("%d batches for %d messages — Flush never coalesced", batches, n)
+		t.Fatalf("%d batches for %d messages — flush never coalesced", batches, n)
 	}
 }

@@ -15,11 +15,12 @@ import (
 // latency. Splitting pacing from latency lets packet k+1's serialization
 // overlap packet k's flight, as on real hardware.
 //
-// Packets travel as pooled buffers (internal/bufpool): enqueue copies the
-// caller's bytes into one, and whichever stage removes a packet from the
-// pipeline — loss, tail drop, shutdown, or final delivery — releases it.
-// Duplication emits an independent pooled copy, never the same buffer
-// twice (the delayer releases each buffer exactly once).
+// Packets travel as pooled buffers (internal/bufpool): enqueue gathers the
+// caller's header and payload into one, the only copy between the sender's
+// message buffer and the receiver's, and whichever stage removes a packet
+// from the pipeline — loss, tail drop, shutdown, or final delivery —
+// releases it. Duplication emits an independent pooled copy, never the same
+// buffer twice (the delayer releases each buffer exactly once).
 type link struct {
 	net *Network
 	src types.NID
@@ -27,7 +28,7 @@ type link struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*bufpool.Buf
+	queue  bufpool.Queue
 	closed bool
 
 	// pacer → delayer wire buffer. A cond-guarded slice rather than a
@@ -52,26 +53,32 @@ type timedPkt struct {
 }
 
 func newLink(n *Network, src, dst types.NID) *link {
+	//lint:ignore noalloc the first packet between a pair builds the link (two goroutines); never again
 	l := &link{net: n, src: src, dst: dst, wireQ: make([]timedPkt, 0, 64)}
 	l.cond = sync.NewCond(&l.mu)
 	l.wireCond = sync.NewCond(&l.wireMu)
+	//lint:ignore noalloc per-link goroutine, started once
 	go l.pace()
+	//lint:ignore noalloc per-link goroutine, started once
 	go l.delay()
 	return l
 }
 
-func (l *link) enqueue(pkt []byte) {
-	// The per-packet copy, into a pooled buffer: the transport contract
-	// lets the caller reuse pkt as soon as Send returns.
-	cp := bufpool.Get(len(pkt))
-	copy(cp.Bytes(), pkt)
+// enqueue gathers hdr and payload into one pooled packet and queues it for
+// the pacer: SendPacket's contract lets the caller reuse both slices as soon
+// as it returns.
+//
+//lint:noalloc the per-packet copy lands in pooled memory and the queue is a ring
+func (l *link) enqueue(hdr, payload []byte) {
+	cp := bufpool.Get(len(hdr) + len(payload))
+	copy(cp.Bytes()[copy(cp.Bytes(), hdr):], payload)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		cp.Release()
 		return
 	}
-	if qcap := l.net.cfg.QueueCap; qcap > 0 && len(l.queue) >= qcap {
+	if qcap := l.net.cfg.QueueCap; qcap > 0 && l.queue.Len() >= qcap {
 		l.mu.Unlock()
 		l.net.stats.TailDrops.Add(1)
 		l.net.stats.Lost.Add(1)
@@ -79,7 +86,7 @@ func (l *link) enqueue(pkt []byte) {
 		cp.Release()
 		return
 	}
-	l.queue = append(l.queue, cp)
+	l.queue.Push(cp)
 	l.mu.Unlock()
 	l.cond.Signal()
 }
@@ -91,12 +98,10 @@ func (l *link) shutdown() {
 		return
 	}
 	l.closed = true
-	q := l.queue
-	l.queue = nil
-	l.mu.Unlock()
-	for _, b := range q {
-		b.Release()
+	for l.queue.Len() > 0 {
+		l.queue.Pop().Release()
 	}
+	l.mu.Unlock()
 	l.cond.Broadcast()
 }
 
@@ -107,7 +112,7 @@ func (l *link) pace() {
 	var lastEnd time.Time
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
+		for l.queue.Len() == 0 && !l.closed {
 			l.cond.Wait()
 		}
 		if l.closed {
@@ -122,9 +127,7 @@ func (l *link) pace() {
 			l.wireCond.Signal()
 			return
 		}
-		pkt := l.queue[0]
-		l.queue[0] = nil
-		l.queue = l.queue[1:]
+		pkt := l.queue.Pop()
 		l.mu.Unlock()
 
 		// Fault injection. Loss removes the packet; duplication emits an
@@ -137,9 +140,7 @@ func (l *link) pace() {
 			continue
 		}
 		var emit [2]*bufpool.Buf
-		ne := 0
-		emit[ne] = pkt
-		ne++
+		ne := 1
 		if cfg.DupRate > 0 && l.net.random() < cfg.DupRate {
 			l.net.stats.Duplicated.Add(1)
 			dup := bufpool.Get(len(pkt.Bytes()))
@@ -147,6 +148,7 @@ func (l *link) pace() {
 			emit[ne] = dup
 			ne++
 		}
+		emit[0] = pkt
 		var after *bufpool.Buf // held packet goes AFTER this batch
 		if cfg.ReorderRate > 0 {
 			if l.held != nil {

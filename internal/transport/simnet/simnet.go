@@ -191,12 +191,18 @@ func (ep *Endpoint) Close() error {
 	return nil
 }
 
-// SendPacket queues one packet for dst. It never blocks: congestion beyond
-// QueueCap tail-drops, like a real switch. Oversized packets are an error
-// (the protocol above must packetize to the MTU).
-func (ep *Endpoint) SendPacket(dst types.NID, pkt []byte) error {
-	if len(pkt) > ep.net.cfg.MTU {
-		return fmt.Errorf("simnet: packet %d exceeds MTU %d", len(pkt), ep.net.cfg.MTU)
+// SendPacket queues one packet for dst: hdr followed by payload, gathered
+// into the link's own pooled packet, so neither slice is retained and the
+// caller never needs a packet-sized buffer of its own (either may be empty).
+// It never blocks: congestion beyond QueueCap tail-drops, like a real
+// switch. Oversized packets are an error (the protocol above must packetize
+// to the MTU).
+//
+//lint:noalloc one pooled packet per send; the link map only grows on first contact
+func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
+	if size := len(hdr) + len(payload); size > ep.net.cfg.MTU {
+		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
+		return fmt.Errorf("simnet: packet %d exceeds MTU %d", size, ep.net.cfg.MTU)
 	}
 	if ep.closed.Load() {
 		return types.ErrClosed
@@ -211,11 +217,12 @@ func (ep *Endpoint) SendPacket(dst types.NID, pkt []byte) error {
 	l, ok := n.links[key]
 	if !ok {
 		l = newLink(n, ep.nid, dst)
+		//lint:ignore noalloc the first packet between a pair registers its link; steady state finds it
 		n.links[key] = l
 	}
 	n.mu.Unlock()
 	n.stats.Sent.Add(1)
-	l.enqueue(pkt)
+	l.enqueue(hdr, payload)
 	return nil
 }
 

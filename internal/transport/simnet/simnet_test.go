@@ -50,7 +50,9 @@ func TestInstantDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := a.SendPacket(2, []byte(fmt.Sprintf("%03d", i))); err != nil {
+		// Header and payload arrive as one packet, gathered by the link.
+		pkt := []byte(fmt.Sprintf("%03d", i))
+		if err := a.SendPacket(2, pkt[:1], pkt[1:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,10 +74,10 @@ func TestMTUEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendPacket(2, make([]byte, 65)); err == nil {
+	if err := a.SendPacket(2, make([]byte, 20), make([]byte, 45)); err == nil {
 		t.Error("oversized packet accepted")
 	}
-	if err := a.SendPacket(1, make([]byte, 64)); err != nil {
+	if err := a.SendPacket(1, make([]byte, 64), nil); err != nil {
 		t.Errorf("MTU-sized packet rejected: %v", err)
 	}
 }
@@ -93,7 +95,7 @@ func TestLossInjection(t *testing.T) {
 	}
 	const count = 400
 	for i := 0; i < count; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +120,7 @@ func TestDuplicationInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +143,7 @@ func TestReorderInjection(t *testing.T) {
 	}
 	const count = 200
 	for i := 0; i < count; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +175,7 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := a.SendPacket(2, []byte("x")); err != nil {
+	if err := a.SendPacket(2, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return len(s.got()) == 1 })
@@ -197,7 +199,7 @@ func TestBandwidthPacing(t *testing.T) {
 	start := time.Now()
 	const packets = 16 // 16 × 64 KB = 1 MB
 	for i := 0; i < packets; i++ {
-		if err := a.SendPacket(2, make([]byte, 65536)); err != nil {
+		if err := a.SendPacket(2, make([]byte, 65536), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +226,7 @@ func TestTailDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := a.SendPacket(2, make([]byte, 32768)); err != nil {
+		if err := a.SendPacket(2, make([]byte, 32768), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +248,7 @@ func TestDetachedDestination(t *testing.T) {
 	}
 	// Destination never attached: packet vanishes (counted lost), like a
 	// real fabric. No error to the sender.
-	if err := a.SendPacket(9, []byte("x")); err != nil {
+	if err := a.SendPacket(9, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return n.Stats().Lost.Load() == 1 })
@@ -267,14 +269,14 @@ func TestCloseEndpointStopsDelivery(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendPacket(2, []byte("x")); err != nil {
+	if err := a.SendPacket(2, []byte("x"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return n.Stats().Lost.Load() == 1 })
 	if len(s.got()) != 0 {
 		t.Error("delivery to closed endpoint")
 	}
-	if err := b.SendPacket(1, []byte("x")); !errors.Is(err, types.ErrClosed) {
+	if err := b.SendPacket(1, []byte("x"), nil); !errors.Is(err, types.ErrClosed) {
 		t.Errorf("send from closed endpoint = %v", err)
 	}
 }
@@ -317,12 +319,12 @@ func TestPerPairIsolation(t *testing.T) {
 	}
 	// 1 MB bulk at 2 MB/s ≈ 500 ms of occupancy on link 1→2.
 	for i := 0; i < 16; i++ {
-		if err := a.SendPacket(2, make([]byte, 65536)); err != nil {
+		if err := a.SendPacket(2, make([]byte, 65536), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start := time.Now()
-	if err := c.SendPacket(4, []byte("quick")); err != nil {
+	if err := c.SendPacket(4, []byte("quick"), nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return len(small.got()) == 1 })
@@ -346,7 +348,7 @@ func TestSeedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			if err := a.SendPacket(2, []byte{byte(i)}); err != nil {
+			if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -37,8 +37,10 @@ type Endpoint interface {
 	// The implementation must not retain msg after Send returns: the
 	// caller may immediately reuse the buffer (the delivery engine
 	// recycles pooled ack/reply buffers this way — docs/PERF.md). Every
-	// in-tree transport either copies at enqueue (loopback, simnet,
-	// rtscts) or writes synchronously before returning (tcp).
+	// in-tree transport either copies once into a pooled buffer and
+	// continues as SendBuf (loopback; rtscts over simnet or udp) or writes
+	// synchronously before returning (tcp). A caller that already holds
+	// the message in a pooled buffer skips that copy with BufSender.
 	Send(dst types.NID, msg []byte) error
 	// LocalNID reports the attached node id.
 	LocalNID() types.NID
@@ -52,7 +54,10 @@ type Endpoint interface {
 // Buf) once the message is done with; the caller must not touch or Release
 // the buffer after the call, whether it returns an error or not. This is
 // what lets an in-process fabric move a message from initiator to delivery
-// engine with zero copies (docs/PERF.md §6).
+// engine with zero copies, and a packet fabric fragment it in place: rtscts
+// keeps the buffer until the last fragment is acknowledged, retransmitting
+// out of it, and a failed SendBuf has already released it
+// (docs/PERF.md §6).
 type BufSender interface {
 	// SendBuf consumes buf: implementations must release it or forward it
 	// as a Delivery's Buf on every path, and callers lose ownership at the
@@ -96,14 +101,21 @@ func (d *Delivery) Release() {
 // BatchHandler consumes one batch of delivered messages. The slice itself
 // is valid only during the call (the transport reuses it), but each
 // Delivery's message is owned by the handler — see Delivery. Batches for
-// one endpoint are delivered serially and in order, so a BatchHandler sees
-// the same per-(source, destination) FIFO stream a Handler would.
+// one endpoint are delivered serially — never two calls at once, so a
+// handler may keep per-endpoint scratch without a lock — and in order, so
+// a BatchHandler sees the same per-(source, destination) FIFO stream a
+// Handler would. A transport fed by several goroutines (simnet feeds an
+// rtscts endpoint from one goroutine per source link) serialises the
+// hand-off itself: whichever feeder finds the handler busy leaves its
+// messages for the one inside it, and no lock is held across the call.
 //
 //lint:consumes batch
 type BatchHandler func(batch []Delivery)
 
-// BatchNetwork is implemented by networks whose delivery goroutine can
-// dequeue message batches per queue operation and hand them over in a
+// BatchNetwork is implemented by networks that deliver owned messages
+// (loopback, rtscts over simnet, udp): the handler keeps each message's
+// buffer instead of copying out of a borrowed one, and a delivery goroutine
+// that dequeues several messages per queue operation hands them over in a
 // single call, amortizing per-message wakeups and handoffs (docs/PERF.md).
 type BatchNetwork interface {
 	Network

@@ -203,24 +203,15 @@ func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint
 // AttachBatch is Attach with batched delivery: the read loop flushes all
 // messages completed by one receive burst as a single BatchHandler call.
 func (n *Network) AttachBatch(nid types.NID, bh transport.BatchHandler) (transport.Endpoint, error) {
-	conn, err := rtscts.AttachPacketBatch(n, nid, n.cfg.Reliability, bh)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	nd := n.nodes[nid]
-	n.mu.Unlock()
-	if nd != nil {
-		nd.setFlush(conn.Flush)
-	}
-	return conn, nil
+	return rtscts.AttachPacketBatch(n, nid, n.cfg.Reliability, bh)
 }
 
 // AttachPacket binds nid's socket and starts its read/write loops; the
-// handler receives raw rtscts packets. Part of rtscts.PacketNetwork —
-// rtscts calls this underneath Attach/AttachBatch.
-func (n *Network) AttachPacket(nid types.NID, h rtscts.PacketHandler) (rtscts.PacketEndpoint, error) {
-	if h == nil {
+// handler receives raw rtscts packets and flush runs after each receive
+// burst. Part of rtscts.PacketNetwork — rtscts calls this underneath
+// Attach/AttachBatch.
+func (n *Network) AttachPacket(nid types.NID, h rtscts.PacketHandler, flush func()) (rtscts.PacketEndpoint, error) {
+	if h == nil || flush == nil {
 		return nil, fmt.Errorf("udp: nil handler")
 	}
 	n.mu.Lock()
@@ -252,11 +243,12 @@ func (n *Network) AttachPacket(nid types.NID, h rtscts.PacketHandler) (rtscts.Pa
 		return nil, fmt.Errorf("udp: bind: %w", err)
 	}
 	nd := &node{
-		net:  n,
-		nid:  nid,
-		pc:   newPacketConn(sock),
-		h:    h,
-		done: make(chan struct{}),
+		net:   n,
+		nid:   nid,
+		pc:    newPacketConn(sock),
+		h:     h,
+		flush: flush,
+		done:  make(chan struct{}),
 	}
 	nd.qcond = sync.NewCond(&nd.qmu)
 
@@ -306,10 +298,8 @@ type node struct {
 	nid types.NID
 	pc  packetConn
 	h   rtscts.PacketHandler
-
-	// flushFn, when set (batch mode), runs after each receive burst on
-	// the read-loop goroutine.
-	flushFn atomic.Pointer[func()] //lint:guardedby atomic
+	// flush runs after each receive burst on the read-loop goroutine.
+	flush func()
 
 	// Send queue. SendPacket appends and returns — it is called from
 	// rtscts ack/delivery paths that must never block on a socket — and
@@ -323,25 +313,32 @@ type node struct {
 	wg   sync.WaitGroup
 }
 
-// SendPacket frames pkt and enqueues it for the writer goroutine. It
-// never blocks: an unknown destination or a full queue drops the packet
-// (datagram loss the reliability layer already recovers from).
-func (nd *node) SendPacket(dst types.NID, pkt []byte) error {
-	if len(pkt)+frameHeaderSize > nd.net.cfg.MTU {
-		return fmt.Errorf("udp: packet of %d bytes exceeds datagram budget", len(pkt))
+// SendPacket gathers hdr and payload behind the frame header into one
+// pooled datagram and enqueues it for the writer goroutine; neither slice
+// is retained. It never blocks: an unknown destination or a full queue
+// drops the packet (datagram loss the reliability layer already recovers
+// from).
+//
+//lint:noalloc one pooled frame per datagram; the send queue swaps between two backings
+func (nd *node) SendPacket(dst types.NID, hdr, payload []byte) error {
+	size := len(hdr) + len(payload)
+	if size+frameHeaderSize > nd.net.cfg.MTU {
+		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
+		return fmt.Errorf("udp: packet of %d bytes exceeds datagram budget", size)
 	}
 	addr, ok := nd.net.addrs.Get(dst)
 	if !ok {
 		nd.net.stats.UnknownPeers.Add(1)
+		//lint:ignore noalloc unregistered destination: an addressing error, not the steady state
 		return fmt.Errorf("udp: %w: nid %d", types.ErrProcessNotFound, dst)
 	}
-	buf := bufpool.Get(frameHeaderSize + len(pkt))
+	buf := bufpool.Get(frameHeaderSize + size)
 	b := buf.Bytes()
 	binary.BigEndian.PutUint16(b[0:], frameMagic)
 	b[2] = frameVersion
 	b[3] = 0
 	binary.BigEndian.PutUint32(b[4:], uint32(nd.nid))
-	copy(b[frameHeaderSize:], pkt)
+	copy(b[frameHeaderSize+copy(b[frameHeaderSize:], hdr):], payload)
 
 	nd.qmu.Lock()
 	if nd.closed {
@@ -355,6 +352,7 @@ func (nd *node) SendPacket(dst types.NID, pkt []byte) error {
 		nd.net.stats.TxDrops.Add(1)
 		return nil // tail drop: retransmission repairs it
 	}
+	//lint:ignore noalloc amortized: the writer swaps the queue between two backings that stop growing at the deepest backlog
 	nd.sendQ = append(nd.sendQ, outPkt{addr: addr, buf: buf})
 	nd.qmu.Unlock()
 	nd.qcond.Signal()
@@ -366,8 +364,6 @@ func (nd *node) LocalNID() types.NID { return nd.nid }
 
 // LocalAddr reports the socket's bound address.
 func (nd *node) LocalAddr() net.Addr { return nd.pc.LocalAddr() }
-
-func (nd *node) setFlush(f func()) { nd.flushFn.Store(&f) }
 
 // writeLoop drains the send queue, coalescing whatever has accumulated
 // into multi-packet writes. Syscalls happen with no locks held.
@@ -415,8 +411,8 @@ func (nd *node) writeLoop() {
 const maxWriteBurst = 64
 
 // readLoop drains receive bursts into persistent buffers and feeds each
-// frame's rtscts packet to the handler; in batch mode the completed
-// messages flush once per burst. Buffers are reused across iterations —
+// frame's rtscts packet to the handler; the messages a burst completes
+// flush once, after it. Buffers are reused across iterations —
 // rtscts copies what it keeps.
 func (nd *node) readLoop() {
 	defer nd.wg.Done()
@@ -440,9 +436,7 @@ func (nd *node) readLoop() {
 			nd.net.stats.Received.Add(1)
 			nd.h(src, payload)
 		}
-		if f := nd.flushFn.Load(); f != nil {
-			(*f)()
-		}
+		nd.flush()
 	}
 }
 
