@@ -112,11 +112,12 @@ coll-smoke:
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation
-# claims of the wire codec, the delivery engine, the flight recorder, the
-# metrics hot path, the buffer queue and the rtscts+simnet byte path —
-# three times over at GOMAXPROCS=1 and 2: a pooled path that only holds on
-# one P, or only on a lucky first run, fails here rather than in a benchmark.
-ALLOCPKGS = ./internal/core ./internal/wire ./internal/rtscts ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics
+# claims of the wire codec, the delivery engine, the lane dispatch, the
+# flight recorder, the metrics hot path, the buffer queue, the rtscts+simnet
+# byte path and the tcp round trip — three times over at GOMAXPROCS=1 and 2:
+# a pooled path that only holds on one P, or only on a lucky first run, fails
+# here rather than in a benchmark.
+ALLOCPKGS = ./internal/core ./internal/wire ./internal/nicsim ./internal/rtscts ./internal/transport/tcp ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics
 alloc-smoke:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)
 	GOMAXPROCS=2 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)

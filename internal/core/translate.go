@@ -32,9 +32,10 @@ func (o *Outbound) Recycle() {
 }
 
 // TakeBuf transfers ownership of the message's pooled buffer to the
-// caller; nil when the message is plainly allocated. Afterwards Recycle is
-// a no-op and the new owner releases the buffer — this is how a delivery
-// engine hands a message to a transport.BufSender without a copy.
+// caller. Every Outbound the core builds has one; only a zero or
+// hand-assembled value yields nil. Afterwards Recycle is a no-op and the
+// new owner releases the buffer — this is how a delivery engine hands a
+// message to transport.Endpoint.SendBuf without a copy.
 //
 //lint:returns-owned
 func (o *Outbound) TakeBuf() *bufpool.Buf {

@@ -185,7 +185,7 @@ func (p *Program) ownAnalysis() *ownResult {
 
 // inheritConsumes copies //lint:consumes annotations from interface
 // methods to every module implementation that lacks its own, so a handoff
-// declared once on the interface (transport.Transport.SendBuf) covers
+// declared once on the interface (transport.Endpoint.SendBuf) covers
 // each concrete transport.
 func (t *ownTables) inheritConsumes(e *engine) {
 	ifaces := make([]*types.Func, 0, len(t.consumes))

@@ -7,8 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
+	"repro/internal/transport"
 	"repro/internal/transport/loopback"
+	"repro/internal/transport/tcp"
 	"repro/internal/types"
 )
 
@@ -102,17 +105,37 @@ func TestMultiLanePutsDeliver(t *testing.T) {
 }
 
 // TestCloseDrainsLanes closes a node while senders are still pushing
-// traffic at it: Close must return (workers join, no deadlock) and nothing
-// may panic (no send on closed channel, no handler after Close).
+// traffic at it: Close must return (workers join, no deadlock), nothing may
+// panic (no send on closed channel, no handler after Close), and every
+// message caught in flight — in a transport queue, in a group being sorted,
+// on a lane — must give its pooled buffer back. Lanes=1 tears down with no
+// gate and no workers; tcp feeds the gate from one goroutine per
+// connection.
 func TestCloseDrainsLanes(t *testing.T) {
-	net := loopback.New()
+	for _, f := range []struct {
+		name string
+		new  func() transport.Network
+	}{
+		{"loopback", func() transport.Network { return loopback.New() }},
+		{"tcp", func() transport.Network { return tcp.New() }},
+	} {
+		for _, lanes := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", f.name, lanes), func(t *testing.T) {
+				closeUnderFire(t, f.new(), lanes)
+			})
+		}
+	}
+}
+
+func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
+	gets0, _, puts0 := bufpool.Usage()
 	defer net.Close()
-	n1, err := NewNode(net, 1, Config{Lanes: 4})
+	n1, err := NewNode(net, 1, Config{Lanes: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	n2, err := NewNode(net, 2, Config{Lanes: 4})
+	n2, err := NewNode(net, 2, Config{Lanes: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,4 +189,13 @@ func TestCloseDrainsLanes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if err := n1.Close(); err != nil {
+		t.Error(err)
+	}
+	if err := net.Close(); err != nil {
+		t.Error(err)
+	}
+	if g, _, p := bufpool.Usage(); g-p != gets0-puts0 {
+		t.Errorf("pooled buffers outstanding after teardown: %d", (g-p)-(gets0-puts0))
+	}
 }

@@ -9,14 +9,22 @@
 // the network and allow data to flow with virtually no application
 // processing."
 //
+// There is one way in and one way out. In: the transport hands onBatch
+// batches of messages, each in a pooled buffer the node now owns
+// (transport.BatchHandler); every message is admitted, hashed by (source
+// NID, target PID) onto a delivery lane, and the batch's group for each
+// lane is handed off in one piece. Out: Send gives the transport the
+// message's pooled buffer (transport.Endpoint.SendBuf). Nothing is copied
+// on either side of the engine.
+//
 // Delivery lanes (docs/PERF.md §5): with Config.Lanes > 1 the node runs N
-// worker goroutines, and each incoming message is hashed by (source NID,
-// target PID) onto one of them. Messages of one (initiator, target) flow
-// always land on the same lane in arrival order, so the §4.1 per-pair
+// worker goroutines, one per lane. Messages of one (initiator, target)
+// flow always land on the same lane in arrival order, so the §4.1 per-pair
 // ordering guarantee survives; independent flows process concurrently,
-// the way a real NIC processes independent DMA streams. Lanes=1 keeps
-// today's serial engine: the handler processes inline on the transport
-// goroutine.
+// the way a real NIC processes independent DMA streams. Lanes=1 is the
+// same path with a different hand-off: there is one group per batch and no
+// worker to give it to, so the engine runs over it inline on the
+// transport's delivery goroutine.
 //
 // Two processing models are provided (§5.3 discusses both):
 //
@@ -69,8 +77,8 @@ type Config struct {
 	// latency ... is fairly significant").
 	InterruptCost time.Duration
 	// Lanes is the number of parallel delivery lanes. 0 defaults to
-	// GOMAXPROCS; 1 runs the serial engine inline on the transport's
-	// delivery goroutine, exactly the pre-lane behaviour.
+	// GOMAXPROCS; 1 runs the engine inline on the transport's delivery
+	// goroutine.
 	Lanes int
 	// LaneDepth bounds each lane's queue, in dispatch batches (0 defaults
 	// to 1024). Backpressure policy: when a lane is full the dispatcher
@@ -123,7 +131,6 @@ var burstPool = sync.Pool{
 type Node struct {
 	nid      types.NID
 	ep       transport.Endpoint
-	bufSend  transport.BufSender // ep's zero-copy path, when it has one
 	cfg      Config
 	counters stats.Counters // node-level: bad-target drops, interrupts
 
@@ -141,15 +148,16 @@ type Node struct {
 	mu     sync.Mutex // serializes procs writers, and guards closed
 	closed bool       //lint:guardedby mu
 
-	lanes []*lane
+	lanes []*lane // the workers' queues; empty when Lanes == 1
 	wg    sync.WaitGroup
 	gate  dispatchGate
 
-	// serialBurst/serialInc are scratch for the Lanes=1 batch path; safe
-	// without a lock because one endpoint's batches arrive serially
-	// (transport.BatchHandler contract).
-	serialBurst []laneMsg
-	serialInc   []core.Incoming
+	// groups (the batch being sorted, one pooled slice per lane, each gone
+	// to its worker by the end of the batch) and inlineInc (processBurst's
+	// scratch at Lanes=1) belong to onBatch; no lock, because one
+	// endpoint's batches arrive serially (transport.BatchHandler contract).
+	groups    []*[]laneMsg
+	inlineInc []core.Incoming
 }
 
 // NewNode attaches a node to a fabric.
@@ -160,20 +168,14 @@ func NewNode(net transport.Network, nid types.NID, cfg Config) (*Node, error) {
 	if cfg.LaneDepth <= 0 {
 		cfg.LaneDepth = defaultLaneDepth
 	}
-	n := &Node{nid: nid, cfg: cfg}
+	n := &Node{nid: nid, cfg: cfg, groups: make([]*[]laneMsg, cfg.Lanes)}
 	if cfg.Lanes > 1 {
 		n.lanes = make([]*lane, cfg.Lanes)
 		for i := range n.lanes {
 			n.lanes[i] = &lane{ch: make(chan *[]laneMsg, cfg.LaneDepth)}
 		}
 	}
-	var ep transport.Endpoint
-	var err error
-	if bn, ok := net.(transport.BatchNetwork); ok {
-		ep, err = bn.AttachBatch(nid, n.onBatch)
-	} else {
-		ep, err = net.Attach(nid, n.onMessage)
-	}
+	ep, err := net.AttachBatch(nid, n.onBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -185,9 +187,6 @@ func NewNode(net transport.Network, nid types.NID, cfg Config) (*Node, error) {
 		go n.laneWorker(ln)
 	}
 	n.ep = ep
-	if bs, ok := ep.(transport.BufSender); ok {
-		n.bufSend = bs
-	}
 	return n, nil
 }
 
@@ -284,28 +283,17 @@ var outScratch = sync.Pool{
 }
 
 // Send transmits an initiator-side or engine-generated message, CONSUMING
-// it: when the transport can take ownership (transport.BufSender — the
-// zero-copy path), the message's pooled buffer is handed over; otherwise
-// the bytes are copied by the transport's Send and the buffer recycled
-// here. Either way the caller must not use or Recycle out afterwards.
+// it: the message's pooled buffer — every Outbound the core builds has one
+// — is handed to the transport, which owns it from here on, error or not.
+// The caller must not use or Recycle out afterwards.
 //
 //lint:consumes out
 func (n *Node) Send(out core.Outbound) error {
-	if n.bufSend != nil {
-		if b := out.TakeBuf(); b != nil {
-			//lint:ignore noalloc transport-dependent dispatch: rtscts.Conn.SendBuf (simnet, udp) is a //lint:noalloc root in its own right, loopback's SendBuf appends to its delivery queue (amortized); either way the handoff copies nothing
-			return n.bufSend.SendBuf(out.Dst.NID, b)
-		}
-	}
-	// Transports write to the wire here; on the delivery path this runs
-	// on a lane worker (transmit stage), never on an application
-	// goroutine, so blocking is transport flow control, not a bypass
-	// violation — and any allocation belongs to the transport, outside
-	// the NIC fast-path guarantee.
-	//lint:ignore bypassviolation,noalloc transport Send runs on lane workers, never application delivery handlers; transport internals are outside the NIC zero-alloc contract
-	err := n.ep.Send(out.Dst.NID, out.Msg)
-	out.Recycle()
-	return err
+	// On the delivery path this runs on a lane worker (transmit stage),
+	// never on an application goroutine, so a transport that writes to the
+	// wire here (tcp) is exerting flow control, not violating bypass.
+	//lint:ignore bypassviolation,noalloc tcp's SendBuf writes to its socket synchronously and formats errors; loopback and rtscts queue the buffer (rtscts.Conn.SendBuf is a //lint:noalloc root in its own right)
+	return n.ep.SendBuf(out.Dst.NID, out.TakeBuf())
 }
 
 // admit runs the §4.8 admission checks — decodable, valid local target —
@@ -341,55 +329,13 @@ func laneIndex(src types.NID, pid types.PID, lanes int) int {
 	return int(h % uint64(lanes))
 }
 
-// onMessage is the per-message delivery entry (plain transport.Handler).
-// With one lane the engine runs inline on the transport goroutine; with
-// more, the message is copied into a pooled buffer (Handler's msg cannot
-// be retained) and dispatched to its flow's lane as a one-message batch.
-func (n *Node) onMessage(src types.NID, msg []byte) {
-	m, ok := n.admit(src, msg)
-	if !ok {
-		return
-	}
-	if len(n.lanes) == 0 {
-		n.process(&m)
-		return
-	}
-	b := bufpool.Get(len(msg))
-	copy(b.Bytes(), msg)
-	m.payload = b.Bytes()[wire.HeaderSize : wire.HeaderSize+uint64(len(m.payload))]
-	m.buf = b // ownership moves to the lane message; the lane worker releases it
-	g := burstPool.Get().(*[]laneMsg)
-	*g = append(*g, m)
-	li := laneIndex(m.src, m.hdr.Target.PID, len(n.lanes))
-	trace.Record(trace.StageLaneDispatch,
-		uint32(m.hdr.Initiator.NID), uint32(m.hdr.Initiator.PID), uint64(m.hdr.Seq), uint64(li))
-	n.dispatch(li, g)
-}
-
-// onBatch is the batched delivery entry (transport.BatchHandler). Message
+// onBatch is the delivery entry (transport.BatchHandler). Message
 // ownership transfers from the transport, so dispatching to lanes moves
 // pointers, not bytes: the batch is grouped by lane and each group goes to
 // its lane in one channel operation, preserving arrival order per flow (a
 // flow's messages are all in the same group, in batch order).
 func (n *Node) onBatch(batch []transport.Delivery) {
-	if len(n.lanes) == 0 {
-		burst := n.serialBurst[:0]
-		for i := range batch {
-			d := &batch[i]
-			m, ok := n.admit(d.Src, d.Msg)
-			if !ok {
-				d.Release()
-				continue
-			}
-			m.buf = d.Buf
-			d.Buf = nil
-			burst = append(burst, m)
-		}
-		n.processBurst(burst, &n.serialInc)
-		n.serialBurst = burst[:0]
-		return
-	}
-	groups := make([]*[]laneMsg, len(n.lanes))
+	groups := n.groups
 	traced := trace.Enabled() // hoisted: one branch per batch when disabled
 	for i := range batch {
 		d := &batch[i]
@@ -400,7 +346,7 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 		}
 		m.buf = d.Buf
 		d.Buf = nil
-		li := laneIndex(m.src, m.hdr.Target.PID, len(n.lanes))
+		li := laneIndex(m.src, m.hdr.Target.PID, len(groups))
 		if traced {
 			trace.Record(trace.StageLaneDispatch,
 				uint32(m.hdr.Initiator.NID), uint32(m.hdr.Initiator.PID), uint64(m.hdr.Seq), uint64(li))
@@ -411,7 +357,15 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 		*groups[li] = append(*groups[li], m)
 	}
 	for li, g := range groups {
-		if g != nil {
+		if g == nil || len(*g) == 0 {
+			continue
+		}
+		if len(n.lanes) == 0 {
+			// Lanes=1: no worker to hand the group to, so it never leaves.
+			n.processBurst(*g, &n.inlineInc)
+			*g = (*g)[:0]
+		} else {
+			groups[li] = nil
 			n.dispatch(li, g)
 		}
 	}
@@ -500,22 +454,8 @@ func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 	outScratch.Put(sp)
 }
 
-// process runs the engine inline for one message (the Lanes=1 per-message
-// path — exactly the pre-lane serial engine).
-func (n *Node) process(m *laneMsg) {
-	n.chargeInterrupt(m.state)
-	sp := outScratch.Get().(*[]core.Outbound)
-	outs := m.state.HandleIncomingInto(&m.hdr, m.payload, (*sp)[:0])
-	n.transmit(outs)
-	if m.buf != nil {
-		m.buf.Release()
-	}
-	*sp = outs[:0]
-	outScratch.Put(sp)
-}
-
 // transmit sends the engine's responses, clearing the slice. Send consumes
-// each message (buffer transferred to the transport or recycled).
+// each message (its buffer becomes the transport's).
 func (n *Node) transmit(outs []core.Outbound) {
 	for i := range outs {
 		// A response that cannot be transmitted is dropped silently, like

@@ -225,7 +225,7 @@ func TestWrongNIDDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PID 20 lives on node 2, not node 1: node 1 must drop it.
-	if err := n1.Send(core.Outbound{Dst: types.ProcessID{NID: 1, PID: 20}, Msg: out.Msg}); err != nil {
+	if err := n1.Send(out); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

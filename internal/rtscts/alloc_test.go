@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
@@ -14,7 +15,7 @@ import (
 // simnet — eager or rendezvous, one fragment or sixty-five. The handler
 // below is the test's own and allocates nothing either.
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	for _, tc := range []struct {
@@ -32,12 +33,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 			net := simnet.New(fabric)
 			defer net.Close()
 			delivered := make(chan int, 1)
-			b, err := Attach(net, 2, Config{}, func(_ types.NID, msg []byte) { delivered <- len(msg) })
+			b, err := attachSim(net, 2, Config{}, func(_ types.NID, msg []byte) { delivered <- len(msg) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			a, err := Attach(net, 1, Config{}, func(types.NID, []byte) {})
+			a, err := attachSim(net, 1, Config{}, func(types.NID, []byte) {})
 			if err != nil {
 				t.Fatal(err)
 			}

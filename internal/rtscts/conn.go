@@ -9,7 +9,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/obs/metrics"
 	"repro/internal/transport"
-	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
 
@@ -102,16 +101,14 @@ type Stats struct {
 }
 
 // Conn is a node's reliable attachment: it implements transport.Endpoint
-// and transport.BufSender over an unreliable PacketEndpoint (simnet or real
-// UDP sockets).
+// over an unreliable PacketEndpoint (simnet or real UDP sockets).
 type Conn struct {
 	cfg   Config
 	ep    PacketEndpoint
-	bh    transport.BatchHandler
 	mtu   int
 	stats Stats
 
-	// ready gates inbound dispatch until AttachPacketBatch has finished wiring
+	// ready gates inbound dispatch until Attach has finished wiring
 	// the Conn (in particular ep): a real packet network may start its read
 	// loop inside AttachPacket, before ep is assigned, and the goroutine
 	// spawn alone gives that loop no happens-before edge to the later
@@ -125,63 +122,34 @@ type Conn struct {
 	receivers map[types.NID]*peerReceiver //lint:guardedby mu
 	closed    bool                        //lint:guardedby mu
 
-	// Completed messages wait in pending until flush hands them up. One
-	// feeder at a time runs the handler (flushing); the others leave their
-	// messages for it, which is what keeps batches serial per endpoint —
-	// the transport.BatchHandler contract — on fabrics that feed a Conn
-	// from one goroutine per source. The lock is never held across the
-	// handler.
-	dmu      sync.Mutex
-	pending  []transport.Delivery //lint:guardedby dmu
-	spare    []transport.Delivery //lint:guardedby dmu  recycled batch backing
-	flushing bool                 //lint:guardedby dmu
-	dclosed  bool                 //lint:guardedby dmu
+	// Completed messages wait here until the packet network signals the
+	// end of a dispatch burst; the hand-off keeps batches serial on fabrics
+	// that feed a Conn from one goroutine per source.
+	out transport.Handoff
 }
 
-// Attach registers nid on the simulated fabric with reliability on top.
-// The handler receives complete, exactly-once, in-order messages.
-func Attach(net *simnet.Network, nid types.NID, cfg Config, h transport.Handler) (*Conn, error) {
-	return AttachPacket(simPacketNetwork{net}, nid, cfg, h)
-}
-
-// AttachPacket registers nid on any unreliable packet network with
-// reliability on top. The handler receives complete, exactly-once,
-// in-order messages, each borrowed for the duration of the call: it is
-// AttachPacketBatch with a handler that calls h and then releases.
-func AttachPacket(pn PacketNetwork, nid types.NID, cfg Config, h transport.Handler) (*Conn, error) {
-	if h == nil {
-		return nil, fmt.Errorf("rtscts: nil handler")
-	}
-	return AttachPacketBatch(pn, nid, cfg, func(batch []transport.Delivery) {
-		for i := range batch {
-			h(batch[i].Src, batch[i].Msg)
-			batch[i].Release()
-		}
-	})
-}
-
-// AttachPacketBatch registers nid on any unreliable packet network with
-// reliability on top and owned, batched delivery: completed messages
-// accumulate until the packet network signals the end of a dispatch burst
-// (PacketNetwork.AttachPacket's flush), then go to bh as one batch with
-// buffer ownership per transport.BatchHandler.
-func AttachPacketBatch(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandler) (*Conn, error) {
+// Attach registers nid on an unreliable packet network with reliability on
+// top: bh receives complete, exactly-once, in-order messages. Those
+// completed by one dispatch burst of the packet network
+// (PacketNetwork.AttachPacket's flush) arrive as one batch, with buffer
+// ownership per transport.BatchHandler.
+func Attach(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandler) (*Conn, error) {
 	if bh == nil {
-		return nil, fmt.Errorf("rtscts: nil batch handler")
+		return nil, fmt.Errorf("rtscts: nil handler")
 	}
 	c := &Conn{
 		cfg:       cfg.withDefaults(),
-		bh:        bh,
 		mtu:       pn.MTU(),
 		senders:   make(map[types.NID]*peerSender),
 		receivers: make(map[types.NID]*peerReceiver),
 		ready:     make(chan struct{}),
 	}
+	c.out.Init(bh)
 	// An RTS must fit one packet: control messages are never reassembled.
 	if c.mtu < pktHeaderSize+rtsSize {
 		return nil, fmt.Errorf("rtscts: fabric MTU %d below the %d-byte minimum (header plus RTS)", c.mtu, pktHeaderSize+rtsSize)
 	}
-	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.flush)
+	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.out.Flush)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +160,7 @@ func AttachPacketBatch(pn PacketNetwork, nid types.NID, cfg Config, bh transport
 }
 
 // gatedPacket is the handler registered with the packet network. It holds
-// early packets at the gate until AttachPacketBatch has published ep, then
+// early packets at the gate until Attach has published ep, then
 // degenerates to a single atomic load in front of onPacket.
 func (c *Conn) gatedPacket(src types.NID, pkt []byte) {
 	if !c.attached.Load() {
@@ -310,16 +278,13 @@ func (c *Conn) LocalNID() types.NID { return c.ep.LocalNID() }
 // emitting acks/replies). msg is copied, once, into a pooled buffer; the
 // caller may reuse it as soon as Send returns.
 func (c *Conn) Send(dst types.NID, msg []byte) error {
-	buf := bufpool.Get(len(msg))
-	copy(buf.Bytes(), msg)
-	return c.SendBuf(dst, buf)
+	return transport.SendCopy(c, dst, msg)
 }
 
-// SendBuf is Send without the copy (transport.BufSender): the per-peer
-// sender queues buf itself, fragments it in place, and releases it when the
-// last fragment is acknowledged — or here, on every path that fails.
+// SendBuf is Send without the copy: the per-peer sender queues buf itself,
+// fragments it in place, and releases it when the last fragment is
+// acknowledged — or here, on every path that fails.
 //
-//lint:consumes buf
 //lint:noalloc the consuming send path: queue push into a ring, no copy
 func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	if n := len(buf.Bytes()); n > MaxMessage {
@@ -335,43 +300,10 @@ func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	return s.enqueue(buf)
 }
 
-// deliver queues one completed message for the next flush.
+// deliver queues one completed message for the flush that ends the burst.
 func (c *Conn) deliver(d transport.Delivery) {
 	c.stats.MsgsDelivered.Add(1)
-	c.dmu.Lock()
-	if c.dclosed {
-		c.dmu.Unlock()
-		d.Release()
-		return
-	}
-	//lint:ignore noalloc amortized: pending and spare swap between two backings that stop growing at the largest batch
-	c.pending = append(c.pending, d)
-	c.dmu.Unlock()
-}
-
-// flush hands the messages completed since the last flush to the batch
-// handler (ownership transfers per transport.Delivery). The packet network
-// calls it at the end of each dispatch burst. If another feeder is already
-// inside the handler, the messages are left for it: it keeps draining until
-// nothing is pending, so batches stay serial and per-source order holds.
-func (c *Conn) flush() {
-	c.dmu.Lock()
-	if c.flushing {
-		c.dmu.Unlock()
-		return
-	}
-	c.flushing = true
-	for len(c.pending) > 0 {
-		batch := c.pending
-		c.pending = c.spare[:0]
-		c.dmu.Unlock()
-		c.bh(batch)
-		clear(batch)
-		c.dmu.Lock()
-		c.spare = batch
-	}
-	c.flushing = false
-	c.dmu.Unlock()
+	c.out.Add(d)
 }
 
 // Close detaches from the fabric and stops all per-peer machinery.
@@ -400,13 +332,7 @@ func (c *Conn) Close() error {
 	for _, r := range receivers {
 		r.shutdown()
 	}
-	c.dmu.Lock()
-	c.dclosed = true
-	for i := range c.pending {
-		c.pending[i].Release()
-	}
-	c.pending = nil
-	c.dmu.Unlock()
+	c.out.Close()
 	return err
 }
 

@@ -38,9 +38,9 @@
 //   - Receive side. A message's first fragment obtains the pooled delivery
 //     buffer and each fragment is copied straight to its offset. On
 //     completion the buffer leaves as an owned transport.Delivery; the batch
-//     handler (or, for a transport.Handler attach, the adapter that calls
-//     the handler) releases it. A buffer whose message never completes is
-//     released by Close.
+//     handler (or, for a transport.Handler attach, transport.Borrow around
+//     it) releases it. A buffer whose message never completes is released
+//     by Close.
 package rtscts
 
 import (

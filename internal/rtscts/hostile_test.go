@@ -47,14 +47,14 @@ func TestHostileLengths(t *testing.T) {
 			net := simnet.New(simnet.Instant())
 			defer net.Close()
 			var sink msgSink
-			c, err := Attach(net, 1, Config{}, sink.handler)
+			c, err := attachSim(net, 1, Config{}, sink.handler)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
 			feed := func(seq uint64, flags uint8, aux uint64, payload []byte) {
 				c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, payload))
-				c.flush()
+				c.out.Flush()
 			}
 
 			feed(0, tc.flags, tc.aux, tc.payload)
@@ -113,7 +113,7 @@ func TestUnannouncedLargeMessageGrowsWithArrival(t *testing.T) {
 	defer net.Close()
 	var sink msgSink
 	eager := 8 << 10
-	c, err := Attach(net, 1, Config{EagerMax: eager}, sink.handler)
+	c, err := attachSim(net, 1, Config{EagerMax: eager}, sink.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestUnannouncedLargeMessageGrowsWithArrival(t *testing.T) {
 			flags, aux = flagFirst|msgApp<<msgKindShift, total
 		}
 		c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, want[off:off+n]))
-		c.flush()
+		c.out.Flush()
 		off += n
 		r.mu.Lock()
 		if r.asm != nil {

@@ -33,17 +33,16 @@ func (n *Network) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	n.sim.RegisterMetrics(r, ls)
 }
 
-// Attach registers a node with reliability on top of the fabric.
+// Attach is AttachBatch for a borrowing handler.
 func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint, error) {
-	return Attach(n.sim, nid, n.cfg, h)
+	return n.AttachBatch(nid, transport.Borrow(h))
 }
 
-// AttachBatch is Attach with owned, batched delivery
-// (transport.BatchNetwork): each reassembled message reaches bh in the
-// pooled buffer it was reassembled in, so the delivery engine queues it
-// onto a lane without copying.
+// AttachBatch registers a node with reliability on top of the fabric: each
+// reassembled message reaches bh in the pooled buffer it was reassembled
+// in, so the delivery engine queues it onto a lane without copying.
 func (n *Network) AttachBatch(nid types.NID, bh transport.BatchHandler) (transport.Endpoint, error) {
-	return AttachPacketBatch(simPacketNetwork{n.sim}, nid, n.cfg, bh)
+	return Attach(simPacketNetwork{n.sim}, nid, n.cfg, bh)
 }
 
 // Close tears down the fabric.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
@@ -38,11 +39,11 @@ func TestSendCopiesBeforeReturning(t *testing.T) {
 	start := outstanding()
 	net := simnet.New(simnet.Config{MTU: 512, LossRate: 0.2, Seed: 11})
 	var sb msgSink
-	a, err := Attach(net, 1, Config{RTO: 2 * time.Millisecond, EagerMax: 1024}, func(types.NID, []byte) {})
+	a, err := attachSim(net, 1, Config{RTO: 2 * time.Millisecond, EagerMax: 1024}, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Attach(net, 2, Config{}, sb.handler)
+	b, err := attachSim(net, 2, Config{}, sb.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestRetransmitRacesRetiringAck(t *testing.T) {
 	pn := lastFragDropper{simPacketNetwork{net}}
 	cfg := Config{RTO: time.Millisecond, RTOMin: time.Millisecond, RTOMax: time.Millisecond, EagerMax: 2048, Window: 8}
 	var sb msgSink
-	a, err := AttachPacket(pn, 1, cfg, func(types.NID, []byte) {})
+	a, err := Attach(pn, 1, cfg, transport.Borrow(func(types.NID, []byte) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AttachPacket(pn, 2, cfg, sb.handler)
+	b, err := Attach(pn, 2, cfg, transport.Borrow(sb.handler))
 	if err != nil {
 		t.Fatal(err)
 	}

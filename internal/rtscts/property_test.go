@@ -133,7 +133,7 @@ func TestEagerBoundaryExact(t *testing.T) {
 func TestMTUTooSmall(t *testing.T) {
 	net := simnet.New(simnet.Config{MTU: pktHeaderSize})
 	defer net.Close()
-	if _, err := Attach(net, 1, Config{}, func(types.NID, []byte) {}); err == nil {
+	if _, err := attachSim(net, 1, Config{}, func(types.NID, []byte) {}); err == nil {
 		t.Error("attach accepted MTU with no payload room")
 	}
 }

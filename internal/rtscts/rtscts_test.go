@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs/metrics"
+	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
@@ -50,17 +51,23 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 }
 
+// attachSim attaches to a simulated fabric with a borrowing handler, the
+// way Network.Attach does.
+func attachSim(net *simnet.Network, nid types.NID, cfg Config, h transport.Handler) (*Conn, error) {
+	return Attach(simPacketNetwork{net}, nid, cfg, transport.Borrow(h))
+}
+
 // pairOn builds two reliable endpoints on a fabric.
 func pairOn(t *testing.T, cfg simnet.Config, rcfg Config) (*Conn, *Conn, *msgSink, *msgSink, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(cfg)
 	t.Cleanup(func() { net.Close() })
 	var sa, sb msgSink
-	a, err := Attach(net, 1, rcfg, sa.handler)
+	a, err := attachSim(net, 1, rcfg, sa.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Attach(net, 2, rcfg, sb.handler)
+	b, err := attachSim(net, 2, rcfg, sb.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +289,14 @@ func TestManyPeers(t *testing.T) {
 	defer net.Close()
 	const peers = 8
 	var hub msgSink
-	hubConn, err := Attach(net, 0, Config{}, hub.handler)
+	hubConn, err := attachSim(net, 0, Config{}, hub.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = hubConn
 	for p := 1; p <= peers; p++ {
 		var s msgSink
-		c, err := Attach(net, types.NID(p), Config{}, s.handler)
+		c, err := attachSim(net, types.NID(p), Config{}, s.handler)
 		if err != nil {
 			t.Fatal(err)
 		}

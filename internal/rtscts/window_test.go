@@ -23,7 +23,7 @@ import (
 func blackholeConn(t *testing.T, cfg Config) (*Conn, *peerSender) {
 	t.Helper()
 	net := simnet.New(simnet.Instant())
-	c, err := Attach(net, 1, cfg, func(types.NID, []byte) {})
+	c, err := attachSim(net, 1, cfg, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: time.Millisecond, MTU: 4096})
 	defer net.Close()
 	got := make(chan []byte, 256)
-	rc, err := Attach(net, 2, DefaultConfig(), func(_ types.NID, msg []byte) {
+	rc, err := attachSim(net, 2, DefaultConfig(), func(_ types.NID, msg []byte) {
 		m := make([]byte, len(msg))
 		copy(m, msg)
 		got <- m
@@ -240,7 +240,7 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	sc, err := Attach(net, 1, Config{Window: 16, RTO: 100 * time.Millisecond}, func(types.NID, []byte) {})
+	sc, err := attachSim(net, 1, Config{Window: 16, RTO: 100 * time.Millisecond}, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 // fakeBurstNet is a minimal PacketNetwork with the UDP transport's
 // dispatch shape: one goroutine per node drains a queue, hands each packet
 // to the conn, and calls flush at burst boundaries. It exists to test
-// AttachPacketBatch's accumulate-then-flush contract in-process.
+// Attach's accumulate-then-flush contract in-process.
 type fakeBurstNet struct {
 	mu    sync.Mutex
 	nodes map[types.NID]*fakeBurstEP
@@ -361,7 +361,7 @@ func TestBatchModeDeliversPooledBatches(t *testing.T) {
 	var rmu sync.Mutex
 	var seen []rx
 	var batches int
-	rc, err := AttachPacketBatch(net, 2, DefaultConfig(), func(batch []transport.Delivery) {
+	rc, err := Attach(net, 2, DefaultConfig(), func(batch []transport.Delivery) {
 		rmu.Lock()
 		batches++
 		for i := range batch {
@@ -375,7 +375,7 @@ func TestBatchModeDeliversPooledBatches(t *testing.T) {
 	}
 	defer rc.Close()
 
-	sc, err := AttachPacket(net, 1, DefaultConfig(), func(types.NID, []byte) {})
+	sc, err := Attach(net, 1, DefaultConfig(), transport.Borrow(func(types.NID, []byte) {}))
 	if err != nil {
 		t.Fatal(err)
 	}

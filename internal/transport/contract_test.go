@@ -1,0 +1,238 @@
+package transport_test
+
+import (
+	"encoding/binary"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/bufpool"
+	"repro/internal/rtscts"
+	"repro/internal/transport"
+	"repro/internal/transport/loopback"
+	"repro/internal/transport/simnet"
+	"repro/internal/transport/tcp"
+	"repro/internal/transport/udp"
+	"repro/internal/types"
+)
+
+// The seam has one send contract and one delivery contract (package
+// comment); this is the one table that holds every fabric to both.
+var fabrics = []struct {
+	name string
+	new  func() transport.Network
+	// knowsPeers: a send to a NID nobody attached fails at the call. The
+	// packet fabrics are connectionless and cannot tell; there the message
+	// is retransmitted until Close, which must still release it.
+	knowsPeers bool
+}{
+	{"loopback", func() transport.Network { return loopback.New() }, true},
+	{"simnet+rtscts", func() transport.Network {
+		return rtscts.NewNetwork(simnet.New(simnet.Config{MTU: 1024}), rtscts.Config{})
+	}, false},
+	{"tcp", func() transport.Network { return tcp.New() }, true},
+	{"udp", func() transport.Network { return udp.New() }, false},
+}
+
+const (
+	sources   = 4 // concurrent senders into one endpoint
+	perSource = 150
+	sinkNID   = types.NID(100)
+)
+
+// message builds the seq-th message from src in a pooled buffer: an 8-byte
+// stamp, then a pattern only that (src, seq) produces. Sizes vary so that
+// messages cross pool size classes and, on the packet fabrics, the
+// single-packet and eager/rendezvous boundaries.
+func message(src types.NID, seq uint32) *bufpool.Buf {
+	size := 8 + int(seq%97)
+	if seq%25 == 24 {
+		size = 5000
+	}
+	b := bufpool.Get(size)
+	msg := b.Bytes()
+	binary.BigEndian.PutUint32(msg[0:], uint32(src))
+	binary.BigEndian.PutUint32(msg[4:], seq)
+	for j := 8; j < len(msg); j++ {
+		msg[j] = byte(int(src)*31 + int(seq) + j)
+	}
+	return b
+}
+
+// intact reports whether msg is exactly message(src, seq) for its stamp.
+func intact(from types.NID, msg []byte) (seq uint32, ok bool) {
+	if len(msg) < 8 || types.NID(binary.BigEndian.Uint32(msg[0:])) != from {
+		return 0, false
+	}
+	seq = binary.BigEndian.Uint32(msg[4:])
+	want := message(from, seq)
+	defer want.Release()
+	return seq, string(want.Bytes()) == string(msg)
+}
+
+// sink is the receiving endpoint's handler, in both forms.
+type sink struct {
+	t       *testing.T
+	inside  atomic.Int32 // handler calls in progress; the contract says ≤ 1
+	overlap atomic.Bool
+
+	mu   sync.Mutex
+	next map[types.NID]uint32 // per-source FIFO cursor
+	held []transport.Delivery // owned messages kept past the handler's return
+	seen int
+}
+
+func (s *sink) enter() {
+	if s.inside.Add(1) != 1 {
+		s.overlap.Store(true)
+	}
+	runtime.Gosched() // give a second feeder the chance to barge in
+}
+
+func (s *sink) arrive(src types.NID, msg []byte) {
+	seq, ok := intact(src, msg)
+	if !ok {
+		s.t.Errorf("message from %d arrived damaged (%d bytes)", src, len(msg))
+	}
+	if seq != s.next[src] {
+		s.t.Errorf("source %d: got seq %d, want %d (per-pair FIFO)", src, seq, s.next[src])
+	}
+	s.next[src] = seq + 1
+	s.seen++
+}
+
+// batch keeps every message: ownership came with the call.
+func (s *sink) batch(batch []transport.Delivery) {
+	s.enter()
+	s.mu.Lock()
+	for i := range batch {
+		s.arrive(batch[i].Src, batch[i].Msg)
+		s.held = append(s.held, batch[i])
+	}
+	s.mu.Unlock()
+	s.inside.Add(-1)
+}
+
+// borrowed is the transport.Handler form: msg is looked at and let go.
+func (s *sink) borrowed(src types.NID, msg []byte) {
+	s.enter()
+	s.mu.Lock()
+	s.arrive(src, msg)
+	s.mu.Unlock()
+	s.inside.Add(-1)
+}
+
+func (s *sink) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seen
+}
+
+func discard(batch []transport.Delivery) {
+	for i := range batch {
+		batch[i].Release()
+	}
+}
+
+func outstanding() int64 {
+	gets, _, puts := bufpool.Usage()
+	return gets - puts
+}
+
+func TestContract(t *testing.T) {
+	for _, f := range fabrics {
+		for _, form := range []string{"AttachBatch", "Attach"} {
+			t.Run(f.name+"/"+form, func(t *testing.T) {
+				start := outstanding()
+				net := f.new()
+				defer net.Close()
+				s := &sink{t: t, next: make(map[types.NID]uint32)}
+				var err error
+				if form == "Attach" {
+					_, err = net.Attach(sinkNID, s.borrowed)
+				} else {
+					_, err = net.AttachBatch(sinkNID, s.batch)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				eps := make([]transport.Endpoint, sources)
+				var wg sync.WaitGroup
+				for i := range eps {
+					nid := types.NID(i + 1)
+					if eps[i], err = net.AttachBatch(nid, discard); err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(ep transport.Endpoint) {
+						defer wg.Done()
+						for seq := uint32(0); seq < perSource; seq++ {
+							if err := ep.SendBuf(sinkNID, message(nid, seq)); err != nil {
+								t.Errorf("source %d seq %d: %v", nid, seq, err)
+								return
+							}
+						}
+					}(eps[i])
+				}
+				wg.Wait()
+				for deadline := time.Now().Add(30 * time.Second); s.count() < sources*perSource; {
+					if t.Failed() || time.Now().After(deadline) {
+						t.Fatalf("%d of %d messages arrived", s.count(), sources*perSource)
+					}
+					time.Sleep(time.Millisecond)
+				}
+
+				if s.overlap.Load() {
+					t.Error("two handler calls for one endpoint overlapped")
+				}
+
+				// Every kept message must still read as sent, long after its
+				// handler call returned and hundreds more went by.
+				s.mu.Lock()
+				for i := range s.held {
+					if _, ok := intact(s.held[i].Src, s.held[i].Msg); !ok {
+						t.Errorf("held message %d (from %d) changed before Release", i, s.held[i].Src)
+					}
+					s.held[i].Release()
+				}
+				s.mu.Unlock()
+
+				// A failed SendBuf has consumed its buffer all the same: to a
+				// destination that detached, to one that never existed, and
+				// after the fabric is gone.
+				gone, err := net.AttachBatch(50, discard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := gone.Close(); err != nil {
+					t.Error(err)
+				}
+				for _, dst := range []types.NID{50, 999} {
+					if err := eps[0].SendBuf(dst, message(1, 0)); f.knowsPeers && err == nil {
+						t.Errorf("SendBuf to unattached NID %d succeeded", dst)
+					}
+				}
+				for _, ep := range eps {
+					if err := ep.Close(); err != nil {
+						t.Error(err)
+					}
+				}
+				if err := net.Close(); err != nil {
+					t.Error(err)
+				}
+				if err := eps[0].SendBuf(sinkNID, message(1, 0)); err == nil {
+					t.Error("SendBuf after Close succeeded")
+				}
+				for deadline := time.Now().Add(10 * time.Second); outstanding() != start; {
+					if time.Now().After(deadline) {
+						t.Fatalf("pooled buffers outstanding after Close: %d", outstanding()-start)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+	}
+}

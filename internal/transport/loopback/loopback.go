@@ -10,12 +10,9 @@
 // bypass behaviour is preserved even on this trivial fabric.
 //
 // The delivery goroutine dequeues in batches: each wakeup swaps the whole
-// pending queue out under one lock acquisition and hands it over — to a
-// BatchHandler in a single call (transport ownership of every message
-// transfers, no copy), or to a plain Handler one message at a time.
-// Messages are carried in pooled buffers (internal/bufpool), copied once
-// on the sender's goroutine at enqueue — or not at all when the sender
-// uses SendBuf (transport.BufSender) and hands its pooled buffer over.
+// pending queue out under one lock acquisition and hands it to the
+// BatchHandler in a single call. A message is never copied: the pooled
+// buffer the sender gave SendBuf is the one the handler receives.
 package loopback
 
 import (
@@ -63,10 +60,9 @@ func New() *Network {
 }
 
 type endpoint struct {
-	net      *Network
-	nid      types.NID
-	handler  transport.Handler      // exactly one of handler
-	bhandler transport.BatchHandler // and bhandler is non-nil
+	net *Network
+	nid types.NID
+	bh  transport.BatchHandler
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -75,26 +71,17 @@ type endpoint struct {
 	done   chan struct{}
 }
 
-// Attach registers a node. The handler runs on this node's delivery
-// goroutine.
+// Attach is AttachBatch for a borrowing handler.
 func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint, error) {
-	if h == nil {
-		return nil, fmt.Errorf("loopback: nil handler")
-	}
-	return n.attach(nid, &endpoint{handler: h})
+	return n.AttachBatch(nid, transport.Borrow(h))
 }
 
-// AttachBatch registers a node with a batch handler: the delivery
-// goroutine hands over whole dequeued batches, transferring ownership of
-// each message (transport.BatchHandler).
+// AttachBatch registers a node. The handler runs on this node's delivery
+// goroutine, which hands over whole dequeued batches.
 func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transport.Endpoint, error) {
 	if h == nil {
 		return nil, fmt.Errorf("loopback: nil handler")
 	}
-	return n.attach(nid, &endpoint{bhandler: h})
-}
-
-func (n *Network) attach(nid types.NID, ep *endpoint) (transport.Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -103,9 +90,7 @@ func (n *Network) attach(nid types.NID, ep *endpoint) (transport.Endpoint, error
 	if _, dup := n.nodes[nid]; dup {
 		return nil, fmt.Errorf("loopback: nid %d already attached", nid)
 	}
-	ep.net = n
-	ep.nid = nid
-	ep.done = make(chan struct{})
+	ep := &endpoint{net: n, nid: nid, bh: h, done: make(chan struct{})}
 	ep.cond = sync.NewCond(&ep.mu)
 	n.nodes[nid] = ep
 	go ep.deliveryLoop()
@@ -145,71 +130,21 @@ func (ep *endpoint) deliveryLoop() {
 		ep.queue = spare[:0]
 		ep.mu.Unlock()
 		ep.net.stats.Delivered.Add(int64(len(batch)))
-		if ep.bhandler != nil {
-			ep.bhandler(batch) // message ownership moves to the handler
-		} else {
-			for i := range batch {
-				ep.handler(batch[i].Src, batch[i].Msg)
-				batch[i].Release()
-			}
-		}
-		for i := range batch {
-			batch[i] = transport.Delivery{} // drop refs so the backing array pins nothing
-		}
+		ep.bh(batch) // message ownership moves to the handler
+		clear(batch) // drop refs so the backing array pins nothing
 		spare = batch[:0]
 	}
 }
 
-func (ep *endpoint) enqueue(src types.NID, msg []byte) {
-	// The per-message copy, into a pooled buffer, on the SENDER's
-	// goroutine: the transport contract lets the caller reuse msg as soon
-	// as Send returns, and copying here (not on the delivery goroutine)
-	// keeps concurrent senders' copies parallel.
-	cp := bufpool.Get(len(msg))
-	copy(cp.Bytes(), msg)
-	ep.enqueueBuf(src, cp)
-}
-
-// enqueueBuf queues an owned buffer — the zero-copy path under SendBuf.
-// Ownership moves into the queue (or the buffer is released when the
-// endpoint is already closed).
-//
-//lint:consumes buf
-func (ep *endpoint) enqueueBuf(src types.NID, buf *bufpool.Buf) {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		buf.Release()
-		ep.net.stats.Dropped.Add(1)
-		return // messages to a detached node vanish, like any network
-	}
-	ep.queue = append(ep.queue, transport.Delivery{Src: src, Msg: buf.Bytes(), Buf: buf})
-	ep.mu.Unlock()
-	ep.net.stats.Sent.Add(1)
-	ep.cond.Signal()
-}
-
-// Send delivers msg to dst's queue. Unknown destinations are an error so
-// misconfigured jobs fail loudly in tests.
+// Send copies msg once, on the sender's goroutine, and continues as SendBuf.
 func (ep *endpoint) Send(dst types.NID, msg []byte) error {
-	ep.net.mu.Lock()
-	target, ok := ep.net.nodes[dst]
-	closed := ep.net.closed
-	ep.net.mu.Unlock()
-	if closed {
-		return types.ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("loopback: %w: nid %d", types.ErrProcessNotFound, dst)
-	}
-	target.enqueue(ep.nid, msg)
-	return nil
+	return transport.SendCopy(ep, dst, msg)
 }
 
-// SendBuf is the transport.BufSender fast path: the sender's pooled buffer
-// goes straight into the destination queue — no copy, no pool round trip —
-// and comes out the other side as the Delivery's Buf. Ownership of buf is
-// the transport's from here on, error or not.
+// SendBuf puts the sender's pooled buffer straight into dst's queue — no
+// copy, no pool round trip — to come out the other side as the Delivery's
+// Buf. Unknown destinations are an error so misconfigured jobs fail loudly
+// in tests. Ownership of buf is the transport's from here on, error or not.
 func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	ep.net.mu.Lock()
 	target, ok := ep.net.nodes[dst]
@@ -223,7 +158,17 @@ func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 		buf.Release()
 		return fmt.Errorf("loopback: %w: nid %d", types.ErrProcessNotFound, dst)
 	}
-	target.enqueueBuf(ep.nid, buf)
+	target.mu.Lock()
+	if target.closed {
+		target.mu.Unlock()
+		buf.Release()
+		ep.net.stats.Dropped.Add(1)
+		return nil // messages to a detached node vanish, like any network
+	}
+	target.queue = append(target.queue, transport.Delivery{Src: ep.nid, Msg: buf.Bytes(), Buf: buf})
+	target.mu.Unlock()
+	ep.net.stats.Sent.Add(1)
+	target.cond.Signal()
 	return nil
 }
 

@@ -7,10 +7,17 @@
 // lazily on first send to a destination and cached, entirely hidden from
 // the layer above. Messages are length-prefixed frames; per-pair ordering
 // follows from using one cached connection per directed pair.
+//
+// SendBuf writes the frame synchronously and then releases the buffer, so a
+// write error reaches the sender. Each inbound connection has a read
+// goroutine that reads every frame straight into the pooled buffer that is
+// delivered; the goroutines of one endpoint share a transport.Handoff, which
+// keeps the endpoint's batches serial.
 package tcp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs/metrics"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -46,6 +54,7 @@ type Stats struct {
 	Sent      atomic.Int64 //lint:guardedby atomic  frames written to a socket
 	Delivered atomic.Int64 //lint:guardedby atomic  frames handed to a handler
 	Redials   atomic.Int64 //lint:guardedby atomic  cached connections dropped after a write error
+	BadFrames atomic.Int64 //lint:guardedby atomic  inbound connections closed for a bad hello or an oversize length prefix
 }
 
 // Stats exposes the fabric counters.
@@ -57,6 +66,7 @@ func (n *Network) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_fabric_sent_total", "frames written to TCP sockets", ls, st.Sent.Load)
 	r.CounterFunc("portals_fabric_delivered_total", "frames handed to a destination handler", ls, st.Delivered.Load)
 	r.CounterFunc("portals_fabric_redials_total", "cached connections dropped after write errors", ls, st.Redials.Load)
+	r.CounterFunc("portals_fabric_bad_frames_total", "inbound connections closed for bad framing", ls, st.BadFrames.Load)
 }
 
 // New creates a fabric whose nodes listen on ephemeral localhost ports.
@@ -97,8 +107,13 @@ func (n *Network) Register(nid types.NID, addr string) {
 	n.addrs[nid] = addr
 }
 
-// Attach starts a listener for nid and registers its address.
+// Attach is AttachBatch for a borrowing handler.
 func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint, error) {
+	return n.AttachBatch(nid, transport.Borrow(h))
+}
+
+// AttachBatch starts a listener for nid and registers its address.
+func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transport.Endpoint, error) {
 	if h == nil {
 		return nil, fmt.Errorf("tcp: nil handler")
 	}
@@ -124,11 +139,11 @@ func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint
 	ep := &endpoint{
 		net:     n,
 		nid:     nid,
-		handler: h,
 		ln:      ln,
 		conns:   make(map[types.NID]*sendConn),
 		inbound: make(map[net.Conn]struct{}),
 	}
+	ep.out.Init(h)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -166,10 +181,10 @@ func (n *Network) lookup(nid types.NID) (string, bool) {
 }
 
 type endpoint struct {
-	net     *Network
-	nid     types.NID
-	handler transport.Handler
-	ln      net.Listener
+	net *Network
+	nid types.NID
+	ln  net.Listener
+	out transport.Handoff // serialises the read goroutines' deliveries
 
 	mu      sync.Mutex
 	conns   map[types.NID]*sendConn //lint:guardedby mu
@@ -183,11 +198,10 @@ type endpoint struct {
 // still held, so the send lock ranks above the endpoint lock.
 //
 //lint:lockrank sendConn.mu < endpoint.mu
-
-// sendConn serializes writes on one outgoing connection.
 type sendConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	hdr  [4]byte // length-prefix scratch, written under mu
 }
 
 func (ep *endpoint) LocalNID() types.NID { return ep.nid }
@@ -218,11 +232,17 @@ func (ep *endpoint) acceptLoop() {
 }
 
 // readLoop handles one inbound connection: a hello frame naming the
-// sender, then message frames.
+// sender, then message frames, each read into the pooled buffer it is
+// delivered in. Everything on the socket is hostile input: a bad hello or
+// an oversize length prefix is counted and ends the connection before any
+// buffer is acquired for it.
 func (ep *endpoint) readLoop(c net.Conn) {
 	defer c.Close()
 	src, err := readHello(c)
 	if err != nil {
+		if errors.Is(err, errBadHello) {
+			ep.net.stats.BadFrames.Add(1)
+		}
 		return
 	}
 	var lenBuf [4]byte
@@ -232,17 +252,19 @@ func (ep *endpoint) readLoop(c net.Conn) {
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n > maxFrame {
+			ep.net.stats.BadFrames.Add(1)
 			return
 		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c, msg); err != nil {
+		buf := bufpool.Get(int(n))
+		if _, err := io.ReadFull(c, buf.Bytes()); err != nil {
+			buf.Release()
 			return
 		}
-		if ep.isClosed() {
-			return
+		if !ep.out.Add(transport.Delivery{Src: src, Msg: buf.Bytes(), Buf: buf}) {
+			return // endpoint closed
 		}
 		ep.net.stats.Delivered.Add(1)
-		ep.handler(src, msg)
+		ep.out.Flush()
 	}
 }
 
@@ -252,8 +274,17 @@ func (ep *endpoint) isClosed() bool {
 	return ep.closed
 }
 
-// Send frames msg onto the cached connection to dst, dialing on first use.
+// Send copies msg once and continues as SendBuf.
 func (ep *endpoint) Send(dst types.NID, msg []byte) error {
+	return transport.SendCopy(ep, dst, msg)
+}
+
+// SendBuf frames buf onto the cached connection to dst, dialing on first
+// use. The write is synchronous — an error here is the socket's — and the
+// buffer is released when it returns.
+func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
+	defer buf.Release()
+	msg := buf.Bytes()
 	if len(msg) > maxFrame {
 		return fmt.Errorf("tcp: message of %d bytes exceeds frame limit", len(msg))
 	}
@@ -261,12 +292,11 @@ func (ep *endpoint) Send(dst types.NID, msg []byte) error {
 	if err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(msg)))
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	binary.BigEndian.PutUint32(sc.hdr[:], uint32(len(msg)))
 	//lint:ignore lockdiscipline sc.mu is this connection's write-serialization lock: it exists precisely to be held across the frame write so frames from concurrent senders never interleave; it guards nothing else and cannot participate in a cycle
-	if _, err := sc.conn.Write(lenBuf[:]); err != nil {
+	if _, err := sc.conn.Write(sc.hdr[:]); err != nil {
 		ep.dropConn(dst, sc)
 		return fmt.Errorf("tcp: send to %d: %w", dst, err)
 	}
@@ -359,6 +389,7 @@ func (ep *endpoint) Close() error {
 	}
 	ep.mu.Unlock()
 
+	ep.out.Close() // read goroutines stop delivering from here on
 	ep.ln.Close()
 	for _, sc := range conns {
 		sc.conn.Close()
@@ -384,13 +415,15 @@ func writeHello(c net.Conn, nid types.NID) error {
 	return err
 }
 
+var errBadHello = errors.New("tcp: bad hello magic")
+
 func readHello(c net.Conn) (types.NID, error) {
 	var buf [8]byte
 	if _, err := io.ReadFull(c, buf[:]); err != nil {
 		return 0, err
 	}
 	if binary.BigEndian.Uint32(buf[0:]) != 0x50334843 {
-		return 0, fmt.Errorf("tcp: bad hello magic")
+		return 0, errBadHello
 	}
 	return types.NID(binary.BigEndian.Uint32(buf[4:])), nil
 }

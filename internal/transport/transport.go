@@ -1,46 +1,72 @@
-// Package transport defines the message-delivery abstraction underneath a
-// Portals network interface.
+// Package transport defines the one seam underneath a Portals network
+// interface: reliable, ordered delivery of whole messages into memory the
+// delivery engine owns (§4.1: "Portals provide reliable, ordered delivery
+// of messages between pairs of processes"; §5.1: the data lands without the
+// application's help).
 //
-// A Network connects nodes identified by NID. Attaching to a NID yields an
-// Endpoint whose Send delivers a complete message to another node,
-// reliably and in order per (source, destination) pair — the service the
-// Portals semantics assume (§4.1: "Portals provide reliable, ordered
-// delivery of messages between pairs of processes"). How that guarantee is
-// obtained differs per implementation:
+// There is one send contract and one delivery contract, and every fabric
+// implements exactly those:
 //
-//   - loopback: in-process FIFO queues (always reliable).
+//   - Send side, Endpoint.SendBuf: the caller hands over a pooled buffer
+//     holding a complete wire message and loses it at the call. The fabric
+//     queues, fragments or writes out of that buffer and releases it when
+//     the message is done with — or at once, when the call fails.
+//   - Receive side, BatchHandler: the fabric hands up batches of Delivery,
+//     each message in a pooled buffer the handler now owns, batches for one
+//     endpoint serial and in per-(source, destination) order. A
+//     single-message delivery is a batch of one.
+//
+// Endpoint.Send (borrowed bytes in) and Network.Attach (borrowed bytes out)
+// remain for callers that have no pooled buffer to give or keep, but they
+// are not second implementations: every fabric defines them as SendCopy and
+// Borrow over the two contracts above.
+//
+// How the §4.1 guarantee is obtained differs per fabric:
+//
+//   - loopback: in-process FIFO queues (always reliable). SendBuf moves the
+//     sender's buffer into the destination queue; it comes out as the
+//     Delivery's Buf — no copy at all.
 //   - simnet + rtscts: an unreliable packet network (loss, duplication,
-//     reordering, latency, bandwidth pacing) with a sliding-window
-//     RTS/CTS reliability layer on top — the analogue of the Cplant
-//     Myrinet MCP + RTS/CTS kernel module stack (§3).
-//   - tcp: real kernel TCP sockets, the paper's reference implementation.
+//     reordering, latency, bandwidth pacing) with a sliding-window RTS/CTS
+//     reliability layer on top — the analogue of the Cplant Myrinet MCP +
+//     RTS/CTS kernel module stack (§3). rtscts fragments out of the sent
+//     buffer and reassembles into the delivered one.
+//   - udp: the same rtscts engine over one kernel UDP socket per node —
+//     connectionless, peer state is exactly the rtscts window.
+//   - tcp: kernel TCP sockets, the paper's reference implementation.
+//     SendBuf writes the frame synchronously and releases; each frame is
+//     read straight into the pooled buffer that is delivered.
+//
+// Fabrics fed by several goroutines (rtscts: one per source link; tcp: one
+// per inbound connection) keep batches serial with Handoff.
 package transport
 
 import (
+	"sync"
+
 	"repro/internal/bufpool"
 	"repro/internal/types"
 )
 
-// Handler is invoked by the network with each complete message delivered
-// to the local node. src is the sending node. The callee must not retain
-// msg after returning unless it copies it. Handlers run on the network's
-// delivery goroutine — the "NIC engine" — never on an application
-// goroutine; this is where application bypass comes from.
+// Handler is the borrowed form of delivery: it is invoked with each
+// complete message, and msg is valid only during the call. Networks run it
+// through Borrow; it sees the same stream a BatchHandler would.
 type Handler func(src types.NID, msg []byte)
 
 // Endpoint is a node's attachment to a network.
 type Endpoint interface {
-	// Send delivers msg to the node dst. It may block for pacing or flow
-	// control but returns once the message is accepted for reliable
-	// delivery (local completion). Send is safe for concurrent use.
+	// SendBuf delivers buf.Bytes() — a complete wire message — to the node
+	// dst, taking ownership of the buffer whether it returns an error or
+	// not: implementations release it or forward it as a Delivery's Buf on
+	// every path, and callers must not touch it after the call — both
+	// sides are machine-checked (docs/LINT.md). It may block for pacing or
+	// flow control but returns once the message is accepted for reliable
+	// delivery (local completion), and is safe for concurrent use.
 	//
-	// The implementation must not retain msg after Send returns: the
-	// caller may immediately reuse the buffer (the delivery engine
-	// recycles pooled ack/reply buffers this way — docs/PERF.md). Every
-	// in-tree transport either copies once into a pooled buffer and
-	// continues as SendBuf (loopback; rtscts over simnet or udp) or writes
-	// synchronously before returning (tcp). A caller that already holds
-	// the message in a pooled buffer skips that copy with BufSender.
+	//lint:consumes buf
+	SendBuf(dst types.NID, buf *bufpool.Buf) error
+	// Send is SendBuf for a caller that keeps its bytes: msg is copied
+	// once and may be reused as soon as Send returns (SendCopy).
 	Send(dst types.NID, msg []byte) error
 	// LocalNID reports the attached node id.
 	LocalNID() types.NID
@@ -48,48 +74,41 @@ type Endpoint interface {
 	Close() error
 }
 
-// BufSender is an optional Endpoint fast path for pooled messages: SendBuf
-// delivers buf.Bytes() — a complete wire message — to dst, taking ownership
-// of the buffer. The transport releases it (or forwards it as a Delivery's
-// Buf) once the message is done with; the caller must not touch or Release
-// the buffer after the call, whether it returns an error or not. This is
-// what lets an in-process fabric move a message from initiator to delivery
-// engine with zero copies, and a packet fabric fragment it in place: rtscts
-// keeps the buffer until the last fragment is acknowledged, retransmitting
-// out of it, and a failed SendBuf has already released it
-// (docs/PERF.md §6).
-type BufSender interface {
-	// SendBuf consumes buf: implementations must release it or forward it
-	// as a Delivery's Buf on every path, and callers lose ownership at the
-	// call — both sides of the contract are machine-checked (docs/LINT.md).
-	//
-	//lint:consumes buf
-	SendBuf(dst types.NID, buf *bufpool.Buf) error
+// SendCopy is every fabric's Endpoint.Send: copy msg into a pooled buffer
+// on the caller's goroutine, then SendBuf.
+func SendCopy(ep Endpoint, dst types.NID, msg []byte) error {
+	buf := bufpool.Get(len(msg))
+	copy(buf.Bytes(), msg)
+	return ep.SendBuf(dst, buf)
 }
 
 // Network is a fabric nodes attach to.
 type Network interface {
-	// Attach registers a node and its delivery handler. Attaching an
-	// already-attached NID fails.
+	// AttachBatch registers a node and the handler its messages are
+	// delivered to. Attaching an already-attached NID fails. Handlers run
+	// on the network's delivery goroutines — the "NIC engine" — never on
+	// an application goroutine; this is where application bypass comes
+	// from.
+	AttachBatch(nid types.NID, h BatchHandler) (Endpoint, error)
+	// Attach is AttachBatch for a handler that only borrows each message
+	// (Borrow).
 	Attach(nid types.NID, h Handler) (Endpoint, error)
 	// Close tears down the fabric and all endpoints.
 	Close() error
 }
 
-// Delivery is one message of a batched delivery. Unlike Handler's msg,
-// ownership of Msg (and its pooled backing Buf, when non-nil) transfers to
-// the BatchHandler: the transport neither reuses nor retains them after
-// handing the batch over, so batch consumers can queue messages onward —
-// e.g. onto a delivery lane — without copying. Whoever finishes with the
-// message calls Release exactly once.
+// Delivery is one delivered message. Ownership of Msg and its pooled
+// backing Buf transfers to the BatchHandler: the transport neither reuses
+// nor retains them after handing the batch over, so consumers can queue
+// messages onward — e.g. onto a delivery lane — without copying. Whoever
+// finishes with the message calls Release exactly once.
 type Delivery struct {
 	Src types.NID
 	Msg []byte
-	Buf *bufpool.Buf // pooled backing of Msg; nil when Msg is plainly allocated
+	Buf *bufpool.Buf // pooled backing of Msg
 }
 
-// Release returns the message's pooled buffer, if any. Msg is invalid
-// afterwards.
+// Release returns the message's pooled buffer. Msg is invalid afterwards.
 func (d *Delivery) Release() {
 	if d.Buf != nil {
 		d.Buf.Release()
@@ -102,23 +121,94 @@ func (d *Delivery) Release() {
 // is valid only during the call (the transport reuses it), but each
 // Delivery's message is owned by the handler — see Delivery. Batches for
 // one endpoint are delivered serially — never two calls at once, so a
-// handler may keep per-endpoint scratch without a lock — and in order, so
-// a BatchHandler sees the same per-(source, destination) FIFO stream a
-// Handler would. A transport fed by several goroutines (simnet feeds an
-// rtscts endpoint from one goroutine per source link) serialises the
-// hand-off itself: whichever feeder finds the handler busy leaves its
-// messages for the one inside it, and no lock is held across the call.
+// handler may keep per-endpoint scratch without a lock — and in
+// per-(source, destination) FIFO order.
 //
 //lint:consumes batch
 type BatchHandler func(batch []Delivery)
 
-// BatchNetwork is implemented by networks that deliver owned messages
-// (loopback, rtscts over simnet, udp): the handler keeps each message's
-// buffer instead of copying out of a borrowed one, and a delivery goroutine
-// that dequeues several messages per queue operation hands them over in a
-// single call, amortizing per-message wakeups and handoffs (docs/PERF.md).
-type BatchNetwork interface {
-	Network
-	// AttachBatch is Attach with a batch handler.
-	AttachBatch(nid types.NID, h BatchHandler) (Endpoint, error)
+// Borrow is every fabric's Network.Attach: it adapts a Handler to the
+// delivery contract by calling it on each message and then releasing the
+// message. A nil Handler gives a nil BatchHandler, which AttachBatch
+// refuses.
+func Borrow(h Handler) BatchHandler {
+	if h == nil {
+		return nil
+	}
+	return func(batch []Delivery) {
+		for i := range batch {
+			h(batch[i].Src, batch[i].Msg)
+			batch[i].Release()
+		}
+	}
+}
+
+// Handoff keeps batches serial for an endpoint whose messages arrive on
+// several goroutines. Feeders Add completed messages and then Flush;
+// whichever feeder finds the handler idle runs it, and keeps running it
+// until nothing is pending, while the others leave their messages and go
+// back to their sources. Per-feeder order is preserved and no lock is held
+// across the handler. A feeder never waits for the handler, so what can
+// pile up in pending while it runs is bounded only by what the feeders'
+// sources admit (the rtscts window; a TCP peer's send rate).
+type Handoff struct {
+	h BatchHandler
+
+	mu       sync.Mutex
+	pending  []Delivery //lint:guardedby mu
+	spare    []Delivery //lint:guardedby mu  recycled batch backing
+	flushing bool       //lint:guardedby mu
+	closed   bool       //lint:guardedby mu
+}
+
+// Init sets the handler. Call it before the first Add.
+func (q *Handoff) Init(h BatchHandler) { q.h = h }
+
+// Add queues one message for the next Flush. After Close the message is
+// released instead and Add reports false.
+func (q *Handoff) Add(d Delivery) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		d.Release()
+		return false
+	}
+	//lint:ignore noalloc amortized: pending and spare swap between two backings that stop growing at the largest batch
+	q.pending = append(q.pending, d)
+	q.mu.Unlock()
+	return true
+}
+
+// Flush hands everything pending to the handler, unless another feeder is
+// already inside it — that feeder will.
+func (q *Handoff) Flush() {
+	q.mu.Lock()
+	if q.flushing {
+		q.mu.Unlock()
+		return
+	}
+	q.flushing = true
+	for len(q.pending) > 0 {
+		batch := q.pending
+		q.pending = q.spare[:0]
+		q.mu.Unlock()
+		q.h(batch)
+		clear(batch) // drop refs so the backing array pins nothing
+		q.mu.Lock()
+		q.spare = batch
+	}
+	q.flushing = false
+	q.mu.Unlock()
+}
+
+// Close releases what was queued but never handed up and makes later Adds
+// drop. A handler call already running finishes; none starts afterwards.
+func (q *Handoff) Close() {
+	q.mu.Lock()
+	q.closed = true
+	for i := range q.pending {
+		q.pending[i].Release()
+	}
+	q.pending = nil
+	q.mu.Unlock()
 }

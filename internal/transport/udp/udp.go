@@ -94,8 +94,8 @@ type Stats struct {
 // with Register and pin the local bind address with SetListenAddr (or use
 // NewStatic).
 //
-// Network implements transport.Network, transport.BatchNetwork, and
-// rtscts.PacketNetwork (the raw-datagram layer underneath the first two).
+// Network implements transport.Network and rtscts.PacketNetwork (the
+// raw-datagram layer underneath it).
 type Network struct {
 	cfg   Config
 	stats Stats
@@ -193,17 +193,17 @@ func (n *Network) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 // budget minus the frame header). Part of rtscts.PacketNetwork.
 func (n *Network) MTU() int { return n.cfg.MTU - frameHeaderSize }
 
-// Attach registers nid with reliability on top: the returned endpoint is
-// an rtscts.Conn over this node's socket. The handler receives complete,
-// exactly-once, in-order messages.
+// Attach is AttachBatch for a borrowing handler.
 func (n *Network) Attach(nid types.NID, h transport.Handler) (transport.Endpoint, error) {
-	return rtscts.AttachPacket(n, nid, n.cfg.Reliability, h)
+	return n.AttachBatch(nid, transport.Borrow(h))
 }
 
-// AttachBatch is Attach with batched delivery: the read loop flushes all
-// messages completed by one receive burst as a single BatchHandler call.
+// AttachBatch registers nid with reliability on top: the returned endpoint
+// is an rtscts.Conn over this node's socket. The handler receives complete,
+// exactly-once, in-order messages; the read loop flushes all those
+// completed by one receive burst as a single BatchHandler call.
 func (n *Network) AttachBatch(nid types.NID, bh transport.BatchHandler) (transport.Endpoint, error) {
-	return rtscts.AttachPacketBatch(n, nid, n.cfg.Reliability, bh)
+	return rtscts.Attach(n, nid, n.cfg.Reliability, bh)
 }
 
 // AttachPacket binds nid's socket and starts its read/write loops; the
