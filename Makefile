@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-sarif lint-baseline test race short bench bench-smoke bench-diff sweep examples ci clean trace-smoke coll-smoke alloc-smoke
+.PHONY: all build lint lint-sarif lint-baseline test race short bench bench-smoke bench-diff bench-ab sweep examples ci clean trace-smoke coll-smoke alloc-smoke
 
 all: build lint test
 
@@ -84,6 +84,17 @@ bench-diff:
 	$(GO) test -run=NONE -bench='TranslateExact|TranslateDepth|IOVecScatter|CTIncrement|PortalsvetLoad' \
 		-benchtime=200ms -count=3 -cpu=1 -json . ./internal/lint | \
 		$(GO) run ./cmd/benchjson -diff BENCH_baseline.json -threshold $(BENCHTHRESHOLD) -min-results 10
+
+# bench-ab is the same-run A/B of the repository benchmark (BENCHMARK.json):
+# BASE is checked out into a throw-away git worktree and the two trees take
+# turns — `make bench-ab BASE=HEAD~1 WORKLOAD=bulk256k_simnet [PAIRS=10]`.
+# Prints, per end-to-end metric, each side's median and quartiles, the pairs
+# the working tree won, and whether the medians differ by more than the
+# base's own interquartile spread. See scripts/bench-ab.sh.
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	bash scripts/bench-ab.sh "$(BASE)" "$(WORKLOAD)" $(PAIRS)
 
 # trace-smoke exercises the observability subsystem end to end: a small
 # bypass run with the flight recorder and the metrics registry enabled,

@@ -299,10 +299,13 @@ func (m *Map[K, V]) Insert(k K, v V) bool {
 // serialized, like every Map mutation.
 func (m *Map[K, V]) Set(k K, v V) {
 	cur := m.snapshot()
+	//lint:ignore noalloc a mutation is a new epoch: noalloc paths reach Set only on first contact with a key
 	next := make(map[K]V, len(cur)+1)
 	for kk, vv := range cur {
+		//lint:ignore noalloc fills the new epoch
 		next[kk] = vv
 	}
+	//lint:ignore noalloc fills the new epoch
 	next[k] = v
 	m.p.Store(&next)
 }

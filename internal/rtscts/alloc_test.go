@@ -12,8 +12,11 @@ import (
 // TestSteadyStateAllocs pins the owned-buffer byte path: once the pool and
 // the per-peer state are warm, a whole send → fragment → fabric →
 // reassemble → deliver → ack cycle allocates nothing inside rtscts and
-// simnet — eager or rendezvous, one fragment or sixty-five. The handler
-// below is the test's own and allocates nothing either.
+// simnet — eager or rendezvous, one fragment or sixty-five. Two senders
+// feed the one receiver at once, so the cycle also holds the receiver's
+// ack-due list (two sources marked, listed and flushed by two link
+// goroutines) and the links' batch swaps at zero. The handler below is the
+// test's own and allocates nothing either.
 func TestSteadyStateAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -32,29 +35,37 @@ func TestSteadyStateAllocs(t *testing.T) {
 			fabric.MTU = tc.mtu
 			net := simnet.New(fabric)
 			defer net.Close()
-			delivered := make(chan int, 1)
+			delivered := make(chan int, 2)
 			b, err := attachSim(net, 2, Config{}, func(_ types.NID, msg []byte) { delivered <- len(msg) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			a, err := attachSim(net, 1, Config{}, func(types.NID, []byte) {})
-			if err != nil {
-				t.Fatal(err)
+			var senders [2]*Conn
+			for i, nid := range []types.NID{1, 3} {
+				if senders[i], err = attachSim(net, nid, Config{}, func(types.NID, []byte) {}); err != nil {
+					t.Fatal(err)
+				}
+				defer senders[i].Close()
 			}
-			defer a.Close()
 
 			msg := make([]byte, tc.size)
 			cycle := func() {
-				if err := a.Send(2, msg); err != nil {
-					t.Fatal(err)
+				for _, a := range senders {
+					if err := a.Send(2, msg); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if n := <-delivered; n != tc.size {
-					t.Fatalf("delivered %d bytes, want %d", n, tc.size)
+				for range senders {
+					if n := <-delivered; n != tc.size {
+						t.Fatalf("delivered %d bytes, want %d", n, tc.size)
+					}
 				}
-				// The cycle ends when the last ack has retired the message.
-				for st, _ := a.Peer(2); st.InFlight != 0; st, _ = a.Peer(2) {
-					runtime.Gosched()
+				// The cycle ends when the last acks have retired the messages.
+				for _, a := range senders {
+					for st, _ := a.Peer(2); st.InFlight != 0; st, _ = a.Peer(2) {
+						runtime.Gosched()
+					}
 				}
 			}
 			for i := 0; i < 200; i++ { // warm pools, rings, batch backings, per-peer state
@@ -63,7 +74,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(100, cycle); n != 0 {
 				t.Fatalf("steady-state cycle allocates %v times, want 0", n)
 			}
-			if tc.size > DefaultConfig().EagerMax && a.Stats().RTSSent.Load() == 0 {
+			if tc.size > DefaultConfig().EagerMax && senders[0].Stats().RTSSent.Load() == 0 {
 				t.Fatal("large message did not use rendezvous")
 			}
 		})

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/obs/metrics"
+	"repro/internal/rcu"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -117,10 +118,21 @@ type Conn struct {
 	ready    chan struct{}
 	attached atomic.Bool
 
+	// Per-peer state is found without a lock on the packet paths; mu
+	// serializes the first contact that creates it, and Close.
 	mu        sync.Mutex
-	senders   map[types.NID]*peerSender   //lint:guardedby mu
-	receivers map[types.NID]*peerReceiver //lint:guardedby mu
-	closed    bool                        //lint:guardedby mu
+	senders   rcu.Map[types.NID, *peerSender]
+	receivers rcu.Map[types.NID, *peerReceiver]
+	closed    bool //lint:guardedby mu
+
+	// The receivers owed an ack by the flush that ends the current burst.
+	// A receiver is listed by the feeder that marked it, after that feeder
+	// has dropped the receiver's own lock; flush holds ackMu across the
+	// acks it sends.
+	//
+	//lint:lockrank Conn.ackMu < peerReceiver.mu
+	ackMu  sync.Mutex
+	ackDue []*peerReceiver //lint:guardedby ackMu
 
 	// Completed messages wait here until the packet network signals the
 	// end of a dispatch burst; the hand-off keeps batches serial on fabrics
@@ -138,18 +150,16 @@ func Attach(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandl
 		return nil, fmt.Errorf("rtscts: nil handler")
 	}
 	c := &Conn{
-		cfg:       cfg.withDefaults(),
-		mtu:       pn.MTU(),
-		senders:   make(map[types.NID]*peerSender),
-		receivers: make(map[types.NID]*peerReceiver),
-		ready:     make(chan struct{}),
+		cfg:   cfg.withDefaults(),
+		mtu:   pn.MTU(),
+		ready: make(chan struct{}),
 	}
 	c.out.Init(bh)
 	// An RTS must fit one packet: control messages are never reassembled.
 	if c.mtu < pktHeaderSize+rtsSize {
 		return nil, fmt.Errorf("rtscts: fabric MTU %d below the %d-byte minimum (header plus RTS)", c.mtu, pktHeaderSize+rtsSize)
 	}
-	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.out.Flush)
+	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.flush)
 	if err != nil {
 		return nil, err
 	}
@@ -167,6 +177,25 @@ func (c *Conn) gatedPacket(src types.NID, pkt []byte) {
 		<-c.ready
 	}
 	c.onPacket(src, pkt)
+}
+
+// flush ends one dispatch burst of the packet network: every source that
+// had packets accepted in sequence gets one cumulative ack for the lot,
+// then the messages the burst completed go up as one batch. The acks go
+// first, so the peers' windows reopen while the handler runs.
+func (c *Conn) flush() {
+	c.ackMu.Lock()
+	for i, r := range c.ackDue {
+		r.mu.Lock()
+		if r.ackDue {
+			r.sendAck(c)
+		}
+		r.mu.Unlock()
+		c.ackDue[i] = nil
+	}
+	c.ackDue = c.ackDue[:0]
+	c.ackMu.Unlock()
+	c.out.Flush()
 }
 
 // Stats exposes the protocol counters.
@@ -187,10 +216,8 @@ type PeerState struct {
 // Peer reports the window/RTT state toward dst; ok is false if no traffic
 // has been sent there yet.
 func (c *Conn) Peer(dst types.NID) (st PeerState, ok bool) {
-	c.mu.Lock()
-	s := c.senders[dst]
-	c.mu.Unlock()
-	if s == nil {
+	s, ok := c.senders.Get(dst)
+	if !ok {
 		return PeerState{}, false
 	}
 	s.wmu.Lock()
@@ -228,8 +255,8 @@ func (c *Conn) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 		"retransmission backoff delay per attempt (capped exponential, jittered)", ls, &st.Backoff)
 	// Window gauges aggregate across destinations: the slowest peer's SRTT
 	// and RTO (max) and the most-constricted window (min) are the numbers
-	// an operator watches. Exposition iterates the sender map under mu and
-	// reads lock-free atomic mirrors — exposition is off the packet paths.
+	// an operator watches. Exposition iterates the sender map and reads
+	// lock-free atomic mirrors — exposition is off the packet paths.
 	r.GaugeFunc("portals_rtscts_srtt_ns", "largest per-peer smoothed RTT", ls, func() int64 {
 		var v int64
 		c.eachSender(func(s *peerSender) {
@@ -261,11 +288,10 @@ func (c *Conn) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 }
 
 func (c *Conn) eachSender(fn func(*peerSender)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.senders {
+	c.senders.Range(func(_ types.NID, s *peerSender) bool {
 		fn(s)
-	}
+		return true
+	})
 }
 
 // LocalNID reports the attached node id.
@@ -313,54 +339,53 @@ func (c *Conn) Close() error {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
-	senders := make([]*peerSender, 0, len(c.senders))
-	for _, s := range c.senders {
-		senders = append(senders, s)
-	}
-	receivers := make([]*peerReceiver, 0, len(c.receivers))
-	for _, r := range c.receivers {
-		receivers = append(receivers, r)
-	}
+	c.closed = true // no peer state is created from here on
 	c.mu.Unlock()
-	for _, s := range senders {
-		s.shutdown()
-	}
+	c.eachSender((*peerSender).shutdown)
 	err := c.ep.Close()
 	// What was received but never handed up goes back to the pool:
 	// half-assembled messages, and completions no flush will follow.
-	for _, r := range receivers {
+	c.receivers.Range(func(_ types.NID, r *peerReceiver) bool {
 		r.shutdown()
-	}
+		return true
+	})
 	c.out.Close()
 	return err
 }
 
+// sender finds the reliable stream toward dst, building it on first contact.
 func (c *Conn) sender(dst types.NID) (*peerSender, error) {
+	if s, ok := c.senders.Get(dst); ok {
+		return s, nil // a closed Conn's senders refuse for themselves
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, types.ErrClosed
 	}
-	s, ok := c.senders[dst]
+	s, ok := c.senders.Get(dst)
 	if !ok {
 		s = newPeerSender(c, dst)
-		//lint:ignore noalloc first contact with a peer builds its sender; afterwards this is a lookup
-		c.senders[dst] = s
+		c.senders.Set(dst, s)
 	}
 	return s, nil
 }
 
+// receiver finds the reception state for src, building it on first
+// contact; nil once the Conn is closed.
 func (c *Conn) receiver(src types.NID) *peerReceiver {
+	if r, ok := c.receivers.Get(src); ok {
+		return r // a closed Conn's receivers refuse for themselves
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil
 	}
-	r, ok := c.receivers[src]
+	r, ok := c.receivers.Get(src)
 	if !ok {
-		r = &peerReceiver{}
-		c.receivers[src] = r
+		r = &peerReceiver{src: src}
+		c.receivers.Set(src, r)
 	}
 	return r
 }
@@ -374,17 +399,12 @@ func (c *Conn) onPacket(src types.NID, pkt []byte) {
 	}
 	switch kind {
 	case pktAck:
-		c.mu.Lock()
-		s := c.senders[src]
-		c.mu.Unlock()
-		if s != nil {
+		if s, ok := c.senders.Get(src); ok {
 			s.onAck(seq)
 		}
 	case pktData:
-		r := c.receiver(src)
-		if r == nil {
-			return
+		if r := c.receiver(src); r != nil {
+			c.onData(r, flags, seq, aux, payload)
 		}
-		c.onData(src, r, flags, seq, aux, payload)
 	}
 }

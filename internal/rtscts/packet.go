@@ -35,9 +35,12 @@ type PacketEndpoint interface {
 type PacketNetwork interface {
 	// AttachPacket registers nid and its raw-packet handler. The network
 	// calls flush, from the goroutine that just fed h, after the last
-	// packet of every dispatch burst — after every packet if it has no
-	// bursts: messages completed by the burst are handed up then, as one
-	// batch.
+	// packet of every dispatch burst: whenever it has handed over all it
+	// had and is about to wait for more. No burst may end without one —
+	// rtscts acknowledges in-sequence packets and hands completed messages
+	// up only at flush, so a packet fed and never flushed is a packet the
+	// peer retransmits. A network that cannot tell where its bursts end
+	// calls flush after every packet.
 	AttachPacket(nid types.NID, h PacketHandler, flush func()) (PacketEndpoint, error)
 	// MTU reports the largest datagram the fabric carries.
 	MTU() int
@@ -45,15 +48,12 @@ type PacketNetwork interface {
 
 // simPacketNetwork adapts *simnet.Network to PacketNetwork. simnet's
 // Endpoint already satisfies PacketEndpoint (SendPacket tail-drops when a
-// link queue is full — it never blocks); its links deliver packet by
-// packet, so every packet is its own burst.
+// link queue is full — it never blocks), and its links end every burst
+// with a flush.
 type simPacketNetwork struct{ n *simnet.Network }
 
 func (s simPacketNetwork) AttachPacket(nid types.NID, h PacketHandler, flush func()) (PacketEndpoint, error) {
-	return s.n.Attach(nid, func(src types.NID, pkt []byte) {
-		h(src, pkt)
-		flush()
-	})
+	return s.n.AttachBurst(nid, simnet.PacketHandler(h), flush)
 }
 
 func (s simPacketNetwork) MTU() int { return s.n.MTU() }

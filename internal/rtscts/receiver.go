@@ -12,11 +12,21 @@ import (
 // peerReceiver holds the in-order reception state for one source: the
 // expected sequence number and the message being reassembled. All packets
 // from one source arrive on one goroutine (PacketHandler), so mu is only
-// ever contended by Close.
+// ever contended by Close and by another feeder's flush.
 type peerReceiver struct {
+	src types.NID
+
 	mu       sync.Mutex
 	expected uint64 //lint:guardedby mu
 	closed   bool   //lint:guardedby mu
+
+	// ackDue: packets were accepted in sequence since the last ack went
+	// out; the flush that ends the burst owes the source one cumulative ack.
+	ackDue bool //lint:guardedby mu
+
+	// mending counts down the in-sequence packets still to be acknowledged
+	// one by one after the stream last showed a gap (see ackRunAfterGap).
+	mending int //lint:guardedby mu
 
 	// granted is the length announced by the RTS this receiver last
 	// answered; the message that claims exactly that length gets its whole
@@ -33,6 +43,17 @@ type peerReceiver struct {
 
 	ackHdr [pktHeaderSize]byte //lint:guardedby mu  scratch for the outgoing ack
 }
+
+// ackRunAfterGap is how many in-sequence packets are acknowledged
+// individually after a packet was discarded out of order or as a
+// duplicate: a default window's worth. A gap is evidence of loss, and loss
+// is what shrinks the peer's window until it is the window, not the
+// fabric, that paces the stream. A sender in that state has nothing in
+// flight behind the burst it is waiting on, so losing the burst's one ack
+// costs it a whole retransmission timeout, where losing one of several
+// per-packet acks costs nothing: the next one covers it. On a stream that
+// shows no gaps the rule never applies.
+const ackRunAfterGap = 64
 
 // What one accepted fragment completed.
 const (
@@ -147,14 +168,20 @@ func (r *peerReceiver) shutdown() {
 }
 
 // onData processes one sequenced fragment per Go-Back-N: accept exactly
-// the expected sequence, acknowledge cumulatively, discard everything
-// else (duplicates and out-of-order packets trigger a duplicate ack that
-// speeds sender recovery — three of them fire the peer's fast retransmit).
-// An in-sequence fragment with impossible framing is consumed and counted,
-// not refused: the stream moves on, and only the peer's own message is lost.
+// the expected sequence and discard everything else. An accepted fragment
+// is not acknowledged here: it marks the receiver ack-due, and the flush
+// that ends the dispatch burst sends one cumulative ack for the whole run
+// (Conn.flush). Only a stream that is mending a gap has its fragments
+// acked one by one, for a while (ackRunAfterGap). Duplicates and
+// out-of-order packets are answered at once, with a duplicate ack that
+// speeds sender recovery — three of them fire the peer's fast retransmit —
+// preceded by the ack the run before them is owed, so that it is the
+// duplicate that repeats. An in-sequence fragment with impossible framing
+// is consumed and counted, not refused: the stream moves on, and only the
+// peer's own message is lost.
 //
-//lint:noalloc the per-fragment receive path: one copy to the fragment's offset, one header-only ack
-func (c *Conn) onData(src types.NID, r *peerReceiver, flags uint8, seq, aux uint64, payload []byte) {
+//lint:noalloc the per-fragment receive path: one copy to the fragment's offset, and at most a mark on the ack-due list
+func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []byte) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -166,7 +193,11 @@ func (c *Conn) onData(src types.NID, r *peerReceiver, flags uint8, seq, aux uint
 		} else {
 			c.stats.OutOfOrder.Add(1)
 		}
-		r.sendAck(c, src)
+		if r.ackDue {
+			r.sendAck(c)
+		}
+		r.sendAck(c)
+		r.mending = ackRunAfterGap
 		r.mu.Unlock()
 		return
 	}
@@ -177,11 +208,24 @@ func (c *Conn) onData(src types.NID, r *peerReceiver, flags uint8, seq, aux uint
 	}
 	var msg transport.Delivery
 	if done == doneApp {
-		msg = transport.Delivery{Src: src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
+		msg = transport.Delivery{Src: r.src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
 		r.asm = nil // ownership moves to the delivery
 	}
-	r.sendAck(c, src)
+	listed := false
+	if r.mending > 0 {
+		r.mending--
+		r.sendAck(c)
+	} else if !r.ackDue {
+		r.ackDue, listed = true, true
+	}
 	r.mu.Unlock()
+	if listed {
+		// Listed after mu is dropped: flush takes ackMu, then mu.
+		c.ackMu.Lock()
+		//lint:ignore noalloc amortized: the list is emptied in place and stops growing at the most sources one burst has carried
+		c.ackDue = append(c.ackDue, r)
+		c.ackMu.Unlock()
+	}
 
 	switch done {
 	case doneApp:
@@ -192,28 +236,27 @@ func (c *Conn) onData(src types.NID, r *peerReceiver, flags uint8, seq, aux uint
 		// protocol cost (the extra round trip) is what we model. At most
 		// one RTS per peer is outstanding (the peer's run loop waits for
 		// the grant).
-		if s, err := c.sender(src); err == nil {
+		if s, err := c.sender(r.src); err == nil {
 			s.oweCTS()
 		}
 	case doneCTS:
-		c.mu.Lock()
-		s := c.senders[src]
-		c.mu.Unlock()
-		if s != nil {
+		if s, ok := c.senders.Get(r.src); ok {
 			s.grantReceived()
 		}
 	}
 }
 
-// sendAck transmits the stream's cumulative acknowledgment. Acks are
-// unsequenced, unreliable and header-only; a lost ack is repaired by the
-// next one or by retransmission. Called with mu held: the header is built
-// in the receiver's own scratch.
+// sendAck transmits the stream's cumulative acknowledgment, which settles
+// whatever ack the receiver owed. Acks are unsequenced, unreliable and
+// header-only; a lost ack is repaired by the next one or by
+// retransmission. Called with mu held: the header is built in the
+// receiver's own scratch.
 //
 //lint:requires mu
 //lint:noalloc header-only packet built in the receiver's scratch
-func (r *peerReceiver) sendAck(c *Conn, dst types.NID) {
+func (r *peerReceiver) sendAck(c *Conn) {
+	r.ackDue = false
 	c.stats.AcksSent.Add(1)
 	putHeader(&r.ackHdr, pktAck, 0, r.expected, 0)
-	_ = c.ep.SendPacket(dst, r.ackHdr[:], nil)
+	_ = c.ep.SendPacket(r.src, r.ackHdr[:], nil)
 }

@@ -243,14 +243,19 @@ func (s *peerSender) sendMessage(kind uint8, buf *bufpool.Buf) {
 		rest = buf.Bytes()
 	}
 	flags, aux := flagFirst|kind<<msgKindShift, uint64(len(rest))
+	// One clock read stamps every fragment that goes out without waiting
+	// for the window: such a run takes microseconds, the estimator it
+	// feeds is floored at RTOMin, and what skew there is errs toward a
+	// longer RTT. sendReliable reads the clock again after any wait.
+	now := time.Now()
 	for ; len(rest) > frag; rest = rest[frag:] {
-		if !s.sendReliable(flags, aux, rest[:frag], nil) {
+		if !s.sendReliable(&now, flags, aux, rest[:frag], nil) {
 			buf.Release()
 			return
 		}
 		flags, aux = 0, 0
 	}
-	s.sendReliable(flags, aux, rest, buf)
+	s.sendReliable(&now, flags, aux, rest, buf)
 }
 
 // desc is the window slot of packet seq. Called with wmu held.
@@ -271,16 +276,21 @@ func (s *peerSender) transmit(d *txDesc) {
 
 // sendReliable assigns the next sequence number, records the packet's
 // descriptor for retransmission, and transmits it, blocking while the
-// window is full. owner is the message buffer when payload is its final
-// fragment, nil otherwise; the descriptor takes it. Once the sender is
-// closed sendReliable records nothing, releases owner, and reports false.
+// window is full. now is the caller's reading of the clock, which stamps
+// the transmission; it is refreshed here if the window made the packet
+// wait. owner is the message buffer when payload is its final fragment,
+// nil otherwise; the descriptor takes it. Once the sender is closed
+// sendReliable records nothing, releases owner, and reports false.
 //
 //lint:consumes owner
 //lint:noalloc the per-fragment path: a ring slot, a header written in place, one fabric gather
-func (s *peerSender) sendReliable(flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
+func (s *peerSender) sendReliable(now *time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
 	s.wmu.Lock()
-	for s.nextSeq-s.base >= uint64(s.wnd) && !s.isClosedFast() {
-		s.wcond.Wait()
+	if s.nextSeq-s.base >= uint64(s.wnd) {
+		for s.nextSeq-s.base >= uint64(s.wnd) && !s.isClosedFast() {
+			s.wcond.Wait()
+		}
+		*now = time.Now()
 	}
 	if s.isClosedFast() {
 		s.wmu.Unlock()
@@ -289,11 +299,10 @@ func (s *peerSender) sendReliable(flags uint8, aux uint64, payload []byte, owner
 	}
 	seq := s.nextSeq
 	s.nextSeq++
-	now := time.Now()
 	d := s.desc(seq)
-	*d = txDesc{payload: payload, owner: owner, sent: now}
+	*d = txDesc{payload: payload, owner: owner, sent: *now}
 	putHeader(&d.hdr, pktData, flags, seq, aux)
-	s.lastSend = now
+	s.lastSend = *now
 	// Packet-level spans are keyed (src NID, pid 0, packet seq); pid 0
 	// distinguishes them from the (initiator NID/PID, header seq) message
 	// spans above the reliability layer.

@@ -7,6 +7,7 @@ package rtscts
 // batch delivery mode the UDP transport uses.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -280,7 +281,9 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 // fakeBurstNet is a minimal PacketNetwork with the UDP transport's
 // dispatch shape: one goroutine per node drains a queue, hands each packet
 // to the conn, and calls flush at burst boundaries. It exists to test
-// Attach's accumulate-then-flush contract in-process.
+// Attach's accumulate-then-flush contract in-process. A test that wants to
+// choose the bursts itself taps the peer's NID, so nothing is dispatched
+// behind its back, and feeds the conn's own endpoint by hand.
 type fakeBurstNet struct {
 	mu    sync.Mutex
 	nodes map[types.NID]*fakeBurstEP
@@ -312,6 +315,23 @@ func (n *fakeBurstNet) AttachPacket(nid types.NID, h PacketHandler, flush func()
 	n.mu.Unlock()
 	go ep.dispatch()
 	return ep, nil
+}
+
+// tap registers nid with no dispatcher: whatever is sent to it waits in the
+// returned channel for the test to read.
+func (n *fakeBurstNet) tap(nid types.NID) <-chan fakeBurstPkt {
+	ep := &fakeBurstEP{net: n, nid: nid, ch: make(chan fakeBurstPkt, 4096)}
+	n.mu.Lock()
+	n.nodes[nid] = ep
+	n.mu.Unlock()
+	return ep.ch
+}
+
+// node is the endpoint attached as nid.
+func (n *fakeBurstNet) node(nid types.NID) *fakeBurstEP {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.nodes[nid]
 }
 
 func (ep *fakeBurstEP) dispatch() {
@@ -416,5 +436,304 @@ func TestBatchModeDeliversPooledBatches(t *testing.T) {
 	}
 	if batches > n {
 		t.Fatalf("%d batches for %d messages — flush never coalesced", batches, n)
+	}
+}
+
+// dataPkt builds one sequenced fragment by hand. total is the message
+// length, given on the first fragment only (0 marks a continuation).
+func dataPkt(seq uint64, total int, payload []byte) []byte {
+	var hdr [pktHeaderSize]byte
+	var flags uint8
+	if total > 0 {
+		flags = flagFirst | msgApp<<msgKindShift
+	}
+	putHeader(&hdr, pktData, flags, seq, uint64(total))
+	return append(hdr[:], payload...)
+}
+
+// ackValues drains the acks waiting in a tapped channel.
+func ackValues(t *testing.T, ch <-chan fakeBurstPkt) (acks []uint64) {
+	t.Helper()
+	for {
+		select {
+		case p := <-ch:
+			kind, _, seq, _, _, err := decodePacket(p.data)
+			if err != nil || kind != pktAck {
+				t.Fatalf("tapped a non-ack packet (kind %d, err %v)", kind, err)
+			}
+			acks = append(acks, seq)
+		default:
+			return acks
+		}
+	}
+}
+
+// The ack rule: packets accepted in sequence are acknowledged by the flush
+// that ends their burst, once, cumulatively — not one by one.
+func TestBurstYieldsOneCumulativeAck(t *testing.T) {
+	net := newFakeBurstNet()
+	acks := net.tap(1)
+	var got msgSink
+	rc, err := Attach(net, 2, quietCfg(8), transport.Borrow(got.handler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	feed := net.node(2)
+
+	const k = 5
+	frag := net.MTU() - pktHeaderSize
+	msg := bytes.Repeat([]byte{0x5a}, k*frag)
+	next := uint64(0)
+	for round := 1; round <= 2; round++ { // the second burst starts at base k, not 0
+		base := next
+		for i := 0; i < k; i++ {
+			total := 0
+			if i == 0 {
+				total = len(msg)
+			}
+			feed.h(1, dataPkt(next, total, msg[i*frag:(i+1)*frag]))
+			next++
+		}
+		if early := ackValues(t, acks); len(early) != 0 {
+			t.Fatalf("acks %v sent before the burst ended", early)
+		}
+		if got.count() != round-1 {
+			t.Fatalf("message handed up before the burst ended")
+		}
+		feed.flush()
+		if a := ackValues(t, acks); len(a) != 1 || a[0] != base+k {
+			t.Fatalf("burst of %d from base %d acked %v, want exactly [%d]", k, base, a, base+k)
+		}
+		if got.count() != round {
+			t.Fatalf("%d messages delivered after burst %d", got.count(), round)
+		}
+		feed.flush() // nothing is owed: an empty burst sends nothing
+		if a := ackValues(t, acks); len(a) != 0 {
+			t.Fatalf("flush with nothing due sent acks %v", a)
+		}
+	}
+	if n := rc.Stats().AcksSent.Load(); n != 2 {
+		t.Fatalf("AcksSent = %d for two bursts", n)
+	}
+}
+
+// An out-of-order packet is answered at once, inside the burst, and the ack
+// the in-order run before it was owed goes out first — so the answer is a
+// duplicate, and three packets past a hole still fire the peer's fast
+// retransmit exactly as three per-packet duplicate acks did.
+func TestOutOfOrderInsideBurstAcksImmediately(t *testing.T) {
+	// Two fabrics, so the test carries every packet across by hand: the
+	// sender's data lands in a tap on one, the receiver's acks in a tap on
+	// the other.
+	netA, netB := newFakeBurstNet(), newFakeBurstNet()
+	data, acks := netA.tap(2), netB.tap(1)
+	sc, err := Attach(netA, 1, quietCfg(8), transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	rc, err := Attach(netB, 2, quietCfg(8), transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	for i := 0; i < 6; i++ {
+		if err := sc.Send(2, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitInFlight(t, sc, 2, 6)
+	var pkts [][]byte
+	for len(pkts) < 6 {
+		pkts = append(pkts, (<-data).data)
+	}
+
+	// One burst: 0 and 1 in order, 2 lost, 3, 4 and 5 past the hole.
+	feed := netB.node(2)
+	feed.h(1, pkts[0])
+	feed.h(1, pkts[1])
+	if a := ackValues(t, acks); len(a) != 0 {
+		t.Fatalf("in-order packets acked %v before the burst ended", a)
+	}
+	feed.h(1, pkts[3])
+	if a := ackValues(t, acks); len(a) != 2 || a[0] != 2 || a[1] != 2 {
+		t.Fatalf("first packet past the hole produced acks %v, want the owed ack and its duplicate [2 2]", a)
+	}
+	feed.h(1, pkts[4])
+	feed.h(1, pkts[5])
+	if a := ackValues(t, acks); len(a) != 2 || a[0] != 2 || a[1] != 2 {
+		t.Fatalf("two more packets past the hole produced acks %v, want [2 2]", a)
+	}
+	feed.flush()
+	if a := ackValues(t, acks); len(a) != 0 {
+		t.Fatalf("flush after immediate acks sent %v, want nothing further", a)
+	}
+	if n := rc.Stats().OutOfOrder.Load(); n != 3 {
+		t.Fatalf("OutOfOrder = %d, want 3", n)
+	}
+
+	// The same four acks at the sender: progress to 2, then three duplicates.
+	ack := func() {
+		var hdr [pktHeaderSize]byte
+		putHeader(&hdr, pktAck, 0, 2, 0)
+		netA.node(1).h(2, hdr[:])
+	}
+	ack()
+	ack()
+	ack()
+	if n := sc.Stats().FastRetransmits.Load(); n != 0 {
+		t.Fatalf("fast retransmit fired after two duplicates (count %d)", n)
+	}
+	ack()
+	if n := sc.Stats().FastRetransmits.Load(); n != 1 {
+		t.Fatalf("fast retransmits after the third duplicate = %d, want 1", n)
+	}
+	if n := sc.Stats().Retransmits.Load(); n != 4 {
+		t.Fatalf("go-back-n resent %d packets, want the outstanding 4", n)
+	}
+}
+
+// Liveness: an ack exists only if a flush follows the packet, so no burst
+// may end without one. A lone packet on an otherwise idle link must be
+// acked by its own flush, long before a retransmission timer that is set
+// far out of the way could paper over a missing one.
+func TestLonePacketIsAckedByItsFlush(t *testing.T) {
+	cfg := Config{RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		pn   func(t *testing.T) PacketNetwork
+	}{
+		{"fakeBurstNet", func(*testing.T) PacketNetwork { return newFakeBurstNet() }},
+		{"simnet", func(t *testing.T) PacketNetwork {
+			n := simnet.New(simnet.Instant())
+			t.Cleanup(func() { n.Close() })
+			return simPacketNetwork{n}
+		}},
+		{"simnet-timed", func(t *testing.T) PacketNetwork {
+			n := simnet.New(simnet.Myrinet())
+			t.Cleanup(func() { n.Close() })
+			return simPacketNetwork{n}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pn := tc.pn(t)
+			var got msgSink
+			rc, err := Attach(pn, 2, cfg, transport.Borrow(got.handler))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			sc, err := Attach(pn, 1, cfg, transport.Borrow(func(types.NID, []byte) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sc.Close()
+			for i := 0; i < 3; i++ { // each on a link that has gone idle again
+				start := time.Now()
+				if err := sc.Send(2, []byte("lone")); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 5*time.Second, func() bool {
+					st, _ := sc.Peer(2)
+					return st.NextSeq == uint64(i+1) && st.InFlight == 0
+				})
+				if d := time.Since(start); d > cfg.RTO/2 {
+					t.Fatalf("packet %d acked after %v: by the %v timer, not by its flush", i, d, cfg.RTO)
+				}
+			}
+			if n := sc.Stats().Retransmits.Load(); n != 0 {
+				t.Fatalf("%d retransmissions on a clean idle link", n)
+			}
+			if got.count() != 3 {
+				t.Fatalf("delivered %d messages, want 3", got.count())
+			}
+		})
+	}
+}
+
+// A message one fragment longer than the window must not need the timer:
+// the acks that reopen the window come from flushes, and a burst that holds
+// a whole window still ends in one.
+func TestWindowPlusOneNeedsNoTimeout(t *testing.T) {
+	net := newFakeBurstNet()
+	cfg := Config{Window: 64, RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond}
+	var got msgSink
+	rc, err := Attach(net, 2, cfg, transport.Borrow(got.handler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	sc, err := Attach(net, 1, cfg, transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	const frags = 65
+	msg := bytes.Repeat([]byte{0xa5}, (frags-1)*(net.MTU()-pktHeaderSize)+1)
+	if len(msg) <= DefaultConfig().EagerMax {
+		t.Fatalf("%d bytes would go eagerly", len(msg))
+	}
+	start := time.Now()
+	if err := sc.Send(2, msg); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		st, _ := sc.Peer(2)
+		return got.count() == 1 && st.InFlight == 0
+	})
+	if d := time.Since(start); d > cfg.RTO/2 {
+		t.Errorf("transfer took %v: something waited for the %v timer", d, cfg.RTO)
+	}
+	if n := sc.Stats().Retransmits.Load(); n != 0 {
+		t.Fatalf("%d retransmissions on a clean fabric", n)
+	}
+	if n := sc.Stats().RTSSent.Load(); n != 1 {
+		t.Fatalf("RTSSent = %d, want a rendezvous", n)
+	}
+	if data, acks := int64(frags+1), rc.Stats().AcksSent.Load(); acks > data {
+		t.Errorf("%d acks for %d sequenced packets", acks, data)
+	}
+}
+
+// After a gap the stream is acked packet by packet for ackRunAfterGap
+// in-sequence packets — the peer's window has likely shrunk, and a
+// window-limited sender pays a full timeout for a lost burst ack — and
+// then per burst again.
+func TestAcksGoPerPacketWhileMendingAGap(t *testing.T) {
+	net := newFakeBurstNet()
+	acks := net.tap(1)
+	rc, err := Attach(net, 2, quietCfg(8), transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	feed := net.node(2)
+	one := func(seq uint64) { feed.h(1, dataPkt(seq, 1, []byte{0})) }
+
+	one(1) // past a hole at 0: discarded, answered at once
+	if a := ackValues(t, acks); len(a) != 1 || a[0] != 0 {
+		t.Fatalf("out-of-order packet acked %v, want [0]", a)
+	}
+	for seq := uint64(0); seq < ackRunAfterGap; seq++ {
+		one(seq)
+		if a := ackValues(t, acks); len(a) != 1 || a[0] != seq+1 {
+			t.Fatalf("packet %d after the gap acked %v before any flush, want [%d]", seq, a, seq+1)
+		}
+	}
+	feed.flush()
+	if a := ackValues(t, acks); len(a) != 0 {
+		t.Fatalf("flush with every packet already acked sent %v", a)
+	}
+	one(ackRunAfterGap)
+	one(ackRunAfterGap + 1)
+	if a := ackValues(t, acks); len(a) != 0 {
+		t.Fatalf("mended stream acked %v inside a burst", a)
+	}
+	feed.flush()
+	if a := ackValues(t, acks); len(a) != 1 || a[0] != ackRunAfterGap+2 {
+		t.Fatalf("mended stream's burst acked %v, want [%d]", a, ackRunAfterGap+2)
 	}
 }

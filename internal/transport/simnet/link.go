@@ -1,253 +1,237 @@
 package simnet
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/types"
 )
 
-// link models one ordered src→dst pipe: an input queue, a pacer goroutine
-// that serializes packets at the configured bandwidth and applies fault
-// injection, and a delayer goroutine that holds each packet for the wire
-// latency. Splitting pacing from latency lets packet k+1's serialization
-// overlap packet k's flight, as on real hardware.
+// link models one ordered src→dst pipe: one queue and one goroutine, which
+// swaps out everything pending under one lock operation, applies fault
+// injection, computes each packet's arrival time, waits for it, and
+// delivers. A run of packets delivered without waiting for the wire is one
+// dispatch burst, ended by the destination's flush: after each drained
+// batch, and before any wait (an idle wire ends a burst, whatever is queued).
 //
 // Packets travel as pooled buffers (internal/bufpool): enqueue gathers the
 // caller's header and payload into one, the only copy between the sender's
-// message buffer and the receiver's, and whichever stage removes a packet
-// from the pipeline — loss, tail drop, shutdown, or final delivery —
-// releases it. Duplication emits an independent pooled copy, never the same
-// buffer twice (the delayer releases each buffer exactly once).
+// message buffer and the receiver's, and whatever removes a packet from the
+// pipe — loss, tail drop, shutdown, or final delivery — releases it.
+// Duplication emits an independent pooled copy, never the same buffer twice.
 type link struct {
-	net *Network
-	src types.NID
-	dst types.NID
+	net      *Network
+	src, dst types.NID
+	timed    bool // the fabric has wire time: packets are stamped and waited for
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  bufpool.Queue
-	closed bool
+	queue  []inflight  //lint:guardedby mu
+	closed atomic.Bool // written under mu; the goroutine also reads it mid-batch
+	// backlog counts, for QueueCap only, packets accepted but not yet taken up.
+	backlog atomic.Int64
 
-	// pacer → delayer wire buffer. A cond-guarded slice rather than a
-	// channel so the delayer can dequeue the whole pending batch in one
-	// lock operation (docs/PERF.md §6); capacity-bounded like the channel
-	// it replaced, with overflow treated as a congestion drop.
-	wireMu     sync.Mutex
-	wireCond   *sync.Cond
-	wireQ      []timedPkt
-	wireClosed bool
-
-	held *bufpool.Buf // reorder buffer: a packet waiting to swap with its successor
+	// The rest belongs to the run goroutine.
+	rng     *rand.Rand // this link's own fault schedule; nil on a fabric without faults
+	held    inflight   // reorder buffer: a packet waiting to swap with its successor
+	lastEnd time.Time  // when the link finishes serializing what it has taken up
+	to      *Endpoint  // the destination as last resolved; re-resolved once it closes
+	fed     bool       // to.handler has run since to.flush last did
 }
 
-// wireCap bounds the pacer→delayer buffer, mirroring the 1024-slot channel
-// this stage used to be.
-const wireCap = 1024
-
-type timedPkt struct {
-	arrival time.Time
-	pkt     *bufpool.Buf
+// inflight is one packet on its way through a link.
+type inflight struct {
+	pkt *bufpool.Buf
+	at  time.Time // when it entered the link; zero on a fabric without wire time
 }
 
 func newLink(n *Network, src, dst types.NID) *link {
-	//lint:ignore noalloc the first packet between a pair builds the link (two goroutines); never again
-	l := &link{net: n, src: src, dst: dst, wireQ: make([]timedPkt, 0, 64)}
+	cfg := &n.cfg
+	//lint:ignore noalloc the first packet between a pair builds the link (one goroutine); never again
+	l := &link{net: n, src: src, dst: dst, timed: cfg.Latency > 0 || cfg.Bandwidth > 0}
 	l.cond = sync.NewCond(&l.mu)
-	l.wireCond = sync.NewCond(&l.wireMu)
+	if cfg.LossRate > 0 || cfg.DupRate > 0 || cfg.ReorderRate > 0 {
+		// A function of (Seed, src, dst) only, whatever other links carry.
+		//lint:ignore noalloc part of building the link
+		l.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(src)<<32|uint64(dst))))
+	}
 	//lint:ignore noalloc per-link goroutine, started once
-	go l.pace()
-	//lint:ignore noalloc per-link goroutine, started once
-	go l.delay()
+	go l.run()
 	return l
 }
 
-// enqueue gathers hdr and payload into one pooled packet and queues it for
-// the pacer: SendPacket's contract lets the caller reuse both slices as soon
-// as it returns.
+// enqueue gathers hdr and payload into one pooled packet and queues it: the
+// caller may reuse both slices as soon as it returns (SendPacket's contract).
 //
-//lint:noalloc the per-packet copy lands in pooled memory and the queue is a ring
+//lint:noalloc the per-packet copy lands in pooled memory and the queue swaps between two backings
 func (l *link) enqueue(hdr, payload []byte) {
 	cp := bufpool.Get(len(hdr) + len(payload))
 	copy(cp.Bytes()[copy(cp.Bytes(), hdr):], payload)
+	var at time.Time
+	if l.timed {
+		at = time.Now()
+	}
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Load() {
 		l.mu.Unlock()
 		cp.Release()
 		return
 	}
-	if qcap := l.net.cfg.QueueCap; qcap > 0 && l.queue.Len() >= qcap {
+	if qcap := int64(l.net.cfg.QueueCap); qcap > 0 && l.backlog.Add(1) > qcap {
+		l.backlog.Add(-1)
 		l.mu.Unlock()
 		l.net.stats.TailDrops.Add(1)
-		l.net.stats.Lost.Add(1)
-		l.net.recordLoss(l.src, len(cp.Bytes()))
-		cp.Release()
+		l.lose(cp)
 		return
 	}
-	l.queue.Push(cp)
+	//lint:ignore noalloc amortized: queue and the goroutine's spare swap between two backings that stop growing at the largest batch
+	l.queue = append(l.queue, inflight{pkt: cp, at: at})
 	l.mu.Unlock()
 	l.cond.Signal()
 }
 
 func (l *link) shutdown() {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
+	l.closed.Store(true)
+	for _, p := range l.queue {
+		p.pkt.Release()
 	}
-	l.closed = true
-	for l.queue.Len() > 0 {
-		l.queue.Pop().Release()
-	}
+	l.queue = nil
 	l.mu.Unlock()
-	l.cond.Broadcast()
+	l.cond.Signal()
 }
 
-// pace pops packets, applies fault injection, serializes them at the link
-// bandwidth, and hands them to the delayer stamped with their arrival time.
-func (l *link) pace() {
-	cfg := l.net.cfg
-	var lastEnd time.Time
-	for {
+// run is the link's goroutine: take everything queued, forward it, end the burst.
+func (l *link) run() {
+	var spare []inflight // recycled batch backing
+	for !l.closed.Load() {
 		l.mu.Lock()
-		for l.queue.Len() == 0 && !l.closed {
+		for len(l.queue) == 0 && !l.closed.Load() {
 			l.cond.Wait()
 		}
-		if l.closed {
-			l.mu.Unlock()
-			if l.held != nil {
-				l.held.Release()
-				l.held = nil
-			}
-			l.wireMu.Lock()
-			l.wireClosed = true
-			l.wireMu.Unlock()
-			l.wireCond.Signal()
-			return
-		}
-		pkt := l.queue.Pop()
+		batch := l.queue
+		l.queue = spare[:0]
 		l.mu.Unlock()
-
-		// Fault injection. Loss removes the packet; duplication emits an
-		// independent copy; reordering holds a packet until the next one
-		// passes. emit is a fixed array so pacing allocates nothing.
-		if cfg.LossRate > 0 && l.net.random() < cfg.LossRate {
-			l.net.stats.Lost.Add(1)
-			l.net.recordLoss(l.src, len(pkt.Bytes()))
-			pkt.Release()
-			continue
+		for i, p := range batch {
+			l.forward(p)
+			batch[i] = inflight{}
 		}
-		var emit [2]*bufpool.Buf
-		ne := 1
-		if cfg.DupRate > 0 && l.net.random() < cfg.DupRate {
-			l.net.stats.Duplicated.Add(1)
-			dup := bufpool.Get(len(pkt.Bytes()))
-			copy(dup.Bytes(), pkt.Bytes())
-			emit[ne] = dup
-			ne++
-		}
-		emit[0] = pkt
-		var after *bufpool.Buf // held packet goes AFTER this batch
-		if cfg.ReorderRate > 0 {
-			if l.held != nil {
-				after = l.held
-				l.held = nil
-				l.net.stats.Reordered.Add(1)
-			} else if l.net.random() < cfg.ReorderRate {
-				ne--
-				l.held = emit[ne]
-				emit[ne] = nil
-			}
-		}
-		for _, p := range emit[:ne] {
-			l.transmit(p, &lastEnd, cfg)
-		}
-		if after != nil {
-			l.transmit(after, &lastEnd, cfg)
-		}
-	}
-}
-
-// transmit serializes one packet at the link bandwidth and hands it to the
-// delayer; a full wire buffer is a congestion drop, which releases the
-// packet here.
-//
-//lint:consumes p
-func (l *link) transmit(p *bufpool.Buf, lastEnd *time.Time, cfg Config) {
-	start := time.Now()
-	if start.Before(*lastEnd) {
-		start = *lastEnd
-	}
-	end := start
-	if cfg.Bandwidth > 0 {
-		end = start.Add(time.Duration(float64(len(p.Bytes())) / float64(cfg.Bandwidth) * float64(time.Second)))
-	}
-	*lastEnd = end
-	sleepUntil(end) // link occupied while serializing
-	l.wireMu.Lock()
-	if l.wireClosed || len(l.wireQ) >= wireCap {
-		l.wireMu.Unlock()
-		// Wire buffer overflow (or link torn down): congestion drop.
-		l.net.stats.TailDrops.Add(1)
-		l.net.stats.Lost.Add(1)
-		l.net.recordLoss(l.src, len(p.Bytes()))
-		p.Release()
-		return
-	}
-	l.wireQ = append(l.wireQ, timedPkt{arrival: end.Add(cfg.Latency), pkt: p})
-	l.wireMu.Unlock()
-	l.wireCond.Signal()
-}
-
-// delay holds each packet until its arrival time, then delivers it.
-// Arrival times are monotone per link, so FIFO dequeue order is correct.
-// Each wakeup swaps the whole pending batch out under one lock operation;
-// a loaded link then pays one mutex round-trip for many packets instead of
-// one channel operation each.
-func (l *link) delay() {
-	var spare []timedPkt // recycled batch backing; owned by this goroutine
-	for {
-		l.wireMu.Lock()
-		for len(l.wireQ) == 0 && !l.wireClosed {
-			l.wireCond.Wait()
-		}
-		if len(l.wireQ) == 0 && l.wireClosed {
-			l.wireMu.Unlock()
-			return
-		}
-		batch := l.wireQ
-		l.wireQ = spare[:0]
-		l.wireMu.Unlock()
-		for i := range batch {
-			sleepUntil(batch[i].arrival)
-			l.net.deliver(l.src, l.dst, batch[i].pkt.Bytes())
-			// The handler contract (PacketHandler) requires receivers to
-			// copy anything they retain, so the buffer can be recycled now.
-			batch[i].pkt.Release()
-			batch[i] = timedPkt{}
-		}
+		l.endBurst()
 		spare = batch[:0]
 	}
+	if l.held.pkt != nil {
+		l.held.pkt.Release()
+	}
 }
 
-// sleepUntil waits for a deadline with microsecond fidelity. The Go/Linux
-// timer granularity makes short time.Sleep calls cost about a
-// millisecond, which would swamp Myrinet-class packet times (a 4 KB
-// packet serializes in ~26 µs); the final stretch is therefore a
-// cooperative yield loop, which is accurate and still lets every other
-// goroutine run.
-func sleepUntil(t time.Time) {
-	for {
-		d := time.Until(t)
-		if d <= 0 {
+// forward applies fault injection to one packet and delivers what is left
+// of it. Loss removes the packet; duplication emits an independent copy;
+// reordering holds a packet until the next one has passed.
+//
+//lint:consumes p
+func (l *link) forward(p inflight) {
+	cfg := &l.net.cfg
+	if cfg.QueueCap > 0 {
+		l.backlog.Add(-1)
+	}
+	if l.closed.Load() {
+		p.pkt.Release()
+		return
+	}
+	if cfg.LossRate > 0 && l.rng.Float64() < cfg.LossRate {
+		l.lose(p.pkt)
+		return
+	}
+	emit := [3]inflight{p} // a fixed array: forwarding allocates nothing
+	ne := 1
+	if cfg.DupRate > 0 && l.rng.Float64() < cfg.DupRate {
+		l.net.stats.Duplicated.Add(1)
+		dup := bufpool.Get(len(p.pkt.Bytes()))
+		copy(dup.Bytes(), p.pkt.Bytes())
+		emit[ne] = inflight{pkt: dup, at: p.at}
+		ne++
+	}
+	if cfg.ReorderRate > 0 {
+		if l.held.pkt != nil {
+			emit[ne] = l.held // the held packet goes after this one
+			ne++
+			l.held = inflight{}
+			l.net.stats.Reordered.Add(1)
+		} else if l.rng.Float64() < cfg.ReorderRate {
+			ne--
+			l.held = emit[ne]
+		}
+	}
+	for _, e := range emit[:ne] {
+		l.deliver(e)
+	}
+}
+
+// deliver puts one packet on the wire — it starts serializing when it
+// entered the link or when its predecessor finished, whichever is later,
+// takes size/Bandwidth, and arrives Latency after that — and hands it to
+// the destination, which is looked up once and then only when it has closed.
+//
+//lint:consumes p
+func (l *link) deliver(p inflight) {
+	if l.timed {
+		cfg := &l.net.cfg
+		end := p.at
+		if end.Before(l.lastEnd) {
+			end = l.lastEnd
+		}
+		if cfg.Bandwidth > 0 {
+			end = end.Add(time.Duration(float64(len(p.pkt.Bytes())) / float64(cfg.Bandwidth) * float64(time.Second)))
+		}
+		l.lastEnd = end
+		l.waitUntil(end.Add(cfg.Latency))
+	}
+	if l.to == nil || l.to.closed.Load() {
+		l.endBurst()
+		if l.to = l.net.node(l.dst); l.to == nil {
+			l.lose(p.pkt)
 			return
 		}
+	}
+	l.net.stats.Delivered.Add(1)
+	l.fed = true
+	l.to.handler(l.src, p.pkt.Bytes())
+	p.pkt.Release() // the handler copied what it keeps (PacketHandler)
+}
+
+// endBurst tells the destination that nothing more is coming right now.
+func (l *link) endBurst() {
+	if l.fed {
+		l.fed = false
+		l.to.flush()
+	}
+}
+
+// lose removes a packet from the pipe and counts it.
+//
+//lint:consumes pkt
+func (l *link) lose(pkt *bufpool.Buf) {
+	l.net.stats.Lost.Add(1)
+	l.net.recordLoss(l.src, len(pkt.Bytes()))
+	pkt.Release()
+}
+
+// waitUntil waits for an arrival time, ending the burst first if there is
+// any waiting to do. Short time.Sleep calls cost about a millisecond on
+// Go/Linux, which would swamp Myrinet-class packet times (4 KB serializes
+// in ~26 µs), so the final stretch is a cooperative yield loop: accurate,
+// and every other goroutine still runs.
+func (l *link) waitUntil(t time.Time) {
+	for d := time.Until(t); d > 0; d = time.Until(t) {
+		l.endBurst()
 		if d > 500*time.Microsecond {
 			time.Sleep(d - 300*time.Microsecond)
-			continue
+		} else {
+			runtime.Gosched()
 		}
-		runtime.Gosched()
 	}
 }

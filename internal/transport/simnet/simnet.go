@@ -6,23 +6,28 @@
 // Portals needs, so that the rtscts layer has a real job to do.
 //
 // Timing model: each link (ordered src→dst pair) is a store-and-forward
-// pipe. A packet of n bytes occupies the link for n/Bandwidth seconds
-// (serialization), then arrives Latency later. Serialization of packet
-// k+1 may overlap the flight of packet k, like real wires. Go's sleep
-// granularity is coarser than a microsecond, so absolute numbers are
-// approximate; relative shape (who is faster, where curves cross) is
-// preserved, which is the reproduction target.
+// pipe run by one goroutine. A packet of n bytes that enters the link at t
+// starts serializing at max(t, the end of its predecessor), occupies the
+// link for n/Bandwidth seconds, then arrives Latency later; the link
+// computes that arrival time and waits for it, so serialization of packet
+// k+1 overlaps the flight of packet k, like real wires, and a fabric with
+// neither latency nor bandwidth reads no clock. Go's sleep granularity is
+// coarser than a microsecond, so absolute numbers are approximate; relative
+// shape (who is faster, where curves cross) is preserved, which is the
+// reproduction target. Each link draws its faults from its own generator,
+// seeded from (Seed, src, dst): its loss/duplication/reorder schedule
+// depends on the order packets enter that link and on nothing else.
 package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
+	"repro/internal/rcu"
 	"repro/internal/types"
 )
 
@@ -38,10 +43,11 @@ type Config struct {
 	LossRate    float64
 	DupRate     float64
 	ReorderRate float64
-	// QueueCap bounds each link's input queue; beyond it packets are
-	// tail-dropped (counted as lost). 0 means unbounded.
+	// QueueCap bounds the packets a link holds without having begun to
+	// serialize them; beyond it they are tail-dropped (counted as lost).
+	// 0 means unbounded.
 	QueueCap int
-	// Seed makes fault injection reproducible.
+	// Seed makes fault injection reproducible, link by link.
 	Seed int64
 }
 
@@ -80,10 +86,10 @@ type Network struct {
 	stats   Stats
 	lossSeq atomic.Uint64 // keys flight-recorder loss instants
 
+	// mu guards attachment and link creation; packets go by Endpoint.links and link.to.
 	mu     sync.Mutex
 	nodes  map[types.NID]*Endpoint
 	links  map[linkKey]*link
-	rng    *rand.Rand
 	closed bool
 }
 
@@ -98,7 +104,6 @@ func New(cfg Config) *Network {
 		cfg:   cfg,
 		nodes: make(map[types.NID]*Endpoint),
 		links: make(map[linkKey]*link),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -135,12 +140,22 @@ type Endpoint struct {
 	net     *Network
 	nid     types.NID
 	handler PacketHandler
+	flush   func()
 	closed  atomic.Bool
+	links   rcu.Map[types.NID, *link] // outgoing links by destination; filled under net.mu, read without it
 }
 
-// Attach registers a node with its raw-packet handler.
+// Attach is AttachBurst for a handler that does not care where bursts end.
 func (n *Network) Attach(nid types.NID, h PacketHandler) (*Endpoint, error) {
-	if h == nil {
+	return n.AttachBurst(nid, h, func() {})
+}
+
+// AttachBurst registers a node with its raw-packet handler. Each link
+// delivering to it calls flush, from the goroutine that just ran h, whenever
+// it has handed over every packet that was due and is about to wait for more.
+// One source is delivered by one goroutine, different sources concurrently.
+func (n *Network) AttachBurst(nid types.NID, h PacketHandler, flush func()) (*Endpoint, error) {
+	if h == nil || flush == nil {
 		return nil, fmt.Errorf("simnet: nil handler")
 	}
 	n.mu.Lock()
@@ -151,7 +166,7 @@ func (n *Network) Attach(nid types.NID, h PacketHandler) (*Endpoint, error) {
 	if _, dup := n.nodes[nid]; dup {
 		return nil, fmt.Errorf("simnet: nid %d already attached", nid)
 	}
-	ep := &Endpoint{net: n, nid: nid, handler: h}
+	ep := &Endpoint{net: n, nid: nid, handler: h, flush: flush}
 	n.nodes[nid] = ep
 	return ep, nil
 }
@@ -164,13 +179,12 @@ func (n *Network) Close() error {
 		return nil
 	}
 	n.closed = true
-	links := make([]*link, 0, len(n.links))
-	for _, l := range n.links {
-		links = append(links, l)
-	}
-	n.links = map[linkKey]*link{}
-	n.nodes = map[types.NID]*Endpoint{}
+	links, nodes := n.links, n.nodes
+	n.links, n.nodes = nil, nil
 	n.mu.Unlock()
+	for _, ep := range nodes {
+		ep.closed.Store(true) // links deliver to the endpoint they cached until it closes
+	}
 	for _, l := range links {
 		l.shutdown()
 	}
@@ -198,7 +212,7 @@ func (ep *Endpoint) Close() error {
 // switch. Oversized packets are an error (the protocol above must packetize
 // to the MTU).
 //
-//lint:noalloc one pooled packet per send; the link map only grows on first contact
+//lint:noalloc one pooled packet per send; the link cache only grows on first contact
 func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
 	if size := len(hdr) + len(payload); size > ep.net.cfg.MTU {
 		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
@@ -207,11 +221,26 @@ func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
 	if ep.closed.Load() {
 		return types.ErrClosed
 	}
-	n := ep.net
+	l, ok := ep.links.Get(dst)
+	if !ok {
+		var err error
+		if l, err = ep.net.linkFrom(ep, dst); err != nil {
+			return err
+		}
+	}
+	ep.net.stats.Sent.Add(1)
+	l.enqueue(hdr, payload)
+	return nil
+}
+
+// linkFrom finds or builds the link from ep's node to dst and caches it on
+// ep: the slow path of a node's first packet to a destination. A link
+// outlives its endpoint, so a re-attached node sends down the same pipe.
+func (n *Network) linkFrom(ep *Endpoint, dst types.NID) (*link, error) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
-		n.mu.Unlock()
-		return types.ErrClosed
+		return nil, types.ErrClosed
 	}
 	key := linkKey{src: ep.nid, dst: dst}
 	l, ok := n.links[key]
@@ -220,30 +249,16 @@ func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
 		//lint:ignore noalloc the first packet between a pair registers its link; steady state finds it
 		n.links[key] = l
 	}
-	n.mu.Unlock()
-	n.stats.Sent.Add(1)
-	l.enqueue(hdr, payload)
-	return nil
+	ep.links.Set(dst, l)
+	return l, nil
 }
 
-// deliver hands a packet to the destination node, if it is still attached.
-func (n *Network) deliver(src, dst types.NID, pkt []byte) {
-	n.mu.Lock()
-	ep := n.nodes[dst]
-	n.mu.Unlock()
-	if ep == nil || ep.closed.Load() {
-		n.stats.Lost.Add(1)
-		n.recordLoss(src, len(pkt))
-		return
-	}
-	n.stats.Delivered.Add(1)
-	ep.handler(src, pkt)
-}
-
-// random draws a float in [0,1) under the network lock (the rng is shared
-// so a single seed makes the whole fabric reproducible).
-func (n *Network) random() float64 {
+// node is the endpoint attached as nid, nil if none or on its way out.
+func (n *Network) node(nid types.NID) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.rng.Float64()
+	if ep := n.nodes[nid]; ep != nil && !ep.closed.Load() {
+		return ep
+	}
+	return nil
 }

@@ -3,6 +3,9 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +367,244 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	if l1 == 0 {
 		t.Error("no losses at 30% rate")
+	}
+}
+
+// Each link draws its faults from its own generator, so with traffic in both
+// directions at once (data one way, acks the other) what a link delivers —
+// which packets, how many times, in what order — is a function of the seed,
+// not of how the two links' goroutines interleave. Loss with duplication and
+// reordering are run apart so that each run has an exact end: every packet
+// accounted for, or every numbered packet pushed past the reorder buffer by
+// a trailer that nothing can lose.
+func TestSeedDeterminismBothDirections(t *testing.T) {
+	const count = 500
+	trailer := []byte{0xff, 0xff}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"loss+dup", Config{MTU: 64, LossRate: 0.2, DupRate: 0.1, Seed: 99}},
+		{"reorder", Config{MTU: 64, ReorderRate: 0.3, Seed: 99}},
+	} {
+		run := func() (seqs [2][]int) {
+			n := New(tc.cfg)
+			defer n.Close()
+			var sinks [2]sink
+			var eps [2]*Endpoint
+			for i := range eps {
+				ep, err := n.Attach(types.NID(i+1), sinks[i].handler)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eps[i] = ep
+			}
+			var wg sync.WaitGroup
+			for i := range eps {
+				wg.Add(1)
+				go func(from *Endpoint, to types.NID) {
+					defer wg.Done()
+					for k := 0; k < count; k++ {
+						if err := from.SendPacket(to, []byte{byte(k >> 8), byte(k)}, nil); err != nil {
+							t.Error(err)
+						}
+					}
+					if tc.cfg.ReorderRate > 0 {
+						if err := from.SendPacket(to, trailer, nil); err != nil {
+							t.Error(err)
+						}
+					}
+				}(eps[i], types.NID(2-i))
+			}
+			wg.Wait()
+			numbered := func(s *sink) (out []int) {
+				for _, p := range s.got() {
+					if p != string(trailer) {
+						out = append(out, int(p[0])<<8|int(p[1]))
+					}
+				}
+				return out
+			}
+			waitFor(t, func() bool {
+				if tc.cfg.ReorderRate > 0 {
+					return len(numbered(&sinks[0])) == count && len(numbered(&sinks[1])) == count
+				}
+				st := n.Stats()
+				return st.Delivered.Load()+st.Lost.Load() == st.Sent.Load()+st.Duplicated.Load()
+			})
+			return [2][]int{numbered(&sinks[0]), numbered(&sinks[1])}
+		}
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				first := run()
+				for r := 1; r < 5; r++ {
+					again := run()
+					for dir := range first {
+						if !slices.Equal(first[dir], again[dir]) {
+							t.Fatalf("run %d, link into node %d: same seed delivered %s, first run %s",
+								r, dir+1, tally(again[dir], count), tally(first[dir], count))
+						}
+					}
+				}
+				for dir := range first {
+					if slices.Equal(first[dir], identity(count)) {
+						t.Errorf("link into node %d carried no faults", dir+1)
+					}
+				}
+				if slices.Equal(first[0], first[1]) {
+					t.Error("both links drew the same schedule")
+				}
+			})
+		}
+	}
+}
+
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// tally summarizes what one link delivered of packets 0..count-1.
+func tally(seq []int, count int) string {
+	seen := make(map[int]bool)
+	inversions, prev := 0, -1
+	for _, v := range seq {
+		seen[v] = true
+		if v < prev {
+			inversions++
+		}
+		prev = v
+	}
+	return fmt.Sprintf("[delivered %d lost %d duplicated %d reordered %d]",
+		len(seq), count-len(seen), len(seq)-len(seen), inversions)
+}
+
+// A link caches its destination endpoint; the cache must not outlive
+// Endpoint.Close. Packets sent while the NID is detached are lost, and
+// packets sent after it re-attaches reach the new endpoint, not the old.
+func TestReattachMidStream(t *testing.T) {
+	n := New(Instant())
+	defer n.Close()
+	a, err := n.Attach(1, func(types.NID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second sink
+	b, err := n.Attach(2, first.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(0, 10)
+	waitFor(t, func() bool { return len(first.got()) == 10 })
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	send(10, 15)
+	waitFor(t, func() bool { return n.Stats().Lost.Load() == 5 })
+	if _, err := n.Attach(2, second.handler); err != nil {
+		t.Fatal(err)
+	}
+	send(15, 25)
+	waitFor(t, func() bool { return len(second.got()) == 10 })
+	for i, p := range second.got() {
+		if p[0] != byte(15+i) {
+			t.Fatalf("new endpoint's packet %d = %d, want %d", i, p[0], 15+i)
+		}
+	}
+	if got := len(first.got()); got != 10 {
+		t.Errorf("closed endpoint saw %d packets, want the 10 sent before it closed", got)
+	}
+}
+
+// burstLog records handler calls ('p') and flushes ('f') in order.
+type burstLog struct {
+	mu     sync.Mutex
+	events []byte
+}
+
+func (b *burstLog) add(e byte) {
+	b.mu.Lock()
+	b.events = append(b.events, e)
+	b.mu.Unlock()
+}
+
+func (b *burstLog) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return string(b.events)
+}
+
+// flush runs once per drained batch, after its last packet: a link that
+// finds k packets waiting hands over all k and then flushes once.
+func TestFlushOncePerBatch(t *testing.T) {
+	n := New(Instant())
+	defer n.Close()
+	var log burstLog
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	a, err := n.Attach(1, func(types.NID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AttachBurst(2, func(types.NID, []byte) {
+		log.add('p')
+		once.Do(func() { // hold the link inside its first delivery while a batch queues up
+			close(entered)
+			<-release
+		})
+	}, func() { log.add('f') }); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 7
+	for i := 0; i < 1+batch; i++ {
+		if i == 1 {
+			<-entered
+		}
+		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	want := "pf" + strings.Repeat("p", batch) + "f"
+	waitFor(t, func() bool { return len(log.String()) >= len(want) })
+	if got := log.String(); got != want {
+		t.Fatalf("events %q, want %q", got, want)
+	}
+}
+
+// An idle wire ends a burst: packets the link must wait for are not held
+// back behind one flush at the end of the batch they were queued in.
+func TestFlushBeforeWaitingForTheWire(t *testing.T) {
+	// Three 20 KB packets at 1 MB/s arrive 20 ms apart.
+	n := New(Config{MTU: 65536, Bandwidth: 1e6})
+	defer n.Close()
+	var log burstLog
+	a, err := n.Attach(1, func(types.NID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AttachBurst(2, func(types.NID, []byte) { log.add('p') }, func() { log.add('f') }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := a.SendPacket(2, make([]byte, 20000), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return strings.Count(log.String(), "p") == 3 && strings.HasSuffix(log.String(), "f") })
+	if got := log.String(); got != "pfpfpf" {
+		t.Fatalf("events %q, want a flush after each spaced packet (\"pfpfpf\")", got)
 	}
 }

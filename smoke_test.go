@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"net"
 	"os/exec"
 	"strings"
 	"testing"
@@ -33,6 +34,21 @@ func runCmd(t *testing.T, timeout time.Duration, name string, args ...string) st
 		t.Fatalf("%s %v: %v\n%s", name, args, err, out)
 	}
 	return string(out)
+}
+
+// freeTCPAddrs asks the kernel for n loopback ports nobody holds right now.
+func freeTCPAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close() // held until all n are chosen, so they differ
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
 }
 
 func goRun(t *testing.T, timeout time.Duration, pkg string, args ...string) string {
@@ -231,14 +247,31 @@ func TestCmdMpinodeJob(t *testing.T) {
 	bin := t.TempDir() + "/mpinode"
 	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/mpinode")
 
-	addrs := "127.0.0.1:9911,127.0.0.1:9912"
+	addrs := strings.Join(freeTCPAddrs(t, 2), ",")
 	r1 := exec.Command(bin, "-rank", "1", "-n", "2", "-addrs", addrs, "-size", "4096", "-rounds", "2")
 	if err := r1.Start(); err != nil {
 		t.Fatal(err)
 	}
+	var r1err error
+	r1done := make(chan struct{})
+	go func() {
+		r1err = r1.Wait()
+		close(r1done)
+	}()
+	// However the test ends, rank 1 ends with it: a rank 0 that failed or
+	// timed out must not leave its peer running and holding a port.
+	t.Cleanup(func() {
+		r1.Process.Kill()
+		<-r1done
+	})
 	out := runCmd(t, 60*time.Second, bin, "-rank", "0", "-n", "2", "-addrs", addrs, "-size", "4096", "-rounds", "2")
-	if err := r1.Wait(); err != nil {
-		t.Fatalf("rank 1: %v", err)
+	select {
+	case <-r1done:
+		if r1err != nil {
+			t.Fatalf("rank 1: %v", r1err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("rank 1 still running 30s after rank 0 finished")
 	}
 	if !strings.Contains(out, "rank 0/2") || !strings.Contains(out, "OK") {
 		t.Errorf("mpinode output:\n%s", out)
