@@ -60,10 +60,70 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := awaitPeers(ni, ids, *rank); err != nil {
+		fatal(err)
+	}
 
 	if err := app(c, *size, *rounds); err != nil {
 		fatal(err)
 	}
+}
+
+// ptlReady is the portal a rank opens once its communicator exists.
+const ptlReady = mpi.PtlFree
+
+// awaitPeers returns once every other rank's communicator exists. A rank's
+// listener is up from NIInit, a moment before mpi.New has posted its match
+// entries, and a message that lands in between finds nothing attached and
+// is dropped (§4.8) — Portals has nobody to tell, so the startup barrier
+// would wait for ever. So each rank opens ptlReady after mpi.New and puts
+// empty acked messages at the others' until each has answered: an ack means
+// the entry was there, hence the communicator before it.
+func awaitPeers(ni *portals.NI, ids []portals.ProcessID, rank int) error {
+	me, err := ni.MEAttach(ptlReady, portals.AnyProcess, 0, 0, portals.Retain, portals.After)
+	if err != nil {
+		return err
+	}
+	sink := portals.MD{Threshold: portals.ThresholdInfinite, Options: portals.MDOpPut | portals.MDManageRemote}
+	if _, err := ni.MDAttach(me, sink, portals.Retain); err != nil {
+		return err
+	}
+	eq, err := ni.EQAlloc(8 * len(ids))
+	if err != nil {
+		return err
+	}
+	defer ni.EQFree(eq)
+	probe, err := ni.MDBind(portals.MD{Threshold: portals.ThresholdInfinite, EQ: eq}, portals.Retain)
+	if err != nil {
+		return err
+	}
+	defer ni.MDUnlink(probe)
+	waiting := map[portals.ProcessID]bool{}
+	for r, id := range ids {
+		if r != rank {
+			waiting[id] = true
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); len(waiting) > 0; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d peers not ready after 30s", len(waiting))
+		}
+		for id := range waiting {
+			if err := ni.Put(probe, portals.AckReq, id, ptlReady, 0, 0, 0); err != nil {
+				return fmt.Errorf("probing %v: %w", id, err)
+			}
+		}
+		for len(waiting) > 0 {
+			ev, err := ni.EQPoll(eq, 50*time.Millisecond)
+			if err != nil {
+				break // quiet: probe again whoever has not answered
+			}
+			if ev.Type == portals.EventAck {
+				delete(waiting, ev.Initiator)
+			}
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

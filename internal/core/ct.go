@@ -48,6 +48,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/eventq"
 	"repro/internal/obs/trace"
 	"repro/internal/types"
 )
@@ -109,29 +110,15 @@ type ctr struct {
 	armedN int     //lint:guardedby mu
 	closed bool    //lint:guardedby mu
 
-	// notify is the one-token waiter wake (the eventq idiom): increments do
-	// a non-blocking send, waiters re-check and re-wake peers; done closes
+	// park is where CTWait blocks: every increment wakes it, and it closes
 	// on CTFree/State.Close so waiters never hang on a dead counter.
-	notify chan struct{}
-	done   chan struct{}
+	park eventq.Parker
 }
 
-// wake delivers (at most) one pending wakeup token to CTWait waiters.
-//
-//lint:noalloc waiter wakeup runs per counted completion on the delivery path
-func (c *ctr) wake() {
-	select {
-	case c.notify <- struct{}{}:
-	default: // a wakeup is already pending; the woken waiter re-checks
-	}
-}
-
-// close marks the counter dead and wakes every waiter. Idempotent; armed
-// operations are discarded WITHOUT firing (the unlink-while-armed rule:
-// freeing a counter must never launch its pending operations).
 // close marks the counter dead, discards its armed operations (they never
-// fire — the unlink-while-armed rule), and wakes waiters via done. It
-// returns how many ops were discarded so callers account TrigDropped.
+// fire — the unlink-while-armed rule: freeing a counter must never launch
+// its pending operations), and releases waiters. Idempotent. It returns how
+// many ops were discarded so callers account TrigDropped.
 func (c *ctr) close() int {
 	c.mu.Lock()
 	if c.closed {
@@ -144,7 +131,7 @@ func (c *ctr) close() int {
 	c.armedN = 0
 	c.nextFire.Store(ctNever)
 	c.mu.Unlock()
-	close(c.done)
+	c.park.Close()
 	return dropped
 }
 
@@ -193,7 +180,7 @@ func (s *State) ctInc(c *ctr, succ, fail uint64) {
 		c.failure.Add(fail)
 	}
 	s.counters.CTInc()
-	c.wake()
+	c.park.Wake()
 	if succ != 0 && v >= c.nextFire.Load() {
 		s.pushPending(c)
 	}
@@ -339,10 +326,7 @@ func (s *State) CTAlloc() (types.Handle, error) {
 	if s.closed.Load() {
 		return types.InvalidHandle, types.ErrClosed
 	}
-	c := &ctr{
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
+	c := &ctr{park: eventq.NewParker()}
 	c.nextFire.Store(ctNever)
 	return s.cts.alloc(c)
 }
@@ -376,6 +360,7 @@ func (s *State) lookupCT(h types.Handle) (*ctr, error) {
 	}
 	c, ok := s.cts.lookup(h)
 	if !ok {
+		//lint:ignore noalloc stale-handle path: the error names the handle
 		return nil, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	return c, nil
@@ -401,7 +386,7 @@ func (s *State) CTSet(h types.Handle, v types.CTValue) error {
 	c.success.Store(v.Success)
 	c.failure.Store(v.Failure)
 	s.counters.CTInc()
-	c.wake()
+	c.park.Wake()
 	if v.Success >= c.nextFire.Load() {
 		s.pushPending(c)
 	}
@@ -435,36 +420,31 @@ func (s *State) CTArmed(h types.Handle) (int, error) {
 // returning the value read. A non-zero failure count observed first
 // returns the value with ErrCTFailure; a freed counter or closed state
 // returns ErrClosed. timeout <= 0 waits forever; otherwise ErrTimeout.
+//
+//lint:noalloc a blocking CTWait costs the application no allocation
 func (s *State) CTWait(h types.Handle, threshold uint64, timeout time.Duration) (types.CTValue, error) {
 	c, err := s.lookupCT(h)
 	if err != nil {
 		return types.CTValue{}, err
 	}
-	var timer *time.Timer
-	var expired <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		expired = timer.C
-		defer timer.Stop()
-	}
+	var w eventq.Wait
 	for {
 		v := types.CTValue{Success: c.success.Load(), Failure: c.failure.Load()}
-		if v.Success >= threshold {
-			// Cascade the token: with several waiters parked on one counter
-			// a single increment must not strand the rest.
-			c.wake()
-			return v, nil
-		}
-		if v.Failure != 0 {
-			c.wake()
+		if v.Success >= threshold || v.Failure != 0 {
+			// Always pass the token on: with several waiters parked on one
+			// counter a single increment must not strand the rest.
+			c.park.End(&w, true)
+			if v.Success >= threshold {
+				return v, nil
+			}
+			//lint:ignore noalloc failure path: the error carries what was read
 			return v, fmt.Errorf("%w: %v waiting for %d", types.ErrCTFailure, v, threshold)
 		}
-		select {
-		case <-c.notify:
-		case <-c.done:
-			return v, types.ErrClosed
-		case <-expired:
-			return v, fmt.Errorf("%w: %v after %v waiting for %d", types.ErrTimeout, v, timeout, threshold)
+		if err := c.park.Park(&w, timeout); err == types.ErrTimeout {
+			//lint:ignore noalloc timeout path: the error carries what was read
+			return v, fmt.Errorf("%w: %v after %v waiting for %d", err, v, timeout, threshold)
+		} else if err != nil {
+			return v, err
 		}
 	}
 }

@@ -15,7 +15,8 @@
 // with one CAS on the produced counter and stamps the slot seqlock-style —
 // writeStamp while the payload is in flight, doneStamp once it is visible.
 // The mutex is kept only for the consumer, the full-queue overwrite path,
-// and Close.
+// and Close. Blocking consumers have one wait path, the Parker (parker.go),
+// which core's counting events share.
 package eventq
 
 import (
@@ -65,11 +66,6 @@ func doneStamp(p uint64) uint64  { return 2*p + 2 }
 // Queue is a fixed-capacity circular event queue. All methods are safe for
 // concurrent use by one or more producers and consumers.
 //
-// Blocking consumers are woken through a one-token notify channel rather
-// than a condition variable so that Poll can honour its timeout without
-// sleep-polling (which would put milliseconds of scheduler latency on the
-// event path).
-//
 // Invariant: produced - consumed ≤ len(ring) at all times. The lock-free
 // fast path only claims a position when there is space, which means the
 // slot it writes was already consumed — so fast producers never overwrite
@@ -87,8 +83,7 @@ type Queue struct {
 	// last Get.
 	//lint:guardedby mu
 	overrun bool
-	notify  chan struct{} // one-token wakeup; consumers retry Get on wake
-	done    chan struct{} // closed by Close
+	park    Parker // every publish wakes it; Close closes it
 }
 
 // New allocates a queue with the given number of event slots. Sizes below
@@ -97,11 +92,7 @@ func New(slots int) *Queue {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Queue{
-		ring:   make([]slot, slots),
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
+	return &Queue{ring: make([]slot, slots), park: NewParker()}
 }
 
 // Cap returns the number of event slots.
@@ -141,14 +132,7 @@ func (q *Queue) publish(pos uint64, ev Event) {
 	posted.Add(1)
 	trace.Record(trace.StageEventPost,
 		uint32(ev.Initiator.NID), uint32(ev.Initiator.PID), ev.MsgSeq, uint64(ev.Type))
-	q.wake()
-}
-
-func (q *Queue) wake() {
-	select {
-	case q.notify <- struct{}{}:
-	default: // a wakeup is already pending; the woken consumer will drain
-	}
+	q.park.Wake()
 }
 
 // postFull is the full-queue slow path: under mu, drop the oldest
@@ -240,18 +224,9 @@ func (q *Queue) ReserveIfSpace() (r Reservation, ok bool) {
 //
 //lint:noalloc completes ReserveIfSpace on the delivery path
 func (r Reservation) Publish(ev Event) {
-	if !r.active {
-		return
+	if r.active {
+		r.q.publish(r.pos, ev) // restamps the slot ReserveIfSpace left open: same value
 	}
-	sl := &r.q.ring[r.pos%uint64(len(r.q.ring))]
-	ev.Sequence = r.pos
-	//lint:ignore seqlock the open stamp travels inside the Reservation: ReserveIfSpace stored writeStamp(pos) before returning, so this write happens inside the window the flow cannot see across the call boundary
-	sl.ev = ev
-	sl.seq.Store(doneStamp(r.pos))
-	posted.Add(1)
-	trace.Record(trace.StageEventPost,
-		uint32(ev.Initiator.NID), uint32(ev.Initiator.PID), ev.MsgSeq, uint64(ev.Type))
-	r.q.wake()
 }
 
 // HasSpace reports whether a Post right now would not overwrite an
@@ -280,6 +255,8 @@ func (q *Queue) Pending() int {
 // lapped the consumer — in that case the returned event IS valid (it is the
 // oldest event that survived) and the consumer has been resynchronized, so
 // subsequent Gets behave normally. ErrClosed after Close once drained.
+//
+//lint:noalloc the consumer's side of every completion
 func (q *Queue) Get() (Event, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -315,43 +292,35 @@ func (q *Queue) getLocked() (Event, error) {
 
 // Wait blocks until an event is available (or the queue is closed) and
 // returns it, with the same ErrEQDropped convention as Get.
-func (q *Queue) Wait() (Event, error) {
-	for {
-		ev, err := q.Get()
-		if err != types.ErrEQEmpty {
-			return ev, err
-		}
-		select {
-		case <-q.notify:
-		case <-q.done:
-			// Closed: one final Get decides between a late event and
-			// ErrClosed.
-		}
-	}
-}
+//
+//lint:noalloc a blocking EQWait costs the application no allocation
+func (q *Queue) Wait() (Event, error) { return q.wait(0) }
 
 // Poll waits up to d for an event. On timeout it returns ErrEQEmpty.
 // A non-positive d makes Poll equivalent to Get.
+//
+//lint:noalloc a blocking EQPoll costs the application no allocation
 func (q *Queue) Poll(d time.Duration) (Event, error) {
 	if d <= 0 {
 		return q.Get()
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	return q.wait(d)
+}
+
+// wait is Wait (d <= 0) and Poll. Several consumers may block at once: one
+// that leaves with events still pending wakes the next.
+func (q *Queue) wait(d time.Duration) (Event, error) {
+	var w Wait
 	for {
 		ev, err := q.Get()
 		if err != types.ErrEQEmpty {
+			q.park.End(&w, q.Pending() > 0)
 			return ev, err
 		}
-		select {
-		case <-q.notify:
-		case <-q.done:
-			if ev, err := q.Get(); err != types.ErrEQEmpty {
-				return ev, err
-			}
-			return Event{}, types.ErrClosed
-		case <-timer.C:
+		if err := q.park.Park(&w, d); err == types.ErrTimeout {
 			return Event{}, types.ErrEQEmpty
+		} else if err != nil {
+			return q.Get() // closed: a late event still beats ErrClosed
 		}
 	}
 }
@@ -367,7 +336,7 @@ func (q *Queue) Close() {
 	}
 	q.closed.Store(true)
 	q.mu.Unlock()
-	close(q.done)
+	q.park.Close()
 }
 
 // Closed reports whether Close has been called.

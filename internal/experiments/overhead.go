@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rtscts"
@@ -24,6 +25,11 @@ import (
 // under the host-interrupt model every message additionally burns the
 // configured interrupt cost on the host CPU. The difference in compute
 // slowdown is the receive overhead the MCP implementation removes.
+//
+// The host has one CPU, as the paper's Cplant nodes did: an interrupt takes
+// it from the application. The experiment therefore runs on one P whatever
+// GOMAXPROCS the process has — with a second P the interrupt burn runs
+// beside the compute loop and the loop's wall clock shows nothing of it.
 
 // OverheadResult is one row of the receive-overhead table.
 type OverheadResult struct {
@@ -56,6 +62,10 @@ func DefaultOverheadConfig() OverheadConfig {
 	return OverheadConfig{ComputeIters: 30000, MsgSize: 1024, MsgGap: 20 * time.Microsecond}
 }
 
+// minLoadedMsgs is how many messages must have landed before the loaded
+// compute measurement ends.
+const minLoadedMsgs = 32
+
 // computeLoop is the calibrated host computation.
 func computeLoop(iters int) time.Duration {
 	start := time.Now()
@@ -71,11 +81,13 @@ func computeLoop(iters int) time.Duration {
 }
 
 // ReceiveOverhead measures compute slowdown under incoming traffic for
-// one NIC model.
+// one NIC model. It sets GOMAXPROCS to 1 while it runs (the single-CPU
+// host), so nothing else in the process should be timing itself meanwhile.
 func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg OverheadConfig) (OverheadResult, error) {
 	if cfg.ComputeIters <= 0 {
 		cfg = DefaultOverheadConfig()
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fab := SimFabricFor(model, interruptCost)
 	m := portals.NewMachine(fab)
 	defer m.Close()
@@ -104,9 +116,11 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 	res := OverheadResult{Model: model, InterruptCost: interruptCost}
 	res.IdleCompute = computeLoop(cfg.ComputeIters)
 
-	// Stream messages while the target computes.
+	// Stream messages while the target computes. The sender counts what it
+	// put, so what is compared below is counters, not timing.
 	stop := make(chan struct{})
 	senderDone := make(chan error, 1)
+	var puts atomic.Int64
 	payload := make([]byte, cfg.MsgSize)
 	md, err := tx.MDBind(portals.MD{Start: payload, Threshold: portals.ThresholdInfinite}, portals.Retain)
 	if err != nil {
@@ -124,18 +138,33 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 				senderDone <- err
 				return
 			}
+			puts.Add(1)
 			if cfg.MsgGap > 0 {
 				time.Sleep(cfg.MsgGap)
 			}
 		}
 	}()
 
-	res.LoadedCompute = computeLoop(cfg.ComputeIters)
+	// The loaded loop runs whole passes until enough messages have landed
+	// under it to call it loaded — on a busy box, or with one P, the sender
+	// may not have run at all during the first pass.
+	const deadline = 20 * time.Second
+	passes, began := 0, time.Now()
+	for passes == 0 || rx.Status().RecvMsgs < minLoadedMsgs && time.Since(began) < deadline {
+		res.LoadedCompute += computeLoop(cfg.ComputeIters)
+		passes++
+	}
+	res.LoadedCompute /= time.Duration(passes)
 	close(stop)
 	if err := <-senderDone; err != nil {
 		return OverheadResult{}, err
 	}
+	// Everything put is delivered (the fabric is reliable) — wait for it, so
+	// no message is read between its interrupt charge and its delivery.
 	st := rx.Status()
+	for began = time.Now(); st.RecvMsgs < puts.Load() && time.Since(began) < deadline; st = rx.Status() {
+		time.Sleep(50 * time.Microsecond)
+	}
 	res.Messages = st.RecvMsgs
 	res.Interrupts = st.Interrupts
 	if res.IdleCompute > 0 {

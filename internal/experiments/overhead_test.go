@@ -36,11 +36,11 @@ func TestReceiveOverheadInterruptVsOffload(t *testing.T) {
 	if intr.Interrupts == 0 || intr.Interrupts != intr.Messages {
 		t.Errorf("interrupt model: %d interrupts for %d messages", intr.Interrupts, intr.Messages)
 	}
-	if off.Messages == 0 || intr.Messages == 0 {
-		t.Fatal("no traffic delivered during the loaded run")
+	if off.Messages < minLoadedMsgs || intr.Messages < minLoadedMsgs {
+		t.Fatalf("loaded runs saw %d and %d messages, want at least %d", off.Messages, intr.Messages, minLoadedMsgs)
 	}
-	// The architectural claim: per-message interrupt cost shows up as
-	// extra compute slowdown.
+	// Per-message interrupt cost is host CPU the offloaded NIC does not take
+	// (ReceiveOverhead gives the host one CPU at any GOMAXPROCS).
 	if intr.SlowdownPct <= off.SlowdownPct {
 		t.Errorf("interrupt slowdown (%.1f%%) not above offload slowdown (%.1f%%)",
 			intr.SlowdownPct, off.SlowdownPct)

@@ -923,7 +923,10 @@ func TestNoalloc(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
 		"repro/na": {"na.go": `package na
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 type Op interface{ Do() }
 
@@ -950,6 +953,13 @@ func Trusted() { Inner() }
 //lint:noalloc fixture root
 func RunOp(o Op) {
 	o.Do() // want:noalloc
+}
+
+//lint:noalloc fixture root; re-arming a timer that exists is free, making one is not
+func Rearm(t *time.Timer, d time.Duration) *time.Timer {
+	t.Reset(d)
+	t.Stop()
+	return time.NewTimer(d) // want:noalloc
 }
 `},
 	}, []Check{noallocCheck{}})

@@ -727,6 +727,10 @@ func allocFreeExternal(fn *types.Func) bool {
 		case "Since", "Now", "Sub", "UnixNano", "Nanoseconds", "Microseconds", "Milliseconds", "Seconds",
 			"Add", "Before", "After", "Equal", "Compare":
 			return true
+		case "Reset", "Stop":
+			// Re-arming and disarming an existing timer: heap operations on
+			// the runtime's timer structures, no allocation (eventq.Parker).
+			return recv != nil && recv.Obj().Name() == "Timer"
 		}
 	case "encoding/binary":
 		return strings.HasPrefix(name, "PutUint") || strings.HasPrefix(name, "Uint")

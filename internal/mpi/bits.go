@@ -8,6 +8,10 @@ const (
 	ptlMPI portals.PtlIndex = 1
 	// ptlRead serves long-protocol gets: senders bind message data here.
 	ptlRead portals.PtlIndex = 2
+	// PtlFree is the lowest index a program built on a Comm may claim for
+	// itself: above ptlMPI, ptlRead and ptlWin (win.go), and above what the
+	// module's other libraries claim (shmem 3, coll 4 and 5).
+	PtlFree portals.PtlIndex = 8
 )
 
 // Wildcards for Irecv.

@@ -21,10 +21,21 @@
 // worker goroutines, one per lane. Messages of one (initiator, target)
 // flow always land on the same lane in arrival order, so the §4.1 per-pair
 // ordering guarantee survives; independent flows process concurrently,
-// the way a real NIC processes independent DMA streams. Lanes=1 is the
-// same path with a different hand-off: there is one group per batch and no
-// worker to give it to, so the engine runs over it inline on the
-// transport's delivery goroutine.
+// the way a real NIC processes independent DMA streams.
+//
+// The idle-lane rule: a batch whose messages all sort onto one lane, when
+// that lane has nothing queued or in progress, is run to completion on the
+// transport's delivery goroutine instead of being handed to the lane's
+// worker — the hand-off between two NIC-side goroutines buys nothing when
+// there is nothing to run beside it. Lanes=1 is the same branch: one group
+// per batch and no worker to give it to. §4.1 order holds because a lane's
+// pending count is raised only by the node's dispatcher (batches arrive
+// serially) and lowered only by its worker, so the zero the dispatcher reads
+// stays zero until it dispatches again: nothing of that flow is behind the
+// inline burst, and the next batch starts after it. §5.1 bypass holds
+// because the delivery goroutine is the fabric's, never the application's.
+// It is sound only because no fabric stops draining its wire while a
+// handler is blocked (transport.BatchHandler).
 //
 // Two processing models are provided (§5.3 discusses both):
 //
@@ -82,11 +93,16 @@ type Config struct {
 	Lanes int
 	// LaneDepth bounds each lane's queue, in dispatch batches (0 defaults
 	// to 1024). Backpressure policy: when a lane is full the dispatcher
-	// BLOCKS the transport's delivery goroutine — flow control propagates
-	// to senders rather than messages being dropped, preserving the §4.1
-	// reliable-delivery guarantee. Lanes drain independently of the
-	// application (bypass, §5.1), so the wait is bounded by protocol
-	// processing, never by application behaviour.
+	// BLOCKS the transport's delivery goroutine rather than dropping,
+	// preserving the §4.1 reliable-delivery guarantee. How far back that
+	// pressure reaches is the fabric's business: in rtscts the link
+	// goroutine inside the handler stops taking packets and that peer's
+	// window fills, while loopback and tcp keep taking messages off the
+	// wire and queue them in front of the delivery goroutine, unbounded
+	// (their SendBuf can wait on the wire, so they must never stop draining
+	// it: transport.BatchHandler). Lanes
+	// drain independently of the application (bypass, §5.1), so the wait is
+	// bounded by protocol processing, never by application behaviour.
 	LaneDepth int
 }
 
@@ -113,11 +129,16 @@ type laneMsg struct {
 // than paid per message.
 type lane struct {
 	ch chan *[]laneMsg
+	// pending counts bursts handed to the worker and not yet finished. Only
+	// onBatch raises it and only the worker lowers it (see the idle-lane
+	// rule in the package comment).
+	pending atomic.Int32 //lint:guardedby atomic
 }
 
 // burstPool recycles the slices lane channels carry. Ownership follows the
-// data: the dispatcher takes a slice, fills it, and sends it; the worker
-// (or the dispatcher on a closed gate) empties it and puts it back.
+// data: the dispatcher takes a slice, fills it, and sends it or runs it
+// inline; whoever ran it (or the dispatcher on a closed gate) empties it and
+// puts it back.
 var burstPool = sync.Pool{
 	New: func() any {
 		s := make([]laneMsg, 0, laneBurst)
@@ -134,9 +155,8 @@ type Node struct {
 	cfg      Config
 	counters stats.Counters // node-level: bad-target drops, interrupts
 
-	// burstSizes tracks messages per lane dispatch burst (how well channel
-	// operations amortize). Observe is three atomic adds per burst — cheap
-	// next to the channel send it annotates.
+	// burstSizes tracks messages per lane burst, dispatched or inline (how
+	// well per-burst costs amortize). Observe is three atomic adds.
 	burstSizes metrics.Histogram
 
 	// procs is the PID routing table, an rcu.Map: epochs are immutable
@@ -153,9 +173,9 @@ type Node struct {
 	gate  dispatchGate
 
 	// groups (the batch being sorted, one pooled slice per lane, each gone
-	// to its worker by the end of the batch) and inlineInc (processBurst's
-	// scratch at Lanes=1) belong to onBatch; no lock, because one
-	// endpoint's batches arrive serially (transport.BatchHandler contract).
+	// by the end of the batch) and inlineInc (processBurst's scratch for
+	// inline bursts) belong to onBatch; no lock, because one endpoint's
+	// batches arrive serially (transport.BatchHandler contract).
 	groups    []*[]laneMsg
 	inlineInc []core.Incoming
 }
@@ -289,9 +309,12 @@ var outScratch = sync.Pool{
 //
 //lint:consumes out
 func (n *Node) Send(out core.Outbound) error {
-	// On the delivery path this runs on a lane worker (transmit stage),
-	// never on an application goroutine, so a transport that writes to the
-	// wire here (tcp) is exerting flow control, not violating bypass.
+	// On the delivery path this runs on a lane worker or, for an inline
+	// burst, on the fabric's delivery goroutine (transmit stage) — never on
+	// an application goroutine, so a transport that writes to the wire here
+	// (tcp) blocks the engine on its peer's socket, not on an application:
+	// bypass holds. The peer's readers never wait for its engine, so the
+	// write waits for the network only.
 	//lint:ignore bypassviolation,noalloc tcp's SendBuf writes to its socket synchronously and formats errors; loopback and rtscts queue the buffer (rtscts.Conn.SendBuf is a //lint:noalloc root in its own right)
 	return n.ep.SendBuf(out.Dst.NID, out.TakeBuf())
 }
@@ -332,10 +355,13 @@ func laneIndex(src types.NID, pid types.PID, lanes int) int {
 // onBatch is the delivery entry (transport.BatchHandler). Message
 // ownership transfers from the transport, so dispatching to lanes moves
 // pointers, not bytes: the batch is grouped by lane and each group goes to
-// its lane in one channel operation, preserving arrival order per flow (a
-// flow's messages are all in the same group, in batch order).
+// its lane in one piece, preserving arrival order per flow (a flow's
+// messages are all in the same group, in batch order). A group with no
+// worker to go to (Lanes=1), or alone in its batch on an idle lane, is run
+// here instead.
 func (n *Node) onBatch(batch []transport.Delivery) {
 	groups := n.groups
+	ngroups := 0
 	traced := trace.Enabled() // hoisted: one branch per batch when disabled
 	for i := range batch {
 		d := &batch[i]
@@ -353,19 +379,19 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 		}
 		if groups[li] == nil {
 			groups[li] = burstPool.Get().(*[]laneMsg)
+			ngroups++
 		}
 		*groups[li] = append(*groups[li], m)
 	}
 	for li, g := range groups {
-		if g == nil || len(*g) == 0 {
+		if g == nil {
 			continue
 		}
-		if len(n.lanes) == 0 {
-			// Lanes=1: no worker to hand the group to, so it never leaves.
-			n.processBurst(*g, &n.inlineInc)
-			*g = (*g)[:0]
+		groups[li] = nil
+		n.burstSizes.Observe(int64(len(*g)))
+		if len(n.lanes) == 0 || ngroups == 1 && n.lanes[li].pending.Load() == 0 {
+			n.runBurst(g, &n.inlineInc)
 		} else {
-			groups[li] = nil
 			n.dispatch(li, g)
 		}
 	}
@@ -381,11 +407,11 @@ func (n *Node) dispatch(li int, g *[]laneMsg) {
 		releaseBurst(g)
 		return
 	}
-	n.burstSizes.Observe(int64(len(*g)))
+	n.lanes[li].pending.Add(1)
 	// A full lane blocks here — the documented backpressure policy (see
-	// Config.LaneDepth): flow control propagates to the transport instead
-	// of dropping, and lane drain is independent of the application.
-	//lint:ignore bypassviolation lane workers drain independently of the application (bypass holds); blocking here is transport flow control, bounded by protocol processing only
+	// Config.LaneDepth): the fabric's delivery goroutine waits instead of
+	// dropping, and lane drain is independent of the application.
+	//lint:ignore bypassviolation lane workers drain independently of the application (bypass holds); blocking here is backpressure on the fabric's delivery goroutine, bounded by protocol processing only
 	n.lanes[li].ch <- g
 	n.gate.exit()
 }
@@ -412,10 +438,18 @@ func (n *Node) laneWorker(ln *lane) {
 	defer n.wg.Done()
 	var inc []core.Incoming
 	for g := range ln.ch {
-		n.processBurst(*g, &inc)
-		*g = (*g)[:0]
-		burstPool.Put(g)
+		n.runBurst(g, &inc)
+		ln.pending.Add(-1)
 	}
+}
+
+// runBurst runs the engine over one dispatch batch and gives its slice back
+// to the pool — on a lane worker, or on the transport's delivery goroutine
+// for an inline burst.
+func (n *Node) runBurst(g *[]laneMsg, inc *[]core.Incoming) {
+	n.processBurst(*g, inc)
+	*g = (*g)[:0]
+	burstPool.Put(g)
 }
 
 // processBurst runs the delivery engine over a burst of admitted messages,

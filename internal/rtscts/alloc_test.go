@@ -3,6 +3,7 @@ package rtscts
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/transport/simnet"
@@ -35,15 +36,22 @@ func TestSteadyStateAllocs(t *testing.T) {
 			fabric.MTU = tc.mtu
 			net := simnet.New(fabric)
 			defer net.Close()
+			// The fabric loses nothing, so the retransmit timer is not what is
+			// measured — and at its default 1 ms floor it fires whenever the
+			// box stalls the test that long: a spurious Go-Back-N resend of a
+			// 64-packet window takes 64 packet buffers no warm-up ever needed
+			// (seen once in ~20 runs at GOMAXPROCS >= 2 beside other packages'
+			// tests: 157 mallocs, 64 retransmits). Park it clear of stalls.
+			cfg := Config{RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond}
 			delivered := make(chan int, 2)
-			b, err := attachSim(net, 2, Config{}, func(_ types.NID, msg []byte) { delivered <- len(msg) })
+			b, err := attachSim(net, 2, cfg, func(_ types.NID, msg []byte) { delivered <- len(msg) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer b.Close()
 			var senders [2]*Conn
 			for i, nid := range []types.NID{1, 3} {
-				if senders[i], err = attachSim(net, nid, Config{}, func(types.NID, []byte) {}); err != nil {
+				if senders[i], err = attachSim(net, nid, cfg, func(types.NID, []byte) {}); err != nil {
 					t.Fatal(err)
 				}
 				defer senders[i].Close()

@@ -9,10 +9,24 @@
 // follows from using one cached connection per directed pair.
 //
 // SendBuf writes the frame synchronously and then releases the buffer, so a
-// write error reaches the sender. Each inbound connection has a read
-// goroutine that reads every frame straight into the pooled buffer that is
-// delivered; the goroutines of one endpoint share a transport.Handoff, which
-// keeps the endpoint's batches serial.
+// write error reaches the sender — and a full socket blocks it. Each inbound
+// connection has a read goroutine that reads every frame straight into the
+// pooled buffer that is delivered, and does nothing else: it queues the frame
+// on the endpoint's transport.Handoff and goes back to its socket. One
+// delivery goroutine per endpoint flushes the Handoff into the handler. The
+// split is what lets a handler block in SendBuf (the engine acking a put)
+// without the wire backing up behind it: two endpoints whose handlers both
+// wait on full sockets would otherwise each be waiting for the other's
+// reader.
+//
+// The price: backpressure from a slow engine ends at the Handoff. A reader
+// never waits for the handler, so TCP flow control no longer reaches the
+// sender on the engine's account: the backlog sits on the receiver's heap,
+// and nothing bounds it but the peers stopping to wait for a reply — a
+// one-way stream of unacknowledged puts into a stalled engine is buffered
+// whole. (Before the split the bound was the delivery lanes' depth, 1024
+// batches, then the socket.) A byte cap on the Handoff would have to keep
+// admitting acks, or it brings the deadlock back.
 package tcp
 
 import (
@@ -142,8 +156,13 @@ func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transpor
 		ln:      ln,
 		conns:   make(map[types.NID]*sendConn),
 		inbound: make(map[net.Conn]struct{}),
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
-	ep.out.Init(h)
+	ep.out.Init(func(batch []transport.Delivery) {
+		n.stats.Delivered.Add(int64(len(batch)))
+		h(batch)
+	})
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -153,6 +172,8 @@ func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transpor
 	n.eps[nid] = ep
 	n.addrs[nid] = ln.Addr().String()
 	n.mu.Unlock()
+	ep.wg.Add(1)
+	go ep.deliverLoop()
 	go ep.acceptLoop()
 	return ep, nil
 }
@@ -184,7 +205,11 @@ type endpoint struct {
 	net *Network
 	nid types.NID
 	ln  net.Listener
-	out transport.Handoff // serialises the read goroutines' deliveries
+	out transport.Handoff // what the read goroutines queue and deliverLoop flushes
+	// kick holds at most one token: something was queued since deliverLoop
+	// last looked. stop is closed by Close.
+	kick chan struct{}
+	stop chan struct{}
 
 	mu      sync.Mutex
 	conns   map[types.NID]*sendConn //lint:guardedby mu
@@ -263,8 +288,25 @@ func (ep *endpoint) readLoop(c net.Conn) {
 		if !ep.out.Add(transport.Delivery{Src: src, Msg: buf.Bytes(), Buf: buf}) {
 			return // endpoint closed
 		}
-		ep.net.stats.Delivered.Add(1)
-		ep.out.Flush()
+		select {
+		case ep.kick <- struct{}{}:
+		default: // deliverLoop has a flush owed already; it will see this frame
+		}
+	}
+}
+
+// deliverLoop is the endpoint's delivery goroutine: the only caller of the
+// handler, so it may block there — in the engine, in SendBuf — while the
+// read goroutines keep the sockets drained.
+func (ep *endpoint) deliverLoop() {
+	defer ep.wg.Done()
+	for {
+		select {
+		case <-ep.kick:
+			ep.out.Flush()
+		case <-ep.stop:
+			return
+		}
 	}
 }
 
@@ -389,7 +431,8 @@ func (ep *endpoint) Close() error {
 	}
 	ep.mu.Unlock()
 
-	ep.out.Close() // read goroutines stop delivering from here on
+	ep.out.Close() // nothing is queued or handed up from here on
+	close(ep.stop)
 	ep.ln.Close()
 	for _, sc := range conns {
 		sc.conn.Close()

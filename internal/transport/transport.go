@@ -35,7 +35,8 @@
 //     connectionless, peer state is exactly the rtscts window.
 //   - tcp: kernel TCP sockets, the paper's reference implementation.
 //     SendBuf writes the frame synchronously and releases; each frame is
-//     read straight into the pooled buffer that is delivered.
+//     read straight into the pooled buffer that is delivered, by a reader
+//     that only queues it for the endpoint's delivery goroutine.
 //
 // Fabrics fed by several goroutines (rtscts: one per source link; tcp: one
 // per inbound connection) keep batches serial with Handoff.
@@ -124,6 +125,14 @@ func (d *Delivery) Release() {
 // handler may keep per-endpoint scratch without a lock — and in
 // per-(source, destination) FIFO order.
 //
+// A handler may block on SendBuf (the engine acks and replies from inside
+// it), and SendBuf may be waiting for the peer to read. So a fabric must
+// keep draining its wire while its handler is blocked: whatever goroutine
+// takes bytes off the wire either never runs the handler (loopback, tcp:
+// a delivery goroutine does) or sends through a SendBuf that never blocks
+// (rtscts queues). A fabric that reads and delivers on one goroutine over
+// a blocking SendBuf deadlocks under symmetric bulk traffic.
+//
 //lint:consumes batch
 type BatchHandler func(batch []Delivery)
 
@@ -148,9 +157,11 @@ func Borrow(h Handler) BatchHandler {
 // whichever feeder finds the handler idle runs it, and keeps running it
 // until nothing is pending, while the others leave their messages and go
 // back to their sources. Per-feeder order is preserved and no lock is held
-// across the handler. A feeder never waits for the handler, so what can
-// pile up in pending while it runs is bounded only by what the feeders'
-// sources admit (the rtscts window; a TCP peer's send rate).
+// across the handler. tcp's feeders only Add, and a delivery goroutine of
+// the endpoint's own is the one Flusher. A feeder never waits for the
+// handler, so what can pile up in pending while it runs is bounded only by
+// what the feeders' sources admit: the rtscts window; for tcp nothing but
+// the peers' send rate — pending is where tcp's backpressure ends.
 type Handoff struct {
 	h BatchHandler
 

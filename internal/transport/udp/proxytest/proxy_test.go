@@ -97,17 +97,21 @@ func TestDropRateRoughlyHonored(t *testing.T) {
 	}
 	defer r.Close()
 	send(t, r.Addr(), 1000)
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Dropped.Load()+r.Stats().Forwarded.Load() < 1000 {
-		if time.Now().After(deadline) {
-			t.Fatalf("relay processed %d/1000",
-				r.Stats().Dropped.Load()+r.Stats().Forwarded.Load())
-		}
+	// The rate is judged on what reached the relay: on a busy box the kernel
+	// sheds part of a 1000-datagram burst before the relay's socket (seen:
+	// 872 of 1000 at GOMAXPROCS=8 on two cores), and that loss is not the
+	// relay's.
+	processed := func() int64 { return r.Stats().Dropped.Load() + r.Stats().Forwarded.Load() }
+	for deadline := time.Now().Add(5 * time.Second); processed() < 1000 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	dropped := r.Stats().Dropped.Load()
-	if dropped < 350 || dropped > 650 {
-		t.Fatalf("dropped %d of 1000 at rate 0.5", dropped)
+	n := dropped + r.Stats().Forwarded.Load()
+	if n < 500 {
+		t.Fatalf("relay processed %d/1000", n)
+	}
+	if dropped < n*35/100 || dropped > n*65/100 {
+		t.Fatalf("dropped %d of %d at rate 0.5", dropped, n)
 	}
 }
 
