@@ -34,12 +34,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
 )
+
+// listChecks prints the -list table: one line per check.
+func listChecks(w io.Writer, checks []lint.Check) {
+	for _, c := range checks {
+		fmt.Fprintf(w, "%-20s %s\n", c.Name(), c.Doc())
+	}
+}
 
 func main() {
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
@@ -71,9 +79,7 @@ func main() {
 
 	all := lint.AllChecks()
 	if *listFlag {
-		for _, c := range all {
-			fmt.Printf("%-20s %s\n", c.Name(), c.Doc())
-		}
+		listChecks(os.Stdout, all)
 		return
 	}
 

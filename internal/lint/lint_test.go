@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,18 +11,71 @@ import (
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the testdata/golden transcripts from this run")
+
+// checkGolden compares the sorted full text of diags with
+// testdata/golden/<name>.txt, so a refactor of the analyzer cannot reword,
+// move or drop a diagnostic unnoticed: the `// want:` markers pin (file,
+// line, check), the transcript pins the message. `go test -update`
+// rewrites the transcripts.
+func checkGolden(t *testing.T, name string, diags []Diagnostic) {
+	t.Helper()
+	lines := make([]string, len(diags))
+	for i, d := range diags {
+		lines[i] = d.String() + "\n"
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "")
+	path := filepath.Join("testdata", "golden", name+".txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden transcript (run `go test -update`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("diagnostics differ from %s (`go test -update` rewrites it)\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// checksNamed selects checks from AllChecks by name, the way -checks does.
+func checksNamed(names ...string) []Check {
+	var out []Check
+	for _, name := range names {
+		for _, c := range AllChecks() {
+			if c.Name() == name {
+				out = append(out, c)
+			}
+		}
+	}
+	if len(out) != len(names) {
+		panic(fmt.Sprintf("checksNamed(%q): unknown check", names))
+	}
+	return out
+}
+
 // runFixture type-checks an in-memory module and compares the diagnostics
 // against `// want:<check>[,<check>]` markers in the fixture source: every
 // marked line must produce exactly the named findings, and no unmarked
-// finding may appear.
+// finding may appear. The full diagnostic text is compared with the
+// test's golden transcript (checkGolden).
 func runFixture(t *testing.T, pkgs map[string]map[string]string, checks []Check) {
 	t.Helper()
 	prog, err := LoadSource("repro", pkgs)
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
+	diags := prog.Run(checks)
+	checkGolden(t, t.Name(), diags)
 	got := make(map[string]int)
-	for _, d := range prog.Run(checks) {
+	for _, d := range diags {
 		got[fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Check)]++
 	}
 	want := make(map[string]int)
@@ -51,7 +105,7 @@ func runFixture(t *testing.T, pkgs map[string]map[string]string, checks []Check)
 	}
 	if len(problems) > 0 {
 		sort.Strings(problems)
-		for _, d := range prog.Run(checks) {
+		for _, d := range diags {
 			t.Logf("diag: %s", d)
 		}
 		t.Fatalf("diagnostic mismatch:\n  %s", strings.Join(problems, "\n  "))
@@ -105,7 +159,7 @@ type T struct{ ch chan int }
 
 func (t *T) onThing() { <-t.ch }
 `},
-	}, []Check{bypassCheck{}})
+	}, checksNamed("bypassviolation"))
 }
 
 func TestLockDiscipline(t *testing.T) {
@@ -194,7 +248,7 @@ func (s *S) suppressed() {
 	s.mu.Unlock()
 }
 `},
-	}, []Check{lockCheck{}})
+	}, checksNamed("lockdiscipline"))
 }
 
 func TestAtomicsOnly(t *testing.T) {
@@ -228,7 +282,7 @@ type QuietStats struct {
 // Snapshot-style plain structs are not counter types.
 type Snapshot struct{ N int64 }
 `},
-	}, []Check{atomicsCheck{}})
+	}, checksNamed("atomicsonly"))
 }
 
 func TestAtomicsOnlyStructOfAtomics(t *testing.T) {
@@ -262,7 +316,7 @@ func touch(s *FlowStats) {
 	_ = s.bad // want:atomicsonly
 }
 `},
-	}, []Check{atomicsCheck{}})
+	}, checksNamed("atomicsonly"))
 }
 
 func TestBypassViolationObsAPIs(t *testing.T) {
@@ -313,7 +367,7 @@ func (n *Node) onBatch() {
 	n.r.WriteText()         // want:bypassviolation
 }
 `},
-	}, []Check{bypassCheck{}})
+	}, checksNamed("bypassviolation"))
 }
 
 // TestTriggeredFirePath pins the triggered-operation firing chain as
@@ -402,7 +456,7 @@ func (g *group) onAdvance() {
 	_ = make([]uint64, 8)
 }
 `},
-	}, []Check{bypassCheck{}, noallocCheck{}})
+	}, checksNamed("bypassviolation", "noalloc"))
 }
 
 func TestCheckedErr(t *testing.T) {
@@ -431,7 +485,7 @@ func use(s *core.State) {
 	core.Standalone()
 }
 `},
-	}, []Check{checkedErrCheck{}})
+	}, checksNamed("checkederr"))
 }
 
 func TestGoroutineLifecycle(t *testing.T) {
@@ -508,7 +562,7 @@ func suppressed() {
 	}()
 }
 `},
-	}, []Check{goroutineCheck{}})
+	}, checksNamed("goroutinelifecycle"))
 }
 
 func TestGoroutineLifecycleRangeChannel(t *testing.T) {
@@ -621,7 +675,7 @@ func (q *Quiet) worker() {
 	}
 }
 `},
-	}, []Check{goroutineCheck{}})
+	}, checksNamed("goroutinelifecycle"))
 }
 
 func TestBadSuppressDirective(t *testing.T) {
@@ -632,6 +686,7 @@ func TestBadSuppressDirective(t *testing.T) {
 		t.Fatalf("LoadSource: %v", err)
 	}
 	diags := prog.Run(nil)
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || diags[0].Check != "badsuppress" || diags[0].Pos.Line != 3 {
 		t.Fatalf("want one badsuppress finding at bs.go:3, got %v", diags)
 	}
@@ -749,7 +804,7 @@ func suppressedEdge(a *A, d *D) {
 	a.mu.Unlock()
 }
 `},
-	}, []Check{lockOrderCheck{}})
+	}, checksNamed("lockorder"))
 }
 
 // TestLockOrderReversedHierarchy pins the acceptance demo: with the
@@ -778,7 +833,8 @@ func bad(p *portal, s *State) {
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{lockOrderCheck{}})
+	diags := prog.Run(checksNamed("lockorder"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 {
 		t.Fatalf("want exactly one lockorder finding, got %v", diags)
 	}
@@ -804,7 +860,8 @@ func f() {}
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{lockOrderCheck{}})
+	diags := prog.Run(checksNamed("lockorder"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 2 {
 		t.Fatalf("want two malformed-directive findings, got %v", diags)
 	}
@@ -871,7 +928,7 @@ func suppressed(o *other, c *ctr) {
 	o.mu.Unlock()
 }
 `},
-	}, []Check{lockOrderCheck{}})
+	}, checksNamed("lockorder"))
 }
 
 // TestLockRankSoleInOrdering: a sole class may not appear on either side
@@ -890,7 +947,8 @@ func f() {}
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{lockOrderCheck{}})
+	diags := prog.Run(checksNamed("lockorder"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "may not participate in ordering edges") {
 		t.Fatalf("want one sole-in-ordering finding, got %v", diags)
 	}
@@ -913,7 +971,8 @@ func f() {}
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{lockOrderCheck{}})
+	diags := prog.Run(checksNamed("lockorder"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "form a cycle") {
 		t.Fatalf("want one cycle finding, got %v", diags)
 	}
@@ -962,7 +1021,7 @@ func Rearm(t *time.Timer, d time.Duration) *time.Timer {
 	return time.NewTimer(d) // want:noalloc
 }
 `},
-	}, []Check{noallocCheck{}})
+	}, checksNamed("noalloc"))
 }
 
 // TestNoallocChainMessage pins the acceptance demo: an fmt.Sprintf two
@@ -984,7 +1043,8 @@ func format(x int) { _ = fmt.Sprintf("%d", x) }
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{noallocCheck{}})
+	diags := prog.Run(checksNamed("noalloc"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 {
 		t.Fatalf("want one noalloc finding, got %v", diags)
 	}
@@ -1014,7 +1074,7 @@ func (n *Node) onMessage() {
 	n.s.Send(1) // want:bypassviolation
 }
 `},
-	}, []Check{bypassCheck{}})
+	}, checksNamed("bypassviolation"))
 }
 
 // TestBypassDeepChainMessage pins the acceptance demo: a channel send two
@@ -1035,7 +1095,8 @@ func (n *Node) stage2() { n.ch <- 1 }
 	if err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
-	diags := prog.Run([]Check{bypassCheck{}})
+	diags := prog.Run(checksNamed("bypassviolation"))
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 {
 		t.Fatalf("want one bypassviolation finding, got %v", diags)
 	}
@@ -1070,7 +1131,7 @@ func (n *Node) pong(d int) {
 	n.ping(d)
 }
 `},
-	}, []Check{bypassCheck{}})
+	}, checksNamed("bypassviolation"))
 }
 
 // TestMultiCheckSuppression: one //lint:ignore a,b directive quiets two
@@ -1094,7 +1155,7 @@ func (n *Node) onEvent() {
 	n.mu.Unlock()
 }
 `},
-	}, []Check{bypassCheck{}, lockCheck{}})
+	}, checksNamed("bypassviolation", "lockdiscipline"))
 }
 
 // TestSuppressParserEdgeCases: a trailing comma leaves an empty check name
@@ -1115,6 +1176,7 @@ func g() {}
 		t.Fatalf("LoadSource: %v", err)
 	}
 	diags := prog.Run(nil)
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || diags[0].Check != "badsuppress" || diags[0].Pos.Line != 3 {
 		t.Fatalf("want one badsuppress finding at sp.go:3, got %v", diags)
 	}
@@ -1218,7 +1280,7 @@ func misuse(it *Item) {
 	it.val = 2 // want:guardedby
 }
 `},
-	}, []Check{guardedByCheck{}})
+	}, checksNamed("guardedby"))
 }
 
 // TestGuardedByRequiresAlternation covers the "/" form: a callee declaring
@@ -1262,7 +1324,7 @@ func callerNone(p *P) {
 	touch(p) // want:guardedby
 }
 `},
-	}, []Check{guardedByCheck{}})
+	}, checksNamed("guardedby"))
 }
 
 // TestGuardedByClosureInheritance: synchronous closures inherit the
@@ -1291,7 +1353,7 @@ func escape(l *L) {
 	}()
 }
 `},
-	}, []Check{guardedByCheck{}})
+	}, checksNamed("guardedby"))
 }
 
 // TestGuardedByConfined covers `//lint:guardedby confined`: the field is
@@ -1342,7 +1404,7 @@ func hushed(p *PE) {
 	p.n = 3
 }
 `},
-	}, []Check{guardedByCheck{}})
+	}, checksNamed("guardedby"))
 }
 
 func TestSeqlock(t *testing.T) {
@@ -1432,7 +1494,7 @@ func hushed(s *slot) uint64 {
 	return s.val
 }
 `},
-	}, []Check{seqlockCheck{}})
+	}, checksNamed("seqlock"))
 }
 
 func TestMixedAtomic(t *testing.T) {
@@ -1474,7 +1536,7 @@ func hushed(c *C) uint64 {
 	return c.n
 }
 `},
-	}, []Check{mixedAtomicCheck{}})
+	}, checksNamed("mixedatomic"))
 }
 
 // TestStaleIgnore: a directive whose check fires nothing on its line is
@@ -1516,6 +1578,7 @@ func F() int { return 3 }
 	// Full run: the unused directive and the unknown name are stale, the
 	// used one is not.
 	diags := load().Run(nil)
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 2 {
 		t.Fatalf("want 2 staleignore findings, got %v", diags)
 	}
@@ -1533,7 +1596,8 @@ func F() int { return 3 }
 
 	// Check-subset run: bypassviolation did not run, so its directives are
 	// not judged; the unknown name is stale regardless.
-	diags = load().Run([]Check{lockCheck{}})
+	diags = load().Run(checksNamed("lockdiscipline"))
+	checkGolden(t, t.Name()+"_checksubset", diags)
 	if len(diags) != 1 || diags[0].Pos.Line != 16 {
 		t.Fatalf("check-subset: want only the unknown-name finding, got %v", diags)
 	}
@@ -1565,6 +1629,7 @@ func f() {}
 		t.Fatalf("LoadSource: %v", err)
 	}
 	diags := prog.Run(nil)
+	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || diags[0].Check != "staleignore" {
 		t.Fatalf("want one staleignore finding, got %v", diags)
 	}

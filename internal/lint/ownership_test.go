@@ -5,7 +5,7 @@ import "testing"
 // ownChecks is the v4 ownership suite plus staleignore (so suppress
 // fixtures prove their directives are live, not stale).
 func ownChecks() []Check {
-	return []Check{ownLeakCheck{}, ownUseAfterCheck{}, ownDoubleCheck{}, ownEscapeCheck{}}
+	return checksNamed("ownleak", "ownuseafter", "owndouble", "ownescape")
 }
 
 // bpFixture is a pooled-buffer resource family mirroring internal/bufpool:
