@@ -10,8 +10,7 @@
 //
 // Packages default to ./... . Diagnostics print as
 // "file:line: [check] message"; the exit code is 1 when there are
-// (new) findings, 2 when the module fails to load or type-check, 0
-// otherwise. Suppress an individual finding with
+// findings, 2 when the module fails to load or type-check, 0 otherwise. Suppress an individual finding with
 //
 //	//lint:ignore <check> <reason>
 //
@@ -23,8 +22,8 @@
 //	-sarif                emit findings as SARIF 2.1.0 (stdout, or -o file)
 //	                      for GitHub code scanning; mutually exclusive
 //	                      with -json
-//	-baseline file        accepted findings; exit 1 only on NEW findings
-//	-write-baseline file  record the current findings as the baseline
+//	-o file               write the report there and print the text
+//	                      diagnostics to stdout as without -json/-sarif
 //	-importer-cache dir   persist the stdlib importer's export-data index
 //	                      in dir (keyed by Go version); warm runs skip
 //	                      type-checking the standard library from source.
@@ -55,11 +54,9 @@ func main() {
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON")
 	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	outFlag := flag.String("o", "", "with -json/-sarif: write findings to this file instead of stdout")
-	baselineFlag := flag.String("baseline", "", "baseline file of accepted findings; fail only on new ones")
-	writeBaselineFlag := flag.String("write-baseline", "", "record the current findings as the baseline and exit")
 	importerCacheFlag := flag.String("importer-cache", "", "directory for the persistent stdlib importer cache (docs/LINT.md)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: portalsvet [-checks a,b] [-list] [-json|-sarif [-o file]] [-baseline file | -write-baseline file] [-importer-cache dir] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: portalsvet [-checks a,b] [-list] [-json|-sarif [-o file]] [-importer-cache dir] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -114,56 +111,23 @@ func main() {
 	diags := prog.Run(checks)
 	findings := prog.Findings(diags)
 
-	if *writeBaselineFlag != "" {
-		if err := lint.WriteBaseline(*writeBaselineFlag, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "portalsvet: wrote %d finding(s) to %s\n", len(findings), *writeBaselineFlag)
-		return
+	var report []byte
+	switch {
+	case *jsonFlag:
+		report, err = lint.MarshalFindings(findings)
+	case *sarifFlag:
+		report, err = lint.MarshalSARIF(findings)
 	}
-
-	// With a baseline, only findings not in it fail the run; without one,
-	// every finding is "new".
-	failing := len(findings)
-	if *baselineFlag != "" {
-		n, err := lint.ApplyBaseline(*baselineFlag, findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-			os.Exit(2)
-		}
-		failing = n
-	}
-
-	if *jsonFlag {
+	if err == nil && report != nil {
 		if *outFlag != "" {
-			if err := lint.WriteJSON(*outFlag, findings); err != nil {
-				fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-				os.Exit(2)
-			}
+			err = os.WriteFile(*outFlag, report, 0o644)
 		} else {
-			data, err := lint.MarshalFindings(findings)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-				os.Exit(2)
-			}
-			os.Stdout.Write(data)
+			_, err = os.Stdout.Write(report)
 		}
 	}
-	if *sarifFlag {
-		if *outFlag != "" {
-			if err := lint.WriteSARIF(*outFlag, findings); err != nil {
-				fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-				os.Exit(2)
-			}
-		} else {
-			data, err := lint.MarshalSARIF(findings)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-				os.Exit(2)
-			}
-			os.Stdout.Write(data)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
+		os.Exit(2)
 	}
 	if (!*jsonFlag && !*sarifFlag) || *outFlag != "" {
 		cwd, _ := os.Getwd()
@@ -176,13 +140,8 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	if failing > 0 {
-		if *baselineFlag != "" {
-			fmt.Fprintf(os.Stderr, "portalsvet: %d new finding(s) (%d total, baseline %s)\n",
-				failing, len(findings), *baselineFlag)
-		} else {
-			fmt.Fprintf(os.Stderr, "portalsvet: %d finding(s)\n", failing)
-		}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "portalsvet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }

@@ -6,21 +6,14 @@ import (
 	"strings"
 )
 
-// atomicsCheck enforces the hot-path counter invariant: struct types named
+// atomicsOnly enforces the hot-path counter invariant: struct types named
 // "Counters" or "Stats" (or ending in either) are touched by the delivery
 // engine concurrently with application reads, so every field must be a
 // sync/atomic type (§4.8's dropped-message counts are incremented on the
 // wire path; a plain field would need the very locks application bypass
 // forbids). Both the offending field declaration and every non-atomic
 // access to such a field are reported.
-type atomicsCheck struct{}
-
-func (atomicsCheck) Name() string { return "atomicsonly" }
-func (atomicsCheck) Doc() string {
-	return "fields of hot-path counter types (Counters/Stats) must be sync/atomic"
-}
-
-func (atomicsCheck) Run(p *Program) []Diagnostic {
+func atomicsOnly(p *Program) []Diagnostic {
 	var diags []Diagnostic
 
 	// Pass 1: field declarations of counter types in the analyzed packages.
@@ -36,7 +29,6 @@ func (atomicsCheck) Run(p *Program) []Diagnostic {
 				if !ok {
 					return true
 				}
-				analyzed := isAnalyzed(p, pkg)
 				for _, fld := range st.Fields.List {
 					tv, ok := pkg.Info.Types[fld.Type]
 					if !ok || isAtomicType(tv.Type) {
@@ -52,13 +44,10 @@ func (atomicsCheck) Run(p *Program) []Diagnostic {
 						if obj, ok := pkg.Info.Defs[name].(*types.Var); ok {
 							badFields[obj] = true
 						}
-						if analyzed {
-							diags = append(diags, Diagnostic{
-								Pos:   p.Fset.Position(name.Pos()),
-								Check: "atomicsonly",
-								Message: "field " + name.Name + " of counter type " + ts.Name.Name +
-									" is not a sync/atomic type; hot-path counters must be atomics-only",
-							})
+						if p.analyzed(pkg) {
+							diags = append(diags, p.diagf("atomicsonly", name.Pos(),
+								"field %s of counter type %s is not a sync/atomic type; hot-path counters must be atomics-only",
+								name.Name, ts.Name.Name))
 						}
 					}
 				}
@@ -80,12 +69,8 @@ func (atomicsCheck) Run(p *Program) []Diagnostic {
 				if !ok || !badFields[obj] {
 					return true
 				}
-				diags = append(diags, Diagnostic{
-					Pos:   p.Fset.Position(sel.Sel.Pos()),
-					Check: "atomicsonly",
-					Message: "non-atomic access to counter field " + sel.Sel.Name +
-						"; use a sync/atomic field type",
-				})
+				diags = append(diags, p.diagf("atomicsonly", sel.Sel.Pos(),
+					"non-atomic access to counter field %s; use a sync/atomic field type", sel.Sel.Name))
 				return true
 			})
 		}
@@ -137,13 +122,4 @@ func isAtomicTypeRec(t types.Type, seen map[types.Type]bool) bool {
 			return false
 		}
 	}
-}
-
-func isAnalyzed(p *Program, pkg *Package) bool {
-	for _, sel := range p.Packages {
-		if sel == pkg {
-			return true
-		}
-	}
-	return false
 }

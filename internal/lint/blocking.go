@@ -1,22 +1,12 @@
 package lint
 
 import (
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// blockOp is one potentially blocking operation found in a function body.
-// Collection happens in the facts scanner (summary.go); this file owns
-// the classification of which calls count as blocking.
-type blockOp struct {
-	pos  token.Pos
-	desc string // human-readable, e.g. "channel receive", "sync.Cond.Wait"
-	// condWait marks (*sync.Cond).Wait, which is the one blocking call
-	// that is legitimate while holding a mutex (its own): lockdiscipline
-	// exempts it when it appears directly in the locked function.
-	condWait bool
-}
+// This file owns the classification of which calls count as blocking;
+// the facts scanner (summary.go) collects them as effBlock operations.
 
 // netBlockingMethods are net-package methods that perform real I/O;
 // Close/Addr accessors are deliberately not listed.
@@ -52,43 +42,43 @@ var obsMetricsSlowFuncs = map[string]bool{
 
 // classifyBlockingCall decides whether a static callee is a known
 // blocking API.
-func classifyBlockingCall(fn *types.Func) (blockOp, bool) {
+func classifyBlockingCall(fn *types.Func) (factOp, bool) {
 	path := pkgPathOf(fn)
 	name := fn.Name()
 	recv := recvNamed(fn)
 	if strings.HasSuffix(path, "internal/obs/trace") && obsTraceSlowFuncs[name] {
-		return blockOp{desc: "obs/trace exporter API (" + name + ")"}, true
+		return factOp{desc: "obs/trace exporter API (" + name + ")"}, true
 	}
 	if strings.HasSuffix(path, "internal/obs/metrics") && obsMetricsSlowFuncs[name] {
-		return blockOp{desc: "obs/metrics registration/exposition API (" + name + ")"}, true
+		return factOp{desc: "obs/metrics registration/exposition API (" + name + ")"}, true
 	}
 	switch path {
 	case "time":
 		if recv == nil && name == "Sleep" {
-			return blockOp{desc: "time.Sleep"}, true
+			return factOp{desc: "time.Sleep"}, true
 		}
 	case "sync":
 		if recv != nil && name == "Wait" {
 			switch recv.Obj().Name() {
 			case "Cond":
-				return blockOp{desc: "sync.Cond.Wait", condWait: true}, true
+				return factOp{desc: "sync.Cond.Wait", condWait: true}, true
 			case "WaitGroup":
-				return blockOp{desc: "sync.WaitGroup.Wait"}, true
+				return factOp{desc: "sync.WaitGroup.Wait"}, true
 			}
 		}
 	case "net":
 		if recv == nil {
 			switch name {
 			case "Dial", "DialTimeout", "DialTCP", "DialUDP", "DialUnix", "Listen", "ListenTCP", "ListenPacket":
-				return blockOp{desc: "net." + name}, true
+				return factOp{desc: "net." + name}, true
 			}
 		} else if netBlockingMethods[name] {
-			return blockOp{desc: "net I/O (" + recv.Obj().Name() + "." + name + ")"}, true
+			return factOp{desc: "net I/O (" + recv.Obj().Name() + "." + name + ")"}, true
 		}
 	}
 	// Module-local blocking contracts: Queue.Wait, State.EQWait, NI.EQPoll…
 	if recv != nil && blockingMethodNames[name] {
-		return blockOp{desc: recv.Obj().Name() + "." + name}, true
+		return factOp{desc: recv.Obj().Name() + "." + name}, true
 	}
-	return blockOp{}, false
+	return factOp{}, false
 }

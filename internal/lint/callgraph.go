@@ -31,11 +31,8 @@ const (
 // implsOf resolves an interface method to every module method that can be
 // behind it: each named type in the loaded packages whose (pointer) method
 // set satisfies the receiver interface contributes its identically named
-// method. Only methods with bodies are returned. The result is memoized;
-// the mutex makes memoization safe for the parallel per-package flows.
+// method. Only methods with bodies are returned. The result is memoized.
 func (e *engine) implsOf(ifn *types.Func) []*types.Func {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if impls, ok := e.impls[ifn]; ok {
 		return impls
 	}
@@ -67,19 +64,12 @@ func (e *engine) implsOf(ifn *types.Func) []*types.Func {
 }
 
 // namedTypes collects every package-level named type across the loaded
-// packages (the candidate implementors for dynamic dispatch), once. It is
-// only called from implsOf, under e.mu.
+// packages (the candidate implementors for dynamic dispatch), once.
 func (e *engine) namedTypes() []*types.Named {
 	if e.named != nil {
 		return e.named
 	}
-	paths := make([]string, 0, len(e.p.All))
-	for path := range e.p.All {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := e.p.All[path]
+	for _, pkg := range e.p.sortedPackages() {
 		if pkg.Pkg == nil {
 			continue
 		}

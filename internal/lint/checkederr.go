@@ -5,20 +5,13 @@ import (
 	"go/types"
 )
 
-// checkedErrCheck flags calls whose error result is silently discarded
+// checkedErr flags calls whose error result is silently discarded
 // (an expression statement) when the callee belongs to the public portals
 // API or the internal/core initiator layer. Those errors carry the §4.8
 // failure semantics (bad handle, no space, closed interface); dropping
 // them on the floor hides protocol failures. An explicit `_ =` assignment
 // is visible intent and is allowed, as are defer/go statements.
-type checkedErrCheck struct{}
-
-func (checkedErrCheck) Name() string { return "checkederr" }
-func (checkedErrCheck) Doc() string {
-	return "error results of the portals API and internal/core are never discarded"
-}
-
-func (checkedErrCheck) Run(p *Program) []Diagnostic {
+func checkedErr(p *Program) []Diagnostic {
 	strict := map[string]bool{
 		p.ModulePath + "/portals":       true,
 		p.ModulePath + "/internal/core": true,
@@ -43,12 +36,8 @@ func (checkedErrCheck) Run(p *Program) []Diagnostic {
 				if !ok || !returnsError(sig) {
 					return true
 				}
-				diags = append(diags, Diagnostic{
-					Pos:   p.Fset.Position(call.Pos()),
-					Check: "checkederr",
-					Message: "error result of " + funcLabel(fn) +
-						" is discarded; handle it or assign it explicitly",
-				})
+				diags = append(diags, p.diagf("checkederr", call.Pos(),
+					"error result of %s is discarded; handle it or assign it explicitly", funcLabel(fn)))
 				return true
 			})
 		}

@@ -7,7 +7,7 @@ import (
 	"strconv"
 )
 
-// goroutineCheck verifies that every goroutine launched in non-test code
+// goroutineLifecycle verifies that every goroutine launched in non-test code
 // has a reachable shutdown path. The failure shape it targets is the
 // unkillable worker: `go func() { for { work() } }()`. A goroutine whose
 // body runs to completion is fine; an unconditional loop is fine if it can
@@ -25,14 +25,7 @@ import (
 // call. Bodies with their own exit (return, break) pass outright; channels
 // the analysis cannot resolve — locals that may escape, parameters closed
 // by a caller — are skipped rather than guessed at.
-type goroutineCheck struct{}
-
-func (goroutineCheck) Name() string { return "goroutinelifecycle" }
-func (goroutineCheck) Doc() string {
-	return "every goroutine in non-test code has a reachable shutdown path"
-}
-
-func (goroutineCheck) Run(p *Program) []Diagnostic {
+func goroutineLifecycle(p *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range p.Packages {
 		for _, f := range pkg.Files {

@@ -1,220 +1,66 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// guardedByCheck verifies //lint:guardedby field annotations: every read
-// or write of an annotated field must happen with one of the declared
-// lock classes held (tracked by the same abstract interpreter as
-// lockdiscipline, seeded interprocedurally through //lint:requires), or
-// through sync/atomic for atomic-annotated fields. Accesses to freshly
-// constructed, not-yet-published objects are exempt.
-type guardedByCheck struct{}
+// guardedby verifies //lint:guardedby field annotations: every read or
+// write of an annotated field must happen with one of the declared lock
+// classes held (tracked by the lock pass, lockdiscipline.go, seeded
+// interprocedurally through //lint:requires), or through sync/atomic for
+// atomic-annotated fields. Accesses to freshly constructed,
+// not-yet-published objects are exempt.
+//
+// seqlock verifies //lint:seqlock slot-struct annotations in the same
+// pass: fields of a stamped ring slot may only be written between an odd
+// stamp store (or a winning CompareAndSwap) and the matching even store,
+// and only read while the stamp is known open or validated (the stamp
+// protocol itself lives in seqlock.go).
 
-func (guardedByCheck) Name() string { return "guardedby" }
-func (guardedByCheck) Doc() string {
-	return "every access to a //lint:guardedby field holds a declared lock (or uses sync/atomic)"
-}
-
-func (guardedByCheck) Run(p *Program) []Diagnostic {
-	return p.guardAnalysis().byCheck("guardedby")
-}
-
-// seqlockCheck verifies //lint:seqlock slot-struct annotations: fields of
-// a stamped ring slot may only be written between an odd stamp store (or
-// a winning CompareAndSwap) and the matching even store, and only read
-// while the stamp is known open or validated (guardedby.go runs both
-// checks in one pass; the stamp protocol itself lives in seqlock.go).
-type seqlockCheck struct{}
-
-func (seqlockCheck) Name() string { return "seqlock" }
-func (seqlockCheck) Doc() string {
-	return "ring-slot fields are only touched inside the //lint:seqlock stamp protocol"
-}
-
-func (seqlockCheck) Run(p *Program) []Diagnostic {
-	return p.guardAnalysis().byCheck("seqlock")
-}
-
-// guardResult is the shared outcome of the guard pass, cached on the
-// Program so guardedby and seqlock pay for one traversal between them.
-type guardResult struct {
-	tbl   *guardTables
-	diags []Diagnostic
-}
-
-func (r *guardResult) byCheck(name string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.tbl.diags {
-		if d.Check == name {
-			out = append(out, d)
-		}
-	}
-	for _, d := range r.diags {
-		if d.Check == name {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// guardAnalysis runs the guard pass once: annotation tables, then a
-// lockFlow walk of every function in the analyzed packages with the
-// guard hooks enabled (lockdiscipline diagnostics muted).
-func (p *Program) guardAnalysis() *guardResult {
-	if p.guardRes != nil {
-		return p.guardRes
-	}
-	tbl := buildGuardTables(p)
-	p.engine()      // prebuilt: the flow consults facts under held locks
-	p.funcSources() // prebuilt for stamp-parity helper resolution
-	diags := forEachPackage(p, func(pkg *Package) []Diagnostic {
-		var out []Diagnostic
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Body != nil {
-						var recv *types.TypeName
-						if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-							if n := recvNamed(fn); n != nil {
-								recv = n.Origin().Obj()
-							}
-						}
-						out = append(out, runGuardFunc(p, pkg, tbl, d.Body, guardEntry(p, pkg, tbl, d), recv)...)
-					}
-				case *ast.GenDecl:
-					// Function literals in package-level var initializers.
-					ast.Inspect(d, func(n ast.Node) bool {
-						if lit, ok := n.(*ast.FuncLit); ok {
-							out = append(out, runGuardFunc(p, pkg, tbl, lit.Body, lockSet{}, nil)...)
-							return false
-						}
-						return true
-					})
-				}
-			}
-		}
-		return out
-	})
-	p.guardRes = &guardResult{tbl: tbl, diags: diags}
-	return p.guardRes
-}
-
-// guardEntry seeds a function's entry lock state from its //lint:requires
-// annotation: callers promise the named classes are held. A class that
-// names a //lint:seqlock stamp grants an open write window instead.
-func guardEntry(p *Program, pkg *Package, tbl *guardTables, fn *ast.FuncDecl) lockSet {
+// grants seeds a declaration's entry lock state from its //lint:requires
+// annotation — callers promise the named classes are held; a class that
+// names a //lint:seqlock stamp grants an open write window instead — and
+// returns the receiver's type, whose methods may touch confined fields.
+// The declaration's synchronous literals start from the same grants
+// (funcBody.inherits).
+func (a *lockPass) grants(fn *ast.FuncDecl) (lockSet, *types.TypeName) {
 	entry := lockSet{}
-	obj, ok := pkg.Info.Defs[fn.Name].(*types.Func)
+	if fn == nil {
+		return entry, nil
+	}
+	obj, ok := a.pkg.Info.Defs[fn.Name].(*types.Func)
 	if !ok {
-		return entry
+		return entry, nil
 	}
-	for _, class := range tbl.requires[obj] {
-		if tbl.seqClasses[class] != nil {
-			entry[seqOpenKey(class)] = heldLock{pos: fn.Pos(), class: class}
+	for _, class := range a.tbl.requires[obj] {
+		if a.tbl.seqClasses[class] != nil {
+			entry[seqOpenKey(class)] = heldLock{pos: fn.Pos(), class: class, granted: true}
 		} else {
-			// deferred=true: a caller-held lock needs no release here.
-			entry[reqKey(class)] = heldLock{pos: fn.Pos(), class: class, deferred: true}
+			// deferred: a caller-held lock needs no release here.
+			entry[reqKey(class)] = heldLock{pos: fn.Pos(), class: class, deferred: true, granted: true}
 		}
 	}
-	return entry
-}
-
-// runGuardFunc analyzes one function body and then its directly nested
-// function literals. The flow treats literals as opaque, so each literal
-// body is a separate pass: synchronous closures (sort.Search comparators,
-// callbacks invoked under the caller's locks) inherit the enclosing
-// //lint:requires grants and confinement rights (recv, the receiver's
-// type for confined-field access), while go-launched literals start with
-// neither — the goroutine outlives whatever its creator held.
-func runGuardFunc(p *Program, pkg *Package, tbl *guardTables, body *ast.BlockStmt, entry lockSet, recv *types.TypeName) []Diagnostic {
-	out := runGuardPass(p, pkg, tbl, body, entry, recv)
-	goLits := make(map[*ast.FuncLit]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-				goLits[lit] = true
-			}
-		}
-		return true
-	})
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-			return false // deeper literals recurse below
-		}
-		return true
-	})
-	for _, lit := range lits {
-		sub := lockSet{}
-		subRecv := recv
-		if goLits[lit] {
-			subRecv = nil
-		} else {
-			sub = entry.clone()
-		}
-		out = append(out, runGuardFunc(p, pkg, tbl, lit.Body, sub, subRecv)...)
+	var recv *types.TypeName
+	if n := recvNamed(obj); n != nil {
+		recv = n.Origin().Obj()
 	}
-	return out
+	return entry, recv
 }
 
-func runGuardPass(p *Program, pkg *Package, tbl *guardTables, body *ast.BlockStmt, entry lockSet, recv *types.TypeName) []Diagnostic {
-	g := &guardPass{
-		prog:       p,
-		pkg:        pkg,
-		tbl:        tbl,
-		recv:       recv,
-		fresh:      collectFresh(pkg, body),
-		write:      make(map[ast.Expr]bool),
-		sanctioned: make(map[ast.Expr]bool),
-	}
-	a := &lockFlow{prog: p, pkg: pkg, guard: g}
-	a.runEntry(body, entry)
-	return g.diags
-}
-
-// Pseudo lock-set keys for guard-mode state. They live in the same
-// lockSet as real mutexes (sharing clone/merge/branching) but are
-// invisible to lockdiscipline, whose reports are muted in guard mode.
+// Lock-set keys for granted entries. They live in the same lockSet as
+// real mutexes, sharing clone/merge/branching.
 func reqKey(class string) string      { return "req:" + class }
 func seqOpenKey(class string) string  { return "seq:" + class }
 func seqValidKey(class string) string { return "seqv:" + class }
 
-// guardPass carries the per-function state of the guard checks while a
-// muted lockFlow supplies lock tracking and control flow.
-type guardPass struct {
-	prog *Program
-	pkg  *Package
-	tbl  *guardTables
-	recv *types.TypeName // receiver type of the enclosing method, for "confined"
-
-	fresh      map[types.Object]bool // locals bound to unpublished objects
-	write      map[ast.Expr]bool     // selector nodes in write position
-	sanctioned map[ast.Expr]bool     // selector nodes accessed via sync/atomic
-
-	diags []Diagnostic
-}
-
-func (g *guardPass) reportf(check string, pos token.Pos, format string, args ...any) {
-	g.diags = append(g.diags, Diagnostic{
-		Pos:     g.prog.Fset.Position(pos),
-		Check:   check,
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
 // markWrite flags a direct field selector appearing in write position
 // (assignment LHS, ++/--, or address-taken) before the flow scans it.
-func (g *guardPass) markWrite(e ast.Expr) {
+func (a *lockPass) markWrite(e ast.Expr) {
 	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-		g.write[sel] = true
+		a.write[sel] = true
 	}
 }
 
@@ -255,38 +101,38 @@ func classCovered(held string, classes []string) bool {
 
 // access checks one field selection against the guard tables under the
 // current lock state. Called from the flow for every SelectorExpr.
-func (g *guardPass) access(sel *ast.SelectorExpr, st lockSet) {
-	obj, ok := g.pkg.Info.Uses[sel.Sel].(*types.Var)
+func (a *lockPass) access(sel *ast.SelectorExpr, st lockSet) {
+	obj, ok := a.pkg.Info.Uses[sel.Sel].(*types.Var)
 	if !ok || !obj.IsField() {
 		return
 	}
-	fg := g.tbl.guardFor(g.pkg.Info, sel, obj)
-	sd := g.tbl.protectedBy(g.pkg.Info, sel, obj)
+	fg := a.tbl.guardFor(a.pkg.Info, sel, obj)
+	sd := a.tbl.protectedBy(a.pkg.Info, sel, obj)
 	if fg == nil && sd == nil {
 		return
 	}
-	if g.freshBase(sel.X) {
+	if freshBase(a.pkg.Info, a.fresh, sel.X) {
 		return // construction site: the object is not published yet
 	}
-	write := g.write[sel]
+	write := a.write[sel]
 	if fg != nil {
-		g.checkGuarded(sel, obj, fg, st, write)
+		a.checkGuarded(sel, obj, fg, st, write)
 	}
 	if sd != nil {
-		g.checkSeqProtected(sel, obj, sd, st, write)
+		a.checkSeqProtected(sel, obj, sd, st, write)
 	}
 }
 
-func (g *guardPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *fieldGuard, st lockSet, write bool) {
+func (a *lockPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *fieldGuard, st lockSet, write bool) {
 	if fg.confined {
 		// Confined guard: the access is inside a method of the declaring
 		// type (or a synchronous closure within one — go-launched literals
 		// had recv stripped by runGuardFunc).
-		if g.recv != nil && g.recv.Name() == fg.owner && g.recv.Pkg() == obj.Pkg() {
+		if a.recv != nil && a.recv.Name() == fg.owner && a.recv.Pkg() == obj.Pkg() {
 			return
 		}
 		if len(fg.classes) == 0 && !fg.atomic {
-			g.reportf("guardedby", sel.Pos(),
+			a.reportf("guardedby", sel.Pos(),
 				"field %s.%s (//lint:guardedby confined) accessed outside %s's single-goroutine methods",
 				fg.owner, obj.Name(), fg.owner)
 			return
@@ -295,11 +141,11 @@ func (g *guardPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *fiel
 	if fg.atomic {
 		// Atomic guard: access through sync/atomic free functions, or any
 		// operation on a field whose own type is a sync/atomic composite.
-		if g.sanctioned[sel] || isAtomicType(obj.Type()) {
+		if a.sanctioned[sel] || isAtomicType(obj.Type()) {
 			return
 		}
 		if len(fg.classes) == 0 {
-			g.reportf("guardedby", sel.Pos(),
+			a.reportf("guardedby", sel.Pos(),
 				"field %s.%s (//lint:guardedby atomic) accessed without sync/atomic", fg.owner, obj.Name())
 			return
 		}
@@ -307,24 +153,24 @@ func (g *guardPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *fiel
 	held, writer := heldAny(st, fg.classes)
 	switch {
 	case !held:
-		g.reportf("guardedby", sel.Pos(),
+		a.reportf("guardedby", sel.Pos(),
 			"field %s.%s (//lint:guardedby %s) accessed without %s held",
 			fg.owner, obj.Name(), fg, guardList(fg.classes))
 	case write && !writer:
-		g.reportf("guardedby", sel.Pos(),
+		a.reportf("guardedby", sel.Pos(),
 			"write to %s.%s while %s is only read-locked", fg.owner, obj.Name(), guardList(fg.classes))
 	}
 }
 
-func (g *guardPass) checkSeqProtected(sel *ast.SelectorExpr, obj *types.Var, sd *seqlockDecl, st lockSet, write bool) {
+func (a *lockPass) checkSeqProtected(sel *ast.SelectorExpr, obj *types.Var, sd *seqlockDecl, st lockSet, write bool) {
 	held, writer := heldAny(st, []string{sd.class})
 	switch {
 	case write && !writer:
-		g.reportf("seqlock", sel.Pos(),
+		a.reportf("seqlock", sel.Pos(),
 			"write to %s.%s outside an open stamp window (odd %s store or winning CompareAndSwap)",
 			sd.owner, obj.Name(), sd.class)
 	case !write && !held:
-		g.reportf("seqlock", sel.Pos(),
+		a.reportf("seqlock", sel.Pos(),
 			"read of %s.%s without %s validation (open window or stamp-validate loop)",
 			sd.owner, obj.Name(), sd.class)
 	}
@@ -344,32 +190,15 @@ func guardList(classes []string) string {
 	return out
 }
 
-// preCall runs before the flow scans a call's arguments: pointer
-// arguments to sync/atomic free functions are sanctioned as atomic
-// accesses rather than plain ones.
-func (g *guardPass) preCall(c *ast.CallExpr) {
-	fn := calleeOf(g.pkg.Info, c)
-	if fn == nil || pkgPathOf(fn) != "sync/atomic" {
-		return
-	}
-	for _, arg := range c.Args {
-		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-				g.sanctioned[sel] = true
-			}
-		}
-	}
-}
-
 // callHook runs after a call's callee is resolved: stamp stores update
 // the seqlock window state, and //lint:requires contracts are checked at
 // every call site.
-func (g *guardPass) callHook(c *ast.CallExpr, fn *types.Func, st lockSet) lockSet {
+func (a *lockPass) callHook(c *ast.CallExpr, fn *types.Func, st lockSet) lockSet {
 	if fn != nil && pkgPathOf(fn) == "sync/atomic" {
 		if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
 			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-				if sd := g.tbl.stampFor(g.pkg.Info, inner); sd != nil {
-					return g.stampOp(c, sel.Sel.Name, sd, st)
+				if sd := a.tbl.stampFor(a.pkg.Info, inner); sd != nil {
+					return a.stampOp(c, sel.Sel.Name, sd, st)
 				}
 			}
 		}
@@ -378,28 +207,29 @@ func (g *guardPass) callHook(c *ast.CallExpr, fn *types.Func, st lockSet) lockSe
 	if fn == nil {
 		return st
 	}
-	req := g.tbl.requires[fn]
+	req := a.tbl.requires[fn]
 	if len(req) == 0 {
 		return st
 	}
-	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && g.freshBase(sel.X) {
+	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && freshBase(a.pkg.Info, a.fresh, sel.X) {
 		return st // constructor calling methods on a not-yet-published object
 	}
 	for _, class := range req {
 		if held, _ := heldAny(st, strings.Split(class, "/")); !held {
 			check := "guardedby"
-			if g.tbl.seqClasses[class] != nil {
+			if a.tbl.seqClasses[class] != nil {
 				check = "seqlock"
 			}
-			g.reportf(check, c.Pos(), "call to %s requires %s held (//lint:requires)", funcLabel(fn), class)
+			a.reportf(check, c.Pos(), "call to %s requires %s held (//lint:requires)", funcLabel(fn), class)
 		}
 	}
 	return st
 }
 
 // freshBase reports whether the root of a selector/index chain is a local
-// variable bound to a freshly constructed, not-yet-published object.
-func (g *guardPass) freshBase(e ast.Expr) bool {
+// variable bound to a freshly constructed, not-yet-published object
+// (collectFresh).
+func freshBase(info *types.Info, fresh map[types.Object]bool, e ast.Expr) bool {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
@@ -413,11 +243,11 @@ func (g *guardPass) freshBase(e ast.Expr) bool {
 		case *ast.UnaryExpr:
 			e = x.X
 		case *ast.Ident:
-			obj := g.pkg.Info.Uses[x]
+			obj := info.Uses[x]
 			if obj == nil {
-				obj = g.pkg.Info.Defs[x]
+				obj = info.Defs[x]
 			}
-			return obj != nil && g.fresh[obj]
+			return obj != nil && fresh[obj]
 		default:
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -43,12 +42,6 @@ import (
 // between an odd stamp store (or a winning stamp CompareAndSwap) and the
 // matching even store, and only read under an open stamp or after a
 // stamp-validate loop.
-
-const (
-	guardedbyDirective = "//lint:guardedby"
-	requiresDirective  = "//lint:requires"
-	seqlockDirective   = "//lint:seqlock"
-)
 
 // guardKey addresses a struct field by its declaring (generic-origin) type
 // name — the fallback identity for fields of instantiated generic types,
@@ -89,8 +82,7 @@ type seqlockDecl struct {
 }
 
 // guardTables indexes every annotation in the loaded module. Built once
-// per Program and read-only afterwards (the guard pass runs per package in
-// parallel).
+// per Program and read-only afterwards.
 type guardTables struct {
 	fields       map[*types.Var]*fieldGuard
 	fieldsByName map[guardKey]*fieldGuard
@@ -120,26 +112,16 @@ func buildGuardTables(p *Program) *guardTables {
 		seqClasses:   make(map[string]*seqlockDecl),
 		requires:     make(map[*types.Func][]string),
 	}
-	analyzed := make(map[*Package]bool, len(p.Packages))
-	for _, pkg := range p.Packages {
-		analyzed[pkg] = true
-	}
-	paths := make([]string, 0, len(p.All))
-	for path := range p.All {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := p.All[path]
+	for _, pkg := range p.sortedPackages() {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.GenDecl:
 					if d.Tok == token.TYPE {
-						t.collectTypeDecl(p, pkg, d, analyzed[pkg])
+						t.collectTypeDecl(p, pkg, d, p.analyzed(pkg))
 					}
 				case *ast.FuncDecl:
-					t.collectRequires(p, pkg, d, analyzed[pkg])
+					t.collectRequires(p, pkg, d, p.analyzed(pkg))
 				}
 			}
 		}
@@ -149,20 +131,6 @@ func buildGuardTables(p *Program) *guardTables {
 
 func (t *guardTables) report(p *Program, pos token.Pos, check, msg string) {
 	t.diags = append(t.diags, Diagnostic{Pos: p.Fset.Position(pos), Check: check, Message: msg})
-}
-
-// directiveIn returns the first matching directive's argument text within a
-// comment group.
-func directiveIn(doc *ast.CommentGroup, directive string) (string, token.Pos, bool) {
-	if doc == nil {
-		return "", token.NoPos, false
-	}
-	for _, c := range doc.List {
-		if rest, ok := directiveArgs(c.Text, directive); ok {
-			return rest, c.Pos(), true
-		}
-	}
-	return "", token.NoPos, false
 }
 
 func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, analyzed bool) {
@@ -177,7 +145,7 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, 
 		}
 		st, isStruct := ts.Type.(*ast.StructType)
 		tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-		if args, pos, ok := directiveIn(doc, seqlockDirective); ok {
+		if args, pos, ok := directiveIn(doc, "seqlock"); ok {
 			t.collectSeqlock(p, pkg, ts, st, tn, args, pos, isStruct, analyzed)
 		}
 		if !isStruct || tn == nil {
@@ -185,7 +153,7 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, 
 		}
 		for _, fld := range st.Fields.List {
 			for _, doc := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-				args, pos, ok := directiveIn(doc, guardedbyDirective)
+				args, pos, ok := directiveIn(doc, "guardedby")
 				if !ok {
 					continue
 				}
@@ -295,7 +263,7 @@ func (t *guardTables) collectGuardedBy(p *Program, pkg *Package, ts *ast.TypeSpe
 // collectRequires parses //lint:requires on a function declaration's doc
 // comment. Bare names resolve against the method receiver's struct.
 func (t *guardTables) collectRequires(p *Program, pkg *Package, d *ast.FuncDecl, analyzed bool) {
-	args, pos, ok := directiveIn(d.Doc, requiresDirective)
+	args, pos, ok := directiveIn(d.Doc, "requires")
 	if !ok {
 		return
 	}

@@ -1,57 +1,22 @@
 // Package lint implements portalsvet, the repo's custom static-analysis
 // suite. It enforces the architectural invariants that encode the paper's
 // defining property — application bypass (§5.1: data flows "with virtually
-// no application processing") — as concurrency discipline:
+// no application processing") — as concurrency discipline: the delivery
+// path never blocks, counters are atomics, locks follow one declared
+// hierarchy and guard what they say they guard, pooled buffers have one
+// owner. AllChecks is the table of checks, one line each; docs/LINT.md
+// describes them.
 //
-//   - bypassviolation: delivery-path code (internal/nicsim, internal/rtscts)
-//     must never block on application-facing APIs.
-//   - lockdiscipline: no blocking operation while a sync.Mutex/RWMutex is
-//     held, and every Lock has an Unlock on all paths.
-//   - atomicsonly: hot-path counter types (stats.Counters and friends) use
-//     sync/atomic fields exclusively (§4.8's counters are touched by the
-//     delivery engine; a plain field would need the very locks bypass
-//     forbids).
-//   - checkederr: error results of the public portals API and the
-//     internal/core initiators are never silently discarded.
-//   - goroutinelifecycle: every goroutine launched in non-test code has a
-//     reachable shutdown path.
-//   - lockorder: every lock-acquisition edge (lock B taken while lock A is
-//     held, through any call depth) is declared by a
-//     `//lint:lockrank A < B` directive; reversed, undeclared, or
-//     same-rank edges are reported (docs/PERF.md §2 is the source
-//     hierarchy).
-//   - noalloc: functions annotated `//lint:noalloc` are transitively
-//     allocation-free, with a call-path diagnostic for every reachable
-//     allocation (the static form of alloc_test.go's 0 allocs/op
-//     assertions).
-//   - guardedby: every access to a field annotated
-//     `//lint:guardedby mu` happens with the named lock held (seeded
-//     interprocedurally through `//lint:requires mu` function
-//     annotations), or through sync/atomic for
-//     `//lint:guardedby atomic` fields.
-//   - mixedatomic: no field is accessed both through sync/atomic and by
-//     plain load/store anywhere in the module.
-//   - seqlock: fields of a `//lint:seqlock stamp` ring slot are only
-//     written inside an open (odd) stamp window and only read under
-//     stamp validation — the eventq / obs/trace publication protocol.
-//   - ownleak / ownuseafter / owndouble / ownescape: paired-resource
-//     protocols declared `//lint:resource Acquire -> Release` (pooled
-//     buffers, RCU pins, arena entries) follow an exactly-one-owner
-//     lifecycle — released or ownership-transferred on every path, never
-//     used after release or transfer, never released twice, with
-//     `//lint:consumes` / `//lint:returns-owned` annotations making
-//     handoff points part of the checked contract (ownership.go).
-//   - staleignore: a `//lint:ignore` directive whose named check never
-//     fires on its line is itself reported (deletable only; staleignore
-//     cannot be suppressed).
-//
-// The bypassviolation, lockdiscipline, lockorder, and noalloc checks are
-// interprocedural: a facts engine (summary.go, callgraph.go) builds a
-// conservative call graph over every loaded package — static calls,
-// interface calls resolved through module method sets, go/defer edges —
-// and computes per-function may-block / may-allocate / locks-acquired
-// summaries by fixpoint propagation through strongly connected
-// components.
+// Three pieces are shared between checks. The facts engine (summary.go,
+// callgraph.go) builds a conservative call graph over every loaded
+// package — static calls, interface calls resolved through module method
+// sets, go/defer edges — and computes per-function may-block /
+// may-allocate / locks-acquired summaries by fixpoint propagation through
+// strongly connected components; reach.go reports what is reachable from
+// a set of roots over it. The structured-flow walker (flow.go) is the one
+// abstract interpreter over Go statements; the lock pass
+// (lockdiscipline.go) and the ownership pass (ownership.go) are transfer
+// functions for it.
 //
 // The implementation uses only the Go standard library (go/ast, go/parser,
 // go/token, go/types); the module has zero external dependencies and must
@@ -70,11 +35,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding, printed as "file:line: [check] message".
@@ -95,24 +59,53 @@ type Check interface {
 	Run(p *Program) []Diagnostic
 }
 
+// check is one row of the registry: a named analysis and where its
+// findings come from. Checks that share a pass (the lock pass, the
+// ownership pass) name the same run function; Run keeps the row's own.
+type check struct {
+	name, doc string
+	run       func(*Program) []Diagnostic
+}
+
+func (c check) Name() string { return c.name }
+func (c check) Doc() string  { return c.doc }
+
+func (c check) Run(p *Program) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range c.run(p) {
+		if d.Check == c.name {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // AllChecks returns every check in its canonical order.
 func AllChecks() []Check {
+	fromLockPass := func(p *Program) []Diagnostic { return p.lockAnalysis().diags }
+	fromOwnPass := func(p *Program) []Diagnostic { return p.ownAnalysis().diags }
 	return []Check{
-		bypassCheck{},
-		lockCheck{},
-		lockOrderCheck{},
-		noallocCheck{},
-		atomicsCheck{},
-		checkedErrCheck{},
-		goroutineCheck{},
-		guardedByCheck{},
-		mixedAtomicCheck{},
-		seqlockCheck{},
-		ownLeakCheck{},
-		ownUseAfterCheck{},
-		ownDoubleCheck{},
-		ownEscapeCheck{},
-		staleIgnoreCheck{},
+		check{"bypassviolation", "delivery paths (internal/nicsim, internal/rtscts on* handlers) must never block",
+			func(p *Program) []Diagnostic { return p.reach(effBlock) }},
+		check{"lockdiscipline", "no blocking while a mutex is held; every Lock has an Unlock on all paths", fromLockPass},
+		check{"lockorder", "every lock-acquisition edge is declared by //lint:lockrank and respects the DAG", lockOrder},
+		check{"noalloc", "//lint:noalloc-annotated functions are transitively allocation-free",
+			func(p *Program) []Diagnostic { return p.reach(effAlloc) }},
+		check{"atomicsonly", "fields of hot-path counter types (Counters/Stats) must be sync/atomic", atomicsOnly},
+		check{"checkederr", "error results of the portals API and internal/core are never discarded", checkedErr},
+		check{"goroutinelifecycle", "every goroutine in non-test code has a reachable shutdown path", goroutineLifecycle},
+		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock (or uses sync/atomic)", fromLockPass},
+		check{"mixedatomic", "no field is accessed both through sync/atomic and by plain load/store", mixedAtomic},
+		check{"seqlock", "ring-slot fields are only touched inside the //lint:seqlock stamp protocol", fromLockPass},
+		check{"ownleak", "every acquired resource (pooled buffer, RCU pin, arena entry) is released or ownership-transferred on all paths", fromOwnPass},
+		check{"ownuseafter", "no use of a resource after its release or after its ownership was transferred", fromOwnPass},
+		check{"owndouble", "no resource is released twice (explicitly or via a deferred release)", fromOwnPass},
+		check{"ownescape", "borrowed resources never escape their call; ownership handoffs are annotated //lint:consumes", fromOwnPass},
+		// staleignore exists here to be named and documented; the detection
+		// itself runs inside Run (after suppression filtering, so a stale
+		// directive cannot suppress its own report) whenever any checks run.
+		check{"staleignore", "//lint:ignore directives whose check fires nothing on their line are deleted, not kept",
+			func(*Program) []Diagnostic { return nil }},
 	}
 }
 
@@ -137,10 +130,13 @@ type Program struct {
 	// All maps import path to every loaded local package, Packages included.
 	All map[string]*Package
 
-	funcs    map[*types.Func]*funcSource
-	eng      *engine
-	guardRes *guardResult
-	ownRes   *ownResult
+	// Memoised by the accessor of the same name.
+	funcs      map[*types.Func]*funcSource
+	eng        *engine
+	lockRes    *lockResult
+	ownRes     *ownResult
+	dirs       map[string][]directive
+	isAnalyzed map[*Package]bool
 }
 
 // funcSource is the body of a module function, for call-graph traversal.
@@ -187,7 +183,10 @@ func (p *Program) Run(checks []Check) []Diagnostic {
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
 		}
-		return a.Check < b.Check
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
 	})
 	return kept
 }
@@ -261,138 +260,132 @@ func (s *suppressionSet) stale(ran map[string]bool) []Diagnostic {
 	return out
 }
 
-// staleIgnoreCheck exists to name and document staleignore; the detection
-// itself runs inside Run (after suppression filtering, so a stale
-// directive cannot suppress its own report) whenever any checks run.
-type staleIgnoreCheck struct{}
-
-func (staleIgnoreCheck) Name() string { return "staleignore" }
-func (staleIgnoreCheck) Doc() string {
-	return "//lint:ignore directives whose check fires nothing on their line are deleted, not kept"
-}
-func (staleIgnoreCheck) Run(p *Program) []Diagnostic { return nil }
-
-const ignorePrefix = "//lint:ignore"
-
-// directiveArgs reports whether a comment is the named //lint: directive
-// and returns its argument text. The directive name must be a complete
-// token: "//lint:ignore foo" matches, "//lint:ignoreXyz" does not.
-func directiveArgs(text, directive string) (string, bool) {
-	if !strings.HasPrefix(text, directive) {
-		return "", false
-	}
-	rest := text[len(directive):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false
-	}
-	return rest, true
+// diagf builds one finding.
+func (p *Program) diagf(check string, pos token.Pos, format string, args ...any) Diagnostic {
+	return Diagnostic{Pos: p.Fset.Position(pos), Check: check, Message: fmt.Sprintf(format, args...)}
 }
 
-// suppressions scans every loaded file for //lint:ignore directives. The
-// suppression set covers all packages (a finding reached from an analyzed
-// root may sit in a dependency package); malformed directives are only
-// reported for the packages under analysis. Directives are collected in
-// sorted package order so staleignore findings are deterministic.
-func (p *Program) suppressions() (*suppressionSet, []Diagnostic) {
-	analyzed := make(map[*Package]bool, len(p.Packages))
-	for _, pkg := range p.Packages {
-		analyzed[pkg] = true
+// analyzed reports whether pkg is one diagnostics are reported for, rather
+// than a dependency loaded for the cross-package call graph. Annotations
+// apply module-wide wherever they sit; a malformed one is reported only
+// in an analyzed package.
+func (p *Program) analyzed(pkg *Package) bool {
+	if p.isAnalyzed == nil {
+		p.isAnalyzed = make(map[*Package]bool, len(p.Packages))
+		for _, pkg := range p.Packages {
+			p.isAnalyzed[pkg] = true
+		}
 	}
-	set := &suppressionSet{byLine: make(map[string]map[int][]*suppression)}
-	var bad []Diagnostic
-	paths := make([]string, 0, len(p.All))
-	for path := range p.All {
-		paths = append(paths, path)
+	return p.isAnalyzed[pkg]
+}
+
+// sortedPackages returns every loaded package in import-path order, the
+// order every whole-module scan uses so output is deterministic.
+func (p *Program) sortedPackages() []*Package {
+	pkgs := make([]*Package, 0, len(p.All))
+	for _, pkg := range p.All {
+		pkgs = append(pkgs, pkg)
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := p.All[path]
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := directiveArgs(c.Text, ignorePrefix)
-					if !ok {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					report := func(msg string) {
-						if analyzed[pkg] {
-							bad = append(bad, Diagnostic{Pos: pos, Check: "badsuppress", Message: msg})
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs
+}
+
+// directive is one `//lint:<name> <args>` comment.
+type directive struct {
+	args string
+	pos  token.Pos
+	pkg  *Package
+}
+
+// parseDirective splits a //lint: comment into its name and argument
+// text. The name is a complete token: "//lint:ignore foo" is an ignore
+// directive, "//lint:ignoreXyz" is not.
+func parseDirective(text string) (name, args string, ok bool) {
+	rest, ok := strings.CutPrefix(text, "//lint:")
+	if !ok {
+		return "", "", false
+	}
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		return rest[:i], rest[i:], true
+	}
+	return rest, "", true
+}
+
+// directives returns every directive of the given name in the loaded
+// module, in package, file and source order. One scan of the comments
+// serves every name: the directives that stand alone (ignore, lockrank,
+// resource) are read from here, the ones attached to a declaration
+// through directiveIn.
+func (p *Program) directives(name string) []directive {
+	if p.dirs == nil {
+		p.dirs = make(map[string][]directive)
+		for _, pkg := range p.sortedPackages() {
+			for _, f := range pkg.Files {
+				for _, cg := range f.Comments {
+					for _, c := range cg.List {
+						if name, args, ok := parseDirective(c.Text); ok {
+							p.dirs[name] = append(p.dirs[name], directive{args: args, pos: c.Pos(), pkg: pkg})
 						}
 					}
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						report("malformed //lint:ignore directive: want \"//lint:ignore check reason\"")
-						continue
-					}
-					names := strings.Split(fields[0], ",")
-					valid := true
-					for _, name := range names {
-						if name == "" {
-							report("malformed //lint:ignore directive: empty check name in " + strconv.Quote(fields[0]))
-							valid = false
-							break
-						}
-					}
-					if !valid {
-						continue
-					}
-					sup := &suppression{
-						pos:      pos,
-						names:    names,
-						used:     make([]bool, len(names)),
-						analyzed: analyzed[pkg],
-					}
-					set.all = append(set.all, sup)
-					m := set.byLine[pos.Filename]
-					if m == nil {
-						m = make(map[int][]*suppression)
-						set.byLine[pos.Filename] = m
-					}
-					m[pos.Line] = append(m[pos.Line], sup)
 				}
 			}
 		}
 	}
-	return set, bad
+	return p.dirs[name]
 }
 
-// forEachPackage runs fn over every analyzed package, concurrently when
-// more than one CPU is available (bounded by GOMAXPROCS), and returns the
-// diagnostics concatenated in package order so output is deterministic
-// regardless of scheduling. fn must only touch per-package state and the
-// Program's prebuilt read-only structures (engine, funcSources, guard
-// tables) — build those before calling.
-func forEachPackage(p *Program, fn func(*Package) []Diagnostic) []Diagnostic {
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 1 {
-		procs = 1
-	}
-	if procs == 1 || len(p.Packages) <= 1 {
-		var all []Diagnostic
-		for _, pkg := range p.Packages {
-			all = append(all, fn(pkg)...)
+// directiveIn returns the first directive of the given name within a
+// declaration's comment group.
+func directiveIn(doc *ast.CommentGroup, name string) (args string, pos token.Pos, ok bool) {
+	if doc != nil {
+		for _, c := range doc.List {
+			if n, args, ok := parseDirective(c.Text); ok && n == name {
+				return args, c.Pos(), true
+			}
 		}
-		return all
 	}
-	out := make([][]Diagnostic, len(p.Packages))
-	sem := make(chan struct{}, procs)
-	var wg sync.WaitGroup
-	for i := range p.Packages {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = fn(p.Packages[i])
-		}(i)
+	return "", token.NoPos, false
+}
+
+// suppressions collects the //lint:ignore directives. The suppression
+// set covers all packages (a finding reached from an analyzed root may sit
+// in a dependency package); malformed directives are only reported for the
+// packages under analysis.
+func (p *Program) suppressions() (*suppressionSet, []Diagnostic) {
+	set := &suppressionSet{byLine: make(map[string]map[int][]*suppression)}
+	var bad []Diagnostic
+	for _, d := range p.directives("ignore") {
+		pos := p.Fset.Position(d.pos)
+		report := func(msg string) {
+			if p.analyzed(d.pkg) {
+				bad = append(bad, Diagnostic{Pos: pos, Check: "badsuppress", Message: msg})
+			}
+		}
+		fields := strings.Fields(d.args)
+		if len(fields) < 2 {
+			report("malformed //lint:ignore directive: want \"//lint:ignore check reason\"")
+			continue
+		}
+		names := strings.Split(fields[0], ",")
+		if slices.Contains(names, "") {
+			report("malformed //lint:ignore directive: empty check name in " + strconv.Quote(fields[0]))
+			continue
+		}
+		sup := &suppression{
+			pos:      pos,
+			names:    names,
+			used:     make([]bool, len(names)),
+			analyzed: p.analyzed(d.pkg),
+		}
+		set.all = append(set.all, sup)
+		m := set.byLine[pos.Filename]
+		if m == nil {
+			m = make(map[int][]*suppression)
+			set.byLine[pos.Filename] = m
+		}
+		m[pos.Line] = append(m[pos.Line], sup)
 	}
-	wg.Wait()
-	var all []Diagnostic
-	for _, d := range out {
-		all = append(all, d...)
-	}
-	return all
+	return set, bad
 }
 
 // funcSources lazily indexes every function declaration with a body across

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata/golden transcripts from this run")
@@ -706,6 +707,38 @@ func TestRepoIsClean(t *testing.T) {
 	for _, d := range prog.Run(nil) {
 		t.Errorf("unexpected finding: %s", d)
 	}
+}
+
+// TestRepoLedger measures what docs/LINT.md's per-check ledger records:
+// with -v it logs, per check, the raw findings on this tree (suppressions
+// ignored) and the wall time of the check on its own. Every raw finding
+// must be one that a //lint:ignore in the tree covers.
+func TestRepoLedger(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	prog, err := Load("../..", []string{"./..."})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	start := time.Now()
+	prog.engine()
+	t.Logf("%-20s %5s %10v", "(facts engine)", "", time.Since(start).Round(100*time.Microsecond))
+	sup, _ := prog.suppressions()
+	total := 0
+	for _, c := range AllChecks() {
+		prog.lockRes, prog.ownRes = nil, nil // time each check as if it ran alone
+		start := time.Now()
+		raw := c.Run(prog)
+		t.Logf("%-20s %5d %10v", c.Name(), len(raw), time.Since(start).Round(100*time.Microsecond))
+		total += len(raw)
+		for _, d := range raw {
+			if !sup.covers(d) {
+				t.Errorf("unsuppressed finding: %s", d)
+			}
+		}
+	}
+	t.Logf("%-20s %5d", "total", total)
 }
 
 // TestLoadHonorsBuildConstraints: platform-gated alternates of one
@@ -1637,10 +1670,10 @@ func f() {}
 
 func TestSARIFMarshal(t *testing.T) {
 	findings := []Finding{
-		{File: "internal/core/state.go", Line: 12, Check: "guardedby", Message: "field accessed without mu held", New: true},
+		{File: "internal/core/state.go", Line: 12, Check: "guardedby", Message: "field accessed without mu held"},
 		{File: "internal/eventq/eventq.go", Line: 40, Check: "seqlock", Message: "write outside window"},
 		{File: "x.go", Line: 1, Check: "novelcheck", Message: "from a future version"},
-		{File: "internal/bufpool/bufpool.go", Line: 7, Check: "ownleak", Message: "bufpool.Get result leaks", New: true},
+		{File: "internal/bufpool/bufpool.go", Line: 7, Check: "ownleak", Message: "bufpool.Get result leaks"},
 	}
 	data, err := MarshalSARIF(findings)
 	if err != nil {
@@ -1707,57 +1740,11 @@ func TestSARIFMarshal(t *testing.T) {
 	if r := run.Results[0]; r.Level != "error" || r.RuleID != "guardedby" ||
 		r.Locations[0].PhysicalLocation.ArtifactLocation.URI != "internal/core/state.go" ||
 		r.Locations[0].PhysicalLocation.Region.StartLine != 12 {
-		t.Errorf("new finding rendered wrong: %+v", r)
-	}
-	if r := run.Results[1]; r.Level != "warning" {
-		t.Errorf("baseline finding should be warning, got %q", r.Level)
+		t.Errorf("finding rendered wrong: %+v", r)
 	}
 	for _, r := range run.Results {
 		if run.Tool.Driver.Rules[r.RuleIndex].ID != r.RuleID {
 			t.Errorf("ruleIndex %d does not point at %q", r.RuleIndex, r.RuleID)
 		}
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	fresh := func() []Finding {
-		return []Finding{
-			{File: "a.go", Line: 3, Check: "noalloc", Message: "m"},
-			{File: "a.go", Line: 9, Check: "noalloc", Message: "m"},
-			{File: "b.go", Line: 1, Check: "lockorder", Message: "n"},
-		}
-	}
-
-	// Missing baseline: every finding is new.
-	fs := fresh()
-	n, err := ApplyBaseline(path, fs)
-	if err != nil || n != 3 {
-		t.Fatalf("no baseline: got n=%d err=%v, want 3", n, err)
-	}
-
-	// Partial baseline: matching is count-aware, so two identical findings
-	// against one recorded entry leave one marked new.
-	if err := WriteBaseline(path, fresh()[:1]); err != nil {
-		t.Fatal(err)
-	}
-	fs = fresh()
-	n, err = ApplyBaseline(path, fs)
-	if err != nil || n != 2 {
-		t.Fatalf("partial baseline: got n=%d err=%v, want 2", n, err)
-	}
-	if fs[0].New == fs[1].New {
-		t.Errorf("exactly one of the duplicate findings should be new: %+v", fs[:2])
-	}
-
-	// Full baseline: nothing is new, and line numbers do not matter.
-	if err := WriteBaseline(path, fresh()); err != nil {
-		t.Fatal(err)
-	}
-	fs = fresh()
-	fs[2].Line = 77
-	n, err = ApplyBaseline(path, fs)
-	if err != nil || n != 0 {
-		t.Fatalf("full baseline: got n=%d err=%v, want 0", n, err)
 	}
 }

@@ -1,14 +1,16 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// lockCheck enforces mutex discipline inside every function (and function
-// literal) of the analyzed packages:
+// The lock pass: one walk of every function body (and function literal)
+// of the analyzed packages with the structured-flow walker (flow.go) over
+// the set of locks held, feeding three sinks.
+//
+// lockdiscipline enforces mutex discipline:
 //
 //   - no blocking operation — channel send/receive, select without
 //     default, time.Sleep, network I/O, or a call into a module function
@@ -18,39 +20,14 @@ import (
 //
 // (*sync.Cond).Wait directly under its mutex is exempt: that is the
 // condition-variable contract.
-type lockCheck struct{}
-
-func (lockCheck) Name() string { return "lockdiscipline" }
-func (lockCheck) Doc() string {
-	return "no blocking while a mutex is held; every Lock has an Unlock on all paths"
-}
-
-func (lockCheck) Run(p *Program) []Diagnostic {
-	p.engine() // prebuild: the parallel flows only read the summaries
-	return forEachPackage(p, func(pkg *Package) []Diagnostic {
-		var diags []Diagnostic
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						a := &lockFlow{prog: p, pkg: pkg}
-						a.run(fn.Body)
-						diags = append(diags, a.diags...)
-					}
-					return true // descend: literals inside get their own run
-				case *ast.FuncLit:
-					a := &lockFlow{prog: p, pkg: pkg}
-					a.run(fn.Body)
-					diags = append(diags, a.diags...)
-					return true
-				}
-				return true
-			})
-		}
-		return diags
-	})
-}
+//
+// lockorder gets an edge for every acquisition made while another
+// classified lock is held, directly or through a callee's locks-acquired
+// summary (validated against the declared hierarchy in lockorder.go).
+//
+// guardedby and seqlock get every field selection checked against the
+// //lint:guardedby and //lint:seqlock tables under the current lock set
+// (guardedby.go, seqlock.go).
 
 // heldLock is the state of one mutex expression within a function.
 type heldLock struct {
@@ -58,6 +35,12 @@ type heldLock struct {
 	reader   bool      // RLock rather than Lock
 	deferred bool      // a defer Unlock covers release (still held for blocking checks)
 	class    string    // lock class (lockClassOf) for lock-order edges
+	// granted marks an entry that stands for a promise rather than a Lock
+	// call in this body — a //lint:requires class the caller holds, a
+	// seqlock stamp window. guardedby and seqlock consult it;
+	// lockdiscipline and lockorder judge this body's own acquisitions and
+	// pass over it (the caller's site is where holding it is judged).
+	granted bool
 }
 
 // lockSet maps the printed mutex expression ("s.mu") to its state.
@@ -73,8 +56,8 @@ func (s lockSet) clone() lockSet {
 
 // merge unions two branch outcomes: a lock held on either incoming path
 // is treated as held (conservative for blocking and release checks).
-func merge(a, b lockSet) lockSet {
-	out := a.clone()
+func (s lockSet) merge(b lockSet) lockSet {
+	out := s.clone()
 	for k, v := range b {
 		if _, ok := out[k]; !ok {
 			out[k] = v
@@ -83,133 +66,101 @@ func merge(a, b lockSet) lockSet {
 	return out
 }
 
-// flowResult describes how a statement sequence exits.
-type flowResult struct {
-	state      lockSet
-	terminated bool // control does not fall through (return/branch/goto)
+// lockResult is the outcome of the lock pass, cached on the Program so
+// lockdiscipline, lockorder, guardedby and seqlock pay for one traversal
+// between them.
+type lockResult struct {
+	tbl   *guardTables
+	diags []Diagnostic // lockdiscipline, guardedby and seqlock findings
+	edges orderSink    // lockorder's acquisition edges
 }
 
-// loopCtx accumulates the states that flow to a loop's exit via break, so
-// locks held at a break are still checked after the loop.
-type loopCtx struct {
-	label   string
-	breakSt []lockSet
-}
-
-// lockFlow is a conservative abstract interpreter over one function body.
-// With orders set it runs in lock-order mode: lockdiscipline diagnostics
-// are muted and every acquisition made while another classified lock is
-// held is recorded as an edge instead (the lockorder check, lockorder.go).
-// With guard set it runs in guard mode (guardedby.go): diagnostics are
-// muted the same way and every field selection is checked against the
-// //lint:guardedby and //lint:seqlock tables under the current lock set.
-type lockFlow struct {
-	prog   *Program
-	pkg    *Package
-	diags  []Diagnostic
-	loops  []*loopCtx
-	orders *orderSink
-	guard  *guardPass
-}
-
-func (a *lockFlow) report(pos token.Pos, format string, args ...any) {
-	if a.orders != nil || a.guard != nil {
-		return
+// lockAnalysis runs the lock pass once.
+func (p *Program) lockAnalysis() *lockResult {
+	if p.lockRes != nil {
+		return p.lockRes
 	}
-	a.diags = append(a.diags, Diagnostic{
-		Pos:     a.prog.Fset.Position(pos),
-		Check:   "lockdiscipline",
-		Message: fmt.Sprintf(format, args...),
+	tbl := buildGuardTables(p)
+	res := &lockResult{tbl: tbl, diags: tbl.diags}
+	p.forEachBody(func(b funcBody) {
+		a := &lockPass{
+			prog:       p,
+			pkg:        b.pkg,
+			tbl:        tbl,
+			res:        res,
+			fresh:      collectFresh(b.pkg, b.body),
+			write:      make(map[ast.Expr]bool),
+			sanctioned: make(map[ast.Expr]bool),
+		}
+		entry := lockSet{}
+		if b.inherits {
+			entry, a.recv = a.grants(b.decl)
+		}
+		runFlow[lockSet](a, b.body, entry)
 	})
+	p.lockRes = res
+	return res
 }
 
-func (a *lockFlow) run(body *ast.BlockStmt) {
-	a.runEntry(body, lockSet{})
+// lockPass is the lock pass over one function body: the transfer
+// functions the walker calls, and the per-body state of the guard checks.
+type lockPass struct {
+	prog *Program
+	pkg  *Package
+	tbl  *guardTables
+	res  *lockResult
+	recv *types.TypeName // receiver type of the enclosing method, for "confined"
+
+	fresh      map[types.Object]bool // locals bound to unpublished objects
+	write      map[ast.Expr]bool     // selector nodes in write position
+	sanctioned map[ast.Expr]bool     // selector nodes accessed via sync/atomic
 }
 
-// runEntry analyzes a body with a caller-provided entry state (guard mode
-// seeds //lint:requires locks; everything else starts empty).
-func (a *lockFlow) runEntry(body *ast.BlockStmt, entry lockSet) {
-	res := a.stmts(body.List, entry)
-	if !res.terminated {
-		a.checkRelease(body.End(), res.state)
-	}
+func (a *lockPass) reportf(check string, pos token.Pos, format string, args ...any) {
+	a.res.diags = append(a.res.diags, a.prog.diagf(check, pos, format, args...))
 }
 
-// checkRelease fires at an exit point for every lock still held without a
+func (a *lockPass) line(pos token.Pos) int { return a.prog.Fset.Position(pos).Line }
+
+// exit fires at an exit point for every lock still held without a
 // covering defer.
-func (a *lockFlow) checkRelease(at token.Pos, st lockSet) {
+func (a *lockPass) exit(at token.Pos, st lockSet) {
 	for name, l := range st {
-		if !l.deferred {
-			a.report(at, "%s may still be held here (locked at line %d; missing Unlock on this path)",
-				name, a.prog.Fset.Position(l.pos).Line)
+		if !l.deferred && !l.granted {
+			a.reportf("lockdiscipline", at, "%s may still be held here (locked at line %d; missing Unlock on this path)",
+				name, a.line(l.pos))
 		}
 	}
 }
 
-func (a *lockFlow) stmts(list []ast.Stmt, st lockSet) flowResult {
-	for _, s := range list {
-		res := a.stmt(s, st)
-		if res.terminated {
-			return res
-		}
-		st = res.state
-	}
-	return flowResult{state: st}
-}
-
-func (a *lockFlow) stmt(s ast.Stmt, st lockSet) flowResult {
+func (a *lockPass) simple(s ast.Stmt, st lockSet) (lockSet, bool) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.stmts(s.List, st)
-
-	case *ast.LabeledStmt:
-		switch inner := s.Stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return a.loop(inner, st, s.Label.Name)
-		}
-		return a.stmt(s.Stmt, st)
-
 	case *ast.ExprStmt:
-		return flowResult{state: a.expr(s.X, st)}
+		st = a.expr(s.X, st)
 
 	case *ast.AssignStmt:
-		if a.guard != nil {
-			for _, e := range s.Lhs {
-				a.guard.markWrite(e)
-			}
-		}
-		for _, e := range s.Rhs {
-			st = a.expr(e, st)
-		}
 		for _, e := range s.Lhs {
-			st = a.expr(e, st)
+			a.markWrite(e)
 		}
-		return flowResult{state: st}
+		st = a.eval(st, s.Rhs...)
+		st = a.eval(st, s.Lhs...)
 
 	case *ast.IncDecStmt:
-		if a.guard != nil {
-			a.guard.markWrite(s.X)
-		}
-		return flowResult{state: a.expr(s.X, st)}
+		a.markWrite(s.X)
+		st = a.expr(s.X, st)
 
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						st = a.expr(e, st)
-					}
+					st = a.eval(st, vs.Values...)
 				}
 			}
 		}
-		return flowResult{state: st}
 
 	case *ast.SendStmt:
-		st = a.expr(s.Chan, st)
-		st = a.expr(s.Value, st)
+		st = a.eval(st, s.Chan, s.Value)
 		a.blockingOp(s.Pos(), "channel send", st)
-		return flowResult{state: st}
 
 	case *ast.DeferStmt:
 		// defer x.Unlock() covers release on every path; the lock stays
@@ -224,243 +175,81 @@ func (a *lockFlow) stmt(s ast.Stmt, st lockSet) flowResult {
 				// lock): record it so a later Lock is considered covered.
 				st[mu] = heldLock{pos: s.Pos(), reader: op == "RUnlock", deferred: true}
 			}
-			return flowResult{state: st}
+			return st, false
 		}
 		// Other defers: evaluate arguments now, body runs at return.
-		for _, arg := range s.Call.Args {
-			st = a.expr(arg, st)
-		}
-		return flowResult{state: st}
+		st = a.eval(st, s.Call.Args...)
 
 	case *ast.GoStmt:
 		// The spawned function runs elsewhere; launching never blocks.
-		return flowResult{state: st}
 
 	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			st = a.expr(e, st)
-		}
-		a.checkRelease(s.Pos(), st)
-		return flowResult{state: st, terminated: true}
+		st = a.eval(st, s.Results...)
+	}
+	return st, false
+}
 
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			if lc := a.findLoop(s.Label); lc != nil {
-				lc.breakSt = append(lc.breakSt, st.clone())
-			}
-		case token.GOTO:
-			// Rare; give up on this path conservatively.
-		}
-		return flowResult{state: st, terminated: true}
+func (a *lockPass) eval(st lockSet, exprs ...ast.Expr) lockSet {
+	for _, e := range exprs {
+		st = a.expr(e, st)
+	}
+	return st
+}
 
-	case *ast.IfStmt:
-		if s.Init != nil {
-			res := a.stmt(s.Init, st)
-			st = res.state
-		}
-		st = a.expr(s.Cond, st)
-		thenSt, elseSt := st.clone(), st.clone()
-		if a.guard != nil {
-			// Guard mode: the condition may prove seqlock facts on one
-			// branch (a winning stamp CompareAndSwap, a validated stamp
-			// comparison).
-			a.guard.applyCondGrants(s.Cond, thenSt, elseSt)
-		}
-		thenRes := a.stmts(s.Body.List, thenSt)
-		elseRes := flowResult{state: elseSt}
-		if s.Else != nil {
-			elseRes = a.stmt(s.Else, elseSt)
-		}
-		switch {
-		case thenRes.terminated && elseRes.terminated:
-			return flowResult{state: st, terminated: true}
-		case thenRes.terminated:
-			return flowResult{state: elseRes.state}
-		case elseRes.terminated:
-			return flowResult{state: thenRes.state}
-		default:
-			return flowResult{state: merge(thenRes.state, elseRes.state)}
-		}
+// refine: a condition may prove seqlock facts on one branch (a winning
+// stamp CompareAndSwap, a validated stamp comparison). For a loop the
+// body sees the true outcome and the fallthrough exit the false one — the
+// stamp-validate-reread pattern.
+func (a *lockPass) refine(cond ast.Expr, ifTrue, ifFalse lockSet) {
+	a.applyCondGrants(cond, ifTrue, ifFalse)
+}
 
-	case *ast.ForStmt, *ast.RangeStmt:
-		return a.loop(s, st, "")
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = a.stmt(s.Init, st).state
-		}
-		if s.Tag != nil {
-			st = a.expr(s.Tag, st)
-		}
-		return a.clauses(s.Body, st, true)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st = a.stmt(s.Init, st).state
-		}
-		st = a.stmt(s.Assign, st).state
-		return a.clauses(s.Body, st, true)
-
+func (a *lockPass) waits(s ast.Stmt, st lockSet) {
+	switch s := s.(type) {
 	case *ast.SelectStmt:
-		hasDefault := false
 		for _, c := range s.Body.List {
 			if c.(*ast.CommClause).Comm == nil {
-				hasDefault = true
+				return // a default: the select does not park
 			}
 		}
-		if !hasDefault {
-			a.blockingOp(s.Pos(), "select without default", st)
-		}
-		var outs []lockSet
-		allTerm := len(s.Body.List) > 0
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			cst := st.clone()
-			if cc.Comm != nil {
-				// The chosen comm op has already completed (or, with a
-				// default, did not block); analyze it for lock ops only.
-				switch comm := cc.Comm.(type) {
-				case *ast.AssignStmt:
-					for _, e := range comm.Rhs {
-						cst = a.exprNoBlock(e, cst)
-					}
-				case *ast.ExprStmt:
-					cst = a.exprNoBlock(comm.X, cst)
-				case *ast.SendStmt:
-					cst = a.exprNoBlock(comm.Chan, cst)
-					cst = a.exprNoBlock(comm.Value, cst)
-				}
-			}
-			res := a.stmts(cc.Body, cst)
-			if !res.terminated {
-				outs = append(outs, res.state)
-				allTerm = false
-			}
-		}
-		if allTerm {
-			return flowResult{state: st, terminated: true}
-		}
-		out := st
-		for _, o := range outs {
-			out = merge(out, o)
-		}
-		return flowResult{state: out}
-
-	default:
-		return flowResult{state: st}
-	}
-}
-
-// clauses analyzes switch/type-switch bodies. mayFallThrough notes that a
-// switch without a default keeps the entry state as one possible outcome.
-func (a *lockFlow) clauses(body *ast.BlockStmt, st lockSet, mayFallThrough bool) flowResult {
-	hasDefault := false
-	var outs []lockSet
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		cst := st.clone()
-		for _, e := range cc.List {
-			cst = a.expr(e, cst)
-		}
-		res := a.stmts(cc.Body, cst)
-		if !res.terminated {
-			outs = append(outs, res.state)
-		}
-	}
-	out := lockSet{}
-	if !hasDefault && mayFallThrough || len(outs) == 0 {
-		out = st.clone()
-	}
-	for _, o := range outs {
-		out = merge(out, o)
-	}
-	return flowResult{state: out}
-}
-
-// loop analyzes for/range bodies: one abstract pass, then the exit state
-// is the union of the entry state, the fallthrough body state, and every
-// break state.
-func (a *lockFlow) loop(s ast.Stmt, st lockSet, label string) flowResult {
-	lc := &loopCtx{label: label}
-	a.loops = append(a.loops, lc)
-	defer func() { a.loops = a.loops[:len(a.loops)-1] }()
-
-	var body *ast.BlockStmt
-	var cond ast.Expr
-	entry := st
-	switch s := s.(type) {
-	case *ast.ForStmt:
-		if s.Init != nil {
-			entry = a.stmt(s.Init, entry).state
-		}
-		if s.Cond != nil {
-			entry = a.expr(s.Cond, entry)
-			cond = s.Cond
-		}
-		body = s.Body
+		a.blockingOp(s.Pos(), "select without default", st)
 	case *ast.RangeStmt:
-		entry = a.expr(s.X, entry)
 		if t, ok := a.pkg.Info.Types[s.X]; ok {
 			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-				a.blockingOp(s.Pos(), "range over channel", entry)
+				a.blockingOp(s.Pos(), "range over channel", st)
 			}
 		}
-		body = s.Body
 	}
-	bodyEntry := entry.clone()
-	out := entry.clone()
-	if a.guard != nil && cond != nil {
-		// Guard mode: the loop condition proves seqlock facts — body
-		// iterations see its true outcome, the fallthrough exit its false
-		// outcome (the stamp-validate-reread loop pattern).
-		a.guard.applyCondGrants(cond, bodyEntry, out)
-	}
-	res := a.stmts(body.List, bodyEntry)
-	if !res.terminated {
-		out = merge(out, res.state)
-	}
-	for _, b := range lc.breakSt {
-		out = merge(out, b)
-	}
-	return flowResult{state: out}
 }
 
-func (a *lockFlow) findLoop(label *ast.Ident) *loopCtx {
-	if len(a.loops) == 0 {
-		return nil
+// comm: the chosen comm op has already completed (or, with a default,
+// did not block), and its blocking nature is attributed to the select
+// itself; it is scanned for lock operations only.
+func (a *lockPass) comm(s ast.Stmt, st lockSet) lockSet {
+	var exprs []ast.Expr
+	switch s := s.(type) {
+	case *ast.AssignStmt:
+		exprs = s.Rhs
+	case *ast.ExprStmt:
+		exprs = []ast.Expr{s.X}
+	case *ast.SendStmt:
+		exprs = []ast.Expr{s.Chan, s.Value}
 	}
-	if label == nil {
-		return a.loops[len(a.loops)-1]
+	for _, e := range exprs {
+		st = a.scanExpr(e, st, false)
 	}
-	for i := len(a.loops) - 1; i >= 0; i-- {
-		if a.loops[i].label == label.Name {
-			return a.loops[i]
-		}
-	}
-	return nil
+	return st
 }
 
-// expr scans an expression for lock operations and blocking operations,
-// in syntactic order. Function literals are skipped (analyzed on their
-// own); their capture of a held lock is out of scope.
-func (a *lockFlow) expr(e ast.Expr, st lockSet) lockSet {
+// expr scans an expression for lock operations, blocking operations and
+// guarded field selections, in syntactic order. Function literals are
+// skipped (analyzed on their own); their capture of a held lock is out of
+// scope.
+func (a *lockPass) expr(e ast.Expr, st lockSet) lockSet {
 	return a.scanExpr(e, st, true)
 }
 
-// exprNoBlock scans for lock operations only (used for select comm ops,
-// whose blocking nature is attributed to the select itself).
-func (a *lockFlow) exprNoBlock(e ast.Expr, st lockSet) lockSet {
-	return a.scanExpr(e, st, false)
-}
-
-func (a *lockFlow) scanExpr(e ast.Expr, st lockSet, reportBlocking bool) lockSet {
+func (a *lockPass) scanExpr(e ast.Expr, st lockSet, reportBlocking bool) lockSet {
 	if e == nil {
 		return st
 	}
@@ -472,14 +261,12 @@ func (a *lockFlow) scanExpr(e ast.Expr, st lockSet, reportBlocking bool) lockSet
 			if n.Op == token.ARROW && reportBlocking {
 				a.blockingOp(n.Pos(), "channel receive", st)
 			}
-			if n.Op == token.AND && a.guard != nil {
+			if n.Op == token.AND {
 				// Address-taken fields may be mutated through the pointer.
-				a.guard.markWrite(n.X)
+				a.markWrite(n.X)
 			}
 		case *ast.SelectorExpr:
-			if a.guard != nil {
-				a.guard.access(n, st)
-			}
+			a.access(n, st)
 		case *ast.CallExpr:
 			st = a.call(n, st, reportBlocking)
 			return false // call handles its own descent
@@ -489,17 +276,17 @@ func (a *lockFlow) scanExpr(e ast.Expr, st lockSet, reportBlocking bool) lockSet
 	return st
 }
 
-// call processes one call expression: argument scan, lock-state updates,
-// and blocking classification.
-func (a *lockFlow) call(c *ast.CallExpr, st lockSet, reportBlocking bool) lockSet {
-	if a.guard != nil {
-		// Sanction &field arguments to sync/atomic before the argument
-		// scan sees them, and check the receiver chain (s.field.Method()
-		// reads s.field, which the argument scan does not visit).
-		a.guard.preCall(c)
-		if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-			st = a.scanExpr(sel.X, st, false)
-		}
+// call processes one call expression: receiver and argument scan,
+// lock-state updates, lock-order edges, and blocking classification.
+func (a *lockPass) call(c *ast.CallExpr, st lockSet, reportBlocking bool) lockSet {
+	// Sanction &field arguments to sync/atomic before the argument scan
+	// sees them as plain accesses.
+	for _, sel := range atomicFieldArgs(a.pkg.Info, c) {
+		a.sanctioned[sel] = true
+	}
+	// s.field.Method() reads s.field; f(x).Method() calls f.
+	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
+		st = a.scanExpr(sel.X, st, reportBlocking)
 	}
 	for _, arg := range c.Args {
 		st = a.scanExpr(arg, st, reportBlocking)
@@ -508,9 +295,7 @@ func (a *lockFlow) call(c *ast.CallExpr, st lockSet, reportBlocking bool) lockSe
 		return a.applyLockOp(c, x, mu, op, st)
 	}
 	fn := calleeOf(a.pkg.Info, c)
-	if a.guard != nil {
-		st = a.guard.callHook(c, fn, st)
-	}
+	st = a.callHook(c, fn, st)
 	if fn == nil {
 		return st
 	}
@@ -521,88 +306,79 @@ func (a *lockFlow) call(c *ast.CallExpr, st lockSet, reportBlocking bool) lockSe
 		}
 		return st
 	}
-	if len(st) == 0 {
+	if !st.holdsOwn() {
 		return st
 	}
-	// Lock-order mode: a call made while locks are held acquires, at some
-	// depth, every lock class in the callee's summary — each pair is an
-	// acquisition edge. Static calls only; lock classes do not cross
-	// interface boundaries (see summary.go).
-	if a.orders != nil {
-		e := a.prog.engine()
-		if f := e.facts[fn]; f != nil {
-			a.orderEdges(c.Pos(), funcLabel(fn), f.lockSet, st)
+	e := a.prog.engine()
+	// A call made while locks are held acquires, at some depth, every lock
+	// class in the callee's summary — each pair is an acquisition edge.
+	// Static calls only; lock classes do not cross interface boundaries
+	// (see summary.go).
+	if f := e.facts[fn]; f != nil {
+		for _, held := range st {
+			if held.class == "" || held.granted {
+				continue
+			}
+			for class := range f.lockSet {
+				a.res.edges.add(lockEdge{from: held.class, to: class, pos: c.Pos(), via: funcLabel(fn)})
+			}
 		}
-		return st
 	}
 	// A call into a module function that may block transitively is as bad
 	// as blocking here; the facts engine resolves interface calls against
 	// the module's method sets.
 	if reportBlocking {
-		e := a.prog.engine()
 		if isInterfaceMethod(fn) {
-			for _, impl := range e.implsOf(fn) {
-				if tf := e.facts[impl]; tf != nil && tf.mayBlock {
-					a.blockingOp(c.Pos(), "dynamic call "+funcLabel(fn)+" (may block: implementation "+
-						funcLabel(impl)+": "+e.repBlock(impl)+")", st)
-					break
-				}
+			if impl := e.firstImpl(fn, effBlock); impl != nil {
+				a.blockingOp(c.Pos(), "dynamic call "+funcLabel(fn)+" (may block: implementation "+
+					funcLabel(impl)+": "+e.rep(effBlock, impl)+")", st)
 			}
-		} else if f := e.facts[fn]; f != nil && f.mayBlock {
-			a.blockingOp(c.Pos(), "call to "+funcLabel(fn)+" (may block: "+e.repBlock(fn)+")", st)
+		} else if f := e.facts[fn]; f != nil && f.may[effBlock] {
+			a.blockingOp(c.Pos(), "call to "+funcLabel(fn)+" (may block: "+e.rep(effBlock, fn)+")", st)
 		}
 	}
 	return st
 }
 
-// orderEdges records an acquisition edge held-class -> acquired-class for
-// every combination of held lock and callee-acquired lock class.
-func (a *lockFlow) orderEdges(pos token.Pos, via string, acquired map[string]lockVia, st lockSet) {
-	for _, held := range st {
-		if held.class == "" {
-			continue
-		}
-		for class := range acquired {
-			a.orders.add(lockEdge{from: held.class, to: class, pos: pos, via: via})
+// holdsOwn reports whether the set holds a lock this body took itself.
+func (s lockSet) holdsOwn() bool {
+	for _, l := range s {
+		if !l.granted {
+			return true
 		}
 	}
+	return false
 }
 
 // blockingOp reports a blocking operation for every lock currently held.
-func (a *lockFlow) blockingOp(pos token.Pos, desc string, st lockSet) {
+func (a *lockPass) blockingOp(pos token.Pos, desc string, st lockSet) {
 	for name, l := range st {
-		a.report(pos, "%s while holding %s (locked at line %d)",
-			desc, name, a.prog.Fset.Position(l.pos).Line)
+		if !l.granted {
+			a.reportf("lockdiscipline", pos, "%s while holding %s (locked at line %d)", desc, name, a.line(l.pos))
+		}
 	}
 }
 
-// applyLockOp updates the lock state for x.Lock/Unlock/RLock/RUnlock. In
-// lock-order mode an acquisition while other classified locks are held
-// records one edge per held lock.
-func (a *lockFlow) applyLockOp(c *ast.CallExpr, x ast.Expr, mu, op string, st lockSet) lockSet {
+// applyLockOp updates the lock state for x.Lock/Unlock/RLock/RUnlock. An
+// acquisition while other classified locks are held records one
+// lock-order edge per held lock.
+func (a *lockPass) applyLockOp(c *ast.CallExpr, x ast.Expr, mu, op string, st lockSet) lockSet {
 	st = st.clone()
 	switch op {
 	case "Lock", "RLock":
 		class := lockClassOf(a.pkg.Info, x)
-		if a.orders != nil && class != "" {
-			for name, held := range st {
-				if name == mu || held.class == "" {
-					continue // the same-expression case is lockdiscipline's deadlock report
-				}
-				a.orders.add(lockEdge{from: held.class, to: class, pos: c.Pos()})
+		for name, held := range st {
+			if class == "" || name == mu || held.class == "" || held.granted {
+				continue // the same-expression case is the deadlock report below
 			}
+			a.res.edges.add(lockEdge{from: held.class, to: class, pos: c.Pos()})
 		}
-		if op == "Lock" {
-			if l, held := st[mu]; held && !l.reader && !l.deferred {
-				a.report(c.Pos(), "%s.Lock() while already held (locked at line %d): deadlock",
-					mu, a.prog.Fset.Position(l.pos).Line)
-			}
-			covered := st[mu].deferred // a defer Unlock recorded before the Lock
-			st[mu] = heldLock{pos: c.Pos(), deferred: covered, class: class}
-		} else {
-			covered := st[mu].deferred
-			st[mu] = heldLock{pos: c.Pos(), reader: true, deferred: covered, class: class}
+		if l, held := st[mu]; op == "Lock" && held && !l.reader && !l.deferred {
+			a.reportf("lockdiscipline", c.Pos(), "%s.Lock() while already held (locked at line %d): deadlock",
+				mu, a.line(l.pos))
 		}
+		// deferred: a defer Unlock recorded before the Lock covers it.
+		st[mu] = heldLock{pos: c.Pos(), reader: op == "RLock", deferred: st[mu].deferred, class: class}
 	case "Unlock", "RUnlock":
 		delete(st, mu)
 	case "TryLock", "TryRLock":

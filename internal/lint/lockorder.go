@@ -7,10 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// lockOrderCheck verifies the documented lock hierarchy (docs/PERF.md §2)
+// lockOrder verifies the documented lock hierarchy (docs/PERF.md §2)
 // against the whole program. The hierarchy is declared in source with
 //
 //	//lint:lockrank A < B
@@ -41,22 +40,7 @@ import (
 // deliberately edge-free locks (core's ctr.mu, whose firing protocol
 // releases it around every execution) pin their isolation in the
 // hierarchy instead of merely having no declared edges yet.
-type lockOrderCheck struct{}
-
-func (lockOrderCheck) Name() string { return "lockorder" }
-func (lockOrderCheck) Doc() string {
-	return "every lock-acquisition edge is declared by //lint:lockrank and respects the DAG"
-}
-
-const lockrankDirective = "//lint:lockrank"
-
-// rankDecl is one parsed //lint:lockrank A < B directive.
-type rankDecl struct {
-	from, to string
-	pos      token.Pos
-}
-
-func (lockOrderCheck) Run(p *Program) []Diagnostic {
+func lockOrder(p *Program) []Diagnostic {
 	var diags []Diagnostic
 	decls, sole, bad := parseLockRanks(p)
 	diags = append(diags, bad...)
@@ -84,32 +68,9 @@ func (lockOrderCheck) Run(p *Program) []Diagnostic {
 
 	reach := newReachability(adj)
 
-	// Collect acquisition edges from every analyzed function. The sink is
-	// shared across the parallel per-package flows; its add is locked.
-	sink := &orderSink{}
-	p.engine() // prebuild before fanning out
-	forEachPackage(p, func(pkg *Package) []Diagnostic {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						a := &lockFlow{prog: p, pkg: pkg, orders: sink}
-						a.run(fn.Body)
-					}
-				case *ast.FuncLit:
-					a := &lockFlow{prog: p, pkg: pkg, orders: sink}
-					a.run(fn.Body)
-				}
-				return true
-			})
-		}
-		return nil
-	})
-
-	// Validate each edge against the declared order.
-	edges := sink.sorted()
-	for _, e := range edges {
+	// Validate each acquisition edge the lock pass saw against the
+	// declared order.
+	for _, e := range p.lockAnalysis().edges.sorted() {
 		via := ""
 		if e.via != "" {
 			via = " (via call to " + e.via + ")"
@@ -136,71 +97,46 @@ func (lockOrderCheck) Run(p *Program) []Diagnostic {
 			msg = "undeclared lock-order edge: " + e.to + " acquired" + via + " while holding " + e.from +
 				"; declare `//lint:lockrank " + e.from + " < " + e.to + "` or restructure"
 		}
-		diags = append(diags, Diagnostic{
-			Pos:     p.Fset.Position(e.pos),
-			Check:   "lockorder",
-			Message: msg,
-		})
+		diags = append(diags, Diagnostic{Pos: p.Fset.Position(e.pos), Check: "lockorder", Message: msg})
 	}
 	return diags
 }
 
 func soleDeclDiag(p *Program, pos token.Pos, class string) Diagnostic {
-	return Diagnostic{
-		Pos:   p.Fset.Position(pos),
-		Check: "lockorder",
-		Message: "lockrank declaration names " + class +
-			", which is declared `//lint:lockrank " + class + " sole` and may not participate in ordering edges",
-	}
+	return p.diagf("lockorder", pos, "lockrank declaration names %s, which is declared `//lint:lockrank %s sole` and may not participate in ordering edges",
+		class, class)
 }
 
-// parseLockRanks scans every loaded file for //lint:lockrank directives —
-// both `A < B` ordering edges and `C sole` isolation declarations.
-// Declarations anywhere in the module apply globally; malformed
-// directives are reported only for the packages under analysis.
+// rankDecl is one parsed //lint:lockrank A < B directive.
+type rankDecl struct {
+	from, to string
+	pos      token.Pos
+}
+
+// parseLockRanks reads the //lint:lockrank directives — both `A < B`
+// ordering edges and `C sole` isolation declarations. Declarations
+// anywhere in the module apply globally; malformed directives are
+// reported only for the packages under analysis.
 func parseLockRanks(p *Program) ([]rankDecl, map[string]token.Pos, []Diagnostic) {
-	analyzed := make(map[*Package]bool, len(p.Packages))
-	for _, pkg := range p.Packages {
-		analyzed[pkg] = true
-	}
 	var decls []rankDecl
 	sole := make(map[string]token.Pos)
 	var bad []Diagnostic
-	paths := make([]string, 0, len(p.All))
-	for path := range p.All {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := p.All[path]
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := directiveArgs(c.Text, lockrankDirective)
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(rest)
-					if len(fields) == 2 && fields[1] == "sole" {
-						if _, dup := sole[fields[0]]; !dup {
-							sole[fields[0]] = c.Pos()
-						}
-						continue
-					}
-					if len(fields) != 3 || fields[1] != "<" || fields[0] == fields[2] {
-						if analyzed[pkg] {
-							bad = append(bad, Diagnostic{
-								Pos:     p.Fset.Position(c.Pos()),
-								Check:   "lockorder",
-								Message: "malformed //lint:lockrank directive: want \"//lint:lockrank name < name\" or \"//lint:lockrank name sole\"",
-							})
-						}
-						continue
-					}
-					decls = append(decls, rankDecl{from: fields[0], to: fields[2], pos: c.Pos()})
-				}
+	for _, d := range p.directives("lockrank") {
+		fields := strings.Fields(d.args)
+		if len(fields) == 2 && fields[1] == "sole" {
+			if _, dup := sole[fields[0]]; !dup {
+				sole[fields[0]] = d.pos
 			}
+			continue
 		}
+		if len(fields) != 3 || fields[1] != "<" || fields[0] == fields[2] {
+			if p.analyzed(d.pkg) {
+				bad = append(bad, p.diagf("lockorder", d.pos,
+					"malformed //lint:lockrank directive: want \"//lint:lockrank name < name\" or \"//lint:lockrank name sole\""))
+			}
+			continue
+		}
+		decls = append(decls, rankDecl{from: fields[0], to: fields[2], pos: d.pos})
 	}
 	return decls, sole, bad
 }
@@ -232,12 +168,8 @@ func rankCycles(p *Program, adj map[string][]string, declPos map[[2]string]token
 						break
 					}
 				}
-				diags = append(diags, Diagnostic{
-					Pos:   p.Fset.Position(declPos[[2]string{n, m}]),
-					Check: "lockorder",
-					Message: "lockrank declarations form a cycle: " +
-						strings.Join(reverseStrings(cycle), " < "),
-				})
+				diags = append(diags, p.diagf("lockorder", declPos[[2]string{n, m}],
+					"lockrank declarations form a cycle: %s", strings.Join(reverseStrings(cycle), " < ")))
 			}
 		}
 		path = path[:len(path)-1]
@@ -298,15 +230,12 @@ type lockEdge struct {
 	via      string // callee label for interprocedural edges, "" for direct
 }
 
-// orderSink collects deduplicated acquisition edges during lockFlow runs.
+// orderSink collects deduplicated acquisition edges during the lock pass.
 type orderSink struct {
-	mu    sync.Mutex
 	edges map[string]lockEdge
 }
 
 func (s *orderSink) add(e lockEdge) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.edges == nil {
 		s.edges = make(map[string]lockEdge)
 	}

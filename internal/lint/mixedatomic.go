@@ -9,7 +9,7 @@ import (
 	"sort"
 )
 
-// mixedAtomicCheck flags fields that are accessed both through sync/atomic
+// mixedAtomic flags fields that are accessed both through sync/atomic
 // free functions (atomic.AddUint64(&s.n, 1)) and by plain load/store
 // anywhere in the module: the plain accesses race with the atomic ones,
 // and the Go memory model gives them no ordering. Accesses through
@@ -18,13 +18,6 @@ import (
 //
 // Fields whose own type is a sync/atomic composite are out of scope —
 // they cannot be accessed plainly without tripping vet's copylocks.
-type mixedAtomicCheck struct{}
-
-func (mixedAtomicCheck) Name() string { return "mixedatomic" }
-func (mixedAtomicCheck) Doc() string {
-	return "no field is accessed both through sync/atomic and by plain load/store"
-}
-
 type fieldSites struct {
 	atomic []token.Pos // sites accessing the field via sync/atomic
 	plain  []plainSite // every other selector access
@@ -35,11 +28,7 @@ type plainSite struct {
 	analyzed bool // whether the access is in an analyzed package
 }
 
-func (mixedAtomicCheck) Run(p *Program) []Diagnostic {
-	analyzed := make(map[*Package]bool, len(p.Packages))
-	for _, pkg := range p.Packages {
-		analyzed[pkg] = true
-	}
+func mixedAtomic(p *Program) []Diagnostic {
 	sites := make(map[*types.Var]*fieldSites)
 	at := func(v *types.Var) *fieldSites {
 		s := sites[v]
@@ -49,20 +38,14 @@ func (mixedAtomicCheck) Run(p *Program) []Diagnostic {
 		}
 		return s
 	}
-	paths := make([]string, 0, len(p.All))
-	for path := range p.All {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := p.All[path]
+	for _, pkg := range p.sortedPackages() {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				scanMixed(pkg, fd.Body, analyzed[pkg], at)
+				scanMixed(pkg, fd.Body, p.analyzed(pkg), at)
 			}
 		}
 	}
@@ -100,43 +83,14 @@ func (mixedAtomicCheck) Run(p *Program) []Diagnostic {
 // hazards do not stop at literal boundaries.
 func scanMixed(pkg *Package, body *ast.BlockStmt, analyzed bool, at func(*types.Var) *fieldSites) {
 	fresh := collectFresh(pkg, body)
-	freshRoot := func(e ast.Expr) bool {
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.UnaryExpr:
-				e = x.X
-			case *ast.Ident:
-				obj := pkg.Info.Uses[x]
-				if obj == nil {
-					obj = pkg.Info.Defs[x]
-				}
-				return obj != nil && fresh[obj]
-			default:
-				return false
-			}
-		}
-	}
 	sanctioned := make(map[ast.Expr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			fn := calleeOf(pkg.Info, n)
-			if fn != nil && pkgPathOf(fn) == "sync/atomic" {
-				for _, arg := range n.Args {
-					if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-						if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-							sanctioned[sel] = true
-							if v := plainField(pkg, sel); v != nil {
-								at(v).atomic = append(at(v).atomic, sel.Pos())
-							}
-						}
-					}
+			for _, sel := range atomicFieldArgs(pkg.Info, n) {
+				sanctioned[sel] = true
+				if v := plainField(pkg, sel); v != nil {
+					at(v).atomic = append(at(v).atomic, sel.Pos())
 				}
 			}
 		case *ast.SelectorExpr:
@@ -144,13 +98,32 @@ func scanMixed(pkg *Package, body *ast.BlockStmt, analyzed bool, at func(*types.
 				return false // counted as the atomic site above
 			}
 			v := plainField(pkg, n)
-			if v == nil || freshRoot(n.X) {
+			if v == nil || freshBase(pkg.Info, fresh, n.X) {
 				return true
 			}
 			at(v).plain = append(at(v).plain, plainSite{pos: n.Pos(), analyzed: analyzed})
 		}
 		return true
 	})
+}
+
+// atomicFieldArgs returns the field selectors a call passes by address to
+// a sync/atomic free function (atomic.AddUint64(&s.n, 1)): sanctioned
+// atomic accesses of plain words, for mixedatomic and guardedby alike.
+func atomicFieldArgs(info *types.Info, c *ast.CallExpr) []*ast.SelectorExpr {
+	fn := calleeOf(info, c)
+	if fn == nil || pkgPathOf(fn) != "sync/atomic" {
+		return nil
+	}
+	var sels []*ast.SelectorExpr
+	for _, arg := range c.Args {
+		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
+				sels = append(sels, sel)
+			}
+		}
+	}
+	return sels
 }
 
 // plainField resolves a selector to a struct field of non-atomic type

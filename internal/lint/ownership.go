@@ -19,7 +19,7 @@ package lint
 //	//lint:consumes buf       (parameter names, comma-separated)
 //	//lint:returns-owned      (the result carries a release obligation)
 //
-// Four checks consume the analysis:
+// Four checks (AllChecks) consume the analysis:
 //
 //   - ownleak: a path to return where an acquired value is neither
 //     released nor transferred (including discarded and overwritten
@@ -48,45 +48,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
-)
-
-type ownLeakCheck struct{}
-
-func (ownLeakCheck) Name() string { return "ownleak" }
-func (ownLeakCheck) Doc() string {
-	return "every acquired resource (pooled buffer, RCU pin, arena entry) is released or ownership-transferred on all paths"
-}
-func (ownLeakCheck) Run(p *Program) []Diagnostic { return p.ownAnalysis().byCheck("ownleak") }
-
-type ownUseAfterCheck struct{}
-
-func (ownUseAfterCheck) Name() string { return "ownuseafter" }
-func (ownUseAfterCheck) Doc() string {
-	return "no use of a resource after its release or after its ownership was transferred"
-}
-func (ownUseAfterCheck) Run(p *Program) []Diagnostic { return p.ownAnalysis().byCheck("ownuseafter") }
-
-type ownDoubleCheck struct{}
-
-func (ownDoubleCheck) Name() string { return "owndouble" }
-func (ownDoubleCheck) Doc() string {
-	return "no resource is released twice (explicitly or via a deferred release)"
-}
-func (ownDoubleCheck) Run(p *Program) []Diagnostic { return p.ownAnalysis().byCheck("owndouble") }
-
-type ownEscapeCheck struct{}
-
-func (ownEscapeCheck) Name() string { return "ownescape" }
-func (ownEscapeCheck) Doc() string {
-	return "borrowed resources never escape their call; ownership handoffs are annotated //lint:consumes"
-}
-func (ownEscapeCheck) Run(p *Program) []Diagnostic { return p.ownAnalysis().byCheck("ownescape") }
-
-const (
-	resourceDirective     = "//lint:resource"
-	consumesDirective     = "//lint:consumes"
-	returnsOwnedDirective = "//lint:returns-owned"
 )
 
 // ownFamily is one declared acquire/release pair.
@@ -107,8 +68,7 @@ type ownFamily struct {
 }
 
 // ownTables holds the resolved annotations plus the memoized
-// parameter-disposition summaries shared by the parallel per-package
-// flows.
+// parameter-disposition summaries.
 type ownTables struct {
 	prog      *Program
 	families  []*ownFamily
@@ -119,7 +79,6 @@ type ownTables struct {
 	retOwned  map[*types.Func]bool
 	diags     []Diagnostic
 
-	mu       sync.Mutex
 	disp     map[dispKey]dispRes
 	inflight map[dispKey]bool
 }
@@ -130,56 +89,29 @@ type ownResult struct {
 	diags []Diagnostic
 }
 
-func (r *ownResult) byCheck(name string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.diags {
-		if d.Check == name {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // ownAnalysis runs the ownership pass once: annotation tables, consumes
-// inheritance through interface dispatch, then an ownFlow walk of every
-// function in the analyzed packages.
+// inheritance through interface dispatch, then a walk of every function
+// body in the analyzed packages.
 func (p *Program) ownAnalysis() *ownResult {
 	if p.ownRes != nil {
 		return p.ownRes
 	}
 	tbl := buildOwnTables(p)
-	if len(tbl.families) == 0 && len(tbl.consumes) == 0 && len(tbl.retOwned) == 0 {
-		p.ownRes = &ownResult{diags: tbl.diags}
-		return p.ownRes
+	if len(tbl.families) > 0 || len(tbl.consumes) > 0 || len(tbl.retOwned) > 0 {
+		tbl.inheritConsumes(p.engine())
+		p.forEachBody(func(b funcBody) {
+			a := &ownFlow{prog: p, pkg: b.pkg, tbl: tbl}
+			// A literal's body gets no seeded parameters: captures of
+			// tracked values were already treated as ownership transfers by
+			// the enclosing flow.
+			entry := newOwnState()
+			if b.lit == nil {
+				a.seedParams(b.decl, entry)
+			}
+			runFlow[*ownState](a, b.body, entry)
+		})
 	}
-	e := p.engine() // prebuilt: flows consult implsOf and dispose summaries
-	p.funcSources()
-	tbl.inheritConsumes(e)
-	diags := forEachPackage(p, func(pkg *Package) []Diagnostic {
-		var out []Diagnostic
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						a := &ownFlow{prog: p, pkg: pkg, tbl: tbl}
-						a.runDecl(fn)
-						out = append(out, a.diags...)
-					}
-				case *ast.FuncLit:
-					// Literal bodies get their own pass with no seeded
-					// parameters: captures of tracked values were already
-					// treated as ownership transfers by the enclosing flow.
-					a := &ownFlow{prog: p, pkg: pkg, tbl: tbl}
-					a.runLit(fn)
-					out = append(out, a.diags...)
-				}
-				return true
-			})
-		}
-		return out
-	})
-	p.ownRes = &ownResult{diags: append(tbl.diags, diags...)}
+	p.ownRes = &ownResult{diags: tbl.diags}
 	return p.ownRes
 }
 
@@ -205,7 +137,7 @@ func (t *ownTables) inheritConsumes(e *engine) {
 	}
 }
 
-// buildOwnTables scans every loaded package for ownership directives.
+// buildOwnTables reads the ownership directives of every loaded package.
 // Malformed or unresolvable directives are reported (for analyzed
 // packages) under ownleak so they cannot silently disable the pass.
 func buildOwnTables(p *Program) *ownTables {
@@ -219,42 +151,24 @@ func buildOwnTables(p *Program) *ownTables {
 		disp:      make(map[dispKey]dispRes),
 		inflight:  make(map[dispKey]bool),
 	}
-	analyzed := make(map[*Package]bool, len(p.Packages))
-	for _, pkg := range p.Packages {
-		analyzed[pkg] = true
-	}
-	paths := make([]string, 0, len(p.All))
-	for path := range p.All {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		pkg := p.All[path]
-		report := func(pos token.Pos, format string, args ...any) {
-			if analyzed[pkg] {
-				t.diags = append(t.diags, Diagnostic{
-					Pos:     p.Fset.Position(pos),
-					Check:   "ownleak",
-					Message: fmt.Sprintf(format, args...),
-				})
+	report := func(pkg *Package) func(token.Pos, string, ...any) {
+		return func(pos token.Pos, format string, args ...any) {
+			if p.analyzed(pkg) {
+				t.diags = append(t.diags, p.diagf("ownleak", pos, format, args...))
 			}
 		}
+	}
+	for _, d := range p.directives("resource") {
+		t.addFamily(d.pkg, d.pos, d.args, report(d.pkg))
+	}
+	for _, pkg := range p.sortedPackages() {
 		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := directiveArgs(c.Text, resourceDirective)
-					if !ok {
-						continue
-					}
-					t.addFamily(pkg, c.Pos(), rest, report)
-				}
-			}
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					t.collectFuncDirectives(pkg, d, report)
+					t.collectFuncDirectives(pkg, d, report(pkg))
 				case *ast.GenDecl:
-					t.collectTypeDirectives(pkg, d, report)
+					t.collectTypeDirectives(pkg, d, report(pkg))
 				}
 			}
 		}
@@ -355,14 +269,14 @@ func (t *ownTables) collectFuncDirectives(pkg *Package, d *ast.FuncDecl, report 
 	if obj == nil {
 		return
 	}
-	if args, pos, ok := directiveIn(d.Doc, consumesDirective); ok {
+	if args, pos, ok := directiveIn(d.Doc, "consumes"); ok {
 		if mask, err := consumesMask(d.Type, args); err != nil {
 			report(pos, "//lint:consumes: %v", err)
 		} else {
 			t.consumes[obj.Origin()] = mask
 		}
 	}
-	if _, _, ok := directiveIn(d.Doc, returnsOwnedDirective); ok {
+	if _, _, ok := directiveIn(d.Doc, "returns-owned"); ok {
 		t.retOwned[obj.Origin()] = true
 	}
 }
@@ -387,7 +301,7 @@ func (t *ownTables) collectTypeDirectives(pkg *Package, d *ast.GenDecl, report f
 				if doc == nil {
 					doc = m.Comment
 				}
-				args, pos, ok := directiveIn(doc, consumesDirective)
+				args, pos, ok := directiveIn(doc, "consumes")
 				if !ok {
 					continue
 				}
@@ -407,7 +321,7 @@ func (t *ownTables) collectTypeDirectives(pkg *Package, d *ast.GenDecl, report f
 			if doc == nil && len(d.Specs) == 1 {
 				doc = d.Doc
 			}
-			args, pos, ok := directiveIn(doc, consumesDirective)
+			args, pos, ok := directiveIn(doc, "consumes")
 			if !ok {
 				continue
 			}
@@ -577,7 +491,7 @@ func (s *ownState) set(id int, rs resState) {
 	s.st[id] = rs
 }
 
-func mergeOwn(a, b *ownState) *ownState {
+func (a *ownState) merge(b *ownState) *ownState {
 	out := a.clone()
 	for k, v := range b.bind {
 		if _, ok := out.bind[k]; !ok {
@@ -615,20 +529,9 @@ type pendingTransfer struct {
 	borrowedOK bool
 }
 
-type ownFlowResult struct {
-	state      *ownState
-	terminated bool
-}
-
-type ownLoopCtx struct {
-	label   string
-	breakSt []*ownState
-}
-
-// ownFlow is a conservative abstract interpreter over one function body,
-// structured like lockFlow: branch states are cloned and merged, loops
-// get one abstract pass, and every non-terminated exit is checked for
-// outstanding ownership obligations.
+// ownFlow is the ownership pass over one function body: the transfer
+// functions the structured-flow walker (flow.go) calls. Every way out of
+// the body is checked for outstanding ownership obligations.
 type ownFlow struct {
 	prog *Program
 	pkg  *Package
@@ -637,16 +540,10 @@ type ownFlow struct {
 	res          []*resInfo
 	reportedLeak []bool
 	pending      []pendingTransfer
-	loops        []*ownLoopCtx
-	diags        []Diagnostic
 }
 
 func (a *ownFlow) reportf(check string, pos token.Pos, format string, args ...any) {
-	a.diags = append(a.diags, Diagnostic{
-		Pos:     a.prog.Fset.Position(pos),
-		Check:   check,
-		Message: fmt.Sprintf(format, args...),
-	})
+	a.tbl.diags = append(a.tbl.diags, a.prog.diagf(check, pos, format, args...))
 }
 
 func (a *ownFlow) line(pos token.Pos) int { return a.prog.Fset.Position(pos).Line }
@@ -657,13 +554,13 @@ func (a *ownFlow) newRes(fam *ownFamily, pos token.Pos, name string, param bool)
 	return len(a.res) - 1
 }
 
-// runDecl analyzes a function declaration, seeding parameter resources:
-// a //lint:consumes parameter of a family type enters owned (this
-// function took over the release obligation); any other family-typed
-// parameter enters borrowed — unless the function lives in the family's
-// own package, whose internals manage raw handles by construction.
-func (a *ownFlow) runDecl(fn *ast.FuncDecl) {
-	st := newOwnState()
+// seedParams seeds a declaration's entry state with its parameter
+// resources: a //lint:consumes parameter of a family type enters owned
+// (this function took over the release obligation); any other
+// family-typed parameter enters borrowed — unless the function lives in
+// the family's own package, whose internals manage raw handles by
+// construction.
+func (a *ownFlow) seedParams(fn *ast.FuncDecl, st *ownState) {
 	obj, _ := a.pkg.Info.Defs[fn.Name].(*types.Func)
 	var mask []bool
 	if obj != nil {
@@ -698,23 +595,11 @@ func (a *ownFlow) runDecl(fn *ast.FuncDecl) {
 			i++
 		}
 	}
-	a.runBody(fn.Body, st)
 }
 
-func (a *ownFlow) runLit(fn *ast.FuncLit) {
-	a.runBody(fn.Body, newOwnState())
-}
-
-func (a *ownFlow) runBody(body *ast.BlockStmt, entry *ownState) {
-	res := a.stmts(body.List, entry)
-	if !res.terminated {
-		a.checkExit(body.End(), res.state)
-	}
-}
-
-// checkExit fires at an exit point for every resource still carrying an
+// exit fires at an exit point for every resource still carrying an
 // ownership obligation.
-func (a *ownFlow) checkExit(at token.Pos, st *ownState) {
+func (a *ownFlow) exit(at token.Pos, st *ownState) {
 	for id, r := range a.res {
 		if a.reportedLeak[id] {
 			continue
@@ -846,40 +731,15 @@ func (a *ownFlow) queueTransfer(id int, pos token.Pos, how string, borrowedOK bo
 
 // --- Statements ------------------------------------------------------------
 
-func (a *ownFlow) stmts(list []ast.Stmt, st *ownState) ownFlowResult {
-	for _, s := range list {
-		res := a.stmt(s, st)
-		if res.terminated {
-			return res
-		}
-		st = res.state
-	}
-	return ownFlowResult{state: st}
-}
-
-func (a *ownFlow) stmt(s ast.Stmt, st *ownState) ownFlowResult {
+func (a *ownFlow) simple(s ast.Stmt, st *ownState) (*ownState, bool) {
 	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return a.stmts(s.List, st)
-
-	case *ast.LabeledStmt:
-		switch inner := s.Stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return a.loop(inner, st, s.Label.Name)
-		}
-		return a.stmt(s.Stmt, st)
-
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := a.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
 					// Assertion failure: the process is going down; do not
 					// demand cleanup on panic paths.
-					for _, arg := range call.Args {
-						a.scan(arg, st)
-					}
-					a.flush(st)
-					return ownFlowResult{state: st, terminated: true}
+					return a.eval(st, call.Args...), true
 				}
 			}
 			if fam := a.acquireFam(call); fam != nil {
@@ -889,18 +749,12 @@ func (a *ownFlow) stmt(s ast.Stmt, st *ownState) ownFlowResult {
 			}
 		}
 		a.scan(s.X, st)
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.AssignStmt:
 		a.assign(s, st)
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.IncDecStmt:
 		a.scan(s.X, st)
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -910,238 +764,64 @@ func (a *ownFlow) stmt(s ast.Stmt, st *ownState) ownFlowResult {
 				}
 			}
 		}
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.SendStmt:
 		a.scan(s.Chan, st)
-		if id := a.trackedIdent(st, s.Value); id >= 0 {
-			a.queueTransfer(id, s.Value.Pos(), "sent to a channel", false)
-		} else {
-			a.scan(s.Value, st)
-		}
-		a.flush(st)
-		return ownFlowResult{state: st}
+		a.moveOrScan(st, s.Value, "sent to a channel", false)
 
 	case *ast.DeferStmt:
 		a.deferStmt(s, st)
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.GoStmt:
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			a.captureTransfers(lit, st, "captured by a goroutine closure")
 		}
 		for _, arg := range s.Call.Args {
-			if id := a.trackedIdent(st, arg); id >= 0 {
-				a.queueTransfer(id, arg.Pos(), "passed to a goroutine", false)
-			} else {
-				a.scan(arg, st)
-			}
+			a.moveOrScan(st, arg, "passed to a goroutine", false)
 		}
-		a.flush(st)
-		return ownFlowResult{state: st}
 
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
-			if id := a.trackedIdent(st, e); id >= 0 {
-				// Returning a resource hands it to the caller; returning a
-				// borrowed parameter merely passes the loan along.
-				a.queueTransfer(id, e.Pos(), "returned", true)
-			} else {
-				a.scan(e, st)
-			}
+			// Returning a resource hands it to the caller; returning a
+			// borrowed parameter merely passes the loan along.
+			a.moveOrScan(st, e, "returned", true)
 		}
-		a.flush(st)
-		a.checkExit(s.Pos(), st)
-		return ownFlowResult{state: st, terminated: true}
+	}
+	a.flush(st)
+	return st, false
+}
 
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			if lc := a.findLoop(s.Label); lc != nil {
-				lc.breakSt = append(lc.breakSt, st.clone())
-			}
-		}
-		return ownFlowResult{state: st, terminated: true}
-
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = a.stmt(s.Init, st).state
-		}
-		a.scan(s.Cond, st)
-		a.flush(st)
-		thenSt, elseSt := st.clone(), st.clone()
-		a.applyNilCheck(s.Cond, thenSt, elseSt)
-		thenRes := a.stmts(s.Body.List, thenSt)
-		elseRes := ownFlowResult{state: elseSt}
-		if s.Else != nil {
-			elseRes = a.stmt(s.Else, elseSt)
-		}
-		switch {
-		case thenRes.terminated && elseRes.terminated:
-			return ownFlowResult{state: st, terminated: true}
-		case thenRes.terminated:
-			return ownFlowResult{state: elseRes.state}
-		case elseRes.terminated:
-			return ownFlowResult{state: thenRes.state}
-		default:
-			return ownFlowResult{state: mergeOwn(thenRes.state, elseRes.state)}
-		}
-
-	case *ast.ForStmt, *ast.RangeStmt:
-		return a.loop(s, st, "")
-
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = a.stmt(s.Init, st).state
-		}
-		if s.Tag != nil {
-			a.scan(s.Tag, st)
-			a.flush(st)
-		}
-		return a.clauses(s.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st = a.stmt(s.Init, st).state
-		}
-		st = a.stmt(s.Assign, st).state
-		return a.clauses(s.Body, st)
-
-	case *ast.SelectStmt:
-		var outs []*ownState
-		allTerm := len(s.Body.List) > 0
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			cst := st.clone()
-			if cc.Comm != nil {
-				cst = a.stmt(cc.Comm, cst).state
-			}
-			res := a.stmts(cc.Body, cst)
-			if !res.terminated {
-				outs = append(outs, res.state)
-				allTerm = false
-			}
-		}
-		if allTerm {
-			return ownFlowResult{state: st, terminated: true}
-		}
-		out := st
-		for _, o := range outs {
-			out = mergeOwn(out, o)
-		}
-		return ownFlowResult{state: out}
-
-	default:
-		return ownFlowResult{state: st}
+// moveOrScan queues an ownership transfer when e is a tracked binding
+// moved whole (sent, returned, passed to a goroutine), and scans it as an
+// ordinary expression otherwise.
+func (a *ownFlow) moveOrScan(st *ownState, e ast.Expr, how string, borrowedOK bool) {
+	if id := a.trackedIdent(st, e); id >= 0 {
+		a.queueTransfer(id, e.Pos(), how, borrowedOK)
+	} else {
+		a.scan(e, st)
 	}
 }
 
-func (a *ownFlow) clauses(body *ast.BlockStmt, st *ownState) ownFlowResult {
-	hasDefault := false
-	var outs []*ownState
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		cst := st.clone()
-		for _, e := range cc.List {
-			a.scan(e, cst)
-		}
-		a.flush(cst)
-		res := a.stmts(cc.Body, cst)
-		if !res.terminated {
-			outs = append(outs, res.state)
-		}
+func (a *ownFlow) eval(st *ownState, exprs ...ast.Expr) *ownState {
+	for _, e := range exprs {
+		a.scan(e, st)
 	}
-	var out *ownState
-	if !hasDefault || len(outs) == 0 {
-		out = st.clone()
-	}
-	for _, o := range outs {
-		if out == nil {
-			out = o
-		} else {
-			out = mergeOwn(out, o)
-		}
-	}
-	return ownFlowResult{state: out}
+	a.flush(st)
+	return st
 }
 
-// loop runs one abstract pass over a for/range body. An infinite
-// `for { ... }` only exits via break, so its exit state is the merge of
-// the break states alone — an event loop that acquires and settles per
-// iteration must not leak a phantom obligation past the loop.
-func (a *ownFlow) loop(s ast.Stmt, st *ownState, label string) ownFlowResult {
-	lc := &ownLoopCtx{label: label}
-	a.loops = append(a.loops, lc)
-	defer func() { a.loops = a.loops[:len(a.loops)-1] }()
+// waits: parking on a channel moves no ownership.
+func (a *ownFlow) waits(ast.Stmt, *ownState) {}
 
-	var body *ast.BlockStmt
-	entry := st
-	infinite := false
-	switch s := s.(type) {
-	case *ast.ForStmt:
-		if s.Init != nil {
-			entry = a.stmt(s.Init, entry).state
-		}
-		if s.Cond != nil {
-			a.scan(s.Cond, entry)
-			a.flush(entry)
-		} else {
-			infinite = true
-		}
-		body = s.Body
-	case *ast.RangeStmt:
-		a.scan(s.X, entry)
-		a.flush(entry)
-		body = s.Body
-	}
-	res := a.stmts(body.List, entry.clone())
-	if infinite {
-		if len(lc.breakSt) == 0 {
-			return ownFlowResult{state: entry, terminated: true}
-		}
-		out := lc.breakSt[0]
-		for _, b := range lc.breakSt[1:] {
-			out = mergeOwn(out, b)
-		}
-		return ownFlowResult{state: out}
-	}
-	out := entry.clone()
-	if !res.terminated {
-		out = mergeOwn(out, res.state)
-	}
-	for _, b := range lc.breakSt {
-		out = mergeOwn(out, b)
-	}
-	return ownFlowResult{state: out}
+func (a *ownFlow) comm(s ast.Stmt, st *ownState) *ownState {
+	st, _ = a.simple(s, st)
+	return st
 }
 
-func (a *ownFlow) findLoop(label *ast.Ident) *ownLoopCtx {
-	if len(a.loops) == 0 {
-		return nil
-	}
-	if label == nil {
-		return a.loops[len(a.loops)-1]
-	}
-	for i := len(a.loops) - 1; i >= 0; i-- {
-		if a.loops[i].label == label.Name {
-			return a.loops[i]
-		}
-	}
-	return nil
-}
-
-// applyNilCheck recognizes `x == nil` / `x != nil` over a tracked
-// resource: on the nil branch the handle holds nothing (family releases
-// are nil-safe no-ops), so its obligation is dropped there.
-func (a *ownFlow) applyNilCheck(cond ast.Expr, thenSt, elseSt *ownState) {
+// refine recognizes `x == nil` / `x != nil` over a tracked resource: on
+// the nil branch the handle holds nothing (family releases are nil-safe
+// no-ops), so its obligation is dropped there.
+func (a *ownFlow) refine(cond ast.Expr, thenSt, elseSt *ownState) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return
@@ -1649,28 +1329,19 @@ type dispRes struct {
 // dispose reports whether fn's idx-th parameter is released, consumed, or
 // stored beyond the call on some path through fn (transitively, cycles
 // cut). It is the ownership analogue of the facts engine's may-block
-// summaries: conservative, memoized, and safe under the parallel
-// per-package flows.
+// summaries: conservative and memoized.
 func (t *ownTables) dispose(fn *types.Func, idx int, fam *ownFamily) dispRes {
 	key := dispKey{fn: fn, idx: idx}
-	t.mu.Lock()
 	if r, ok := t.disp[key]; ok {
-		t.mu.Unlock()
 		return r
 	}
 	if t.inflight[key] {
-		t.mu.Unlock()
 		return dispRes{}
 	}
 	t.inflight[key] = true
-	t.mu.Unlock()
-
 	r := t.disposeScan(fn, idx, fam)
-
-	t.mu.Lock()
 	delete(t.inflight, key)
 	t.disp[key] = r
-	t.mu.Unlock()
 	return r
 }
 

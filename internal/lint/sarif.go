@@ -1,14 +1,10 @@
 package lint
 
-import (
-	"encoding/json"
-	"os"
-)
+import "encoding/json"
 
 // SARIF 2.1.0 output (-sarif), the minimal subset GitHub code scanning
-// ingests: one run, one rule per check, one result per finding. Levels
-// follow the baseline: a finding marked New is an "error", an accepted
-// baseline finding a "warning".
+// ingests: one run, one rule per check, one result per finding, every
+// result an "error" — a finding fails the run.
 
 const (
 	sarifSchema  = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -99,14 +95,10 @@ func MarshalSARIF(findings []Finding) ([]byte, error) {
 			index[f.Check] = idx
 			rules = append(rules, sarifRule{ID: f.Check, ShortDescription: sarifMessage{Text: f.Check}})
 		}
-		level := "warning"
-		if f.New {
-			level = "error"
-		}
 		results = append(results, sarifResult{
 			RuleID:    f.Check,
 			RuleIndex: idx,
-			Level:     level,
+			Level:     "error",
 			Message:   sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{
@@ -129,13 +121,4 @@ func MarshalSARIF(findings []Finding) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteSARIF writes findings as a SARIF 2.1.0 file.
-func WriteSARIF(path string, findings []Finding) error {
-	data, err := MarshalSARIF(findings)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

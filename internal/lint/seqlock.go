@@ -7,9 +7,9 @@ import (
 )
 
 // Seqlock stamp protocol (eventq, obs/trace): a slot's stamp is even when
-// the slot is stable and odd while a writer owns it. The guard pass
-// models the protocol with two pseudo lock-set entries per //lint:seqlock
-// class:
+// the slot is stable and odd while a writer owns it. The lock pass
+// models the protocol with two granted lock-set entries (heldLock.granted)
+// per //lint:seqlock class:
 //
 //	seq:<class>  — an open write window: an odd stamp Store (or a stamp
 //	               CompareAndSwap known to have succeeded) was executed on
@@ -20,8 +20,9 @@ import (
 //	               validate-reread loop, or the true branch of an equality
 //	               test). Reads are legal, writes are not (reader=true).
 //
-// Both states come from branch conditions via condGrants, which the flow
-// applies to if/for branches, mirroring how real seqlock code is written:
+// Both states come from branch conditions via condGrants, which the walker
+// applies to if/for branches (refine), mirroring how real seqlock code is
+// written:
 //
 //	if !s.stamp.CompareAndSwap(st, st+1) { continue }  // open on fallthrough
 //	for s.stamp.Load() != done { ... }                 // validated at exit
@@ -30,15 +31,15 @@ import (
 // field (s.stamp.Store(v) and friends). Stores of odd parity open the
 // write window; even or unknown parity closes it (the standard publish
 // step stores the even done-stamp).
-func (g *guardPass) stampOp(c *ast.CallExpr, method string, sd *seqlockDecl, st lockSet) lockSet {
+func (a *lockPass) stampOp(c *ast.CallExpr, method string, sd *seqlockDecl, st lockSet) lockSet {
 	switch method {
 	case "Store":
 		if len(c.Args) != 1 {
 			return st
 		}
 		st = st.clone()
-		if g.parityOf(c.Args[0]) == 1 {
-			st[seqOpenKey(sd.class)] = heldLock{pos: c.Pos(), class: sd.class}
+		if a.parityOf(c.Args[0]) == 1 {
+			st[seqOpenKey(sd.class)] = heldLock{pos: c.Pos(), class: sd.class, granted: true}
 		} else {
 			delete(st, seqOpenKey(sd.class))
 			delete(st, seqValidKey(sd.class))
@@ -64,8 +65,8 @@ type seqGrant struct {
 
 // applyCondGrants applies the seqlock facts a condition proves to the
 // branch states derived from it (either may be nil).
-func (g *guardPass) applyCondGrants(cond ast.Expr, trueSt, falseSt lockSet) {
-	tg, fg := g.condGrants(cond)
+func (a *lockPass) applyCondGrants(cond ast.Expr, trueSt, falseSt lockSet) {
+	tg, fg := a.condGrants(cond)
 	for _, gr := range tg {
 		if trueSt != nil {
 			trueSt[gr.key] = gr.l
@@ -86,30 +87,30 @@ func (g *guardPass) applyCondGrants(cond ast.Expr, trueSt, falseSt lockSet) {
 //     != swaps the branches. Comparisons against odd or unknown-parity
 //     values prove nothing.
 //   - !cond swaps, && propagates true-grants, || propagates false-grants.
-func (g *guardPass) condGrants(cond ast.Expr) (tg, fg []seqGrant) {
+func (a *lockPass) condGrants(cond ast.Expr) (tg, fg []seqGrant) {
 	switch e := ast.Unparen(cond).(type) {
 	case *ast.UnaryExpr:
 		if e.Op == token.NOT {
-			fg, tg = g.condGrants(e.X)
+			fg, tg = a.condGrants(e.X)
 		}
 	case *ast.BinaryExpr:
 		switch e.Op {
 		case token.LAND:
 			// Both conjuncts are true on the true branch; the false branch
 			// pinpoints neither.
-			xt, _ := g.condGrants(e.X)
-			yt, _ := g.condGrants(e.Y)
+			xt, _ := a.condGrants(e.X)
+			yt, _ := a.condGrants(e.Y)
 			tg = append(xt, yt...)
 		case token.LOR:
-			_, xf := g.condGrants(e.X)
-			_, yf := g.condGrants(e.Y)
+			_, xf := a.condGrants(e.X)
+			_, yf := a.condGrants(e.Y)
 			fg = append(xf, yf...)
 		case token.EQL, token.NEQ:
-			sd, other := g.stampCompare(e)
-			if sd == nil || g.parityOf(other) != 0 {
+			sd, other := a.stampCompare(e)
+			if sd == nil || a.parityOf(other) != 0 {
 				return nil, nil
 			}
-			grant := []seqGrant{{key: seqValidKey(sd.class), l: heldLock{pos: e.Pos(), reader: true, class: sd.class}}}
+			grant := []seqGrant{{key: seqValidKey(sd.class), l: heldLock{pos: e.Pos(), reader: true, class: sd.class, granted: true}}}
 			if e.Op == token.EQL {
 				tg = grant
 			} else {
@@ -117,8 +118,8 @@ func (g *guardPass) condGrants(cond ast.Expr) (tg, fg []seqGrant) {
 			}
 		}
 	case *ast.CallExpr:
-		if sd, method := g.stampMethod(e); sd != nil && method == "CompareAndSwap" {
-			tg = []seqGrant{{key: seqOpenKey(sd.class), l: heldLock{pos: e.Pos(), class: sd.class}}}
+		if sd, method := a.stampMethod(e); sd != nil && method == "CompareAndSwap" {
+			tg = []seqGrant{{key: seqOpenKey(sd.class), l: heldLock{pos: e.Pos(), class: sd.class, granted: true}}}
 		}
 	}
 	return tg, fg
@@ -126,12 +127,12 @@ func (g *guardPass) condGrants(cond ast.Expr) (tg, fg []seqGrant) {
 
 // stampMethod resolves a call to a sync/atomic method on a //lint:seqlock
 // stamp field.
-func (g *guardPass) stampMethod(c *ast.CallExpr) (*seqlockDecl, string) {
+func (a *lockPass) stampMethod(c *ast.CallExpr) (*seqlockDecl, string) {
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
 	}
-	fn := calleeOf(g.pkg.Info, c)
+	fn := calleeOf(a.pkg.Info, c)
 	if fn == nil || pkgPathOf(fn) != "sync/atomic" {
 		return nil, ""
 	}
@@ -139,16 +140,16 @@ func (g *guardPass) stampMethod(c *ast.CallExpr) (*seqlockDecl, string) {
 	if !ok {
 		return nil, ""
 	}
-	return g.tbl.stampFor(g.pkg.Info, inner), sel.Sel.Name
+	return a.tbl.stampFor(a.pkg.Info, inner), sel.Sel.Name
 }
 
 // stampCompare matches one side of an ==/!= against a stamp Load (or a
 // local snapshot of one is out of scope — the comparison must read the
 // stamp directly) and returns the other side.
-func (g *guardPass) stampCompare(e *ast.BinaryExpr) (*seqlockDecl, ast.Expr) {
+func (a *lockPass) stampCompare(e *ast.BinaryExpr) (*seqlockDecl, ast.Expr) {
 	for _, side := range [2][2]ast.Expr{{e.X, e.Y}, {e.Y, e.X}} {
 		if c, ok := ast.Unparen(side[0]).(*ast.CallExpr); ok {
-			if sd, method := g.stampMethod(c); sd != nil && method == "Load" {
+			if sd, method := a.stampMethod(c); sd != nil && method == "Load" {
 				return sd, side[1]
 			}
 		}
@@ -161,8 +162,8 @@ func (g *guardPass) stampCompare(e *ast.BinaryExpr) (*seqlockDecl, ast.Expr) {
 // propagate parity algebraically; a call to a single-return module
 // function evaluates through its body (writeStamp(p)=2p+1 is odd,
 // doneStamp(p)=2p+2 is even).
-func (g *guardPass) parityOf(e ast.Expr) int {
-	return parityIn(g.prog, g.pkg, e, 0)
+func (a *lockPass) parityOf(e ast.Expr) int {
+	return parityIn(a.prog, a.pkg, e, 0)
 }
 
 func parityIn(p *Program, pkg *Package, e ast.Expr, depth int) int {

@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // The facts engine: one pass over every loaded function body collects the
@@ -27,10 +26,25 @@ import (
 // Members of one SCC (mutual recursion) share their merged facts: a
 // blocking op anywhere in the cycle makes every member may-block.
 
-// allocOp is one allocation site found in a function body.
-type allocOp struct {
+// effectKind names a property a function has by containing an operation
+// of that kind or by calling, on its own goroutine, a function that has
+// it. Each kind is one row of the effects table (reach.go).
+type effectKind uint8
+
+const (
+	effBlock effectKind = iota // may park the goroutine (blocking.go classifies)
+	effAlloc                   // may allocate on the heap
+	numEffects
+)
+
+// factOp is one operation with an effect, found in a function body.
+type factOp struct {
 	pos  token.Pos
-	desc string // e.g. "append (may grow)", "call to fmt.Sprintf (not provably allocation-free)"
+	desc string // e.g. "channel receive", "append (may grow)", "call to fmt.Sprintf (not provably allocation-free)"
+	// condWait marks (*sync.Cond).Wait, which is the one blocking call
+	// that is legitimate while holding a mutex (its own): lockdiscipline
+	// exempts it when it appears directly in the locked function.
+	condWait bool
 }
 
 // lockAcq is one direct lock acquisition, classified (see lockClassOf).
@@ -59,28 +73,27 @@ type funcFacts struct {
 	noalloc bool // carries a //lint:noalloc annotation
 
 	// Direct facts from the body scan.
-	ops    []blockOp
-	allocs []allocOp
-	locks  []lockAcq
-	calls  []callEdge
+	ops   [numEffects][]factOp
+	locks []lockAcq
+	calls []callEdge
 
 	// Fixpoint results.
-	resolved bool
-	mayBlock bool
-	mayAlloc bool
-	lockSet  map[string]lockVia
+	may     [numEffects]bool
+	lockSet map[string]lockVia
 }
 
+// trusted reports whether callers take the function's word for effect k
+// rather than looking inside: a //lint:noalloc annotation is a
+// verification boundary — the annotated function is proved on its own.
+func (f *funcFacts) trusted(k effectKind) bool { return k == effAlloc && f.noalloc }
+
 // engine owns the call graph and the fixpoint summaries for one Program.
-// After the build, facts are read-only; mu protects the implsOf/namedTypes
-// memoization, the one mutable path reachable from the parallel
-// per-package flows (forEachPackage).
+// After the build, facts are read-only.
 type engine struct {
 	p     *Program
 	facts map[*types.Func]*funcFacts
-	mu    sync.Mutex
-	impls map[*types.Func][]*types.Func
-	named []*types.Named
+	impls map[*types.Func][]*types.Func // implsOf memo
+	named []*types.Named                // namedTypes memo
 }
 
 // engine builds (once) and returns the facts engine.
@@ -99,22 +112,6 @@ func (p *Program) engine() *engine {
 	e.propagate()
 	p.eng = e
 	return e
-}
-
-const noallocDirective = "//lint:noalloc"
-
-// hasNoallocDirective reports whether a function's doc comment carries the
-// //lint:noalloc annotation.
-func hasNoallocDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if _, ok := directiveArgs(c.Text, noallocDirective); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // propagate runs Tarjan's SCC algorithm over the same-goroutine call
@@ -187,15 +184,12 @@ func (e *engine) resolve(scc []*types.Func) {
 	for _, fn := range scc {
 		member[fn] = true
 	}
-	var mayBlock, mayAlloc bool
+	var may [numEffects]bool
 	locks := make(map[string]lockVia)
 	for _, fn := range scc {
 		f := e.facts[fn]
-		if len(f.ops) > 0 {
-			mayBlock = true
-		}
-		if len(f.allocs) > 0 {
-			mayAlloc = true
+		for k := range may {
+			may[k] = may[k] || len(f.ops[k]) > 0
 		}
 		for _, la := range f.locks {
 			if la.class == "" {
@@ -221,11 +215,8 @@ func (e *engine) resolve(scc []*types.Func) {
 				if tf == nil || member[t] {
 					continue // bodiless, or merged as a member above
 				}
-				if tf.mayBlock {
-					mayBlock = true
-				}
-				if tf.mayAlloc && !tf.noalloc {
-					mayAlloc = true
+				for k := range may {
+					may[k] = may[k] || tf.may[k] && !tf.trusted(effectKind(k))
 				}
 				if c.kind == edgeStatic {
 					// Lock classes do not cross interface boundaries: the
@@ -243,72 +234,15 @@ func (e *engine) resolve(scc []*types.Func) {
 	}
 	for _, fn := range scc {
 		f := e.facts[fn]
-		f.resolved = true
-		f.mayBlock = mayBlock
-		f.mayAlloc = mayAlloc
+		f.may = may
 		f.lockSet = locks
 	}
 }
 
-// repBlock describes a representative blocking operation reachable from
-// fn, for call-site diagnostics ("channel send via Queue.postFull").
-func (e *engine) repBlock(fn *types.Func) string {
-	type node struct {
-		fn  *types.Func
-		via string
-	}
-	seen := map[*types.Func]bool{fn: true}
-	queue := []node{{fn, ""}}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		f := e.facts[n.fn]
-		if f == nil || !f.mayBlock {
-			continue
-		}
-		if len(f.ops) > 0 {
-			if n.via != "" {
-				return f.ops[0].desc + " via " + n.via
-			}
-			return f.ops[0].desc
-		}
-		for i := range f.calls {
-			c := &f.calls[i]
-			var targets []*types.Func
-			switch c.kind {
-			case edgeStatic:
-				targets = []*types.Func{c.to}
-			case edgeDynamic:
-				targets = e.implsOf(c.to)
-			default:
-				continue
-			}
-			for _, t := range targets {
-				if seen[t] {
-					continue
-				}
-				seen[t] = true
-				via := n.via
-				if via == "" {
-					via = funcLabel(t)
-					if c.kind == edgeDynamic {
-						via = funcLabel(c.to) + " -> " + funcLabel(t)
-					}
-				}
-				queue = append(queue, node{t, via})
-			}
-		}
-	}
-	return "blocking operation"
-}
-
 // scan collects one function's direct facts.
 func (e *engine) scan(fn *types.Func, src *funcSource) *funcFacts {
-	f := &funcFacts{
-		fn:      fn,
-		pkg:     src.pkg,
-		noalloc: hasNoallocDirective(src.decl.Doc),
-	}
+	f := &funcFacts{fn: fn, pkg: src.pkg}
+	_, _, f.noalloc = directiveIn(src.decl.Doc, "noalloc")
 	if src.decl.Body == nil {
 		return f
 	}
@@ -339,11 +273,11 @@ type factsScanner struct {
 }
 
 func (s *factsScanner) block(pos token.Pos, desc string, condWait bool) {
-	s.f.ops = append(s.f.ops, blockOp{pos: pos, desc: desc, condWait: condWait})
+	s.f.ops[effBlock] = append(s.f.ops[effBlock], factOp{pos: pos, desc: desc, condWait: condWait})
 }
 
 func (s *factsScanner) alloc(pos token.Pos, desc string) {
-	s.f.allocs = append(s.f.allocs, allocOp{pos: pos, desc: desc})
+	s.f.ops[effAlloc] = append(s.f.ops[effAlloc], factOp{pos: pos, desc: desc})
 }
 
 // walker returns the inspection callback. noBlock suppresses blocking
