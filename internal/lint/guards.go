@@ -118,10 +118,10 @@ func buildGuardTables(p *Program) *guardTables {
 				switch d := decl.(type) {
 				case *ast.GenDecl:
 					if d.Tok == token.TYPE {
-						t.collectTypeDecl(p, pkg, d, p.analyzed(pkg))
+						t.collectTypeDecl(p, pkg, d)
 					}
 				case *ast.FuncDecl:
-					t.collectRequires(p, pkg, d, p.analyzed(pkg))
+					t.collectRequires(p, pkg, d)
 				}
 			}
 		}
@@ -129,11 +129,14 @@ func buildGuardTables(p *Program) *guardTables {
 	return t
 }
 
-func (t *guardTables) report(p *Program, pos token.Pos, check, msg string) {
-	t.diags = append(t.diags, Diagnostic{Pos: p.Fset.Position(pos), Check: check, Message: msg})
+// report records a malformed annotation, for packages under analysis.
+func (t *guardTables) report(p *Program, pkg *Package, pos token.Pos, check, msg string) {
+	if p.analyzed(pkg) {
+		t.diags = append(t.diags, Diagnostic{Pos: p.Fset.Position(pos), Check: check, Message: msg})
+	}
 }
 
-func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, analyzed bool) {
+func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl) {
 	for _, spec := range d.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
 		if !ok {
@@ -146,7 +149,7 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, 
 		st, isStruct := ts.Type.(*ast.StructType)
 		tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
 		if args, pos, ok := directiveIn(doc, "seqlock"); ok {
-			t.collectSeqlock(p, pkg, ts, st, tn, args, pos, isStruct, analyzed)
+			t.collectSeqlock(p, pkg, ts, st, tn, args, pos, isStruct)
 		}
 		if !isStruct || tn == nil {
 			continue
@@ -157,19 +160,15 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl, 
 				if !ok {
 					continue
 				}
-				t.collectGuardedBy(p, pkg, ts, st, tn, fld, args, pos, analyzed)
+				t.collectGuardedBy(p, pkg, ts, st, tn, fld, args, pos)
 			}
 		}
 	}
 }
 
 func (t *guardTables) collectSeqlock(p *Program, pkg *Package, ts *ast.TypeSpec, st *ast.StructType,
-	tn *types.TypeName, args string, pos token.Pos, isStruct, analyzed bool) {
-	bad := func(msg string) {
-		if analyzed {
-			t.report(p, pos, "seqlock", msg)
-		}
-	}
+	tn *types.TypeName, args string, pos token.Pos, isStruct bool) {
+	bad := func(msg string) { t.report(p, pkg, pos, "seqlock", msg) }
 	fields := strings.Fields(args)
 	if len(fields) < 1 {
 		bad("malformed //lint:seqlock directive: want \"//lint:seqlock stampField\"")
@@ -214,12 +213,8 @@ func (t *guardTables) collectSeqlock(p *Program, pkg *Package, ts *ast.TypeSpec,
 }
 
 func (t *guardTables) collectGuardedBy(p *Program, pkg *Package, ts *ast.TypeSpec, st *ast.StructType,
-	tn *types.TypeName, fld *ast.Field, args string, pos token.Pos, analyzed bool) {
-	bad := func(msg string) {
-		if analyzed {
-			t.report(p, pos, "guardedby", msg)
-		}
-	}
+	tn *types.TypeName, fld *ast.Field, args string, pos token.Pos) {
+	bad := func(msg string) { t.report(p, pkg, pos, "guardedby", msg) }
 	fields := strings.Fields(args)
 	if len(fields) < 1 {
 		bad("malformed //lint:guardedby directive: want \"//lint:guardedby guard[,guard...]\"")
@@ -262,16 +257,12 @@ func (t *guardTables) collectGuardedBy(p *Program, pkg *Package, ts *ast.TypeSpe
 
 // collectRequires parses //lint:requires on a function declaration's doc
 // comment. Bare names resolve against the method receiver's struct.
-func (t *guardTables) collectRequires(p *Program, pkg *Package, d *ast.FuncDecl, analyzed bool) {
+func (t *guardTables) collectRequires(p *Program, pkg *Package, d *ast.FuncDecl) {
 	args, pos, ok := directiveIn(d.Doc, "requires")
 	if !ok {
 		return
 	}
-	bad := func(msg string) {
-		if analyzed {
-			t.report(p, pos, "guardedby", msg)
-		}
-	}
+	bad := func(msg string) { t.report(p, pkg, pos, "guardedby", msg) }
 	fields := strings.Fields(args)
 	if len(fields) < 1 {
 		bad("malformed //lint:requires directive: want \"//lint:requires class[,class...]\"")

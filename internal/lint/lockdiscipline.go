@@ -70,7 +70,6 @@ func (s lockSet) merge(b lockSet) lockSet {
 // lockdiscipline, lockorder, guardedby and seqlock pay for one traversal
 // between them.
 type lockResult struct {
-	tbl   *guardTables
 	diags []Diagnostic // lockdiscipline, guardedby and seqlock findings
 	edges orderSink    // lockorder's acquisition edges
 }
@@ -81,7 +80,7 @@ func (p *Program) lockAnalysis() *lockResult {
 		return p.lockRes
 	}
 	tbl := buildGuardTables(p)
-	res := &lockResult{tbl: tbl, diags: tbl.diags}
+	res := &lockResult{diags: tbl.diags}
 	p.forEachBody(func(b funcBody) {
 		a := &lockPass{
 			prog:       p,
@@ -96,7 +95,7 @@ func (p *Program) lockAnalysis() *lockResult {
 		if b.inherits {
 			entry, a.recv = a.grants(b.decl)
 		}
-		runFlow[lockSet](a, b.body, entry)
+		runFlow(a, b.body, entry)
 	})
 	p.lockRes = res
 	return res
@@ -194,14 +193,6 @@ func (a *lockPass) eval(st lockSet, exprs ...ast.Expr) lockSet {
 		st = a.expr(e, st)
 	}
 	return st
-}
-
-// refine: a condition may prove seqlock facts on one branch (a winning
-// stamp CompareAndSwap, a validated stamp comparison). For a loop the
-// body sees the true outcome and the fallthrough exit the false one — the
-// stamp-validate-reread pattern.
-func (a *lockPass) refine(cond ast.Expr, ifTrue, ifFalse lockSet) {
-	a.applyCondGrants(cond, ifTrue, ifFalse)
 }
 
 func (a *lockPass) waits(s ast.Stmt, st lockSet) {

@@ -108,7 +108,7 @@ func (p *Program) ownAnalysis() *ownResult {
 			if b.lit == nil {
 				a.seedParams(b.decl, entry)
 			}
-			runFlow[*ownState](a, b.body, entry)
+			runFlow(a, b.body, entry)
 		})
 	}
 	p.ownRes = &ownResult{diags: tbl.diags}

@@ -63,19 +63,17 @@ type seqGrant struct {
 	l   heldLock
 }
 
-// applyCondGrants applies the seqlock facts a condition proves to the
-// branch states derived from it (either may be nil).
-func (a *lockPass) applyCondGrants(cond ast.Expr, trueSt, falseSt lockSet) {
+// refine applies the seqlock facts a condition proves (a winning stamp
+// CompareAndSwap, a validated stamp comparison) to the branch states
+// derived from it. For a loop the body sees the true outcome and the
+// fallthrough exit the false one — the stamp-validate-reread pattern.
+func (a *lockPass) refine(cond ast.Expr, ifTrue, ifFalse lockSet) {
 	tg, fg := a.condGrants(cond)
 	for _, gr := range tg {
-		if trueSt != nil {
-			trueSt[gr.key] = gr.l
-		}
+		ifTrue[gr.key] = gr.l
 	}
 	for _, gr := range fg {
-		if falseSt != nil {
-			falseSt[gr.key] = gr.l
-		}
+		ifFalse[gr.key] = gr.l
 	}
 }
 
