@@ -92,10 +92,13 @@ bench-diff:
 # turns — `make bench-ab BASE=HEAD~1 WORKLOAD=bulk256k_simnet [PAIRS=10]`.
 # Prints, per end-to-end metric, each side's median and quartiles, the pairs
 # the working tree won, and whether the medians differ by more than the
-# base's own interquartile spread. See scripts/bench-ab.sh.
+# base's own interquartile spread ("unresolved" where that spread is wider
+# than the metric's bound). WORKLOAD=gated runs every workload BENCHMARK.json
+# lists, pairs interleaved across workloads — the one command for "nothing
+# else moved". See scripts/bench-ab.sh.
 PAIRS ?= 10
 bench-ab:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10]"; exit 2; }
 	bash scripts/bench-ab.sh "$(BASE)" "$(WORKLOAD)" $(PAIRS)
 
 # trace-smoke exercises the observability subsystem end to end: a small
@@ -127,8 +130,9 @@ coll-smoke:
 # alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation
 # claims of the wire codec, the delivery engine, the lane dispatch, the
 # flight recorder, the metrics hot path, the buffer queue, the rtscts+simnet
-# byte path, the tcp round trip, every way out of a blocking eventq.Poll and
-# the whole Portals small-message round trip — three times over at
+# byte path, a 256 KiB put placed fragment by fragment into its descriptor,
+# the tcp round trip, every way out of a blocking eventq.Poll and the whole
+# Portals small-message round trip — three times over at
 # GOMAXPROCS=1 and 2: a pooled path that only holds on one P, or only on a
 # lucky first run, fails here rather than in a benchmark.
 ALLOCPKGS = ./internal/core ./internal/wire ./internal/nicsim ./internal/rtscts ./internal/transport/tcp ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics ./internal/eventq ./portals

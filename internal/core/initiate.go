@@ -95,9 +95,7 @@ func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.Pro
 	// Local send completion counts (MDCTSend) before a possible unlink so
 	// the increment still lands for fire-and-forget descriptors.
 	s.ctIncMD(d.md.CT, d.md.Options, types.MDCTSend, size)
-	if d.threshold == 0 && d.unlinkOp == types.Unlink && d.pending == 0 {
-		s.unlinkMD(d, true)
-	}
+	s.unlinkIfSpent(d)
 	return Outbound{Dst: target, Msg: b.Bytes(), buf: b}, nil
 }
 

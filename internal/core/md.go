@@ -58,8 +58,16 @@ type memDesc struct {
 	threshold   int32  //lint:guardedby owner,portal.mu,State.bindMu  remaining operations; -1 = infinite
 	localOffset uint64 //lint:guardedby owner,portal.mu,State.bindMu
 	pending     int    //lint:guardedby owner,portal.mu,State.bindMu  operations awaiting a remote response
+	landing     int    //lint:guardedby owner,portal.mu,State.bindMu  placements between resolve and commit (place.go)
 	unlinked    bool   //lint:guardedby owner,portal.mu,State.bindMu
 }
+
+// inFlight counts what pins the descriptor: gets awaiting their reply and
+// announced messages landing in it. While it is non-zero the descriptor is
+// not unlinked, by the application or by the engine.
+//
+//lint:requires owner/portal.mu
+func (d *memDesc) inFlight() int { return d.pending + d.landing }
 
 // active reports whether the descriptor still accepts operations.
 //
@@ -218,8 +226,8 @@ func (s *State) MDUnlink(h types.Handle) error {
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
-	if d.pending > 0 {
-		return fmt.Errorf("%w: %d operations in flight", types.ErrMDInUse, d.pending)
+	if n := d.inFlight(); n > 0 {
+		return fmt.Errorf("%w: %d operations in flight", types.ErrMDInUse, n)
 	}
 	s.unlinkMD(d, false)
 	return nil
@@ -229,7 +237,9 @@ func (s *State) MDUnlink(h types.Handle) error {
 // conditioned on an event queue being empty (PtlMDUpdate). If testEQ is a
 // valid handle and that queue has pending events, the update is refused so
 // the caller can first drain them — this is the primitive MPI uses to
-// safely shrink/repoint receive buffers.
+// safely shrink/repoint receive buffers. It is also refused, with
+// ErrMDInUse, while an announced message is landing in the descriptor: the
+// fragments still to come were resolved against the region as it is.
 func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
 	pin := s.pins.Enter(uint64(h.Index))
 	d, ok := s.lookupMD(h)
@@ -243,6 +253,9 @@ func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
 	s.pins.Exit(pin)
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
+	}
+	if d.landing > 0 {
+		return fmt.Errorf("%w: %d transfers landing, update refused", types.ErrMDInUse, d.landing)
 	}
 	s.resMu.Lock()
 	if testEQ.IsValid() {
@@ -285,6 +298,17 @@ func (s *State) MDStatus(h types.Handle) (threshold int32, localOffset uint64, e
 		return 0, 0, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	return d.threshold, d.localOffset, nil
+}
+
+// unlinkIfSpent is Figure 4's unlink step: a descriptor whose threshold is
+// used up, that asked to be unlinked then, and that nothing in flight still
+// needs, goes. Caller holds d.owner.
+//
+//lint:requires memDesc.owner/portal.mu
+func (s *State) unlinkIfSpent(d *memDesc) {
+	if d.threshold == 0 && d.unlinkOp == types.Unlink && d.inFlight() == 0 {
+		s.unlinkMD(d, true)
+	}
 }
 
 // unlinkMD removes the descriptor and, per Figure 4, cascades to the match

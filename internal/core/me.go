@@ -158,7 +158,7 @@ func (s *State) MEUnlink(h types.Handle) error {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	for _, md := range me.mds {
-		if md.pending > 0 {
+		if md.inFlight() > 0 {
 			return fmt.Errorf("%w: attached MD %v has operations in flight", types.ErrMDInUse, md.handle)
 		}
 	}

@@ -240,30 +240,66 @@ func (s *State) finishOperation(d *memDesc, evType types.EventType, h *wire.Head
 		want = types.MDCTGet
 	}
 	s.ctIncMD(d.md.CT, d.md.Options, want, mlength)
-	if d.threshold == 0 && d.unlinkOp == types.Unlink && d.pending == 0 {
-		s.unlinkMD(d, true)
-	}
+	s.unlinkIfSpent(d)
 }
 
+// match is the front of a put or get: the Figure 4 walk for h over its
+// portal, bracketed for the flight recorder. Caller holds p.mu.
+//
+//lint:requires portal.mu
+func (s *State) match(p *portal, h *wire.Header, want types.MDOptions) (*memDesc, uint64, uint64, types.DropReason) {
+	// One hoisted Enabled check per message keeps the disabled-tracer cost
+	// on this path to a single predicted branch.
+	traced := trace.Enabled()
+	if traced {
+		trace.Record(trace.StageMatchStart,
+			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), 0)
+	}
+	d, offset, mlength, reason := s.translate(p, h, want)
+	if traced {
+		trace.Record(trace.StageMatchDone,
+			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), uint64(p.walkSteps))
+	}
+	return d, offset, mlength, reason
+}
+
+// commitPut is the tail of a put whose mlength bytes are in place at
+// offset: deliver record, receive count, and the Figure 4 steps after
+// acceptance. It reports whether an acknowledgment is owed. Caller holds
+// the lock that owns d.
+//
+//lint:requires memDesc.owner/portal.mu
+func (s *State) commitPut(d *memDesc, h *wire.Header, offset, mlength uint64) (ackWanted bool) {
+	trace.Record(trace.StageDeliver,
+		uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), mlength)
+	s.counters.Recv(int(mlength))
+	ackWanted = h.AckRequested() && d.md.Options&types.MDAckDisable == 0
+	s.finishOperation(d, types.EventPut, h, offset, mlength)
+	return ackWanted
+}
+
+// ackPut appends the acknowledgment of a put to out.
+func (s *State) ackPut(h *wire.Header, mlength uint64, out []Outbound) []Outbound {
+	ack := wire.AckFor(h, mlength)
+	b := bufpool.Get(wire.HeaderSize)
+	s.counters.Pool(b.Reused())
+	wire.EncodeMessageInto(b.Bytes(), &ack, nil)
+	s.counters.Ack()
+	//lint:ignore noalloc amortized append into the caller's reusable scratch; steady state has capacity (TestRecvPutSteadyStateAllocs)
+	return append(out, Outbound{Dst: ack.Target, Msg: b.Bytes(), buf: b})
+}
+
+// recvPut is resolve, write and commit under one hold of the portal lock;
+// an announced put does the same three steps with the lock dropped in
+// between (place.go).
 func (s *State) recvPut(h *wire.Header, payload []byte, out []Outbound) []Outbound {
 	if int(h.PtlIndex) >= len(s.table) {
 		s.counters.Drop(types.DropBadPortal)
 		return out
 	}
 	p := &s.table[h.PtlIndex]
-	// One hoisted Enabled check per message keeps the disabled-tracer cost
-	// on this path to a single predicted branch.
-	traced := trace.Enabled()
 	p.mu.Lock()
-	if traced {
-		trace.Record(trace.StageMatchStart,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), 0)
-	}
-	d, offset, mlength, reason := s.translate(p, h, types.MDOpPut)
-	if traced {
-		trace.Record(trace.StageMatchDone,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), uint64(p.walkSteps))
-	}
+	d, offset, mlength, reason := s.match(p, h, types.MDOpPut)
 	if reason != types.DropNone {
 		p.mu.Unlock()
 		s.counters.Drop(reason)
@@ -279,25 +315,13 @@ func (s *State) recvPut(h *wire.Header, payload []byte, out []Outbound) []Outbou
 	} else {
 		d.view.writeAt(offset, payload[:mlength])
 	}
-	if traced {
-		trace.Record(trace.StageDeliver,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), mlength)
-	}
-	s.counters.Recv(int(mlength))
-	ackWanted := h.AckRequested() && d.md.Options&types.MDAckDisable == 0
-	s.finishOperation(d, types.EventPut, h, offset, mlength)
+	ackWanted := s.commitPut(d, h, offset, mlength)
 	p.mu.Unlock()
 
-	if !ackWanted {
-		return out
+	if ackWanted {
+		out = s.ackPut(h, mlength, out)
 	}
-	ack := wire.AckFor(h, mlength)
-	b := bufpool.Get(wire.HeaderSize)
-	s.counters.Pool(b.Reused())
-	wire.EncodeMessageInto(b.Bytes(), &ack, nil)
-	s.counters.Ack()
-	//lint:ignore noalloc amortized append into the caller's reusable scratch; steady state has capacity (TestRecvPutSteadyStateAllocs)
-	return append(out, Outbound{Dst: ack.Target, Msg: b.Bytes(), buf: b})
+	return out
 }
 
 func (s *State) recvGet(h *wire.Header, out []Outbound) []Outbound {
@@ -306,17 +330,8 @@ func (s *State) recvGet(h *wire.Header, out []Outbound) []Outbound {
 		return out
 	}
 	p := &s.table[h.PtlIndex]
-	traced := trace.Enabled()
 	p.mu.Lock()
-	if traced {
-		trace.Record(trace.StageMatchStart,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), 0)
-	}
-	d, offset, mlength, reason := s.translate(p, h, types.MDOpGet)
-	if traced {
-		trace.Record(trace.StageMatchDone,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), uint64(p.walkSteps))
-	}
+	d, offset, mlength, reason := s.match(p, h, types.MDOpGet)
 	if reason != types.DropNone {
 		p.mu.Unlock()
 		s.counters.Drop(reason)
@@ -331,10 +346,8 @@ func (s *State) recvGet(h *wire.Header, out []Outbound) []Outbound {
 	s.counters.Pool(b.Reused())
 	n := reply.Encode(b.Bytes())
 	d.view.readInto(b.Bytes()[n:], offset)
-	if traced {
-		trace.Record(trace.StageDeliver,
-			uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), mlength)
-	}
+	trace.Record(trace.StageDeliver,
+		uint32(h.Initiator.NID), uint32(h.Initiator.PID), uint64(h.Seq), mlength)
 	s.counters.Recv(0)
 	s.finishOperation(d, types.EventGet, h, offset, mlength)
 	p.mu.Unlock()
@@ -400,9 +413,7 @@ func (s *State) recvAck(h *wire.Header) {
 	// threshold. A put that requests an ack therefore needs threshold 2
 	// (send + ack) on its descriptor to survive until the ack lands.
 	d.consume()
-	if d.threshold == 0 && d.unlinkOp == types.Unlink && d.pending == 0 {
-		s.unlinkMD(d, true)
-	}
+	s.unlinkIfSpent(d)
 }
 
 // recvReply implements §4.8: "a reply message will be dropped if the
@@ -415,8 +426,12 @@ func (s *State) recvAck(h *wire.Header) {
 // two delivery lanes replying into the last event slot could both pass
 // HasSpace and then overwrite each other's event — the §4.8 rule says the
 // *reply* is dropped when the queue is full, never an already-posted
-// event. Reserving up front pins the slot before the data is written, and
-// publishing after writeAt keeps the event invisible until its data is.
+// event.
+//
+// Like recvPut it is resolve, write and commit under one hold of the owner
+// lock, and an announced reply does the three with the lock dropped in
+// between (place.go). The queue is judged at commit, after the write: a
+// reply dropped for a full queue has left its bytes in the descriptor.
 func (s *State) recvReply(h *wire.Header, payload []byte) {
 	pin := s.pins.Enter(uint64(h.Initiator.NID))
 	d, ok := s.lookupMD(h.MD)
@@ -433,48 +448,63 @@ func (s *State) recvReply(h *wire.Header, payload []byte) {
 		s.counters.Drop(types.DropMDGone)
 		return
 	}
-	var res eventq.Reservation
-	if d.md.EQ.IsValid() {
-		if q := s.eqFor(d.md.EQ); q != nil {
-			var ok bool
-			if res, ok = q.ReserveIfSpace(); !ok {
-				s.counters.Drop(types.DropEQFull)
-				// Failure counting (docs/PROTOCOL.md): a reply the engine
-				// had to drop is a FAILURE increment on a counting
-				// descriptor — it never arms triggered operations, but a
-				// CTWait-er sees the stream went wrong instead of hanging.
-				if d.md.Options&types.MDCTReply != 0 {
-					if c := s.ctRes(d.md.CT); c != nil {
-						s.ctInc(c, 0, 1)
-					}
-				}
-				return
-			}
-		}
-	}
-	mlength := h.MLength
-	if max := d.view.size(); mlength > max {
-		mlength = max // unconditional truncation for replies
-	}
+	mlength := replyLength(d, h)
 	d.view.writeAt(0, payload[:mlength])
-	// The reply closes the span opened at StartGet: key by (self, seq).
-	trace.Record(trace.StageAck,
-		uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), mlength)
-	s.counters.Recv(int(mlength))
+	s.commitReply(d, h, mlength)
+}
+
+// replyLength is how much of a reply d takes: "every memory descriptor
+// accepts and truncates incoming reply messages".
+//
+//lint:requires memDesc.owner
+func replyLength(d *memDesc, h *wire.Header) uint64 {
+	return min(h.MLength, d.view.size())
+}
+
+// commitReply is the tail of a reply whose mlength bytes are in place: the
+// get it answers is over, the event is posted if the queue has room — the
+// reply counts as dropped if not — and a spent descriptor is unlinked.
+// Caller holds the lock that owns d.
+//
+//lint:requires memDesc.owner
+func (s *State) commitReply(d *memDesc, h *wire.Header, mlength uint64) {
+	// The get is over once its reply has been judged, whichever way: a
+	// dropped reply is not sent again, and a descriptor left pinned for it
+	// could never be unlinked.
 	if d.pending > 0 {
 		d.pending--
 	}
-	res.Publish(eventq.Event{
-		Type:      types.EventReply,
-		Initiator: h.Initiator,
-		RLength:   h.RLength,
-		MLength:   mlength,
-		MD:        d.handle,
-		UserPtr:   d.md.UserPtr,
-	})
-	// Reply data is in place (writeAt above): count the completion.
-	s.ctIncMD(d.md.CT, d.md.Options, types.MDCTReply, mlength)
-	if d.threshold == 0 && d.unlinkOp == types.Unlink && d.pending == 0 {
-		s.unlinkMD(d, true)
+	var res eventq.Reservation
+	room := true
+	if q := s.eqFor(d.md.EQ); q != nil {
+		res, room = q.ReserveIfSpace()
 	}
+	if room {
+		// The reply closes the span opened at StartGet: key by (self, seq).
+		trace.Record(trace.StageAck,
+			uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), mlength)
+		s.counters.Recv(int(mlength))
+		res.Publish(eventq.Event{
+			Type:      types.EventReply,
+			Initiator: h.Initiator,
+			RLength:   h.RLength,
+			MLength:   mlength,
+			MD:        d.handle,
+			UserPtr:   d.md.UserPtr,
+		})
+		// Reply data is in place: count the completion.
+		s.ctIncMD(d.md.CT, d.md.Options, types.MDCTReply, mlength)
+	} else {
+		s.counters.Drop(types.DropEQFull)
+		// Failure counting (docs/PROTOCOL.md): a reply the engine had to
+		// drop is a FAILURE increment on a counting descriptor — it never
+		// arms triggered operations, but a CTWait-er sees the stream went
+		// wrong instead of hanging.
+		if d.md.Options&types.MDCTReply != 0 {
+			if c := s.ctRes(d.md.CT); c != nil {
+				s.ctInc(c, 0, 1)
+			}
+		}
+	}
+	s.unlinkIfSpent(d)
 }

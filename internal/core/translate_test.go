@@ -583,6 +583,14 @@ func TestReplyToFullEQDropped(t *testing.T) {
 	if n := a.Counters().DroppedFor(types.DropEQFull); n != 1 {
 		t.Errorf("reply-to-full-EQ drops = %d, want 1", n)
 	}
+	// The get is over once its reply has been judged: the drop must not
+	// leave the descriptor pinned.
+	if _, err := a.EQGet(aeq); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MDUnlink(md); err != nil {
+		t.Errorf("MDUnlink after the dropped reply = %v, want nil", err)
+	}
 }
 
 func TestUserPtrFlowsThroughEvents(t *testing.T) {

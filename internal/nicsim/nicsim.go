@@ -17,6 +17,16 @@
 // message's pooled buffer (transport.Endpoint.SendBuf). Nothing is copied
 // on either side of the engine.
 //
+// Direct placement: a node asks every fabric that can for announcements
+// (transport.Announcer). An announced message comes in as two entries of
+// its flow's lane instead of one — the announcement, which the engine
+// resolves (core.State.Resolve) and answers, and, when the answer was a
+// placement, the completion, which it commits — and in between the fabric
+// writes the body straight into the memory descriptor. Both travel the lanes
+// like any message of the flow, so resolve runs after everything the peer
+// sent earlier and commit before everything it sent later, and a lane that
+// is behind holds the peer's clear-to-send back instead of filling a buffer.
+//
 // Delivery lanes (docs/PERF.md §5): with Config.Lanes > 1 the node runs N
 // worker goroutines, one per lane. Messages of one (initiator, target)
 // flow always land on the same lane in arrival order, so the §4.1 per-pair
@@ -51,6 +61,7 @@
 package nicsim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -114,13 +125,69 @@ const laneBurst = 64
 // laneMsg is one admitted message in flight to (or inside) a lane: the
 // decoded header, the payload view, the resolved target state, and the
 // pooled carrier buffer to release after processing (nil when the bytes
-// are plainly allocated and garbage collection handles them).
+// are plainly allocated and garbage collection handles them). For an
+// announcement or a completion pl is set instead of payload and buf.
 type laneMsg struct {
 	src     types.NID
 	state   *core.State
 	hdr     wire.Header
 	payload []byte
 	buf     *bufpool.Buf
+	pl      *placement
+}
+
+// placement carries one announced message through the node: from the
+// announcement's admission to its answer, and — as the transport.Sink the
+// fabric writes the body through — on to the completion's commit. A record
+// belongs to one party at a time: the node until the answer, the fabric
+// while the body lands, the node again from the completion on.
+type placement struct {
+	ann     transport.Delivery // the announcement; zero once it is answered
+	state   *core.State
+	op      core.Placement // what Resolve decided; valid from a Place answer on
+	aborted bool           // the completion said the body never became whole
+}
+
+// The head of an announcement is exactly the Portals header — enough to
+// resolve, and no payload that would have to be landed with the answer —
+// so the offsets the fabric writes at are payload offsets moved up by it.
+const (
+	_ = uint(transport.HeadSize - wire.HeaderSize)
+	_ = uint(wire.HeaderSize - transport.HeadSize)
+)
+
+var placementPool = sync.Pool{New: func() any { return new(placement) }}
+
+// WriteAt lands one fragment of the message (transport.Sink); off counts
+// from the start of the message, so the header is taken off it.
+//
+//lint:noalloc the per-fragment write of a placed message
+func (pl *placement) WriteAt(off int, b []byte) {
+	pl.op.WriteAt(uint64(off-wire.HeaderSize), b)
+}
+
+// Abort ends a placement that will not be committed (transport.Sink, and
+// the node's own path for an aborted completion).
+func (pl *placement) Abort() {
+	pl.state.Abort(&pl.op)
+	pl.recycle()
+}
+
+func (pl *placement) recycle() {
+	*pl = placement{}
+	placementPool.Put(pl)
+}
+
+// drop settles a record no lane will run: an unanswered announcement is
+// released, which has the message delivered whole — to a node that is
+// closing, so nowhere — and a completion is aborted.
+func (pl *placement) drop() {
+	if pl.ann.Total == 0 {
+		pl.Abort()
+		return
+	}
+	pl.ann.Release()
+	pl.recycle()
 }
 
 // lane carries admitted messages to one worker in batches: the dispatcher
@@ -198,6 +265,9 @@ func NewNode(net transport.Network, nid types.NID, cfg Config) (*Node, error) {
 	ep, err := net.AttachBatch(nid, n.onBatch)
 	if err != nil {
 		return nil, err
+	}
+	if a, ok := ep.(transport.Announcer); ok {
+		a.Announce() // messages that raced the call arrive whole, which onBatch takes as well
 	}
 	// Workers start only after the attach succeeded, so a failed NewNode
 	// leaves nothing to tear down. The lane channels existed before the
@@ -321,9 +391,25 @@ func (n *Node) Send(out core.Outbound) error {
 
 // admit runs the §4.8 admission checks — decodable, valid local target —
 // and resolves the target process. It is the part of delivery that stays
-// on the transport goroutine; everything after it can move to a lane.
-func (n *Node) admit(src types.NID, msg []byte) (laneMsg, bool) {
-	h, payload, err := wire.DecodeMessage(msg)
+// on the transport goroutine; everything after it can move to a lane. What
+// it admits it takes from d: the message's buffer, the announcement with
+// its obligation to answer, the completion's record.
+func (n *Node) admit(d *transport.Delivery) (laneMsg, bool) {
+	if pl, ok := d.Sink.(*placement); ok {
+		// A completion was admitted when it was announced; its process may
+		// have been removed since, and like a message already on a lane it
+		// still completes.
+		d.Sink = nil
+		pl.aborted = d.Aborted
+		return laneMsg{src: d.Src, state: pl.state, hdr: *pl.op.Header(), pl: pl}, true
+	}
+	m := laneMsg{src: d.Src}
+	var err error
+	if d.Total == 0 {
+		m.hdr, m.payload, err = wire.DecodeMessage(d.Msg)
+	} else if err = m.hdr.Decode(d.Msg); err == nil && uint64(d.Total-wire.HeaderSize) < m.hdr.PayloadLen() {
+		err = errShortAnnouncement
+	}
 	if err != nil {
 		// Undecodable traffic: no valid target, count at node level.
 		n.counters.Drop(types.DropBadTarget)
@@ -332,13 +418,25 @@ func (n *Node) admit(src types.NID, msg []byte) (laneMsg, bool) {
 	// §4.8: "the runtime system first checks that the target process
 	// identified in the request is a valid process that has initialized
 	// the network interface."
-	state := n.lookup(h.Target.PID)
-	if state == nil || h.Target.NID != n.nid {
+	m.state = n.lookup(m.hdr.Target.PID)
+	if m.state == nil || m.hdr.Target.NID != n.nid {
 		n.counters.Drop(types.DropBadTarget)
 		return laneMsg{}, false
 	}
-	return laneMsg{src: src, state: state, hdr: h, payload: payload}, true
+	if d.Total == 0 {
+		m.buf, d.Buf = d.Buf, nil
+	} else {
+		m.pl = placementPool.Get().(*placement)
+		m.pl.ann, m.pl.state = *d, m.state
+		*d = transport.Delivery{}
+	}
+	return m, true
 }
+
+// errShortAnnouncement: the announced length cannot hold the payload the
+// announced header declares — wire.DecodeMessage's truncation check, made
+// before the bytes exist.
+var errShortAnnouncement = errors.New("nicsim: announced message shorter than its header declares")
 
 // laneIndex hashes a flow onto a lane. The key is (source NID, target
 // PID): everything one initiating node sends to one target process maps to
@@ -365,13 +463,12 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 	traced := trace.Enabled() // hoisted: one branch per batch when disabled
 	for i := range batch {
 		d := &batch[i]
-		m, ok := n.admit(d.Src, d.Msg)
+		m, ok := n.admit(d)
 		if !ok {
+			d.Discard() // an announcement for nobody: no buffer for its body either
 			d.Release()
 			continue
 		}
-		m.buf = d.Buf
-		d.Buf = nil
 		li := laneIndex(m.src, m.hdr.Target.PID, len(groups))
 		if traced {
 			trace.Record(trace.StageLaneDispatch,
@@ -423,6 +520,9 @@ func releaseBurst(g *[]laneMsg) {
 		if (*g)[i].buf != nil {
 			(*g)[i].buf.Release()
 		}
+		if (*g)[i].pl != nil {
+			(*g)[i].pl.drop()
+		}
 		(*g)[i] = laneMsg{}
 	}
 	*g = (*g)[:0]
@@ -454,9 +554,11 @@ func (n *Node) runBurst(g *[]laneMsg, inc *[]core.Incoming) {
 
 // processBurst runs the delivery engine over a burst of admitted messages,
 // reusing one outbound scratch and one Incoming slice across the whole
-// burst. Contiguous runs for the same target process are handed to
-// core.HandleIncomingBatch together. Burst entries are consumed: carrier
-// buffers are released and the slice's references cleared.
+// burst. Contiguous runs of whole messages for the same target process are
+// handed to core.HandleIncomingBatch together; an announcement or a
+// completion is settled on its own, in its place in the order. Burst entries
+// are consumed: carrier buffers are released and the slice's references
+// cleared.
 func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 	if len(burst) == 0 {
 		return
@@ -465,16 +567,28 @@ func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 	sp := outScratch.Get().(*[]core.Outbound)
 	outs := (*sp)[:0]
 	for i := 0; i < len(burst); {
+		if burst[i].pl != nil {
+			outs = n.settle(&burst[i], outs[:0])
+			n.transmit(outs)
+			burst[i] = laneMsg{}
+			i++
+			continue
+		}
 		state := burst[i].state
 		j := i
-		*inc = (*inc)[:0]
-		for j < len(burst) && burst[j].state == state {
+		for j < len(burst) && burst[j].state == state && burst[j].pl == nil {
 			n.chargeInterrupt(state)
 			//lint:ignore noalloc amortized append into the lane's reusable batch slice
 			*inc = append(*inc, core.Incoming{H: burst[j].hdr, Payload: burst[j].payload})
 			j++
 		}
 		outs = state.HandleIncomingBatch(*inc, outs[:0])
+		// The payload views die with their carriers below: a view left in
+		// the scratch would keep a released buffer reachable.
+		for k := range *inc {
+			(*inc)[k].Payload = nil
+		}
+		*inc = (*inc)[:0]
 		n.transmit(outs)
 		for k := i; k < j; k++ {
 			if burst[k].buf != nil {
@@ -486,6 +600,42 @@ func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 	}
 	*sp = outs[:0]
 	outScratch.Put(sp)
+}
+
+// settle runs one placement form in its place on the lane. An announcement
+// is resolved and answered — Place with the record as the sink, Discard, or,
+// by releasing it unanswered, Buffer; the answer is what lets the peer send.
+// A completion is committed, or aborted if the body never became whole. One
+// interrupt is charged per message, at its completion.
+func (n *Node) settle(m *laneMsg, out []core.Outbound) []core.Outbound {
+	pl := m.pl
+	if pl.ann.Total == 0 {
+		n.chargeInterrupt(pl.state)
+		if pl.aborted {
+			pl.Abort()
+			return out
+		}
+		out = pl.state.Commit(&pl.op, out)
+		pl.recycle()
+		return out
+	}
+	ann := pl.ann
+	pl.ann = transport.Delivery{}
+	switch pl.state.Resolve(&m.hdr, &pl.op) {
+	case core.Place:
+		// From a successful Place on the record is the fabric's, and may be
+		// back as a completion on another goroutine before Place returns.
+		if !ann.Place(pl) {
+			pl.Abort()
+		}
+		ann.Release()
+		return out
+	case core.Discard:
+		ann.Discard()
+	}
+	ann.Release()
+	pl.recycle()
+	return out
 }
 
 // transmit sends the engine's responses, clearing the slice. Send consumes

@@ -98,7 +98,14 @@ type Stats struct {
 	// message, a malformed RTS/CTS, an unknown message kind, or a
 	// continuation fragment with no message open.
 	BadLength atomic.Int64 //lint:guardedby atomic
-	Backoff   metrics.Histogram
+	// Placed counts announced messages whose body was written through to the
+	// handler's sink instead of a delivery buffer, PlacedBytes the bytes that
+	// went that way (the head excepted: it travels with the announcement),
+	// and AnnounceDiscarded the announcements the handler answered Discard.
+	Placed            atomic.Int64 //lint:guardedby atomic
+	PlacedBytes       atomic.Int64 //lint:guardedby atomic
+	AnnounceDiscarded atomic.Int64 //lint:guardedby atomic
+	Backoff           metrics.Histogram
 }
 
 // Conn is a node's reliable attachment: it implements transport.Endpoint
@@ -117,6 +124,10 @@ type Conn struct {
 	// one atomic load per packet instead of a channel receive.
 	ready    chan struct{}
 	attached atomic.Bool
+
+	// announce: the handler asked for announcements (Announce), so an RTS is
+	// put to it and granted by its answer instead of at once.
+	announce atomic.Bool
 
 	// Per-peer state is found without a lock on the packet paths; mu
 	// serializes the first contact that creates it, and Close.
@@ -156,8 +167,8 @@ func Attach(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandl
 	}
 	c.out.Init(bh)
 	// An RTS must fit one packet: control messages are never reassembled.
-	if c.mtu < pktHeaderSize+rtsSize {
-		return nil, fmt.Errorf("rtscts: fabric MTU %d below the %d-byte minimum (header plus RTS)", c.mtu, pktHeaderSize+rtsSize)
+	if c.mtu < pktHeaderSize+rtsSize+transport.HeadSize {
+		return nil, fmt.Errorf("rtscts: fabric MTU %d below the %d-byte minimum (header plus RTS)", c.mtu, pktHeaderSize+rtsSize+transport.HeadSize)
 	}
 	ep, err := pn.AttachPacket(nid, c.gatedPacket, c.flush)
 	if err != nil {
@@ -200,6 +211,11 @@ func (c *Conn) flush() {
 
 // Stats exposes the protocol counters.
 func (c *Conn) Stats() *Stats { return &c.stats }
+
+// Announce makes the Conn a transport.Announcer: from now on a rendezvous
+// announcement goes up to the handler, and the peer gets its CTS when the
+// handler has answered.
+func (c *Conn) Announce() { c.announce.Store(true) }
 
 // PeerState is a snapshot of the adaptive reliability state toward one
 // destination, for tests and diagnostics.
@@ -251,6 +267,9 @@ func (c *Conn) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_rtscts_acks_total", "cumulative acks sent", ls, st.AcksSent.Load)
 	r.CounterFunc("portals_rtscts_delivered_total", "complete messages delivered in order", ls, st.MsgsDelivered.Load)
 	r.CounterFunc("portals_rtscts_bad_length_total", "in-sequence fragments discarded for impossible length or framing", ls, st.BadLength.Load)
+	r.CounterFunc("portals_rtscts_placed_total", "announced messages written through to the handler's sink", ls, st.Placed.Load)
+	r.CounterFunc("portals_rtscts_placed_bytes_total", "message bytes written through to a sink instead of a delivery buffer", ls, st.PlacedBytes.Load)
+	r.CounterFunc("portals_rtscts_announce_discarded_total", "announced messages the handler refused; swallowed on arrival", ls, st.AnnounceDiscarded.Load)
 	r.RegisterHistogram("portals_rtscts_backoff_ns",
 		"retransmission backoff delay per attempt (capped exponential, jittered)", ls, &st.Backoff)
 	// Window gauges aggregate across destinations: the slowest peer's SRTT
@@ -344,7 +363,9 @@ func (c *Conn) Close() error {
 	c.eachSender((*peerSender).shutdown)
 	err := c.ep.Close()
 	// What was received but never handed up goes back to the pool:
-	// half-assembled messages, and completions no flush will follow.
+	// half-assembled messages, and completions no flush will follow. An
+	// open placement leaves as an aborted completion, which the hand-off,
+	// closing, aborts.
 	c.receivers.Range(func(_ types.NID, r *peerReceiver) bool {
 		r.shutdown()
 		return true
@@ -384,7 +405,7 @@ func (c *Conn) receiver(src types.NID) *peerReceiver {
 	}
 	r, ok := c.receivers.Get(src)
 	if !ok {
-		r = &peerReceiver{src: src}
+		r = &peerReceiver{c: c, src: src}
 		c.receivers.Set(src, r)
 	}
 	return r

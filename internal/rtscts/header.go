@@ -11,9 +11,12 @@
 //     timeout retransmission (exactly-once, in-order packet stream);
 //   - message framing on top of the packet stream;
 //   - RTS/CTS rendezvous flow control: a message larger than the eager
-//     threshold first sends a request-to-send and waits for a
-//     clear-to-send grant before streaming data, so a receiver is never
-//     forced to absorb an unannounced bulk transfer.
+//     threshold first sends a request-to-send — its length and its first
+//     transport.HeadSize bytes — and waits for a clear-to-send grant before
+//     streaming data, so a receiver is never forced to absorb an
+//     unannounced bulk transfer, and a handler that asked
+//     (transport.Announcer) decides where an announced one lands before it
+//     moves: the grant is issued by the handler's answer.
 //
 // Per-pair state is created lazily on first communication; the interface
 // presented upward stays connectionless (§4.1).
@@ -21,8 +24,9 @@
 // # Who owns the bytes
 //
 // A message crosses the layer as one owned pooled buffer in and one owned
-// pooled buffer out; the fabric's per-packet copy is the only copy between
-// them, and rtscts itself never holds a packet-sized buffer.
+// pooled buffer out — or, placed, no buffer out at all; the fabric's
+// per-packet copy is the only copy between them, and rtscts itself never
+// holds a packet-sized buffer.
 //
 //   - Send side. SendBuf takes the caller's buffer (Send copies once into a
 //     pooled buffer and then is SendBuf). The buffer waits in the per-peer
@@ -40,7 +44,10 @@
 //     completion the buffer leaves as an owned transport.Delivery; the batch
 //     handler (or, for a transport.Handler attach, transport.Borrow around
 //     it) releases it. A buffer whose message never completes is released
-//     by Close.
+//     by Close. An announced message the handler answered Place obtains no
+//     buffer: each fragment is written from the fabric's packet straight
+//     through the handler's transport.Sink, and what leaves is a completion
+//     carrying the sink — aborted, if the body never became whole.
 package rtscts
 
 import (
@@ -62,7 +69,7 @@ const (
 // Message kinds carried in the first fragment's flags (bits 2..3).
 const (
 	msgApp uint8 = 0 // application message, delivered to the handler
-	msgRTS uint8 = 1 // request to send (rendezvous start), payload = length
+	msgRTS uint8 = 1 // request to send (rendezvous start), payload = length + head
 	msgCTS uint8 = 2 // clear to send (rendezvous grant)
 )
 
@@ -71,7 +78,9 @@ const msgKindShift = 2
 // pktHeaderSize is the per-packet overhead added by this layer.
 const pktHeaderSize = 20
 
-// rtsSize is the payload of an RTS: the announced message length.
+// rtsSize is the fixed part of an RTS payload: the announced message length.
+// The message's head follows — its first min(length, transport.HeadSize)
+// bytes, which the receiver shows its handler before granting.
 const rtsSize = 8
 
 // MaxMessage is the largest message the layer carries. Send refuses longer

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 )
 
@@ -16,8 +17,8 @@ func TestHostileLengths(t *testing.T) {
 	const peer = 7
 	eager := DefaultConfig().EagerMax
 	first := func(kind uint8) uint8 { return flagFirst | kind<<msgKindShift }
-	rts := func(announced uint64) []byte {
-		return binary.BigEndian.AppendUint64(nil, announced)
+	rts := func(announced uint64, head int) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, announced), make([]byte, head)...)
 	}
 
 	for _, tc := range []struct {
@@ -38,8 +39,13 @@ func TestHostileLengths(t *testing.T) {
 		{name: "aux=1<<63", flags: first(msgApp), aux: 1 << 63, payload: make([]byte, 100), rejected: true},
 		{name: "aux=max", flags: first(msgApp), aux: ^uint64(0), rejected: true},
 		{name: "continuation with nothing open", flags: 0, payload: make([]byte, 100), rejected: true},
-		{name: "RTS announcing 1<<40", flags: first(msgRTS), aux: rtsSize, payload: rts(1 << 40), rejected: true},
+		{name: "RTS announcing 1<<40", flags: first(msgRTS), aux: rtsSize, payload: rts(1<<40, 0), rejected: true},
 		{name: "RTS with short payload", flags: first(msgRTS), aux: rtsSize, payload: []byte{1, 2, 3}, rejected: true},
+		{name: "RTS with short head", flags: first(msgRTS), aux: rtsSize + 10, payload: rts(50_000, 10), rejected: true},
+		{name: "RTS with long head", flags: first(msgRTS), aux: rtsSize + 100, payload: rts(50_000, 100), rejected: true},
+		{name: "RTS head longer than its message", flags: first(msgRTS), aux: rtsSize + 60, payload: rts(40, 60), rejected: true},
+		{name: "RTS aux disagrees with payload", flags: first(msgRTS), aux: rtsSize + transport.HeadSize, payload: rts(50_000, 40), rejected: true},
+		{name: "RTS aux below the length field", flags: first(msgRTS), aux: 4, payload: []byte{0, 0, 0, 1}, rejected: true},
 		{name: "CTS with payload", flags: first(msgCTS), aux: 0, payload: []byte("x"), rejected: true},
 		{name: "unknown message kind", flags: first(3), aux: 64, payload: make([]byte, 64), rejected: true},
 	} {

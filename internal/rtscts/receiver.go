@@ -10,10 +10,18 @@ import (
 )
 
 // peerReceiver holds the in-order reception state for one source: the
-// expected sequence number and the message being reassembled. All packets
-// from one source arrive on one goroutine (PacketHandler), so mu is only
-// ever contended by Close and by another feeder's flush.
+// expected sequence number, the rendezvous it is in, and the message being
+// received. All packets from one source arrive on one goroutine
+// (PacketHandler), so mu is only ever contended by Close, by another
+// feeder's flush, and by the handler answering an announcement.
+//
+// A placed body is written into the handler's sink fragment by fragment with
+// mu held, and the delivery engine's sink takes the lock of the memory
+// descriptor it writes.
+//
+//lint:lockrank peerReceiver.mu < memDesc.owner
 type peerReceiver struct {
+	c   *Conn
 	src types.NID
 
 	mu       sync.Mutex
@@ -28,21 +36,41 @@ type peerReceiver struct {
 	// one by one after the stream last showed a gap (see ackRunAfterGap).
 	mending int //lint:guardedby mu
 
-	// granted is the length announced by the RTS this receiver last
-	// answered; the message that claims exactly that length gets its whole
-	// buffer up front.
-	granted uint64 //lint:guardedby mu
+	// Where the stream stands between messages and inside one. An RTS takes
+	// it from idle to asked (its announcement is with the handler; no CTS
+	// yet) and the handler's answer from there to granted — or the RTS
+	// straight to granted, when the handler takes no announcements
+	// (Conn.announce). The
+	// message of the announced length then opens a body that is treated as
+	// the answer said; any other message opens a buffered body and voids the
+	// rendezvous. Fragments of one message are contiguous on the stream (the
+	// sender serializes them), so one open body suffices.
+	phase     uint8             //lint:guardedby mu
+	verdict   transport.Verdict //lint:guardedby mu  granted, body: what becomes of the message
+	announced uint64            //lint:guardedby mu  asked, granted: the length the RTS gave
+	token     uint64            //lint:guardedby mu  names the announcement whose answer is awaited
+	sink      transport.Sink    //lint:guardedby mu  verdict Place: where the body lands
 
-	// Reassembly in place. Fragments of one message are contiguous on the
-	// stream (the sender serializes them), so one open message suffices:
-	// asm is its delivery buffer (nil: no message open), asmOff the bytes
-	// received so far — the offset the next fragment is copied to.
+	// The open body: its length and the bytes received so far — the offset
+	// of the next fragment. asm is the delivery buffer of a buffered body.
 	asm      *bufpool.Buf //lint:guardedby mu
 	asmTotal int          //lint:guardedby mu
 	asmOff   int          //lint:guardedby mu
 
+	// dead is a placement the fragment in hand put an end to; whoever holds
+	// mu hands it up as an aborted completion before moving on.
+	dead transport.Sink //lint:guardedby mu
+
 	ackHdr [pktHeaderSize]byte //lint:guardedby mu  scratch for the outgoing ack
 }
+
+// peerReceiver.phase.
+const (
+	idle    uint8 = iota // between messages, no rendezvous open
+	asked                // RTS in, announcement unanswered
+	granted              // answered (verdict), CTS owed or out, body not begun
+	body                 // a message is open (verdict says how it is kept)
+)
 
 // ackRunAfterGap is how many in-sequence packets are acknowledged
 // individually after a packet was discarded out of order or as a
@@ -58,22 +86,24 @@ const ackRunAfterGap = 64
 // What one accepted fragment completed.
 const (
 	doneNothing uint8 = iota
-	doneApp           // the open application message is whole
-	doneRTS           // a rendezvous announcement: grant it
+	doneApp           // the open buffered message is whole
+	donePlaced        // the open placed message is whole
+	doneRTS           // a rendezvous announcement nobody is asked about: grant it
+	doneAsked         // a rendezvous announcement for the handler to answer
 	doneCTS           // a rendezvous grant for our sender
 )
 
-// accept feeds one in-sequence fragment to reassembly. ok is false when the
-// fragment's framing is impossible and it was discarded; every length in
-// it is the peer's word, so nothing is allocated on that word alone: the
-// whole buffer only for a length this receiver granted or one within the
-// eager limit, growth with the bytes that actually arrive otherwise, and
-// nothing at all above MaxMessage. Called with mu held.
+// accept feeds one in-sequence fragment to the stream. ok is false when the
+// fragment's framing is impossible and nothing else will account for its
+// loss; every length in it is the peer's word, so nothing is allocated on
+// that word alone: the whole buffer only for a length this receiver granted
+// or one within the eager limit, growth with the bytes that actually arrive
+// otherwise, and nothing at all above MaxMessage. Called with mu held.
 //
 //lint:requires mu
 func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []byte) (done uint8, ok bool) {
 	if flags&flagFirst == 0 {
-		if r.asm == nil {
+		if r.phase != body {
 			return doneNothing, false // continuation of a message that was never opened
 		}
 		return r.fill(payload)
@@ -84,23 +114,37 @@ func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []b
 		if aux > MaxMessage || uint64(len(payload)) > aux {
 			return doneNothing, false
 		}
-		commit := int(aux)
-		if aux != r.granted && commit > eagerMax {
-			commit = max(eagerMax, len(payload))
+		if r.phase != granted || aux != r.announced {
+			// Not what a rendezvous promised, or ahead of its grant.
+			r.void()
+			r.verdict = transport.Buffer
 		}
-		r.granted = 0
-		r.asm, r.asmTotal, r.asmOff = bufpool.Get(commit), int(aux), 0
+		if r.verdict == transport.Buffer {
+			commit := int(aux)
+			if r.phase != granted && commit > eagerMax {
+				commit = max(eagerMax, len(payload))
+			}
+			r.asm = bufpool.Get(commit)
+		}
+		r.phase, r.asmTotal, r.asmOff = body, int(aux), 0
 		return r.fill(payload)
 	case msgRTS:
-		if aux != rtsSize || len(payload) != rtsSize {
+		if aux < rtsSize || aux > rtsSize+transport.HeadSize || uint64(len(payload)) != aux {
 			return doneNothing, false
 		}
 		announced := binary.BigEndian.Uint64(payload)
-		if announced > MaxMessage {
+		if announced > MaxMessage || aux-rtsSize != min(announced, transport.HeadSize) {
 			return doneNothing, false
 		}
-		r.granted = announced
-		return doneRTS, true
+		r.void() // a second announcement supersedes one whose message never came
+		r.verdict, r.announced = transport.Buffer, announced
+		if !r.c.announce.Load() {
+			r.phase = granted // nobody to ask: the answer is Buffer, and it is in
+			return doneRTS, true
+		}
+		r.phase = asked
+		r.token++
+		return doneAsked, true
 	case msgCTS:
 		if aux != 0 || len(payload) != 0 {
 			return doneNothing, false
@@ -110,33 +154,56 @@ func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []b
 	return doneNothing, false // unknown message kind
 }
 
-// fill copies one fragment to its offset in the open message's buffer,
-// growing the buffer by size class when the message was opened with less
-// than its claimed length. A fragment that overruns the claimed length
-// discards the message. Called with mu held.
+// fill takes one fragment of the open message: copied to its offset in the
+// delivery buffer (grown by size class when the message was opened with
+// less than its claimed length), written through to the sink, or dropped, as
+// the verdict says. A fragment that overruns the claimed length discards
+// the message. Called with mu held.
 //
 //lint:requires mu
 func (r *peerReceiver) fill(payload []byte) (done uint8, ok bool) {
 	end := r.asmOff + len(payload)
 	if end > r.asmTotal {
+		// Of a buffered or unwanted message only this count remains; a
+		// placement is aborted, and its handler accounts for that.
+		placed := r.verdict == transport.Place
 		r.abandon()
-		return doneNothing, false
+		return doneNothing, placed
 	}
-	room := whole(r.asm)
-	if end > len(room) {
-		// Only an unannounced message beyond the eager limit grows; a
-		// conforming sender's buffer was sized whole when it was opened.
-		grown := bufpool.Get(min(r.asmTotal, max(2*len(room), end)))
-		old := room[:r.asmOff]
-		room = whole(grown)
-		copy(room, old)
-		r.asm.Release()
-		r.asm = grown
+	switch r.verdict {
+	case transport.Buffer:
+		room := whole(r.asm)
+		if end > len(room) {
+			// Only an unannounced message beyond the eager limit grows; a
+			// conforming sender's buffer was sized whole when it was opened.
+			grown := bufpool.Get(min(r.asmTotal, max(2*len(room), end)))
+			old := room[:r.asmOff]
+			room = whole(grown)
+			copy(room, old)
+			r.asm.Release()
+			r.asm = grown
+		}
+		copy(room[r.asmOff:end], payload)
+	case transport.Place:
+		// The head went up with the announcement and is not written again.
+		off := r.asmOff
+		if skip := min(transport.HeadSize-off, len(payload)); skip > 0 {
+			off, payload = off+skip, payload[skip:]
+		}
+		if len(payload) > 0 {
+			r.sink.WriteAt(off, payload)
+		}
 	}
-	copy(room[r.asmOff:end], payload)
 	r.asmOff = end
-	if end == r.asmTotal {
+	if end < r.asmTotal {
+		return doneNothing, true
+	}
+	r.phase = idle
+	switch r.verdict {
+	case transport.Buffer:
 		return doneApp, true
+	case transport.Place:
+		return donePlaced, true
 	}
 	return doneNothing, true
 }
@@ -148,23 +215,101 @@ func whole(b *bufpool.Buf) []byte {
 	return room[:cap(room)]
 }
 
-// abandon discards the open message, if any. Called with mu held.
+// abandon discards the open message, if any: a delivery buffer goes back to
+// the pool, a placement is aborted. Called with mu held.
 //
 //lint:requires mu
 func (r *peerReceiver) abandon() {
+	if r.phase != body {
+		return
+	}
+	r.phase = idle
 	if r.asm != nil {
 		r.asm.Release()
 		r.asm = nil
 	}
+	r.kill()
 }
 
-// shutdown returns a half-assembled message to the pool and refuses
-// whatever the fabric still delivers.
+// void ends a rendezvous whose message has not begun: the answer to an
+// unanswered announcement will find nothing to settle, and a sink already
+// given is aborted. Called with mu held.
+//
+//lint:requires mu
+func (r *peerReceiver) void() {
+	if r.phase != asked && r.phase != granted {
+		return
+	}
+	r.phase = idle
+	r.kill()
+}
+
+// kill ends the placement the receiver holds a sink for, if it holds one:
+// the sink is dead, and leaves as an aborted completion (takeDead). Called
+// with mu held.
+//
+//lint:requires mu
+func (r *peerReceiver) kill() {
+	if r.sink != nil {
+		r.dead, r.sink = r.sink, nil
+	}
+}
+
+// Answer settles the announcement token names (transport.Rendezvous) and
+// issues the CTS its sender is waiting for: clear to send means the handler
+// has decided where the message goes.
+func (r *peerReceiver) Answer(token uint64, v transport.Verdict, sink transport.Sink) bool {
+	r.mu.Lock()
+	if r.closed || r.phase != asked || r.token != token {
+		r.mu.Unlock()
+		return false
+	}
+	r.phase, r.verdict = granted, v
+	if v == transport.Place {
+		r.sink = sink
+	}
+	r.mu.Unlock()
+	if v == transport.Discard {
+		r.c.stats.AnnounceDiscarded.Add(1)
+	}
+	r.grant()
+	return true
+}
+
+// grant has the CTS sent. It is issued by the peer's sender goroutine, never
+// inline (peerSender.oweCTS). At most one RTS per peer is outstanding: the
+// peer's run loop waits for the grant.
+func (r *peerReceiver) grant() {
+	if s, err := r.c.sender(r.src); err == nil {
+		s.oweCTS()
+	}
+}
+
+// takeDead returns the aborted completion the fragment in hand gave rise to,
+// if any. Called with mu held; the caller delivers it after dropping mu.
+//
+//lint:requires mu
+func (r *peerReceiver) takeDead() (d transport.Delivery, ok bool) {
+	if r.dead == nil {
+		return d, false
+	}
+	d, r.dead = transport.Completion(r.src, r.dead, true), nil
+	return d, true
+}
+
+// shutdown returns a half-assembled message to the pool, aborts a placement
+// that was waiting for its body or in the middle of it, and refuses whatever
+// the fabric still delivers.
 func (r *peerReceiver) shutdown() {
 	r.mu.Lock()
 	r.closed = true
 	r.abandon()
+	r.void()
+	dead, aborted := r.takeDead()
 	r.mu.Unlock()
+	if aborted {
+		r.c.out.Add(dead)
+	}
 }
 
 // onData processes one sequenced fragment per Go-Back-N: accept exactly
@@ -206,11 +351,22 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 	if !ok {
 		c.stats.BadLength.Add(1)
 	}
-	var msg transport.Delivery
-	if done == doneApp {
-		msg = transport.Delivery{Src: r.src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
+	var up transport.Delivery // what this fragment hands up, if anything
+	switch done {
+	case doneApp:
+		up = transport.Delivery{Src: r.src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
 		r.asm = nil // ownership moves to the delivery
+	case donePlaced:
+		c.stats.Placed.Add(1)
+		c.stats.PlacedBytes.Add(int64(r.asmTotal - min(r.asmTotal, transport.HeadSize)))
+		up = transport.Completion(r.src, r.sink, false)
+		r.sink = nil
+	case doneAsked:
+		head := bufpool.Get(len(payload) - rtsSize)
+		copy(head.Bytes(), payload[rtsSize:])
+		up = transport.Announcement(r.src, head, int(r.announced), r, r.token)
 	}
+	dead, aborted := r.takeDead()
 	listed := false
 	if r.mending > 0 {
 		r.mending--
@@ -227,18 +383,16 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 		c.ackMu.Unlock()
 	}
 
+	if aborted {
+		c.out.Add(dead)
+	}
 	switch done {
-	case doneApp:
-		c.deliver(msg)
+	case doneApp, donePlaced:
+		c.deliver(up)
+	case doneAsked:
+		c.out.Add(up) // the CTS waits for the handler's answer
 	case doneRTS:
-		// Rendezvous announcement: grant immediately. A production
-		// implementation would check receive-buffer budget here; the
-		// protocol cost (the extra round trip) is what we model. At most
-		// one RTS per peer is outstanding (the peer's run loop waits for
-		// the grant).
-		if s, err := c.sender(r.src); err == nil {
-			s.oweCTS()
-		}
+		r.grant()
 	case doneCTS:
 		if s, ok := c.senders.Get(r.src); ok {
 			s.grantReceived()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/obs/trace"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -187,8 +188,10 @@ func (s *peerSender) run() {
 				// Rendezvous: announce, then hold the message for the grant.
 				s.awaiting = true
 				s.qmu.Unlock()
-				rts := bufpool.Get(rtsSize)
+				head := msg.Bytes()[:min(len(msg.Bytes()), transport.HeadSize)]
+				rts := bufpool.Get(rtsSize + len(head))
 				binary.BigEndian.PutUint64(rts.Bytes(), uint64(len(msg.Bytes())))
+				copy(rts.Bytes()[rtsSize:], head)
 				s.sendMessage(msgRTS, rts)
 				s.c.stats.RTSSent.Add(1)
 				held = msg

@@ -27,19 +27,26 @@ var fabrics = []struct {
 	// packet fabrics are connectionless and cannot tell; there the message
 	// is retransmitted until Close, which must still release it.
 	knowsPeers bool
+	// announces: the fabric runs a rendezvous and offers placement
+	// (transport.Announcer). The others deliver whole messages to any handler.
+	announces bool
 }{
-	{"loopback", func() transport.Network { return loopback.New() }, true},
+	{"loopback", func() transport.Network { return loopback.New() }, true, false},
 	{"simnet+rtscts", func() transport.Network {
 		return rtscts.NewNetwork(simnet.New(simnet.Config{MTU: 1024}), rtscts.Config{})
-	}, false},
-	{"tcp", func() transport.Network { return tcp.New() }, true},
-	{"udp", func() transport.Network { return udp.New() }, false},
+	}, false, true},
+	{"tcp", func() transport.Network { return tcp.New() }, true, false},
+	{"udp", func() transport.Network { return udp.New() }, false, true},
 }
 
 const (
 	sources   = 4 // concurrent senders into one endpoint
 	perSource = 150
 	sinkNID   = types.NID(100)
+
+	bulkSize  = 40_000 // beyond rtscts's 32 KiB eager limit
+	bulkEvery = 50
+	bulks     = sources * (perSource / bulkEvery)
 )
 
 // message builds the seq-th message from src in a pooled buffer: an 8-byte
@@ -50,6 +57,9 @@ func message(src types.NID, seq uint32) *bufpool.Buf {
 	size := 8 + int(seq%97)
 	if seq%25 == 24 {
 		size = 5000
+	}
+	if seq%bulkEvery == bulkEvery-1 {
+		size = bulkSize
 	}
 	b := bufpool.Get(size)
 	msg := b.Bytes()
@@ -72,7 +82,7 @@ func intact(from types.NID, msg []byte) (seq uint32, ok bool) {
 	return seq, string(want.Bytes()) == string(msg)
 }
 
-// sink is the receiving endpoint's handler, in both forms.
+// sink is the receiving endpoint's handler, in its three forms.
 type sink struct {
 	t       *testing.T
 	inside  atomic.Int32 // handler calls in progress; the contract says ≤ 1
@@ -82,7 +92,21 @@ type sink struct {
 	next map[types.NID]uint32 // per-source FIFO cursor
 	held []transport.Delivery // owned messages kept past the handler's return
 	seen int
+
+	announced int // announcements taken (the placing form)
+	bigBufs   int // pooled buffers of bulk size that came with a delivery
 }
+
+// landing is where the placing form puts one announced message.
+type landing struct {
+	s   *sink
+	src types.NID
+	mem []byte
+}
+
+func (l *landing) WriteAt(off int, p []byte) { copy(l.mem[off:], p) }
+
+func (l *landing) Abort() { l.s.t.Errorf("placement of a message from %d aborted", l.src) }
 
 func (s *sink) enter() {
 	if s.inside.Add(1) != 1 {
@@ -110,6 +134,43 @@ func (s *sink) batch(batch []transport.Delivery) {
 	for i := range batch {
 		s.arrive(batch[i].Src, batch[i].Msg)
 		s.held = append(s.held, batch[i])
+	}
+	s.mu.Unlock()
+	s.inside.Add(-1)
+}
+
+// placing is the form of a handler that asked for announcements: a whole
+// message is looked at and released, an announced one is placed into memory
+// of the handler's own and takes its turn in the order when it completes.
+func (s *sink) placing(batch []transport.Delivery) {
+	s.enter()
+	s.mu.Lock()
+	for i := range batch {
+		d := &batch[i]
+		if d.Buf != nil && cap(d.Buf.Bytes()) >= bulkSize {
+			s.bigBufs++
+		}
+		switch {
+		case d.Sink != nil:
+			l := d.Sink.(*landing)
+			d.Sink = nil
+			if d.Aborted {
+				l.Abort()
+			}
+			s.arrive(l.src, l.mem)
+		case d.Total != 0:
+			s.announced++
+			l := &landing{s: s, src: d.Src, mem: make([]byte, d.Total)}
+			if copy(l.mem, d.Msg) != min(d.Total, transport.HeadSize) {
+				s.t.Errorf("announcement of %d bytes carries a %d-byte head", d.Total, len(d.Msg))
+			}
+			if !d.Place(l) {
+				s.t.Errorf("placement of a message from %d refused", d.Src)
+			}
+		default:
+			s.arrive(d.Src, d.Msg)
+		}
+		d.Release()
 	}
 	s.mu.Unlock()
 	s.inside.Add(-1)
@@ -143,20 +204,29 @@ func outstanding() int64 {
 
 func TestContract(t *testing.T) {
 	for _, f := range fabrics {
-		for _, form := range []string{"AttachBatch", "Attach"} {
+		for _, form := range []string{"AttachBatch", "Attach", "Announce"} {
 			t.Run(f.name+"/"+form, func(t *testing.T) {
 				start := outstanding()
 				net := f.new()
 				defer net.Close()
 				s := &sink{t: t, next: make(map[types.NID]uint32)}
+				var sinkEP transport.Endpoint
 				var err error
-				if form == "Attach" {
-					_, err = net.Attach(sinkNID, s.borrowed)
-				} else {
-					_, err = net.AttachBatch(sinkNID, s.batch)
+				switch form {
+				case "Attach":
+					sinkEP, err = net.Attach(sinkNID, s.borrowed)
+				case "AttachBatch":
+					sinkEP, err = net.AttachBatch(sinkNID, s.batch)
+				case "Announce":
+					sinkEP, err = net.AttachBatch(sinkNID, s.placing)
 				}
 				if err != nil {
 					t.Fatal(err)
+				}
+				if a, ok := sinkEP.(transport.Announcer); form == "Announce" && ok {
+					a.Announce()
+				} else if form == "Announce" && f.announces {
+					t.Fatal("the fabric's endpoint is no transport.Announcer")
 				}
 
 				eps := make([]transport.Endpoint, sources)
@@ -187,6 +257,25 @@ func TestContract(t *testing.T) {
 
 				if s.overlap.Load() {
 					t.Error("two handler calls for one endpoint overlapped")
+				}
+
+				// A handler that asked gets every rendezvous message placed —
+				// no pooled buffer of its size is obtained to deliver it — on
+				// the fabrics that announce, and whole messages on the others.
+				if form == "Announce" {
+					want := 0
+					if f.announces {
+						want = bulks
+						st := sinkEP.(*rtscts.Conn).Stats()
+						if st.Placed.Load() != bulks || st.PlacedBytes.Load() != bulks*(bulkSize-transport.HeadSize) {
+							t.Errorf("placed %d messages, %d bytes; want %d, %d", st.Placed.Load(), st.PlacedBytes.Load(), bulks, bulks*(bulkSize-transport.HeadSize))
+						}
+					}
+					s.mu.Lock()
+					if s.announced != want || (f.announces && s.bigBufs != 0) {
+						t.Errorf("%d announcements, %d bulk-sized delivery buffers; want %d, 0", s.announced, s.bigBufs, want)
+					}
+					s.mu.Unlock()
 				}
 
 				// Every kept message must still read as sent, long after its

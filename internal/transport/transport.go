@@ -30,7 +30,9 @@
 //     reordering, latency, bandwidth pacing) with a sliding-window RTS/CTS
 //     reliability layer on top — the analogue of the Cplant Myrinet MCP +
 //     RTS/CTS kernel module stack (§3). rtscts fragments out of the sent
-//     buffer and reassembles into the delivered one.
+//     buffer and reassembles into the delivered one — or, for a message
+//     it announced and the handler placed, writes each fragment through to
+//     the handler's sink (Placement, below).
 //   - udp: the same rtscts engine over one kernel UDP socket per node —
 //     connectionless, peer state is exactly the rtscts window.
 //   - tcp: kernel TCP sockets, the paper's reference implementation.
@@ -40,6 +42,24 @@
 //
 // Fabrics fed by several goroutines (rtscts: one per source link; tcp: one
 // per inbound connection) keep batches serial with Handoff.
+//
+// # Placement
+//
+// A fabric that runs a rendezvous before a long message (rtscts, so simnet
+// and udp) knows that the message is coming before its bytes move, and can
+// let the handler say where they should land. A handler that wants this asks
+// for it once, through the Announcer its Endpoint then implements, and from
+// then on receives two further forms of Delivery in the same serial,
+// per-pair-ordered stream: an announcement — the head of the message, its
+// total length, and the obligation to answer exactly once — and, for an
+// announcement answered with a Sink, a completion when the body has landed
+// in it or never will. The fabric sends its clear-to-send only when the
+// answer is in, so a handler that is behind holds the peer off instead of
+// filling a buffer. A handler that does not ask sees whole messages only.
+//
+// loopback and tcp never announce. loopback's buffer moves from sender to
+// handler, so there is no copy for placement to save; tcp's reader must
+// never wait for the handler (BatchHandler), and an answer is a wait.
 package transport
 
 import (
@@ -103,14 +123,118 @@ type Network interface {
 // nor retains them after handing the batch over, so consumers can queue
 // messages onward — e.g. onto a delivery lane — without copying. Whoever
 // finishes with the message calls Release exactly once.
+//
+// A handler that asked for placement (Announcer) also receives, in stream
+// order with everything else from Src:
+//
+//   - an announcement, Total != 0: a message of Total bytes is waiting to be
+//     sent, and Msg is its head, the first min(Total, HeadSize) bytes. The
+//     handler owes one answer: Place, Discard, or — by releasing the
+//     announcement unanswered — delivery of the whole message as if it had
+//     never been announced;
+//   - a completion, Sink != nil: the message placed into Sink is whole, or,
+//     with Aborted set, will never be. A handler that settles the sink itself
+//     takes it (sets Sink to nil); Release aborts a sink nobody took.
+//
+// So no path that merely releases what it cannot handle — a closing node, a
+// closed Handoff, a message for nobody — leaves a peer waiting for an
+// answer or a sink waiting for its end.
 type Delivery struct {
 	Src types.NID
 	Msg []byte
 	Buf *bufpool.Buf // pooled backing of Msg
+
+	Total   int  // announcement: length of the whole message
+	Sink    Sink // completion: what the announcement was answered with
+	Aborted bool // completion: the body did not arrive whole
+
+	rdv   Rendezvous // announcement: the fabric side, until the answer is given
+	token uint64
 }
 
-// Release returns the message's pooled buffer. Msg is invalid afterwards.
+// HeadSize is how much of an announced message the announcement carries: a
+// message's first HeadSize bytes (all of a shorter one). It is sized for the
+// header a handler must see to know where the rest belongs.
+const HeadSize = 80
+
+// Sink is a handler's answer to an announcement: where the message is to
+// land. The fabric calls WriteAt serially, in ascending offsets, and then
+// reports the end through a completion — or, if that is never handled,
+// through Abort.
+type Sink interface {
+	// WriteAt stores p, the bytes of the message from offset off. The head
+	// is not written again: off is never below the length of the
+	// announcement's Msg. p is the fabric's and only valid during the call.
+	WriteAt(off int, p []byte)
+	// Abort ends a placement whose completion no handler took.
+	Abort()
+}
+
+// Verdict is the answer to an announcement.
+type Verdict uint8
+
+const (
+	Buffer  Verdict = iota // deliver the message whole, in a pooled buffer
+	Place                  // write the body into a Sink, then deliver a completion
+	Discard                // swallow the message as it arrives
+)
+
+// Rendezvous is the fabric's side of one endpoint's announcements. Answer
+// settles the announcement token names and reports false when that
+// announcement is no longer open — the peer broke the protocol, or the
+// endpoint closed — in which case a Sink offered with Place was not taken.
+type Rendezvous interface {
+	Answer(token uint64, v Verdict, sink Sink) bool
+}
+
+// Announcer is implemented by the endpoints of fabrics that can announce.
+// Announce asks for the placement forms of Delivery from now on; the
+// endpoint's handler must be ready for them when it is called.
+type Announcer interface {
+	Announce()
+}
+
+// Announcement builds the announcement of a total-byte message whose first
+// bytes are in head; r.Answer(token, …) will be called exactly once.
+//
+//lint:consumes head
+func Announcement(src types.NID, head *bufpool.Buf, total int, r Rendezvous, token uint64) Delivery {
+	return Delivery{Src: src, Msg: head.Bytes(), Buf: head, Total: total, rdv: r, token: token}
+}
+
+// Completion builds the completion of the placement into sink.
+func Completion(src types.NID, sink Sink, aborted bool) Delivery {
+	return Delivery{Src: src, Sink: sink, Aborted: aborted}
+}
+
+// Place answers an announcement: the fabric is to write the message into
+// sink and then deliver a completion carrying it. False means the
+// announcement was void and sink was not taken; nothing will be written.
+func (d *Delivery) Place(sink Sink) bool { return d.answer(Place, sink) }
+
+// Discard answers an announcement: the message is unwanted, and the fabric
+// is to drop its bytes as they arrive.
+func (d *Delivery) Discard() { d.answer(Discard, nil) }
+
+func (d *Delivery) answer(v Verdict, sink Sink) bool {
+	r := d.rdv
+	d.rdv = nil
+	//lint:ignore noalloc once per announced message, not per fragment; the grant it issues builds the peer's sender on first contact
+	return r != nil && r.Answer(d.token, v, sink)
+}
+
+// Release returns the message's pooled buffer; Msg is invalid afterwards.
+// An announcement still unanswered is answered Buffer, and a completion's
+// sink, if nobody took it, is aborted.
 func (d *Delivery) Release() {
+	if d.rdv != nil {
+		d.answer(Buffer, nil)
+	}
+	if d.Sink != nil {
+		//lint:ignore noalloc teardown path: aborting may unlink a spent descriptor
+		d.Sink.Abort()
+		d.Sink = nil
+	}
 	if d.Buf != nil {
 		d.Buf.Release()
 		d.Buf = nil

@@ -74,6 +74,11 @@ const (
 	// DropEQFull: a reply arrived but the descriptor's event queue has no
 	// space (and is not nil).
 	DropEQFull
+	// DropAborted: a message whose body was being written straight into a
+	// memory descriptor never became whole — its sender broke the
+	// rendezvous, or an endpoint closed under the transfer. No event was
+	// posted and no acknowledgment sent; part of the body may have landed.
+	DropAborted
 )
 
 var dropReasonNames = [...]string{
@@ -87,6 +92,7 @@ var dropReasonNames = [...]string{
 	DropEQGone:    "event-queue-gone",
 	DropMDGone:    "memory-descriptor-gone",
 	DropEQFull:    "event-queue-full",
+	DropAborted:   "transfer-aborted",
 }
 
 func (r DropReason) String() string {
@@ -97,4 +103,4 @@ func (r DropReason) String() string {
 }
 
 // NumDropReasons is the size of the drop-reason enumeration, for counters.
-const NumDropReasons = int(DropEQFull) + 1
+const NumDropReasons = int(DropAborted) + 1

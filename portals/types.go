@@ -94,6 +94,7 @@ const (
 	DropEQGone    = types.DropEQGone
 	DropMDGone    = types.DropMDGone
 	DropEQFull    = types.DropEQFull
+	DropAborted   = types.DropAborted
 )
 
 // Re-exported error values, usable with errors.Is.
