@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-sarif loc test race short bench bench-smoke bench-diff bench-ab sweep examples ci clean trace-smoke coll-smoke alloc-smoke flake
+.PHONY: all build lint lint-sarif loc test race short bench-smoke bench-ab sweep examples ci clean trace-smoke coll-smoke alloc-smoke flake
 
 all: build lint test
 
@@ -33,7 +33,6 @@ lint-sarif:
 # non-comment) and test lines, plus totals: the one convention for every
 # "lines went down" claim in CHANGES.md (scripts/loc.sh). Narrow it with
 #   make loc PKGS="./internal/lint ./cmd/portalsvet"
-PKGS ?= ./...
 loc:
 	@bash scripts/loc.sh $(PKGS)
 
@@ -46,60 +45,33 @@ short:
 race:
 	$(GO) test -race ./...
 
-# bench runs the full suite and leaves a machine-readable summary in
-# BENCH_baseline.json (cmd/benchjson) for diffing across changes. BENCHCPUS
-# selects the -cpu variants; each result's GOMAXPROCS lands in the summary's
-# "cpus" field (names carry the usual "-N" suffix when N > 1). Set
-# BENCHLABEL to additionally write the run as BENCH_<label>.json; BENCHMIN
-# fails the target when fewer results parse (guards against a typo'd
-# pattern or a swallowed build failure producing an empty artifact).
-BENCHCPUS ?= 1,4
-BENCHMIN ?= 1
-BENCHLABEL ?=
-bench:
-	$(GO) test -bench=. -benchmem -run=NONE -cpu=$(BENCHCPUS) -json . ./internal/obs/trace ./internal/stats ./internal/lint | \
-		$(GO) run ./cmd/benchjson -o BENCH_baseline.json -min-results $(BENCHMIN) $(if $(BENCHLABEL),-label $(BENCHLABEL))
-	@echo "wrote BENCH_baseline.json"
-
-# bench-smoke is CI's quick variant: one iteration per fast-path benchmark,
-# streamed through cmd/benchjson so parse failures or an empty stream fail
-# the target — followed by the bench-diff regression gate when a baseline
-# artifact exists.
+# bench-smoke compiles and runs every benchmark in the tree once, at one and
+# at four Ps (the serial engine and the multi-lane dispatch): a benchmark that
+# no longer builds, or fails, fails here without paying for a measurement.
+# No pattern to mistype and no pipe to swallow the exit code; CI calls this
+# target.
 bench-smoke:
-	$(GO) test -run=NONE -bench='TranslateExact|Translate|DeliveryLanes|TraceRecord|CountersParallel|SwarmSteady|CollOffload|CTIncrement|PortalsvetLoad' \
-		-benchtime=1x -cpu=$(BENCHCPUS) -json . ./internal/obs/trace ./internal/stats ./internal/lint | \
-		$(GO) run ./cmd/benchjson -label ci-smoke -min-results 20
-	@if [ -f BENCH_baseline.json ]; then $(MAKE) bench-diff; else echo "no BENCH_baseline.json; skipping bench-diff"; fi
+	$(GO) test -run=NONE -bench=. -benchtime=1x -cpu=1,4 ./...
 
-# bench-diff fails (exit nonzero) when a benchmark regressed past
-# BENCHTHRESHOLD vs the checked-in BENCH_baseline.json. The gated subset
-# is the stable ~20-100ns-scale microbenchmarks (match-list translation,
-# iovec scatter, counting-event increment — the per-message fast paths
-# this repo optimizes) plus PortalsvetLoad, the analyzer's full-repo
-# wall time, so a slow check regresses the build like any hot path;
-# sub-5ns and multi-ms benchmarks are too noise-prone for a ratio gate.
-# -count=3 feeds benchjson three runs per benchmark and Compare takes the
-# best of each: scheduler noise is one-sided, so the minimum is the honest
-# estimate. Refresh the baseline with `make bench` when hardware changes.
-BENCHTHRESHOLD ?= 1.25
-bench-diff:
-	$(GO) test -run=NONE -bench='TranslateExact|TranslateDepth|IOVecScatter|CTIncrement|PortalsvetLoad' \
-		-benchtime=200ms -count=3 -cpu=1 -json . ./internal/lint | \
-		$(GO) run ./cmd/benchjson -diff BENCH_baseline.json -threshold $(BENCHTHRESHOLD) -min-results 10
-
-# bench-ab is the same-run A/B of the repository benchmark (BENCHMARK.json):
-# BASE is checked out into a throw-away git worktree and the two trees take
-# turns — `make bench-ab BASE=HEAD~1 WORKLOAD=bulk256k_simnet [PAIRS=10]`.
-# Prints, per end-to-end metric, each side's median and quartiles, the pairs
-# the working tree won, and whether the medians differ by more than the
-# base's own interquartile spread ("unresolved" where that spread is wider
-# than the metric's bound). WORKLOAD=gated runs every workload BENCHMARK.json
-# lists, pairs interleaved across workloads — the one command for "nothing
-# else moved". See scripts/bench-ab.sh.
+# bench-ab is the one way to compare performance: a same-run A/B of the
+# working tree against BASE, which is checked out into a throw-away git
+# worktree (or is a directory holding a checkout; `.` gives an A/A run), the
+# two trees taking turns for PAIRS pairs. What is compared is either
+#   WORKLOAD=<name>|gated   the repository benchmark (BENCHMARK.json); gated
+#                           runs every workload it lists, pairs interleaved
+#                           across workloads — "nothing else moved";
+#   BENCH=<regexp>          the Go microbenchmarks the regexp selects in PKGS
+#                           (default `.`, bench_test.go), each tree's test
+#                           binaries built once with `go test -c`.
+# Either way one reporter (scripts/bench-ab-report.awk) prints, per metric or
+# benchmark, each side's median and quartiles, the pairs the working tree
+# won, and whether the medians differ by more than the base's own
+# interquartile spread ("unresolved" where that spread is wider than the
+# bound). See scripts/bench-ab.sh.
 PAIRS ?= 10
 bench-ab:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10]"; exit 2; }
-	bash scripts/bench-ab.sh "$(BASE)" "$(WORKLOAD)" $(PAIRS)
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)$(BENCH)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10]"; echo "       make bench-ab BASE=<ref> BENCH=<regexp> [PKGS=\"./pkg ...\"] [PAIRS=10]"; exit 2; }
+	bash scripts/bench-ab.sh "$(BASE)" "$(if $(BENCH),bench=$(BENCH),$(WORKLOAD))" $(PAIRS) $(if $(BENCH),$(PKGS))
 
 # trace-smoke exercises the observability subsystem end to end: a small
 # bypass run with the flight recorder and the metrics registry enabled,
@@ -143,19 +115,19 @@ alloc-smoke:
 # flake repeats the tests of the concurrent core COUNT times at one, two and
 # eight Ps: a test that needs a lucky schedule, a particular core count or a
 # quiet box fails here before it fails in somebody's CI. Of
-# internal/experiments it runs TestReceiveOverhead only — the shape test that
-# rests on counters and a one-CPU host; TestOffloadHidesCollectiveLatency,
-# TestFigure6TestCallsHelpGM and TestFigure6SweepRuns compare wall clocks
-# and fail on two cores at eight Ps (ROADMAP gates item), so they join when
-# they are converted. All three rounds run even when an earlier one failed,
-# so one invocation gives the whole tally.
+# internal/experiments it runs the shape tests that rest on logical evidence —
+# TestReceiveOverhead (counters, a one-CPU host) and
+# TestOffloadHidesCollectiveLatency (trace order); TestFigure6TestCallsHelpGM
+# and TestFigure6SweepRuns compare wall clocks of 16-process runs (ROADMAP
+# clock item), so they join when they are converted. All three rounds run even
+# when an earlier one failed, so one invocation gives the whole tally.
 FLAKEPKGS ?= ./internal/eventq ./internal/core ./internal/nicsim ./internal/transport/... ./internal/rtscts ./portals
 COUNT ?= 20
 flake:
 	@fail=0; for p in 1 2 8; do \
 		echo "== GOMAXPROCS=$$p go test -count=$(COUNT)"; \
 		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) $(FLAKEPKGS) || fail=1; \
-		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) -run TestReceiveOverhead ./internal/experiments || fail=1; \
+		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) -run 'TestReceiveOverhead|TestOffloadHides' ./internal/experiments || fail=1; \
 	done; exit $$fail
 
 # Regenerate every paper experiment (EXPERIMENTS.md records one such run).
@@ -163,7 +135,7 @@ sweep:
 	$(GO) run ./cmd/sweep
 
 # ci is everything the GitHub Actions workflow runs, for local parity.
-ci: build lint test race alloc-smoke flake trace-smoke coll-smoke
+ci: build lint test race alloc-smoke flake bench-smoke trace-smoke coll-smoke
 
 examples:
 	$(GO) run ./examples/quickstart

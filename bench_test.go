@@ -1,20 +1,20 @@
-// Package repro's root benchmarks regenerate every table and figure of
-// the paper (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-// for recorded results):
+// Package repro's root benchmarks are the microbenchmarks nothing else in
+// the tree measures. Every other table and figure has exactly one
+// regenerator, named in DESIGN.md §4: cmd/sweep for the paper's experiments,
+// cmd/collbench, cmd/mpibench and cmd/swarm for theirs, and the repository
+// benchmark (`go run ./benchmark`, BENCHMARK.json) for the end-to-end message
+// path and its per-layer rows. What is left here:
 //
-//	E1/E2  BenchmarkFigure6*          wait time vs work interval
-//	E3     BenchmarkPingPong*,        zero-length / sized latency,
-//	       BenchmarkBulk256KSimnet    bulk put+ack bytes and allocations
-//	E4     BenchmarkWire*             Tables 1–4 wire handling cost
-//	E5     BenchmarkMemScale          unexpected-memory scaling
-//	E6     BenchmarkTranslate*        Figure 3/4 match-list walk cost
-//	E7     BenchmarkCollectives*      direct-vs-over-MPI collectives
-//	E8     BenchmarkBandwidth*        throughput vs message size
-//	E15    BenchmarkCollOffload,      offloaded vs host-driven collectives,
-//	       BenchmarkCTIncrement       counting-event hot-path cost
+//	E4     BenchmarkWireAckReplyBuild  ack/reply header derivation
+//	E6     BenchmarkTranslate*         Figure 3/4 match-list walk cost
+//	E13    BenchmarkIOVecScatter       contiguous vs scattered delivery
+//	E15    BenchmarkCTIncrement        counting-event hot-path cost
+//	       BenchmarkDeliveryLanes      lanes × initiators scaling grid
+//	       BenchmarkEagerThreshold     rendezvous vs eager, same stream
 //
-// Custom metrics carry the experiment's quantity (wait-µs, MB/s, bytes)
-// alongside the usual ns/op.
+// Compare two trees with `make bench-ab BASE=<ref> BENCH=<regexp>` — never a
+// number from one run against a number recorded elsewhere. `make bench-smoke`
+// runs every benchmark of every package once.
 package repro
 
 import (
@@ -22,15 +22,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mpi"
 	"repro/internal/nicsim"
 	"repro/internal/rtscts"
 	"repro/internal/stats"
-	"repro/internal/swarm"
 	"repro/internal/transport/loopback"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
@@ -38,155 +35,12 @@ import (
 	"repro/portals"
 )
 
-// ---------------------------------------------------------------- E1/E2 --
-
-func benchFigure6(b *testing.B, stack experiments.Stack, work time.Duration, testCalls int) {
-	cfg := experiments.DefaultBypassConfig()
-	cfg.Iters = 1
-	cfg.TestCalls = testCalls
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBypass(stack, work, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += r.WaitTime
-	}
-	b.ReportMetric(float64(total.Microseconds())/float64(b.N), "wait-µs")
-}
-
-func BenchmarkFigure6Portals(b *testing.B) {
-	for _, work := range []time.Duration{0, 4 * time.Millisecond, 8 * time.Millisecond} {
-		b.Run(fmt.Sprintf("work=%v", work), func(b *testing.B) {
-			benchFigure6(b, experiments.StackPortals, work, 0)
-		})
-	}
-}
-
-func BenchmarkFigure6GM(b *testing.B) {
-	for _, work := range []time.Duration{0, 4 * time.Millisecond, 8 * time.Millisecond} {
-		b.Run(fmt.Sprintf("work=%v", work), func(b *testing.B) {
-			benchFigure6(b, experiments.StackGM, work, 0)
-		})
-	}
-}
-
-func BenchmarkFigure6TestCallsGM(b *testing.B) {
-	// The §5.3 variant: 3 test calls during an 8 ms work interval.
-	benchFigure6(b, experiments.StackGM, 8*time.Millisecond, 3)
-}
-
-// ------------------------------------------------------------------- E3 --
-
-func benchPingPong(b *testing.B, fab portals.Fabric, size int) {
-	iters := b.N
-	if iters < 10 {
-		iters = 10
-	}
-	lat, err := experiments.PingPong(fab, experiments.PingPongConfig{Size: size, Iters: iters})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(lat.Nanoseconds()), "latency-ns")
-}
-
-func BenchmarkPingPong0B(b *testing.B)         { benchPingPong(b, portals.Myrinet(), 0) }
-func BenchmarkPingPong1KB(b *testing.B)        { benchPingPong(b, portals.Myrinet(), 1024) }
-func BenchmarkPingPong0BLoopback(b *testing.B) { benchPingPong(b, portals.Loopback(), 0) }
-
-// BenchmarkBulk256KSimnet is the repository benchmark's bulk256k_simnet
-// operation (benchmark/, BENCHMARK.json) as a microbenchmark, so the
-// BENCH_*.json trajectory records the number the gate sees: one 256 KiB
-// acknowledged put over zero-wire simnet + rtscts — MTU 4096, RTS/CTS
-// rendezvous, 65 fragments — from Put to the ack event. Run with -benchmem:
-// B/op and allocs/op are the point; ns/op on a zero-wire fabric is the
-// copies and the goroutine hand-offs.
-func BenchmarkBulk256KSimnet(b *testing.B) {
-	const size = 256 << 10
-	rel := rtscts.DefaultConfig()
-	// No loss to recover from: keep the retransmit timer clear of host stalls.
-	rel.RTO, rel.RTOMin = 200*time.Millisecond, 200*time.Millisecond
-	m := portals.NewMachine(portals.SimFabric(simnet.Config{MTU: 4096}, rel))
-	defer m.Close()
-	rx, err := m.NIInit(1, 1, portals.Limits{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tx, err := m.NIInit(2, 1, portals.Limits{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	me, err := rx.MEAttach(0, portals.AnyProcess, 1, 0, portals.Retain, portals.After)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := rx.MDAttach(me, portals.MD{
-		Start: make([]byte, size), Threshold: portals.ThresholdInfinite,
-		Options: portals.MDOpPut | portals.MDManageRemote,
-	}, portals.Retain); err != nil {
-		b.Fatal(err)
-	}
-	eq, err := tx.EQAlloc(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	md, err := tx.MDBind(portals.MD{Start: make([]byte, size), Threshold: portals.ThresholdInfinite, EQ: eq}, portals.Retain)
-	if err != nil {
-		b.Fatal(err)
-	}
-	putAck := func() {
-		if err := tx.Put(md, portals.AckReq, rx.ID(), 0, 0, 1, 0); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			ev, err := tx.EQPoll(eq, 10*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ev.Type == portals.EventAck {
-				return
-			}
-		}
-	}
-	for i := 0; i < 50; i++ { // warm the pools and the per-peer state
-		putAck()
-	}
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		putAck()
-	}
-}
-
 // ------------------------------------------------------------------- E4 --
 
-func BenchmarkWireEncodePut(b *testing.B) {
-	h := wire.NewPut(types.ProcessID{NID: 1, PID: 2}, types.ProcessID{NID: 3, PID: 4},
-		1, 0, 0xF00D, 0, types.Handle{Kind: types.KindMD, Index: 1, Gen: 1}, 50*1024, types.AckReq)
-	buf := make([]byte, wire.HeaderSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Encode(buf)
-	}
-}
-
-func BenchmarkWireDecodePut(b *testing.B) {
-	h := wire.NewPut(types.ProcessID{NID: 1, PID: 2}, types.ProcessID{NID: 3, PID: 4},
-		1, 0, 0xF00D, 0, types.Handle{Kind: types.KindMD, Index: 1, Gen: 1}, 50*1024, types.AckReq)
-	buf := make([]byte, wire.HeaderSize)
-	h.Encode(buf)
-	var out wire.Header
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := out.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkWireAckReplyBuild is the half of the Tables 1–4 handling cost no
+// benchmark workload sees on its own: deriving an ack and a reply header
+// from the request that caused them (encode and decode are wire.encode_ns
+// and wire.decode_ns of `go run ./benchmark -trace 1`).
 func BenchmarkWireAckReplyBuild(b *testing.B) {
 	put := wire.NewPut(types.ProcessID{NID: 1, PID: 2}, types.ProcessID{NID: 3, PID: 4},
 		1, 0, 0xF00D, 0, types.Handle{Kind: types.KindMD, Index: 1, Gen: 1}, 1024, types.AckReq)
@@ -307,123 +161,7 @@ func BenchmarkTranslateWildcard(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslateAckPooled measures the full receive-and-ack fast path
-// at the engine level: translate, deliver, encode the ack into a pooled
-// buffer, recycle. Steady state must report 0 allocs/op.
-func BenchmarkTranslateAckPooled(b *testing.B) {
-	st := core.NewState(types.ProcessID{NID: 1, PID: 1},
-		types.Limits{}, nil, &stats.Counters{})
-	me, err := st.MEAttach(0, types.ProcessID{NID: types.NIDAny, PID: types.PIDAny},
-		1, 0, types.Retain, types.After)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.MDAttach(me, core.MD{
-		Start: make([]byte, 4096), Threshold: types.ThresholdInfinite,
-		Options: types.MDOpPut | types.MDManageRemote,
-	}, types.Retain); err != nil {
-		b.Fatal(err)
-	}
-	h := wire.NewPut(types.ProcessID{NID: 2, PID: 1}, types.ProcessID{NID: 1, PID: 1},
-		0, 0, 1, 0, types.Handle{Kind: types.KindMD, Index: 0, Gen: 0}, 1024, types.AckReq)
-	payload := make([]byte, 1024)
-	out := make([]core.Outbound, 0, 4)
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = st.HandleIncomingInto(&h, payload, out[:0])
-		for j := range out {
-			out[j].Recycle()
-		}
-	}
-}
-
-// ------------------------------------------------------------------- E8 --
-
-func BenchmarkBandwidth(b *testing.B) {
-	for _, size := range []int{4 << 10, 32 << 10, 128 << 10, 512 << 10} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			count := b.N
-			if count < 8 {
-				count = 8
-			}
-			pt, err := experiments.Bandwidth(portals.Myrinet(), size, count)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(size))
-			b.ReportMetric(pt.MBps, "MB/s")
-		})
-	}
-}
-
-// ------------------------------------------------------------------- E5 --
-
-func BenchmarkMemScale(b *testing.B) {
-	for _, n := range []int{2, 8, 32, 128} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			var p experiments.MemScalePoint
-			for i := 0; i < b.N; i++ {
-				m := portals.NewMachine(portals.Loopback())
-				var err error
-				p, err = experiments.MemScale(m, n, mpi.Config{}, 16, 32*1024)
-				m.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(p.PortalsBytes), "portals-bytes")
-			b.ReportMetric(float64(p.VIABytes), "via-bytes")
-		})
-	}
-}
-
-// ------------------------------------------------------------------- E7 --
-
-func BenchmarkCollectives(b *testing.B) {
-	for _, n := range []int{4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			iters := b.N
-			if iters < 5 {
-				iters = 5
-			}
-			pts, err := experiments.CollAblation(portals.Loopback(), n, iters, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range pts {
-				b.ReportMetric(float64(p.DirectPerOp.Microseconds()), p.Op+"-direct-µs")
-				b.ReportMetric(float64(p.OverMPIPerOp.Microseconds()), p.Op+"-overmpi-µs")
-			}
-		})
-	}
-}
-
-// ------------------------------------------------------------------- E15 --
-
-// BenchmarkCollOffload measures the triggered (NIC-offloaded) collectives
-// against the host-driven tree under a compute burn — the headline
-// numbers of docs/PERF.md's offloaded-collectives table, at smoke scale.
-func BenchmarkCollOffload(b *testing.B) {
-	for _, n := range []int{4, 8} {
-		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
-			iters := b.N
-			if iters < 4 {
-				iters = 4
-			}
-			cfg := experiments.OffloadConfig{Iters: iters, Vec: 8, Lanes: 1}
-			pts, err := experiments.RunOffload(portals.Loopback(), n, 500*time.Microsecond, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, p := range pts {
-				b.ReportMetric(float64(p.Offloaded.Microseconds()), p.Op+"-offloaded-µs")
-				b.ReportMetric(float64(p.Host.Microseconds()), p.Op+"-host-µs")
-			}
-		})
-	}
-}
+// ------------------------------------------------------------------ E15 --
 
 // BenchmarkCTIncrement is the triggered-op hot path at micro scale: one
 // counting-event advance — the atomic increment plus armed-threshold
@@ -459,124 +197,6 @@ func BenchmarkCTIncrement(b *testing.B) {
 		if err := ni.CTInc(ct, one); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ----------------------------------------------------- supporting micro --
-
-// BenchmarkMPIPingPong measures the full MPI stack round trip on the
-// loopback fabric (protocol cost without wire time), eager and long.
-func BenchmarkMPIPingPong(b *testing.B) {
-	for _, size := range []int{64, 100 * 1024} {
-		name := "eager"
-		if size > 32*1024 {
-			name = "long"
-		}
-		b.Run(name, func(b *testing.B) {
-			m := portals.NewMachine(portals.Loopback())
-			defer m.Close()
-			w, err := mpi.NewWorld(m, 2, mpi.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			err = w.Run(func(c *mpi.Comm) error {
-				buf := make([]byte, size)
-				peer := 1 - c.Rank()
-				for i := 0; i < b.N; i++ {
-					if c.Rank() == 0 {
-						if err := c.Send(buf, peer, 1); err != nil {
-							return err
-						}
-						if _, err := c.Recv(buf, peer, 2); err != nil {
-							return err
-						}
-					} else {
-						if _, err := c.Recv(buf, peer, 1); err != nil {
-							return err
-						}
-						if err := c.Send(buf, peer, 2); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkPutDelivery measures the core engine's end-to-end put path on
-// loopback: initiate, deliver, event.
-func BenchmarkPutDelivery(b *testing.B) {
-	m := portals.NewMachine(portals.Loopback())
-	defer m.Close()
-	rx, err := m.NIInit(1, 1, portals.Limits{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tx, err := m.NIInit(2, 1, portals.Limits{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eq, err := rx.EQAlloc(1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	me, err := rx.MEAttach(0, portals.AnyProcess, 1, 0, portals.Retain, portals.After)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink := make([]byte, 4096)
-	if _, err := rx.MDAttach(me, portals.MD{
-		Start: sink, Threshold: portals.ThresholdInfinite,
-		Options: portals.MDOpPut | portals.MDManageRemote, EQ: eq,
-	}, portals.Retain); err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 4096)
-	md, err := tx.MDBind(portals.MD{Start: payload, Threshold: portals.ThresholdInfinite}, portals.Retain)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tx.Put(md, portals.NoAckReq, rx.ID(), 0, 0, 1, 0); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rx.EQPoll(eq, 10*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ------------------------------------------------------------------ E12 --
-
-func BenchmarkReceiveOverhead(b *testing.B) {
-	for _, row := range []struct {
-		name  string
-		model portals.NICModel
-		cost  time.Duration
-	}{
-		{"nic-offload", portals.NICOffload, 0},
-		{"interrupt", portals.HostInterrupt, 20 * time.Microsecond},
-	} {
-		b.Run(row.name, func(b *testing.B) {
-			cfg := experiments.OverheadConfig{ComputeIters: 4000, MsgSize: 1024, MsgGap: 50 * time.Microsecond}
-			var slow float64
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.ReceiveOverhead(row.model, row.cost, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				slow += r.SlowdownPct
-			}
-			b.ReportMetric(slow/float64(b.N), "slowdown-%")
-		})
 	}
 }
 
@@ -618,7 +238,7 @@ func BenchmarkIOVecScatter(b *testing.B) {
 	})
 }
 
-// ------------------------------------------------------------------ E14 --
+// -------------------------------------------------------- delivery lanes --
 
 // benchDeliveryLanes drives the multi-lane delivery engine (docs/PERF.md
 // §5) at full tilt: `initiators` nodes blast 4 KB puts at `initiators`
@@ -720,7 +340,7 @@ func benchDeliveryLanes(b *testing.B, lanes, initiators int) {
 // BenchmarkDeliveryLanes is the scaling grid for the multi-lane engine:
 // aggregate receive throughput must grow near-linearly with lanes while
 // lanes=1 stays within noise of the serial engine. Run with -cpu=1,4 to
-// see the lanes×GOMAXPROCS interaction (make bench records both).
+// see the lanes×GOMAXPROCS interaction.
 func BenchmarkDeliveryLanes(b *testing.B) {
 	for _, lanes := range []int{1, 2, 4, 8} {
 		for _, initiators := range []int{1, 2, 4, 8} {
@@ -758,42 +378,6 @@ func BenchmarkEagerThreshold(b *testing.B) {
 			}
 			b.SetBytes(msgSize)
 			b.ReportMetric(pt.MBps, "MB/s")
-		})
-	}
-}
-
-// --------------------------------------------------- swarm steady state --
-
-// BenchmarkSwarmSteady runs the internal/swarm closed-loop harness at two
-// endpoint counts. ns/op includes fabric setup (it builds the endpoints
-// inside the timed region — unavoidable, Run is one call); the ns/msg
-// metric is the steady-state per-message engine cost, and staying flat
-// between the two sub-benchmarks is the lock-free read-path regression
-// check CI's bench-smoke watches. cmd/swarm runs the full 1k→100k sweep.
-func BenchmarkSwarmSteady(b *testing.B) {
-	for _, ep := range []int{1024, 8192} {
-		b.Run(fmt.Sprintf("endpoints=%d", ep), func(b *testing.B) {
-			msgs := b.N
-			if msgs < 256 {
-				msgs = 256
-			}
-			rep, err := swarm.Run(swarm.Config{
-				Endpoints:      ep,
-				MEsPerEndpoint: 4,
-				Nodes:          8,
-				Drivers:        1,
-				Messages:       msgs,
-				PayloadBytes:   64,
-				Seed:           1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Acked != rep.Sent {
-				b.Fatalf("acked %d of %d sent", rep.Acked, rep.Sent)
-			}
-			b.ReportMetric(rep.NsPerMsg, "ns/msg")
-			b.ReportMetric(float64(rep.P99), "p99-ns")
 		})
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	collbench [-procs 2,8,64] [-burns 0,2ms] [-iters 8] [-vec 8] [-lanes 1]
 //	          [-transport loopback] [-loss 0] [-trace trace.json]
-//	          [-metrics metrics.prom] [-bench BENCH_coll.json]
+//	          [-metrics metrics.prom]
 //
 // -transport selects loopback (in-process), myrinet / gige (simulated
 // packet fabrics under rtscts reliability), or udp (real kernel sockets).
@@ -17,9 +17,7 @@
 // -trace captures the flight recorder across the run; feed the file to
 // cmd/tracecheck -require-offload to assert trig-fire instants (triggered
 // operations executing on delivery lanes) land inside compute-burn spans —
-// collectives progressing while the host makes no library calls. -bench
-// writes the measurements as an internal/benchfmt summary so runs can be
-// diffed like any other benchmark artifact.
+// collectives progressing while the host makes no library calls.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/experiments"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
@@ -104,7 +101,6 @@ func main() {
 	loss := flag.Float64("loss", 0, "per-packet loss rate on simulated fabrics")
 	traceOut := flag.String("trace", "", "write a Chrome Trace Event (Perfetto) capture to this file")
 	metricsOut := flag.String("metrics", "", "write the final Prometheus text exposition to this file")
-	benchOut := flag.String("bench", "", "write the measurements as a benchfmt JSON summary to this file")
 	flag.Parse()
 
 	procs, err := parseProcs(*procsFlag)
@@ -161,29 +157,6 @@ func main() {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 		fmt.Printf("# trace: %s (open in ui.perfetto.dev; validate with tracecheck -require-offload)\n", *traceOut)
-	}
-	if *benchOut != "" {
-		s := benchfmt.New()
-		s.Label = "collbench"
-		s.Env["transport"] = *transport
-		for _, p := range points {
-			for _, mode := range []struct {
-				name string
-				d    time.Duration
-			}{{"offloaded", p.Offloaded}, {"host", p.Host}} {
-				s.Results = append(s.Results, benchfmt.Result{
-					Name:       fmt.Sprintf("Coll/%s/%s/procs=%d/burn=%v", mode.name, p.Op, p.Procs, p.Burn),
-					Package:    "repro/internal/experiments",
-					Cpus:       1,
-					Iterations: int64(*iters),
-					NsPerOp:    float64(mode.d.Nanoseconds()),
-				})
-			}
-		}
-		if err := s.WriteFile(*benchOut); err != nil {
-			fatal(fmt.Errorf("bench: %w", err))
-		}
-		fmt.Printf("# bench: %s\n", *benchOut)
 	}
 }
 

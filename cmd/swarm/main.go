@@ -7,13 +7,11 @@
 // Usage:
 //
 //	go run ./cmd/swarm -endpoints 100000 -mes 10 -msgs 200000
-//	go run ./cmd/swarm -sweep 1000,10000,100000 -msgs 100000 -label swarm
+//	go run ./cmd/swarm -sweep 1000,10000,100000 -msgs 100000
 //	go run ./cmd/swarm -rate 50000 -duration 5s
 //
 // -sweep runs the same workload once per endpoint count and prints the
-// max/min per-message cost ratio (the flatness figure). -label writes the
-// runs as BENCH_<label>.json in internal/benchfmt's summary format, so the
-// harness output diffs like any other benchmark artifact.
+// max/min per-message cost ratio (the flatness figure).
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/swarm"
 )
 
@@ -45,8 +42,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "target-selection seed")
 	transport := flag.String("transport", "loopback", "fabric under the harness: loopback or udp")
 	sweep := flag.String("sweep", "", "comma-separated endpoint counts to sweep (overrides -endpoints)")
-	label := flag.String("label", "", "write runs as BENCH_<label>.json")
-	out := flag.String("o", "", "also write the benchmark summary to this path")
 	flag.Parse()
 
 	counts := []int{*endpoints}
@@ -62,8 +57,6 @@ func main() {
 		}
 	}
 
-	sum := benchfmt.New()
-	sum.Label = *label
 	var minNs, maxNs float64
 	for _, ep := range counts {
 		cfg := swarm.Config{
@@ -97,7 +90,6 @@ func main() {
 			}
 		}
 		printReport(rep)
-		sum.Results = append(sum.Results, toResult(rep))
 		if minNs == 0 || rep.NsPerMsg < minNs {
 			minNs = rep.NsPerMsg
 		}
@@ -107,18 +99,6 @@ func main() {
 	}
 	if len(counts) > 1 && minNs > 0 {
 		fmt.Printf("flatness: max/min ns/msg = %.3f across %v endpoints\n", maxNs/minNs, counts)
-	}
-	if *label != "" {
-		if err := sum.WriteFile(benchfmt.LabelPath("", *label)); err != nil {
-			fmt.Fprintln(os.Stderr, "swarm:", err)
-			os.Exit(1)
-		}
-	}
-	if *out != "" {
-		if err := sum.WriteFile(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "swarm:", err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -132,32 +112,4 @@ func printReport(r *swarm.Report) {
 	}
 	fmt.Printf("  %s: achieved %.0f msgs/s, %.0f ns/msg\n", mode, r.AchievedRate, r.NsPerMsg)
 	fmt.Printf("  latency p50=%v p99=%v p999=%v\n", r.P50, r.P99, r.P999)
-}
-
-// toResult renders one run as a benchfmt Result, named the way a testing
-// benchmark would be, so BENCH_ diff tooling treats harness runs and `go
-// test -bench` runs uniformly.
-func toResult(r *swarm.Report) benchfmt.Result {
-	return benchfmt.Result{
-		Name:       fmt.Sprintf("SwarmSteady/endpoints=%d", r.Endpoints),
-		Package:    "repro/cmd/swarm",
-		Cpus:       1,
-		Iterations: r.Acked,
-		NsPerOp:    r.NsPerMsg,
-		Metrics: map[string]float64{
-			"p50-ns":        float64(r.P50),
-			"p99-ns":        float64(r.P99),
-			"p999-ns":       float64(r.P999),
-			"msgs/s":        r.AchievedRate,
-			"match-entries": float64(r.MatchEntries),
-			"acked-of-sent": float64(r.Acked) / float64(max64(r.Sent, 1)),
-		},
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -32,23 +32,9 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs/trace"
 )
-
-// chromeEvent mirrors the subset of the Trace Event Format the flight
-// recorder emits: complete spans ("X"), instants ("i"), metadata ("M").
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	PID  uint64  `json:"pid"`
-	TID  uint64  `json:"tid"`
-}
-
-type chromeTrace struct {
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-}
 
 // receiveSide are the instants that can only be produced by the delivery
 // engine handling an incoming message.
@@ -59,7 +45,7 @@ func checkTrace(path string, requireBypass, requireOffload bool) error {
 	if err != nil {
 		return err
 	}
-	var t chromeTrace
+	var t trace.ChromeTrace
 	if err := json.Unmarshal(data, &t); err != nil {
 		return fmt.Errorf("%s: not valid Chrome Trace JSON: %w", path, err)
 	}
@@ -108,22 +94,10 @@ func checkTrace(path string, requireBypass, requireOffload bool) error {
 	return nil
 }
 
-// insideBurns counts instants matching want that land inside "compute
-// burn" spans on the same node. Zero burn spans is itself an error — the
+// insideBurns is trace.InsideBurns with zero burn spans an error: such a
 // capture was not produced by a burn-bracketing driver.
-func insideBurns(evs []chromeEvent, want func(name string) bool) (inside, burns int, err error) {
-	for _, b := range evs {
-		if b.Ph != "X" || b.Name != "compute burn" {
-			continue
-		}
-		burns++
-		for _, e := range evs {
-			if e.Ph == "i" && want(e.Name) && e.PID == b.PID &&
-				e.TS >= b.TS && e.TS <= b.TS+b.Dur {
-				inside++
-			}
-		}
-	}
+func insideBurns(evs []trace.ChromeEvent, want func(name string) bool) (inside, burns int, err error) {
+	inside, burns = trace.InsideBurns(evs, want)
 	if burns == 0 {
 		return 0, 0, fmt.Errorf("no compute-burn spans (run the capture through cmd/bypass or cmd/collbench with -trace)")
 	}

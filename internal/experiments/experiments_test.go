@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/obs/metrics"
+	"repro/internal/obs/trace"
 	"repro/internal/rtscts"
 	"repro/internal/transport/simnet"
 	"repro/portals"
@@ -194,43 +198,55 @@ func TestBarrierScalingLogarithmic(t *testing.T) {
 	}
 }
 
-// E15's shape as a unit test: under a compute burn comfortably larger
-// than the collective's latency, the triggered (NIC-offloaded) path
-// completes the collective inside the burn while the host-driven path
-// pays burn + latency on top. Scheduler noise on a shared host can
-// squeeze the gap on any one run, so the assertion gets a few attempts;
-// the ≥64-proc headline numbers live in docs/PERF.md §9 (cmd/collbench).
+// E15's shape as a unit test, on trace order rather than on wall clocks: with
+// the triggered (NIC-offloaded) chains armed, trig-fire instants land inside
+// the ranks' compute-burn spans — the collective progresses on the delivery
+// lanes while the host makes no library call, the evidence `tracecheck
+// -require-offload` asks of a cmd/collbench capture — and the host-driven
+// tree, which can only move between burns, fires nothing. What that buys in
+// time is logged, not asserted: sixteen spinning ranks on a shared two-core
+// host decide it either way; docs/PERF.md §9 has the ≥64-proc numbers.
 func TestOffloadHidesCollectiveLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment skipped in -short")
-	}
 	const procs = 16
 	const burn = 2 * time.Millisecond
-	cfg := OffloadConfig{Iters: 6, Vec: 8}
-	var last []OffloadPoint
-	for attempt := 0; attempt < 3; attempt++ {
-		points, err := RunOffload(portals.Loopback(), procs, burn, cfg)
+	reg := metrics.NewRegistry()
+	cfg := OffloadConfig{Iters: 6, Vec: 8, Metrics: reg}.withDefaults()
+	fab := portals.Loopback().WithLanes(cfg.Lanes)
+	type side func(portals.Fabric, int, time.Duration, OffloadConfig) (map[string]time.Duration, error)
+	// firedInBurns runs one side under the flight recorder.
+	firedInBurns := func(run side) (times map[string]time.Duration, inside, burns int) {
+		rec := trace.Enable(trace.Config{})
+		defer trace.Disable()
+		times, err := run(fab, procs, burn, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = points
-		ok := true
-		for _, p := range points {
-			if p.Offloaded >= p.Host {
-				ok = false
-			}
-		}
-		if ok {
-			for _, p := range points {
-				t.Logf("%-9s procs=%d burn=%v offloaded=%v host=%v hidden=%v",
-					p.Op, p.Procs, p.Burn, p.Offloaded, p.Host, p.Hidden)
-			}
-			return
-		}
+		inside, burns = trace.InsideBurns(trace.ChromeEvents(rec.Snapshot()),
+			func(name string) bool { return name == trace.StageTrigFire.String() })
+		return times, inside, burns
 	}
-	for _, p := range last {
-		t.Errorf("%s: offloaded %v not under host-driven %v at procs=%d burn=%v",
-			p.Op, p.Offloaded, p.Host, p.Procs, p.Burn)
+
+	off, inside, burns := firedInBurns(timeOffloaded)
+	if burns == 0 || inside == 0 {
+		t.Errorf("offloaded: %d trig-fire instants inside %d compute-burn spans, want both > 0", inside, burns)
+	}
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^portals_trig_fired_total.* [1-9]\d*$`).MatchString(text.String()) {
+		t.Error("offloaded: no process reports portals_trig_fired_total > 0")
+	}
+
+	host, hostInside, hostBurns := firedInBurns(timeHostDriven)
+	if hostBurns == 0 || hostInside != 0 {
+		t.Errorf("host-driven: %d trig-fire instants inside %d compute-burn spans, want 0 inside > 0", hostInside, hostBurns)
+	}
+	t.Logf("offloaded: %d trig-fire instants inside %d burn spans; host-driven: %d inside %d",
+		inside, burns, hostInside, hostBurns)
+	for _, op := range []string{"barrier", "allreduce"} {
+		t.Logf("%-9s procs=%d burn=%v offloaded=%v host=%v hidden=%v",
+			op, procs, burn, off[op], host[op], host[op]-off[op])
 	}
 }
 

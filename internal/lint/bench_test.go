@@ -4,11 +4,11 @@ import "testing"
 
 // BenchmarkPortalsvetLoad measures a full analyzer pass over this repo —
 // parse + type-check every package, then run every registered check. This
-// is the wall time `make lint` costs a developer, gated in bench-diff like
-// any hot-path regression. The process-wide stdlib importer cache means the
-// first iteration pays stdlib resolution and later ones are module-only,
-// matching the warm analyzer runs the cache makes typical; bench-diff's
-// best-of-N keeps the gate on the warm number.
+// is the wall time `make lint` costs a developer; compare two trees with
+// `make bench-ab BENCH=PortalsvetLoad PKGS=./internal/lint`. The process-wide
+// stdlib importer cache means the first iteration pays stdlib resolution and
+// later ones are module-only, matching the warm analyzer runs the cache
+// makes typical.
 func BenchmarkPortalsvetLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog, err := Load(".", []string{"./..."})

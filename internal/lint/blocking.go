@@ -27,6 +27,7 @@ var blockingMethodNames = map[string]bool{
 // belongs on a delivery path — handlers get Record and nothing else.
 var obsTraceSlowFuncs = map[string]bool{
 	"Snapshot": true, "WriteChromeTrace": true, "WriteDump": true,
+	"ChromeEvents": true, "InsideBurns": true,
 	"Enable": true, "Disable": true,
 }
 

@@ -102,22 +102,20 @@ type Config struct {
 	// GOMAXPROCS; 1 runs the engine inline on the transport's delivery
 	// goroutine.
 	Lanes int
-	// LaneDepth bounds each lane's queue, in dispatch batches (0 defaults
-	// to 1024). Backpressure policy: when a lane is full the dispatcher
-	// BLOCKS the transport's delivery goroutine rather than dropping,
-	// preserving the §4.1 reliable-delivery guarantee. How far back that
-	// pressure reaches is the fabric's business: in rtscts the link
-	// goroutine inside the handler stops taking packets and that peer's
-	// window fills, while loopback and tcp keep taking messages off the
-	// wire and queue them in front of the delivery goroutine, unbounded
-	// (their SendBuf can wait on the wire, so they must never stop draining
-	// it: transport.BatchHandler). Lanes
-	// drain independently of the application (bypass, §5.1), so the wait is
-	// bounded by protocol processing, never by application behaviour.
-	LaneDepth int
 }
 
-const defaultLaneDepth = 1024
+// laneDepth bounds each lane's queue, in dispatch batches. Backpressure
+// policy: when a lane is full the dispatcher BLOCKS the transport's delivery
+// goroutine rather than dropping, preserving the §4.1 reliable-delivery
+// guarantee. How far back that pressure reaches is the fabric's business: in
+// rtscts the link goroutine inside the handler stops taking packets and that
+// peer's window fills, while loopback and tcp keep taking messages off the
+// wire and queue them in front of the delivery goroutine, unbounded (their
+// SendBuf can wait on the wire, so they must never stop draining it:
+// transport.BatchHandler). Lanes drain independently of the application
+// (bypass, §5.1), so the wait is bounded by protocol processing, never by
+// application behaviour.
+const laneDepth = 1024
 
 // laneBurst is the initial capacity of pooled lane dispatch batches.
 const laneBurst = 64
@@ -252,14 +250,11 @@ func NewNode(net transport.Network, nid types.NID, cfg Config) (*Node, error) {
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = runtime.GOMAXPROCS(0)
 	}
-	if cfg.LaneDepth <= 0 {
-		cfg.LaneDepth = defaultLaneDepth
-	}
 	n := &Node{nid: nid, cfg: cfg, groups: make([]*[]laneMsg, cfg.Lanes)}
 	if cfg.Lanes > 1 {
 		n.lanes = make([]*lane, cfg.Lanes)
 		for i := range n.lanes {
-			n.lanes[i] = &lane{ch: make(chan *[]laneMsg, cfg.LaneDepth)}
+			n.lanes[i] = &lane{ch: make(chan *[]laneMsg, laneDepth)}
 		}
 	}
 	ep, err := net.AttachBatch(nid, n.onBatch)
@@ -506,7 +501,7 @@ func (n *Node) dispatch(li int, g *[]laneMsg) {
 	}
 	n.lanes[li].pending.Add(1)
 	// A full lane blocks here — the documented backpressure policy (see
-	// Config.LaneDepth): the fabric's delivery goroutine waits instead of
+	// laneDepth): the fabric's delivery goroutine waits instead of
 	// dropping, and lane drain is independent of the application.
 	//lint:ignore bypassviolation lane workers drain independently of the application (bypass holds); blocking here is backpressure on the fabric's delivery goroutine, bounded by protocol processing only
 	n.lanes[li].ch <- g

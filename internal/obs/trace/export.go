@@ -11,10 +11,10 @@ import (
 // free to allocate and block — portalsvet's bypassviolation check flags
 // them if they ever appear on a delivery path.
 
-// chromeEvent is one Trace Event Format entry
+// ChromeEvent is one Trace Event Format entry
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 // ts/dur are microseconds; pid/tid pick the Perfetto track.
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -26,9 +26,10 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
+// ChromeTrace is the file WriteChromeTrace writes and cmd/tracecheck reads.
+type ChromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 }
 
 type spanKey struct {
@@ -44,11 +45,16 @@ func (k spanKey) tid() uint64 { return uint64(k.pid)*1_000_000 + k.seq%1_000_000
 func usec(ns int64) float64 { return float64(ns) / 1000.0 }
 
 // WriteChromeTrace renders records as Chrome Trace Event JSON, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. Each (NID, PID, seq) span
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
+func WriteChromeTrace(w io.Writer, recs []Entry) error {
+	return json.NewEncoder(w).Encode(ChromeTrace{DisplayTimeUnit: "ns", TraceEvents: ChromeEvents(recs)})
+}
+
+// ChromeEvents renders records as trace events. Each (NID, PID, seq) span
 // becomes an "X" duration event from its first to last record with an "i"
 // instant per stage; burn-start/burn-end pairs become "compute burn"
 // duration events. Nodes map to Perfetto processes, spans to threads.
-func WriteChromeTrace(w io.Writer, recs []Entry) error {
+func ChromeEvents(recs []Entry) []ChromeEvent {
 	byKey := make(map[spanKey][]Entry)
 	var keys []spanKey
 	for _, r := range recs {
@@ -69,26 +75,47 @@ func WriteChromeTrace(w io.Writer, recs []Entry) error {
 		return a.seq < b.seq
 	})
 
-	var evs []chromeEvent
+	var evs []ChromeEvent
 	seenNode := make(map[uint32]bool)
 	for _, k := range keys {
 		if !seenNode[k.nid] {
 			seenNode[k.nid] = true
-			evs = append(evs, chromeEvent{
+			evs = append(evs, ChromeEvent{
 				Name: "process_name", Ph: "M", PID: k.nid,
 				Args: map[string]any{"name": fmt.Sprintf("node %d", k.nid)},
 			})
 		}
 		group := byKey[k]
 		sortRecords(group)
-		evs = append(evs, chromeEvent{
+		evs = append(evs, ChromeEvent{
 			Name: "thread_name", Ph: "M", PID: k.nid, TID: k.tid(),
 			Args: map[string]any{"name": spanName(k, group)},
 		})
 		evs = append(evs, spanEvents(k, group)...)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{DisplayTimeUnit: "ns", TraceEvents: evs})
+	return evs
+}
+
+// InsideBurns counts the "compute burn" spans in evs and the instants want
+// accepts that land inside one on the same node: work the delivery engine
+// did while the application made no library call. It is the evidence behind
+// the application-bypass claim (receive-side instants, cmd/tracecheck
+// -require-bypass) and the offloaded-collective claim (trig-fire instants,
+// -require-offload and TestOffloadHidesCollectiveLatency).
+func InsideBurns(evs []ChromeEvent, want func(name string) bool) (inside, burns int) {
+	for _, b := range evs {
+		if b.Ph != "X" || b.Name != "compute burn" {
+			continue
+		}
+		burns++
+		for _, e := range evs {
+			if e.Ph == "i" && want(e.Name) && e.PID == b.PID &&
+				e.TS >= b.TS && e.TS <= b.TS+b.Dur {
+				inside++
+			}
+		}
+	}
+	return inside, burns
 }
 
 func spanName(k spanKey, group []Entry) string {
@@ -103,8 +130,8 @@ func spanName(k spanKey, group []Entry) string {
 	return fmt.Sprintf("msg %d.%d #%d", k.nid, k.pid, k.seq)
 }
 
-func spanEvents(k spanKey, group []Entry) []chromeEvent {
-	var evs []chromeEvent
+func spanEvents(k spanKey, group []Entry) []ChromeEvent {
+	var evs []ChromeEvent
 	// Burn pairs render as named duration events; everything else renders
 	// as one span-wide "X" plus per-stage instants.
 	var burnStart *Entry
@@ -121,7 +148,7 @@ func spanEvents(k spanKey, group []Entry) []chromeEvent {
 				start = burnStart.TS
 				burnStart = nil
 			}
-			evs = append(evs, chromeEvent{
+			evs = append(evs, ChromeEvent{
 				Name: "compute burn", Cat: "app", Ph: "X",
 				TS: usec(start), Dur: usec(r.TS - start),
 				PID: k.nid, TID: k.tid(),
@@ -133,7 +160,7 @@ func spanEvents(k spanKey, group []Entry) []chromeEvent {
 				havePath = true
 			}
 			last = r.TS
-			evs = append(evs, chromeEvent{
+			evs = append(evs, ChromeEvent{
 				Name: r.Stage.String(), Cat: "portals", Ph: "i",
 				TS: usec(r.TS), PID: k.nid, TID: k.tid(), S: "t",
 				Args: map[string]any{"arg": r.Arg, "seq": r.Seq},
@@ -143,13 +170,13 @@ func spanEvents(k spanKey, group []Entry) []chromeEvent {
 	// A burn-start with no matching end (snapshot taken mid-burn) still
 	// deserves a mark.
 	if burnStart != nil {
-		evs = append(evs, chromeEvent{
+		evs = append(evs, ChromeEvent{
 			Name: "burn-start", Cat: "app", Ph: "i",
 			TS: usec(burnStart.TS), PID: k.nid, TID: k.tid(), S: "t",
 		})
 	}
 	if havePath {
-		span := chromeEvent{
+		span := ChromeEvent{
 			Name: spanName(k, group), Cat: "portals", Ph: "X",
 			TS: usec(first), Dur: usec(last - first),
 			PID: k.nid, TID: k.tid(),
@@ -160,7 +187,7 @@ func spanEvents(k spanKey, group []Entry) []chromeEvent {
 		if span.Dur == 0 {
 			span.Dur = 0.001
 		}
-		evs = append([]chromeEvent{span}, evs...)
+		evs = append([]ChromeEvent{span}, evs...)
 	}
 	return evs
 }

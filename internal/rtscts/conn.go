@@ -20,9 +20,6 @@ type Config struct {
 	// (multiplicative decrease on retransmit) and back up on clean ack
 	// runs (additive increase), never exceeding Window.
 	Window int
-	// MinWindow floors the multiplicative window decrease. Zero selects 2,
-	// clamped to Window.
-	MinWindow int
 	// RTO seeds the retransmission timeout. Until the first RTT sample it
 	// is the FIRST retransmission delay; subsequent attempts back off
 	// exponentially (doubling, with jitter) up to RTOMax, so a dead peer
@@ -51,12 +48,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 2
-	}
-	if c.MinWindow > c.Window {
-		c.MinWindow = c.Window
 	}
 	if c.RTO <= 0 {
 		c.RTO = 10 * time.Millisecond

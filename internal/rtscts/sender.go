@@ -46,7 +46,7 @@ func (d *txDesc) retire() {
 // (Jacobson/Karels), three duplicate acks trigger an immediate Go-Back-N
 // resend without waiting out the timer, and the window width adapts —
 // multiplicative decrease on any retransmission, additive increase on
-// clean ack runs — between cfg.MinWindow and cfg.Window.
+// clean ack runs — between minWindow and cfg.Window.
 type peerSender struct {
 	c   *Conn
 	dst types.NID
@@ -355,15 +355,16 @@ func (s *peerSender) observeRTT(sample time.Duration) {
 	s.rtoNs.Store(int64(rto))
 }
 
+// minWindow floors the multiplicative window decrease, in packets; a
+// configured Window below it is its own floor.
+const minWindow = 2
+
 // shrinkWindow applies multiplicative decrease num/den, flooring at
-// MinWindow, and resets the growth run. Called with wmu held.
+// minWindow, and resets the growth run. Called with wmu held.
 //
 //lint:requires wmu
 func (s *peerSender) shrinkWindow(num, den int) {
-	w := s.wnd * num / den
-	if w < s.c.cfg.MinWindow {
-		w = s.c.cfg.MinWindow
-	}
+	w := max(s.wnd*num/den, min(minWindow, s.c.cfg.Window))
 	if w != s.wnd {
 		s.wnd = w
 		s.wndNow.Store(int64(w))

@@ -222,7 +222,7 @@ func TestWindowShrinksOnTimeoutRetransmit(t *testing.T) {
 		t.Fatalf("window = %d after timeout retransmit, want < 8", st.Window)
 	}
 	if st.Window < 2 {
-		t.Fatalf("window = %d, shrank below MinWindow floor 2", st.Window)
+		t.Fatalf("window = %d, shrank below the minWindow floor 2", st.Window)
 	}
 }
 

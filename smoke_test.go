@@ -3,7 +3,9 @@ package repro
 import (
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -312,5 +314,130 @@ func TestCmdSweepQuick(t *testing.T) {
 			t.Errorf("sweep output missing %q", want)
 		}
 	}
-	_ = fmt.Sprint() // keep fmt imported if asserts change
+}
+
+// TestBenchABVerdicts holds the one comparison rule of the repository
+// (scripts/bench-ab-report.awk, behind `make bench-ab`) to its wording: canned
+// base and change samples, one row per verdict.
+func TestBenchABVerdicts(t *testing.T) {
+	if _, err := exec.LookPath("awk"); err != nil {
+		t.Skip("no awk on this host")
+	}
+	// check runs the reporter over the two sample texts and asserts, per
+	// row name, exactly one line of output, containing each wanted piece.
+	check := func(t *testing.T, base, change, awkVar string, want map[string][]string) {
+		t.Helper()
+		dir := t.TempDir()
+		for name, text := range map[string]string{"base": base, "change": change} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := runCmd(t, 30*time.Second, "awk", "-v", awkVar, "-f", "scripts/bench-ab-report.awk",
+			filepath.Join(dir, "base"), filepath.Join(dir, "change"))
+		for row, pieces := range want {
+			var lines []string
+			for _, l := range strings.Split(out, "\n") {
+				if strings.HasPrefix(l, row+" ") || strings.HasPrefix(l, row+":") {
+					lines = append(lines, l)
+				}
+			}
+			if len(lines) != 1 {
+				t.Fatalf("%d lines for %q, want 1:\n%s", len(lines), row, out)
+			}
+			for _, piece := range pieces {
+				if !strings.Contains(lines[0], piece) {
+					t.Errorf("row %q lacks %q: %s", row, piece, lines[0])
+				}
+			}
+		}
+		if strings.Contains(out, "goos") || strings.Contains(out, "B/op") {
+			t.Errorf("go's headers or -benchmem columns leaked into the table:\n%s", out)
+		}
+	}
+	// samples renders values as one metric's lines, ramp n values from first.
+	samples := func(name string, values ...float64) string {
+		var b strings.Builder
+		for _, v := range values {
+			fmt.Fprintf(&b, "%s %g\n", name, v)
+		}
+		return b.String()
+	}
+	ramp := func(n int, first, step float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = first + float64(i)*step
+		}
+		return v
+	}
+
+	t.Run("metrics", func(t *testing.T) {
+		narrow := ramp(10, 100, 1) // median 104.5, IQR 4.5
+		var base, change, metrics strings.Builder
+		want := map[string][]string{
+			"base":   {"10000 operations attempted, 0 failed"},
+			"change": {"10000 operations attempted, 2 failed"},
+		}
+		for _, c := range []struct {
+			name, better string
+			base, change []float64
+			want         []string
+		}{
+			{"same", "lower", narrow, ramp(10, 101, 1),
+				[]string{"104.5 [102.2, 106.8]", "105.5 [103.2, 107.8]", "0/10", "+1.0%", "not moved (within the base spread)"}},
+			// 100..280: median 190, IQR 90, 47 % of it.
+			{"wide", "lower", ramp(10, 100, 20), ramp(10, 110, 20),
+				[]string{"unresolved (base spread 47% is wider than the 25% bound)"}},
+			{"better", "lower", narrow, ramp(10, 80, 1),
+				[]string{"10/10", "-19.1%", "BETTER (beyond base IQR, won >= 9/10)"}},
+			{"rate", "higher", narrow, ramp(10, 120, 1),
+				[]string{"10/10", "+19.1%", "BETTER (beyond base IQR, won >= 9/10)"}},
+			// The median drops by 20, but only the first six pairs are won.
+			{"sixoften", "lower", narrow, append(ramp(6, 80, 1), ramp(4, 120, 1)...),
+				[]string{"6/10", "better in the median, but won too few pairs"}},
+			{"worse", "lower", narrow, ramp(10, 110, 1),
+				[]string{"0/10", "+9.6%", "worse (beyond base IQR, inside the 25% bound)"}},
+			{"farworse", "lower", narrow, ramp(10, 200, 1),
+				[]string{"WORSE (beyond base IQR and the 25% bound)"}},
+			{"few", "lower", ramp(3, 1, 1), ramp(3, 1, 1),
+				[]string{"0/3", "too few pairs for a spread"}},
+		} {
+			fmt.Fprintf(&metrics, "%s %s 0.25\n", c.name, c.better)
+			base.WriteString(samples(c.name, c.base...))
+			change.WriteString(samples(c.name, c.change...))
+			want[c.name] = c.want
+		}
+		base.WriteString(samples("ops_attempted", ramp(10, 1000, 0)...) + samples("ops_failed", ramp(10, 0, 0)...))
+		change.WriteString(samples("ops_attempted", ramp(10, 1000, 0)...) + samples("ops_failed", append(ramp(9, 0, 0), 2)...))
+		check(t, base.String(), change.String(), "metrics="+strings.TrimSpace(metrics.String()), want)
+	})
+
+	// The other input: `go test -bench` output as it comes, four runs a side.
+	t.Run("gobench", func(t *testing.T) {
+		run := func(exact, ct float64, extra string) string {
+			return fmt.Sprintf(`goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) CPU @ 2.20GHz
+BenchmarkTranslateExact/entries=16-4         	12000000	        %.2f ns/op	       0 B/op	       0 allocs/op
+BenchmarkCTIncrement-4                       	100000000	        %.2f ns/op
+BenchmarkEagerThreshold/eager-4              	     100	  11000000 ns/op	 530.12 MB/s	       512.3 MB/s
+%sPASS
+ok  	repro	5.123s
+`, exact, ct, extra)
+		}
+		var base, change strings.Builder
+		for i := 0; i < 4; i++ {
+			base.WriteString(run(95+float64(i), 10.5, "BenchmarkGone-4  	 1000	 5.00 ns/op\n"))
+			change.WriteString(run(95+float64(i), 21, ""))
+		}
+		check(t, base.String(), change.String(), "nsbound=0.25", map[string][]string{
+			"TranslateExact/entries=16-4": {"96.5 [95.75, 97.25]", "0/4", "+0.0%", "not moved"},
+			"CTIncrement-4":               {"10.5 [10.5, 10.5]", "21 [21, 21]", "0/4", "+100.0%", "WORSE (beyond base IQR and the 25% bound)"},
+			"EagerThreshold/eager-4":      {"1.1e+07 [1.1e+07, 1.1e+07]", "not moved"},
+			"Gone-4":                      {"not compared: 4 base and 0 change samples"},
+			"base":                        {"448004400 operations attempted, 0 failed"},
+			"change":                      {"448000400 operations attempted, 0 failed"},
+		})
+	})
 }
