@@ -74,29 +74,27 @@ bench-ab:
 	bash scripts/bench-ab.sh "$(BASE)" "$(if $(BENCH),bench=$(BENCH),$(WORKLOAD))" $(PAIRS) $(if $(BENCH),$(PKGS))
 
 # trace-smoke exercises the observability subsystem end to end: a small
-# bypass run with the flight recorder and the metrics registry enabled,
-# then artifact validation (cmd/tracecheck). -require-bypass asserts the
-# §5.1 claim is visible in the capture: receive-side match/deliver/
+# `sweep bypass` run with the flight recorder and the metrics registry
+# enabled, then artifact validation (cmd/tracecheck). -require-bypass asserts
+# the §5.1 claim is visible in the capture: receive-side match/deliver/
 # event-post instants inside the application's compute-burn spans.
-trace-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/bypass -points 2 -iters 1 -max 2ms \
-		-trace $$tmp/trace.json -metrics $$tmp/metrics.prom >/dev/null && \
-	$(GO) run ./cmd/tracecheck -require-bypass \
-		-trace $$tmp/trace.json -metrics $$tmp/metrics.prom; \
-	status=$$?; rm -rf $$tmp; exit $$status
+trace-smoke: CAPTURE = bypass -points 2 -iters 1 -max 2ms
+trace-smoke: REQUIRE = -require-bypass
 
 # coll-smoke exercises the triggered-operations subsystem end to end: a
-# small offloaded-vs-host collective run with the flight recorder enabled,
-# then cmd/tracecheck -require-offload asserting trig-fire instants (the
-# chain executing on delivery lanes) land inside compute-burn spans — the
-# NIC-offload claim, visible in the artifact.
-coll-smoke:
+# small offloaded-vs-host `sweep collbench` run with the flight recorder
+# enabled, then cmd/tracecheck -require-offload asserting trig-fire instants
+# (the chain executing on delivery lanes) land inside compute-burn spans —
+# the NIC-offload claim, visible in the artifact.
+coll-smoke: CAPTURE = collbench -procs 2,8 -burns 1ms -iters 2
+coll-smoke: REQUIRE = -require-offload
+
+# Both build sweep and tracecheck once each into the target's temp dir.
+trace-smoke coll-smoke:
 	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/collbench -procs 2,8 -burns 1ms -iters 2 \
-		-trace $$tmp/trace.json -metrics $$tmp/metrics.prom >/dev/null && \
-	$(GO) run ./cmd/tracecheck -require-offload \
-		-trace $$tmp/trace.json -metrics $$tmp/metrics.prom; \
+	$(GO) build -o $$tmp/ ./cmd/sweep ./cmd/tracecheck && \
+	$$tmp/sweep $(CAPTURE) -trace $$tmp/trace.json -metrics $$tmp/metrics.prom >/dev/null && \
+	$$tmp/tracecheck $(REQUIRE) -trace $$tmp/trace.json -metrics $$tmp/metrics.prom; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation

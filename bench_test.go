@@ -1,9 +1,10 @@
 // Package repro's root benchmarks are the microbenchmarks nothing else in
 // the tree measures. Every other table and figure has exactly one
-// regenerator, named in DESIGN.md §4: cmd/sweep for the paper's experiments,
-// cmd/collbench, cmd/mpibench and cmd/swarm for theirs, and the repository
-// benchmark (`go run ./benchmark`, BENCHMARK.json) for the end-to-end message
-// path and its per-layer rows. What is left here:
+// regenerator, named in DESIGN.md §4: a row of cmd/sweep's table for the
+// paper's experiments, E15 and the MPI reference numbers, cmd/swarm for the
+// endpoint-scaling sweep, and the repository benchmark (`go run ./benchmark`,
+// BENCHMARK.json) for the end-to-end message path and its per-layer rows.
+// What is left here:
 //
 //	E4     BenchmarkWireAckReplyBuild  ack/reply header derivation
 //	E6     BenchmarkTranslate*         Figure 3/4 match-list walk cost

@@ -1,169 +1,127 @@
-// Command sweep runs every experiment in the reproduction and prints the
-// paper-style tables and series one after another — the one-shot
-// regeneration entry point referenced by EXPERIMENTS.md.
+// Command sweep regenerates the paper's evaluation. It is the one
+// experiment driver: a table of experiments (rows.go), each a subcommand
+// that prints its paper-style table through the internal/experiments
+// driver behind it.
 //
 // Usage:
 //
-//	sweep [-quick]
+//	sweep [-quick] [-trace F] [-metrics F]           every experiment, one after another
+//	sweep [-quick] <experiment> [flags]              one experiment, its parameters exposed
+//	sweep -h | sweep <experiment> -h                 the table | one experiment's flags
 //
-// -quick shrinks iteration counts so the whole run finishes in well under
-// a minute; the full run takes a few minutes.
+// Run without an experiment it is the one-shot regeneration entry point
+// EXPERIMENTS.md refers to: every row with its defaults, under the banners
+// the row declares (E2 is the bypass row with three test calls, E8 the
+// pingpong row with -bw). -quick shrinks the default iteration counts and
+// grids: that run takes a couple of seconds, the full one about ten.
+//
+// Every experiment takes -trace and -metrics. -trace captures the
+// per-message flight recorder (internal/obs/trace) across the run and
+// writes a Chrome Trace Event file; open it in Perfetto (ui.perfetto.dev).
+// In a bypass capture receive-side match/deliver/event-post instants land
+// inside the application's compute-burn spans — the §5.1 claim, directly
+// observable — and in a collbench capture trig-fire instants do;
+// cmd/tracecheck -require-bypass / -require-offload assert exactly that.
+// -metrics writes the final Prometheus text exposition of every layer's
+// counters, for the machines the experiment's driver registers (bypass,
+// pingpong latency, collbench, mpibench).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
-
-	"repro/internal/experiments"
-	"repro/internal/mpi"
-	"repro/portals"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// experiment is one row of the table: a subcommand.
+type experiment struct {
+	name  string
+	paper string // E-number and paper section
+	about string
+	// flags declares the experiment's own flags on fs, under the names and
+	// defaults its stand-alone command had, and returns the function that
+	// prints its table. Nothing else prints it: running everything calls
+	// the same function.
+	flags func(fs *flag.FlagSet, c *common) func(w io.Writer) error
+	// sections is what running everything regenerates from this row: under
+	// each banner, the row with these arguments on top of its defaults.
+	sections []section
+}
+
+type section struct {
+	banner string
+	args   []string
+}
+
+// prepare parses args into the experiment's flags and returns its run.
+func (e experiment) prepare(c *common, args []string) func(io.Writer) error {
+	fs := c.flagSet("sweep " + e.name)
+	run := e.flags(fs, c)
+	parse(fs, args)
+	if fs.NArg() > 0 {
+		usageError(fs, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	}
+	return run
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: sweep [-quick] [-trace F] [-metrics F] [<experiment> [flags]]")
+	fmt.Fprintln(w, "\nWithout an experiment, runs every one with its defaults. Experiments:")
+	for _, e := range table {
+		fmt.Fprintf(w, "  %-12s %-25s %s\n", e.name, e.paper, e.about)
+	}
+	fmt.Fprintln(w, "\n`sweep <experiment> -h` lists an experiment's flags.")
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller iteration counts")
-	flag.Parse()
+	c := &common{}
+	top := c.flagSet("sweep")
+	top.BoolVar(&c.quick, "quick", false, "smaller default iteration counts")
+	top.Usage = func() { usage(top.Output()) }
+	parse(top, os.Args[1:])
 
-	iters := 5
-	ppIters := 200
-	points := 9
-	maxWork := 12 * time.Millisecond
-	if *quick {
-		iters, ppIters, points, maxWork = 2, 50, 5, 8*time.Millisecond
-	}
-
-	// ----- E1/E2: Figure 6 -------------------------------------------------
-	fmt.Println("===== E1 (Figure 6): wait time vs work interval, 10 x 50KB =====")
-	cfg := experiments.DefaultBypassConfig()
-	cfg.Iters = iters
-	fmt.Printf("%-14s %-18s %-18s\n", "work", "wait(MPI/GM)", "wait(MPI/Portals)")
-	var works []time.Duration
-	for i := 0; i < points; i++ {
-		works = append(works, maxWork*time.Duration(i)/time.Duration(points-1))
-	}
-	for _, w := range works {
-		gm, err := experiments.RunBypass(experiments.StackGM, w, cfg)
-		if err != nil {
-			fatal(err)
+	// Every argument list is parsed before anything runs.
+	var runs []func(io.Writer) error
+	everything := top.NArg() == 0
+	for _, e := range table {
+		switch {
+		case everything:
+			for _, s := range e.sections {
+				run := e.prepare(c, s.args)
+				runs = append(runs, func(w io.Writer) error {
+					fmt.Fprintf(w, "\n===== %s =====\n", s.banner)
+					return run(w)
+				})
+			}
+		case e.name == top.Arg(0):
+			runs = append(runs, e.prepare(c, top.Args()[1:]))
 		}
-		pt, err := experiments.RunBypass(experiments.StackPortals, w, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-14v %-18v %-18v\n", w, gm.WaitTime.Round(time.Microsecond), pt.WaitTime.Round(time.Microsecond))
+	}
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q\n", top.Arg(0))
+		usage(os.Stderr)
+		os.Exit(2)
 	}
 
-	fmt.Println("\n===== E2 (§5.3 variant): 3 test calls during work =====")
-	cfg.TestCalls = 3
-	fmt.Printf("%-14s %-18s %-18s\n", "work", "wait(MPI/GM)", "wait(MPI/Portals)")
-	for _, w := range []time.Duration{0, maxWork / 2, maxWork} {
-		gm, err := experiments.RunBypass(experiments.StackGM, w, cfg)
-		if err != nil {
+	finish := c.capture()
+	for _, run := range runs {
+		if err := run(os.Stdout); err != nil {
 			fatal(err)
-		}
-		pt, err := experiments.RunBypass(experiments.StackPortals, w, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-14v %-18v %-18v\n", w, gm.WaitTime.Round(time.Microsecond), pt.WaitTime.Round(time.Microsecond))
-	}
-	cfg.TestCalls = 0
-
-	// ----- E3: ping-pong latency -------------------------------------------
-	fmt.Println("\n===== E3 (§3): ping-pong latency (paper: <20µs on Myrinet MCP) =====")
-	fmt.Printf("%-10s %-14s %-14s\n", "size", "myrinet-sim", "loopback")
-	for _, size := range []int{0, 1024, 65536} {
-		sim, err := experiments.PingPong(portals.Myrinet(), experiments.PingPongConfig{Size: size, Iters: ppIters})
-		if err != nil {
-			fatal(err)
-		}
-		lb, err := experiments.PingPong(portals.Loopback(), experiments.PingPongConfig{Size: size, Iters: ppIters})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-10d %-14v %-14v\n", size, sim.Round(100*time.Nanosecond), lb.Round(100*time.Nanosecond))
-	}
-
-	// ----- E8: bandwidth -----------------------------------------------------
-	fmt.Println("\n===== E8 (§3): bandwidth vs message size over simulated Myrinet =====")
-	fmt.Printf("%-10s %-12s\n", "size", "MB/s")
-	for _, size := range []int{4 << 10, 32 << 10, 128 << 10, 512 << 10} {
-		pt, err := experiments.Bandwidth(portals.Myrinet(), size, 32)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-10d %-12.1f\n", pt.Size, pt.MBps)
-	}
-
-	// ----- E5: memory scaling ------------------------------------------------
-	fmt.Println("\n===== E5 (§4.1): unexpected-message memory vs peers =====")
-	fmt.Printf("%-8s %-16s %-16s\n", "peers", "portals(bytes)", "via(bytes)")
-	for n := 2; n <= 128; n *= 4 {
-		m := portals.NewMachine(portals.Loopback())
-		p, err := experiments.MemScale(m, n, mpi.Config{}, 16, 32*1024)
-		if cerr := m.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-8d %-16d %-16d\n", p.Peers, p.PortalsBytes, p.VIABytes)
-	}
-
-	// ----- E7: collectives ablation -------------------------------------------
-	fmt.Println("\n===== E7 (§2): collectives directly on Portals vs over MPI p2p =====")
-	fmt.Printf("%-12s %-8s %-14s %-14s %-8s\n", "op", "procs", "direct", "over-mpi", "speedup")
-	for _, n := range []int{4, 8, 16} {
-		points, err := experiments.CollAblation(portals.Loopback(), n, 20, 64)
-		if err != nil {
-			fatal(err)
-		}
-		for _, p := range points {
-			fmt.Printf("%-12s %-8d %-14v %-14v %-8.2f\n",
-				p.Op, p.Procs, p.DirectPerOp.Round(time.Microsecond), p.OverMPIPerOp.Round(time.Microsecond), p.Speedup)
 		}
 	}
-	// ----- E12: receive overhead ----------------------------------------------
-	fmt.Println("\n===== E12 (§5.1/§5.3): receive overhead, interrupt-driven vs NIC-offload =====")
-	fmt.Printf("%-12s %-12s %-12s %-12s %-10s %-8s\n", "model", "idle", "loaded", "slowdown", "msgs", "intr")
-	ocfg := experiments.DefaultOverheadConfig()
-	if *quick {
-		ocfg.ComputeIters = 8000
+	if everything {
+		fmt.Println("\ndone.")
 	}
-	for _, row := range []struct {
-		model portals.NICModel
-		cost  time.Duration
-		name  string
-	}{
-		{portals.NICOffload, 0, "nic-offload"},
-		{portals.HostInterrupt, 20 * time.Microsecond, "interrupt"},
-	} {
-		r, err := experiments.ReceiveOverhead(row.model, row.cost, ocfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-12s %-12v %-12v %-11.1f%% %-10d %-8d\n",
-			row.name, r.IdleCompute.Round(time.Microsecond), r.LoadedCompute.Round(time.Microsecond),
-			r.SlowdownPct, r.Messages, r.Interrupts)
-	}
-
-	// ----- E14: scalability -----------------------------------------------------
-	fmt.Println("\n===== E14 (§4.1): barrier cost vs job size (per-process messages = log2 n) =====")
-	fmt.Printf("%-8s %-14s %-12s %-16s\n", "procs", "wall/op", "msgs/proc", "msgs/proc/log2n")
-	scale, err := experiments.BarrierScaling(portals.Loopback(), []int{4, 8, 16, 32, 64, 128}, 10)
-	if err != nil {
+	if err := finish(os.Stdout); err != nil {
 		fatal(err)
 	}
-	for _, p := range scale {
-		fmt.Printf("%-8d %-14v %-12.2f %-16.2f\n",
-			p.Procs, p.PerBarrier.Round(time.Microsecond), p.MsgsPerProc, p.MsgsPerOpLog)
-	}
+}
 
-	fmt.Println("\ndone.")
+// fatal ends a run that failed. No artifact is written on this path, which
+// is the right failure mode: a partial capture would look like a complete
+// one.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(1)
 }

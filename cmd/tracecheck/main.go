@@ -21,7 +21,7 @@
 // a delivery lane, core/ct.go) must land inside a compute-burn span on
 // the same node — the collective chain progressing with zero host
 // wakeups while the application burns CPU. Captures come from
-// cmd/collbench -trace.
+// `sweep collbench -trace`.
 package main
 
 import (
@@ -99,7 +99,7 @@ func checkTrace(path string, requireBypass, requireOffload bool) error {
 func insideBurns(evs []trace.ChromeEvent, want func(name string) bool) (inside, burns int, err error) {
 	inside, burns = trace.InsideBurns(evs, want)
 	if burns == 0 {
-		return 0, 0, fmt.Errorf("no compute-burn spans (run the capture through cmd/bypass or cmd/collbench with -trace)")
+		return 0, 0, fmt.Errorf("no compute-burn spans (run the capture through `sweep bypass` or `sweep collbench` with -trace)")
 	}
 	return inside, burns, nil
 }

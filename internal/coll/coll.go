@@ -79,8 +79,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Op combines two float64 vectors elementwise into dst (same contract as
-// the mpi package's Op).
+// Op combines two float64 vectors elementwise into dst. Op, the built-in
+// operators and the vector codec below are the arithmetic all three
+// collectives stacks share (Group, TGroup and internal/mpi's point-to-point
+// collectives, which aliases them): the stacks differ in who progresses the
+// tree, not in what a reduction computes or how a vector travels.
 type Op func(dst, src []float64)
 
 // Built-in operators.
@@ -93,6 +96,13 @@ var (
 	Max Op = func(dst, src []float64) {
 		for i := range dst {
 			if src[i] > dst[i] {
+				dst[i] = src[i]
+			}
+		}
+	}
+	Min Op = func(dst, src []float64) {
+		for i := range dst {
+			if src[i] < dst[i] {
 				dst[i] = src[i]
 			}
 		}
@@ -266,21 +276,21 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 		if err := g.waitBits(bits(opAllred, gen, phase)); err != nil {
 			return err
 		}
-		decodeF64(g.arSlotData(gen, phase, len(vec)), tmp)
+		DecodeF64(g.arSlotData(gen, phase, len(vec)), tmp)
 		op(vec, tmp)
 		return nil
 	}
 
 	if g.rank >= pow2 {
 		// Fold in, then wait for the folded-out result.
-		if err := g.put(g.rank-pow2, bits(opAllred, gen, 0), encodeF64(vec, out), g.arOffset(gen, 0)); err != nil {
+		if err := g.put(g.rank-pow2, bits(opAllred, gen, 0), EncodeF64(vec, out), g.arOffset(gen, 0)); err != nil {
 			return err
 		}
 		last := g.phases - 1
 		if err := g.waitBits(bits(opAllred, gen, last)); err != nil {
 			return err
 		}
-		decodeF64(g.arSlotData(gen, last, len(vec)), vec)
+		DecodeF64(g.arSlotData(gen, last, len(vec)), vec)
 		return nil
 	}
 	if g.rank < extra {
@@ -290,7 +300,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	}
 	for p, dist := 1, 1; dist < pow2; p, dist = p+1, dist*2 {
 		partner := g.rank ^ dist
-		if err := g.put(partner, bits(opAllred, gen, p), encodeF64(vec, out), g.arOffset(gen, p)); err != nil {
+		if err := g.put(partner, bits(opAllred, gen, p), EncodeF64(vec, out), g.arOffset(gen, p)); err != nil {
 			return err
 		}
 		if err := combineFrom(p); err != nil {
@@ -299,7 +309,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	}
 	if g.rank < extra {
 		last := g.phases - 1
-		if err := g.put(g.rank+pow2, bits(opAllred, gen, last), encodeF64(vec, out), g.arOffset(gen, last)); err != nil {
+		if err := g.put(g.rank+pow2, bits(opAllred, gen, last), EncodeF64(vec, out), g.arOffset(gen, last)); err != nil {
 			return err
 		}
 	}
@@ -357,14 +367,17 @@ func (g *Group) Bcast(buf []byte, root int) error {
 	return nil
 }
 
-func encodeF64(v []float64, buf []byte) []byte {
+// EncodeF64 writes v into buf as little-endian IEEE-754 doubles and returns
+// the 8*len(v) bytes written.
+func EncodeF64(v []float64, buf []byte) []byte {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
 	}
 	return buf[:8*len(v)]
 }
 
-func decodeF64(buf []byte, v []float64) {
+// DecodeF64 fills v from the little-endian doubles at the head of buf.
+func DecodeF64(buf []byte, v []float64) {
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 	}

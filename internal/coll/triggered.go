@@ -289,7 +289,7 @@ func (t *TGroup) AllreduceSumStart(vec []float64) error {
 	// slot's generation-(g-2) readers finished before Wait(g-1) returned
 	// (ctASent), and generation-g writers are gated on the ready credits
 	// sent below.
-	encodeF64(vec, t.arStage[off:off+n])
+	EncodeF64(vec, t.arStage[off:off+n])
 
 	if t.rank != 0 {
 		// Subtree sum complete + parent ready ⇒ send our slot upward.
@@ -355,7 +355,7 @@ func (t *TGroup) AllreduceSumWait(vec []float64) error {
 	} else if err := t.wait(t.ctADn, g, "allreduce"); err != nil {
 		return err
 	}
-	decodeF64(src[off:off+uint64(8*len(vec))], vec)
+	DecodeF64(src[off:off+uint64(8*len(vec))], vec)
 	// Slot-recycle fence: generation g's fired sends have read their
 	// slots once ctASent reaches g·(sends per generation).
 	sends := nc

@@ -13,7 +13,7 @@ import (
 
 // TestTriggeredUDPLoss drives the triggered collectives over real kernel
 // UDP sockets with a lossy relay interposed on the rank0↔rank1 tree edge —
-// the bounded-duration CI variant of the cmd/collbench -transport udp
+// the bounded-duration CI variant of the `sweep collbench -fabric udp`
 // sweep. Counting events only ever see exactly-once, in-order delivery
 // (rtscts sits below them), so the chains must complete with correct sums
 // at 0% and 1% drop alike; what loss costs is latency, which the test

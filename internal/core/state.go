@@ -162,7 +162,7 @@ func (s *State) ACL() *acl.List { return s.acl }
 
 // ResourceStats reports live resource counts and the arena footprint
 // backing them (entries of heap capacity across all chunks) — the numbers
-// cmd/memscale and cmd/swarm use to show per-process state stays flat.
+// `sweep memscale` and cmd/swarm use to show per-process state stays flat.
 func (s *State) ResourceStats() (mes, mds, eqs, meCap, mdCap int) {
 	meCap, _ = s.meArena.Stats()
 	mdCap, _ = s.mdArena.Stats()

@@ -1,8 +1,8 @@
 // Package experiments contains the drivers that regenerate every table
 // and figure of the paper's evaluation (see DESIGN.md's per-experiment
 // index). Each driver builds its own fresh fabric so runs are independent
-// and parameterizable; the cmd/ tools and the root benchmarks are thin
-// wrappers around these functions.
+// and parameterizable; cmd/sweep's table rows and the root benchmarks are
+// thin wrappers around these functions.
 package experiments
 
 import (
@@ -53,13 +53,7 @@ type BypassConfig struct {
 // DefaultBypassConfig mirrors the paper's setup scaled to the simulated
 // fabric.
 func DefaultBypassConfig() BypassConfig {
-	return BypassConfig{
-		Batch:   10,
-		MsgSize: 50 * 1024,
-		Iters:   5,
-		Net:     simnet.Myrinet(),
-		Rel:     rtscts.DefaultConfig(),
-	}
+	return BypassConfig{Rel: rtscts.DefaultConfig()}.withDefaults()
 }
 
 func (c BypassConfig) withDefaults() BypassConfig {
@@ -127,9 +121,9 @@ func spin(d time.Duration, testCalls int, progress func()) {
 	runtime.KeepAlive(acc)
 }
 
-// RunBypass measures one Figure 6 point: both nodes pre-post Batch
-// receives, barrier, post Batch sends; node 0 then works for the given
-// interval and times how long the final wait takes.
+// RunBypass measures one Figure 6 point: both nodes run the Figure-5
+// program on the chosen stack; node 0 works for the given interval and
+// times how long the final wait takes.
 func RunBypass(stack Stack, work time.Duration, cfg BypassConfig) (BypassResult, error) {
 	cfg = cfg.withDefaults()
 	var total time.Duration
@@ -138,9 +132,9 @@ func RunBypass(stack Stack, work time.Duration, cfg BypassConfig) (BypassResult,
 		var err error
 		switch stack {
 		case StackPortals:
-			wait, err = bypassPortals(work, cfg, i)
+			wait, err = figure5OnPortals(work, cfg, i)
 		case StackGM:
-			wait, err = bypassGM(work, cfg)
+			wait, err = figure5OnGM(work, cfg)
 		default:
 			return BypassResult{}, fmt.Errorf("experiments: unknown stack %q", stack)
 		}
@@ -156,7 +150,47 @@ func RunBypass(stack Stack, work time.Duration, cfg BypassConfig) (BypassResult,
 	}, nil
 }
 
-func bypassPortals(work time.Duration, cfg BypassConfig, iter int) (time.Duration, error) {
+// figure5 is the program of Figure 5, written once for both MPI stacks:
+// pre-post Batch receives, barrier, post Batch sends; rank 0 then works and
+// times the wait for the whole batch (time A to time B), which it returns.
+// What differs between the stacks is handed in: their WaitAll, and the work
+// phase — how the compute loop's test calls make progress, and whether the
+// burn is bracketed for the flight recorder.
+func figure5[R any](c mpiStack[R], waitAll func(...R) error, cfg BypassConfig, work func(recvs []R)) (time.Duration, error) {
+	peer := 1 - c.Rank()
+	payload := make([]byte, cfg.MsgSize)
+	reqs := make([]R, 2*cfg.Batch)
+	recvs, sends := reqs[:cfg.Batch], reqs[cfg.Batch:]
+	// Pre-post several non-blocking receives (Figure 5).
+	for j := range recvs {
+		r, err := c.Irecv(make([]byte, cfg.MsgSize), peer, j)
+		if err != nil {
+			return 0, err
+		}
+		recvs[j] = r
+	}
+	if err := c.Barrier(); err != nil {
+		return 0, err
+	}
+	// Post a batch of sends.
+	for j := range sends {
+		s, err := c.Isend(payload, peer, j)
+		if err != nil {
+			return 0, err
+		}
+		sends[j] = s
+	}
+	if c.Rank() != 0 {
+		return 0, waitAll(reqs...)
+	}
+	// Work, then time the remaining message handling.
+	work(recvs)
+	tA := time.Now()
+	err := waitAll(reqs...)
+	return time.Since(tA), err
+}
+
+func figure5OnPortals(work time.Duration, cfg BypassConfig, iter int) (time.Duration, error) {
 	m := portals.NewMachine(portals.SimFabric(cfg.Net, cfg.Rel))
 	defer m.Close()
 	w, err := mpi.NewWorld(m, 2, mpi.Config{})
@@ -166,37 +200,12 @@ func bypassPortals(work time.Duration, cfg BypassConfig, iter int) (time.Duratio
 	if cfg.Metrics != nil {
 		m.RegisterMetrics(cfg.Metrics)
 	}
-	waits := make(chan time.Duration, 1)
-	payload := make([]byte, cfg.MsgSize)
+	var wait time.Duration
 	err = w.Run(func(c *mpi.Comm) error {
-		peer := 1 - c.Rank()
-		// Pre-post several non-blocking receives (Figure 5).
-		recvs := make([]*mpi.Request, cfg.Batch)
-		for j := range recvs {
-			buf := make([]byte, cfg.MsgSize)
-			r, err := c.Irecv(buf, peer, j)
-			if err != nil {
-				return err
-			}
-			recvs[j] = r
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		// Post a batch of sends.
-		sends := make([]*mpi.Request, cfg.Batch)
-		for j := range sends {
-			s, err := c.Isend(payload, peer, j)
-			if err != nil {
-				return err
-			}
-			sends[j] = s
-		}
-		if c.Rank() == 0 {
-			// Work, then time the remaining message handling. The burn
-			// bracket makes the Figure-6 claim visible in a trace capture:
-			// receive-side match/deliver/event-post instants land INSIDE
-			// this span while the application makes no library calls.
+		d, err := figure5(c, mpi.WaitAll, cfg, func(recvs []*mpi.Request) {
+			// The burn bracket makes the Figure-6 claim visible in a trace
+			// capture: receive-side match/deliver/event-post instants land
+			// INSIDE this span while the application makes no library calls.
 			trace.Record(trace.StageAppBurnStart, 1, 1, uint64(iter), uint64(work))
 			spin(work, cfg.TestCalls, func() {
 				for _, r := range recvs {
@@ -204,22 +213,16 @@ func bypassPortals(work time.Duration, cfg BypassConfig, iter int) (time.Duratio
 				}
 			})
 			trace.Record(trace.StageAppBurnEnd, 1, 1, uint64(iter), 0)
-			tA := time.Now()
-			if err := mpi.WaitAll(append(recvs, sends...)...); err != nil {
-				return err
-			}
-			waits <- time.Since(tA)
-			return nil
+		})
+		if c.Rank() == 0 {
+			wait = d
 		}
-		return mpi.WaitAll(append(recvs, sends...)...)
+		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return <-waits, nil
+	return wait, err
 }
 
-func bypassGM(work time.Duration, cfg BypassConfig) (time.Duration, error) {
+func figure5OnGM(work time.Duration, cfg BypassConfig) (time.Duration, error) {
 	net := rtscts.NewNetwork(simnet.New(cfg.Net), cfg.Rel)
 	defer net.Close()
 	w, err := gmsim.NewWorld(net, 2, gmsim.Config{})
@@ -227,45 +230,19 @@ func bypassGM(work time.Duration, cfg BypassConfig) (time.Duration, error) {
 		return 0, err
 	}
 	defer w.Close()
-	waits := make(chan time.Duration, 1)
-	payload := make([]byte, cfg.MsgSize)
+	var wait time.Duration
 	err = w.Run(func(c *gmsim.Comm) error {
-		peer := 1 - c.Rank()
-		recvs := make([]*gmsim.Request, cfg.Batch)
-		for j := range recvs {
-			buf := make([]byte, cfg.MsgSize)
-			r, err := c.Irecv(buf, peer, j)
-			if err != nil {
-				return err
-			}
-			recvs[j] = r
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		sends := make([]*gmsim.Request, cfg.Batch)
-		for j := range sends {
-			s, err := c.Isend(payload, peer, j)
-			if err != nil {
-				return err
-			}
-			sends[j] = s
-		}
-		if c.Rank() == 0 {
+		// No burn bracket: GM has no delivery engine whose instants could
+		// land inside one, and its spans would share the Portals run's keys.
+		d, err := figure5(c, gmsim.WaitAll, cfg, func([]*gmsim.Request) {
 			spin(work, cfg.TestCalls, c.Progress)
-			tA := time.Now()
-			if err := gmsim.WaitAll(append(recvs, sends...)...); err != nil {
-				return err
-			}
-			waits <- time.Since(tA)
-			return nil
+		})
+		if c.Rank() == 0 {
+			wait = d
 		}
-		return gmsim.WaitAll(append(recvs, sends...)...)
+		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return <-waits, nil
+	return wait, err
 }
 
 // Figure6Sweep runs both stacks across a range of work intervals,

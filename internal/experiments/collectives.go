@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/coll"
@@ -31,7 +30,8 @@ type CollPoint struct {
 // CollAblation times iters barriers and allreduces (vector length vec)
 // for a job of n processes on the given fabric, both ways.
 func CollAblation(fab portals.Fabric, n, iters, vec int) ([]CollPoint, error) {
-	direct, err := timeDirect(fab, n, iters, vec)
+	// The direct arm is E15's host-driven tree with nothing to burn.
+	direct, err := timeHostDriven(fab, n, 0, OffloadConfig{Iters: iters, Vec: vec})
 	if err != nil {
 		return nil, fmt.Errorf("direct: %w", err)
 	}
@@ -48,65 +48,6 @@ func CollAblation(fab portals.Fabric, n, iters, vec int) ([]CollPoint, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-func timeDirect(fab portals.Fabric, n, iters, vec int) (map[string]time.Duration, error) {
-	m := portals.NewMachine(fab)
-	defer m.Close()
-	nis, err := m.LaunchJob(n)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]portals.ProcessID, n)
-	for r, ni := range nis {
-		ids[r] = ni.ID()
-	}
-	groups := make([]*coll.Group, n)
-	for r, ni := range nis {
-		g, err := coll.NewGroup(ni, r, ids, coll.Config{MaxVec: vec})
-		if err != nil {
-			return nil, err
-		}
-		groups[r] = g
-	}
-	res := map[string]time.Duration{}
-
-	run := func(name string, f func(g *coll.Group) error) error {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for r, g := range groups {
-			wg.Add(1)
-			go func(r int, g *coll.Group) {
-				defer wg.Done()
-				for i := 0; i < iters; i++ {
-					if err := f(g); err != nil {
-						errs[r] = err
-						return
-					}
-				}
-			}(r, g)
-		}
-		wg.Wait()
-		res[name] = time.Since(start) / time.Duration(iters)
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := run("barrier", func(g *coll.Group) error { return g.Barrier() }); err != nil {
-		return nil, err
-	}
-	if err := run("allreduce", func(g *coll.Group) error {
-		v := make([]float64, vec)
-		return g.Allreduce(v, coll.Sum)
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // E15 — the offload thesis taken to its conclusion: collectives whose whole
@@ -191,139 +132,61 @@ func RunOffload(fab portals.Fabric, procs int, burn time.Duration, cfg OffloadCo
 	return out, nil
 }
 
-// runRanks times iters repetitions of step on n concurrent rank loops and
-// returns the per-op average.
-func runRanks(n, iters int, step func(r, i int) error) (time.Duration, error) {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if err := step(r, i); err != nil {
-					errs[r] = err
-					return
-				}
-			}
-		}(r)
+// newGroup builds a rank's member of the host-driven collectives stack, for
+// launch.
+func newGroup(maxVec int) func(*portals.NI, int, []portals.ProcessID) (*coll.Group, error) {
+	return func(ni *portals.NI, r int, ids []portals.ProcessID) (*coll.Group, error) {
+		return coll.NewGroup(ni, r, ids, coll.Config{MaxVec: maxVec})
 	}
-	wg.Wait()
-	per := time.Since(start) / time.Duration(iters)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return per, nil
 }
 
+// timeOffloaded and timeHostDriven are the two arms of E15. Burn spans are
+// keyed (NID, PID, seq); the per-op seq offsets keep the barrier and
+// allreduce iterations of both arms on distinct trace spans.
 func timeOffloaded(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (map[string]time.Duration, error) {
-	m := portals.NewMachine(fab)
-	defer m.Close()
-	nis, err := m.LaunchJob(n)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Metrics != nil {
-		m.RegisterMetrics(cfg.Metrics)
-	}
-	ids := make([]portals.ProcessID, n)
-	for r, ni := range nis {
-		ids[r] = ni.ID()
-	}
-	groups := make([]*coll.TGroup, n)
-	for r, ni := range nis {
-		tg, err := coll.NewTGroup(ni, r, ids, coll.Config{MaxVec: cfg.Vec})
-		if err != nil {
-			return nil, err
-		}
-		groups[r] = tg
-	}
-	// Burn spans are keyed (NID, PID, seq); the per-op seq offsets below
-	// keep barrier and allreduce iterations on distinct trace spans.
-	res := map[string]time.Duration{}
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, cfg.Vec)
-	}
-	res["barrier"], err = runRanks(n, cfg.Iters, func(r, i int) error {
-		tg := groups[r]
-		if err := tg.BarrierStart(); err != nil {
-			return err
-		}
-		burnSpan(ids[r], uint64(i), burn)
-		return tg.BarrierWait()
+	j, err := launch(fab, n, cfg.Metrics, func(ni *portals.NI, r int, ids []portals.ProcessID) (*coll.TGroup, error) {
+		return coll.NewTGroup(ni, r, ids, coll.Config{MaxVec: cfg.Vec})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res["allreduce"], err = runRanks(n, cfg.Iters, func(r, i int) error {
-		tg := groups[r]
-		v := vecs[r]
-		for k := range v {
-			v[k] = float64(r + i)
-		}
-		if err := tg.AllreduceSumStart(v); err != nil {
-			return err
-		}
-		burnSpan(ids[r], uint64(1_000_000+i), burn)
-		return tg.AllreduceSumWait(v)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	defer j.close()
+	return j.timeColl(cfg.Iters, cfg.Vec,
+		func(tg *coll.TGroup, r, i int) error {
+			if err := tg.BarrierStart(); err != nil {
+				return err
+			}
+			burnSpan(j.ids[r], uint64(i), burn)
+			return tg.BarrierWait()
+		},
+		func(tg *coll.TGroup, r, i int, v []float64) error {
+			if err := tg.AllreduceSumStart(v); err != nil {
+				return err
+			}
+			burnSpan(j.ids[r], uint64(1_000_000+i), burn)
+			return tg.AllreduceSumWait(v)
+		})
 }
 
 func timeHostDriven(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (map[string]time.Duration, error) {
-	m := portals.NewMachine(fab)
-	defer m.Close()
-	nis, err := m.LaunchJob(n)
+	j, err := launch(fab, n, nil, newGroup(cfg.Vec))
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]portals.ProcessID, n)
-	for r, ni := range nis {
-		ids[r] = ni.ID()
-	}
-	groups := make([]*coll.Group, n)
-	for r, ni := range nis {
-		g, err := coll.NewGroup(ni, r, ids, coll.Config{MaxVec: cfg.Vec})
-		if err != nil {
-			return nil, err
-		}
-		groups[r] = g
-	}
-	res := map[string]time.Duration{}
-	vecs := make([][]float64, n)
-	for r := range vecs {
-		vecs[r] = make([]float64, cfg.Vec)
-	}
-	res["barrier"], err = runRanks(n, cfg.Iters, func(r, i int) error {
-		burnSpan(ids[r], uint64(2_000_000+i), burn)
-		return groups[r].Barrier()
-	})
-	if err != nil {
-		return nil, err
-	}
-	res["allreduce"], err = runRanks(n, cfg.Iters, func(r, i int) error {
-		v := vecs[r]
-		for k := range v {
-			v[k] = float64(r + i)
-		}
-		burnSpan(ids[r], uint64(3_000_000+i), burn)
-		return groups[r].Allreduce(v, coll.Sum)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	defer j.close()
+	return j.timeColl(cfg.Iters, cfg.Vec,
+		func(g *coll.Group, r, i int) error {
+			burnSpan(j.ids[r], uint64(2_000_000+i), burn)
+			return g.Barrier()
+		},
+		func(g *coll.Group, r, i int, v []float64) error {
+			burnSpan(j.ids[r], uint64(3_000_000+i), burn)
+			return g.Allreduce(v, coll.Sum)
+		})
 }
 
 // OffloadSweep runs the full grid — the paper-shaped experiment behind
-// cmd/collbench and docs/PERF.md's offloaded-collectives table.
+// `sweep collbench` and docs/PERF.md's offloaded-collectives table.
 func OffloadSweep(fab portals.Fabric, procCounts []int, burns []time.Duration, cfg OffloadConfig) ([]OffloadPoint, error) {
 	var out []OffloadPoint
 	for _, n := range procCounts {
@@ -339,34 +202,14 @@ func OffloadSweep(fab portals.Fabric, procCounts []int, burns []time.Duration, c
 }
 
 func timeOverMPI(fab portals.Fabric, n, iters, vec int) (map[string]time.Duration, error) {
-	m := portals.NewMachine(fab)
-	defer m.Close()
-	w, err := mpi.NewWorld(m, n, mpi.Config{})
+	j, err := launch(fab, n, nil, func(ni *portals.NI, r int, ids []portals.ProcessID) (*mpi.Comm, error) {
+		return mpi.New(ni, r, ids, 1, mpi.Config{})
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := map[string]time.Duration{}
-	run := func(name string, f func(c *mpi.Comm) error) error {
-		start := time.Now()
-		err := w.Run(func(c *mpi.Comm) error {
-			for i := 0; i < iters; i++ {
-				if err := f(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		res[name] = time.Since(start) / time.Duration(iters)
-		return err
-	}
-	if err := run("barrier", func(c *mpi.Comm) error { return c.Barrier() }); err != nil {
-		return nil, err
-	}
-	if err := run("allreduce", func(c *mpi.Comm) error {
-		v := make([]float64, vec)
-		return c.Allreduce(v, mpi.Sum)
-	}); err != nil {
-		return nil, err
-	}
-	return res, nil
+	defer j.close()
+	return j.timeColl(iters, vec,
+		func(c *mpi.Comm, _, _ int) error { return c.Barrier() },
+		func(c *mpi.Comm, _, _ int, v []float64) error { return c.Allreduce(v, mpi.Sum) })
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/bits"
 	"regexp"
 	"strings"
 	"testing"
@@ -131,6 +132,18 @@ func TestBandwidth(t *testing.T) {
 	t.Logf("64 KB × 32 over loopback: %.1f MB/s", pt.MBps)
 }
 
+// A non-positive count takes the default; it used to time zero messages and
+// report 0 (or, on a coarse clock, NaN) MB/s.
+func TestBandwidthDefaultsCount(t *testing.T) {
+	pt, err := Bandwidth(portals.Loopback(), 1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(pt.MBps > 0) {
+		t.Errorf("bandwidth with count 0 = %v MB/s", pt.MBps)
+	}
+}
+
 func TestMemScaleTrend(t *testing.T) {
 	const credits, bufSize = 16, 32 * 1024
 	measure := func(n int) MemScalePoint {
@@ -190,7 +203,7 @@ func TestBarrierScalingLogarithmic(t *testing.T) {
 			p.Procs, p.PerBarrier, p.MsgsPerProc, p.MsgsPerOpLog)
 	}
 	for _, p := range points {
-		want := float64(log2ceil(p.Procs))
+		want := float64(bits.Len(uint(p.Procs - 1))) // ⌈log2 n⌉
 		if p.MsgsPerProc < want-0.01 || p.MsgsPerProc > want+0.5 {
 			t.Errorf("n=%d: %.2f msgs/proc/barrier, want ~%v (log2 rounds)",
 				p.Procs, p.MsgsPerProc, want)
@@ -202,7 +215,7 @@ func TestBarrierScalingLogarithmic(t *testing.T) {
 // the triggered (NIC-offloaded) chains armed, trig-fire instants land inside
 // the ranks' compute-burn spans — the collective progresses on the delivery
 // lanes while the host makes no library call, the evidence `tracecheck
-// -require-offload` asks of a cmd/collbench capture — and the host-driven
+// -require-offload` asks of a `sweep collbench` capture — and the host-driven
 // tree, which can only move between burns, fires nothing. What that buys in
 // time is logged, not asserted: sixteen spinning ranks on a shared two-core
 // host decide it either way; docs/PERF.md §9 has the ≥64-proc numbers.
@@ -251,7 +264,7 @@ func TestOffloadHidesCollectiveLatency(t *testing.T) {
 }
 
 // Figure6Sweep drives both stacks over a work-interval range — the same
-// code path cmd/bypass and EXPERIMENTS.md describe, exercised end to end.
+// code path `sweep bypass` and EXPERIMENTS.md describe, exercised end to end.
 func TestFigure6SweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment skipped in -short")

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"runtime"
+	"time"
+
+	"repro/internal/arena"
 	"repro/internal/mpi"
 	"repro/portals"
 )
@@ -18,11 +22,9 @@ import (
 
 // MemScalePoint is one row of the experiment.
 type MemScalePoint struct {
-	Peers         int
-	PortalsBytes  int
-	VIABytes      int
-	PortalsPerJob float64 // bytes per peer, to show the trend
-	VIAPerPeer    float64
+	Peers        int
+	PortalsBytes int
+	VIABytes     int
 }
 
 // viaEndpoint models one VI connection's receive-side commitment: a
@@ -65,12 +67,69 @@ func MemScale(m *portals.Machine, n int, mpiCfg mpi.Config, credits, bufSize int
 	if err != nil {
 		return MemScalePoint{}, err
 	}
-	p := MemScalePoint{Peers: n - 1}
-	p.PortalsBytes = w.Comm(0).UnexpectedBytes()
-	p.VIABytes = viaConnectionTable(n-1, credits, bufSize)
-	if n > 1 {
-		p.PortalsPerJob = float64(p.PortalsBytes) / float64(n-1)
-		p.VIAPerPeer = float64(p.VIABytes) / float64(n-1)
+	return MemScalePoint{
+		Peers:        n - 1,
+		PortalsBytes: w.Comm(0).UnexpectedBytes(),
+		VIABytes:     viaConnectionTable(n-1, credits, bufSize),
+	}, nil
+}
+
+// The storage comparison behind docs/PERF.md §7: populate N match-entry
+// sized records first as individual heap allocations, then through the
+// chunked typed arena (internal/arena) the engine uses, and measure what
+// each layout costs the garbage collector. The arena packs thousands of
+// records into one allocation, so the collector traces chunks instead of a
+// million separate objects.
+
+// gcEntry approximates the engine's matchEntry footprint: a few scalar
+// words plus pointer fields the collector must trace.
+type gcEntry struct {
+	matchBits, ignoreBits uint64
+	offset, length        uint64
+	next, prev            *gcEntry
+	buf                   []byte
+	gen                   uint32
+}
+
+// GCPoint is one storage layout's cost to the collector: live heap objects,
+// and the average wall time of a forced collection over them.
+type GCPoint struct {
+	Layout      string
+	HeapObjects uint64
+	ForcedGC    time.Duration
+}
+
+// GCCost measures the collector against entries live records, per layout:
+// "heap" then "arena".
+func GCCost(entries int) []GCPoint {
+	var a arena.Arena[gcEntry]
+	layouts := []struct {
+		name  string
+		alloc func() *gcEntry
+	}{
+		{"heap", func() *gcEntry { return new(gcEntry) }},
+		{"arena", a.Get},
 	}
-	return p, nil
+	out := make([]GCPoint, 0, len(layouts))
+	for _, l := range layouts {
+		runtime.GC() // settle: free the previous population before measuring
+		keep := make([]*gcEntry, entries)
+		for i := range keep {
+			keep[i] = l.alloc()
+			keep[i].gen = uint32(i)
+		}
+		runtime.GC() // complete a cycle with the population live before timing
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		// runtime.GC blocks until the cycle completes, so on a small host
+		// its wall time is dominated by the mark phase over the live set.
+		const forced = 3
+		start := time.Now()
+		for i := 0; i < forced; i++ {
+			runtime.GC()
+		}
+		out = append(out, GCPoint{l.name, ms.HeapObjects, time.Since(start) / forced})
+		runtime.KeepAlive(keep)
+	}
+	return out
 }

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/rtscts"
-	"repro/internal/transport/simnet"
 	"repro/portals"
 )
 
@@ -33,8 +31,6 @@ import (
 
 // OverheadResult is one row of the receive-overhead table.
 type OverheadResult struct {
-	Model         portals.NICModel
-	InterruptCost time.Duration
 	// IdleCompute is the compute-loop time with no incoming traffic;
 	// LoadedCompute the same loop while messages stream in.
 	IdleCompute   time.Duration
@@ -88,8 +84,8 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 		cfg = DefaultOverheadConfig()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fab := SimFabricFor(model, interruptCost)
-	m := portals.NewMachine(fab)
+	// The standard Myrinet-class fabric under the given NIC processing model.
+	m := portals.NewMachine(portals.Myrinet().WithNIC(model, interruptCost))
 	defer m.Close()
 	rx, err := m.NIInit(1, 1, portals.Limits{})
 	if err != nil {
@@ -101,20 +97,11 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 	}
 	// Pre-armed sink: no event queue, so event handling doesn't muddy the
 	// overhead measurement; delivery is pure engine work.
-	me, err := rx.MEAttach(0, portals.AnyProcess, 1, 0, portals.Retain, portals.After)
-	if err != nil {
-		return OverheadResult{}, err
-	}
-	if _, err := rx.MDAttach(me, portals.MD{
-		Start:     make([]byte, cfg.MsgSize),
-		Threshold: portals.ThresholdInfinite,
-		Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDTruncate,
-	}, portals.Retain); err != nil {
+	if _, err := sink(rx, 1, make([]byte, cfg.MsgSize), 0); err != nil {
 		return OverheadResult{}, err
 	}
 
-	res := OverheadResult{Model: model, InterruptCost: interruptCost}
-	res.IdleCompute = computeLoop(cfg.ComputeIters)
+	res := OverheadResult{IdleCompute: computeLoop(cfg.ComputeIters)}
 
 	// Stream messages while the target computes. The sender counts what it
 	// put, so what is compared below is counters, not timing.
@@ -171,10 +158,4 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 		res.SlowdownPct = 100 * float64(res.LoadedCompute-res.IdleCompute) / float64(res.IdleCompute)
 	}
 	return res, nil
-}
-
-// SimFabricFor builds the standard Myrinet-class fabric with the given
-// NIC processing model.
-func SimFabricFor(model portals.NICModel, interruptCost time.Duration) portals.Fabric {
-	return portals.SimFabric(simnet.Myrinet(), rtscts.DefaultConfig()).WithNIC(model, interruptCost)
 }

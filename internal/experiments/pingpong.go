@@ -20,6 +20,51 @@ type PingPongConfig struct {
 	Metrics *metrics.Registry
 }
 
+// pingBits are the match bits of the ping-pong's sinks.
+const pingBits = 0x9999
+
+// sink arms portal 0 of ni with the pre-armed target the raw-Portals drivers
+// (E3, E8, E12) put into: a persistent entry matching bits from any process
+// over buf, remotely managed and truncating. With eqSlots > 0 every put
+// posts to a fresh event queue of that size, which is returned; with 0 the
+// target is silent.
+func sink(ni *portals.NI, bits portals.MatchBits, buf []byte, eqSlots int) (eq portals.Handle, err error) {
+	if eqSlots > 0 {
+		if eq, err = ni.EQAlloc(eqSlots); err != nil {
+			return eq, err
+		}
+	}
+	me, err := ni.MEAttach(0, portals.AnyProcess, bits, 0, portals.Retain, portals.After)
+	if err != nil {
+		return eq, err
+	}
+	_, err = ni.MDAttach(me, portals.MD{
+		Start:     buf,
+		Threshold: portals.ThresholdInfinite,
+		Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDTruncate,
+		EQ:        eq,
+	}, portals.Retain)
+	return eq, err
+}
+
+// awaitPut consumes events from eq up to and including the next put; an
+// overwritten queue is not an error here, the put still arrived. A minute
+// without an event is a stalled fabric, not a slow one.
+func awaitPut(ni *portals.NI, eq portals.Handle) error {
+	for {
+		ev, err := ni.EQPoll(eq, time.Minute)
+		if errors.Is(err, portals.ErrEQEmpty) {
+			return errors.New("experiments: stalled, no put event in a minute")
+		}
+		if err != nil && !errors.Is(err, portals.ErrEQDropped) {
+			return err
+		}
+		if ev.Type == portals.EventPut {
+			return nil
+		}
+	}
+}
+
 // PingPong measures half-round-trip latency for Size-byte Portals puts
 // over the given fabric.
 func PingPong(fab portals.Fabric, cfg PingPongConfig) (time.Duration, error) {
@@ -40,30 +85,12 @@ func PingPong(fab portals.Fabric, cfg PingPongConfig) (time.Duration, error) {
 		m.RegisterMetrics(cfg.Metrics)
 	}
 
-	arm := func(ni *portals.NI, size int) (portals.Handle, []byte, error) {
-		eq, err := ni.EQAlloc(64)
-		if err != nil {
-			return portals.InvalidHandle, nil, err
-		}
-		me, err := ni.MEAttach(0, portals.AnyProcess, 0x9999, 0, portals.Retain, portals.After)
-		if err != nil {
-			return portals.InvalidHandle, nil, err
-		}
-		buf := make([]byte, size)
-		_, err = ni.MDAttach(me, portals.MD{
-			Start:     buf,
-			Threshold: portals.ThresholdInfinite,
-			Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDTruncate,
-			EQ:        eq,
-		}, portals.Retain)
-		return eq, buf, err
-	}
-
-	aEQ, aBuf, err := arm(a, cfg.Size)
+	aBuf, bBuf := make([]byte, cfg.Size), make([]byte, cfg.Size)
+	aEQ, err := sink(a, pingBits, aBuf, 64)
 	if err != nil {
 		return 0, err
 	}
-	bEQ, bBuf, err := arm(b, cfg.Size)
+	bEQ, err := sink(b, pingBits, bBuf, 64)
 	if err != nil {
 		return 0, err
 	}
@@ -73,28 +100,14 @@ func PingPong(fab portals.Fabric, cfg PingPongConfig) (time.Duration, error) {
 		if err != nil {
 			return err
 		}
-		return ni.Put(md, portals.NoAckReq, to, 0, 0, 0x9999, 0)
-	}
-	waitPut := func(ni *portals.NI, eq portals.Handle) error {
-		for {
-			ev, err := ni.EQPoll(eq, 30*time.Second)
-			if errors.Is(err, portals.ErrEQEmpty) {
-				return fmt.Errorf("experiments: ping-pong stalled")
-			}
-			if err != nil && !errors.Is(err, portals.ErrEQDropped) {
-				return err
-			}
-			if ev.Type == portals.EventPut {
-				return nil
-			}
-		}
+		return ni.Put(md, portals.NoAckReq, to, 0, 0, pingBits, 0)
 	}
 
 	// Echo side.
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < cfg.Iters; i++ {
-			if err := waitPut(b, bEQ); err != nil {
+			if err := awaitPut(b, bEQ); err != nil {
 				done <- err
 				return
 			}
@@ -112,7 +125,7 @@ func PingPong(fab portals.Fabric, cfg PingPongConfig) (time.Duration, error) {
 		if err := send(a, aBuf, b.ID()); err != nil {
 			return 0, err
 		}
-		if err := waitPut(a, aEQ); err != nil {
+		if err := awaitPut(a, aEQ); err != nil {
 			return 0, err
 		}
 	}
@@ -132,8 +145,12 @@ type BandwidthPoint struct {
 
 // Bandwidth measures one-directional throughput for messages of the
 // given size streamed over raw Portals puts (E8: §3's packet-pipelining
-// claim, and the transport's eager/rendezvous crossover).
+// claim, and the transport's eager/rendezvous crossover). A non-positive
+// count selects 64.
 func Bandwidth(fab portals.Fabric, size, count int) (BandwidthPoint, error) {
+	if count <= 0 {
+		count = 64
+	}
 	m := portals.NewMachine(fab)
 	defer m.Close()
 	tx, err := m.NIInit(1, 1, portals.Limits{})
@@ -144,21 +161,8 @@ func Bandwidth(fab portals.Fabric, size, count int) (BandwidthPoint, error) {
 	if err != nil {
 		return BandwidthPoint{}, err
 	}
-	eq, err := rx.EQAlloc(count + 8)
+	eq, err := sink(rx, 1, make([]byte, size), count+8)
 	if err != nil {
-		return BandwidthPoint{}, err
-	}
-	me, err := rx.MEAttach(0, portals.AnyProcess, 1, 0, portals.Retain, portals.After)
-	if err != nil {
-		return BandwidthPoint{}, err
-	}
-	sink := make([]byte, size)
-	if _, err := rx.MDAttach(me, portals.MD{
-		Start:     sink,
-		Threshold: portals.ThresholdInfinite,
-		Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDTruncate,
-		EQ:        eq,
-	}, portals.Retain); err != nil {
 		return BandwidthPoint{}, err
 	}
 
@@ -173,17 +177,9 @@ func Bandwidth(fab portals.Fabric, size, count int) (BandwidthPoint, error) {
 			return BandwidthPoint{}, err
 		}
 	}
-	seen := 0
-	for seen < count {
-		ev, err := rx.EQPoll(eq, 60*time.Second)
-		if errors.Is(err, portals.ErrEQEmpty) {
-			return BandwidthPoint{}, fmt.Errorf("experiments: bandwidth stream stalled at %d/%d", seen, count)
-		}
-		if err != nil && !errors.Is(err, portals.ErrEQDropped) {
-			return BandwidthPoint{}, err
-		}
-		if ev.Type == portals.EventPut {
-			seen++
+	for seen := 0; seen < count; seen++ {
+		if err := awaitPut(rx, eq); err != nil {
+			return BandwidthPoint{}, fmt.Errorf("bandwidth stream at %d/%d: %w", seen, count, err)
 		}
 	}
 	elapsed := time.Since(start)

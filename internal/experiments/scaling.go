@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sync"
+	"math/bits"
 	"time"
 
 	"repro/internal/coll"
@@ -26,8 +26,7 @@ type ScalePoint struct {
 	Procs        int
 	PerBarrier   time.Duration // wall time (total-work proxy on shared CPUs)
 	MsgsPerProc  float64       // protocol messages per process per barrier
-	PerOpRatio   float64       // wall-time ratio vs the smallest size
-	MsgsPerOpLog float64       // MsgsPerProc / log2(n): ~1.0 if logarithmic
+	MsgsPerOpLog float64       // MsgsPerProc / ⌈log2 n⌉: ~1.0 if logarithmic
 }
 
 // BarrierScaling measures dissemination-barrier cost across job sizes on
@@ -37,20 +36,13 @@ func BarrierScaling(fab portals.Fabric, sizes []int, iters int) ([]ScalePoint, e
 		iters = 20
 	}
 	out := make([]ScalePoint, 0, len(sizes))
-	var base time.Duration
 	for _, n := range sizes {
 		d, msgs, err := timeBarriers(fab, n, iters)
 		if err != nil {
 			return nil, err
 		}
 		p := ScalePoint{Procs: n, PerBarrier: d, MsgsPerProc: msgs}
-		if base == 0 {
-			base = d
-		}
-		if base > 0 {
-			p.PerOpRatio = float64(d) / float64(base)
-		}
-		if lg := log2ceil(n); lg > 0 {
+		if lg := bits.Len(uint(n - 1)); lg > 0 { // ⌈log2 n⌉
 			p.MsgsPerOpLog = msgs / float64(lg)
 		}
 		out = append(out, p)
@@ -58,74 +50,27 @@ func BarrierScaling(fab portals.Fabric, sizes []int, iters int) ([]ScalePoint, e
 	return out, nil
 }
 
-func log2ceil(n int) int {
-	lg := 0
-	for v := 1; v < n; v *= 2 {
-		lg++
-	}
-	return lg
-}
-
 func timeBarriers(fab portals.Fabric, n, iters int) (time.Duration, float64, error) {
-	m := portals.NewMachine(fab)
-	defer m.Close()
-	nis, err := m.LaunchJob(n)
+	j, err := launch(fab, n, nil, newGroup(0))
 	if err != nil {
 		return 0, 0, err
 	}
-	ids := make([]portals.ProcessID, n)
-	for r, ni := range nis {
-		ids[r] = ni.ID()
-	}
-	groups := make([]*coll.Group, n)
-	for r, ni := range nis {
-		g, err := coll.NewGroup(ni, r, ids, coll.Config{})
-		if err != nil {
-			return 0, 0, err
+	defer j.close()
+	barrier := func(g *coll.Group, _, _ int) error { return g.Barrier() }
+	sends := func() (total int64) {
+		for _, ni := range j.nis {
+			total += ni.Status().SendMsgs
 		}
-		groups[r] = g
+		return total
 	}
 	// One warm-up round brings all lazy per-pair state up.
-	if err := runBarrierRound(groups, 1); err != nil {
+	if _, err := j.run(1, barrier); err != nil {
 		return 0, 0, err
 	}
-	var sendsBefore int64
-	for _, ni := range nis {
-		sendsBefore += ni.Status().SendMsgs
-	}
-	start := time.Now()
-	if err := runBarrierRound(groups, iters); err != nil {
+	before := sends()
+	per, err := j.run(iters, barrier)
+	if err != nil {
 		return 0, 0, err
 	}
-	elapsed := time.Since(start) / time.Duration(iters)
-	var sendsAfter int64
-	for _, ni := range nis {
-		sendsAfter += ni.Status().SendMsgs
-	}
-	msgsPerProc := float64(sendsAfter-sendsBefore) / float64(iters) / float64(n)
-	return elapsed, msgsPerProc, nil
-}
-
-func runBarrierRound(groups []*coll.Group, iters int) error {
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for r, g := range groups {
-		wg.Add(1)
-		go func(r int, g *coll.Group) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if err := g.Barrier(); err != nil {
-					errs[r] = err
-					return
-				}
-			}
-		}(r, g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return per, float64(sends()-before) / float64(iters) / float64(n), nil
 }

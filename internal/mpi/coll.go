@@ -1,9 +1,10 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"math/bits"
+
+	"repro/internal/coll"
 )
 
 // Collective operations implemented over the point-to-point layer with
@@ -65,40 +66,16 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 	return nil
 }
 
-// bitsLen returns the number of significant bits in v (0 → 0).
-func bitsLen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Op combines two float64 vectors elementwise into dst.
-type Op func(dst, src []float64)
+// Op and the built-in reduction operators are internal/coll's: one
+// definition of the elementwise arithmetic (and of the vector codec the
+// reductions below send) under every collectives stack.
+type Op = coll.Op
 
 // Built-in reduction operators.
 var (
-	Sum Op = func(dst, src []float64) {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
-	Max Op = func(dst, src []float64) {
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	}
-	Min Op = func(dst, src []float64) {
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	}
+	Sum = coll.Sum
+	Max = coll.Max
+	Min = coll.Min
 )
 
 // Reduce combines every rank's vec with op; the result lands in root's
@@ -116,7 +93,7 @@ func (c *Comm) Reduce(vec []float64, op Op, root int) error {
 		if vrank&bit != 0 {
 			// Send partial to the subtree parent and exit.
 			parent := ((vrank &^ bit) + root) % c.size
-			if err := c.Send(f64ToBytes(vec, buf), parent, c.collTag(bitsLen(bit))); err != nil {
+			if err := c.Send(coll.EncodeF64(vec, buf), parent, c.collTag(bits.Len(uint(bit)))); err != nil {
 				return fmt.Errorf("mpi: reduce send: %w", err)
 			}
 			return nil
@@ -124,10 +101,10 @@ func (c *Comm) Reduce(vec []float64, op Op, root int) error {
 		child := vrank | bit
 		if child < c.size {
 			from := (child + root) % c.size
-			if _, err := c.Recv(buf, from, c.collTag(bitsLen(bit))); err != nil {
+			if _, err := c.Recv(buf, from, c.collTag(bits.Len(uint(bit)))); err != nil {
 				return fmt.Errorf("mpi: reduce recv: %w", err)
 			}
-			bytesToF64(buf, tmp)
+			coll.DecodeF64(buf, tmp)
 			op(vec, tmp)
 		}
 	}
@@ -142,12 +119,12 @@ func (c *Comm) Allreduce(vec []float64, op Op) error {
 	}
 	buf := make([]byte, 8*len(vec))
 	if c.rank == 0 {
-		f64ToBytes(vec, buf)
+		coll.EncodeF64(vec, buf)
 	}
 	if err := c.Bcast(buf, 0); err != nil {
 		return err
 	}
-	bytesToF64(buf, vec)
+	coll.DecodeF64(buf, vec)
 	return nil
 }
 
@@ -209,17 +186,4 @@ func (c *Comm) Alltoall(send, recv []byte, block int) error {
 		reqs = append(reqs, req)
 	}
 	return WaitAll(reqs...)
-}
-
-func f64ToBytes(v []float64, buf []byte) []byte {
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return buf[:len(v)*8]
-}
-
-func bytesToF64(buf []byte, v []float64) {
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
 }

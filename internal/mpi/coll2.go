@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/coll"
 	"repro/portals"
 )
 
@@ -60,12 +61,12 @@ func (c *Comm) Scan(vec []float64, op Op) error {
 			return fmt.Errorf("mpi: scan recv: %w", err)
 		}
 		tmp := make([]float64, len(vec))
-		bytesToF64(buf, tmp)
+		coll.DecodeF64(buf, tmp)
 		op(tmp, vec)
 		copy(vec, tmp)
 	}
 	if c.rank < c.size-1 {
-		if err := c.Send(f64ToBytes(vec, buf), c.rank+1, c.collTag(0)); err != nil {
+		if err := c.Send(coll.EncodeF64(vec, buf), c.rank+1, c.collTag(0)); err != nil {
 			return fmt.Errorf("mpi: scan send: %w", err)
 		}
 	}

@@ -89,12 +89,6 @@ func (c *Comm) searchUnexpected(src, tag int) *uexRec {
 	return nil
 }
 
-// consumeUnexpected satisfies a just-posted receive from an unexpected
-// record (already removed from the list).
-func (c *Comm) consumeUnexpected(req *Request, rec *uexRec) {
-	c.consumeRec(req, rec)
-}
-
 // consumeRec hands rec to req. The entry armed by Irecv must be disarmed
 // first; if the engine already delivered a different message into it, that
 // message is saved for requeueing when its own event drains (it is ordered
@@ -223,11 +217,4 @@ func (c *Comm) handleSendEvent(req *Request, ev portals.Event) {
 	case portals.EventUnlink:
 		// Read MD or put MD retired: bookkeeping only.
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -142,7 +142,7 @@ func (c *Comm) irecv(buf []byte, src, tag int) (*Request, error) {
 	// recorded, then (via a drain with arming-match enabled) the ones
 	// whose events are still queued.
 	if rec := c.searchUnexpected(src, tag); rec != nil {
-		c.consumeUnexpected(req, rec)
+		c.consumeRec(req, rec)
 		return req, nil
 	}
 	c.armingReq = req

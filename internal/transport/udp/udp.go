@@ -56,24 +56,19 @@ type Config struct {
 	// Zero selects 8192: large enough to amortize syscalls on loopback,
 	// small enough for default socket buffers.
 	MTU int
-	// ReadBatch is the number of datagrams drained per receive burst.
-	// Zero selects 32.
-	ReadBatch int
-	// SendQueue caps the per-node async send queue in packets; beyond it
-	// sends tail-drop (the reliability layer retransmits). Zero selects
-	// 1024.
-	SendQueue int
 }
+
+const (
+	// readBurst is the number of datagrams drained per receive burst.
+	readBurst = 32
+	// sendQueueCap caps the per-node async send queue in packets; beyond
+	// it sends tail-drop (the reliability layer retransmits).
+	sendQueueCap = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.MTU <= 0 {
 		c.MTU = 8192
-	}
-	if c.ReadBatch <= 0 {
-		c.ReadBatch = 32
-	}
-	if c.SendQueue <= 0 {
-		c.SendQueue = 1024
 	}
 	return c
 }
@@ -346,7 +341,7 @@ func (nd *node) SendPacket(dst types.NID, hdr, payload []byte) error {
 		buf.Release()
 		return types.ErrClosed
 	}
-	if len(nd.sendQ) >= nd.net.cfg.SendQueue {
+	if len(nd.sendQ) >= sendQueueCap {
 		nd.qmu.Unlock()
 		buf.Release()
 		nd.net.stats.TxDrops.Add(1)
@@ -416,12 +411,11 @@ const maxWriteBurst = 64
 // rtscts copies what it keeps.
 func (nd *node) readLoop() {
 	defer nd.wg.Done()
-	cfg := nd.net.cfg
-	bufs := make([][]byte, cfg.ReadBatch)
+	bufs := make([][]byte, readBurst)
 	for i := range bufs {
-		bufs[i] = make([]byte, cfg.MTU)
+		bufs[i] = make([]byte, nd.net.cfg.MTU)
 	}
-	sizes := make([]int, cfg.ReadBatch)
+	sizes := make([]int, readBurst)
 	for {
 		count, err := nd.pc.readBatch(bufs, sizes)
 		if err != nil {

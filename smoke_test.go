@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -105,71 +107,6 @@ func TestExampleOverlap(t *testing.T) {
 	out := goRun(t, 120*time.Second, "./examples/overlap", "-batch", "4", "-work", "6ms")
 	if !strings.Contains(out, "communication hidden behind compute") {
 		t.Errorf("overlap output:\n%s", out)
-	}
-}
-
-func TestCmdBypass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/bypass", "-points", "2", "-iters", "1", "-max", "6ms")
-	if !strings.Contains(out, "wait(MPI/GM)") || strings.Count(out, "ms") < 1 {
-		t.Errorf("bypass output:\n%s", out)
-	}
-}
-
-func TestCmdCollbench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/collbench",
-		"-procs", "2,4", "-burns", "0,1ms", "-iters", "2")
-	if !strings.Contains(out, "offloaded/op") || !strings.Contains(out, "allreduce") {
-		t.Errorf("collbench output:\n%s", out)
-	}
-}
-
-// TestCmdCollbenchUDP pushes the triggered chains through the real-socket
-// datagram transport: the counting events and armed operations must
-// behave identically when delivery rides kernel UDP + rtscts reliability.
-func TestCmdCollbenchUDP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 180*time.Second, "./cmd/collbench",
-		"-transport", "udp", "-procs", "2,4", "-burns", "1ms", "-iters", "2")
-	if !strings.Contains(out, "transport=udp") || !strings.Contains(out, "allreduce") {
-		t.Errorf("collbench -transport udp output:\n%s", out)
-	}
-}
-
-func TestCmdPingpong(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/pingpong", "-fabric", "loopback", "-iters", "20")
-	if !strings.Contains(out, "half-RTT") {
-		t.Errorf("pingpong output:\n%s", out)
-	}
-}
-
-func TestCmdMemscale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/memscale", "-maxpeers", "8")
-	if !strings.Contains(out, "portals(bytes)") {
-		t.Errorf("memscale output:\n%s", out)
-	}
-}
-
-func TestCmdMemscaleGC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/memscale", "-gc", "-entries", "100000")
-	if !strings.Contains(out, "heap-objects") || !strings.Contains(out, "arena") {
-		t.Errorf("memscale -gc output:\n%s", out)
 	}
 }
 
@@ -280,16 +217,6 @@ func TestCmdMpinodeJob(t *testing.T) {
 	}
 }
 
-func TestCmdMpibench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/mpibench", "-fabric", "loopback", "-bench", "latency", "-iters", "20")
-	if !strings.Contains(out, "ping-pong latency") {
-		t.Errorf("mpibench output:\n%s", out)
-	}
-}
-
 func TestCmdPortalsvet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests skipped in -short")
@@ -304,15 +231,83 @@ func TestCmdPortalsvet(t *testing.T) {
 	goRun(t, 300*time.Second, "./cmd/portalsvet", "./...")
 }
 
-func TestCmdSweepQuick(t *testing.T) {
+// TestCmdSweep drives the one experiment driver: cmd/sweep built once, then
+// every row of its table as a subcommand on small inputs, the run of
+// everything, and what the shared flag front end refuses. Each row must print
+// the header and columns its documentation (and EXPERIMENTS.md) shows.
+func TestCmdSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests skipped in -short")
 	}
-	out := goRun(t, 300*time.Second, "./cmd/sweep", "-quick")
-	for _, want := range []string{"E1 (Figure 6)", "E3", "E5", "E7", "E8", "E12", "done."} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep output missing %q", want)
-		}
+	bin := filepath.Join(t.TempDir(), "sweep")
+	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/sweep")
+	experiments := []string{"bypass", "pingpong", "memscale", "collectives", "overhead", "scaling", "collbench", "mpibench"}
+	for _, c := range []struct {
+		name string
+		args []string
+		exit int
+		want []string
+		rows int // lines of output that are neither blank nor a # comment, when not 0
+	}{
+		{name: "bypass", args: []string{"bypass", "-points", "2", "-iters", "1", "-max", "6ms"},
+			want: []string{"wait(MPI/GM)", "wait(MPI/Portals)", "ms"}, rows: 3},
+		// A one-point sweep is the single point -max (it divided by points-1).
+		{name: "bypass-one-point", args: []string{"bypass", "-points", "1", "-iters", "1", "-max", "2ms"},
+			want: []string{"wait(MPI/GM)", "\n2ms "}, rows: 2},
+		{name: "collbench", args: []string{"collbench", "-procs", "2,4", "-burns", "0,1ms", "-iters", "2"},
+			want: []string{"offloaded/op", "allreduce"}},
+		// The triggered chains through the real-socket datagram transport:
+		// the counting events and armed operations must behave identically
+		// when delivery rides kernel UDP + rtscts reliability.
+		{name: "collbench-udp", args: []string{"collbench", "-fabric", "udp", "-procs", "2,4", "-burns", "1ms", "-iters", "2"},
+			want: []string{"fabric=udp", "allreduce"}},
+		{name: "pingpong", args: []string{"pingpong", "-fabric", "loopback", "-iters", "20"},
+			want: []string{"half-RTT"}},
+		{name: "pingpong-bw", args: []string{"pingpong", "-fabric", "loopback", "-bw", "-count", "8"},
+			want: []string{"MB/s", "elapsed"}},
+		{name: "memscale", args: []string{"memscale", "-maxpeers", "8"},
+			want: []string{"portals(bytes)"}},
+		{name: "memscale-gc", args: []string{"memscale", "-gc", "-entries", "100000"},
+			want: []string{"heap-objects", "arena"}},
+		{name: "mpibench", args: []string{"mpibench", "-fabric", "loopback", "-bench", "latency", "-iters", "20"},
+			want: []string{"ping-pong latency"}},
+		{name: "everything", args: []string{"-quick"},
+			want: []string{"E1 (Figure 6)", "E2", "E3", "E5", "E7", "E8", "E12", "E14", "E15", "done."}},
+		{name: "unknown-experiment", args: []string{"nosuch"}, exit: 2, want: experiments},
+		// Counts the tables divide by are refused by the front end, in one
+		// line, not by a panic.
+		{name: "bypass-no-points", args: []string{"bypass", "-points", "0"}, exit: 2, want: []string{"-points"}, rows: 1},
+		{name: "mpibench-no-iters", args: []string{"mpibench", "-iters", "0"}, exit: 2, want: []string{"-iters"}, rows: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+			defer cancel()
+			raw, err := exec.CommandContext(ctx, bin, c.args...).CombinedOutput()
+			out := string(raw)
+			status := 0
+			if exit := (*exec.ExitError)(nil); errors.As(err, &exit) {
+				status = exit.ExitCode()
+			} else if err != nil {
+				t.Fatalf("sweep %v: %v\n%s", c.args, err, out)
+			}
+			if status != c.exit {
+				t.Fatalf("sweep %v: exit status %d, want %d\n%s", c.args, status, c.exit, out)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("sweep %v: output lacks %q:\n%s", c.args, want, out)
+				}
+			}
+			rows := 0
+			for _, l := range strings.Split(out, "\n") {
+				if l != "" && !strings.HasPrefix(l, "#") {
+					rows++
+				}
+			}
+			if c.rows != 0 && rows != c.rows {
+				t.Errorf("sweep %v: %d rows of output, want %d:\n%s", c.args, rows, c.rows, out)
+			}
+		})
 	}
 }
 
