@@ -63,6 +63,10 @@ bench-smoke:
 #   BENCH=<regexp>          the Go microbenchmarks the regexp selects in PKGS
 #                           (default `.`, bench_test.go), each tree's test
 #                           binaries built once with `go test -c`.
+# TRACE=1 with a WORKLOAD runs the same pairs with `--trace 1` and compares
+# the per-layer metrics instead (no bounds: "moved" / "not moved" against the
+# base's spread) — where a difference sits, once the untraced run has shown
+# there is one.
 # Either way one reporter (scripts/bench-ab-report.awk) prints, per metric or
 # benchmark, each side's median and quartiles, the pairs the working tree
 # won, and whether the medians differ by more than the base's own
@@ -70,8 +74,8 @@ bench-smoke:
 # bound). See scripts/bench-ab.sh.
 PAIRS ?= 10
 bench-ab:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)$(BENCH)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10]"; echo "       make bench-ab BASE=<ref> BENCH=<regexp> [PKGS=\"./pkg ...\"] [PAIRS=10]"; exit 2; }
-	bash scripts/bench-ab.sh "$(BASE)" "$(if $(BENCH),bench=$(BENCH),$(WORKLOAD))" $(PAIRS) $(if $(BENCH),$(PKGS))
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)$(BENCH)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10] [TRACE=1]"; echo "       make bench-ab BASE=<ref> BENCH=<regexp> [PKGS=\"./pkg ...\"] [PAIRS=10]"; exit 2; }
+	TRACE=$(TRACE) bash scripts/bench-ab.sh "$(BASE)" "$(if $(BENCH),bench=$(BENCH),$(WORKLOAD))" $(PAIRS) $(if $(BENCH),$(PKGS))
 
 # trace-smoke exercises the observability subsystem end to end: a small
 # `sweep bypass` run with the flight recorder and the metrics registry
@@ -99,13 +103,14 @@ trace-smoke coll-smoke:
 
 # alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation
 # claims of the wire codec, the delivery engine, the lane dispatch, the
-# flight recorder, the metrics hot path, the buffer queue, the rtscts+simnet
-# byte path, a 256 KiB put placed fragment by fragment into its descriptor,
+# flight recorder, the metrics hot path, the buffer queue, a packet by
+# reference through a simnet link, the rtscts+simnet byte path, a 256 KiB put
+# placed fragment by fragment into its descriptor,
 # the tcp round trip, every way out of a blocking eventq.Poll and the whole
 # Portals small-message round trip — three times over at
 # GOMAXPROCS=1 and 2: a pooled path that only holds on one P, or only on a
 # lucky first run, fails here rather than in a benchmark.
-ALLOCPKGS = ./internal/core ./internal/wire ./internal/nicsim ./internal/rtscts ./internal/transport/tcp ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics ./internal/eventq ./portals
+ALLOCPKGS = ./internal/core ./internal/wire ./internal/nicsim ./internal/rtscts ./internal/transport/simnet ./internal/transport/tcp ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics ./internal/eventq ./portals
 alloc-smoke:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)
 	GOMAXPROCS=2 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)

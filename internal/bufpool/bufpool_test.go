@@ -124,3 +124,71 @@ func TestQueueOrderAndAllocs(t *testing.T) {
 		b.Release()
 	}
 }
+
+// A buffer goes back to the pool with its last reference, not before, and
+// Usage counts it once however many references it had.
+func TestRetainReleaseBalance(t *testing.T) {
+	g0, _, p0 := Usage()
+	b := Get(1000)
+	copy(b.Bytes(), "shared")
+	refs := []*Buf{b, b.Retain(), b.Retain()}
+	if refs[1] != b || refs[2] != b {
+		t.Fatal("Retain returned another buffer")
+	}
+	for i, r := range refs {
+		if g, _, p := Usage(); g-g0 != 1 || p != p0 {
+			t.Fatalf("with %d of 3 references released: gets/puts delta = %d/%d, want 1/0", i, g-g0, p-p0)
+		}
+		if string(r.Bytes()[:6]) != "shared" {
+			t.Fatalf("reference %d no longer reads the buffer's bytes", i)
+		}
+		r.Release()
+	}
+	if g, _, p := Usage(); g-g0 != 1 || p-p0 != 1 {
+		t.Fatalf("after the last release: gets/puts delta = %d/%d, want 1/1", g-g0, p-p0)
+	}
+	var none *Buf
+	if none.Retain() != nil {
+		t.Fatal("Retain of nil is not nil")
+	}
+	none.Release()
+}
+
+// A Release too many would pool one buffer twice, and a Retain without a
+// live reference would share a buffer that may be somebody else's by now:
+// both panic, naming the call and the buffer's class.
+func TestReferenceCountViolationsPanic(t *testing.T) {
+	violation := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		_, _, p0 := Usage()
+		defer func() {
+			err, _ := recover().(error)
+			if err == nil || err.Error() != want {
+				t.Errorf("panic value %v, want %q", err, want)
+			}
+			if _, _, p := Usage(); p != p0 {
+				t.Errorf("the refused call still moved %d buffers into the pool", p-p0)
+			}
+		}()
+		f()
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		class string
+	}{
+		{"pooled", 300, "a 512-byte-class buffer"},
+		{"oversized", maxPooled + 1, "an unpooled buffer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := Get(tc.n)
+			b.Release()
+			violation(t, "bufpool: Release of "+tc.class+" with no reference left", b.Release)
+			b = Get(tc.n)
+			shared := b.Retain()
+			b.Release()
+			shared.Release()
+			violation(t, "bufpool: Retain of "+tc.class+" with no reference left", func() { shared.Retain() })
+		})
+	}
+}

@@ -10,7 +10,8 @@ func ownChecks() []Check {
 
 // bpFixture is a pooled-buffer resource family mirroring internal/bufpool:
 // a package-level acquire returning a pointer to a named type, released
-// through a method on the resource itself.
+// through a method on the resource itself, and shared by taking one more
+// reference, which is released like the first.
 const bpFixture = `// Package bp is a pooled-buffer fixture.
 //
 //lint:resource bp.Get -> Buf.Release
@@ -21,6 +22,9 @@ type Buf struct{ b []byte }
 func Get(n int) *Buf { return &Buf{b: make([]byte, n)} }
 
 func (b *Buf) Release() {}
+
+//lint:returns-owned
+func (b *Buf) Retain() *Buf { return b }
 
 func (b *Buf) Len() int { return len(b.b) }
 `
@@ -84,6 +88,97 @@ func leakSuppressed(fail bool) {
 		return
 	}
 	b.Release()
+}
+`}}, ownChecks())
+}
+
+// TestOwnershipRetainedReference: a reference taken with Retain is an
+// obligation of its own — released or handed on along every path, whatever
+// becomes of the reference it was taken from — in the shapes the fabric and
+// the reliability layer use: retained from a borrowed parameter into a queue
+// slot, retained per fragment into a consuming call.
+func TestOwnershipRetainedReference(t *testing.T) {
+	runFixture(t, map[string]map[string]string{
+		"repro/internal/bp": {"bp.go": bpFixture},
+		"repro/use": {"use.go": `package use
+
+import "repro/internal/bp"
+
+func leakedReference(b *bp.Buf, fail bool) {
+	ref := b.Retain()
+	if fail {
+		return // want:ownleak
+	}
+	ref.Release()
+}
+
+func discardedReference(b *bp.Buf) {
+	b.Retain() // want:ownleak
+}
+
+func releasedOnEveryPath(b *bp.Buf, early bool) int {
+	ref := b.Retain()
+	if early {
+		ref.Release()
+		return 0
+	}
+	n := ref.Len()
+	ref.Release()
+	return n
+}
+
+func outlivesTheFirst() int {
+	b := bp.Get(8)
+	ref := b.Retain()
+	b.Release()
+	n := ref.Len() // the second reference keeps the bytes
+	ref.Release()
+	return n
+}
+
+func firstStillCounts() {
+	b := bp.Get(8)
+	ref := b.Retain()
+	ref.Release()
+} // want:ownleak
+
+type slot struct {
+	payload []byte
+	owner   *bp.Buf
+}
+
+// The fabric's shape: the caller's reference is only borrowed, the queue
+// slot gets one of its own.
+func enqueue(q []slot, payload []byte, owner *bp.Buf) []slot {
+	q = append(q, slot{})
+	p := &q[len(q)-1]
+	p.payload, p.owner = payload, owner.Retain()
+	return q
+}
+
+//lint:consumes owner
+func record(owner *bp.Buf) bool {
+	owner.Release()
+	return true
+}
+
+// The sender's shape: one reference per fragment, and the one that came in
+// released when the last fragment has its own.
+//
+//lint:consumes buf
+func fragment(buf *bp.Buf, n int) {
+	for i := 0; i < n; i++ {
+		if !record(buf.Retain()) {
+			break
+		}
+	}
+	buf.Release()
+}
+
+func doubleThroughOneName(b *bp.Buf) {
+	ref := b.Retain()
+	ref.Release()
+	ref.Release() // want:owndouble
 }
 `}}, ownChecks())
 }

@@ -276,7 +276,7 @@ const hostileNID = types.NID(7)
 
 func newHostile(t *testing.T, sim *simnet.Network) *hostile {
 	t.Helper()
-	ep, err := sim.AttachBurst(hostileNID, func(types.NID, []byte) {}, func() {})
+	ep, err := sim.AttachBurst(hostileNID, func(types.NID, []byte, []byte) {}, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,12 @@ func (h *hostile) send(flags uint8, aux uint64, payload []byte) {
 	binary.BigEndian.PutUint64(hdr[4:], h.seq)
 	binary.BigEndian.PutUint64(hdr[12:], aux)
 	h.seq++
-	if err := h.ep.SendPacket(rigRxID.NID, hdr[:], payload); err != nil {
+	// Out of a pooled buffer, like any sender: the link's reference is what
+	// keeps the bytes once this one is released.
+	buf := bufpool.Get(len(payload))
+	defer buf.Release()
+	copy(buf.Bytes(), payload)
+	if err := h.ep.SendPacket(rigRxID.NID, hdr[:], buf.Bytes(), buf); err != nil {
 		h.t.Fatal(err)
 	}
 }

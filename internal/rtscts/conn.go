@@ -174,11 +174,11 @@ func Attach(pn PacketNetwork, nid types.NID, cfg Config, bh transport.BatchHandl
 // gatedPacket is the handler registered with the packet network. It holds
 // early packets at the gate until Attach has published ep, then
 // degenerates to a single atomic load in front of onPacket.
-func (c *Conn) gatedPacket(src types.NID, pkt []byte) {
+func (c *Conn) gatedPacket(src types.NID, hdr, payload []byte) {
 	if !c.attached.Load() {
 		<-c.ready
 	}
-	c.onPacket(src, pkt)
+	c.onPacket(src, hdr, payload)
 }
 
 // flush ends one dispatch burst of the packet network: every source that
@@ -404,8 +404,8 @@ func (c *Conn) receiver(src types.NID) *peerReceiver {
 
 // onPacket is the fabric-side entry point; it runs on the packet network's
 // delivery goroutines.
-func (c *Conn) onPacket(src types.NID, pkt []byte) {
-	kind, flags, seq, aux, payload, err := decodePacket(pkt)
+func (c *Conn) onPacket(src types.NID, hdr, payload []byte) {
+	kind, flags, seq, aux, frag, err := decodePacket(hdr, payload)
 	if err != nil {
 		return // corrupted/foreign packet: drop silently, like hardware
 	}
@@ -416,7 +416,7 @@ func (c *Conn) onPacket(src types.NID, pkt []byte) {
 		}
 	case pktData:
 		if r := c.receiver(src); r != nil {
-			c.onData(r, flags, seq, aux, payload)
+			c.onData(r, flags, seq, aux, frag)
 		}
 	}
 }

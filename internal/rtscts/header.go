@@ -23,22 +23,27 @@
 //
 // # Who owns the bytes
 //
-// A message crosses the layer as one owned pooled buffer in and one owned
-// pooled buffer out — or, placed, no buffer out at all; the fabric's
-// per-packet copy is the only copy between them, and rtscts itself never
-// holds a packet-sized buffer.
+// A message crosses the layer as one pooled buffer in and one pooled buffer
+// out — or, placed, no buffer out at all — and rtscts itself never holds a
+// packet-sized buffer. What lies between is the fabric's business: one that
+// carries packets by reference (simnet) copies nothing, so the receive side
+// below reads the sender's own message buffer; one that must frame a
+// datagram for the kernel (udp) makes the only copy between the two.
 //
 //   - Send side. SendBuf takes the caller's buffer (Send copies once into a
 //     pooled buffer and then is SendBuf). The buffer waits in the per-peer
 //     queue, then belongs to the per-peer run goroutine while it is cut into
-//     fragments. The window holds descriptors — buffer, offset, length,
-//     prebuilt header — not packets; the descriptor of a message's final
-//     fragment holds the buffer's only reference. Message bytes are read
-//     (first transmission and every retransmission) and released (the
-//     cumulative ack that retires the final fragment, or shutdown) only with
-//     the window lock held, so a retransmission can never read a buffer an
-//     ack has already returned to the pool. Every failure path of SendBuf
-//     releases the buffer too.
+//     fragments. The window holds descriptors — prebuilt header, payload
+//     window, and a reference (bufpool.Buf.Retain) to the buffer the window
+//     lies in — not packets. Every transmission, first or repeated, hands the
+//     fabric that window and that buffer with the window lock held, and a
+//     descriptor is retired — by the cumulative ack that covers it, or by
+//     shutdown — under the same lock, so the reference the fabric is shown
+//     is live for the length of the call, which is all SendPacket asks. The
+//     memory returns to the pool with its last reference: the descriptors'
+//     or, when a packet is still queued, held for reordering or duplicated
+//     on a link after the ack that retired its message, the fabric's. Every
+//     failure path of SendBuf releases the buffer too.
 //   - Receive side. A message's first fragment obtains the pooled delivery
 //     buffer and each fragment is copied straight to its offset. On
 //     completion the buffer leaves as an owned transport.Delivery; the batch
@@ -47,7 +52,8 @@
 //     by Close. An announced message the handler answered Place obtains no
 //     buffer: each fragment is written from the fabric's packet straight
 //     through the handler's transport.Sink, and what leaves is a completion
-//     carrying the sink — aborted, if the body never became whole.
+//     carrying the sink — aborted, if the body never became whole. A packet
+//     is only ever read (PacketHandler): it may be the peer's message buffer.
 package rtscts
 
 import (
@@ -101,18 +107,29 @@ func putHeader(hdr *[pktHeaderSize]byte, kind, flags uint8, seq, aux uint64) {
 	binary.BigEndian.PutUint64(hdr[12:], aux)
 }
 
-func decodePacket(pkt []byte) (kind, flags uint8, seq, aux uint64, payload []byte, err error) {
-	if len(pkt) < pktHeaderSize {
-		return 0, 0, 0, 0, nil, fmt.Errorf("rtscts: short packet (%d bytes)", len(pkt))
+// decodePacket reads one packet as a PacketHandler receives it: the packet
+// header lies within hdr, and the fragment is whatever else the packet holds
+// — the rest of hdr from a fabric that hands over whole datagrams, payload
+// from one that carries header and fragment apart. A packet whose header
+// straddles the two, or that has fragment bytes in both, is not one this
+// layer sent, and is refused.
+func decodePacket(hdr, payload []byte) (kind, flags uint8, seq, aux uint64, frag []byte, err error) {
+	if len(hdr) < pktHeaderSize {
+		return 0, 0, 0, 0, nil, fmt.Errorf("rtscts: short packet header (%d bytes, %d behind it)", len(hdr), len(payload))
 	}
-	kind = pkt[0]
+	kind = hdr[0]
 	if kind != pktData && kind != pktAck {
 		return 0, 0, 0, 0, nil, fmt.Errorf("rtscts: unknown packet kind %d", kind)
 	}
-	flags = pkt[1]
-	seq = binary.BigEndian.Uint64(pkt[4:])
-	aux = binary.BigEndian.Uint64(pkt[12:])
-	return kind, flags, seq, aux, pkt[pktHeaderSize:], nil
+	flags = hdr[1]
+	seq = binary.BigEndian.Uint64(hdr[4:])
+	aux = binary.BigEndian.Uint64(hdr[12:])
+	if frag = hdr[pktHeaderSize:]; len(frag) == 0 {
+		frag = payload
+	} else if len(payload) != 0 {
+		return 0, 0, 0, 0, nil, fmt.Errorf("rtscts: packet split %d bytes past its header", len(frag))
+	}
+	return kind, flags, seq, aux, frag, nil
 }
 
 func msgKind(flags uint8) uint8 { return (flags >> msgKindShift) & 0x3 }

@@ -9,10 +9,14 @@ import (
 	"repro/internal/transport/simnet"
 )
 
-// The length fields of a first fragment are the peer's word. Whatever they
-// claim, the receiver must not panic, must not size an allocation on the
-// claim alone, must count each discarded packet exactly once, and must keep
-// the stream usable for the next well-formed message.
+// The length fields of a first fragment are the peer's word, and so is where
+// a fabric that carries header and fragment apart was told to split them.
+// Whatever they claim, the receiver must not panic, must not size an
+// allocation on the claim alone, must count each discarded packet exactly
+// once, and must keep the stream usable for the next well-formed message.
+// Every row is fed the way udp hands a packet over (whole) and the way simnet
+// does (split behind the header); a row with a split of its own is a packet
+// no fabric of ours would cut that way, which is not decoded at all.
 func TestHostileLengths(t *testing.T) {
 	const peer = 7
 	eager := DefaultConfig().EagerMax
@@ -29,6 +33,7 @@ func TestHostileLengths(t *testing.T) {
 		rejected  bool
 		delivered int // messages handed up by this packet
 		open      int // largest delivery buffer the packet may leave open (0: none)
+		split     int // cut the packet here and nowhere else: it must be refused undecoded
 	}{
 		{name: "aux=0 empty message", flags: first(msgApp), aux: 0, delivered: 1},
 		{name: "aux=0 with payload", flags: first(msgApp), aux: 0, payload: []byte("xy"), rejected: true},
@@ -48,62 +53,87 @@ func TestHostileLengths(t *testing.T) {
 		{name: "RTS aux below the length field", flags: first(msgRTS), aux: 4, payload: []byte{0, 0, 0, 1}, rejected: true},
 		{name: "CTS with payload", flags: first(msgCTS), aux: 0, payload: []byte("x"), rejected: true},
 		{name: "unknown message kind", flags: first(3), aux: 64, payload: make([]byte, 64), rejected: true},
+		{name: "header straddles the split", flags: first(msgApp), aux: 5, payload: []byte("hello"), split: pktHeaderSize / 2},
+		{name: "fragment on both sides of the split", flags: first(msgApp), aux: 5, payload: []byte("hello"), split: pktHeaderSize + 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := simnet.New(simnet.Instant())
-			defer net.Close()
-			var sink msgSink
-			c, err := attachSim(net, 1, Config{}, sink.handler)
-			if err != nil {
-				t.Fatal(err)
+			cuts := map[string]int{"whole": -1, "split": pktHeaderSize}
+			if tc.split != 0 {
+				cuts = map[string]int{"hostile": tc.split}
 			}
-			defer c.Close()
-			feed := func(seq uint64, flags uint8, aux uint64, payload []byte) {
-				c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, payload))
-				c.out.Flush()
-			}
+			for shape, cut := range cuts {
+				t.Run(shape, func(t *testing.T) {
+					net := simnet.New(simnet.Instant())
+					defer net.Close()
+					var sink msgSink
+					c, err := attachSim(net, 1, Config{}, sink.handler)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					feed := func(cut int, seq uint64, flags uint8, aux uint64, payload []byte) {
+						pkt := testPacket(pktData, flags, seq, aux, payload)
+						if cut < 0 {
+							cut = len(pkt)
+						}
+						c.gatedPacket(peer, pkt[:cut], pkt[cut:])
+						c.out.Flush()
+					}
 
-			feed(0, tc.flags, tc.aux, tc.payload)
+					start := outstanding()
+					feed(cut, 0, tc.flags, tc.aux, tc.payload)
 
-			st := c.Stats()
-			wantBad := int64(0)
-			if tc.rejected {
-				wantBad = 1
-			}
-			if got := st.BadLength.Load(); got != wantBad {
-				t.Errorf("bad_length = %d, want %d", got, wantBad)
-			}
-			if d, o := st.DupsDiscarded.Load(), st.OutOfOrder.Load(); d != 0 || o != 0 {
-				t.Errorf("an in-sequence packet was also counted as dup (%d) or out of order (%d)", d, o)
-			}
-			if tc.rejected && st.CTSSent.Load()+st.MsgsDelivered.Load() != 0 {
-				t.Error("a rejected packet still produced a grant or a delivery")
-			}
-			if got := sink.count(); got != tc.delivered {
-				t.Errorf("delivered %d messages, want %d", got, tc.delivered)
-			}
-			r := c.receiver(peer)
-			r.mu.Lock()
-			switch {
-			case r.asm == nil && tc.open > 0:
-				t.Error("accepted fragment left no message open")
-			case r.asm != nil && cap(r.asm.Bytes()) > tc.open:
-				t.Errorf("receiver committed %d bytes on the peer's word, want at most %d", cap(r.asm.Bytes()), tc.open)
-			}
-			expected := r.expected
-			r.mu.Unlock()
-			if expected != 1 {
-				t.Fatalf("stream did not move past the packet: expected seq %d, want 1", expected)
-			}
+					st := c.Stats()
+					if tc.split != 0 {
+						if _, known := c.receivers.Get(peer); known || outstanding() != start || sink.count() != 0 {
+							t.Fatal("a packet that cannot be decoded reached the stream")
+						}
+						feed(-1, 0, first(msgApp), 5, []byte("hello"))
+						if sink.count() != 1 || st.BadLength.Load() != 0 {
+							t.Fatalf("after the undecodable packet: %d messages, bad_length %d; want the stream untouched", sink.count(), st.BadLength.Load())
+						}
+						return
+					}
+					wantBad := int64(0)
+					if tc.rejected {
+						wantBad = 1
+					}
+					if got := st.BadLength.Load(); got != wantBad {
+						t.Errorf("bad_length = %d, want %d", got, wantBad)
+					}
+					if d, o := st.DupsDiscarded.Load(), st.OutOfOrder.Load(); d != 0 || o != 0 {
+						t.Errorf("an in-sequence packet was also counted as dup (%d) or out of order (%d)", d, o)
+					}
+					if tc.rejected && st.CTSSent.Load()+st.MsgsDelivered.Load() != 0 {
+						t.Error("a rejected packet still produced a grant or a delivery")
+					}
+					if got := sink.count(); got != tc.delivered {
+						t.Errorf("delivered %d messages, want %d", got, tc.delivered)
+					}
+					r := c.receiver(peer)
+					r.mu.Lock()
+					switch {
+					case r.asm == nil && tc.open > 0:
+						t.Error("accepted fragment left no message open")
+					case r.asm != nil && cap(r.asm.Bytes()) > tc.open:
+						t.Errorf("receiver committed %d bytes on the peer's word, want at most %d", cap(r.asm.Bytes()), tc.open)
+					}
+					expected := r.expected
+					r.mu.Unlock()
+					if expected != 1 {
+						t.Fatalf("stream did not move past the packet: expected seq %d, want 1", expected)
+					}
 
-			// The stream is still usable: the next well-formed message arrives.
-			feed(1, first(msgApp), 5, []byte("hello"))
-			waitFor(t, 5*time.Second, func() bool { return sink.count() == tc.delivered+1 })
-			if got := string(sink.get(tc.delivered)); got != "hello" {
-				t.Errorf("message after the hostile packet = %q, want %q", got, "hello")
-			}
-			if got := st.BadLength.Load(); got != wantBad {
-				t.Errorf("bad_length moved to %d on a well-formed message", got)
+					// The stream is still usable: the next well-formed message arrives.
+					feed(cut, 1, first(msgApp), 5, []byte("hello"))
+					waitFor(t, 5*time.Second, func() bool { return sink.count() == tc.delivered+1 })
+					if got := string(sink.get(tc.delivered)); got != "hello" {
+						t.Errorf("message after the hostile packet = %q, want %q", got, "hello")
+					}
+					if got := st.BadLength.Load(); got != wantBad {
+						t.Errorf("bad_length moved to %d on a well-formed message", got)
+					}
+				})
 			}
 		})
 	}
@@ -139,7 +169,7 @@ func TestUnannouncedLargeMessageGrowsWithArrival(t *testing.T) {
 		if off == 0 {
 			flags, aux = flagFirst|msgApp<<msgKindShift, total
 		}
-		c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, want[off:off+n]))
+		c.gatedPacket(peer, testPacket(pktData, flags, seq, aux, want[off:off+n]), nil)
 		c.out.Flush()
 		off += n
 		r.mu.Lock()

@@ -1,30 +1,40 @@
 package rtscts
 
 import (
+	"repro/internal/bufpool"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
 
 // PacketHandler is invoked by a packet network with each raw datagram
-// addressed to the local node. src identifies the sending node; the callee
-// must not retain pkt after returning. All packets from one source are fed
-// by one goroutine at a time (rtscts keeps its reassembly state per source
-// on that promise); different sources may be fed concurrently.
-type PacketHandler func(src types.NID, pkt []byte)
+// addressed to the local node: hdr followed by payload, split wherever the
+// fabric happens to hold the datagram in two pieces (one that holds it whole
+// passes it as hdr). src identifies the sending node. Both slices are the
+// callee's to read until it returns and never to write or keep: on a fabric
+// that carries packets by reference, payload is the sender's own message
+// buffer, which a retransmission may be reading at the same moment. All
+// packets from one source are fed by one goroutine at a time (rtscts keeps
+// its reassembly state per source on that promise); different sources may be
+// fed concurrently.
+type PacketHandler func(src types.NID, hdr, payload []byte)
 
 // PacketEndpoint is a node's attachment to an unreliable packet fabric —
 // the service rtscts builds reliability on. SendPacket transmits hdr
-// followed by payload as one datagram, gathering both into whatever
-// buffer the fabric queues, so rtscts never materialises a packet of its
-// own; it must not retain either slice after returning (either may be
-// empty). It is best-effort (loss, duplication, and reordering are the
-// reliability layer's job) and MUST NOT block: it is called from
-// ack/delivery paths that portalsvet proves non-blocking (application
-// bypass, §5.1) and with the sender's window lock held. Implementations
-// enqueue or tail-drop; they never wait on sockets or pacing, and never
-// call back into rtscts.
+// followed by payload as one datagram, so rtscts never materialises a
+// packet of its own (either slice may be empty). hdr is copied before
+// SendPacket returns. payload is a window of owner, of which the caller
+// holds a reference for the length of the call: a fabric that keeps payload
+// past its return takes a reference of its own (Buf.Retain) and releases it
+// when the packet leaves the fabric, however it leaves; one that copies
+// payload out before returning ignores owner. A payload without an owner
+// may be refused. SendPacket is best-effort (loss, duplication, and
+// reordering are the reliability layer's job) and MUST NOT block: it is
+// called from ack/delivery paths that portalsvet proves non-blocking
+// (application bypass, §5.1) and with the sender's window lock held.
+// Implementations enqueue or tail-drop; they never wait on sockets or
+// pacing, and never call back into rtscts.
 type PacketEndpoint interface {
-	SendPacket(dst types.NID, hdr, payload []byte) error
+	SendPacket(dst types.NID, hdr, payload []byte, owner *bufpool.Buf) error
 	LocalNID() types.NID
 	Close() error
 }

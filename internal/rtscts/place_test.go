@@ -342,7 +342,7 @@ func TestHostilePlacement(t *testing.T) {
 			c := attachPlacer(t, net, 1, Config{EagerMax: 4096}, &p)
 			seq := uint64(0)
 			feed := func(k pkt) {
-				c.gatedPacket(peer, testPacket(pktData, k.flags, seq, k.aux, k.payload))
+				c.gatedPacket(peer, testPacket(pktData, k.flags, seq, k.aux, k.payload), nil)
 				seq++
 				c.flush()
 				r := c.receiver(peer)

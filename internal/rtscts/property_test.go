@@ -2,7 +2,6 @@ package rtscts
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,7 +12,8 @@ import (
 
 // Wire-format properties of the reliability layer's packet header.
 
-// testPacket materialises header+payload the way a fabric's gather does.
+// testPacket materialises header+payload the way a fabric that frames its
+// datagrams does.
 func testPacket(kind, flags uint8, seq, aux uint64, payload []byte) []byte {
 	var hdr [pktHeaderSize]byte
 	putHeader(&hdr, kind, flags, seq, aux)
@@ -26,12 +26,16 @@ func TestPacketHeaderRoundTripProperty(t *testing.T) {
 		if kindSel {
 			kind = pktAck
 		}
+		// Whole, as udp hands a packet over, and split behind the header,
+		// as simnet does: the same packet either way.
 		pkt := testPacket(kind, flags, seq, aux, payload)
-		k, fl, s, a, p, err := decodePacket(pkt)
-		if err != nil {
-			return false
+		for _, cut := range []int{len(pkt), pktHeaderSize} {
+			k, fl, s, a, p, err := decodePacket(pkt[:cut], pkt[cut:])
+			if err != nil || k != kind || fl != flags || s != seq || a != aux || !bytes.Equal(p, payload) {
+				return false
+			}
 		}
-		return k == kind && fl == flags && s == seq && a == aux && bytes.Equal(p, payload)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -39,12 +43,12 @@ func TestPacketHeaderRoundTripProperty(t *testing.T) {
 }
 
 func TestPacketDecodeRejectsGarbage(t *testing.T) {
-	if _, _, _, _, _, err := decodePacket([]byte{1, 2, 3}); err == nil {
+	if _, _, _, _, _, err := decodePacket([]byte{1, 2, 3}, nil); err == nil {
 		t.Error("short packet accepted")
 	}
 	bad := testPacket(pktData, 0, 0, 0, nil)
 	bad[0] = 99
-	if _, _, _, _, _, err := decodePacket(bad); err == nil {
+	if _, _, _, _, _, err := decodePacket(bad, nil); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -61,20 +65,34 @@ func TestMsgKindEncoding(t *testing.T) {
 // Property: any message stream pushed through a lossy+duplicating+
 // reordering fabric arrives exactly once, in order, bit-identical — and
 // every pooled buffer the layer took on the way (queued messages, in-flight
-// windows, fabric packets, delivery buffers) is back in the pool once both
-// ends are closed. This is the layer's entire contract, checked end to end
-// with randomized message shapes.
+// windows, delivery buffers) and every reference the fabric took to one
+// (packets queued on a link, held for reordering, duplicated) is back in the
+// pool once both ends are closed. This is the layer's entire contract,
+// checked end to end with randomized message shapes — to the end of the
+// stream, and with both ends and the fabric closed in the middle of it,
+// whatever the links hold at that moment.
 func TestExactlyOnceDeliveryProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress property skipped in -short")
 	}
-	for _, seed := range []int64{3, 17} {
-		seed := seed
-		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     simnet.Config
+		closeAt int // close everything once this many messages have arrived (0: all of them)
+	}{
+		{name: "seed=3", cfg: simnet.Config{Seed: 3}},
+		{name: "seed=17", cfg: simnet.Config{Seed: 17}},
+		// Links that tail-drop what a burst puts beyond four packets.
+		{name: "seed=3,queuecap=4", cfg: simnet.Config{Seed: 3, QueueCap: 4}},
+		// A wire slow enough (a packet every half millisecond) that Close
+		// finds the links with packets queued and waiting for it.
+		{name: "seed=17,slow,closed-midway", cfg: simnet.Config{Seed: 17, Bandwidth: 1e6}, closeAt: 6},
+		{name: "seed=3,slow,queuecap=4,closed-midway", cfg: simnet.Config{Seed: 3, Bandwidth: 1e6, QueueCap: 4}, closeAt: 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			start := outstanding()
-			cfg := simnet.Config{
-				MTU: 512, LossRate: 0.1, DupRate: 0.1, ReorderRate: 0.1, Seed: seed,
-			}
+			cfg := tc.cfg
+			cfg.MTU, cfg.LossRate, cfg.DupRate, cfg.ReorderRate = 512, 0.1, 0.1, 0.1
 			a, b, _, sb, net := pairOn(t, cfg, Config{RTO: 15 * time.Millisecond, EagerMax: 1024, Window: 16})
 			// Message sizes chosen to hit: empty, sub-fragment, exact
 			// fragment boundary, multi-fragment eager, rendezvous.
@@ -90,17 +108,28 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, 60*time.Second, func() bool { return sb.count() == len(want) })
-			for i := range want {
+			until := len(want)
+			if tc.closeAt != 0 {
+				until = tc.closeAt
+			}
+			waitFor(t, 60*time.Second, func() bool { return sb.count() >= until })
+			// The last acks may still be lost in the fabric, and midway
+			// whole messages are: what is in flight at Close is released by
+			// shutdown, not by ack.
+			a.Close()
+			b.Close()
+			net.Close()
+			for i := 0; i < sb.count(); i++ {
 				if !bytes.Equal(sb.get(i), want[i]) {
 					t.Fatalf("message %d (size %d) corrupted or reordered", i, len(want[i]))
 				}
 			}
-			// The last acks may still be lost in the fabric: what is in
-			// flight at Close is released by shutdown, not by ack.
-			a.Close()
-			b.Close()
-			net.Close()
+			if tc.closeAt == 0 && sb.count() != len(want) {
+				t.Fatalf("%d messages arrived, want %d", sb.count(), len(want))
+			}
+			if st := net.Stats(); tc.cfg.QueueCap != 0 && st.TailDrops.Load() == 0 {
+				t.Error("a four-packet queue never tail-dropped")
+			}
 			waitBalanced(t, start)
 		})
 	}

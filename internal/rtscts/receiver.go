@@ -412,5 +412,5 @@ func (r *peerReceiver) sendAck(c *Conn) {
 	r.ackDue = false
 	c.stats.AcksSent.Add(1)
 	putHeader(&r.ackHdr, pktAck, 0, r.expected, 0)
-	_ = c.ep.SendPacket(r.src, r.ackHdr[:], nil)
+	_ = c.ep.SendPacket(r.src, r.ackHdr[:], nil, nil)
 }

@@ -25,15 +25,14 @@ const dupAckThreshold = 3
 // a retransmitted packet is ambiguous — it may answer either transmission).
 type txDesc struct {
 	hdr     [pktHeaderSize]byte // wire header, built once at first transmission
-	payload []byte              // a window of the message buffer; empty for header-only packets
-	owner   *bufpool.Buf        // set on a message's final fragment only: the buffer's one reference
+	payload []byte              // a window of owner; empty for header-only packets
+	owner   *bufpool.Buf        // the descriptor's own reference to the message buffer; nil for a message without one
 	sent    time.Time
 	retx    bool
 }
 
-// retire drops the descriptor's view of its message once the packet is
-// acknowledged or abandoned; retiring the final fragment releases the
-// buffer.
+// retire gives up the descriptor's reference to its message once the packet
+// is acknowledged or abandoned.
 func (d *txDesc) retire() {
 	d.payload = nil
 	d.owner.Release()
@@ -66,10 +65,11 @@ type peerSender struct {
 	closed   bool          //lint:guardedby qmu
 
 	// Window state, guarded by wmu. Packets are transmitted WITH wmu held:
-	// message bytes are read and released only under it, so the ack that
-	// retires a message cannot return its buffer to the pool while a
-	// (re)transmission is still gathering from it. SendPacket never blocks
-	// and never calls back, so the fabric's locks simply nest inside.
+	// a descriptor is shown to the fabric and retired only under it, so the
+	// ack that retires a message cannot drop the reference a
+	// (re)transmission is handing the fabric at that moment. SendPacket
+	// never blocks and never calls back, so the fabric's locks simply nest
+	// inside.
 	//
 	//lint:lockrank peerSender.wmu < Network.mu
 	//lint:lockrank peerSender.wmu < link.mu
@@ -234,9 +234,9 @@ func (s *peerSender) oweCTS() {
 }
 
 // sendMessage fragments one message onto the reliable stream, taking buf
-// (nil for a message with no payload): every fragment but the last borrows
-// a window of it, the final fragment's descriptor inherits it, and it is
-// released here if the sender closes first.
+// (nil for a message with no payload): every fragment's descriptor gets a
+// window of it and a reference of its own, and the reference that came in is
+// released here, whether the sender closed first or not.
 //
 //lint:consumes buf
 func (s *peerSender) sendMessage(kind uint8, buf *bufpool.Buf) {
@@ -251,14 +251,17 @@ func (s *peerSender) sendMessage(kind uint8, buf *bufpool.Buf) {
 	// feeds is floored at RTOMin, and what skew there is errs toward a
 	// longer RTT. sendReliable reads the clock again after any wait.
 	now := time.Now()
-	for ; len(rest) > frag; rest = rest[frag:] {
-		if !s.sendReliable(&now, flags, aux, rest[:frag], nil) {
-			buf.Release()
-			return
+	for {
+		n := min(len(rest), frag)
+		if !s.sendReliable(&now, flags, aux, rest[:n], buf.Retain()) {
+			break
+		}
+		if rest = rest[n:]; len(rest) == 0 {
+			break
 		}
 		flags, aux = 0, 0
 	}
-	s.sendReliable(&now, flags, aux, rest, buf)
+	buf.Release()
 }
 
 // desc is the window slot of packet seq. Called with wmu held.
@@ -269,24 +272,24 @@ func (s *peerSender) desc(seq uint64) *txDesc {
 }
 
 // transmit puts one in-flight packet on the fabric: its prebuilt header
-// plus a window of the message buffer, gathered by the fabric into its own
-// packet. Called with wmu held — see the window-state comment.
+// plus a window of the message buffer, which the fabric copies out or takes
+// a reference to. Called with wmu held — see the window-state comment.
 //
 //lint:requires wmu
 func (s *peerSender) transmit(d *txDesc) {
-	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload) // loss is the retransmit loop's job
+	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload, d.owner) // loss is the retransmit loop's job
 }
 
 // sendReliable assigns the next sequence number, records the packet's
 // descriptor for retransmission, and transmits it, blocking while the
 // window is full. now is the caller's reading of the clock, which stamps
 // the transmission; it is refreshed here if the window made the packet
-// wait. owner is the message buffer when payload is its final fragment,
-// nil otherwise; the descriptor takes it. Once the sender is closed
+// wait. owner is a reference to the buffer payload is a window of (nil when
+// there is none); the descriptor takes it. Once the sender is closed
 // sendReliable records nothing, releases owner, and reports false.
 //
 //lint:consumes owner
-//lint:noalloc the per-fragment path: a ring slot, a header written in place, one fabric gather
+//lint:noalloc the per-fragment path: a ring slot, a header written in place, one hand-off to the fabric
 func (s *peerSender) sendReliable(now *time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
 	s.wmu.Lock()
 	if s.nextSeq-s.base >= uint64(s.wnd) {
@@ -444,9 +447,8 @@ func (s *peerSender) markRetx() (from, to uint64) {
 
 // resend retransmits packets [from, to) — Go-Back-N: the window as it stood
 // when the loss was noticed. wmu is taken per packet, so acks are never
-// held up behind a whole window of copies, and a packet an ack retired in
-// the meantime is skipped: its slot, and its message buffer, may already
-// belong to something else.
+// held up behind a whole window of packets, and a packet an ack retired in
+// the meantime is skipped: its slot may already describe something else.
 func (s *peerSender) resend(from, to uint64, delay time.Duration) {
 	traced := trace.Enabled()
 	for seq := from; seq < to; seq++ {

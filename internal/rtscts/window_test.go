@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
@@ -280,10 +281,10 @@ func TestRTOConvergesToMeasuredRTT(t *testing.T) {
 
 // fakeBurstNet is a minimal PacketNetwork with the UDP transport's
 // dispatch shape: one goroutine per node drains a queue, hands each packet
-// to the conn, and calls flush at burst boundaries. It exists to test
-// Attach's accumulate-then-flush contract in-process. A test that wants to
-// choose the bursts itself taps the peer's NID, so nothing is dispatched
-// behind its back, and feeds the conn's own endpoint by hand.
+// to the conn — whole, as a copy — and calls flush at burst boundaries. It
+// exists to test Attach's accumulate-then-flush contract in-process. A test
+// that wants to choose the bursts itself taps the peer's NID, so nothing is
+// dispatched behind its back, and feeds the conn's own endpoint by hand.
 type fakeBurstNet struct {
 	mu    sync.Mutex
 	nodes map[types.NID]*fakeBurstEP
@@ -336,7 +337,7 @@ func (n *fakeBurstNet) node(nid types.NID) *fakeBurstEP {
 
 func (ep *fakeBurstEP) dispatch() {
 	for pkt := range ep.ch {
-		ep.h(pkt.src, pkt.data)
+		ep.h(pkt.src, pkt.data, nil)
 	drain:
 		for {
 			select {
@@ -344,7 +345,7 @@ func (ep *fakeBurstEP) dispatch() {
 				if !ok {
 					return
 				}
-				ep.h(more.src, more.data)
+				ep.h(more.src, more.data, nil)
 			default:
 				break drain
 			}
@@ -353,7 +354,7 @@ func (ep *fakeBurstEP) dispatch() {
 	}
 }
 
-func (ep *fakeBurstEP) SendPacket(dst types.NID, hdr, payload []byte) error {
+func (ep *fakeBurstEP) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool.Buf) error {
 	ep.net.mu.Lock()
 	peer := ep.net.nodes[dst]
 	ep.net.mu.Unlock()
@@ -457,7 +458,7 @@ func ackValues(t *testing.T, ch <-chan fakeBurstPkt) (acks []uint64) {
 	for {
 		select {
 		case p := <-ch:
-			kind, _, seq, _, _, err := decodePacket(p.data)
+			kind, _, seq, _, _, err := decodePacket(p.data, nil)
 			if err != nil || kind != pktAck {
 				t.Fatalf("tapped a non-ack packet (kind %d, err %v)", kind, err)
 			}
@@ -492,7 +493,7 @@ func TestBurstYieldsOneCumulativeAck(t *testing.T) {
 			if i == 0 {
 				total = len(msg)
 			}
-			feed.h(1, dataPkt(next, total, msg[i*frag:(i+1)*frag]))
+			feed.h(1, dataPkt(next, total, msg[i*frag:(i+1)*frag]), nil)
 			next++
 		}
 		if early := ackValues(t, acks); len(early) != 0 {
@@ -552,17 +553,17 @@ func TestOutOfOrderInsideBurstAcksImmediately(t *testing.T) {
 
 	// One burst: 0 and 1 in order, 2 lost, 3, 4 and 5 past the hole.
 	feed := netB.node(2)
-	feed.h(1, pkts[0])
-	feed.h(1, pkts[1])
+	feed.h(1, pkts[0], nil)
+	feed.h(1, pkts[1], nil)
 	if a := ackValues(t, acks); len(a) != 0 {
 		t.Fatalf("in-order packets acked %v before the burst ended", a)
 	}
-	feed.h(1, pkts[3])
+	feed.h(1, pkts[3], nil)
 	if a := ackValues(t, acks); len(a) != 2 || a[0] != 2 || a[1] != 2 {
 		t.Fatalf("first packet past the hole produced acks %v, want the owed ack and its duplicate [2 2]", a)
 	}
-	feed.h(1, pkts[4])
-	feed.h(1, pkts[5])
+	feed.h(1, pkts[4], nil)
+	feed.h(1, pkts[5], nil)
 	if a := ackValues(t, acks); len(a) != 2 || a[0] != 2 || a[1] != 2 {
 		t.Fatalf("two more packets past the hole produced acks %v, want [2 2]", a)
 	}
@@ -578,7 +579,7 @@ func TestOutOfOrderInsideBurstAcksImmediately(t *testing.T) {
 	ack := func() {
 		var hdr [pktHeaderSize]byte
 		putHeader(&hdr, pktAck, 0, 2, 0)
-		netA.node(1).h(2, hdr[:])
+		netA.node(1).h(2, hdr[:], nil)
 	}
 	ack()
 	ack()
@@ -711,7 +712,7 @@ func TestAcksGoPerPacketWhileMendingAGap(t *testing.T) {
 	}
 	defer rc.Close()
 	feed := net.node(2)
-	one := func(seq uint64) { feed.h(1, dataPkt(seq, 1, []byte{0})) }
+	one := func(seq uint64) { feed.h(1, dataPkt(seq, 1, []byte{0}), nil) }
 
 	one(1) // past a hole at 0: discarded, answered at once
 	if a := ackValues(t, acks); len(a) != 1 || a[0] != 0 {

@@ -35,6 +35,14 @@ var fabrics = []struct {
 	{"simnet+rtscts", func() transport.Network {
 		return rtscts.NewNetwork(simnet.New(simnet.Config{MTU: 1024}), rtscts.Config{})
 	}, false, true},
+	// The same over links that duplicate, hold packets back for reordering
+	// and tail-drop what a burst puts beyond sixteen: a packet there is a
+	// reference to the sender's buffer, and Close finds some still on the
+	// links — all of it must come back to the pool like everything else.
+	{"simnet+rtscts,faulty", func() transport.Network {
+		faults := simnet.Config{MTU: 1024, DupRate: 0.02, ReorderRate: 0.02, QueueCap: 16, Seed: 9}
+		return rtscts.NewNetwork(simnet.New(faults), rtscts.Config{})
+	}, false, true},
 	{"tcp", func() transport.Network { return tcp.New() }, true, false},
 	{"udp", func() transport.Network { return udp.New() }, false, true},
 }

@@ -18,11 +18,14 @@ import (
 // dispatch burst, ended by the destination's flush: after each drained
 // batch, and before any wait (an idle wire ends a burst, whatever is queued).
 //
-// Packets travel as pooled buffers (internal/bufpool): enqueue gathers the
-// caller's header and payload into one, the only copy between the sender's
-// message buffer and the receiver's, and whatever removes a packet from the
-// pipe — loss, tail drop, shutdown, or final delivery — releases it.
-// Duplication emits an independent pooled copy, never the same buffer twice.
+// A packet on a link is a reference into the sender's message buffer, not a
+// copy of it (inflight): enqueue copies the few header bytes inline and takes
+// one reference to the buffer the payload is a window of, and whatever
+// removes the packet from the pipe — loss, shutdown, or final delivery —
+// releases that reference. Duplication is a second reference to the same
+// bytes. A queued packet therefore pins its message buffer; on a link with no
+// QueueCap what that can hold is bounded by the sender's window, which pins
+// the same buffers until they are acknowledged anyway.
 type link struct {
 	net      *Network
 	src, dst types.NID
@@ -37,17 +40,33 @@ type link struct {
 
 	// The rest belongs to the run goroutine.
 	rng     *rand.Rand // this link's own fault schedule; nil on a fabric without faults
+	dup     inflight   // the duplicate of the packet being forwarded, for as long as forward runs
 	held    inflight   // reorder buffer: a packet waiting to swap with its successor
+	holding bool       // held is occupied
 	lastEnd time.Time  // when the link finishes serializing what it has taken up
 	to      *Endpoint  // the destination as last resolved; re-resolved once it closes
 	fed     bool       // to.handler has run since to.flush last did
 }
 
-// inflight is one packet on its way through a link.
+// MaxHeader is the longest header SendPacket accepts: a packet carries its
+// header inline, so that only the payload need outlive the call.
+const MaxHeader = 24
+
+// inflight is one packet on its way through a link: the header by value, the
+// payload as a view of the buffer owner keeps alive. The link hands hdr to
+// the destination's handler as a slice, so an inflight is only ever delivered
+// from where it already lives on the heap — a batch slot, the link's own dup
+// and held — never from a local copy, which would escape once per packet.
 type inflight struct {
-	pkt *bufpool.Buf
-	at  time.Time // when it entered the link; zero on a fabric without wire time
+	hdr     [MaxHeader]byte
+	hdrLen  uint8
+	payload []byte
+	owner   *bufpool.Buf // the packet's reference to the buffer payload is a window of; nil if it was sent without one
+	at      time.Time    // when it entered the link; zero on a fabric without wire time
 }
+
+// size is the packet's length on the wire.
+func (p *inflight) size() int { return int(p.hdrLen) + len(p.payload) }
 
 func newLink(n *Network, src, dst types.NID) *link {
 	cfg := &n.cfg
@@ -64,13 +83,12 @@ func newLink(n *Network, src, dst types.NID) *link {
 	return l
 }
 
-// enqueue gathers hdr and payload into one pooled packet and queues it: the
-// caller may reuse both slices as soon as it returns (SendPacket's contract).
+// enqueue queues one packet: hdr is copied into the queue slot, payload is
+// kept as it is, with a reference to owner that the link releases when the
+// packet leaves it. A packet the link refuses takes no reference.
 //
-//lint:noalloc the per-packet copy lands in pooled memory and the queue swaps between two backings
-func (l *link) enqueue(hdr, payload []byte) {
-	cp := bufpool.Get(len(hdr) + len(payload))
-	copy(cp.Bytes()[copy(cp.Bytes(), hdr):], payload)
+//lint:noalloc the queue swaps between two backings and a packet is a slot in it
+func (l *link) enqueue(hdr, payload []byte, owner *bufpool.Buf) {
 	var at time.Time
 	if l.timed {
 		at = time.Now()
@@ -78,18 +96,20 @@ func (l *link) enqueue(hdr, payload []byte) {
 	l.mu.Lock()
 	if l.closed.Load() {
 		l.mu.Unlock()
-		cp.Release()
 		return
 	}
 	if qcap := int64(l.net.cfg.QueueCap); qcap > 0 && l.backlog.Add(1) > qcap {
 		l.backlog.Add(-1)
 		l.mu.Unlock()
 		l.net.stats.TailDrops.Add(1)
-		l.lose(cp)
+		l.lost(len(hdr) + len(payload))
 		return
 	}
 	//lint:ignore noalloc amortized: queue and the goroutine's spare swap between two backings that stop growing at the largest batch
-	l.queue = append(l.queue, inflight{pkt: cp, at: at})
+	l.queue = append(l.queue, inflight{})
+	p := &l.queue[len(l.queue)-1]
+	p.hdrLen = uint8(copy(p.hdr[:], hdr))
+	p.payload, p.owner, p.at = payload, owner.Retain(), at
 	l.mu.Unlock()
 	l.cond.Signal()
 }
@@ -97,8 +117,8 @@ func (l *link) enqueue(hdr, payload []byte) {
 func (l *link) shutdown() {
 	l.mu.Lock()
 	l.closed.Store(true)
-	for _, p := range l.queue {
-		p.pkt.Release()
+	for i := range l.queue {
+		l.queue[i].owner.Release()
 	}
 	l.queue = nil
 	l.mu.Unlock()
@@ -116,58 +136,57 @@ func (l *link) run() {
 		batch := l.queue
 		l.queue = spare[:0]
 		l.mu.Unlock()
-		for i, p := range batch {
-			l.forward(p)
+		for i := range batch {
+			l.forward(&batch[i])
 			batch[i] = inflight{}
 		}
 		l.endBurst()
 		spare = batch[:0]
 	}
-	if l.held.pkt != nil {
-		l.held.pkt.Release()
+	if l.holding {
+		l.held.owner.Release()
 	}
 }
 
 // forward applies fault injection to one packet and delivers what is left
-// of it. Loss removes the packet; duplication emits an independent copy;
-// reordering holds a packet until the next one has passed.
-//
-//lint:consumes p
-func (l *link) forward(p inflight) {
+// of it, taking over p's reference. Loss removes the packet; duplication
+// delivers it twice, on a reference of its own; reordering holds the last
+// packet of the lot until the next one has passed.
+func (l *link) forward(p *inflight) {
 	cfg := &l.net.cfg
 	if cfg.QueueCap > 0 {
 		l.backlog.Add(-1)
 	}
 	if l.closed.Load() {
-		p.pkt.Release()
+		p.owner.Release()
 		return
 	}
 	if cfg.LossRate > 0 && l.rng.Float64() < cfg.LossRate {
-		l.lose(p.pkt)
+		l.lost(p.size())
+		p.owner.Release()
 		return
 	}
-	emit := [3]inflight{p} // a fixed array: forwarding allocates nothing
-	ne := 1
+	last := p // what goes out last of this lot, and is what a reorder holds back
 	if cfg.DupRate > 0 && l.rng.Float64() < cfg.DupRate {
 		l.net.stats.Duplicated.Add(1)
-		dup := bufpool.Get(len(p.pkt.Bytes()))
-		copy(dup.Bytes(), p.pkt.Bytes())
-		emit[ne] = inflight{pkt: dup, at: p.at}
-		ne++
+		l.dup = *p
+		l.dup.owner = p.owner.Retain()
+		l.deliver(p)
+		last = &l.dup
 	}
-	if cfg.ReorderRate > 0 {
-		if l.held.pkt != nil {
-			emit[ne] = l.held // the held packet goes after this one
-			ne++
-			l.held = inflight{}
-			l.net.stats.Reordered.Add(1)
-		} else if l.rng.Float64() < cfg.ReorderRate {
-			ne--
-			l.held = emit[ne]
-		}
+	switch {
+	case cfg.ReorderRate > 0 && l.holding:
+		l.deliver(last)
+		l.deliver(&l.held) // the held packet goes after this one
+		l.held, l.holding = inflight{}, false
+		l.net.stats.Reordered.Add(1)
+	case cfg.ReorderRate > 0 && l.rng.Float64() < cfg.ReorderRate:
+		l.held, l.holding = *last, true
+	default:
+		l.deliver(last)
 	}
-	for _, e := range emit[:ne] {
-		l.deliver(e)
+	if last != p {
+		l.dup = inflight{}
 	}
 }
 
@@ -175,9 +194,9 @@ func (l *link) forward(p inflight) {
 // entered the link or when its predecessor finished, whichever is later,
 // takes size/Bandwidth, and arrives Latency after that — and hands it to
 // the destination, which is looked up once and then only when it has closed.
-//
-//lint:consumes p
-func (l *link) deliver(p inflight) {
+// The packet's reference is released when the handler returns, or when there
+// is nobody to hand it to.
+func (l *link) deliver(p *inflight) {
 	if l.timed {
 		cfg := &l.net.cfg
 		end := p.at
@@ -185,7 +204,7 @@ func (l *link) deliver(p inflight) {
 			end = l.lastEnd
 		}
 		if cfg.Bandwidth > 0 {
-			end = end.Add(time.Duration(float64(len(p.pkt.Bytes())) / float64(cfg.Bandwidth) * float64(time.Second)))
+			end = end.Add(time.Duration(float64(p.size()) / float64(cfg.Bandwidth) * float64(time.Second)))
 		}
 		l.lastEnd = end
 		l.waitUntil(end.Add(cfg.Latency))
@@ -193,14 +212,15 @@ func (l *link) deliver(p inflight) {
 	if l.to == nil || l.to.closed.Load() {
 		l.endBurst()
 		if l.to = l.net.node(l.dst); l.to == nil {
-			l.lose(p.pkt)
+			l.lost(p.size())
+			p.owner.Release()
 			return
 		}
 	}
 	l.net.stats.Delivered.Add(1)
 	l.fed = true
-	l.to.handler(l.src, p.pkt.Bytes())
-	p.pkt.Release() // the handler copied what it keeps (PacketHandler)
+	l.to.handler(l.src, p.hdr[:p.hdrLen], p.payload)
+	p.owner.Release() // the handler copied what it keeps (PacketHandler)
 }
 
 // endBurst tells the destination that nothing more is coming right now.
@@ -211,13 +231,10 @@ func (l *link) endBurst() {
 	}
 }
 
-// lose removes a packet from the pipe and counts it.
-//
-//lint:consumes pkt
-func (l *link) lose(pkt *bufpool.Buf) {
+// lost counts a packet of size bytes that left the pipe undelivered.
+func (l *link) lost(size int) {
 	l.net.stats.Lost.Add(1)
-	l.net.recordLoss(l.src, len(pkt.Bytes()))
-	pkt.Release()
+	l.net.recordLoss(l.src, size)
 }
 
 // waitUntil waits for an arrival time, ending the burst first if there is

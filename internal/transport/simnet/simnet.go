@@ -20,11 +20,13 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
 	"repro/internal/rcu"
@@ -67,8 +69,11 @@ func GigE() Config {
 // Instant returns a fabric with no delays and no faults, for fast tests.
 func Instant() Config { return Config{MTU: 65536} }
 
-// PacketHandler receives raw packets; pkt must be copied if retained.
-type PacketHandler func(src types.NID, pkt []byte)
+// PacketHandler receives raw packets, header and payload as they were sent.
+// Both are the handler's to read until it returns, never to write: payload
+// is the sender's own buffer, which the sender may be sending again at the
+// same moment. What the handler keeps, it copies.
+type PacketHandler func(src types.NID, hdr, payload []byte)
 
 // Stats counts fabric-level events.
 type Stats struct {
@@ -205,18 +210,33 @@ func (ep *Endpoint) Close() error {
 	return nil
 }
 
-// SendPacket queues one packet for dst: hdr followed by payload, gathered
-// into the link's own pooled packet, so neither slice is retained and the
-// caller never needs a packet-sized buffer of its own (either may be empty).
-// It never blocks: congestion beyond QueueCap tail-drops, like a real
-// switch. Oversized packets are an error (the protocol above must packetize
-// to the MTU).
+var (
+	errHeader  = fmt.Errorf("simnet: header exceeds the %d bytes a packet carries inline", MaxHeader)
+	errNoOwner = errors.New("simnet: payload without the buffer that owns it")
+)
+
+// SendPacket queues one packet for dst: hdr followed by payload (either may
+// be empty). hdr is copied and may be reused as soon as SendPacket returns.
+// payload is not copied: it must be a window of owner, to which the caller
+// holds a reference for the length of the call, and the link keeps it alive
+// with a reference of its own until the packet has been delivered or lost —
+// the way a NIC reads a message out of host memory instead of asking the host
+// to copy it first. The bytes must not change while any reference is out.
+// SendPacket never blocks: congestion beyond QueueCap tail-drops, like a real
+// switch. A packet over the MTU, a header over MaxHeader, and a payload
+// without an owner are errors (the protocol above must packetize to the MTU,
+// out of pooled memory).
 //
-//lint:noalloc one pooled packet per send; the link cache only grows on first contact
-func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
-	if size := len(hdr) + len(payload); size > ep.net.cfg.MTU {
+//lint:noalloc a packet is a slot of the link's queue; the link cache only grows on first contact
+func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte, owner *bufpool.Buf) error {
+	switch size := len(hdr) + len(payload); {
+	case size > ep.net.cfg.MTU:
 		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
 		return fmt.Errorf("simnet: packet %d exceeds MTU %d", size, ep.net.cfg.MTU)
+	case len(hdr) > MaxHeader:
+		return errHeader
+	case len(payload) > 0 && owner == nil:
+		return errNoOwner
 	}
 	if ep.closed.Load() {
 		return types.ErrClosed
@@ -229,7 +249,7 @@ func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte) error {
 		}
 	}
 	ep.net.stats.Sent.Add(1)
-	l.enqueue(hdr, payload)
+	l.enqueue(hdr, payload, owner)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/types"
 )
 
@@ -18,10 +19,27 @@ type sink struct {
 	pkts []string
 }
 
-func (s *sink) handler(src types.NID, pkt []byte) {
+func (s *sink) handler(src types.NID, hdr, payload []byte) {
 	s.mu.Lock()
-	s.pkts = append(s.pkts, string(pkt))
+	s.pkts = append(s.pkts, string(hdr)+string(payload))
 	s.mu.Unlock()
+}
+
+// sendBody sends hdr and a payload out of a pooled buffer, as every sender of
+// a payload must, and gives up its own reference at once: from there on the
+// link's reference is the only thing keeping the bytes.
+func sendBody(ep *Endpoint, dst types.NID, hdr, payload []byte) error {
+	buf := bufpool.Get(len(payload))
+	defer buf.Release()
+	copy(buf.Bytes(), payload)
+	return ep.SendPacket(dst, hdr, buf.Bytes(), buf)
+}
+
+// outstanding is the number of pooled buffers acquired and not yet released,
+// process-wide.
+func outstanding() int64 {
+	gets, _, puts := bufpool.Usage()
+	return gets - puts
 }
 
 func (s *sink) got() []string {
@@ -45,7 +63,7 @@ func TestInstantDelivery(t *testing.T) {
 	n := New(Instant())
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +71,10 @@ func TestInstantDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		// Header and payload arrive as one packet, gathered by the link.
+		// Header and payload arrive together, the payload out of a buffer
+		// its sender has already let go of.
 		pkt := []byte(fmt.Sprintf("%03d", i))
-		if err := a.SendPacket(2, pkt[:1], pkt[1:]); err != nil {
+		if err := sendBody(a, 2, pkt[:1], pkt[1:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,23 +92,37 @@ func TestInstantDelivery(t *testing.T) {
 func TestMTUEnforced(t *testing.T) {
 	n := New(Config{MTU: 64})
 	defer n.Close()
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendPacket(2, make([]byte, 20), make([]byte, 45)); err == nil {
+	start := outstanding()
+	if err := sendBody(a, 2, make([]byte, 20), make([]byte, 45)); err == nil {
 		t.Error("oversized packet accepted")
 	}
-	if err := a.SendPacket(1, make([]byte, 64), nil); err != nil {
+	// A packet carries its header inline and its payload by reference: a
+	// header too long for the one, and a payload with nothing to take a
+	// reference to, are refused as loudly.
+	if err := a.SendPacket(2, make([]byte, MaxHeader+1), nil, nil); err == nil {
+		t.Errorf("a %d-byte header accepted", MaxHeader+1)
+	}
+	if err := a.SendPacket(2, make([]byte, 20), make([]byte, 44), nil); err == nil {
+		t.Error("a payload without an owner accepted")
+	}
+	if got := n.Stats().Sent.Load(); got != 0 {
+		t.Errorf("%d refused packets counted as sent", got)
+	}
+	if err := sendBody(a, 1, make([]byte, 20), make([]byte, 44)); err != nil {
 		t.Errorf("MTU-sized packet rejected: %v", err)
 	}
+	waitFor(t, func() bool { return n.Stats().Delivered.Load() == 1 && outstanding() == start })
 }
 
 func TestLossInjection(t *testing.T) {
 	n := New(Config{MTU: 64, LossRate: 0.5, Seed: 7})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +131,7 @@ func TestLossInjection(t *testing.T) {
 	}
 	const count = 400
 	for i := 0; i < count; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +148,7 @@ func TestDuplicationInjection(t *testing.T) {
 	n := New(Config{MTU: 64, DupRate: 1.0, Seed: 1})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +156,7 @@ func TestDuplicationInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +170,7 @@ func TestReorderInjection(t *testing.T) {
 	n := New(Config{MTU: 64, ReorderRate: 0.5, Seed: 3})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +179,7 @@ func TestReorderInjection(t *testing.T) {
 	}
 	const count = 200
 	for i := 0; i < count; i++ {
-		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +203,7 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	n := New(Config{MTU: 64, Latency: 30 * time.Millisecond})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +211,7 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := a.SendPacket(2, []byte("x"), nil); err != nil {
+	if err := a.SendPacket(2, []byte("x"), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return len(s.got()) == 1 })
@@ -192,7 +225,7 @@ func TestBandwidthPacing(t *testing.T) {
 	n := New(Config{MTU: 65536, Bandwidth: 10e6})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +235,7 @@ func TestBandwidthPacing(t *testing.T) {
 	start := time.Now()
 	const packets = 16 // 16 × 64 KB = 1 MB
 	for i := 0; i < packets; i++ {
-		if err := a.SendPacket(2, make([]byte, 65536), nil); err != nil {
+		if err := sendBody(a, 2, nil, make([]byte, 65536)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +254,7 @@ func TestTailDrop(t *testing.T) {
 	n := New(Config{MTU: 65536, Bandwidth: 1e6, QueueCap: 2})
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +262,7 @@ func TestTailDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := a.SendPacket(2, make([]byte, 32768), nil); err != nil {
+		if err := sendBody(a, 2, nil, make([]byte, 32768)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,13 +278,13 @@ func TestTailDrop(t *testing.T) {
 func TestDetachedDestination(t *testing.T) {
 	n := New(Instant())
 	defer n.Close()
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Destination never attached: packet vanishes (counted lost), like a
 	// real fabric. No error to the sender.
-	if err := a.SendPacket(9, []byte("x"), nil); err != nil {
+	if err := a.SendPacket(9, []byte("x"), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return n.Stats().Lost.Load() == 1 })
@@ -261,7 +294,7 @@ func TestCloseEndpointStopsDelivery(t *testing.T) {
 	n := New(Instant())
 	defer n.Close()
 	var s sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +305,21 @@ func TestCloseEndpointStopsDelivery(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SendPacket(2, []byte("x"), nil); err != nil {
+	if err := a.SendPacket(2, []byte("x"), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return n.Stats().Lost.Load() == 1 })
 	if len(s.got()) != 0 {
 		t.Error("delivery to closed endpoint")
 	}
-	if err := b.SendPacket(1, []byte("x"), nil); !errors.Is(err, types.ErrClosed) {
+	if err := b.SendPacket(1, []byte("x"), nil, nil); !errors.Is(err, types.ErrClosed) {
 		t.Errorf("send from closed endpoint = %v", err)
 	}
 }
 
 func TestNetworkCloseIdempotent(t *testing.T) {
 	n := New(Instant())
-	if _, err := n.Attach(1, func(types.NID, []byte) {}); err != nil {
+	if _, err := n.Attach(1, func(types.NID, []byte, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Close(); err != nil {
@@ -295,7 +328,7 @@ func TestNetworkCloseIdempotent(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Attach(2, func(types.NID, []byte) {}); !errors.Is(err, types.ErrClosed) {
+	if _, err := n.Attach(2, func(types.NID, []byte, []byte) {}); !errors.Is(err, types.ErrClosed) {
 		t.Errorf("attach after close = %v", err)
 	}
 }
@@ -306,14 +339,14 @@ func TestPerPairIsolation(t *testing.T) {
 	n := New(Config{MTU: 65536, Bandwidth: 2e6})
 	defer n.Close()
 	var bulk, small sink
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Attach(2, bulk.handler); err != nil {
 		t.Fatal(err)
 	}
-	c, err := n.Attach(3, func(types.NID, []byte) {})
+	c, err := n.Attach(3, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +355,12 @@ func TestPerPairIsolation(t *testing.T) {
 	}
 	// 1 MB bulk at 2 MB/s ≈ 500 ms of occupancy on link 1→2.
 	for i := 0; i < 16; i++ {
-		if err := a.SendPacket(2, make([]byte, 65536), nil); err != nil {
+		if err := sendBody(a, 2, nil, make([]byte, 65536)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start := time.Now()
-	if err := c.SendPacket(4, []byte("quick"), nil); err != nil {
+	if err := c.SendPacket(4, []byte("quick"), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return len(small.got()) == 1 })
@@ -343,7 +376,7 @@ func TestSeedDeterminism(t *testing.T) {
 		n := New(Config{MTU: 64, LossRate: 0.3, Seed: 1234})
 		defer n.Close()
 		var s sink
-		a, err := n.Attach(1, func(types.NID, []byte) {})
+		a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +384,7 @@ func TestSeedDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+			if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -405,12 +438,12 @@ func TestSeedDeterminismBothDirections(t *testing.T) {
 				go func(from *Endpoint, to types.NID) {
 					defer wg.Done()
 					for k := 0; k < count; k++ {
-						if err := from.SendPacket(to, []byte{byte(k >> 8), byte(k)}, nil); err != nil {
+						if err := from.SendPacket(to, []byte{byte(k >> 8), byte(k)}, nil, nil); err != nil {
 							t.Error(err)
 						}
 					}
 					if tc.cfg.ReorderRate > 0 {
-						if err := from.SendPacket(to, trailer, nil); err != nil {
+						if err := from.SendPacket(to, trailer, nil, nil); err != nil {
 							t.Error(err)
 						}
 					}
@@ -489,7 +522,7 @@ func tally(seq []int, count int) string {
 func TestReattachMidStream(t *testing.T) {
 	n := New(Instant())
 	defer n.Close()
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +534,7 @@ func TestReattachMidStream(t *testing.T) {
 	send := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+			if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -554,11 +587,11 @@ func TestFlushOncePerBatch(t *testing.T) {
 	var log burstLog
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AttachBurst(2, func(types.NID, []byte) {
+	if _, err := n.AttachBurst(2, func(types.NID, []byte, []byte) {
 		log.add('p')
 		once.Do(func() { // hold the link inside its first delivery while a batch queues up
 			close(entered)
@@ -572,7 +605,7 @@ func TestFlushOncePerBatch(t *testing.T) {
 		if i == 1 {
 			<-entered
 		}
-		if err := a.SendPacket(2, []byte{byte(i)}, nil); err != nil {
+		if err := a.SendPacket(2, []byte{byte(i)}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -591,15 +624,15 @@ func TestFlushBeforeWaitingForTheWire(t *testing.T) {
 	n := New(Config{MTU: 65536, Bandwidth: 1e6})
 	defer n.Close()
 	var log burstLog
-	a, err := n.Attach(1, func(types.NID, []byte) {})
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.AttachBurst(2, func(types.NID, []byte) { log.add('p') }, func() { log.add('f') }); err != nil {
+	if _, err := n.AttachBurst(2, func(types.NID, []byte, []byte) { log.add('p') }, func() { log.add('f') }); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := a.SendPacket(2, make([]byte, 20000), nil); err != nil {
+		if err := sendBody(a, 2, nil, make([]byte, 20000)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -310,12 +310,13 @@ type node struct {
 
 // SendPacket gathers hdr and payload behind the frame header into one
 // pooled datagram and enqueues it for the writer goroutine; neither slice
-// is retained. It never blocks: an unknown destination or a full queue
+// is retained, so payload's owner is not needed: the kernel wants the frame
+// in one piece. It never blocks: an unknown destination or a full queue
 // drops the packet (datagram loss the reliability layer already recovers
 // from).
 //
 //lint:noalloc one pooled frame per datagram; the send queue swaps between two backings
-func (nd *node) SendPacket(dst types.NID, hdr, payload []byte) error {
+func (nd *node) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool.Buf) error {
 	size := len(hdr) + len(payload)
 	if size+frameHeaderSize > nd.net.cfg.MTU {
 		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
@@ -428,7 +429,7 @@ func (nd *node) readLoop() {
 				continue
 			}
 			nd.net.stats.Received.Add(1)
-			nd.h(src, payload)
+			nd.h(src, payload, nil) // the datagram whole: rtscts finds its own header
 		}
 		nd.flush()
 	}

@@ -310,7 +310,7 @@ func TestUnknownDestinationFailsFast(t *testing.T) {
 	n.mu.Lock()
 	nd := n.nodes[1]
 	n.mu.Unlock()
-	if err := nd.SendPacket(42, []byte("x"), nil); err == nil {
+	if err := nd.SendPacket(42, []byte("x"), nil, nil); err == nil {
 		t.Fatal("send to unregistered NID succeeded")
 	}
 	if n.Stats().UnknownPeers.Load() == 0 {

@@ -16,7 +16,9 @@
 # spread is inside the bound; a base that scatters wider than the bound
 # cannot show a regression of the bound's size: "unresolved". Beyond the
 # spread, better is BETTER only with nine tenths of the pairs won, and worse
-# is "worse" inside the bound and "WORSE" beyond it.
+# is "worse" inside the bound and "WORSE" beyond it. A row listed without a
+# bound (a per-layer metric of a traced run: it says where, not whether) is
+# only ever "not moved" or "moved", better or worse, against that spread.
 function quantile(a, n, q,    pos, lo, frac) {   # a[1..n] sorted ascending
 	pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
 	return lo >= n ? a[n] : a[lo] + frac * (a[lo + 1] - a[lo])
@@ -42,7 +44,7 @@ END {
 	row = "%-" width "s %-34s %-34s %-9s %-9s %s\n"
 	printf row, "metric", "base median [q1, q3]", "change median [q1, q3]", "won", "delta", "verdict"
 	for (k = 1; k <= nm; k++) {
-		split(m[k], f, " "); name = f[1]; lower = (f[2] == "lower"); bound = f[3] + 0
+		split(m[k], f, " "); name = f[1]; lower = (f[2] == "lower"); bounded = (f[3] != ""); bound = f[3] + 0
 		n = cnt[1, name]
 		if (cnt[2, name] != n) {
 			printf row, name, "", "", "", "", sprintf("not compared: %d base and %d change samples", n, cnt[2, name])
@@ -60,6 +62,7 @@ END {
 		diff = cm - bm; gap = diff < 0 ? -diff : diff
 		spread = bm ? (b3 - b1) / (bm < 0 ? -bm : bm) : 0
 		if (n < 4)                        verdict = "too few pairs for a spread"
+		else if (!bounded)                verdict = (gap <= b3 - b1) ? "not moved (within the base spread)" : sprintf("moved, %s (beyond base IQR)", ((diff < 0) == lower) ? "better" : "worse")
 		else if (gap <= b3 - b1)          verdict = (spread > bound) ? sprintf("unresolved (base spread %.0f%% is wider than the %.0f%% bound)", 100 * spread, 100 * bound) : "not moved (within the base spread)"
 		else if ((diff < 0) == lower)     verdict = (won * 10 >= n * 9) ? "BETTER (beyond base IQR, won >= 9/10)" : "better in the median, but won too few pairs"
 		else if (bm && gap / (bm < 0 ? -bm : bm) <= bound) verdict = sprintf("worse (beyond base IQR, inside the %.0f%% bound)", 100 * bound)

@@ -2,7 +2,7 @@
 # Same-run A/B, the one way this repository compares performance: the working
 # tree against a base commit, in alternating pairs, on this machine, now.
 #
-#   scripts/bench-ab.sh BASE WORKLOAD [PAIRS]              (make bench-ab BASE=… WORKLOAD=… [PAIRS=…])
+#   scripts/bench-ab.sh BASE WORKLOAD [PAIRS]              (make bench-ab BASE=… WORKLOAD=… [PAIRS=…] [TRACE=1])
 #   scripts/bench-ab.sh BASE bench=REGEXP [PAIRS [PKG…]]   (make bench-ab BASE=… BENCH=… [PKGS="…"] [PAIRS=…])
 #
 # BASE is a git ref, checked out into a throw-away `git worktree` — or a
@@ -17,7 +17,11 @@
 # BENCHMARK.json declares, each with its own bound. WORKLOAD=gated runs every
 # workload BENCHMARK.json lists — the one command for "nothing else moved":
 # pair i of every workload runs before pair i+1 of any, so the workloads share
-# the machine's drift too, and each gets its own table.
+# the machine's drift too, and each gets its own table. With TRACE=1 in the
+# environment the same pairs run with `--trace 1` and the rows are the
+# per-layer metrics BENCHMARK.json declares: a direction and no bound, so a row
+# reads "moved" or "not moved" against the base's own spread and nothing else —
+# where a saving went, never whether there was one (tracing is on).
 #
 # bench=REGEXP: the Go microbenchmarks REGEXP selects in each PKG (default `.`,
 # the root package's bench_test.go). Each tree's test binaries are built once
@@ -65,16 +69,25 @@ else
 	base_name="$(git rev-parse --short "$base")"
 fi
 
-# name, direction and bound of every end-to-end metric, from the
-# pretty-printed spec.
-metrics="$(awk '
-	/"end_to_end"/ { on = 1 }
-	on && /^[[:space:]]*\]/ { on = 0 }
-	on && /"name"/   { gsub(/[",]/, ""); name = $2 }
-	on && /"better"/ { gsub(/[",]/, ""); better = $2 }
-	on && /"bound"/  { gsub(/[",]/, ""); print name, better, $2 }
-' BENCHMARK.json)"
-[ -n "$metrics" ] || { echo "bench-ab: no end_to_end metrics in BENCHMARK.json" >&2; exit 2; }
+# name, direction and bound of every metric of one section of the
+# pretty-printed spec; a per-layer metric has no bound.
+spec_metrics() {
+	awk -v section="\"$1\"" '
+		index($0, section) { on = 1 }
+		on && /^[[:space:]]*\]/ { on = 0 }
+		on && /"name"/   { gsub(/[",]/, ""); name = $2 }
+		on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+		on && /"bound"/  { gsub(/[",]/, ""); bound = $2 }
+		on && /\}/       { print name, better, bound; bound = "" }
+	' BENCHMARK.json
+}
+trace=${TRACE:-0}
+section=end_to_end shown=op_p50_us
+if [ "$trace" = 1 ]; then
+	section=per_layer shown=portals.ops_per_s
+fi
+metrics="$(spec_metrics "$section")"
+[ -n "$metrics" ] || { echo "bench-ab: no $section metrics in BENCHMARK.json" >&2; exit 2; }
 
 # Either input defines its units (one table each), run_side SIDE DIR SEED UNIT
 # — one run, appending its samples to $(samples SIDE UNIT) — and progress UNIT,
@@ -89,7 +102,7 @@ bench=*)
 	units="$(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.Dir}}{{end}}' "${@:-.}" | sed "s|^$root|.|")"
 	[ -n "$units" ] || { echo "bench-ab: no package with tests in ${*:-.}" >&2; exit 2; }
 	# Sample files hold go's own output lines: the reporter reads them.
-	nsbound="$(echo "$metrics" | awk '$1 == "op_p50_us" { print $3 }')"
+	nsbound="$(spec_metrics end_to_end | awk '$1 == "op_p50_us" { print $3 }')"
 	metrics=""
 	for u in $units; do
 		(cd "$base_dir" && go test -c -o "$(samples base "$u").test" "$u")
@@ -120,7 +133,7 @@ bench=*)
 	fi
 	run_side() {
 		local side=$1 dir=$2 seed=$3 w=$4 line
-		line="$(cd "$dir" && bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)"
+		line="$(cd "$dir" && bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)"
 		case "$line" in
 		'{"correct":true'*) ;;
 		*) echo "bench-ab: $side run of $w (seed $seed) gave no correct result: $line" >&2; exit 1 ;;
@@ -139,9 +152,10 @@ bench=*)
 			}' >>"$(samples "$side" "$w")"
 	}
 	progress() {
-		echo "(seed $seed) $1: op_p50_us base $(awk '$1=="op_p50_us"{v=$2} END{printf "%.1f", v}' "$(samples base "$1")")  change $(awk '$1=="op_p50_us"{v=$2} END{printf "%.1f", v}' "$(samples change "$1")")"
+		local last='$1 == shown { v = $2 } END { printf "%.1f", v }'
+		echo "(seed $seed) $1: $shown base $(awk -v shown="$shown" "$last" "$(samples base "$1")")  change $(awk -v shown="$shown" "$last" "$(samples change "$1")")"
 	}
-	echo "bench-ab: $(echo $units), $pairs pairs x ${seconds}s, base $base_name vs working tree, seeds $((seed0 + 1))..$((seed0 + pairs))"
+	echo "bench-ab: $(echo $units), $pairs pairs x ${seconds}s --trace $trace, base $base_name vs working tree, seeds $((seed0 + 1))..$((seed0 + pairs))"
 	;;
 esac
 

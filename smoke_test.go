@@ -374,30 +374,42 @@ func TestBenchABVerdicts(t *testing.T) {
 			"change": {"10000 operations attempted, 2 failed"},
 		}
 		for _, c := range []struct {
-			name, better string
-			base, change []float64
-			want         []string
+			name, better, bound string
+			base, change        []float64
+			want                []string
 		}{
-			{"same", "lower", narrow, ramp(10, 101, 1),
+			{"same", "lower", "0.25", narrow, ramp(10, 101, 1),
 				[]string{"104.5 [102.2, 106.8]", "105.5 [103.2, 107.8]", "0/10", "+1.0%", "not moved (within the base spread)"}},
 			// 100..280: median 190, IQR 90, 47 % of it.
-			{"wide", "lower", ramp(10, 100, 20), ramp(10, 110, 20),
+			{"wide", "lower", "0.25", ramp(10, 100, 20), ramp(10, 110, 20),
 				[]string{"unresolved (base spread 47% is wider than the 25% bound)"}},
-			{"better", "lower", narrow, ramp(10, 80, 1),
+			{"better", "lower", "0.25", narrow, ramp(10, 80, 1),
 				[]string{"10/10", "-19.1%", "BETTER (beyond base IQR, won >= 9/10)"}},
-			{"rate", "higher", narrow, ramp(10, 120, 1),
+			{"rate", "higher", "0.25", narrow, ramp(10, 120, 1),
 				[]string{"10/10", "+19.1%", "BETTER (beyond base IQR, won >= 9/10)"}},
 			// The median drops by 20, but only the first six pairs are won.
-			{"sixoften", "lower", narrow, append(ramp(6, 80, 1), ramp(4, 120, 1)...),
+			{"sixoften", "lower", "0.25", narrow, append(ramp(6, 80, 1), ramp(4, 120, 1)...),
 				[]string{"6/10", "better in the median, but won too few pairs"}},
-			{"worse", "lower", narrow, ramp(10, 110, 1),
+			{"worse", "lower", "0.25", narrow, ramp(10, 110, 1),
 				[]string{"0/10", "+9.6%", "worse (beyond base IQR, inside the 25% bound)"}},
-			{"farworse", "lower", narrow, ramp(10, 200, 1),
+			{"farworse", "lower", "0.25", narrow, ramp(10, 200, 1),
 				[]string{"WORSE (beyond base IQR and the 25% bound)"}},
-			{"few", "lower", ramp(3, 1, 1), ramp(3, 1, 1),
+			{"few", "lower", "0.25", ramp(3, 1, 1), ramp(3, 1, 1),
 				[]string{"0/3", "too few pairs for a spread"}},
+			// The rows of a traced run (TRACE=1): per-layer metrics have a
+			// direction and no bound, so they read moved or not moved against
+			// the base's spread, whatever the size of the move, the width of
+			// that spread or the pairs won.
+			{"layer.gets_per_op", "lower", "", narrow, ramp(10, 5, 0),
+				[]string{"5 [5, 5]", "10/10", "-95.2%", "moved, better (beyond base IQR)"}},
+			{"layer.useful_ratio", "higher", "", narrow, append(ramp(6, 80, 1), ramp(4, 120, 1)...),
+				[]string{"4/10", "moved, worse (beyond base IQR)"}},
+			{"layer.cpu_us_per_op", "lower", "", ramp(10, 100, 20), ramp(10, 110, 20),
+				[]string{"not moved (within the base spread)"}},
+			{"layer.drops", "lower", "", ramp(10, 0, 0), ramp(10, 0, 0),
+				[]string{"0/10", "n/a", "not moved (within the base spread)"}},
 		} {
-			fmt.Fprintf(&metrics, "%s %s 0.25\n", c.name, c.better)
+			fmt.Fprintf(&metrics, "%s %s %s\n", c.name, c.better, c.bound)
 			base.WriteString(samples(c.name, c.base...))
 			change.WriteString(samples(c.name, c.change...))
 			want[c.name] = c.want
