@@ -124,13 +124,15 @@ alloc-smoke:
 # and TestFigure6SweepRuns compare wall clocks of 16-process runs (ROADMAP
 # clock item), so they join when they are converted. All three rounds run even
 # when an earlier one failed, so one invocation gives the whole tally.
+# RUN=<regexp> repeats only the tests of FLAKEPKGS it matches, e.g.
+#   make flake RUN=TestTeardownRacesLandingFragments COUNT=600
 FLAKEPKGS ?= ./internal/eventq ./internal/core ./internal/nicsim ./internal/transport/... ./internal/rtscts ./portals
 COUNT ?= 20
 flake:
 	@fail=0; for p in 1 2 8; do \
-		echo "== GOMAXPROCS=$$p go test -count=$(COUNT)"; \
-		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) $(FLAKEPKGS) || fail=1; \
-		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) -run 'TestReceiveOverhead|TestOffloadHides' ./internal/experiments || fail=1; \
+		echo "== GOMAXPROCS=$$p go test -count=$(COUNT) $(if $(RUN),-run '$(RUN)')"; \
+		GOMAXPROCS=$$p $(GO) test -count=$(COUNT) $(if $(RUN),-run '$(RUN)') $(FLAKEPKGS) || fail=1; \
+		$(if $(RUN),,GOMAXPROCS=$$p $(GO) test -count=$(COUNT) -run 'TestReceiveOverhead|TestOffloadHides' ./internal/experiments || fail=1;) \
 	done; exit $$fail
 
 # Regenerate every paper experiment (EXPERIMENTS.md records one such run).

@@ -90,6 +90,31 @@ func checkIndexCoherent(t *testing.T, p *portal) {
 	}
 }
 
+// translateReference is the pre-index linear walk over the match list,
+// retained as the differential-testing oracle: the indexed translate must
+// return the same descriptor, offset, length, and drop reason on every
+// input. Caller holds p.mu.
+//
+//lint:requires portal.mu
+func (s *State) translateReference(p *portal, h *wire.Header, want types.MDOptions) (*memDesc, uint64, uint64, types.DropReason) {
+	if ok, reason := s.acl.Check(h.Cookie, h.Initiator, h.PtlIndex); !ok {
+		return nil, 0, 0, reason
+	}
+	for me := p.head; me != nil; me = me.next {
+		if !me.matches(h.Initiator, h.MatchBits) {
+			continue
+		}
+		if len(me.mds) == 0 {
+			continue
+		}
+		d := me.mds[0]
+		if offset, mlength, ok := accept(d, h, want); ok {
+			return d, offset, mlength, types.DropNone
+		}
+	}
+	return nil, 0, 0, types.DropNoMatch
+}
+
 // diffTranslate runs indexed and reference translation on the same header
 // and fails on any disagreement.
 func diffTranslate(t *testing.T, s *State, h *wire.Header, want types.MDOptions) {

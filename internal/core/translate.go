@@ -179,32 +179,6 @@ func (s *State) translate(p *portal, h *wire.Header, want types.MDOptions) (*mem
 	return nil, 0, 0, types.DropNoMatch
 }
 
-// translateReference is the pre-index linear walk over the match list,
-// retained as the differential-testing oracle: the indexed translate must
-// return the same descriptor, offset, length, and drop reason on every
-// input (index_diff_test.go exercises this under randomized
-// attach/unlink/receive interleavings). Caller holds p.mu.
-//
-//lint:requires portal.mu
-func (s *State) translateReference(p *portal, h *wire.Header, want types.MDOptions) (*memDesc, uint64, uint64, types.DropReason) {
-	if ok, reason := s.acl.Check(h.Cookie, h.Initiator, h.PtlIndex); !ok {
-		return nil, 0, 0, reason
-	}
-	for me := p.head; me != nil; me = me.next {
-		if !me.matches(h.Initiator, h.MatchBits) {
-			continue
-		}
-		if len(me.mds) == 0 {
-			continue
-		}
-		d := me.mds[0]
-		if offset, mlength, ok := accept(d, h, want); ok {
-			return d, offset, mlength, types.DropNone
-		}
-	}
-	return nil, 0, 0, types.DropNoMatch
-}
-
 // finishOperation applies the post-acceptance steps of Figure 4 in order:
 // consume the threshold, advance a locally-managed offset, log the event,
 // and unlink the descriptor (cascading to the match entry) if it is spent.

@@ -31,7 +31,9 @@
 // worker goroutines, one per lane. Messages of one (initiator, target)
 // flow always land on the same lane in arrival order, so the §4.1 per-pair
 // ordering guarantee survives; independent flows process concurrently,
-// the way a real NIC processes independent DMA streams.
+// the way a real NIC processes independent DMA streams. Teardown needs no
+// gate of its own: the endpoint's Close returns after the handler's last
+// call (transport.Endpoint), and the lanes close after it.
 //
 // The idle-lane rule: a batch whose messages all sort onto one lane, when
 // that lane has nothing queued or in progress, is run to completion on the
@@ -176,18 +178,6 @@ func (pl *placement) recycle() {
 	placementPool.Put(pl)
 }
 
-// drop settles a record no lane will run: an unanswered announcement is
-// released, which has the message delivered whole — to a node that is
-// closing, so nowhere — and a completion is aborted.
-func (pl *placement) drop() {
-	if pl.ann.Total == 0 {
-		pl.Abort()
-		return
-	}
-	pl.ann.Release()
-	pl.recycle()
-}
-
 // lane carries admitted messages to one worker in batches: the dispatcher
 // groups each incoming transport batch by lane and sends one pooled slice
 // per lane, so channel operations are amortized over whole batches rather
@@ -202,8 +192,7 @@ type lane struct {
 
 // burstPool recycles the slices lane channels carry. Ownership follows the
 // data: the dispatcher takes a slice, fills it, and sends it or runs it
-// inline; whoever ran it (or the dispatcher on a closed gate) empties it and
-// puts it back.
+// inline; whoever ran it empties it and puts it back.
 var burstPool = sync.Pool{
 	New: func() any {
 		s := make([]laneMsg, 0, laneBurst)
@@ -235,7 +224,6 @@ type Node struct {
 
 	lanes []*lane // the workers' queues; empty when Lanes == 1
 	wg    sync.WaitGroup
-	gate  dispatchGate
 
 	// groups (the batch being sorted, one pooled slice per lane, each gone
 	// by the end of the batch) and inlineInc (processBurst's scratch for
@@ -489,44 +477,20 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 	}
 }
 
-// dispatch queues a batch of admitted messages on one lane. The gate makes
-// dispatch-vs-Close safe: transports may invoke handlers concurrently with
-// Close (simnet, rtscts), and a send on a closed lane channel would panic.
+// dispatch queues a batch of admitted messages on one lane — never a closed
+// one (Close).
 func (n *Node) dispatch(li int, g *[]laneMsg) {
-	if !n.gate.enter() {
-		// Node closed under us: the messages vanish, like any in-flight
-		// traffic to a detached node.
-		releaseBurst(g)
-		return
-	}
 	n.lanes[li].pending.Add(1)
 	// A full lane blocks here — the documented backpressure policy (see
 	// laneDepth): the fabric's delivery goroutine waits instead of
 	// dropping, and lane drain is independent of the application.
 	//lint:ignore bypassviolation lane workers drain independently of the application (bypass holds); blocking here is backpressure on the fabric's delivery goroutine, bounded by protocol processing only
 	n.lanes[li].ch <- g
-	n.gate.exit()
-}
-
-// releaseBurst empties a dispatch batch without processing it and returns
-// the slice to the pool.
-func releaseBurst(g *[]laneMsg) {
-	for i := range *g {
-		if (*g)[i].buf != nil {
-			(*g)[i].buf.Release()
-		}
-		if (*g)[i].pl != nil {
-			(*g)[i].pl.drop()
-		}
-		(*g)[i] = laneMsg{}
-	}
-	*g = (*g)[:0]
-	burstPool.Put(g)
 }
 
 // laneWorker drains one lane batch by batch, running the engine over each
 // batch as a unit. The loop exits when Close closes the dispatch channel
-// after draining the gate (worker-pool shutdown).
+// (worker-pool shutdown).
 //
 //lint:noalloc lane workers are the delivery engine's steady state
 func (n *Node) laneWorker(ln *lane) {
@@ -656,17 +620,11 @@ func (n *Node) chargeInterrupt(state *core.State) {
 	}
 }
 
-// Close detaches the node and drains the lanes. Process states are not
-// closed — they belong to their owners.
-//
-// Order matters: the endpoint closes first (transports that serialize
-// handler shutdown stop delivering), then the gate closes and waits out
-// dispatches already in flight (transports that do not serialize — simnet,
-// rtscts — can still be mid-handler), and only then do the lane channels
-// close, so a send on a closed channel is impossible. Workers drain
-// everything queued before exiting; wg.Wait makes Close return only after
-// the last lane is idle — no goroutine outlives the node (portalsvet
-// goroutinelifecycle).
+// Close detaches the node and drains the lanes; process states are not
+// closed — they belong to their owners. The endpoint's Close returns after
+// the handler's last call, so nothing dispatches onto a lane once its
+// channel is closed, and wg.Wait returns once every worker has drained its
+// lane.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -677,57 +635,9 @@ func (n *Node) Close() error {
 	n.procs.Clear()
 	n.mu.Unlock()
 	err := n.ep.Close()
-	n.stopLanes()
-	return err
-}
-
-func (n *Node) stopLanes() {
-	if len(n.lanes) == 0 {
-		return
-	}
-	n.gate.close()
 	for _, ln := range n.lanes {
 		close(ln.ch)
 	}
 	n.wg.Wait()
-}
-
-// dispatchGate lets Close wait for in-flight dispatches without putting a
-// lock on the per-message path: state packs (in-flight count << 1) |
-// closed-bit.
-type dispatchGate struct {
-	state atomic.Int64 //lint:guardedby atomic
-}
-
-func (g *dispatchGate) enter() bool {
-	for {
-		s := g.state.Load()
-		if s&1 != 0 {
-			return false
-		}
-		if g.state.CompareAndSwap(s, s+2) {
-			return true
-		}
-	}
-}
-
-func (g *dispatchGate) exit() { g.state.Add(-2) }
-
-// close marks the gate closed and spins out the dispatches already inside.
-// The wait is bounded: an in-flight dispatch only ever blocks on lane
-// backpressure, and lane workers keep draining until their channels close
-// (which happens after this returns).
-func (g *dispatchGate) close() {
-	for {
-		s := g.state.Load()
-		if s&1 != 0 {
-			break
-		}
-		if g.state.CompareAndSwap(s, s|1) {
-			break
-		}
-	}
-	for g.state.Load() != 1 {
-		runtime.Gosched()
-	}
+	return err
 }

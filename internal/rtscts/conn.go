@@ -36,7 +36,9 @@ type Config struct {
 	RTOMax time.Duration
 	// EagerMax is the largest message sent eagerly; longer messages
 	// perform RTS/CTS rendezvous first. Zero selects the default (32 KB,
-	// mirroring Cplant's long-message threshold order of magnitude).
+	// mirroring Cplant's long-message threshold order of magnitude). Like
+	// the MTU, every node of a fabric must agree on it: a receiver swallows
+	// an unannounced message above its own limit as a protocol violation.
 	EagerMax int
 }
 
@@ -342,7 +344,8 @@ func (c *Conn) deliver(d transport.Delivery) {
 	c.out.Add(d)
 }
 
-// Close detaches from the fabric and stops all per-peer machinery.
+// Close detaches from the fabric and stops all per-peer machinery. It
+// returns after the handler's last call (transport.Handoff.Close).
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -305,6 +305,7 @@ func TestHostilePlacement(t *testing.T) {
 		aborts   int   // aborted completions handed up, plus direct Aborts
 		complete int   // whole completions
 		whole    int   // messages that arrived (whole or placed) before "hello"
+		bad      int64 // bodies swallowed as sent without a grant (bad_length)
 	}{
 		{name: "well-formed", pkts: []pkt{announce, frag(0), frag(1), frag(2)}, sinks: 1, complete: 1, whole: 1},
 		{name: "different length after the RTS",
@@ -318,7 +319,7 @@ func TestHostilePlacement(t *testing.T) {
 			sinks: 2, refused: 1, aborts: 1}, // the second is voided by the message that follows
 		{name: "body before the answer", hold: true,
 			pkts:  []pkt{announce, frag(0), frag(1), frag(2)},
-			sinks: 1, refused: 1, whole: 1},
+			sinks: 1, refused: 1, bad: 1},
 		{name: "body overrun",
 			pkts:  []pkt{announce, frag(0), frag(1), {0, 0, make([]byte, 2000)}},
 			sinks: 1, aborts: 1},
@@ -394,10 +395,10 @@ func TestHostilePlacement(t *testing.T) {
 				t.Errorf("bad table row: every sink must be refused, aborted or completed")
 			}
 			p.mu.Unlock()
-			// The abort is the one account of each of these; no packet is
-			// also counted as malformed.
-			if got := c.Stats().BadLength.Load(); got != 0 {
-				t.Errorf("bad_length = %d, want 0", got)
+			// The abort is the one account of each of these; only a body
+			// that did not wait for its grant is counted as malformed.
+			if got := c.Stats().BadLength.Load(); got != tc.bad {
+				t.Errorf("bad_length = %d, want %d", got, tc.bad)
 			}
 			if d, o := c.Stats().DupsDiscarded.Load(), c.Stats().OutOfOrder.Load(); d != 0 || o != 0 {
 				t.Errorf("in-sequence packets counted as dup (%d) or out of order (%d)", d, o)

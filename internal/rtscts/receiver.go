@@ -17,9 +17,11 @@ import (
 //
 // A placed body is written into the handler's sink fragment by fragment with
 // mu held, and the delivery engine's sink takes the lock of the memory
-// descriptor it writes.
+// descriptor it writes. What a fragment completes is handed up with mu held
+// too (onData).
 //
 //lint:lockrank peerReceiver.mu < memDesc.owner
+//lint:lockrank peerReceiver.mu < Handoff.mu
 type peerReceiver struct {
 	c   *Conn
 	src types.NID
@@ -96,9 +98,10 @@ const (
 // accept feeds one in-sequence fragment to the stream. ok is false when the
 // fragment's framing is impossible and nothing else will account for its
 // loss; every length in it is the peer's word, so nothing is allocated on
-// that word alone: the whole buffer only for a length this receiver granted
-// or one within the eager limit, growth with the bytes that actually arrive
-// otherwise, and nothing at all above MaxMessage. Called with mu held.
+// that word alone: a delivery buffer only for a length this receiver
+// granted or one within the eager limit. A longer message that was never
+// announced breaks the protocol — every node of a fabric shares EagerMax —
+// and is swallowed, counted once. Called with mu held.
 //
 //lint:requires mu
 func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []byte) (done uint8, ok bool) {
@@ -114,20 +117,21 @@ func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []b
 		if aux > MaxMessage || uint64(len(payload)) > aux {
 			return doneNothing, false
 		}
+		ok = true
 		if r.phase != granted || aux != r.announced {
 			// Not what a rendezvous promised, or ahead of its grant.
 			r.void()
 			r.verdict = transport.Buffer
+			if aux > uint64(eagerMax) {
+				r.verdict, ok = transport.Discard, false
+			}
 		}
 		if r.verdict == transport.Buffer {
-			commit := int(aux)
-			if r.phase != granted && commit > eagerMax {
-				commit = max(eagerMax, len(payload))
-			}
-			r.asm = bufpool.Get(commit)
+			r.asm = bufpool.Get(int(aux))
 		}
 		r.phase, r.asmTotal, r.asmOff = body, int(aux), 0
-		return r.fill(payload)
+		done, _ = r.fill(payload) // within aux: it cannot overrun
+		return done, ok
 	case msgRTS:
 		if aux < rtsSize || aux > rtsSize+transport.HeadSize || uint64(len(payload)) != aux {
 			return doneNothing, false
@@ -155,10 +159,9 @@ func (r *peerReceiver) accept(eagerMax int, flags uint8, aux uint64, payload []b
 }
 
 // fill takes one fragment of the open message: copied to its offset in the
-// delivery buffer (grown by size class when the message was opened with
-// less than its claimed length), written through to the sink, or dropped, as
-// the verdict says. A fragment that overruns the claimed length discards
-// the message. Called with mu held.
+// delivery buffer, written through to the sink, or dropped, as the verdict
+// says. A fragment that overruns the claimed length discards the message.
+// Called with mu held.
 //
 //lint:requires mu
 func (r *peerReceiver) fill(payload []byte) (done uint8, ok bool) {
@@ -172,18 +175,7 @@ func (r *peerReceiver) fill(payload []byte) (done uint8, ok bool) {
 	}
 	switch r.verdict {
 	case transport.Buffer:
-		room := whole(r.asm)
-		if end > len(room) {
-			// Only an unannounced message beyond the eager limit grows; a
-			// conforming sender's buffer was sized whole when it was opened.
-			grown := bufpool.Get(min(r.asmTotal, max(2*len(room), end)))
-			old := room[:r.asmOff]
-			room = whole(grown)
-			copy(room, old)
-			r.asm.Release()
-			r.asm = grown
-		}
-		copy(room[r.asmOff:end], payload)
+		copy(r.asm.Bytes()[r.asmOff:end], payload)
 	case transport.Place:
 		// The head went up with the announcement and is not written again.
 		off := r.asmOff
@@ -206,13 +198,6 @@ func (r *peerReceiver) fill(payload []byte) (done uint8, ok bool) {
 		return donePlaced, true
 	}
 	return doneNothing, true
-}
-
-// whole is all of b's memory, not just the length it was obtained with: a
-// buffer opened short grows into its size class before it is replaced.
-func whole(b *bufpool.Buf) []byte {
-	room := b.Bytes()
-	return room[:cap(room)]
 }
 
 // abandon discards the open message, if any: a delivery buffer goes back to
@@ -305,11 +290,10 @@ func (r *peerReceiver) shutdown() {
 	r.closed = true
 	r.abandon()
 	r.void()
-	dead, aborted := r.takeDead()
-	r.mu.Unlock()
-	if aborted {
+	if dead, aborted := r.takeDead(); aborted {
 		r.c.out.Add(dead)
 	}
+	r.mu.Unlock()
 }
 
 // onData processes one sequenced fragment per Go-Back-N: accept exactly
@@ -351,22 +335,26 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 	if !ok {
 		c.stats.BadLength.Add(1)
 	}
-	var up transport.Delivery // what this fragment hands up, if anything
+	// What the fragment completed is handed up with mu held: Close shuts
+	// every receiver before it closes the hand-off, so nothing a receiver
+	// hands up can reach the hand-off after Close has returned.
+	if dead, aborted := r.takeDead(); aborted {
+		c.out.Add(dead)
+	}
 	switch done {
 	case doneApp:
-		up = transport.Delivery{Src: r.src, Msg: whole(r.asm)[:r.asmTotal], Buf: r.asm}
+		c.deliver(transport.Delivery{Src: r.src, Msg: r.asm.Bytes(), Buf: r.asm})
 		r.asm = nil // ownership moves to the delivery
 	case donePlaced:
 		c.stats.Placed.Add(1)
 		c.stats.PlacedBytes.Add(int64(r.asmTotal - min(r.asmTotal, transport.HeadSize)))
-		up = transport.Completion(r.src, r.sink, false)
+		c.deliver(transport.Completion(r.src, r.sink, false))
 		r.sink = nil
 	case doneAsked:
 		head := bufpool.Get(len(payload) - rtsSize)
 		copy(head.Bytes(), payload[rtsSize:])
-		up = transport.Announcement(r.src, head, int(r.announced), r, r.token)
+		c.out.Add(transport.Announcement(r.src, head, int(r.announced), r, r.token)) // the CTS waits for the handler's answer
 	}
-	dead, aborted := r.takeDead()
 	listed := false
 	if r.mending > 0 {
 		r.mending--
@@ -382,15 +370,7 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 		c.ackDue = append(c.ackDue, r)
 		c.ackMu.Unlock()
 	}
-
-	if aborted {
-		c.out.Add(dead)
-	}
 	switch done {
-	case doneApp, donePlaced:
-		c.deliver(up)
-	case doneAsked:
-		c.out.Add(up) // the CTS waits for the handler's answer
 	case doneRTS:
 		r.grant()
 	case doneCTS:

@@ -210,6 +210,103 @@ func outstanding() int64 {
 	return gets - puts
 }
 
+// The shutdown rule: Endpoint.Close returns after the handler's last call.
+// A handler parked inside a call while traffic keeps coming holds Close up;
+// once the call returns Close does too, with nothing of the handler still
+// running, no call starts afterwards, and every pooled buffer comes back.
+func TestContractCloseWaitsForHandler(t *testing.T) {
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			start := outstanding()
+			net := f.new()
+			defer net.Close()
+			s := &sink{t: t}
+			parked, release := make(chan struct{}), make(chan struct{})
+			var park sync.Once
+			var closed atomic.Bool
+			sinkEP, err := net.AttachBatch(sinkNID, func(batch []transport.Delivery) {
+				if closed.Load() {
+					t.Error("a handler call started after Close returned")
+				}
+				s.enter()
+				park.Do(func() {
+					close(parked)
+					<-release
+				})
+				discard(batch)
+				s.inside.Add(-1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := net.AttachBatch(1, discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // traffic before, during and after Close
+				defer wg.Done()
+				for seq := uint32(0); seq < 2000; seq++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if src.SendBuf(sinkNID, message(1, seq)) != nil {
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			select {
+			case <-parked:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no handler call")
+			}
+
+			returned := make(chan struct{})
+			go func() {
+				if err := sinkEP.Close(); err != nil {
+					t.Error(err)
+				}
+				if n := s.inside.Load(); n != 0 {
+					t.Errorf("Close returned with %d handler calls in progress", n)
+				}
+				closed.Store(true)
+				close(returned)
+			}()
+			select {
+			case <-returned:
+				t.Error("Close returned while the handler was parked inside a call")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			select {
+			case <-returned:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return after the handler call did")
+			}
+			time.Sleep(10 * time.Millisecond) // the traffic goes on: no call may start
+			close(stop)
+			wg.Wait()
+			if err := src.Close(); err != nil {
+				t.Error(err)
+			}
+			if err := net.Close(); err != nil {
+				t.Error(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); outstanding() != start; {
+				if time.Now().After(deadline) {
+					t.Fatalf("pooled buffers outstanding after Close: %d", outstanding()-start)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 func TestContract(t *testing.T) {
 	for _, f := range fabrics {
 		for _, form := range []string{"AttachBatch", "Attach", "Announce"} {

@@ -9,10 +9,10 @@
 // every application goroutine, exactly like a NIC engine, so application-
 // bypass behaviour is preserved even on this trivial fabric.
 //
-// The delivery goroutine dequeues in batches: each wakeup swaps the whole
-// pending queue out under one lock acquisition and hands it to the
-// BatchHandler in a single call. A message is never copied: the pooled
-// buffer the sender gave SendBuf is the one the handler receives.
+// The delivery goroutine is the node's transport.Handoff serving: each
+// wakeup hands everything pending to the BatchHandler in a single call. A
+// message is never copied: the pooled buffer the sender gave SendBuf is the
+// one the handler receives.
 package loopback
 
 import (
@@ -62,13 +62,7 @@ func New() *Network {
 type endpoint struct {
 	net *Network
 	nid types.NID
-	bh  transport.BatchHandler
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []transport.Delivery
-	closed bool
-	done   chan struct{}
+	out transport.Handoff // the node's queue; its Serve is the delivery goroutine
 }
 
 // Attach is AttachBatch for a borrowing handler.
@@ -90,10 +84,13 @@ func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transpor
 	if _, dup := n.nodes[nid]; dup {
 		return nil, fmt.Errorf("loopback: nid %d already attached", nid)
 	}
-	ep := &endpoint{net: n, nid: nid, bh: h, done: make(chan struct{})}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep := &endpoint{net: n, nid: nid}
+	ep.out.Init(func(batch []transport.Delivery) {
+		n.stats.Delivered.Add(int64(len(batch)))
+		h(batch) // message ownership moves to the handler
+	})
 	n.nodes[nid] = ep
-	go ep.deliveryLoop()
+	go ep.out.Serve()
 	return ep, nil
 }
 
@@ -108,32 +105,9 @@ func (n *Network) Close() error {
 	n.nodes = make(map[types.NID]*endpoint)
 	n.mu.Unlock()
 	for _, ep := range eps {
-		ep.shutdown()
+		ep.out.Close()
 	}
 	return nil
-}
-
-func (ep *endpoint) deliveryLoop() {
-	defer close(ep.done)
-	var spare []transport.Delivery // recycled batch backing; owned by this goroutine
-	for {
-		ep.mu.Lock()
-		for len(ep.queue) == 0 && !ep.closed {
-			ep.cond.Wait()
-		}
-		if ep.closed && len(ep.queue) == 0 {
-			ep.mu.Unlock()
-			return
-		}
-		// One lock operation dequeues everything pending.
-		batch := ep.queue
-		ep.queue = spare[:0]
-		ep.mu.Unlock()
-		ep.net.stats.Delivered.Add(int64(len(batch)))
-		ep.bh(batch) // message ownership moves to the handler
-		clear(batch) // drop refs so the backing array pins nothing
-		spare = batch[:0]
-	}
 }
 
 // Send copies msg once, on the sender's goroutine, and continues as SendBuf.
@@ -158,48 +132,24 @@ func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 		buf.Release()
 		return fmt.Errorf("loopback: %w: nid %d", types.ErrProcessNotFound, dst)
 	}
-	target.mu.Lock()
-	if target.closed {
-		target.mu.Unlock()
-		buf.Release()
+	if !target.out.Add(transport.Delivery{Src: ep.nid, Msg: buf.Bytes(), Buf: buf}) {
 		ep.net.stats.Dropped.Add(1)
 		return nil // messages to a detached node vanish, like any network
 	}
-	target.queue = append(target.queue, transport.Delivery{Src: ep.nid, Msg: buf.Bytes(), Buf: buf})
-	target.mu.Unlock()
 	ep.net.stats.Sent.Add(1)
-	target.cond.Signal()
 	return nil
 }
 
 func (ep *endpoint) LocalNID() types.NID { return ep.nid }
 
-// Close detaches the node; queued messages are dropped after the current
-// handler invocation finishes. No handler runs after Close returns.
+// Close detaches the node (transport.Handoff.Close: queued messages are
+// dropped, and no handler runs after Close returns).
 func (ep *endpoint) Close() error {
 	ep.net.mu.Lock()
 	if ep.net.nodes[ep.nid] == ep {
 		delete(ep.net.nodes, ep.nid)
 	}
 	ep.net.mu.Unlock()
-	ep.shutdown()
+	ep.out.Close()
 	return nil
-}
-
-func (ep *endpoint) shutdown() {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		<-ep.done
-		return
-	}
-	ep.closed = true
-	q := ep.queue
-	ep.queue = nil
-	ep.mu.Unlock()
-	for i := range q {
-		q[i].Release()
-	}
-	ep.cond.Broadcast()
-	<-ep.done
 }

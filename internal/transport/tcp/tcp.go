@@ -12,8 +12,8 @@
 // write error reaches the sender — and a full socket blocks it. Each inbound
 // connection has a read goroutine that reads every frame straight into the
 // pooled buffer that is delivered, and does nothing else: it queues the frame
-// on the endpoint's transport.Handoff and goes back to its socket. One
-// delivery goroutine per endpoint flushes the Handoff into the handler. The
+// on the endpoint's transport.Handoff and goes back to its socket. The
+// Handoff's Serve is the endpoint's one delivery goroutine. The
 // split is what lets a handler block in SendBuf (the engine acking a put)
 // without the wire backing up behind it: two endpoints whose handlers both
 // wait on full sockets would otherwise each be waiting for the other's
@@ -156,8 +156,6 @@ func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transpor
 		ln:      ln,
 		conns:   make(map[types.NID]*sendConn),
 		inbound: make(map[net.Conn]struct{}),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	ep.out.Init(func(batch []transport.Delivery) {
 		n.stats.Delivered.Add(int64(len(batch)))
@@ -172,8 +170,7 @@ func (n *Network) AttachBatch(nid types.NID, h transport.BatchHandler) (transpor
 	n.eps[nid] = ep
 	n.addrs[nid] = ln.Addr().String()
 	n.mu.Unlock()
-	ep.wg.Add(1)
-	go ep.deliverLoop()
+	go ep.out.Serve()
 	go ep.acceptLoop()
 	return ep, nil
 }
@@ -205,11 +202,7 @@ type endpoint struct {
 	net *Network
 	nid types.NID
 	ln  net.Listener
-	out transport.Handoff // what the read goroutines queue and deliverLoop flushes
-	// kick holds at most one token: something was queued since deliverLoop
-	// last looked. stop is closed by Close.
-	kick chan struct{}
-	stop chan struct{}
+	out transport.Handoff // what the read goroutines queue; its Serve is the delivery goroutine
 
 	mu      sync.Mutex
 	conns   map[types.NID]*sendConn //lint:guardedby mu
@@ -288,25 +281,6 @@ func (ep *endpoint) readLoop(c net.Conn) {
 		if !ep.out.Add(transport.Delivery{Src: src, Msg: buf.Bytes(), Buf: buf}) {
 			return // endpoint closed
 		}
-		select {
-		case ep.kick <- struct{}{}:
-		default: // deliverLoop has a flush owed already; it will see this frame
-		}
-	}
-}
-
-// deliverLoop is the endpoint's delivery goroutine: the only caller of the
-// handler, so it may block there — in the engine, in SendBuf — while the
-// read goroutines keep the sockets drained.
-func (ep *endpoint) deliverLoop() {
-	defer ep.wg.Done()
-	for {
-		select {
-		case <-ep.kick:
-			ep.out.Flush()
-		case <-ep.stop:
-			return
-		}
 	}
 }
 
@@ -363,17 +337,17 @@ func (ep *endpoint) connTo(dst types.NID) (*sendConn, error) {
 	}
 	ep.mu.Unlock()
 
-	addr, ok := ep.net.lookup(dst)
-	if !ok {
-		return nil, fmt.Errorf("tcp: %w: nid %d", types.ErrProcessNotFound, dst)
-	}
 	// Retry briefly: in a distributed launch peers come up staggered, and
-	// the connectionless Portals API gives callers no handle to retry on.
+	// the connectionless Portals API gives callers no handle to retry on. A
+	// peer that detaches meanwhile is looked up no more.
 	var c net.Conn
-	var err error
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		c, err = net.Dial("tcp", addr)
-		if err == nil {
+		addr, ok := ep.net.lookup(dst)
+		if !ok {
+			return nil, fmt.Errorf("tcp: %w: nid %d", types.ErrProcessNotFound, dst)
+		}
+		var err error
+		if c, err = net.Dial("tcp", addr); err == nil {
 			break
 		}
 		if time.Now().After(deadline) || ep.isClosed() {
@@ -412,7 +386,10 @@ func (ep *endpoint) dropConn(dst types.NID, sc *sendConn) {
 	ep.mu.Unlock()
 }
 
-// Close stops the listener and closes every cached connection.
+// Close unregisters the node, stops the listener and closes every
+// connection, then the Handoff: the sockets go first, so that a handler
+// blocked writing to one returns and the Handoff's Close, which waits for
+// it, does too.
 func (ep *endpoint) Close() error {
 	ep.mu.Lock()
 	if ep.closed {
@@ -431,8 +408,12 @@ func (ep *endpoint) Close() error {
 	}
 	ep.mu.Unlock()
 
-	ep.out.Close() // nothing is queued or handed up from here on
-	close(ep.stop)
+	ep.net.mu.Lock()
+	if ep.net.eps[ep.nid] == ep {
+		delete(ep.net.eps, ep.nid)
+		delete(ep.net.addrs, ep.nid)
+	}
+	ep.net.mu.Unlock()
 	ep.ln.Close()
 	for _, sc := range conns {
 		sc.conn.Close()
@@ -440,12 +421,7 @@ func (ep *endpoint) Close() error {
 	for _, c := range in {
 		c.Close() // unblocks readLoops so wg.Wait below terminates
 	}
-	ep.net.mu.Lock()
-	if ep.net.eps[ep.nid] == ep {
-		delete(ep.net.eps, ep.nid)
-		delete(ep.net.addrs, ep.nid)
-	}
-	ep.net.mu.Unlock()
+	ep.out.Close() // nothing is queued or handed up from here on
 	ep.wg.Wait()
 	return nil
 }

@@ -15,6 +15,9 @@
 //     each message in a pooled buffer the handler now owns, batches for one
 //     endpoint serial and in per-(source, destination) order. A
 //     single-message delivery is a batch of one.
+//   - Shutdown, Endpoint.Close: it returns after the handler's last call,
+//     and what was still queued for the handler is released before it
+//     returns. Close is never called from the handler itself.
 //
 // Endpoint.Send (borrowed bytes in) and Network.Attach (borrowed bytes out)
 // remain for callers that have no pooled buffer to give or keep, but they
@@ -40,8 +43,10 @@
 //     read straight into the pooled buffer that is delivered, by a reader
 //     that only queues it for the endpoint's delivery goroutine.
 //
-// Fabrics fed by several goroutines (rtscts: one per source link; tcp: one
-// per inbound connection) keep batches serial with Handoff.
+// Every fabric goes up to its handler through a Handoff, which keeps
+// batches serial however many goroutines feed it and is where Close waits
+// for the handler: rtscts's feeders flush it themselves, and loopback and
+// tcp run its Serve as the endpoint's delivery goroutine.
 //
 // # Placement
 //
@@ -92,6 +97,8 @@ type Endpoint interface {
 	// LocalNID reports the attached node id.
 	LocalNID() types.NID
 	// Close detaches from the network; in-flight messages may be lost.
+	// When it returns the endpoint's handler is not running and will not
+	// be called again. It must not be called from that handler.
 	Close() error
 }
 
@@ -276,30 +283,33 @@ func Borrow(h Handler) BatchHandler {
 	}
 }
 
-// Handoff keeps batches serial for an endpoint whose messages arrive on
-// several goroutines. Feeders Add completed messages and then Flush;
-// whichever feeder finds the handler idle runs it, and keeps running it
-// until nothing is pending, while the others leave their messages and go
-// back to their sources. Per-feeder order is preserved and no lock is held
-// across the handler. tcp's feeders only Add, and a delivery goroutine of
-// the endpoint's own is the one Flusher. A feeder never waits for the
-// handler, so what can pile up in pending while it runs is bounded only by
-// what the feeders' sources admit: the rtscts window; for tcp nothing but
-// the peers' send rate — pending is where tcp's backpressure ends.
+// Handoff is every fabric's way up to its BatchHandler. Feeders Add
+// completed messages; the handler is run either by Flush — whichever feeder
+// finds it idle runs it until nothing is pending, while the others leave
+// their messages and go back to their sources — or by Serve, a delivery
+// goroutine for feeders that only Add. A Handoff is flushed or served, not
+// both. Per-feeder order is preserved and no lock is held across the
+// handler. No feeder waits for the handler, so what can pile up in pending
+// is bounded only by what the feeders' sources admit: the rtscts window;
+// for loopback and tcp nothing but the peers' send rate.
 type Handoff struct {
 	h BatchHandler
 
 	mu       sync.Mutex
+	cond     sync.Cond  // on mu: Serve waits for pending, Close for the handler call to end
 	pending  []Delivery //lint:guardedby mu
 	spare    []Delivery //lint:guardedby mu  recycled batch backing
-	flushing bool       //lint:guardedby mu
+	flushing bool       //lint:guardedby mu  a handler call is in progress
 	closed   bool       //lint:guardedby mu
 }
 
 // Init sets the handler. Call it before the first Add.
-func (q *Handoff) Init(h BatchHandler) { q.h = h }
+func (q *Handoff) Init(h BatchHandler) {
+	q.h = h
+	q.cond.L = &q.mu
+}
 
-// Add queues one message for the next Flush. After Close the message is
+// Add queues one message for the handler. After Close the message is
 // released instead and Add reports false.
 func (q *Handoff) Add(d Delivery) bool {
 	q.mu.Lock()
@@ -311,39 +321,66 @@ func (q *Handoff) Add(d Delivery) bool {
 	//lint:ignore noalloc amortized: pending and spare swap between two backings that stop growing at the largest batch
 	q.pending = append(q.pending, d)
 	q.mu.Unlock()
+	q.cond.Signal()
 	return true
 }
 
 // Flush hands everything pending to the handler, unless another feeder is
 // already inside it — that feeder will.
-func (q *Handoff) Flush() {
+func (q *Handoff) Flush() { q.deliver(false) }
+
+// Serve is the delivery goroutine: it hands pending messages to the handler
+// as they come, and returns once Close has been called.
+func (q *Handoff) Serve() { q.deliver(true) }
+
+// deliver runs the handler until nothing is pending — and, serving, waits
+// for more. mu is held from the wait through the swap of pending, so a batch
+// costs one lock round trip besides the wait's.
+func (q *Handoff) deliver(serve bool) {
 	q.mu.Lock()
 	if q.flushing {
 		q.mu.Unlock()
 		return
 	}
-	q.flushing = true
-	for len(q.pending) > 0 {
+	for !q.closed {
+		if len(q.pending) == 0 {
+			if !serve {
+				break
+			}
+			q.cond.Wait()
+			continue
+		}
 		batch := q.pending
 		q.pending = q.spare[:0]
+		q.flushing = true
 		q.mu.Unlock()
 		q.h(batch)
 		clear(batch) // drop refs so the backing array pins nothing
 		q.mu.Lock()
 		q.spare = batch
+		q.flushing = false
 	}
-	q.flushing = false
+	if q.closed {
+		q.cond.Broadcast() // Close may be waiting for the call that just ended
+	}
 	q.mu.Unlock()
 }
 
-// Close releases what was queued but never handed up and makes later Adds
-// drop. A handler call already running finishes; none starts afterwards.
+// Close makes later Adds release their message, waits for a handler call in
+// progress to return, and releases what was queued but never handed up. No
+// handler call starts afterwards, so once Close returns nothing of the
+// handler is running. It must not be called from the handler itself.
 func (q *Handoff) Close() {
 	q.mu.Lock()
 	q.closed = true
-	for i := range q.pending {
-		q.pending[i].Release()
-	}
+	left := q.pending
 	q.pending = nil
+	q.cond.Broadcast() // Serve returns
+	for q.flushing {
+		q.cond.Wait()
+	}
 	q.mu.Unlock()
+	for i := range left {
+		left[i].Release()
+	}
 }
