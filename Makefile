@@ -11,23 +11,19 @@ build:
 	$(GO) vet ./...
 
 # lint runs portalsvet, the repo's own static-analysis suite (docs/LINT.md):
-# application-bypass, lock-discipline, lock-order, zero-alloc, atomics-only,
-# checked-error, goroutine-lifecycle, guarded-by, mixed-atomic, seqlock,
+# application-bypass, lock-discipline, lock-order, zero-alloc, checked-error,
+# goroutine-lifecycle, guarded-by (atomics-only counters included), seqlock,
 # ownership-lifetime, and stale-suppression invariants. Every finding fails
 # the run; an intentional exception carries `//lint:ignore <check> <reason>`
-# at its site. LINTCACHE persists the stdlib importer's export-data index
-# across runs (~10x faster warm starts, see docs/LINT.md); set LINTCACHE= to
-# force the source importer.
-LINTCACHE ?= .portalsvet-cache
-LINTFLAGS = $(if $(LINTCACHE),-importer-cache $(LINTCACHE))
+# at its site.
 lint:
-	$(GO) run ./cmd/portalsvet $(LINTFLAGS) ./...
+	$(GO) run ./cmd/portalsvet ./...
 
 # lint-sarif is the same gate, additionally writing a SARIF 2.1.0 report
 # (portalsvet.sarif) for GitHub code scanning or any SARIF viewer; the text
 # diagnostics still go to stdout. CI runs exactly this.
 lint-sarif:
-	$(GO) run ./cmd/portalsvet $(LINTFLAGS) -sarif -o portalsvet.sarif ./...
+	$(GO) run ./cmd/portalsvet -sarif -o portalsvet.sarif ./...
 
 # loc prints, per package, non-test `wc -l`, code-only (non-blank,
 # non-comment) and test lines, plus totals: the one convention for every

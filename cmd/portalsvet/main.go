@@ -1,8 +1,9 @@
 // Command portalsvet runs the repo's custom static-analysis suite: the
 // named checks enforcing the Portals concurrency invariants (application
 // bypass, lock discipline, lock ordering, static zero-alloc proofs,
-// atomics-only counters, checked errors, and goroutine lifecycle). See
-// docs/LINT.md and internal/lint.
+// guarded fields and atomics-only counters, the seqlock protocol, checked
+// errors, goroutine lifecycle, and buffer ownership). See docs/LINT.md
+// and internal/lint.
 //
 // Usage:
 //
@@ -18,16 +19,10 @@
 //
 // CI integration:
 //
-//	-json                 emit findings as JSON (stdout, or -o file)
-//	-sarif                emit findings as SARIF 2.1.0 (stdout, or -o file)
-//	                      for GitHub code scanning; mutually exclusive
-//	                      with -json
-//	-o file               write the report there and print the text
-//	                      diagnostics to stdout as without -json/-sarif
-//	-importer-cache dir   persist the stdlib importer's export-data index
-//	                      in dir (keyed by Go version); warm runs skip
-//	                      type-checking the standard library from source.
-//	                      Falls back to the source importer on any error.
+//	-sarif    emit findings as SARIF 2.1.0 (stdout, or -o file) for GitHub
+//	          code scanning
+//	-o file   write the report there and print the text diagnostics to
+//	          stdout as without -sarif
 package main
 
 import (
@@ -51,28 +46,13 @@ func listChecks(w io.Writer, checks []lint.Check) {
 func main() {
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	listFlag := flag.Bool("list", false, "list available checks and exit")
-	jsonFlag := flag.Bool("json", false, "emit findings as JSON")
 	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	outFlag := flag.String("o", "", "with -json/-sarif: write findings to this file instead of stdout")
-	importerCacheFlag := flag.String("importer-cache", "", "directory for the persistent stdlib importer cache (docs/LINT.md)")
+	outFlag := flag.String("o", "", "with -sarif: write findings to this file instead of stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: portalsvet [-checks a,b] [-list] [-json|-sarif [-o file]] [-importer-cache dir] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: portalsvet [-checks a,b] [-list] [-sarif [-o file]] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *importerCacheFlag != "" {
-		// Best-effort: a missing go binary or pruned build cache degrades
-		// to the (slower, identical) source importer, never to a failure.
-		if err := lint.SetImporterCache(*importerCacheFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "portalsvet: importer cache disabled: %v\n", err)
-		}
-	}
-
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintln(os.Stderr, "portalsvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	all := lint.AllChecks()
 	if *listFlag {
@@ -109,27 +89,21 @@ func main() {
 	}
 
 	diags := prog.Run(checks)
-	findings := prog.Findings(diags)
-
-	var report []byte
-	switch {
-	case *jsonFlag:
-		report, err = lint.MarshalFindings(findings)
-	case *sarifFlag:
-		report, err = lint.MarshalSARIF(findings)
-	}
-	if err == nil && report != nil {
-		if *outFlag != "" {
-			err = os.WriteFile(*outFlag, report, 0o644)
-		} else {
-			_, err = os.Stdout.Write(report)
+	if *sarifFlag {
+		report, err := lint.MarshalSARIF(prog.Findings(diags))
+		if err == nil {
+			if *outFlag != "" {
+				err = os.WriteFile(*outFlag, report, 0o644)
+			} else {
+				_, err = os.Stdout.Write(report)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
+			os.Exit(2)
 		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "portalsvet: %v\n", err)
-		os.Exit(2)
-	}
-	if (!*jsonFlag && !*sarifFlag) || *outFlag != "" {
+	if !*sarifFlag || *outFlag != "" {
 		cwd, _ := os.Getwd()
 		for _, d := range diags {
 			if cwd != "" {
@@ -140,8 +114,8 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "portalsvet: %d finding(s)\n", len(findings))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "portalsvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -42,7 +42,7 @@ const (
 var classes [numClasses]sync.Pool
 
 // Package-level traffic counters, so the pool hit rate is observable no
-// matter which subsystem is calling (sync/atomic per the atomicsonly rule).
+// matter which subsystem is calling (sync/atomic, as hot-path counters are).
 var (
 	gets atomic.Int64
 	hits atomic.Int64

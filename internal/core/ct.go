@@ -88,21 +88,21 @@ type trigOp struct {
 // ctr is one counting event. Success/failure are the §4.8-style
 // accumulators; the rest schedules triggered operations and wakes waiters.
 type ctr struct {
-	success atomic.Uint64 //lint:guardedby atomic
-	failure atomic.Uint64 //lint:guardedby atomic
+	success atomic.Uint64
+	failure atomic.Uint64
 
 	// nextFire caches the lowest armed threshold (ctNever when none), so
 	// the per-message increment can skip the scheduling path with one
 	// atomic load. Updated under mu; read lock-free by ctInc. The
 	// flag-then-data race with a concurrent arm is closed by arm()
 	// re-checking success AFTER publishing the new nextFire.
-	nextFire atomic.Uint64 //lint:guardedby atomic
+	nextFire atomic.Uint64
 
 	// pendingFlag marks the counter as queued on State.trigPending (at most
 	// one queue entry per counter). pendNext is the intrusive stack link,
 	// owned exclusively by whoever won the pendingFlag CAS until the drain
 	// pops it; the release/acquire pair on the stack head publishes it.
-	pendingFlag atomic.Bool //lint:guardedby atomic
+	pendingFlag atomic.Bool
 	pendNext    *ctr
 
 	mu     sync.Mutex

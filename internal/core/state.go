@@ -90,11 +90,11 @@ type State struct {
 	// crossed an armed threshold since the last FireTriggered drain
 	// (ct.go). Delivery lanes drain it at the tail of HandleIncomingInto;
 	// application-side counter advances drain it through the portals layer.
-	trigPending atomic.Pointer[ctr] //lint:guardedby atomic
+	trigPending atomic.Pointer[ctr]
 
 	// closed flips once, under resMu; hot paths read it with one atomic
 	// load (no lock).
-	closed atomic.Bool //lint:guardedby atomic
+	closed atomic.Bool
 
 	// pins delimits handle-resolution bridge windows (lookup → owner lock
 	// → unlinked re-check); the arenas defer entry reuse until no window
@@ -113,7 +113,7 @@ type State struct {
 	// sendSeq numbers outgoing puts/gets (wire.Header.Seq); acks and
 	// replies echo it, so (self, seq) identifies one message's full round
 	// trip in the internal/obs/trace flight recorder.
-	sendSeq atomic.Uint64 //lint:guardedby atomic
+	sendSeq atomic.Uint64
 }
 
 // nextSeq returns the next wire sequence number for an outgoing operation.

@@ -74,9 +74,9 @@ func doneStamp(p uint64) uint64  { return 2*p + 2 }
 // consumed past the victim first.
 type Queue struct {
 	ring     []slot
-	produced atomic.Uint64 //lint:guardedby atomic
-	consumed atomic.Uint64 //lint:guardedby atomic
-	closed   atomic.Bool   //lint:guardedby atomic
+	produced atomic.Uint64
+	consumed atomic.Uint64
+	closed   atomic.Bool
 
 	mu sync.Mutex // consumer, overwrite, and Close paths
 	// overrun records that a Post overwrote unconsumed events since the

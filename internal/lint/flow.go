@@ -10,8 +10,8 @@ import (
 // through a function body (the lock pass, lockdiscipline.go; the
 // ownership pass, ownership.go). The walker owns control flow — clone the
 // state where paths fork, merge where they join, one abstract pass per
-// loop, break and continue states collected per loop — and an analysis
-// supplies only what its state means: a transfer.
+// loop, break and continue states collected at the statement they leave
+// — and an analysis supplies only what its state means: a transfer.
 
 // flowState is the per-path abstract state of one analysis.
 type flowState[S any] interface {
@@ -48,14 +48,34 @@ type transfer[S any] interface {
 
 // flow walks one function body for one analysis.
 type flow[S flowState[S]] struct {
-	ops   transfer[S]
-	loops []*loopCtx[S]
+	ops     transfer[S]
+	targets []*branchTarget[S]
 }
 
-// loopCtx collects the states that leave a loop body early.
-type loopCtx[S any] struct {
+// branchTarget collects the states that leave a loop, switch or select
+// early: the breaks of any of them, the continues of a loop.
+type branchTarget[S any] struct {
 	label             string
+	loop              bool
 	breaks, continues []S
+}
+
+// push makes the statement being entered the target of the breaks (and,
+// for a loop, the continues) inside it; pop ends it.
+func (f *flow[S]) push(label string, loop bool) *branchTarget[S] {
+	t := &branchTarget[S]{label: label, loop: loop}
+	f.targets = append(f.targets, t)
+	return t
+}
+
+func (f *flow[S]) pop() { f.targets = f.targets[:len(f.targets)-1] }
+
+// takeBreaks hands over the break states collected so far, so a switch
+// or select joins them in source order with its clauses' ends.
+func (t *branchTarget[S]) takeBreaks() []S {
+	b := t.breaks
+	t.breaks = nil
+	return b
 }
 
 // runFlow interprets body from the entry state and checks every way out.
@@ -88,16 +108,16 @@ func (f *flow[S]) stmts(list []ast.Stmt, st S) (S, bool) {
 }
 
 func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
+	label := ""
+	if ls, ok := s.(*ast.LabeledStmt); ok {
+		label, s = ls.Label.Name, ls.Stmt
+	}
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		return f.stmts(s.List, st)
 
 	case *ast.LabeledStmt:
-		switch inner := s.Stmt.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return f.loop(inner, st, s.Label.Name)
-		}
-		return f.stmt(s.Stmt, st)
+		return f.stmt(s, st)
 
 	case *ast.ReturnStmt:
 		st, _ = f.ops.simple(s, st)
@@ -107,12 +127,12 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	case *ast.BranchStmt:
 		// goto and fallthrough are rare enough that their path is given up
 		// rather than followed.
-		if lc := f.findLoop(s.Label); lc != nil {
+		if t := f.target(s); t != nil {
 			switch s.Tok {
 			case token.BREAK:
-				lc.breaks = append(lc.breaks, st.clone())
+				t.breaks = append(t.breaks, st.clone())
 			case token.CONTINUE:
-				lc.continues = append(lc.continues, st.clone())
+				t.continues = append(t.continues, st.clone())
 			}
 		}
 		return st, true
@@ -140,7 +160,7 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		return thenEnd.merge(elseEnd), false
 
 	case *ast.ForStmt, *ast.RangeStmt:
-		return f.loop(s, st, "")
+		return f.loop(s, st, label)
 
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -149,19 +169,21 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Tag != nil {
 			st = f.ops.eval(st, s.Tag)
 		}
-		return f.clauses(s.Body, st), false
+		return f.clauses(s.Body, st, label), false
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			st, _ = f.stmt(s.Init, st)
 		}
 		st, _ = f.stmt(s.Assign, st)
-		return f.clauses(s.Body, st), false
+		return f.clauses(s.Body, st, label), false
 
 	case *ast.SelectStmt:
 		f.ops.waits(s, st)
+		t := f.push(label, false)
+		defer f.pop()
 		// The entry state stays one of the ways out, as for a switch with
-		// no default.
+		// no default; so does every break, which leaves the select.
 		outs := []S{st}
 		live := len(s.Body.List) == 0
 		for _, c := range s.Body.List {
@@ -170,7 +192,12 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 			if cc.Comm != nil {
 				cst = f.ops.comm(cc.Comm, cst)
 			}
-			if end, terminated := f.stmts(cc.Body, cst); !terminated {
+			end, terminated := f.stmts(cc.Body, cst)
+			if brk := t.takeBreaks(); len(brk) > 0 {
+				outs = append(outs, brk...)
+				live = true
+			}
+			if !terminated {
 				outs = append(outs, end)
 				live = true
 			}
@@ -183,10 +210,13 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	return f.ops.simple(s, st)
 }
 
-// clauses interprets a switch or type-switch body. Without a default —
-// or when every clause leaves the function or the loop — the entry state
+// clauses interprets a switch or type-switch body. A break leaves the
+// switch, so it is a way out like the end of a clause. Without a default
+// — or when every clause leaves the function or a loop — the entry state
 // is one of the ways out.
-func (f *flow[S]) clauses(body *ast.BlockStmt, st S) S {
+func (f *flow[S]) clauses(body *ast.BlockStmt, st S, label string) S {
+	t := f.push(label, false)
+	defer f.pop()
 	hasDefault := false
 	var outs []S
 	for _, c := range body.List {
@@ -195,7 +225,9 @@ func (f *flow[S]) clauses(body *ast.BlockStmt, st S) S {
 			hasDefault = true
 		}
 		cst := f.ops.eval(st.clone(), cc.List...)
-		if end, terminated := f.stmts(cc.Body, cst); !terminated {
+		end, terminated := f.stmts(cc.Body, cst)
+		outs = append(outs, t.takeBreaks()...)
+		if !terminated {
 			outs = append(outs, end)
 		}
 	}
@@ -214,9 +246,8 @@ func (f *flow[S]) clauses(body *ast.BlockStmt, st S) S {
 // iteration must not leak a phantom obligation past the loop — and with
 // no break the loop never falls through.
 func (f *flow[S]) loop(s ast.Stmt, st S, label string) (S, bool) {
-	lc := &loopCtx[S]{label: label}
-	f.loops = append(f.loops, lc)
-	defer func() { f.loops = f.loops[:len(f.loops)-1] }()
+	lc := f.push(label, true)
+	defer f.pop()
 
 	var body *ast.BlockStmt
 	var cond ast.Expr
@@ -255,11 +286,18 @@ func (f *flow[S]) loop(s ast.Stmt, st S, label string) (S, bool) {
 	return join(outs), false
 }
 
-// findLoop resolves the loop a break or continue targets.
-func (f *flow[S]) findLoop(label *ast.Ident) *loopCtx[S] {
-	for i := len(f.loops) - 1; i >= 0; i-- {
-		if label == nil || f.loops[i].label == label.Name {
-			return f.loops[i]
+// target resolves the statement a break or continue leaves: the one so
+// labelled, or else the innermost loop, switch or select for a break and
+// the innermost loop for a continue.
+func (f *flow[S]) target(s *ast.BranchStmt) *branchTarget[S] {
+	for i := len(f.targets) - 1; i >= 0; i-- {
+		t := f.targets[i]
+		if s.Label != nil {
+			if t.label == s.Label.Name {
+				return t
+			}
+		} else if t.loop || s.Tok == token.BREAK {
+			return t
 		}
 	}
 	return nil

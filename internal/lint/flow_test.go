@@ -172,6 +172,35 @@ func (s *S) deferred(x int) int {
 	}
 	return 0
 }
+
+func (s *S) breakLeavesSwitch(x int) {
+	for {
+		s.mu.Lock()
+		b := bp.Get(8)
+		switch x {
+		case 1:
+			break // leaves the switch, not the loop
+		}
+		b.Release()
+		s.mu.Unlock()
+		return
+	}
+}
+
+func (s *S) breakLeavesSelect() {
+	for {
+		s.mu.Lock()
+		b := bp.Get(8)
+		select {
+		case <-s.ch:
+			break // leaves the select, not the loop
+		default:
+		}
+		b.Release()
+		s.mu.Unlock()
+		return
+	}
+}
 `},
 	}, checksNamed("lockdiscipline", "ownleak"))
 }

@@ -45,7 +45,7 @@ func goroutineLifecycle(p *Program) []Diagnostic {
 							return
 						}
 						label := labelOf(body, loop)
-						if !loopCanExit(loop.Body, label) {
+						if !canExit(loop.Body, label, true) {
 							diags = append(diags, Diagnostic{
 								Pos:   p.Fset.Position(g.Pos()),
 								Check: "goroutinelifecycle",
@@ -116,7 +116,7 @@ func rangeLoopDiag(p *Program, pkg *Package, body *ast.BlockStmt, g *ast.GoStmt,
 	// A body that can leave the loop itself is a shutdown path, closed
 	// channel or not. Unlike a bare `for {}`, a select or receive does NOT
 	// exit a range loop, so only return/break/goto count here.
-	if rangeCanExit(loop.Body, labelOf(body, loop)) {
+	if canExit(loop.Body, labelOf(body, loop), false) {
 		return Diagnostic{}, false
 	}
 	obj := chanObjOf(pkg, loop.X)
@@ -199,42 +199,6 @@ func packageCloses(pkg *Package, obj types.Object) bool {
 	return closes
 }
 
-// rangeCanExit reports whether a range-loop body can leave the loop by
-// itself: a return, a break targeting the loop, or a goto.
-func rangeCanExit(body *ast.BlockStmt, label string) bool {
-	exits := false
-	var walk func(n ast.Node, depth int)
-	walk = func(n ast.Node, depth int) {
-		if n == nil || exits {
-			return
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return
-		case *ast.ReturnStmt:
-			exits = true
-			return
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK {
-				if n.Label == nil && depth == 0 {
-					exits = true
-				} else if n.Label != nil && label != "" && n.Label.Name == label {
-					exits = true
-				}
-			}
-			if n.Tok == token.GOTO {
-				exits = true // conservatively assume the target leaves
-			}
-			return
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			depth++
-		}
-		children(n, func(c ast.Node) { walk(c, depth) })
-	}
-	walk(body, 0)
-	return exits
-}
-
 // labelOf finds the label attached to a loop, if any.
 func labelOf(body *ast.BlockStmt, loop ast.Stmt) string {
 	label := ""
@@ -247,11 +211,13 @@ func labelOf(body *ast.BlockStmt, loop ast.Stmt) string {
 	return label
 }
 
-// loopCanExit reports whether the loop body contains a way out: a return,
-// a break that targets this loop, a select statement, or a channel
-// receive/range. Breaks inside nested loops, switches, and selects target
-// those constructs, not this loop, and do not count unless labeled.
-func loopCanExit(body *ast.BlockStmt, label string) bool {
+// canExit reports whether a loop body contains a way out: a return, a
+// break that targets this loop, or a goto (assumed to leave). Breaks
+// inside nested loops, switches, and selects target those constructs, not
+// this loop, and do not count unless labeled. With commExits — for an
+// unconditional `for`, not a `range` over a channel — a select statement
+// or a channel receive is a way out too: it can observe a closed channel.
+func canExit(body *ast.BlockStmt, label string, commExits bool) bool {
 	exits := false
 	var walk func(n ast.Node, depth int)
 	walk = func(n ast.Node, depth int) {
@@ -265,10 +231,13 @@ func loopCanExit(body *ast.BlockStmt, label string) bool {
 			exits = true
 			return
 		case *ast.SelectStmt:
-			exits = true // cases can observe a closed channel
-			return
+			if commExits {
+				exits = true
+				return
+			}
+			depth++
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if commExits && n.Op == token.ARROW {
 				exits = true // receive unblocks (zero value) when closed
 				return
 			}

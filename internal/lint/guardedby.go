@@ -10,9 +10,10 @@ import (
 // guardedby verifies //lint:guardedby field annotations: every read or
 // write of an annotated field must happen with one of the declared lock
 // classes held (tracked by the lock pass, lockdiscipline.go, seeded
-// interprocedurally through //lint:requires), or through sync/atomic for
-// atomic-annotated fields. Accesses to freshly constructed,
-// not-yet-published objects are exempt.
+// interprocedurally through //lint:requires). A field of a counter type,
+// and one passed to a sync/atomic function anywhere in the module, must
+// be accessed through sync/atomic everywhere (guards.go, atomicGuard).
+// Accesses to freshly constructed, not-yet-published objects are exempt.
 //
 // seqlock verifies //lint:seqlock slot-struct annotations in the same
 // pass: fields of a stamped ring slot may only be written between an odd
@@ -108,13 +109,17 @@ func (a *lockPass) access(sel *ast.SelectorExpr, st lockSet) {
 	}
 	fg := a.tbl.guardFor(a.pkg.Info, sel, obj)
 	sd := a.tbl.protectedBy(a.pkg.Info, sel, obj)
-	if fg == nil && sd == nil {
+	ag, atomicOnly := a.tbl.atomicOnly[obj]
+	if fg == nil && sd == nil && !atomicOnly {
 		return
 	}
 	if freshBase(a.pkg.Info, a.fresh, sel.X) {
 		return // construction site: the object is not published yet
 	}
 	write := a.write[sel]
+	if atomicOnly && !a.sanctioned[sel] {
+		a.reportf("guardedby", sel.Pos(), "field %s.%s accessed without sync/atomic (%s)", ag.owner, obj.Name(), ag.why)
+	}
 	if fg != nil {
 		a.checkGuarded(sel, obj, fg, st, write)
 	}
@@ -131,22 +136,10 @@ func (a *lockPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *field
 		if a.recv != nil && a.recv.Name() == fg.owner && a.recv.Pkg() == obj.Pkg() {
 			return
 		}
-		if len(fg.classes) == 0 && !fg.atomic {
+		if len(fg.classes) == 0 {
 			a.reportf("guardedby", sel.Pos(),
 				"field %s.%s (//lint:guardedby confined) accessed outside %s's single-goroutine methods",
 				fg.owner, obj.Name(), fg.owner)
-			return
-		}
-	}
-	if fg.atomic {
-		// Atomic guard: access through sync/atomic free functions, or any
-		// operation on a field whose own type is a sync/atomic composite.
-		if a.sanctioned[sel] || isAtomicType(obj.Type()) {
-			return
-		}
-		if len(fg.classes) == 0 {
-			a.reportf("guardedby", sel.Pos(),
-				"field %s.%s (//lint:guardedby atomic) accessed without sync/atomic", fg.owner, obj.Name())
 			return
 		}
 	}

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
@@ -13,8 +15,7 @@ import (
 //	//lint:requires <class>[,<class>...]    on a function or method
 //	//lint:seqlock <stampField>             on a slot struct type
 //
-// A guard is the keyword "atomic" (the field is only touched through
-// sync/atomic), the keyword "confined" (the field belongs to a documented
+// A guard is the keyword "confined" (the field belongs to a documented
 // single-goroutine type: it may only be touched from the declaring type's
 // own methods, and never from a go-launched function literal), the name of
 // a sibling mutex field ("mu", "owner" — classed as "Struct.field" exactly
@@ -42,6 +43,10 @@ import (
 // between an odd stamp store (or a winning stamp CompareAndSwap) and the
 // matching even store, and only read under an open stamp or after a
 // stamp-validate loop.
+//
+// Two kinds of field are guarded by sync/atomic with no annotation at all
+// (atomicGuard), and a field of a sync/atomic type needs none: the
+// compiler and vet's copylocks already forbid plain access to it.
 
 // guardKey addresses a struct field by its declaring (generic-origin) type
 // name — the fallback identity for fields of instantiated generic types,
@@ -56,20 +61,28 @@ type fieldGuard struct {
 	owner    string   // declaring struct name, for messages
 	field    string   // field name
 	classes  []string // lock-class alternatives ("Queue.mu", "portal.mu")
-	atomic   bool     // the "atomic" guard was listed
 	confined bool     // the "confined" guard was listed
 	pos      token.Pos
 }
 
 func (g *fieldGuard) String() string {
 	all := append([]string{}, g.classes...)
-	if g.atomic {
-		all = append(all, "atomic")
-	}
 	if g.confined {
 		all = append(all, "confined")
 	}
 	return strings.Join(all, "/")
+}
+
+// atomicGuard is why an unannotated field may only be touched through
+// sync/atomic: it is a plain field of a hot-path counter type — a struct
+// named *Counters or *Stats, whose counts (§4.8's dropped messages) are
+// bumped on the wire path, where the lock a plain field needs is what
+// application bypass forbids — or it is passed by address to a sync/atomic
+// function somewhere in the module, and a plain access would race with
+// that one.
+type atomicGuard struct {
+	owner string // declaring struct name, for messages
+	why   string
 }
 
 // seqlockDecl is one parsed //lint:seqlock annotation: the slot struct,
@@ -81,8 +94,9 @@ type seqlockDecl struct {
 	pos   token.Pos
 }
 
-// guardTables indexes every annotation in the loaded module. Built once
-// per Program and read-only afterwards.
+// guardTables indexes every annotation in the loaded module, and the
+// fields guarded by sync/atomic without one. Built once per Program and
+// read-only afterwards.
 type guardTables struct {
 	fields       map[*types.Var]*fieldGuard
 	fieldsByName map[guardKey]*fieldGuard
@@ -94,6 +108,8 @@ type guardTables struct {
 	seqClasses   map[string]*seqlockDecl
 
 	requires map[*types.Func][]string
+
+	atomicOnly map[*types.Var]atomicGuard // touched through sync/atomic only
 
 	diags []Diagnostic // malformed annotations, tagged guardedby/seqlock
 }
@@ -111,6 +127,7 @@ func buildGuardTables(p *Program) *guardTables {
 		protByName:   make(map[guardKey]*seqlockDecl),
 		seqClasses:   make(map[string]*seqlockDecl),
 		requires:     make(map[*types.Func][]string),
+		atomicOnly:   make(map[*types.Var]atomicGuard),
 	}
 	for _, pkg := range p.sortedPackages() {
 		for _, f := range pkg.Files {
@@ -122,6 +139,9 @@ func buildGuardTables(p *Program) *guardTables {
 					}
 				case *ast.FuncDecl:
 					t.collectRequires(p, pkg, d)
+					if d.Body != nil {
+						t.collectAtomicArgs(p, pkg, d.Body)
+					}
 				}
 			}
 		}
@@ -154,7 +174,11 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl) 
 		if !isStruct || tn == nil {
 			continue
 		}
+		counter := isCounterTypeName(tn.Name())
 		for _, fld := range st.Fields.List {
+			if counter {
+				t.collectCounter(pkg, tn, fld)
+			}
 			for _, doc := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
 				args, pos, ok := directiveIn(doc, "guardedby")
 				if !ok {
@@ -224,7 +248,9 @@ func (t *guardTables) collectGuardedBy(p *Program, pkg *Package, ts *ast.TypeSpe
 	for _, guard := range strings.Split(fields[0], ",") {
 		switch {
 		case guard == "atomic":
-			g.atomic = true
+			bad("\"atomic\" is not a //lint:guardedby guard: a sync/atomic field needs no annotation, " +
+				"and a plain field passed to sync/atomic is held to it without one")
+			return
 		case guard == "confined":
 			g.confined = true
 		case guard == "":
@@ -253,6 +279,43 @@ func (t *guardTables) collectGuardedBy(p *Program, pkg *Package, ts *ast.TypeSpe
 			t.fieldsByName[guardKey{tn, name.Name}] = &fg
 		}
 	}
+}
+
+// collectCounter marks the fields of a counter type that are not of an
+// atomic type as atomic-guarded. Blank padding fields (cache-line
+// separators between atomic groups) have no accesses to race.
+func (t *guardTables) collectCounter(pkg *Package, tn *types.TypeName, fld *ast.Field) {
+	for _, name := range fld.Names {
+		if v, ok := pkg.Info.Defs[name].(*types.Var); ok && name.Name != "_" && !isAtomicType(v.Type()) {
+			t.atomicOnly[v] = atomicGuard{owner: tn.Name(), why: tn.Name() + " is a counter type"}
+		}
+	}
+}
+
+// collectAtomicArgs marks every plain field a body passes by address to a
+// sync/atomic function as atomic-guarded, naming the first such site. A
+// counter field keeps its counter reason.
+func (t *guardTables) collectAtomicArgs(p *Program, pkg *Package, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		for _, sel := range atomicFieldArgs(pkg.Info, c) {
+			v := plainField(pkg.Info, sel)
+			if _, seen := t.atomicOnly[v]; v == nil || seen {
+				continue
+			}
+			owner := v.Pkg().Name()
+			if k, ok := selOrigin(pkg.Info, sel, v); ok {
+				owner = k.owner.Name()
+			}
+			at := p.Fset.Position(sel.Pos())
+			t.atomicOnly[v] = atomicGuard{owner: owner,
+				why: fmt.Sprintf("passed to sync/atomic at %s:%d", filepath.Base(at.Filename), at.Line)}
+		}
+		return true
+	})
 }
 
 // collectRequires parses //lint:requires on a function declaration's doc
@@ -323,6 +386,67 @@ func siblingMutex(pkg *Package, st *ast.StructType, name string) bool {
 			n := named.Obj().Name()
 			return n == "Mutex" || n == "RWMutex"
 		}
+	}
+	return false
+}
+
+func isCounterTypeName(name string) bool {
+	return strings.HasSuffix(name, "Counters") || strings.HasSuffix(name, "Stats")
+}
+
+// atomicFieldArgs returns the field selectors a call passes by address to
+// a sync/atomic free function (atomic.AddUint64(&s.n, 1)): sanctioned
+// atomic accesses of plain words.
+func atomicFieldArgs(info *types.Info, c *ast.CallExpr) []*ast.SelectorExpr {
+	fn := calleeOf(info, c)
+	if fn == nil || pkgPathOf(fn) != "sync/atomic" {
+		return nil
+	}
+	var sels []*ast.SelectorExpr
+	for _, arg := range c.Args {
+		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
+				sels = append(sels, sel)
+			}
+		}
+	}
+	return sels
+}
+
+// plainField resolves a selector to the struct field it selects, if that
+// field is not of an atomic type.
+func plainField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	v, ok := info.Uses[sel.Sel].(*types.Var)
+	if !ok || !v.IsField() || isAtomicType(v.Type()) {
+		return nil
+	}
+	return v
+}
+
+// isAtomicType accepts sync/atomic types, arrays of them, and named struct
+// types composed entirely of such types. The last case admits
+// struct-of-atomics values — e.g. the obs histogram, whose buckets, sum,
+// and count are all atomic.Int64 — which are exactly as safe for
+// concurrent hot-path use as a bare atomic field. The recursion ends: a
+// type-checked struct cannot contain itself by value.
+func isAtomicType(t types.Type) bool {
+	switch t := t.(type) {
+	case *types.Array:
+		return isAtomicType(t.Elem())
+	case *types.Named:
+		if isSyncAtomicNamed(t) {
+			return true
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok || st.NumFields() == 0 {
+			return false
+		}
+		for i := range st.NumFields() {
+			if !isAtomicType(st.Field(i).Type()) {
+				return false
+			}
+		}
+		return true
 	}
 	return false
 }

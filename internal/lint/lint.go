@@ -91,11 +91,9 @@ func AllChecks() []Check {
 		check{"lockorder", "every lock-acquisition edge is declared by //lint:lockrank and respects the DAG", lockOrder},
 		check{"noalloc", "//lint:noalloc-annotated functions are transitively allocation-free",
 			func(p *Program) []Diagnostic { return p.reach(effAlloc) }},
-		check{"atomicsonly", "fields of hot-path counter types (Counters/Stats) must be sync/atomic", atomicsOnly},
 		check{"checkederr", "error results of the portals API and internal/core are never discarded", checkedErr},
 		check{"goroutinelifecycle", "every goroutine in non-test code has a reachable shutdown path", goroutineLifecycle},
-		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock (or uses sync/atomic)", fromLockPass},
-		check{"mixedatomic", "no field is accessed both through sync/atomic and by plain load/store", mixedAtomic},
+		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock; counter fields and fields used with sync/atomic are never accessed plainly", fromLockPass},
 		check{"seqlock", "ring-slot fields are only touched inside the //lint:seqlock stamp protocol", fromLockPass},
 		check{"ownleak", "every acquired resource (pooled buffer, RCU pin, arena entry) is released or ownership-transferred on all paths", fromOwnPass},
 		check{"ownuseafter", "no use of a resource after its release or after its ownership was transferred", fromOwnPass},

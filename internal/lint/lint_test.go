@@ -252,74 +252,6 @@ func (s *S) suppressed() {
 	}, checksNamed("lockdiscipline"))
 }
 
-func TestAtomicsOnly(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/st": {"st.go": `package st
-
-import "sync/atomic"
-
-type GoodStats struct {
-	n   atomic.Int64
-	arr [4]atomic.Int64
-	_   [64]byte // blank cache-line padding between groups is fine
-	b   atomic.Bool
-}
-
-type BadCounters struct {
-	n  int64 // want:atomicsonly
-	ok atomic.Int64
-}
-
-func bump(c *BadCounters) {
-	c.n++ // want:atomicsonly
-	c.ok.Add(1)
-}
-
-type QuietStats struct {
-	//lint:ignore atomicsonly suppression fixture
-	m int64
-}
-
-// Snapshot-style plain structs are not counter types.
-type Snapshot struct{ N int64 }
-`},
-	}, checksNamed("atomicsonly"))
-}
-
-func TestAtomicsOnlyStructOfAtomics(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/st2": {"st2.go": `package st2
-
-import "sync/atomic"
-
-// Hist is a struct-of-atomics: every field (transitively) is a
-// sync/atomic type, so it is admissible inside a counter struct.
-type Hist struct {
-	buckets [4]atomic.Int64
-	sum     atomic.Int64
-}
-
-// Mixed is not: the plain string disqualifies the whole struct.
-type Mixed struct {
-	n atomic.Int64
-	s string
-}
-
-type FlowStats struct {
-	ok   atomic.Int64
-	hist Hist
-	bad  Mixed // want:atomicsonly
-}
-
-func touch(s *FlowStats) {
-	s.ok.Add(1)
-	s.hist.sum.Add(2)
-	_ = s.bad // want:atomicsonly
-}
-`},
-	}, checksNamed("atomicsonly"))
-}
-
 func TestBypassViolationObsAPIs(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
 		"repro/internal/obs/trace": {"trace.go": `package trace
@@ -1234,8 +1166,8 @@ type S struct {
 	rw sync.RWMutex
 	v  int //lint:guardedby rw
 
-	c uint64       //lint:guardedby atomic
-	t atomic.Int64 //lint:guardedby atomic
+	c uint64 //lint:guardedby mu,atomic // want:guardedby
+	t atomic.Int64
 }
 
 func (s *S) locked() {
@@ -1311,6 +1243,130 @@ func use(o *Owner, it *Item) {
 
 func misuse(it *Item) {
 	it.val = 2 // want:guardedby
+}
+`},
+	}, checksNamed("guardedby"))
+}
+
+// TestAtomicsOnly: a counter type's plain fields are guarded by
+// sync/atomic with no annotation.
+func TestAtomicsOnly(t *testing.T) {
+	runFixture(t, map[string]map[string]string{
+		"repro/st": {"st.go": `package st
+
+import "sync/atomic"
+
+type GoodStats struct {
+	n   atomic.Int64
+	arr [4]atomic.Int64
+	_   [64]byte // blank cache-line padding between groups is fine
+	b   atomic.Bool
+}
+
+type BadCounters struct {
+	n  int64
+	m  int64
+	ok atomic.Int64
+}
+
+func bump(c *BadCounters) {
+	c.n++ // want:guardedby
+	atomic.AddInt64(&c.m, 1)
+	c.ok.Add(1)
+}
+
+func NewBadCounters() *BadCounters {
+	c := &BadCounters{}
+	c.n = 1
+	return c
+}
+
+func hushed(c *BadCounters) int64 {
+	//lint:ignore guardedby suppression fixture
+	return c.n
+}
+
+// Snapshot-style plain structs are not counter types.
+type Snapshot struct{ N int64 }
+
+func copyOut(s *Snapshot) int64 { return s.N }
+`},
+	}, checksNamed("guardedby"))
+}
+
+// TestAtomicsOnlyStructOfAtomics: a struct-of-atomics field is admissible
+// inside a counter type; a struct with one plain field is not.
+func TestAtomicsOnlyStructOfAtomics(t *testing.T) {
+	runFixture(t, map[string]map[string]string{
+		"repro/st2": {"st2.go": `package st2
+
+import "sync/atomic"
+
+// Hist is a struct of atomics, like metrics.Histogram: admissible
+// inside a counter type. Mixed is not: the plain string disqualifies it.
+type Hist struct {
+	buckets [4]atomic.Int64
+	sum     atomic.Int64
+}
+
+type Mixed struct {
+	n atomic.Int64
+	s string
+}
+
+type FlowStats struct {
+	ok   atomic.Int64
+	hist Hist
+	bad  Mixed
+}
+
+func touch(s *FlowStats) {
+	s.ok.Add(1)
+	s.hist.sum.Add(2)
+	_ = s.bad // want:guardedby
+}
+`},
+	}, checksNamed("guardedby"))
+}
+
+// TestMixedAtomic: a plain word passed to sync/atomic anywhere is guarded
+// by it everywhere.
+func TestMixedAtomic(t *testing.T) {
+	runFixture(t, map[string]map[string]string{
+		"repro/ma": {"ma.go": `package ma
+
+import "sync/atomic"
+
+type C struct {
+	n uint32
+	m uint64
+	t atomic.Int64
+}
+
+func ready(c *C) bool {
+	return atomic.LoadUint32(&c.n) != 0
+}
+
+func read(c *C) uint32 {
+	return c.n // want:guardedby
+}
+
+// m is only ever plain, t is an atomic type: neither is guarded.
+func plainOnly(c *C) int64 {
+	c.m++
+	c.t.Add(1)
+	return c.t.Load()
+}
+
+func New() *C {
+	c := &C{}
+	c.n = 1
+	return c
+}
+
+func hushed(c *C) uint32 {
+	//lint:ignore guardedby fixture: init-time read, externally quiesced
+	return c.n
 }
 `},
 	}, checksNamed("guardedby"))
@@ -1530,48 +1586,6 @@ func hushed(s *slot) uint64 {
 	}, checksNamed("seqlock"))
 }
 
-func TestMixedAtomic(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/ma": {"ma.go": `package ma
-
-import "sync/atomic"
-
-type C struct {
-	n uint64
-	m uint64
-	t atomic.Int64
-}
-
-func bump(c *C) {
-	atomic.AddUint64(&c.n, 1)
-}
-
-func read(c *C) uint64 {
-	return c.n // want:mixedatomic
-}
-
-// m is only ever plain, t is an atomic type: neither is mixed.
-func plainOnly(c *C) int64 {
-	c.m++
-	c.t.Add(1)
-	return c.t.Load()
-}
-
-// Constructor exemption: initialization predates publication.
-func New() *C {
-	c := &C{}
-	c.n = 1
-	return c
-}
-
-func hushed(c *C) uint64 {
-	//lint:ignore mixedatomic fixture: init-time read, externally quiesced
-	return c.n
-}
-`},
-	}, checksNamed("mixedatomic"))
-}
-
 // TestStaleIgnore: a directive whose check fires nothing on its line is
 // itself reported; used directives and unknown-name directives behave as
 // documented; subset runs (of checks or of packages) don't judge.
@@ -1725,7 +1739,7 @@ func TestSARIFMarshal(t *testing.T) {
 	for i, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = i
 	}
-	for _, want := range []string{"guardedby", "mixedatomic", "seqlock", "staleignore", "badsuppress", "novelcheck",
+	for _, want := range []string{"guardedby", "seqlock", "staleignore", "badsuppress", "novelcheck",
 		"ownleak", "ownuseafter", "owndouble", "ownescape"} {
 		if _, ok := ruleIDs[want]; !ok {
 			t.Errorf("rules missing %q", want)

@@ -8,7 +8,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -24,8 +26,8 @@ import (
 // traverse them — but diagnostics are only reported for the selection.
 //
 // Only the standard library is used: module-local imports are resolved by
-// walking the module tree, everything else through go/importer's source
-// importer. Test files (_test.go) are not analyzed.
+// walking the module tree, everything else through the toolchain's compiled
+// export data (stdImport). Test files (_test.go) are not analyzed.
 func Load(dir string, patterns []string) (*Program, error) {
 	modRoot, modPath, err := findModule(dir)
 	if err != nil {
@@ -96,7 +98,7 @@ func LoadSource(modPath string, pkgs map[string]map[string]string) (*Program, er
 }
 
 // loader resolves imports: module-local packages through the files hook,
-// everything else through the shared standard-library importer cache.
+// everything else through the shared standard-library importer.
 type loader struct {
 	fset      *token.FileSet
 	modPath   string
@@ -114,27 +116,55 @@ type parsedPkg struct {
 	err   error
 }
 
-// stdImports is a process-wide cache for standard-library packages. The
-// source importer type-checks each stdlib package from source (tens of
-// milliseconds each, hundreds of packages transitively behind fmt/net);
-// before this cache every Load/LoadSource call paid that cost again —
-// the fixture-heavy linter test suite type-checked sync, time, net, …
-// once per test. Sharing one importer (with its own FileSet — stdlib
-// positions are never printed in diagnostics) makes every load after the
-// first nearly free. Guarded by a mutex: the source importer is not
+// stdImports is the one standard-library importer of the process, shared
+// by every Load and LoadSource: a gc importer reading the compiled export
+// data the toolchain keeps in its build cache, located by one
+// `go list -export std` (which also builds whatever is missing). Each
+// package is read once, in microseconds, where type-checking the library
+// from source took seconds. It has its own FileSet — stdlib positions are
+// never printed in diagnostics — and a mutex: the gc importer is not
 // concurrency-safe.
 var stdImports struct {
 	mu  sync.Mutex
 	imp types.Importer
+	err error
 }
 
 func stdImport(path string) (*types.Package, error) {
 	stdImports.mu.Lock()
 	defer stdImports.mu.Unlock()
-	if stdImports.imp == nil {
-		stdImports.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	if stdImports.imp == nil && stdImports.err == nil {
+		stdImports.imp, stdImports.err = exportImporter()
+	}
+	if stdImports.err != nil {
+		return nil, stdImports.err
 	}
 	return stdImports.imp.Import(path)
+}
+
+// exportImporter asks the toolchain where the export data of every
+// standard-library package is and returns a gc importer that reads it.
+func exportImporter() (types.Importer, error) {
+	out, err := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}", "std").Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
+			err = fmt.Errorf("%v: %s", err, ee.Stderr)
+		}
+		return nil, fmt.Errorf("go list -export std: %v", err)
+	}
+	files := make(map[string]string)
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			files[path] = file
+		}
+	}
+	return importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 func (l *loader) program(roots []string) (*Program, error) {
@@ -186,10 +216,11 @@ func (l *loader) Import(path string) (*types.Package, error) {
 // prefetch parses the root packages concurrently before the sequential
 // type-checking phase, bounded by GOMAXPROCS. token.FileSet is safe for
 // concurrent use, so the parsed files land directly in the shared set;
-// type-checking stays sequential because the source importer is not
-// concurrency-safe. On a multi-core host this overlaps the dominant
-// parse+read I/O of a "./..." load; load() falls back to parsing inline
-// for packages reached only as dependencies.
+// type-checking stays sequential: a package is checked after its imports,
+// which load() reaches depth-first through maps one goroutine owns. On a
+// multi-core host this overlaps the parse+read I/O of a "./..." load;
+// load() falls back to parsing inline for packages reached only as
+// dependencies.
 func (l *loader) prefetch(roots []string) {
 	uniq := make([]string, 0, len(roots))
 	seen := make(map[string]bool, len(roots))

@@ -26,8 +26,8 @@ import (
 // summary (validated against the declared hierarchy in lockorder.go).
 //
 // guardedby and seqlock get every field selection checked against the
-// //lint:guardedby and //lint:seqlock tables under the current lock set
-// (guardedby.go, seqlock.go).
+// guard tables (guards.go) under the current lock set (guardedby.go,
+// seqlock.go).
 
 // heldLock is the state of one mutex expression within a function.
 type heldLock struct {

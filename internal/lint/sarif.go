@@ -1,10 +1,38 @@
 package lint
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"path/filepath"
+)
 
-// SARIF 2.1.0 output (-sarif), the minimal subset GitHub code scanning
-// ingests: one run, one rule per check, one result per finding, every
-// result an "error" — a finding fails the run.
+// SARIF 2.1.0 output (-sarif), the one machine-readable report and the
+// minimal subset GitHub code scanning ingests: one run, one rule per
+// check, one result per finding, every result an "error" — a finding
+// fails the run.
+
+// Finding is a Diagnostic as a report states it: File is
+// module-root-relative so findings are stable across checkouts.
+type Finding struct {
+	File    string
+	Line    int
+	Check   string
+	Message string
+}
+
+// Findings converts diagnostics to findings with module-relative paths.
+func (p *Program) Findings(diags []Diagnostic) []Finding {
+	out := make([]Finding, 0, len(diags))
+	for _, d := range diags {
+		file := d.Pos.Filename
+		if p.ModuleRoot != "" {
+			if rel, err := filepath.Rel(p.ModuleRoot, file); err == nil && !filepath.IsAbs(rel) {
+				file = filepath.ToSlash(rel)
+			}
+		}
+		out = append(out, Finding{File: file, Line: d.Pos.Line, Check: d.Check, Message: d.Message})
+	}
+	return out
+}
 
 const (
 	sarifSchema  = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"

@@ -187,7 +187,7 @@ type lane struct {
 	// pending counts bursts handed to the worker and not yet finished. Only
 	// onBatch raises it and only the worker lowers it (see the idle-lane
 	// rule in the package comment).
-	pending atomic.Int32 //lint:guardedby atomic
+	pending atomic.Int32
 }
 
 // burstPool recycles the slices lane channels carry. Ownership follows the
@@ -217,7 +217,7 @@ type Node struct {
 	// once published, so lanes look up targets with one atomic load and
 	// zero contention. Writers (AddProcess(es)/RemoveProcess/Close)
 	// serialize under mu, per the Map contract.
-	procs rcu.Map[types.PID, *core.State] //lint:guardedby atomic
+	procs rcu.Map[types.PID, *core.State]
 
 	mu     sync.Mutex // serializes procs writers, and guards closed
 	closed bool       //lint:guardedby mu

@@ -82,8 +82,8 @@ func chunkStart(c int) uint32 { return minChunk * ((1 << uint(c)) - 1) }
 // loaded — the value belongs to the wanted generation. This is the same
 // stamp-check-read-recheck shape as the eventq/trace seqlocks.
 type tslot[T any] struct {
-	state atomic.Uint64     //lint:guardedby atomic
-	val   atomic.Pointer[T] //lint:guardedby atomic
+	state atomic.Uint64
+	val   atomic.Pointer[T]
 }
 
 // Table is an epoch-published slot table: lock-free generation-checked
@@ -102,7 +102,7 @@ type Table[T any] struct {
 	count int      //lint:guardedby wmu
 	limit int      //lint:guardedby wmu  0 = unlimited
 
-	chunks [maxChunks]atomic.Pointer[[]tslot[T]] //lint:guardedby atomic
+	chunks [maxChunks]atomic.Pointer[[]tslot[T]]
 }
 
 // Init sets the allocation limit (0 = unlimited). Call before first use.
@@ -247,7 +247,7 @@ func (t *Table[T]) Each(f func(*T)) {
 // needs nothing) — the cost of keeping the read side completely free.
 // The zero value is an empty map.
 type Map[K comparable, V any] struct {
-	p atomic.Pointer[map[K]V] //lint:guardedby atomic
+	p atomic.Pointer[map[K]V]
 }
 
 // Get returns the value for k in the current epoch.
@@ -367,8 +367,8 @@ const (
 )
 
 type guardStripe struct {
-	in  atomic.Int64 //lint:guardedby atomic
-	out atomic.Int64 //lint:guardedby atomic
+	in  atomic.Int64
+	out atomic.Int64
 }
 
 // Guards delimits read-side critical sections for deferred reclamation:
@@ -399,13 +399,13 @@ type guardStripe struct {
 type Guards struct {
 	// epoch selects the parity new readers enter; written only inside
 	// Advance's polling window.
-	epoch atomic.Uint64 //lint:guardedby atomic
+	epoch atomic.Uint64
 	// drains counts completed grace periods. Consecutive completions scan
 	// alternating parities (each one flips epoch).
-	drains atomic.Uint64 //lint:guardedby atomic
+	drains atomic.Uint64
 	// polling is a try-lock (0/1) serializing Advance's scan-and-flip;
 	// contenders skip rather than wait, keeping Advance non-blocking.
-	polling atomic.Uint32 //lint:guardedby atomic
+	polling atomic.Uint32
 
 	stripes [2][guardStripes]guardStripe
 }

@@ -77,27 +77,27 @@ func (c Config) withDefaults() Config {
 // (nanoseconds) — every field here is sync/atomic or composed of them, so
 // bumping stats never serializes delivery goroutines.
 type Stats struct {
-	Retransmits     atomic.Int64 //lint:guardedby atomic
-	FastRetransmits atomic.Int64 //lint:guardedby atomic
-	RTTSamples      atomic.Int64 //lint:guardedby atomic
-	DupsDiscarded   atomic.Int64 //lint:guardedby atomic
-	OutOfOrder      atomic.Int64 //lint:guardedby atomic
-	RTSSent         atomic.Int64 //lint:guardedby atomic
-	CTSSent         atomic.Int64 //lint:guardedby atomic
-	AcksSent        atomic.Int64 //lint:guardedby atomic
-	MsgsDelivered   atomic.Int64 //lint:guardedby atomic
+	Retransmits     atomic.Int64
+	FastRetransmits atomic.Int64
+	RTTSamples      atomic.Int64
+	DupsDiscarded   atomic.Int64
+	OutOfOrder      atomic.Int64
+	RTSSent         atomic.Int64
+	CTSSent         atomic.Int64
+	AcksSent        atomic.Int64
+	MsgsDelivered   atomic.Int64
 	// BadLength counts in-sequence fragments discarded for impossible
 	// framing: a length above MaxMessage, a payload that overruns its
 	// message, a malformed RTS/CTS, an unknown message kind, or a
 	// continuation fragment with no message open.
-	BadLength atomic.Int64 //lint:guardedby atomic
+	BadLength atomic.Int64
 	// Placed counts announced messages whose body was written through to the
 	// handler's sink instead of a delivery buffer, PlacedBytes the bytes that
 	// went that way (the head excepted: it travels with the announcement),
 	// and AnnounceDiscarded the announcements the handler answered Discard.
-	Placed            atomic.Int64 //lint:guardedby atomic
-	PlacedBytes       atomic.Int64 //lint:guardedby atomic
-	AnnounceDiscarded atomic.Int64 //lint:guardedby atomic
+	Placed            atomic.Int64
+	PlacedBytes       atomic.Int64
+	AnnounceDiscarded atomic.Int64
 	Backoff           metrics.Histogram
 }
 

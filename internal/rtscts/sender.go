@@ -92,9 +92,9 @@ type peerSender struct {
 
 	// Lock-free mirrors of srtt/rto/wnd for metrics exposition; written
 	// under wmu, read anywhere.
-	srttNs atomic.Int64 //lint:guardedby atomic
-	rtoNs  atomic.Int64 //lint:guardedby atomic
-	wndNow atomic.Int64 //lint:guardedby atomic
+	srttNs atomic.Int64
+	rtoNs  atomic.Int64
+	wndNow atomic.Int64
 
 	done chan struct{}
 }

@@ -32,36 +32,36 @@ type pad [64]byte
 // (stats_bench_test.go) measures the delta against the unpadded layout.
 type Counters struct {
 	// Receive path: bumped by delivery-engine goroutines.
-	drops      [types.NumDropReasons]atomic.Int64 //lint:guardedby atomic
-	recvMsgs   atomic.Int64                       //lint:guardedby atomic
-	recvBytes  atomic.Int64                       //lint:guardedby atomic
-	copies     atomic.Int64                       //lint:guardedby atomic  protocol-level buffer copies (not the final user-buffer landing)
-	interrupt  atomic.Int64                       //lint:guardedby atomic  host interrupts taken on the receive path
-	acks       atomic.Int64                       //lint:guardedby atomic
-	replies    atomic.Int64                       //lint:guardedby atomic
-	matchWalks atomic.Int64                       //lint:guardedby atomic  Figure-4 translations performed
-	matchSteps atomic.Int64                       //lint:guardedby atomic  match entries examined across all walks
+	drops      [types.NumDropReasons]atomic.Int64
+	recvMsgs   atomic.Int64
+	recvBytes  atomic.Int64
+	copies     atomic.Int64 // protocol-level buffer copies (not the final user-buffer landing)
+	interrupt  atomic.Int64 // host interrupts taken on the receive path
+	acks       atomic.Int64
+	replies    atomic.Int64
+	matchWalks atomic.Int64 // Figure-4 translations performed
+	matchSteps atomic.Int64 // match entries examined across all walks
 	// indexHits/indexMisses: walks resolved from a hash bucket vs the
 	// wildcard list (or not at all) — docs/PERF.md match-index telemetry.
-	indexHits   atomic.Int64 //lint:guardedby atomic
-	indexMisses atomic.Int64 //lint:guardedby atomic
+	indexHits   atomic.Int64
+	indexMisses atomic.Int64
 	// Counting events / triggered operations (core/ct.go). Increments and
 	// fires are bumped by delivery lanes, so they live in this group;
 	// trigArmed is application-side but rare (arming is control-path).
-	ctIncs      atomic.Int64 //lint:guardedby atomic  counter increments (success or failure, any source)
-	trigArmed   atomic.Int64 //lint:guardedby atomic  triggered operations armed
-	trigFired   atomic.Int64 //lint:guardedby atomic  triggered operations fired
-	trigDropped atomic.Int64 //lint:guardedby atomic  fires dropped (stale MD/CT at fire time)
+	ctIncs      atomic.Int64 // counter increments (success or failure, any source)
+	trigArmed   atomic.Int64 // triggered operations armed
+	trigFired   atomic.Int64 // triggered operations fired
+	trigDropped atomic.Int64 // fires dropped (stale MD/CT at fire time)
 	_           pad
 
 	// Send path: bumped by application goroutines in StartPut/StartGet.
-	sendMsgs  atomic.Int64 //lint:guardedby atomic
-	sendBytes atomic.Int64 //lint:guardedby atomic
+	sendMsgs  atomic.Int64
+	sendBytes atomic.Int64
 	_         pad
 
 	// Buffer pool: bumped from both sides, but only on pool traffic.
-	poolHits   atomic.Int64 //lint:guardedby atomic  pooled buffers reused on this interface's paths
-	poolMisses atomic.Int64 //lint:guardedby atomic  pooled buffers freshly allocated
+	poolHits   atomic.Int64 // pooled buffers reused on this interface's paths
+	poolMisses atomic.Int64 // pooled buffers freshly allocated
 }
 
 // Drop records a discarded incoming message (§4.8: "the incoming message is

@@ -65,10 +65,10 @@ type Network struct {
 
 // Stats counts fabric-level events; all fields are atomics.
 type Stats struct {
-	Sent      atomic.Int64 //lint:guardedby atomic  frames written to a socket
-	Delivered atomic.Int64 //lint:guardedby atomic  frames handed to a handler
-	Redials   atomic.Int64 //lint:guardedby atomic  cached connections dropped after a write error
-	BadFrames atomic.Int64 //lint:guardedby atomic  inbound connections closed for a bad hello or an oversize length prefix
+	Sent      atomic.Int64 // frames written to a socket
+	Delivered atomic.Int64 // frames handed to a handler
+	Redials   atomic.Int64 // cached connections dropped after a write error
+	BadFrames atomic.Int64 // inbound connections closed for a bad hello or an oversize length prefix
 }
 
 // Stats exposes the fabric counters.

@@ -75,12 +75,12 @@ func (c Config) withDefaults() Config {
 
 // Stats counts fabric-level events; all fields are atomics.
 type Stats struct {
-	Sent         atomic.Int64 //lint:guardedby atomic  datagrams written
-	SendBursts   atomic.Int64 //lint:guardedby atomic  write bursts (syscall batches)
-	Received     atomic.Int64 //lint:guardedby atomic  datagrams accepted
-	TxDrops      atomic.Int64 //lint:guardedby atomic  send-queue tail drops
-	BadFrames    atomic.Int64 //lint:guardedby atomic  short frames / bad magic / bad version
-	UnknownPeers atomic.Int64 //lint:guardedby atomic  traffic for/from unregistered NIDs
+	Sent         atomic.Int64 // datagrams written
+	SendBursts   atomic.Int64 // write bursts (syscall batches)
+	Received     atomic.Int64 // datagrams accepted
+	TxDrops      atomic.Int64 // send-queue tail drops
+	BadFrames    atomic.Int64 // short frames / bad magic / bad version
+	UnknownPeers atomic.Int64 // traffic for/from unregistered NIDs
 }
 
 // Network is a UDP fabric with an in-process address registry, one socket
