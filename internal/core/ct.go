@@ -15,7 +15,7 @@ package core
 //     its slot table, exactly like an event queue — no pins window, stale
 //     handles simply miss.
 //   - The hot-path increment (ctInc) is atomics-only and callable with any
-//     delivery lock held: an atomic add, a one-token waiter wake, and one
+//     delivery lock held: an atomic add, a waiter wake, and one
 //     atomic load of nextFire (the lowest armed threshold, cached so the
 //     common "nothing armed" case costs a single predicted branch).
 //   - Crossing nextFire does NOT fire inline — the increment often runs
@@ -43,10 +43,9 @@ package core
 
 import (
 	"fmt"
-	"time"
-
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/eventq"
 	"repro/internal/obs/trace"
@@ -112,7 +111,7 @@ type ctr struct {
 
 	// park is where CTWait blocks: every increment wakes it, and it closes
 	// on CTFree/State.Close so waiters never hang on a dead counter.
-	park eventq.Parker
+	park *eventq.Parker
 }
 
 // close marks the counter dead, discards its armed operations (they never
@@ -146,10 +145,7 @@ func (s *State) ctRes(h types.Handle) *ctr {
 	if !h.IsValid() {
 		return nil
 	}
-	c, ok := s.cts.lookup(h)
-	if !ok {
-		return nil
-	}
+	c, _ := s.cts.lookup(h) // nil on a miss
 	return c
 }
 
@@ -427,16 +423,13 @@ func (s *State) CTWait(h types.Handle, threshold uint64, timeout time.Duration) 
 	if err != nil {
 		return types.CTValue{}, err
 	}
-	var w eventq.Wait
+	w := c.park.Begin()
 	for {
 		v := types.CTValue{Success: c.success.Load(), Failure: c.failure.Load()}
-		if v.Success >= threshold || v.Failure != 0 {
-			// Always pass the token on: with several waiters parked on one
-			// counter a single increment must not strand the rest.
-			c.park.End(&w, true)
-			if v.Success >= threshold {
-				return v, nil
-			}
+		if v.Success >= threshold {
+			return v, nil
+		}
+		if v.Failure != 0 {
 			//lint:ignore noalloc failure path: the error carries what was read
 			return v, fmt.Errorf("%w: %v waiting for %d", types.ErrCTFailure, v, threshold)
 		}

@@ -44,7 +44,8 @@ import (
 // memDesc.owner aliases either a portal's mu or bindMu, so it sits at the
 // same level. The rcu table writer lock (Table.wmu) and the arena lock
 // (Arena.mu) are leaves below everything: they serialize one slot or
-// free-list update and call nothing.
+// free-list update and call nothing. So is a Parker's lock (Parker.mu):
+// event posts and counter increments wake waiters under delivery locks.
 //
 //lint:lockrank portal.mu < State.resMu
 //lint:lockrank State.bindMu < State.resMu
@@ -60,6 +61,8 @@ import (
 //lint:lockrank State.bindMu < Arena.mu
 //lint:lockrank memDesc.owner < Arena.mu
 //lint:lockrank State.resMu < Arena.mu
+//lint:lockrank portal.mu < Parker.mu
+//lint:lockrank memDesc.owner < Parker.mu
 
 // State holds everything Figure 3 depicts for one process: the portal
 // table, match entries, memory descriptors, event queues, and the ACL,

@@ -14,9 +14,9 @@
 // to one queue do not serialize (docs/PERF.md §6): Post reserves a position
 // with one CAS on the produced counter and stamps the slot seqlock-style —
 // writeStamp while the payload is in flight, doneStamp once it is visible.
-// The mutex is kept only for the consumer, the full-queue overwrite path,
-// and Close. Blocking consumers have one wait path, the Parker (parker.go),
-// which core's counting events share.
+// The mutex is kept only for the consumer and the full-queue overwrite path.
+// Blocking consumers have one wait path, the Parker (parker.go), which core's
+// counting events share.
 package eventq
 
 import (
@@ -78,12 +78,12 @@ type Queue struct {
 	consumed atomic.Uint64
 	closed   atomic.Bool
 
-	mu sync.Mutex // consumer, overwrite, and Close paths
+	mu sync.Mutex // consumer and overwrite paths
 	// overrun records that a Post overwrote unconsumed events since the
 	// last Get.
 	//lint:guardedby mu
 	overrun bool
-	park    Parker // every publish wakes it; Close closes it
+	park    *Parker // every publish wakes it; Close closes it
 }
 
 // New allocates a queue with the given number of event slots. Sizes below
@@ -104,30 +104,18 @@ func (q *Queue) Cap() int { return len(q.ring) }
 //
 //lint:noalloc the delivery engine posts events on every message
 func (q *Queue) Post(ev Event) {
-	if q.closed.Load() {
-		return
-	}
-	n := uint64(len(q.ring))
-	for {
-		pos := q.produced.Load()
-		if pos-q.consumed.Load() >= n {
-			q.postFull(ev)
-			return
-		}
-		if q.produced.CompareAndSwap(pos, pos+1) {
-			q.publish(pos, ev)
-			return
-		}
+	if !q.PostIfSpace(ev) {
+		q.postFull(ev)
 	}
 }
 
 // publish writes position pos's event into its slot and makes it visible.
 // The caller owns pos (it won the CAS, or holds mu on the overwrite path).
-func (q *Queue) publish(pos uint64, ev Event) {
+func (q *Queue) publish(pos uint64, ev *Event) {
 	sl := &q.ring[pos%uint64(len(q.ring))]
 	sl.seq.Store(writeStamp(pos))
 	ev.Sequence = pos
-	sl.ev = ev
+	sl.ev = *ev
 	sl.seq.Store(doneStamp(pos))
 	posted.Add(1)
 	trace.Record(trace.StageEventPost,
@@ -150,7 +138,7 @@ func (q *Queue) postFull(ev Event) {
 		pos := q.produced.Load()
 		if pos-q.consumed.Load() >= n {
 			// Drop the oldest pending event. Its writer may still be in
-			// flight (a reservation between stamps); wait for it so the
+			// flight (a reservation not yet published); wait for it so the
 			// victim's slot write cannot tear ours. Holding mu here is fine:
 			// publishing never takes mu.
 			c := q.consumed.Load()
@@ -163,7 +151,7 @@ func (q *Queue) postFull(ev Event) {
 			overwritten.Add(1)
 		}
 		if q.produced.CompareAndSwap(pos, pos+1) {
-			q.publish(pos, ev)
+			q.publish(pos, &ev)
 			return
 		}
 	}
@@ -179,19 +167,15 @@ func (q *Queue) postFull(ev Event) {
 //lint:noalloc ack/reply event posting rides the delivery path
 func (q *Queue) PostIfSpace(ev Event) bool {
 	r, ok := q.ReserveIfSpace()
-	if !ok {
-		return false
-	}
-	r.Publish(ev)
-	return true
+	r.Publish(ev) // inert unless ok
+	return ok
 }
 
 // Reservation is a claimed event slot awaiting its event. The zero value
 // is inert (Publish is a no-op).
 type Reservation struct {
-	q      *Queue
-	pos    uint64
-	active bool
+	q   *Queue // nil: inert
+	pos uint64
 }
 
 // ReserveIfSpace atomically claims the next event slot if the queue has
@@ -214,8 +198,7 @@ func (q *Queue) ReserveIfSpace() (r Reservation, ok bool) {
 			return Reservation{}, false
 		}
 		if q.produced.CompareAndSwap(pos, pos+1) {
-			q.ring[pos%n].seq.Store(writeStamp(pos))
-			return Reservation{q: q, pos: pos, active: true}, true
+			return Reservation{q: q, pos: pos}, true
 		}
 	}
 }
@@ -224,8 +207,8 @@ func (q *Queue) ReserveIfSpace() (r Reservation, ok bool) {
 //
 //lint:noalloc completes ReserveIfSpace on the delivery path
 func (r Reservation) Publish(ev Event) {
-	if r.active {
-		r.q.publish(r.pos, ev) // restamps the slot ReserveIfSpace left open: same value
+	if r.q != nil {
+		r.q.publish(r.pos, &ev)
 	}
 }
 
@@ -257,70 +240,69 @@ func (q *Queue) Pending() int {
 // subsequent Gets behave normally. ErrClosed after Close once drained.
 //
 //lint:noalloc the consumer's side of every completion
-func (q *Queue) Get() (Event, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.getLocked()
+func (q *Queue) Get() (ev Event, err error) {
+	err = q.get(&ev)
+	return ev, err
 }
 
-//lint:requires mu
-func (q *Queue) getLocked() (Event, error) {
+// get is Get filling *ev in place, left untouched unless an event is taken.
+func (q *Queue) get(ev *Event) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	c := q.consumed.Load()
 	if c == q.produced.Load() {
 		if q.closed.Load() {
-			return Event{}, types.ErrClosed
+			return types.ErrClosed
 		}
-		return Event{}, types.ErrEQEmpty
+		return types.ErrEQEmpty
 	}
-	n := uint64(len(q.ring))
-	sl := &q.ring[c%n]
+	sl := &q.ring[c%uint64(len(q.ring))]
 	// The position is claimed but its event may still be in flight
 	// (between stamps); wait for the publish. Publishing never takes mu,
 	// so spinning under mu cannot deadlock.
 	for sl.seq.Load() != doneStamp(c) {
 		runtime.Gosched()
 	}
-	ev := sl.ev
+	*ev = sl.ev
 	q.consumed.Store(c + 1)
 	if q.overrun {
 		// Overrun: older events were overwritten since the last Get.
 		q.overrun = false
-		return ev, types.ErrEQDropped
+		return types.ErrEQDropped
 	}
-	return ev, nil
+	return nil
 }
 
 // Wait blocks until an event is available (or the queue is closed) and
 // returns it, with the same ErrEQDropped convention as Get.
 //
 //lint:noalloc a blocking EQWait costs the application no allocation
-func (q *Queue) Wait() (Event, error) { return q.wait(0) }
+func (q *Queue) Wait() (ev Event, err error) {
+	err = q.wait(&ev, 0)
+	return ev, err
+}
 
 // Poll waits up to d for an event. On timeout it returns ErrEQEmpty.
 // A non-positive d makes Poll equivalent to Get.
 //
 //lint:noalloc a blocking EQPoll costs the application no allocation
-func (q *Queue) Poll(d time.Duration) (Event, error) {
+func (q *Queue) Poll(d time.Duration) (ev Event, err error) {
 	if d <= 0 {
 		return q.Get()
 	}
-	return q.wait(d)
+	err = q.wait(&ev, d)
+	return ev, err
 }
 
-// wait is Wait (d <= 0) and Poll. Several consumers may block at once: one
-// that leaves with events still pending wakes the next.
-func (q *Queue) wait(d time.Duration) (Event, error) {
-	var w Wait
+// wait is Wait (d <= 0) and Poll; after Close a late event beats ErrClosed.
+func (q *Queue) wait(ev *Event, d time.Duration) error {
+	w := q.park.Begin()
 	for {
-		ev, err := q.Get()
-		if err != types.ErrEQEmpty {
-			q.park.End(&w, q.Pending() > 0)
-			return ev, err
+		if err := q.get(ev); err != types.ErrEQEmpty {
+			return err
 		}
-		if err := q.park.Park(&w, d); err == types.ErrTimeout {
-			return Event{}, types.ErrEQEmpty
-		} else if err != nil {
-			return q.Get() // closed: a late event still beats ErrClosed
+		if q.park.Park(&w, d) == types.ErrTimeout {
+			return types.ErrEQEmpty
 		}
 	}
 }
@@ -329,19 +311,8 @@ func (q *Queue) wait(d time.Duration) (Event, error) {
 // Get and Wait return ErrClosed. A Post racing Close may still land; that
 // is the same window a hardware event queue has.
 func (q *Queue) Close() {
-	q.mu.Lock()
-	if q.closed.Load() {
-		q.mu.Unlock()
-		return
-	}
 	q.closed.Store(true)
-	q.mu.Unlock()
 	q.park.Close()
-}
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool {
-	return q.closed.Load()
 }
 
 // Process-wide event-ring telemetry. Package-level (rather than per-queue)

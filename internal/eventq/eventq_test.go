@@ -186,9 +186,6 @@ func TestCloseDrainsPendingFirst(t *testing.T) {
 	if _, err := q.Get(); !errors.Is(err, types.ErrClosed) {
 		t.Errorf("Get drained after close = %v, want ErrClosed", err)
 	}
-	if !q.Closed() {
-		t.Error("Closed() = false")
-	}
 }
 
 func TestPostAfterCloseIgnored(t *testing.T) {

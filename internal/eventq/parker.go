@@ -2,100 +2,135 @@ package eventq
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/types"
 )
 
 // Parker is the one way a completion wait blocks — Queue.Wait/Poll here,
-// CTWait in core: a one-token wake-up channel rather than a condition
-// variable, so a waiter can honour a timeout and a Close without
-// sleep-polling. Producers Wake after publishing; a waiter loops
-// { check its condition; Park } and leaves through End, which passes the
-// token on when more is pending, so one token never strands a second waiter.
+// CTWait in core. A waiter takes a Wait from Begin, then loops { check its
+// condition; Park }. Producers Wake after publishing, and a Wake releases
+// every parked waiter to re-check its own condition, so none strands another.
+// A parked waiter sleeps on one channel receive: its timeout and Close reach
+// it as Wakes too, the timeout from the Parker's one timer, armed for the
+// earliest deadline of any waiter that parked since it last fired.
+//
+//lint:lockrank Queue.mu < Parker.mu
 type Parker struct {
-	notify chan struct{} // capacity 1: a wake-up is pending
-	done   chan struct{} // closed by Close
+	gen     atomic.Int64           // bumped by every Wake
+	waiters atomic.Pointer[waiter] // parked, each woken once; stored under mu
+
+	mu     sync.Mutex
+	free   *waiter //lint:guardedby mu  nodes of waiters that left
+	armed  int64   //lint:guardedby mu  the timer's pending deadline, ns since epoch; 0: none
+	closed bool    //lint:guardedby mu
+	timer  *time.Timer
 }
 
-func NewParker() Parker {
-	return Parker{notify: make(chan struct{}, 1), done: make(chan struct{})}
+// waiter is one parked waiter's wake-up channel (capacity 1), kept for reuse.
+type waiter struct {
+	wake chan struct{}
+	next *waiter
 }
 
-// Wake leaves at most one wake-up token and never blocks.
+// NewParker makes a Parker, its timer and the node of its first waiter.
+func NewParker() *Parker {
+	p := &Parker{free: &waiter{wake: make(chan struct{}, 1)}}
+	p.timer = time.AfterFunc(time.Hour, func() {
+		p.mu.Lock()
+		p.armed = 0 // fired: whoever parks next arms it, each woken waiter re-parks
+		p.mu.Unlock()
+		p.Wake()
+	})
+	p.timer.Stop()
+	return p
+}
+
+// epoch is what deadlines count from: monotonic, and past 0 once anything waits.
+var epoch = time.Now()
+
+// Wake releases every parked waiter and never blocks; with nobody parked it
+// is an atomic add and one load.
 //
 //lint:noalloc runs per posted event and per counted completion, on the delivery path
 func (p *Parker) Wake() {
-	select {
-	case p.notify <- struct{}{}:
-	default: // a token is already pending; whoever takes it re-checks
+	p.gen.Add(1)
+	if p.waiters.Load() == nil {
+		return
 	}
+	p.mu.Lock()
+	for n := p.waiters.Swap(nil); n != nil; n = n.next {
+		select {
+		case n.wake <- struct{}{}:
+		default: // unreachable: a node is woken once per registration
+		}
+	}
+	p.mu.Unlock()
 }
 
-// Close releases every waiter, parked now or later. Call it once.
-func (p *Parker) Close() { close(p.done) }
+// Close releases every waiter, parked now or later.
+func (p *Parker) Close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.timer.Stop()
+	p.Wake()
+}
 
-// Wait is what one blocking call keeps across its Parks: the timeout armed
-// the first time it had to block, so a wait that finds its event arms none.
-type Wait struct{ to *timeout }
+// Wait is what one blocking call keeps across its Parks: the generation its
+// last check saw, and its deadline since epoch, fixed when it first parks.
+type Wait struct{ gen, deadline int64 }
 
-// Park blocks until a Wake (nil: check the condition again), the Close
-// (ErrClosed) or d after this Wait first parked (ErrTimeout; d <= 0 never).
-// After an error there is nothing left to End.
+// Begin starts a wait; call it before the first check of the condition.
+func (p *Parker) Begin() Wait { return Wait{gen: p.gen.Load()} }
+
+// Park blocks until the condition may have changed: a Wake since the last
+// check, the timeout or the Close (nil: check again). It returns ErrTimeout
+// once d has passed since this Wait first parked (d <= 0: never), ErrClosed
+// after Close.
 //
 //lint:noalloc every blocking EQWait, EQPoll and CTWait parks here
 func (p *Parker) Park(w *Wait, d time.Duration) error {
-	var expired <-chan struct{}
+	var now int64
 	if d > 0 {
-		if w.to == nil {
-			//lint:ignore noalloc pool miss is warm-up; the steady state reuses a stopped, drained timer
-			w.to = timeouts.Get().(*timeout)
-			w.to.t.Reset(d)
+		if now = int64(time.Since(epoch)); w.deadline == 0 {
+			w.deadline = now + int64(d)
+		} else if now >= w.deadline {
+			return types.ErrTimeout
 		}
-		expired = w.to.fired
 	}
-	select {
-	case <-p.notify:
-		return nil
-	case <-expired:
-		timeouts.Put(w.to) // fired and received: stopped and drained already
-		w.to = nil
-		return types.ErrTimeout
-	case <-p.done:
-		p.End(w, false)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return types.ErrClosed
 	}
-}
-
-// End finishes a wait: its timeout goes back to the pool stopped and drained,
-// and with more pending the token goes on to the next waiter.
-//
-//lint:noalloc the tail of every satisfied wait
-func (p *Parker) End(w *Wait, more bool) {
-	if to := w.to; to != nil {
-		w.to = nil
-		if !to.t.Stop() {
-			<-to.fired // fired unreceived: its one token is in the channel, or about to be
-		}
-		timeouts.Put(to)
+	n := p.free
+	if n == nil {
+		//lint:ignore noalloc more waiters parked at once than this Parker had: warm-up, the node is kept
+		n = &waiter{wake: make(chan struct{}, 1)}
 	}
-	if more {
-		p.Wake()
+	// Listed before the generation is compared: a racing Wake either bumped
+	// it before this load or sees this waiter, and takes mu after.
+	p.free, n.next = n.next, p.waiters.Load()
+	p.waiters.Store(n)
+	if g := p.gen.Load(); g != w.gen {
+		p.waiters.Store(n.next)
+		n.next, p.free = p.free, n
+		p.mu.Unlock()
+		w.gen = g
+		return nil
 	}
+	// Later only once fired: a due, unfired timer is other waiters' wake-up.
+	if d > 0 && (p.armed == 0 || w.deadline < p.armed) {
+		p.armed = w.deadline
+		p.timer.Reset(time.Duration(w.deadline - now))
+	}
+	p.mu.Unlock()
+	<-n.wake
+	w.gen = p.gen.Load()
+	p.mu.Lock()
+	n.next, p.free = p.free, n
+	p.mu.Unlock()
+	return nil
 }
-
-// timeout is a pooled func timer firing into its own channel. Func timers
-// kept one Stop contract across Go 1.23 (go.mod says 1.22, the toolchain may
-// not): Stop reports false exactly when the func has been started, and the
-// func sends exactly once, so every way out of a wait leaves fired empty.
-type timeout struct {
-	t     *time.Timer
-	fired chan struct{} // capacity 1
-}
-
-var timeouts = sync.Pool{New: func() any {
-	to := &timeout{fired: make(chan struct{}, 1)}
-	to.t = time.AfterFunc(time.Hour, func() { to.fired <- struct{}{} })
-	to.t.Stop() // pooled timeouts are stopped; Park arms them with Reset
-	return to
-}}

@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/types"
 )
 
-// One wake-up token must serve any number of consumers: a consumer that
-// leaves with events still pending passes the token on. Without that, two
-// consumers that both found the queue empty and had not parked yet shared the
-// single token two posts left, and the slower one slept beside its event until
+// N consumers, N posts: every consumer gets an event, wherever it is between
+// its first Get and its Park when the posts land. With a one-token wake-up,
+// two consumers that both found the queue empty and had not parked yet shared
+// the token two posts left, and the slower one slept beside its event until
 // the next post or its timeout.
 func TestNoConsumerStrandedBesideAnEvent(t *testing.T) {
 	const consumers = 4
@@ -45,33 +44,113 @@ func TestNoConsumerStrandedBesideAnEvent(t *testing.T) {
 	}
 }
 
-// The same interleaving step by step, on the parker itself: both consumers
-// have found the queue empty and neither has parked when two posts arrive.
-func TestEndPassesTheTokenOn(t *testing.T) {
-	q := New(4)
-	var a, b Wait
-	q.Post(ev(1))
-	q.Post(ev(2)) // finds the first post's token still pending: one token for two events
-	if err := q.park.Park(&a, time.Second); err != nil {
-		t.Fatal(err)
+// parked counts the waiters on p's list: each has found its condition unmet
+// and sleeps once mu is free.
+func parked(p *Parker) (n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for w := p.waiters.Load(); w != nil; w = w.next {
+		n++
 	}
-	if _, err := q.Get(); err != nil {
-		t.Fatal(err)
-	}
-	q.park.End(&a, q.Pending() > 0) // how Queue.wait leaves
-	start := time.Now()
-	if err := q.park.Park(&b, 2*time.Second); err != nil || time.Since(start) > time.Second {
-		t.Fatalf("second consumer parked beside a pending event: err %v after %v", err, time.Since(start))
+	return n
+}
+
+// waitParked returns once n waiters are on p's list.
+func waitParked(t *testing.T, p *Parker, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); parked(p) != n; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters parked", parked(p), n)
+		}
 	}
 }
 
-// A timeout that fired while the consumer was being woken must not leak into
-// the pooled timer's next use as an early expiry.
-func TestPooledTimeoutStartsClean(t *testing.T) {
+// poller runs Poll (d > 0) or Wait (d == 0) on its own goroutine.
+func poller(q *Queue, d time.Duration) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		if d > 0 {
+			_, err = q.Poll(d)
+		} else {
+			_, err = q.Wait()
+		}
+		done <- err
+	}()
+	return done
+}
+
+// The interleaving step by step, on the parker itself: one Wake reaches
+// every waiter — both that have checked and not parked yet, and both parked.
+func TestWakeReachesEveryWaiter(t *testing.T) {
+	p := NewParker()
+	a, b := p.Begin(), p.Begin()
+	p.Wake() // one wake-up, two waiters between their check and their Park
+	for _, w := range []*Wait{&a, &b} {
+		if err := p.Park(w, time.Second); err != nil {
+			t.Fatalf("Park after a Wake since the check = %v", err)
+		}
+	}
+	done := make(chan error, 2)
+	for _, w := range []Wait{a, b} {
+		go func(w Wait) { done <- p.Park(&w, 0) }(w)
+	}
+	waitParked(t, p, 2)
+	p.Wake()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("woken Park = %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("one Wake left a parked waiter asleep")
+		}
+	}
+}
+
+// A short Poll parked beside a long one times out on its own deadline, in
+// either order of parking, and its timeout does not end the long one.
+func TestPollTimesOutOnItsOwnDeadline(t *testing.T) {
+	const short = 20 * time.Millisecond
+	for _, shortFirst := range []bool{false, true} {
+		q := New(4)
+		var long, brief <-chan error
+		start := time.Now()
+		if shortFirst {
+			brief = poller(q, short)
+			waitParked(t, q.park, 1)
+			long = poller(q, time.Minute)
+		} else {
+			long = poller(q, time.Minute)
+			waitParked(t, q.park, 1)
+			start = time.Now()
+			brief = poller(q, short)
+		}
+		select {
+		case err := <-brief:
+			waited := time.Since(start)
+			if !errors.Is(err, types.ErrEQEmpty) || waited < short || waited > time.Second {
+				t.Errorf("short first %v: a %v Poll returned %v after %v", shortFirst, short, err, waited)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("short first %v: a %v Poll beside a minute-long one never timed out", shortFirst, short)
+		}
+		waitParked(t, q.park, 1) // the long Poll, woken by the timer or not, is parked again
+		q.Post(ev(1))
+		if err := <-long; err != nil {
+			t.Errorf("short first %v: the long Poll returned %v, want the event", shortFirst, err)
+		}
+	}
+}
+
+// A timer armed for an earlier wait and firing during a later one must not
+// end the later one early.
+func TestStaleDeadlineEndsNoLaterPoll(t *testing.T) {
 	q := New(4)
 	for i := 0; i < 100; i++ {
 		// Post lands about when the 50µs timeout does: every interleaving of
-		// "woken", "fired" and "stopped" gets exercised over the runs.
+		// "woken", "fired" and "re-armed" gets exercised over the runs.
 		go func() {
 			time.Sleep(50 * time.Microsecond)
 			q.Post(ev(0))
@@ -91,13 +170,28 @@ func TestPooledTimeoutStartsClean(t *testing.T) {
 	}
 }
 
-// TestPollAllocs holds every way out of a blocking Poll — woken by a post,
-// timed out, released by Close — to zero allocations once the timeout pool is
-// warm: what is left of a completion wait is two timer-heap operations.
-func TestPollAllocs(t *testing.T) {
-	if bufpool.RaceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
+// Close releases every parked waiter, with a timeout or without.
+func TestCloseReleasesEveryParkedWaiter(t *testing.T) {
+	q := New(4)
+	waiters := []<-chan error{poller(q, 0), poller(q, time.Minute), poller(q, 0)}
+	waitParked(t, q.park, len(waiters))
+	q.Close()
+	for i, w := range waiters {
+		select {
+		case err := <-w:
+			if !errors.Is(err, types.ErrClosed) {
+				t.Errorf("waiter %d returned %v, want ErrClosed", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("waiter %d still parked after Close", i)
+		}
 	}
+}
+
+// TestPollAllocs holds every way out of a blocking Poll — woken by a post,
+// timed out alone or beside a waiter holding the armed deadline, released by
+// Close — to zero allocations once each Parker has a node per waiter.
+func TestPollAllocs(t *testing.T) {
 	const runs = 200
 
 	t.Run("woken", func(t *testing.T) {
@@ -125,8 +219,7 @@ func TestPollAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("timed out", func(t *testing.T) {
-		q := New(4)
+	timedOut := func(t *testing.T, q *Queue) {
 		expire := func() {
 			if _, err := q.Poll(20 * time.Microsecond); !errors.Is(err, types.ErrEQEmpty) {
 				t.Fatalf("Poll = %v, want ErrEQEmpty", err)
@@ -138,6 +231,15 @@ func TestPollAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(runs, expire); got != 0 {
 			t.Errorf("a Poll that times out allocates %.2f objects, want 0", got)
 		}
+	}
+	t.Run("timed out", func(t *testing.T) { timedOut(t, New(4)) })
+	t.Run("timed out beside a longer wait", func(t *testing.T) {
+		q := New(4)
+		long := poller(q, time.Hour) // holds the armed deadline throughout
+		waitParked(t, q.park, 1)
+		timedOut(t, q)
+		q.Close()
+		<-long
 	})
 
 	t.Run("closed", func(t *testing.T) {
@@ -169,4 +271,29 @@ func TestPollAllocs(t *testing.T) {
 			t.Errorf("a Poll released by Close allocates %.2f objects, want 0", got)
 		}
 	})
+}
+
+// BenchmarkPollWake is the hand-off every blocking completion pays, in the
+// shape of the benchmark ladder's eventq.poll_wake_ns: two goroutines bounce
+// an event between two queues, each parked in Poll between rounds. One op is
+// a round trip, two hand-offs.
+func BenchmarkPollWake(b *testing.B) {
+	there, back := New(16), New(16)
+	defer there.Close()
+	go func() { // echo
+		for {
+			if _, err := there.Poll(time.Minute); err != nil {
+				return
+			}
+			back.Post(ev(0))
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		there.Post(ev(0))
+		if _, err := back.Poll(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
