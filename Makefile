@@ -97,15 +97,18 @@ trace-smoke coll-smoke:
 	$$tmp/tracecheck $(REQUIRE) -trace $$tmp/trace.json -metrics $$tmp/metrics.prom; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
-# alloc-smoke runs every testing.AllocsPerRun test — the zero-allocation
-# claims of the wire codec, the delivery engine, the lane dispatch, the
+# alloc-smoke runs every testing.AllocsPerRun test. These tests are the
+# zero-allocation contract: a path is claimed allocation-free only where one
+# of them runs it (docs/LINT.md names the test for each former noalloc root).
+# They cover the wire codec, the delivery engine, the lane dispatch, the
 # flight recorder, the metrics hot path, the buffer queue, a packet by
 # reference through a simnet link, the rtscts+simnet byte path, a 256 KiB put
-# placed fragment by fragment into its descriptor,
-# the tcp round trip, every way out of a blocking eventq.Poll and the whole
-# Portals small-message round trip — three times over at
-# GOMAXPROCS=1 and 2: a pooled path that only holds on one P, or only on a
-# lucky first run, fails here rather than in a benchmark.
+# placed fragment by fragment into its descriptor, the tcp round trip, every
+# way out of a blocking eventq.Poll, and the whole Portals round trip: a
+# small put, a get and its reply, a put into an accumulate descriptor, and a
+# put fired by a triggered operation on the delivery lane. Each runs three
+# times over at GOMAXPROCS=1 and 2: a pooled path that only holds on one P,
+# or only on a lucky first run, fails here rather than in a benchmark.
 ALLOCPKGS = ./internal/core ./internal/wire ./internal/nicsim ./internal/rtscts ./internal/transport/simnet ./internal/transport/tcp ./internal/bufpool ./internal/obs/trace ./internal/obs/metrics ./internal/eventq ./portals
 alloc-smoke:
 	GOMAXPROCS=1 $(GO) test -count=3 -run 'Allocs' $(ALLOCPKGS)

@@ -168,8 +168,8 @@ func BenchmarkTranslateWildcard(b *testing.B) {
 // counting-event advance — the atomic increment plus armed-threshold
 // check that runs per counted completion on the delivery lanes
 // (core/ct.go ctInc). Triggered ops sit armed at unreachable thresholds
-// so the measured cost is the common no-fire case; zero allocs is the
-// portalsvet noalloc contract, asserted here dynamically too.
+// so the measured cost is the common no-fire case; the zero-allocation
+// contract is portals.TestRoundTripAllocs/triggered's, reported here too.
 func BenchmarkCTIncrement(b *testing.B) {
 	m := portals.NewMachine(portals.Loopback())
 	defer m.Close()

@@ -182,11 +182,9 @@ func (a *Arena[T]) Put(p *T) {
 	defer a.mu.Unlock()
 	a.live--
 	if a.gate != nil {
-		//lint:ignore noalloc limbo push on entry release (teardown); the limbo list amortizes to arena occupancy
 		a.limbo = append(a.limbo, p)
 		return
 	}
-	//lint:ignore noalloc free-list push on entry release (teardown), as above
 	a.free = append(a.free, p)
 }
 

@@ -73,7 +73,6 @@ func (b *Buf) Reused() bool { return !b.fresh }
 // than resurrect it. Retain of nil is nil, as Release of nil is nothing.
 //
 //lint:returns-owned
-//lint:noalloc one atomic add
 func (b *Buf) Retain() *Buf {
 	if b != nil && b.refs.Add(1) <= 1 {
 		panic(refError{op: "Retain", class: b.class})
@@ -86,8 +85,6 @@ func (b *Buf) Retain() *Buf {
 // The caller must not touch Bytes afterwards; the next Get may hand the same
 // memory to another goroutine. A Release beyond the last reference would put
 // the same memory in the pool twice, for two later owners; it panics.
-//
-//lint:noalloc the release path returns memory; it must not create any
 func (b *Buf) Release() {
 	if b == nil {
 		return
@@ -131,18 +128,17 @@ func classFor(n int) int {
 
 // Get returns a buffer of length n, reusing pooled memory when a buffer of
 // n's size class is available.
-//
-//lint:noalloc steady state is pool hits; the misses below are the warmup
 func Get(n int) *Buf {
 	gets.Add(1)
 	if n > maxPooled {
-		//lint:ignore noalloc jumbo buffers are deliberately unpooled; callers sized for the fast path never hit this
+		// Jumbo buffers are deliberately unpooled; callers sized for the fast
+		// path never hit this.
 		b := &Buf{b: make([]byte, n), class: -1, fresh: true}
 		b.refs.Store(1)
 		return b
 	}
 	c := classFor(n)
-	//lint:ignore noalloc the pools have no New hook; Pool.Get here only reuses (a nil return is the miss below)
+	// The pools have no New hook: a nil Get is the miss below.
 	if v := classes[c].Get(); v != nil {
 		b := v.(*Buf)
 		b.b = b.b[:n]
@@ -151,7 +147,7 @@ func Get(n int) *Buf {
 		hits.Add(1)
 		return b
 	}
-	//lint:ignore noalloc pool miss: the one-time warmup allocation the steady state amortizes away
+	// A miss is the warm-up allocation the steady state amortizes away.
 	b := &Buf{b: make([]byte, n, 1<<(minClassBits+c)), class: int8(c), fresh: true}
 	b.refs.Store(1)
 	return b

@@ -50,7 +50,8 @@ func (q *Queue) grow() {
 	if size == 0 {
 		size = 8
 	}
-	//lint:ignore noalloc the ring grows only when the backlog outgrows it; a steady queue reuses its slots
+	// The ring grows only when the backlog outgrows it; a steady queue
+	// reuses its slots.
 	ring := make([]*Buf, size)
 	for i := 0; i < q.n; i++ {
 		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]

@@ -20,8 +20,6 @@ type Incoming struct {
 // Semantics are identical to calling HandleIncomingInto per message:
 // responses appear in message order, so per-(initiator, target) ordering
 // (§4.1) is preserved for the returned traffic too.
-//
-//lint:noalloc the lane-batched delivery path
 func (s *State) HandleIncomingBatch(batch []Incoming, out []Outbound) []Outbound {
 	for i := range batch {
 		out = s.HandleIncomingInto(&batch[i].H, batch[i].Payload, out)

@@ -139,8 +139,6 @@ func (c *ctr) close() int {
 // heap objects (never arena recycled), so as with event queues no pins
 // window is needed: a stale handle simply misses and the completion goes
 // uncounted, the same way an event for a vanished queue is dropped.
-//
-//lint:noalloc counter resolution runs per counted completion
 func (s *State) ctRes(h types.Handle) *ctr {
 	if !h.IsValid() {
 		return nil
@@ -151,8 +149,6 @@ func (s *State) ctRes(h types.Handle) *ctr {
 
 // ctDelta returns the success increment one counted completion contributes:
 // 1 operation, or mlength bytes under MDCTBytes.
-//
-//lint:noalloc per-completion arithmetic on the delivery path
 func ctDelta(opts types.MDOptions, mlength uint64) uint64 {
 	if opts&types.MDCTBytes != 0 {
 		return mlength
@@ -165,8 +161,6 @@ func ctDelta(opts types.MDOptions, mlength uint64) uint64 {
 // application-facing CTInc/CTSet. Atomics only; if the new success value
 // reaches the lowest armed threshold the counter is queued for the next
 // FireTriggered drain (it never fires inline — see the package comment).
-//
-//lint:noalloc counter increments ride the per-message delivery path
 func (s *State) ctInc(c *ctr, succ, fail uint64) {
 	var v uint64
 	if succ != 0 {
@@ -186,7 +180,7 @@ func (s *State) ctInc(c *ctr, succ, fail uint64) {
 // the counter named by ct, if the enabling bit is set. The no-CT case is
 // a single branch (invalid handle short-circuits before the table lookup).
 //
-//lint:noalloc completion-to-counter routing on the delivery path
+// Completion-to-counter routing runs on the delivery path.
 func (s *State) ctIncMD(ct types.Handle, opts, want types.MDOptions, mlength uint64) {
 	if opts&want == 0 {
 		return
@@ -202,7 +196,7 @@ func (s *State) ctIncMD(ct types.Handle, opts, want types.MDOptions, mlength uin
 // once: the pendingFlag CAS makes concurrent crossings idempotent, and the
 // Treiber push publishes pendNext via the stack head's release store.
 //
-//lint:noalloc triggered-op scheduling rides the delivery path
+// Triggered-operation scheduling rides the delivery path.
 func (s *State) pushPending(c *ctr) {
 	if !c.pendingFlag.CompareAndSwap(false, true) {
 		return
@@ -225,8 +219,6 @@ func (s *State) pushPending(c *ctr) {
 // caused the crossing). The loop re-swaps until the stack stays empty so
 // TriggeredCTInc cascades launched by a fire are executed in the same
 // drain, on the same goroutine.
-//
-//lint:noalloc the firing path runs inside the delivery lanes
 func (s *State) FireTriggered(out []Outbound) []Outbound {
 	for s.trigPending.Load() != nil {
 		head := s.trigPending.Swap(nil)
@@ -246,8 +238,6 @@ func (s *State) FireTriggered(out []Outbound) []Outbound {
 // counter instead of being lost; ctr.mu is released around each execution
 // so firing takes descriptor/portal locks with no lock-order edge from
 // ctr.mu (it is always the only lock held).
-//
-//lint:noalloc threshold scan on the firing path
 func (s *State) fireCounter(c *ctr, out []Outbound) []Outbound {
 	c.mu.Lock()
 	c.pendingFlag.Store(false)
@@ -278,7 +268,7 @@ func (s *State) fireCounter(c *ctr, out []Outbound) []Outbound {
 // closed) is dropped and counted — there is no initiator to surface the
 // error to, which is the same posture §4.8 takes for stale acks/replies.
 //
-//lint:noalloc triggered operations execute on the delivery lanes
+// Triggered operations execute on the delivery lanes.
 func (s *State) fireOp(op *trigOp, out []Outbound) []Outbound {
 	if trace.Enabled() {
 		trace.Record(trace.StageTrigFire,
@@ -292,7 +282,6 @@ func (s *State) fireOp(op *trigOp, out []Outbound) []Outbound {
 			return out
 		}
 		s.counters.TrigFired()
-		//lint:ignore noalloc amortized append into the lane's reusable scratch, as on the ack path
 		return append(out, o)
 	case trigGet:
 		o, err := s.startGet(op.md, op.target, op.ptl, op.cookie, op.bits, op.offset)
@@ -301,7 +290,6 @@ func (s *State) fireOp(op *trigOp, out []Outbound) []Outbound {
 			return out
 		}
 		s.counters.TrigFired()
-		//lint:ignore noalloc amortized append into the lane's reusable scratch, as on the ack path
 		return append(out, o)
 	case trigCTInc:
 		c := s.ctRes(op.ct)
@@ -356,7 +344,6 @@ func (s *State) lookupCT(h types.Handle) (*ctr, error) {
 	}
 	c, ok := s.cts.lookup(h)
 	if !ok {
-		//lint:ignore noalloc stale-handle path: the error names the handle
 		return nil, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	return c, nil
@@ -416,8 +403,6 @@ func (s *State) CTArmed(h types.Handle) (int, error) {
 // returning the value read. A non-zero failure count observed first
 // returns the value with ErrCTFailure; a freed counter or closed state
 // returns ErrClosed. timeout <= 0 waits forever; otherwise ErrTimeout.
-//
-//lint:noalloc a blocking CTWait costs the application no allocation
 func (s *State) CTWait(h types.Handle, threshold uint64, timeout time.Duration) (types.CTValue, error) {
 	c, err := s.lookupCT(h)
 	if err != nil {
@@ -430,11 +415,9 @@ func (s *State) CTWait(h types.Handle, threshold uint64, timeout time.Duration) 
 			return v, nil
 		}
 		if v.Failure != 0 {
-			//lint:ignore noalloc failure path: the error carries what was read
 			return v, fmt.Errorf("%w: %v waiting for %d", types.ErrCTFailure, v, threshold)
 		}
 		if err := c.park.Park(&w, timeout); err == types.ErrTimeout {
-			//lint:ignore noalloc timeout path: the error carries what was read
 			return v, fmt.Errorf("%w: %v after %v waiting for %d", err, v, timeout, threshold)
 		} else if err != nil {
 			return v, err

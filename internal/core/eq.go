@@ -44,8 +44,6 @@ func (s *State) EQFree(h types.Handle) error {
 // path with any lock held. Queues are ordinary heap objects (never arena
 // recycled), so no pins window is needed: a stale handle simply misses,
 // and §4.8 says an event for a vanished queue is dropped.
-//
-//lint:noalloc event-queue resolution runs per delivered message
 func (s *State) eqRes(h types.Handle) *eventq.Queue {
 	if !h.IsValid() {
 		return nil
@@ -60,8 +58,6 @@ func (s *State) eqRes(h types.Handle) *eventq.Queue {
 // eqFor resolves a handle to its queue. Retained as the historical name
 // for call sites outside the resource files; identical to eqRes now that
 // resolution is lock-free.
-//
-//lint:noalloc alias of eqRes on the delivery path
 func (s *State) eqFor(h types.Handle) *eventq.Queue {
 	return s.eqRes(h)
 }

@@ -213,14 +213,12 @@ func (p *portal) indexRemove(me *matchEntry) {
 		if s := seqRemove(p.exact[k], me); len(s) == 0 {
 			delete(p.exact, k)
 		} else {
-			//lint:ignore noalloc match-entry teardown (use-once/unlink), not the steady-state delivery loop
 			p.exact[k] = s
 		}
 	case idxAnyInit:
 		if s := seqRemove(p.anyInit[me.matchBits], me); len(s) == 0 {
 			delete(p.anyInit, me.matchBits)
 		} else {
-			//lint:ignore noalloc match-entry teardown, as on the exact-bucket path
 			p.anyInit[me.matchBits] = s
 		}
 	default:
@@ -243,7 +241,6 @@ func seqInsert(s []*matchEntry, me *matchEntry) []*matchEntry {
 //
 //lint:requires portal.mu/memDesc.owner
 func seqRemove(s []*matchEntry, me *matchEntry) []*matchEntry {
-	//lint:ignore noalloc match-entry teardown; the closure and sort.Search are off the per-message path
 	i := sort.Search(len(s), func(i int) bool { return s[i].seq >= me.seq })
 	for i < len(s) && s[i] != me {
 		i++

@@ -44,8 +44,6 @@ func (s *State) StartPut(md types.Handle, ack types.AckRequest, target types.Pro
 // startPut is StartPut returning bare sentinel errors: it is also the body
 // of a fired TriggeredPut, which runs on the delivery lanes, so the whole
 // function — failure paths included — stays allocation-free.
-//
-//lint:noalloc triggered puts execute this on the delivery lanes (ct.go)
 func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
 	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
 
@@ -115,8 +113,6 @@ func (s *State) StartGet(md types.Handle, target types.ProcessID,
 
 // startGet is StartGet returning bare sentinel errors; like startPut it is
 // the body of a fired TriggeredGet on the delivery lanes.
-//
-//lint:noalloc triggered gets execute this on the delivery lanes (ct.go)
 func (s *State) startGet(md types.Handle, target types.ProcessID,
 	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
 

@@ -77,7 +77,6 @@ func (v ioView) writeAt(offset uint64, src []byte) {
 // concurrent contributions into one slot.
 //
 //lint:requires memDesc.owner/portal.mu
-//lint:noalloc the accumulate delivery step runs per message under the portal lock
 func (v ioView) accumulateF64(offset uint64, src []byte) {
 	for len(src) >= 8 {
 		dst := v.flat[offset : offset+8]

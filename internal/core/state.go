@@ -233,7 +233,7 @@ func (t *slotTable[T]) alloc(v *T) (types.Handle, error) {
 // lookup resolves a handle, verifying its generation — atomic loads only,
 // no locks (the read side of the §7 scheme).
 //
-//lint:noalloc handle resolution runs per message on the delivery path
+// Handle resolution runs per message on the delivery path.
 func (t *slotTable[T]) lookup(h types.Handle) (*T, bool) {
 	if h.Kind != t.kind {
 		return nil, false

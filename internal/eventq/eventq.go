@@ -102,7 +102,7 @@ func (q *Queue) Cap() int { return len(q.ring) }
 // fails; if the queue is full the oldest unconsumed event is overwritten
 // (circular semantics). Post on a closed queue is a no-op.
 //
-//lint:noalloc the delivery engine posts events on every message
+// The delivery engine posts events on every message.
 func (q *Queue) Post(ev Event) {
 	if !q.PostIfSpace(ev) {
 		q.postFull(ev)
@@ -163,8 +163,6 @@ func (q *Queue) postFull(ev Event) {
 // pair, two racing PostIfSpace calls for the last slot cannot both succeed.
 // On a closed queue it returns true and discards the event, matching
 // Post's no-op semantics.
-//
-//lint:noalloc ack/reply event posting rides the delivery path
 func (q *Queue) PostIfSpace(ev Event) bool {
 	r, ok := q.ReserveIfSpace()
 	r.Publish(ev) // inert unless ok
@@ -186,7 +184,7 @@ type Reservation struct {
 // On a closed queue it returns an inert reservation and ok=true, matching
 // Post's closed no-op semantics.
 //
-//lint:noalloc slot reservation is a CAS loop on the delivery path
+// Reservation is a CAS loop on the delivery path.
 func (q *Queue) ReserveIfSpace() (r Reservation, ok bool) {
 	if q.closed.Load() {
 		return Reservation{}, true
@@ -204,8 +202,6 @@ func (q *Queue) ReserveIfSpace() (r Reservation, ok bool) {
 }
 
 // Publish completes a reservation, making the event visible to consumers.
-//
-//lint:noalloc completes ReserveIfSpace on the delivery path
 func (r Reservation) Publish(ev Event) {
 	if r.q != nil {
 		r.q.publish(r.pos, &ev)
@@ -238,8 +234,6 @@ func (q *Queue) Pending() int {
 // lapped the consumer — in that case the returned event IS valid (it is the
 // oldest event that survived) and the consumer has been resynchronized, so
 // subsequent Gets behave normally. ErrClosed after Close once drained.
-//
-//lint:noalloc the consumer's side of every completion
 func (q *Queue) Get() (ev Event, err error) {
 	err = q.get(&ev)
 	return ev, err
@@ -275,8 +269,6 @@ func (q *Queue) get(ev *Event) error {
 
 // Wait blocks until an event is available (or the queue is closed) and
 // returns it, with the same ErrEQDropped convention as Get.
-//
-//lint:noalloc a blocking EQWait costs the application no allocation
 func (q *Queue) Wait() (ev Event, err error) {
 	err = q.wait(&ev, 0)
 	return ev, err
@@ -284,8 +276,6 @@ func (q *Queue) Wait() (ev Event, err error) {
 
 // Poll waits up to d for an event. On timeout it returns ErrEQEmpty.
 // A non-positive d makes Poll equivalent to Get.
-//
-//lint:noalloc a blocking EQPoll costs the application no allocation
 func (q *Queue) Poll(d time.Duration) (ev Event, err error) {
 	if d <= 0 {
 		return q.Get()

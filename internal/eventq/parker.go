@@ -53,7 +53,7 @@ var epoch = time.Now()
 // Wake releases every parked waiter and never blocks; with nobody parked it
 // is an atomic add and one load.
 //
-//lint:noalloc runs per posted event and per counted completion, on the delivery path
+// It runs per posted event and per counted completion, on the delivery path.
 func (p *Parker) Wake() {
 	p.gen.Add(1)
 	if p.waiters.Load() == nil {
@@ -90,7 +90,7 @@ func (p *Parker) Begin() Wait { return Wait{gen: p.gen.Load()} }
 // once d has passed since this Wait first parked (d <= 0: never), ErrClosed
 // after Close.
 //
-//lint:noalloc every blocking EQWait, EQPoll and CTWait parks here
+// Every blocking EQWait, EQPoll and CTWait parks here.
 func (p *Parker) Park(w *Wait, d time.Duration) error {
 	var now int64
 	if d > 0 {
@@ -107,7 +107,8 @@ func (p *Parker) Park(w *Wait, d time.Duration) error {
 	}
 	n := p.free
 	if n == nil {
-		//lint:ignore noalloc more waiters parked at once than this Parker had: warm-up, the node is kept
+		// More waiters parked at once than this Parker had before: warm-up,
+		// the node is kept.
 		n = &waiter{wake: make(chan struct{}, 1)}
 	}
 	// Listed before the generation is compared: a racing Wake either bumped

@@ -190,16 +190,17 @@ func TestCloseReleasesEveryParkedWaiter(t *testing.T) {
 
 // TestPollAllocs holds every way out of a blocking Poll — woken by a post,
 // timed out alone or beside a waiter holding the armed deadline, released by
-// Close — to zero allocations once each Parker has a node per waiter.
+// Close — to zero allocations once each Parker has a node per waiter. The
+// woken case has a Wait, which parks with no deadline, on its other side.
 func TestPollAllocs(t *testing.T) {
 	const runs = 200
 
 	t.Run("woken", func(t *testing.T) {
 		there, back := New(4), New(4)
 		defer there.Close()
-		go func() { // echo: parks in Poll between rounds, like the peer of a ping-pong
+		go func() { // echo: parks in Wait between rounds, like the peer of a ping-pong
 			for {
-				if _, err := there.Poll(10 * time.Second); err != nil {
+				if _, err := there.Wait(); err != nil {
 					return
 				}
 				back.Post(ev(0))
@@ -215,7 +216,7 @@ func TestPollAllocs(t *testing.T) {
 			round()
 		}
 		if got := testing.AllocsPerRun(runs, round); got != 0 {
-			t.Errorf("two blocking Polls and their wake-ups allocate %.2f objects, want 0", got)
+			t.Errorf("a blocking Wait, a blocking Poll and their wake-ups allocate %.2f objects, want 0", got)
 		}
 	})
 

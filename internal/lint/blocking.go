@@ -6,7 +6,7 @@ import (
 )
 
 // This file owns the classification of which calls count as blocking;
-// the facts scanner (summary.go) collects them as effBlock operations.
+// the facts scanner (summary.go) records them in funcFacts.block.
 
 // netBlockingMethods are net-package methods that perform real I/O;
 // Close/Addr accessors are deliberately not listed.

@@ -15,10 +15,10 @@ import (
 //   - dynamic edges: calls through an interface method, resolved to every
 //     module type whose method set satisfies the interface (stdlib
 //     implementations are out of reach and handled by the call-site
-//     classification in blocking.go / the allowlist in summary.go);
+//     classification in blocking.go);
 //   - go edges: the spawned function is recorded but excluded from
 //     same-goroutine fact propagation — launching never blocks the
-//     caller, and the launch itself is already an allocation.
+//     caller.
 
 type edgeKind uint8
 

@@ -10,13 +10,12 @@
 // Three pieces are shared between checks. The facts engine (summary.go,
 // callgraph.go) builds a conservative call graph over every loaded
 // package — static calls, interface calls resolved through module method
-// sets, go/defer edges — and computes per-function may-block /
-// may-allocate / locks-acquired summaries by fixpoint propagation through
-// strongly connected components; reach.go reports what is reachable from
-// a set of roots over it. The structured-flow walker (flow.go) is the one
-// abstract interpreter over Go statements; the lock pass
-// (lockdiscipline.go) and the ownership pass (ownership.go) are transfer
-// functions for it.
+// sets, go/defer edges — and computes per-function may-block and
+// locks-acquired summaries by fixpoint propagation through strongly
+// connected components; reach.go reports what the delivery path reaches
+// over it. The structured-flow walker (flow.go) is the one abstract
+// interpreter over Go statements; the lock pass (lockdiscipline.go) and
+// the ownership pass (ownership.go) are transfer functions for it.
 //
 // The implementation uses only the Go standard library (go/ast, go/parser,
 // go/token, go/types); the module has zero external dependencies and must
@@ -85,12 +84,9 @@ func AllChecks() []Check {
 	fromLockPass := func(p *Program) []Diagnostic { return p.lockAnalysis().diags }
 	fromOwnPass := func(p *Program) []Diagnostic { return p.ownAnalysis().diags }
 	return []Check{
-		check{"bypassviolation", "delivery paths (internal/nicsim, internal/rtscts on* handlers) must never block",
-			func(p *Program) []Diagnostic { return p.reach(effBlock) }},
+		check{"bypassviolation", "delivery paths (internal/nicsim, internal/rtscts on* handlers) must never block", (*Program).reach},
 		check{"lockdiscipline", "no blocking while a mutex is held; every Lock has an Unlock on all paths", fromLockPass},
 		check{"lockorder", "every lock-acquisition edge is declared by //lint:lockrank and respects the DAG", lockOrder},
-		check{"noalloc", "//lint:noalloc-annotated functions are transitively allocation-free",
-			func(p *Program) []Diagnostic { return p.reach(effAlloc) }},
 		check{"checkederr", "error results of the portals API and internal/core are never discarded", checkedErr},
 		check{"goroutinelifecycle", "every goroutine in non-test code has a reachable shutdown path", goroutineLifecycle},
 		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock; counter fields and fields used with sync/atomic are never accessed plainly", fromLockPass},
@@ -407,11 +403,6 @@ func (p *Program) funcSources() map[*types.Func]*funcSource {
 		}
 	}
 	return p.funcs
-}
-
-// isLocal reports whether path belongs to the analyzed module.
-func (p *Program) isLocal(path string) bool {
-	return path == p.ModulePath || strings.HasPrefix(path, p.ModulePath+"/")
 }
 
 // calleeOf resolves a call expression to its static callee, or nil for

@@ -306,12 +306,10 @@ func (n *Node) onBatch() {
 // TestTriggeredFirePath pins the triggered-operation firing chain as
 // checked territory: counter increment -> threshold scan -> fire runs on
 // delivery-lane goroutines (internal/core/ct.go, drained from nicsim's
-// on* handlers), so blocking anywhere on it is a bypassviolation and the
-// //lint:noalloc annotations on each stage make allocations findings.
-// The fixture mirrors that chain's shape — an on* entry advancing a
-// counter, a scan over armed thresholds, and a fire step — with both the
-// trigger cases and the documented-exception suppressions the real path
-// uses (amortized appends into lane scratch).
+// on* handlers), so blocking anywhere on it is a bypassviolation. The
+// fixture mirrors that chain's shape — an on* entry advancing a counter, a
+// scan over armed thresholds, and a fire step — with both the trigger case
+// and a documented-exception suppression.
 func TestTriggeredFirePath(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
 		"repro/internal/nicsim": {"trig.go": `package nicsim
@@ -322,9 +320,8 @@ type trig struct {
 }
 
 type counter struct {
-	count   uint64
-	armed   []trig
-	scratch []trig
+	count uint64
+	armed []trig
 }
 
 type Lane struct{ wake chan struct{} }
@@ -336,10 +333,10 @@ func (l *Lane) onCounted(c *counter) {
 	l.scanArmed(c)
 }
 
-//lint:noalloc counter increments ride the per-message delivery path
+// Counter increments ride the per-message delivery path.
 func ctInc(c *counter) { c.count++ }
 
-//lint:noalloc the threshold scan runs inside the delivery lanes
+// The threshold scan runs inside the delivery lanes.
 func (l *Lane) scanArmed(c *counter) {
 	for i := range c.armed {
 		if c.armed[i].threshold <= c.count {
@@ -348,24 +345,15 @@ func (l *Lane) scanArmed(c *counter) {
 	}
 }
 
-// fire is the regression case: blocking or allocating in the fire step
-// puts the host back in the collective's critical path.
+// fire is the regression case: blocking in the fire step puts the host
+// back in the collective's critical path. Allocating is not blocking: the
+// make below is no finding.
 //
-//lint:noalloc firing happens on the lane, never on a host goroutine
+// Firing happens on the lane, never on a host goroutine.
 func (l *Lane) fire(op *trig) {
-	evs := make([]uint64, 1) // want:noalloc
+	evs := make([]uint64, 1)
 	_ = evs
 	op.fired <- struct{}{} // want:bypassviolation
-}
-
-// onCountedAmortized is the documented exception shape the real drain
-// uses: an append into lane-owned scratch, suppressed with a reason.
-func (l *Lane) onCountedAmortized(c *counter) { enqueueFire(c) }
-
-//lint:noalloc triggered-op scheduling rides the delivery path
-func enqueueFire(c *counter) {
-	//lint:ignore noalloc amortized append into the lane's reusable scratch
-	c.scratch = append(c.scratch, trig{})
 }
 
 // onCountedWakeup documents a legitimate blocking exception at its site.
@@ -376,8 +364,8 @@ func (l *Lane) onCountedWakeup() {
 `},
 		"repro/internal/coll": {"chain.go": `package coll
 
-// Same chain shape outside a delivery package and without annotations:
-// host-side collective code may block and allocate freely.
+// Same chain shape outside a delivery package: host-side collective code
+// may block freely.
 type group struct {
 	count uint64
 	fired chan struct{}
@@ -389,7 +377,7 @@ func (g *group) onAdvance() {
 	_ = make([]uint64, 8)
 }
 `},
-	}, checksNamed("bypassviolation", "noalloc"))
+	}, checksNamed("bypassviolation"))
 }
 
 func TestCheckedErr(t *testing.T) {
@@ -940,84 +928,6 @@ func f() {}
 	checkGolden(t, t.Name(), diags)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "form a cycle") {
 		t.Fatalf("want one cycle finding, got %v", diags)
-	}
-}
-
-func TestNoalloc(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/na": {"na.go": `package na
-
-import (
-	"fmt"
-	"time"
-)
-
-type Op interface{ Do() }
-
-type allocOp struct{}
-
-func (allocOp) Do() { _ = make([]int, 1) }
-
-//lint:noalloc fixture root
-func Record(x int) { helper(x) }
-
-func helper(x int) {
-	_ = fmt.Sprintf("%d", x) // want:noalloc
-}
-
-//lint:noalloc trust boundary: verified on its own, callers stop here
-func Inner() {
-	//lint:ignore noalloc fixture: intended slow path
-	_ = make([]int, 4)
-}
-
-//lint:noalloc fixture root; calling an annotated function is fine
-func Trusted() { Inner() }
-
-//lint:noalloc fixture root
-func RunOp(o Op) {
-	o.Do() // want:noalloc
-}
-
-//lint:noalloc fixture root; re-arming a timer that exists is free, making one is not
-func Rearm(t *time.Timer, d time.Duration) *time.Timer {
-	t.Reset(d)
-	t.Stop()
-	return time.NewTimer(d) // want:noalloc
-}
-`},
-	}, checksNamed("noalloc"))
-}
-
-// TestNoallocChainMessage pins the acceptance demo: an fmt.Sprintf two
-// calls below a //lint:noalloc root is reported with the full call path.
-func TestNoallocChainMessage(t *testing.T) {
-	prog, err := LoadSource("repro", map[string]map[string]string{
-		"repro/trace": {"trace.go": `package trace
-
-import "fmt"
-
-//lint:noalloc the recorder rides the message path
-func Record(x int) { emit(x) }
-
-func emit(x int) { format(x) }
-
-func format(x int) { _ = fmt.Sprintf("%d", x) }
-`},
-	})
-	if err != nil {
-		t.Fatalf("LoadSource: %v", err)
-	}
-	diags := prog.Run(checksNamed("noalloc"))
-	checkGolden(t, t.Name(), diags)
-	if len(diags) != 1 {
-		t.Fatalf("want one noalloc finding, got %v", diags)
-	}
-	msg := diags[0].Message
-	for _, frag := range []string{"trace.Record -> trace.emit -> trace.format", "fmt.Sprintf"} {
-		if !strings.Contains(msg, frag) {
-			t.Errorf("finding %q does not mention %q", msg, frag)
-		}
 	}
 }
 

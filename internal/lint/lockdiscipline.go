@@ -320,12 +320,12 @@ func (a *lockPass) call(c *ast.CallExpr, st lockSet, reportBlocking bool) lockSe
 	// the module's method sets.
 	if reportBlocking {
 		if isInterfaceMethod(fn) {
-			if impl := e.firstImpl(fn, effBlock); impl != nil {
+			if impl := e.firstImpl(fn); impl != nil {
 				a.blockingOp(c.Pos(), "dynamic call "+funcLabel(fn)+" (may block: implementation "+
-					funcLabel(impl)+": "+e.rep(effBlock, impl)+")", st)
+					funcLabel(impl)+": "+e.rep(impl)+")", st)
 			}
-		} else if f := e.facts[fn]; f != nil && f.may[effBlock] {
-			a.blockingOp(c.Pos(), "call to "+funcLabel(fn)+" (may block: "+e.rep(effBlock, fn)+")", st)
+		} else if f := e.facts[fn]; f != nil && f.mayBlock {
+			a.blockingOp(c.Pos(), "call to "+funcLabel(fn)+" (may block: "+e.rep(fn)+")", st)
 		}
 	}
 	return st

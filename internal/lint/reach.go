@@ -8,82 +8,28 @@ import (
 	"strings"
 )
 
-// Reachability reporting over the facts engine: which operations with a
-// given effect can a set of root functions reach on their own goroutine.
-// A check of this shape is one row of the effects table — which roots,
-// how a finding reads — and the search is shared.
-
-// effectRow is what distinguishes one reachability check from another.
-type effectRow struct {
-	check string
-	// root selects the functions the property is demanded of.
-	root func(*funcFacts) bool
-	// opMsg words a reachable operation, dynMsg a dynamic dispatch one of
-	// whose implementations has the effect; chain is the call path from
-	// the root.
-	opMsg  func(chain []string, desc string) string
-	dynMsg func(chain []string, iface, impl, rep string) string
-	// unknown describes an effect whose operation the search cannot name.
-	unknown string
-}
+// Reachability over the facts engine: which blocking operations the
+// delivery path's entry points reach on their own goroutine. reach is the
+// bypassviolation check; firstImpl and rep also word lockdiscipline's
+// findings about calls that may block.
 
 // deliveryPackages are the packages whose message handlers form the
 // delivery engine; their "on*" methods run on transport/link goroutines.
 var deliveryPackages = []string{"internal/nicsim", "internal/rtscts"}
 
-var effects = [numEffects]effectRow{
-	// bypassviolation enforces application bypass (§5.1): no function
-	// reachable from a delivery-path entry point (onMessage, onPacket,
-	// onData, onAck …) may block — not on the event-queue consumer API
-	// (EQWait), not on channels, not on condition variables or sleeps. The
-	// delivery goroutine is the analogue of the NIC control program: if it
-	// blocks on application state, progress becomes application-driven,
-	// which is the GM/VIA failure mode the paper argues against.
-	effBlock: {
-		check: "bypassviolation",
-		root: func(f *funcFacts) bool {
-			name := f.fn.Name() // handler names: onMessage, onPacket, onData, …
-			isEntry := len(name) > 2 && strings.HasPrefix(name, "on") && name[2] >= 'A' && name[2] <= 'Z'
-			return isEntry && isDeliveryPackage(f.pkg.Path)
-		},
-		opMsg: func(chain []string, desc string) string {
-			return desc + " on the delivery path" + deliveryVia(chain)
-		},
-		dynMsg: func(chain []string, iface, impl, rep string) string {
-			return "dynamic call " + iface + " on the delivery path may block: implementation " +
-				impl + " (" + rep + ")" + deliveryVia(chain)
-		},
-		unknown: "blocking operation",
-	},
-	// noalloc turns the repo's runtime zero-allocation assertions
-	// (core/alloc_test.go, trace's AllocsPerRun tests) into static proofs:
-	// a function whose doc comment carries
-	//
-	//	//lint:noalloc [rationale]
-	//
-	// must be transitively allocation-free on the same goroutine. The
-	// may-allocate summary covers new/make/append, slice/map literals and
-	// map writes, &composite escapes, closures and go statements, string
-	// concatenation and string<->[]byte conversions, interface boxing
-	// (arguments, assignments, returns, composite fields), and calls to
-	// standard-library functions outside a small allowlist of
-	// known-allocation-free APIs (allocFreeExternal). An annotated callee
-	// is a trust boundary: it is verified separately, so callers do not
-	// descend into it. Intended slow paths inside a noalloc root (a pool
-	// miss, an amortized append) carry `//lint:ignore noalloc <reason>`
-	// like any other finding.
-	effAlloc: {
-		check: "noalloc",
-		root:  func(f *funcFacts) bool { return f.noalloc },
-		opMsg: func(chain []string, desc string) string {
-			return strings.Join(chain, " -> ") + ": " + desc + " on a //lint:noalloc path"
-		},
-		dynMsg: func(chain []string, iface, impl, rep string) string {
-			return strings.Join(chain, " -> ") + ": dynamic call " + iface + " may allocate (implementation " +
-				impl + ": " + rep + ")"
-		},
-		unknown: "allocation",
-	},
+// isDeliveryEntry reports whether f is a delivery-path entry point: an on*
+// handler (onMessage, onPacket, onData, …) of a delivery package.
+func isDeliveryEntry(f *funcFacts) bool {
+	name := f.fn.Name()
+	if len(name) <= 2 || !strings.HasPrefix(name, "on") || name[2] < 'A' || name[2] > 'Z' {
+		return false
+	}
+	for _, suffix := range deliveryPackages {
+		if strings.HasSuffix(f.pkg.Path, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 func deliveryVia(chain []string) string {
@@ -93,31 +39,28 @@ func deliveryVia(chain []string) string {
 	return " (in delivery handler " + chain[0] + ")"
 }
 
-func isDeliveryPackage(path string) bool {
-	for _, suffix := range deliveryPackages {
-		if strings.HasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// reach walks the same-goroutine call graph breadth-first from each root
-// of effect k in the analyzed packages and reports every operation with
-// the effect at its own position, with the shortest call chain that
-// reaches it. Static calls are followed to any depth, stopping at trusted
-// callees. A call through an interface is resolved against the module's
-// method sets: when an implementation has the effect, the finding lands
-// on the call site — the frontier where dynamic dispatch was chosen, and
-// where an exception is legitimately documented — naming the
+// reach is bypassviolation, which enforces application bypass (§5.1): no
+// function reachable from a delivery-path entry point may block — not on
+// the event-queue consumer API (EQWait), not on channels, not on condition
+// variables or sleeps. The delivery goroutine is the analogue of the NIC
+// control program: if it blocks on application state, progress becomes
+// application-driven, which is the GM/VIA failure mode the paper argues
+// against.
+//
+// It walks the same-goroutine call graph breadth-first from each entry
+// point in the analyzed packages and reports every blocking operation at
+// its own position, with the shortest call chain that reaches it. Static
+// calls are followed to any depth. A call through an interface is resolved
+// against the module's method sets: when an implementation may block, the
+// finding lands on the call site — the frontier where dynamic dispatch was
+// chosen, and where an exception is legitimately documented — naming the
 // implementation and a representative operation. Each line is reported
 // once.
-func (p *Program) reach(k effectKind) []Diagnostic {
+func (p *Program) reach() []Diagnostic {
 	e := p.engine()
-	row := &effects[k]
 	var roots []*types.Func
 	for fn, f := range e.facts {
-		if p.analyzed(f.pkg) && row.root(f) {
+		if p.analyzed(f.pkg) && isDeliveryEntry(f) {
 			roots = append(roots, fn)
 		}
 	}
@@ -135,7 +78,7 @@ func (p *Program) reach(k effectKind) []Diagnostic {
 		key := position.Filename + ":" + strconv.Itoa(position.Line)
 		if !reported[key] {
 			reported[key] = true
-			diags = append(diags, Diagnostic{Pos: position, Check: row.check, Message: msg})
+			diags = append(diags, Diagnostic{Pos: position, Check: "bypassviolation", Message: msg})
 		}
 	}
 	type node struct {
@@ -149,23 +92,24 @@ func (p *Program) reach(k effectKind) []Diagnostic {
 			n := queue[0]
 			queue = queue[1:]
 			f := e.facts[n.fn]
-			if !f.may[k] {
+			if !f.mayBlock {
 				continue
 			}
-			for _, op := range f.ops[k] {
-				report(op.pos, row.opMsg(n.chain, op.desc))
+			for _, op := range f.block {
+				report(op.pos, op.desc+" on the delivery path"+deliveryVia(n.chain))
 			}
 			for _, c := range f.calls {
 				switch c.kind {
 				case edgeStatic:
-					if tf := e.facts[c.to]; tf != nil && tf.may[k] && !tf.trusted(k) && !visited[c.to] {
+					if tf := e.facts[c.to]; tf != nil && tf.mayBlock && !visited[c.to] {
 						visited[c.to] = true
 						chain := append(append([]string(nil), n.chain...), funcLabel(c.to))
 						queue = append(queue, node{fn: c.to, chain: chain})
 					}
 				case edgeDynamic:
-					if impl := e.firstImpl(c.to, k); impl != nil {
-						report(c.pos, row.dynMsg(n.chain, funcLabel(c.to), funcLabel(impl), e.rep(k, impl)))
+					if impl := e.firstImpl(c.to); impl != nil {
+						report(c.pos, "dynamic call "+funcLabel(c.to)+" on the delivery path may block: implementation "+
+							funcLabel(impl)+" ("+e.rep(impl)+")"+deliveryVia(n.chain))
 					}
 				}
 			}
@@ -175,20 +119,20 @@ func (p *Program) reach(k effectKind) []Diagnostic {
 }
 
 // firstImpl returns the first module implementation behind an interface
-// method that has effect k on its own account, or nil.
-func (e *engine) firstImpl(ifn *types.Func, k effectKind) *types.Func {
+// method that may block on its own account, or nil.
+func (e *engine) firstImpl(ifn *types.Func) *types.Func {
 	for _, impl := range e.implsOf(ifn) {
-		if f := e.facts[impl]; f != nil && f.may[k] && !f.trusted(k) {
+		if f := e.facts[impl]; f != nil && f.mayBlock {
 			return impl
 		}
 	}
 	return nil
 }
 
-// rep describes a representative operation with effect k reachable from
-// fn, for call-site diagnostics ("channel send via Queue.postFull"): the
-// nearest one breadth-first, named with the first call that leads to it.
-func (e *engine) rep(k effectKind, fn *types.Func) string {
+// rep describes a representative blocking operation reachable from fn, for
+// call-site diagnostics ("channel send via Queue.postFull"): the nearest one
+// breadth-first, named with the first call that leads to it.
+func (e *engine) rep(fn *types.Func) string {
 	type node struct {
 		fn  *types.Func
 		via string
@@ -199,14 +143,14 @@ func (e *engine) rep(k effectKind, fn *types.Func) string {
 		n := queue[0]
 		queue = queue[1:]
 		f := e.facts[n.fn]
-		if f == nil || !f.may[k] {
+		if f == nil || !f.mayBlock {
 			continue
 		}
-		if ops := f.ops[k]; len(ops) > 0 {
+		if len(f.block) > 0 {
 			if n.via != "" {
-				return ops[0].desc + " via " + n.via
+				return f.block[0].desc + " via " + n.via
 			}
-			return ops[0].desc
+			return f.block[0].desc
 		}
 		for _, c := range f.calls {
 			targets := []*types.Func{c.to}
@@ -217,7 +161,7 @@ func (e *engine) rep(k effectKind, fn *types.Func) string {
 				continue
 			}
 			for _, t := range targets {
-				if tf := e.facts[t]; seen[t] || tf != nil && tf.trusted(k) {
+				if seen[t] {
 					continue
 				}
 				seen[t] = true
@@ -232,7 +176,7 @@ func (e *engine) rep(k effectKind, fn *types.Func) string {
 			}
 		}
 	}
-	return effects[k].unknown
+	return "blocking operation"
 }
 
 // funcLabel renders "Type.Method" or "pkgname.Func" for call chains.

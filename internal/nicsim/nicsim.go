@@ -160,8 +160,6 @@ var placementPool = sync.Pool{New: func() any { return new(placement) }}
 
 // WriteAt lands one fragment of the message (transport.Sink); off counts
 // from the start of the message, so the header is taken off it.
-//
-//lint:noalloc the per-fragment write of a placed message
 func (pl *placement) WriteAt(off int, b []byte) {
 	pl.op.WriteAt(uint64(off-wire.HeaderSize), b)
 }
@@ -368,7 +366,7 @@ func (n *Node) Send(out core.Outbound) error {
 	// (tcp) blocks the engine on its peer's socket, not on an application:
 	// bypass holds. The peer's readers never wait for its engine, so the
 	// write waits for the network only.
-	//lint:ignore bypassviolation,noalloc tcp's SendBuf writes to its socket synchronously and formats errors; loopback and rtscts queue the buffer (rtscts.Conn.SendBuf is a //lint:noalloc root in its own right)
+	//lint:ignore bypassviolation tcp's SendBuf writes to its socket synchronously; loopback and rtscts queue the buffer
 	return n.ep.SendBuf(out.Dst.NID, out.TakeBuf())
 }
 
@@ -491,8 +489,6 @@ func (n *Node) dispatch(li int, g *[]laneMsg) {
 // laneWorker drains one lane batch by batch, running the engine over each
 // batch as a unit. The loop exits when Close closes the dispatch channel
 // (worker-pool shutdown).
-//
-//lint:noalloc lane workers are the delivery engine's steady state
 func (n *Node) laneWorker(ln *lane) {
 	defer n.wg.Done()
 	var inc []core.Incoming
@@ -522,7 +518,8 @@ func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 	if len(burst) == 0 {
 		return
 	}
-	//lint:ignore noalloc scratch-pool miss is warmup; the steady state hits the per-P private slot
+	// A scratch-pool miss is warm-up; the steady state hits the per-P
+	// private slot.
 	sp := outScratch.Get().(*[]core.Outbound)
 	outs := (*sp)[:0]
 	for i := 0; i < len(burst); {
@@ -537,7 +534,6 @@ func (n *Node) processBurst(burst []laneMsg, inc *[]core.Incoming) {
 		j := i
 		for j < len(burst) && burst[j].state == state && burst[j].pl == nil {
 			n.chargeInterrupt(state)
-			//lint:ignore noalloc amortized append into the lane's reusable batch slice
 			*inc = append(*inc, core.Incoming{H: burst[j].hdr, Payload: burst[j].payload})
 			j++
 		}

@@ -197,7 +197,7 @@ func shardHash(nid, pid uint32, seq uint64) uint64 {
 // Record appends one entry. Lock-free, 0 allocs; drops (and counts) the
 // record instead of waiting if the slot is contended.
 //
-//lint:noalloc the flight recorder rides the message path (TestRecordAllocs)
+// The flight recorder rides the message path (TestRecordAllocs).
 func (r *Recorder) Record(stage Stage, nid, pid uint32, seq, arg uint64) {
 	ts := int64(time.Since(r.epoch))
 	sh := &r.shards[shardHash(nid, pid, seq)&r.shardMask]

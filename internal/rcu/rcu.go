@@ -156,7 +156,7 @@ func (t *Table[T]) Alloc(v *T) (idx, gen uint32, ok bool) {
 // loads only. It returns nil, false for dead slots, stale generations, and
 // never-allocated indices.
 //
-//lint:noalloc handle resolution runs per message on the delivery path
+// Handle resolution runs per message on the delivery path.
 func (t *Table[T]) Lookup(idx, gen uint32) (*T, bool) {
 	if idx >= maxSlots {
 		return nil, false // out of chunk geometry — peer-controlled index
@@ -202,7 +202,6 @@ func (t *Table[T]) Release(idx, gen uint32) (*T, bool) {
 	v := sl.val.Load()
 	sl.state.Store(uint64(gen+1) << 1) // dead, next generation — readers miss from here on
 	sl.val.Store(nil)
-	//lint:ignore noalloc free-list push on handle release (teardown); the free list amortizes to table occupancy
 	t.free = append(t.free, idx)
 	t.count--
 	return v, true
@@ -299,13 +298,10 @@ func (m *Map[K, V]) Insert(k K, v V) bool {
 // serialized, like every Map mutation.
 func (m *Map[K, V]) Set(k K, v V) {
 	cur := m.snapshot()
-	//lint:ignore noalloc a mutation is a new epoch: noalloc paths reach Set only on first contact with a key
 	next := make(map[K]V, len(cur)+1)
 	for kk, vv := range cur {
-		//lint:ignore noalloc fills the new epoch
 		next[kk] = vv
 	}
-	//lint:ignore noalloc fills the new epoch
 	next[k] = v
 	m.p.Store(&next)
 }
@@ -413,11 +409,10 @@ type Guards struct {
 // Enter opens a read-side window and returns a token to pass to Exit.
 // hint spreads unrelated readers across stripes (any cheap value — an
 // initiator NID, a lane index); correctness needs only Enter/Exit pairing.
-// The pairing is machine-checked by portalsvet's ownership pass
-// (docs/LINT.md):
+// Enter and Exit run per message on the delivery path. The pairing is
+// machine-checked by portalsvet's ownership pass (docs/LINT.md):
 //
 //lint:resource Guards.Enter -> Guards.Exit
-//lint:noalloc read-side guard entry runs per message on the delivery path
 func (g *Guards) Enter(hint uint64) int {
 	e := int(g.epoch.Load() & 1)
 	s := int(hint) & (guardStripes - 1)
@@ -428,8 +423,6 @@ func (g *Guards) Enter(hint uint64) int {
 // Exit closes a window opened by Enter. The token remembers the parity
 // the window was opened under, so an exit lands on the same counter pair
 // even if the epoch has flipped since.
-//
-//lint:noalloc read-side guard exit runs per message on the delivery path
 func (g *Guards) Exit(token int) {
 	g.stripes[token>>guardStripeBits][token&(guardStripes-1)].out.Add(1)
 }

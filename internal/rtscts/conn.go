@@ -322,12 +322,9 @@ func (c *Conn) Send(dst types.NID, msg []byte) error {
 // SendBuf is Send without the copy: the per-peer sender queues buf itself,
 // fragments it in place, and releases it when the last fragment is
 // acknowledged — or here, on every path that fails.
-//
-//lint:noalloc the consuming send path: queue push into a ring, no copy
 func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	if n := len(buf.Bytes()); n > MaxMessage {
 		buf.Release()
-		//lint:ignore noalloc oversized message: refused off the fast path
 		return fmt.Errorf("rtscts: message of %d bytes exceeds the %d-byte limit", n, MaxMessage)
 	}
 	s, err := c.sender(dst)

@@ -308,8 +308,6 @@ func (r *peerReceiver) shutdown() {
 // duplicate that repeats. An in-sequence fragment with impossible framing
 // is consumed and counted, not refused: the stream moves on, and only the
 // peer's own message is lost.
-//
-//lint:noalloc the per-fragment receive path: one copy to the fragment's offset, and at most a mark on the ack-due list
 func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []byte) {
 	r.mu.Lock()
 	if r.closed {
@@ -366,7 +364,8 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 	if listed {
 		// Listed after mu is dropped: flush takes ackMu, then mu.
 		c.ackMu.Lock()
-		//lint:ignore noalloc amortized: the list is emptied in place and stops growing at the most sources one burst has carried
+		// Amortized: the list is emptied in place and stops growing at the
+		// most sources one burst has carried.
 		c.ackDue = append(c.ackDue, r)
 		c.ackMu.Unlock()
 	}
@@ -387,7 +386,6 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 // receiver's own scratch.
 //
 //lint:requires mu
-//lint:noalloc header-only packet built in the receiver's scratch
 func (r *peerReceiver) sendAck(c *Conn) {
 	r.ackDue = false
 	c.stats.AcksSent.Add(1)

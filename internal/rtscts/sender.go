@@ -100,7 +100,6 @@ type peerSender struct {
 }
 
 func newPeerSender(c *Conn, dst types.NID) *peerSender {
-	//lint:ignore noalloc first contact with a peer builds its sender (window ring, two goroutines); never again
 	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window), done: make(chan struct{})}
 	s.qcond = sync.NewCond(&s.qmu)
 	s.wcond = sync.NewCond(&s.wmu)
@@ -108,9 +107,7 @@ func newPeerSender(c *Conn, dst types.NID) *peerSender {
 	s.wnd = c.cfg.Window
 	s.rtoNs.Store(int64(s.rto))
 	s.wndNow.Store(int64(s.wnd))
-	//lint:ignore noalloc per-peer goroutine, started once at first contact
 	go s.run()
-	//lint:ignore noalloc per-peer goroutine, started once at first contact
 	go s.retransmitLoop()
 	return s
 }
@@ -289,7 +286,6 @@ func (s *peerSender) transmit(d *txDesc) {
 // sendReliable records nothing, releases owner, and reports false.
 //
 //lint:consumes owner
-//lint:noalloc the per-fragment path: a ring slot, a header written in place, one hand-off to the fabric
 func (s *peerSender) sendReliable(now *time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
 	s.wmu.Lock()
 	if s.nextSeq-s.base >= uint64(s.wnd) {
@@ -382,8 +378,6 @@ func (s *peerSender) shrinkWindow(num, den int) {
 // receiver is discarding out-of-order packets past a hole; the third such
 // dup-ack fires an immediate Go-Back-N resend (fast retransmit), once per
 // outstanding window.
-//
-//lint:noalloc acks arrive on the delivery path; retiring descriptors returns memory, it takes none
 func (s *peerSender) onAck(cumAck uint64) {
 	s.wmu.Lock()
 	if cumAck > s.base {

@@ -70,15 +70,12 @@ func (p *inflight) size() int { return int(p.hdrLen) + len(p.payload) }
 
 func newLink(n *Network, src, dst types.NID) *link {
 	cfg := &n.cfg
-	//lint:ignore noalloc the first packet between a pair builds the link (one goroutine); never again
 	l := &link{net: n, src: src, dst: dst, timed: cfg.Latency > 0 || cfg.Bandwidth > 0}
 	l.cond = sync.NewCond(&l.mu)
 	if cfg.LossRate > 0 || cfg.DupRate > 0 || cfg.ReorderRate > 0 {
 		// A function of (Seed, src, dst) only, whatever other links carry.
-		//lint:ignore noalloc part of building the link
 		l.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(src)<<32|uint64(dst))))
 	}
-	//lint:ignore noalloc per-link goroutine, started once
 	go l.run()
 	return l
 }
@@ -86,8 +83,6 @@ func newLink(n *Network, src, dst types.NID) *link {
 // enqueue queues one packet: hdr is copied into the queue slot, payload is
 // kept as it is, with a reference to owner that the link releases when the
 // packet leaves it. A packet the link refuses takes no reference.
-//
-//lint:noalloc the queue swaps between two backings and a packet is a slot in it
 func (l *link) enqueue(hdr, payload []byte, owner *bufpool.Buf) {
 	var at time.Time
 	if l.timed {
@@ -105,7 +100,8 @@ func (l *link) enqueue(hdr, payload []byte, owner *bufpool.Buf) {
 		l.lost(len(hdr) + len(payload))
 		return
 	}
-	//lint:ignore noalloc amortized: queue and the goroutine's spare swap between two backings that stop growing at the largest batch
+	// Amortized: queue and the goroutine's spare swap between two backings
+	// that stop growing at the largest batch.
 	l.queue = append(l.queue, inflight{})
 	p := &l.queue[len(l.queue)-1]
 	p.hdrLen = uint8(copy(p.hdr[:], hdr))

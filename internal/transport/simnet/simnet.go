@@ -226,12 +226,9 @@ var (
 // switch. A packet over the MTU, a header over MaxHeader, and a payload
 // without an owner are errors (the protocol above must packetize to the MTU,
 // out of pooled memory).
-//
-//lint:noalloc a packet is a slot of the link's queue; the link cache only grows on first contact
 func (ep *Endpoint) SendPacket(dst types.NID, hdr, payload []byte, owner *bufpool.Buf) error {
 	switch size := len(hdr) + len(payload); {
 	case size > ep.net.cfg.MTU:
-		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
 		return fmt.Errorf("simnet: packet %d exceeds MTU %d", size, ep.net.cfg.MTU)
 	case len(hdr) > MaxHeader:
 		return errHeader
@@ -266,7 +263,6 @@ func (n *Network) linkFrom(ep *Endpoint, dst types.NID) (*link, error) {
 	l, ok := n.links[key]
 	if !ok {
 		l = newLink(n, ep.nid, dst)
-		//lint:ignore noalloc the first packet between a pair registers its link; steady state finds it
 		n.links[key] = l
 	}
 	ep.links.Set(dst, l)

@@ -226,7 +226,6 @@ func (d *Delivery) Discard() { d.answer(Discard, nil) }
 func (d *Delivery) answer(v Verdict, sink Sink) bool {
 	r := d.rdv
 	d.rdv = nil
-	//lint:ignore noalloc once per announced message, not per fragment; the grant it issues builds the peer's sender on first contact
 	return r != nil && r.Answer(d.token, v, sink)
 }
 
@@ -238,7 +237,6 @@ func (d *Delivery) Release() {
 		d.answer(Buffer, nil)
 	}
 	if d.Sink != nil {
-		//lint:ignore noalloc teardown path: aborting may unlink a spent descriptor
 		d.Sink.Abort()
 		d.Sink = nil
 	}
@@ -318,7 +316,8 @@ func (q *Handoff) Add(d Delivery) bool {
 		d.Release()
 		return false
 	}
-	//lint:ignore noalloc amortized: pending and spare swap between two backings that stop growing at the largest batch
+	// Amortized: pending and spare swap between two backings that stop
+	// growing at the largest batch.
 	q.pending = append(q.pending, d)
 	q.mu.Unlock()
 	q.cond.Signal()

@@ -314,18 +314,14 @@ type node struct {
 // in one piece. It never blocks: an unknown destination or a full queue
 // drops the packet (datagram loss the reliability layer already recovers
 // from).
-//
-//lint:noalloc one pooled frame per datagram; the send queue swaps between two backings
 func (nd *node) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool.Buf) error {
 	size := len(hdr) + len(payload)
 	if size+frameHeaderSize > nd.net.cfg.MTU {
-		//lint:ignore noalloc oversized packet: a caller bug, reported loudly off the fast path
 		return fmt.Errorf("udp: packet of %d bytes exceeds datagram budget", size)
 	}
 	addr, ok := nd.net.addrs.Get(dst)
 	if !ok {
 		nd.net.stats.UnknownPeers.Add(1)
-		//lint:ignore noalloc unregistered destination: an addressing error, not the steady state
 		return fmt.Errorf("udp: %w: nid %d", types.ErrProcessNotFound, dst)
 	}
 	buf := bufpool.Get(frameHeaderSize + size)
@@ -348,7 +344,8 @@ func (nd *node) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool.Buf) e
 		nd.net.stats.TxDrops.Add(1)
 		return nil // tail drop: retransmission repairs it
 	}
-	//lint:ignore noalloc amortized: the writer swaps the queue between two backings that stop growing at the deepest backlog
+	// Amortized: the writer swaps the queue between two backings that stop
+	// growing at the deepest backlog.
 	nd.sendQ = append(nd.sendQ, outPkt{addr: addr, buf: buf})
 	nd.qmu.Unlock()
 	nd.qcond.Signal()

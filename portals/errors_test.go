@@ -9,9 +9,11 @@ import (
 // Negative paths through the public API: every misuse must fail with the
 // right sentinel error and leave the interface usable.
 
-func twoNIs(t *testing.T) (*NI, *NI, *Machine) {
+// twoNIs brings up processes 1 and 2 on a machine over fab, closed when the
+// test ends.
+func twoNIs(t *testing.T, fab Fabric) (*NI, *NI) {
 	t.Helper()
-	m := NewMachine(Loopback())
+	m := NewMachine(fab)
 	t.Cleanup(func() { m.Close() })
 	a, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
@@ -21,11 +23,11 @@ func twoNIs(t *testing.T) (*NI, *NI, *Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, b, m
+	return a, b
 }
 
 func TestPutWithStaleMD(t *testing.T) {
-	a, b, _ := twoNIs(t)
+	a, b := twoNIs(t, Loopback())
 	md, err := a.MDBind(MD{Start: []byte("x"), Threshold: 1}, Retain)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +44,7 @@ func TestPutWithStaleMD(t *testing.T) {
 }
 
 func TestWrongHandleKinds(t *testing.T) {
-	a, _, _ := twoNIs(t)
+	a, _ := twoNIs(t, Loopback())
 	eq, err := a.EQAlloc(4)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +67,7 @@ func TestWrongHandleKinds(t *testing.T) {
 }
 
 func TestMDStatusAndUpdateErrors(t *testing.T) {
-	a, _, _ := twoNIs(t)
+	a, _ := twoNIs(t, Loopback())
 	if _, _, err := a.MDStatus(InvalidHandle); !errors.Is(err, ErrInvalidHandle) {
 		t.Errorf("MDStatus(invalid) = %v", err)
 	}
@@ -81,7 +83,7 @@ func TestMDStatusAndUpdateErrors(t *testing.T) {
 }
 
 func TestACEntryOutOfRange(t *testing.T) {
-	a, _, _ := twoNIs(t)
+	a, _ := twoNIs(t, Loopback())
 	max := a.Limits().MaxACEntries
 	if err := a.ACEntry(ACIndex(max), AnyProcess, PtlIndexAny); !errors.Is(err, ErrInvalidArgument) {
 		t.Errorf("ACEntry out of range = %v", err)
@@ -104,7 +106,7 @@ func TestMDSizeLimit(t *testing.T) {
 }
 
 func TestEQWaitWokenByClose(t *testing.T) {
-	a, _, _ := twoNIs(t)
+	a, _ := twoNIs(t, Loopback())
 	eq, err := a.EQAlloc(4)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +131,7 @@ func TestEQWaitWokenByClose(t *testing.T) {
 }
 
 func TestSegmentedMDThroughPublicAPI(t *testing.T) {
-	a, b, _ := twoNIs(t)
+	a, b := twoNIs(t, Loopback())
 	eq, err := b.EQAlloc(8)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +163,7 @@ func TestSegmentedMDThroughPublicAPI(t *testing.T) {
 }
 
 func TestStatusDropBreakdown(t *testing.T) {
-	a, b, _ := twoNIs(t)
+	a, b := twoNIs(t, Loopback())
 	// No ME armed: put drops with no-match.
 	md, err := a.MDBind(MD{Start: []byte("x"), Threshold: 1}, Unlink)
 	if err != nil {
