@@ -201,7 +201,7 @@ func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
 	if err := net.Close(); err != nil {
 		t.Error(err)
 	}
-	// The packet fabrics' link and sender goroutines let go of what they
-	// still hold on their own time.
+	// The packet fabrics' link goroutines let go of what they still hold on
+	// their own time.
 	await(t, "pooled buffers to come back", func() bool { return outstanding() == start })
 }

@@ -229,7 +229,7 @@ func (c *Conn) Peer(dst types.NID) (st PeerState, ok bool) {
 	if !ok {
 		return PeerState{}, false
 	}
-	s.wmu.Lock()
+	s.mu.Lock()
 	st = PeerState{
 		SRTT:     s.srtt,
 		RTTVar:   s.rttvar,
@@ -239,7 +239,7 @@ func (c *Conn) Peer(dst types.NID) (st PeerState, ok bool) {
 		Base:     s.base,
 		NextSeq:  s.nextSeq,
 	}
-	s.wmu.Unlock()
+	s.mu.Unlock()
 	return st, true
 }
 
@@ -310,18 +310,20 @@ func (c *Conn) eachSender(fn func(*peerSender)) {
 func (c *Conn) LocalNID() types.NID { return c.ep.LocalNID() }
 
 // Send queues msg for reliable in-order delivery to dst. It returns once
-// the message is accepted by the per-peer sender (local completion); the
-// reliability machinery retransmits as needed. Send never blocks on the
-// network, so it is safe to call from delivery handlers (the engine
-// emitting acks/replies). msg is copied, once, into a pooled buffer; the
-// caller may reuse it as soon as Send returns.
+// the message is accepted by the per-peer sender (local completion), having
+// put on the fabric as much of it as the window toward dst has room for;
+// the rest goes out as acks reopen the window, and the reliability
+// machinery retransmits as needed. Send never blocks on the network, so it
+// is safe to call from delivery handlers (the engine emitting acks/replies).
+// msg is copied, once, into a pooled buffer; the caller may reuse it as soon
+// as Send returns.
 func (c *Conn) Send(dst types.NID, msg []byte) error {
 	return transport.SendCopy(c, dst, msg)
 }
 
-// SendBuf is Send without the copy: the per-peer sender queues buf itself,
-// fragments it in place, and releases it when the last fragment is
-// acknowledged — or here, on every path that fails.
+// SendBuf is Send without the copy: the per-peer sender fragments buf in
+// place and releases it when the last fragment is acknowledged — or here,
+// on every path that fails.
 func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	if n := len(buf.Bytes()); n > MaxMessage {
 		buf.Release()

@@ -31,19 +31,21 @@
 // datagram for the kernel (udp) makes the only copy between the two.
 //
 //   - Send side. SendBuf takes the caller's buffer (Send copies once into a
-//     pooled buffer and then is SendBuf). The buffer waits in the per-peer
-//     queue, then belongs to the per-peer run goroutine while it is cut into
-//     fragments. The window holds descriptors — prebuilt header, payload
-//     window, and a reference (bufpool.Buf.Retain) to the buffer the window
-//     lies in — not packets. Every transmission, first or repeated, hands the
-//     fabric that window and that buffer with the window lock held, and a
-//     descriptor is retired — by the cumulative ack that covers it, or by
-//     shutdown — under the same lock, so the reference the fabric is shown
-//     is live for the length of the call, which is all SendPacket asks. The
-//     memory returns to the pool with its last reference: the descriptors'
-//     or, when a packet is still queued, held for reordering or duplicated
-//     on a link after the ack that retired its message, the fabric's. Every
-//     failure path of SendBuf releases the buffer too.
+//     pooled buffer and then is SendBuf). The buffer is cut into fragments
+//     by SendBuf itself when the window has room, and otherwise by the
+//     receipt of the ack or CTS that reopened it; it waits in the per-peer
+//     queue while the window is full or an earlier message holds the
+//     stream. The window holds descriptors — prebuilt header,
+//     payload window, and a reference (bufpool.Buf.Retain) to the buffer the
+//     window lies in — not packets. Every transmission, first or repeated,
+//     hands the fabric that window and that buffer with the window lock
+//     held, and a descriptor is retired — by the cumulative ack that covers
+//     it, or by shutdown — under the same lock, so the reference the fabric
+//     is shown is live for the length of the call, which is all SendPacket
+//     asks. The memory returns to the pool with its last reference: the
+//     descriptors' or, when a packet is still queued, held for reordering or
+//     duplicated on a link after the ack that retired its message, the
+//     fabric's. Every failure path of SendBuf releases the buffer too.
 //   - Receive side. A message's first fragment obtains the pooled delivery
 //     buffer and each fragment is copied straight to its offset. On
 //     completion the buffer leaves as an owned transport.Delivery; the batch

@@ -261,9 +261,10 @@ func (r *peerReceiver) Answer(token uint64, v transport.Verdict, sink transport.
 	return true
 }
 
-// grant has the CTS sent. It is issued by the peer's sender goroutine, never
-// inline (peerSender.oweCTS). At most one RTS per peer is outstanding: the
-// peer's run loop waits for the grant.
+// grant has the CTS sent, as soon as the window toward the peer has room
+// for it (peerSender.oweCTS). At most one RTS per peer is outstanding: the
+// peer's stream holds its announced message, and everything behind it,
+// until the grant arrives.
 func (r *peerReceiver) grant() {
 	if s, err := r.c.sender(r.src); err == nil {
 		s.oweCTS()

@@ -39,296 +39,254 @@ func (d *txDesc) retire() {
 	d.owner = nil
 }
 
-// peerSender owns the reliable stream toward one destination: the message
-// queue, the Go-Back-N window, and the retransmission timer. The window is
-// self-tuning: the retransmission timeout tracks the measured RTT
-// (Jacobson/Karels), three duplicate acks trigger an immediate Go-Back-N
-// resend without waiting out the timer, and the window width adapts —
-// multiplicative decrease on any retransmission, additive increase on
-// clean ack runs — between minWindow and cfg.Window.
+// peerSender owns the reliable stream toward one destination: the messages
+// waiting for it, the Go-Back-N window, and the retransmission timer. The
+// stream has no goroutine of its own: a packet leaves from the Send that made
+// it when the window has room, and otherwise from the receipt of the ack that
+// reopened the window or of the CTS that cleared the rendezvous; only the
+// retransmission timer runs apart. The window is self-tuning: the
+// retransmission timeout tracks the measured RTT (Jacobson/Karels), three
+// duplicate acks trigger an immediate Go-Back-N resend without waiting out
+// the timer, and the window width adapts — multiplicative decrease on any
+// retransmission, additive increase on clean ack runs — between minWindow and
+// cfg.Window.
 type peerSender struct {
 	c   *Conn
 	dst types.NID
 
-	// Work for the run goroutine: queued messages (unbounded, so Send never
-	// blocks — local completion = accepted here), grants owed to the peer,
-	// and the state of our own rendezvous. run is the only goroutine that
-	// puts sequenced packets on the stream, which is what keeps the
-	// fragments of one message contiguous (the receiver reassembles one
-	// message at a time).
-	qmu      sync.Mutex
-	qcond    *sync.Cond
-	queue    bufpool.Queue //lint:guardedby qmu
-	owedCTS  int           //lint:guardedby qmu  RTS announcements from the peer not yet granted
-	awaiting bool          //lint:guardedby qmu  our RTS is out, its CTS not yet seen
-	granted  bool          //lint:guardedby qmu  the CTS arrived; the held message may go
-	closed   bool          //lint:guardedby qmu
-
-	// Window state, guarded by wmu. Packets are transmitted WITH wmu held:
-	// a descriptor is shown to the fabric and retired only under it, so the
-	// ack that retires a message cannot drop the reference a
-	// (re)transmission is handing the fabric at that moment. SendPacket
-	// never blocks and never calls back, so the fabric's locks simply nest
-	// inside.
+	// mu guards the whole stream. Packets are transmitted WITH mu held: a
+	// descriptor is shown to the fabric and retired only under it, so the ack
+	// that retires a message cannot drop the reference a (re)transmission is
+	// handing the fabric at that moment, and one holder at a time puts
+	// sequenced packets on the stream, which keeps the fragments of one
+	// message contiguous (the receiver reassembles one message at a time).
+	// SendPacket never blocks and never calls back, so the fabric's locks
+	// simply nest inside.
 	//
-	//lint:lockrank peerSender.wmu < Network.mu
-	//lint:lockrank peerSender.wmu < link.mu
-	//lint:lockrank peerSender.wmu < node.qmu
-	wmu      sync.Mutex
-	wcond    *sync.Cond
-	nextSeq  uint64    //lint:guardedby wmu
-	base     uint64    //lint:guardedby wmu  lowest unacked sequence
-	inFlight []txDesc  //lint:guardedby wmu  ring of cfg.Window slots; packet seq lives at seq % len
-	lastSend time.Time //lint:guardedby wmu
+	//lint:lockrank peerSender.mu < Network.mu
+	//lint:lockrank peerSender.mu < link.mu
+	//lint:lockrank peerSender.mu < node.qmu
+	mu     sync.Mutex
+	closed bool //lint:guardedby mu
 
-	// Adaptive state, guarded by wmu.
-	srtt    time.Duration //lint:guardedby wmu  smoothed RTT; 0 = no samples yet
-	rttvar  time.Duration //lint:guardedby wmu  RTT mean deviation
-	rto     time.Duration //lint:guardedby wmu  adaptive timeout, [RTOMin, RTOMax]
-	wnd     int           //lint:guardedby wmu  current window width
-	ackRun  int           //lint:guardedby wmu  acked pkts since last growth/retransmit
-	dupAcks int           //lint:guardedby wmu  consecutive dup cumacks at base
-	recover uint64        //lint:guardedby wmu  fast-retx disabled until base reaches this
+	// What waits for the window (pump), in the order it goes out. The queue
+	// is unbounded, so Send never blocks: local completion = accepted here.
+	queue   bufpool.Queue //lint:guardedby mu  messages not begun
+	cur     *bufpool.Buf  //lint:guardedby mu  the message whose fragments are going out
+	curOff  int           //lint:guardedby mu  bytes of cur already sequenced
+	held    *bufpool.Buf  //lint:guardedby mu  announced by our RTS, waiting for its CTS
+	granted bool          //lint:guardedby mu  held's CTS arrived
+	owedCTS int           //lint:guardedby mu  RTS announcements from the peer not yet granted
+
+	// Window state.
+	nextSeq  uint64    //lint:guardedby mu
+	base     uint64    //lint:guardedby mu  lowest unacked sequence
+	inFlight []txDesc  //lint:guardedby mu  ring of cfg.Window slots; packet seq lives at seq % len
+	lastSend time.Time //lint:guardedby mu
+
+	// Adaptive state.
+	srtt    time.Duration //lint:guardedby mu  smoothed RTT; 0 = no samples yet
+	rttvar  time.Duration //lint:guardedby mu  RTT mean deviation
+	rto     time.Duration //lint:guardedby mu  adaptive timeout, [RTOMin, RTOMax]
+	wnd     int           //lint:guardedby mu  current window width
+	ackRun  int           //lint:guardedby mu  acked pkts since last growth/retransmit
+	dupAcks int           //lint:guardedby mu  consecutive dup cumacks at base
+	recover uint64        //lint:guardedby mu  fast-retx disabled until base reaches this
 
 	// Lock-free mirrors of srtt/rto/wnd for metrics exposition; written
-	// under wmu, read anywhere.
+	// under mu, read anywhere.
 	srttNs atomic.Int64
 	rtoNs  atomic.Int64
 	wndNow atomic.Int64
 
-	done chan struct{}
+	done chan struct{} // closed by shutdown: the retransmission timer stops
 }
 
 func newPeerSender(c *Conn, dst types.NID) *peerSender {
 	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window), done: make(chan struct{})}
-	s.qcond = sync.NewCond(&s.qmu)
-	s.wcond = sync.NewCond(&s.wmu)
 	s.rto = c.cfg.RTO
 	s.wnd = c.cfg.Window
 	s.rtoNs.Store(int64(s.rto))
 	s.wndNow.Store(int64(s.wnd))
-	go s.run()
 	go s.retransmitLoop()
 	return s
 }
 
-// enqueue accepts one message for the stream, taking the buffer.
+// enqueue accepts one message for the stream, taking the buffer, and puts on
+// the stream as much of it as the window has room for before returning.
 //
 //lint:consumes buf
 func (s *peerSender) enqueue(buf *bufpool.Buf) error {
-	s.qmu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.qmu.Unlock()
+		s.mu.Unlock()
 		buf.Release()
 		return types.ErrClosed
 	}
 	s.queue.Push(buf)
-	s.qmu.Unlock()
-	s.qcond.Signal()
+	s.pump(time.Now())
+	s.mu.Unlock()
 	return nil
 }
 
 // shutdown stops the sender and returns every buffer it still holds to the
-// pool: the queued messages here, the in-flight ones under wmu — after done
-// is closed, so nothing is recorded or transmitted behind the sweep.
+// pool: the messages waiting for the window and the in-flight ones. Nothing
+// is recorded or transmitted behind the sweep: pump and resend check closed
+// under the same lock.
 func (s *peerSender) shutdown() {
-	s.qmu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.qmu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	s.closed = true
 	for s.queue.Len() > 0 {
 		s.queue.Pop().Release()
 	}
-	s.qmu.Unlock()
-	s.qcond.Broadcast()
-	close(s.done)
-	s.wmu.Lock()
+	s.cur.Release()
+	s.held.Release()
+	s.cur, s.held = nil, nil
 	for ; s.base < s.nextSeq; s.base++ {
 		s.desc(s.base).retire()
 	}
-	s.wmu.Unlock()
-	s.wcond.Broadcast()
+	s.mu.Unlock()
+	close(s.done)
 }
 
-// run drains the message queue in FIFO order, performing rendezvous for
-// messages beyond the eager threshold, and issues the grants this node owes
-// the peer. FIFO draining is what gives Portals its ordered-delivery
-// guarantee across eager and rendezvous messages. While a rendezvous
-// message waits for its grant no later message overtakes it, but grants
-// still go out — two nodes in simultaneous rendezvous would otherwise
-// deadlock.
-func (s *peerSender) run() {
-	var held *bufpool.Buf // announced by RTS, waiting for its CTS
-	for {
-		s.qmu.Lock()
-		for !s.closed && s.owedCTS == 0 && !s.granted && (held != nil || s.queue.Len() == 0) {
-			s.qcond.Wait()
-		}
+// pump puts on the stream whatever waits for it, for as long as the window
+// has room: first the rest of a message already begun, then the grants this
+// node owes the peer, then a rendezvous message whose grant arrived, then the
+// queue in FIFO order. FIFO is what gives Portals its ordered-delivery
+// guarantee across eager and rendezvous messages: a message beyond the eager
+// threshold is announced by an RTS and held for its CTS, and no later message
+// overtakes it — but grants still go out, or two nodes in simultaneous
+// rendezvous would deadlock. pump never waits for the window: what it has no
+// room for goes out from the ack that reopens it (onAck). now stamps every
+// packet it sends. Called with mu held.
+//
+//lint:requires mu
+func (s *peerSender) pump(now time.Time) {
+	for !s.closed && s.nextSeq-s.base < uint64(s.wnd) {
 		switch {
-		case s.closed:
-			s.qmu.Unlock()
-			if held != nil {
-				held.Release()
-			}
-			return
+		case s.cur != nil:
+			s.nextFragment(now)
 		case s.owedCTS > 0:
 			s.owedCTS--
-			s.qmu.Unlock()
-			s.sendMessage(msgCTS, nil)
+			s.sendPacket(now, flagFirst|msgCTS<<msgKindShift, 0, nil, nil)
 			s.c.stats.CTSSent.Add(1)
-			continue
-		}
-		if held == nil {
-			if msg := s.queue.Pop(); len(msg.Bytes()) > s.c.cfg.EagerMax {
-				// Rendezvous: announce, then hold the message for the grant.
-				s.awaiting = true
-				s.qmu.Unlock()
-				head := msg.Bytes()[:min(len(msg.Bytes()), transport.HeadSize)]
-				rts := bufpool.Get(rtsSize + len(head))
-				binary.BigEndian.PutUint64(rts.Bytes(), uint64(len(msg.Bytes())))
-				copy(rts.Bytes()[rtsSize:], head)
-				s.sendMessage(msgRTS, rts)
-				s.c.stats.RTSSent.Add(1)
-				held = msg
-			} else {
-				s.qmu.Unlock()
-				s.sendMessage(msgApp, msg)
+		case s.held != nil:
+			if !s.granted {
+				return
 			}
-			continue
+			s.cur, s.curOff, s.held, s.granted = s.held, 0, nil, false
+		case s.queue.Len() > 0:
+			msg := s.queue.Pop()
+			if len(msg.Bytes()) <= s.c.cfg.EagerMax {
+				s.cur, s.curOff = msg, 0
+				continue
+			}
+			// Rendezvous: announce, then hold the message for the grant. An
+			// RTS is one packet (Attach checks the MTU for it).
+			head := msg.Bytes()[:min(len(msg.Bytes()), transport.HeadSize)]
+			rts := bufpool.Get(rtsSize + len(head))
+			binary.BigEndian.PutUint64(rts.Bytes(), uint64(len(msg.Bytes())))
+			copy(rts.Bytes()[rtsSize:], head)
+			s.sendPacket(now, flagFirst|msgRTS<<msgKindShift, uint64(len(rts.Bytes())), rts.Bytes(), rts)
+			s.c.stats.RTSSent.Add(1)
+			s.held = msg
+		default:
+			return
 		}
-		// The grant arrived.
-		s.granted = false
-		s.qmu.Unlock()
-		s.sendMessage(msgApp, held)
-		held = nil
 	}
 }
 
-// grantReceived is called by the receive path when a CTS arrives. A CTS
-// nobody is waiting for is a protocol error and is ignored.
+// nextFragment sends the next fragment of cur: its descriptor gets a window
+// of the message buffer and a reference of its own, and the stream's
+// reference is released with the last fragment. Called with mu held.
+//
+//lint:requires mu
+func (s *peerSender) nextFragment(now time.Time) {
+	msg := s.cur.Bytes()
+	var flags uint8
+	var aux uint64
+	if s.curOff == 0 {
+		flags, aux = flagFirst|msgApp<<msgKindShift, uint64(len(msg))
+	}
+	end := min(len(msg), s.curOff+s.c.mtu-pktHeaderSize)
+	s.sendPacket(now, flags, aux, msg[s.curOff:end], s.cur.Retain())
+	if s.curOff = end; end == len(msg) {
+		s.cur.Release()
+		s.cur = nil
+	}
+}
+
+// grantReceived is called by the receive path when a CTS arrives: the held
+// message goes at once, as far as the window has room. A CTS nobody is
+// waiting for is a protocol error and is ignored.
 func (s *peerSender) grantReceived() {
-	s.qmu.Lock()
-	if s.awaiting {
-		s.awaiting, s.granted = false, true
+	s.mu.Lock()
+	if s.held != nil && !s.granted {
+		s.granted = true
+		s.pump(time.Now())
 	}
-	s.qmu.Unlock()
-	s.qcond.Signal()
+	s.mu.Unlock()
 }
 
-// oweCTS is called by the receive path when an RTS arrives. The grant is
-// issued by the run goroutine, never inline: emitting it blocks while the
-// Go-Back-N window toward the peer is full, and the acks that would open it
-// arrive on the very goroutine that delivered the RTS. Application bypass
-// (§5.1) requires the delivery path itself never to wait on protocol
-// backpressure.
+// oweCTS is called when an RTS has been answered, by the receive path or by
+// the engine's answer. The grant is a sequenced packet like any other: it
+// goes now if the window has room, and otherwise waits on the stream, never
+// on the delivery path (§5.1) — the acks that reopen a full window arrive on
+// the very goroutine that delivered the RTS.
 func (s *peerSender) oweCTS() {
-	s.qmu.Lock()
+	s.mu.Lock()
 	s.owedCTS++
-	s.qmu.Unlock()
-	s.qcond.Signal()
+	s.pump(time.Now())
+	s.mu.Unlock()
 }
 
-// sendMessage fragments one message onto the reliable stream, taking buf
-// (nil for a message with no payload): every fragment's descriptor gets a
-// window of it and a reference of its own, and the reference that came in is
-// released here, whether the sender closed first or not.
+// desc is the window slot of packet seq. Called with mu held.
 //
-//lint:consumes buf
-func (s *peerSender) sendMessage(kind uint8, buf *bufpool.Buf) {
-	frag := s.c.mtu - pktHeaderSize
-	var rest []byte
-	if buf != nil {
-		rest = buf.Bytes()
-	}
-	flags, aux := flagFirst|kind<<msgKindShift, uint64(len(rest))
-	// One clock read stamps every fragment that goes out without waiting
-	// for the window: such a run takes microseconds, the estimator it
-	// feeds is floored at RTOMin, and what skew there is errs toward a
-	// longer RTT. sendReliable reads the clock again after any wait.
-	now := time.Now()
-	for {
-		n := min(len(rest), frag)
-		if !s.sendReliable(&now, flags, aux, rest[:n], buf.Retain()) {
-			break
-		}
-		if rest = rest[n:]; len(rest) == 0 {
-			break
-		}
-		flags, aux = 0, 0
-	}
-	buf.Release()
-}
-
-// desc is the window slot of packet seq. Called with wmu held.
-//
-//lint:requires wmu
+//lint:requires mu
 func (s *peerSender) desc(seq uint64) *txDesc {
 	return &s.inFlight[seq%uint64(len(s.inFlight))]
 }
 
 // transmit puts one in-flight packet on the fabric: its prebuilt header
 // plus a window of the message buffer, which the fabric copies out or takes
-// a reference to. Called with wmu held — see the window-state comment.
+// a reference to. Called with mu held — see the comment on mu.
 //
-//lint:requires wmu
+//lint:requires mu
 func (s *peerSender) transmit(d *txDesc) {
 	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload, d.owner) // loss is the retransmit loop's job
 }
 
-// sendReliable assigns the next sequence number, records the packet's
-// descriptor for retransmission, and transmits it, blocking while the
-// window is full. now is the caller's reading of the clock, which stamps
-// the transmission; it is refreshed here if the window made the packet
-// wait. owner is a reference to the buffer payload is a window of (nil when
-// there is none); the descriptor takes it. Once the sender is closed
-// sendReliable records nothing, releases owner, and reports false.
+// sendPacket assigns the next sequence number, records the packet's
+// descriptor for retransmission, and transmits it; the caller has found the
+// window open. now stamps the transmission. owner is a reference to the
+// buffer payload is a window of (nil when there is none); the descriptor
+// takes it. Called with mu held.
 //
+//lint:requires mu
 //lint:consumes owner
-func (s *peerSender) sendReliable(now *time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) bool {
-	s.wmu.Lock()
-	if s.nextSeq-s.base >= uint64(s.wnd) {
-		for s.nextSeq-s.base >= uint64(s.wnd) && !s.isClosedFast() {
-			s.wcond.Wait()
-		}
-		*now = time.Now()
-	}
-	if s.isClosedFast() {
-		s.wmu.Unlock()
-		owner.Release()
-		return false
-	}
+func (s *peerSender) sendPacket(now time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) {
 	seq := s.nextSeq
 	s.nextSeq++
 	d := s.desc(seq)
-	*d = txDesc{payload: payload, owner: owner, sent: *now}
+	*d = txDesc{payload: payload, owner: owner, sent: now}
 	putHeader(&d.hdr, pktData, flags, seq, aux)
-	s.lastSend = *now
+	s.lastSend = now
 	// Packet-level spans are keyed (src NID, pid 0, packet seq); pid 0
 	// distinguishes them from the (initiator NID/PID, header seq) message
 	// spans above the reliability layer.
 	trace.Record(trace.StageWireTx, uint32(s.c.LocalNID()), 0, seq, uint64(pktHeaderSize+len(payload)))
 	s.transmit(d)
-	s.wmu.Unlock()
-	return true
-}
-
-// isClosedFast avoids the queue lock inside window waits.
-func (s *peerSender) isClosedFast() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // observeRTT folds one round-trip sample into the smoothed estimator and
 // recomputes the timeout (Jacobson/Karels: RTO = SRTT + 4·RTTVAR, clamped
-// to [RTOMin, RTOMax]). Called with wmu held.
+// to [RTOMin, RTOMax]). Called with mu held.
 //
-//lint:requires wmu
+//lint:requires mu
 func (s *peerSender) observeRTT(sample time.Duration) {
 	if s.srtt == 0 {
 		s.srtt = sample
@@ -359,9 +317,9 @@ func (s *peerSender) observeRTT(sample time.Duration) {
 const minWindow = 2
 
 // shrinkWindow applies multiplicative decrease num/den, flooring at
-// minWindow, and resets the growth run. Called with wmu held.
+// minWindow, and resets the growth run. Called with mu held.
 //
-//lint:requires wmu
+//lint:requires mu
 func (s *peerSender) shrinkWindow(num, den int) {
 	w := max(s.wnd*num/den, min(minWindow, s.c.cfg.Window))
 	if w != s.wnd {
@@ -374,12 +332,12 @@ func (s *peerSender) shrinkWindow(num, den int) {
 // onAck processes a cumulative acknowledgment. Progress (cumAck > base)
 // releases window space, samples the RTT from the newest acked
 // never-retransmitted packet (Karn's rule), and grows the window additively
-// after a full window of clean acks. A duplicate cumAck at base signals the
-// receiver is discarding out-of-order packets past a hole; the third such
-// dup-ack fires an immediate Go-Back-N resend (fast retransmit), once per
+// after a full window of clean acks; what waited for the window goes out
+// before onAck returns. A duplicate cumAck at base signals the receiver is
+// discarding out-of-order packets past a hole; the third such dup-ack fires an immediate Go-Back-N resend (fast retransmit), once per
 // outstanding window.
 func (s *peerSender) onAck(cumAck uint64) {
-	s.wmu.Lock()
+	s.mu.Lock()
 	if cumAck > s.base {
 		n := min(cumAck, s.nextSeq) - s.base
 		now := time.Now()
@@ -402,8 +360,8 @@ func (s *peerSender) onAck(cumAck uint64) {
 			s.ackRun = 0
 			s.wndNow.Store(int64(s.wnd))
 		}
-		s.wmu.Unlock()
-		s.wcond.Broadcast()
+		s.pump(now)
+		s.mu.Unlock()
 		return
 	}
 	// Duplicate cumulative ack at the window base with data outstanding:
@@ -417,20 +375,20 @@ func (s *peerSender) onAck(cumAck uint64) {
 			s.recover = s.nextSeq
 			from, to := s.markRetx()
 			s.shrinkWindow(3, 4)
-			s.wmu.Unlock()
+			s.mu.Unlock()
 			s.c.stats.FastRetransmits.Add(1)
 			s.resend(from, to, 0)
 			return
 		}
 	}
-	s.wmu.Unlock()
+	s.mu.Unlock()
 }
 
 // markRetx flags the whole outstanding window as retransmitted (Karn) and
-// restarts the stall clock, returning the window's bounds. Called with wmu
+// restarts the stall clock, returning the window's bounds. Called with mu
 // held.
 //
-//lint:requires wmu
+//lint:requires mu
 func (s *peerSender) markRetx() (from, to uint64) {
 	for seq := s.base; seq < s.nextSeq; seq++ {
 		s.desc(seq).retx = true
@@ -440,21 +398,21 @@ func (s *peerSender) markRetx() (from, to uint64) {
 }
 
 // resend retransmits packets [from, to) — Go-Back-N: the window as it stood
-// when the loss was noticed. wmu is taken per packet, so acks are never
+// when the loss was noticed. mu is taken per packet, so acks are never
 // held up behind a whole window of packets, and a packet an ack retired in
 // the meantime is skipped: its slot may already describe something else.
 func (s *peerSender) resend(from, to uint64, delay time.Duration) {
 	traced := trace.Enabled()
 	for seq := from; seq < to; seq++ {
-		s.wmu.Lock()
-		if seq >= s.base && !s.isClosedFast() {
+		s.mu.Lock()
+		if seq >= s.base && !s.closed {
 			s.c.stats.Retransmits.Add(1)
 			if traced {
 				trace.Record(trace.StageRetransmit, uint32(s.c.LocalNID()), 0, seq, uint64(delay))
 			}
 			s.transmit(s.desc(seq))
 		}
-		s.wmu.Unlock()
+		s.mu.Unlock()
 	}
 }
 
@@ -471,9 +429,9 @@ func (s *peerSender) resend(from, to uint64, delay time.Duration) {
 // strongest congestion signal the sender gets.
 func (s *peerSender) retransmitLoop() {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(s.dst)<<17))
-	s.wmu.Lock()
+	s.mu.Lock()
 	delay := s.rto // current stall threshold / inter-attempt gap
-	s.wmu.Unlock()
+	s.mu.Unlock()
 	lastBase := uint64(0) // window base at the previous wakeup
 	timer := time.NewTimer(jitter(rng, delay/2))
 	defer timer.Stop()
@@ -483,7 +441,7 @@ func (s *peerSender) retransmitLoop() {
 			return
 		case <-timer.C:
 		}
-		s.wmu.Lock()
+		s.mu.Lock()
 		rto := s.rto
 		if s.base != lastBase {
 			// The peer acked something since we last looked: the path is
@@ -498,7 +456,7 @@ func (s *peerSender) retransmitLoop() {
 			s.dupAcks = 0
 			s.shrinkWindow(1, 2)
 		}
-		s.wmu.Unlock()
+		s.mu.Unlock()
 
 		// Idle-granularity wakeup tracks the adaptive timeout.
 		wait := jitter(rng, rto/2)

@@ -176,11 +176,11 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 		}
 	}
 	waitInFlight(t, c, 99, 2)
-	s.wmu.Lock()
+	s.mu.Lock()
 	for i := range s.inFlight {
 		s.inFlight[i].retx = true
 	}
-	s.wmu.Unlock()
+	s.mu.Unlock()
 	s.onAck(2)
 	if got := c.stats.RTTSamples.Load(); got != 0 {
 		t.Fatalf("RTT sampled from retransmitted packets (%d samples)", got)
