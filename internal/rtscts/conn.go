@@ -414,7 +414,7 @@ func (c *Conn) onPacket(src types.NID, hdr, payload []byte) {
 	switch kind {
 	case pktAck:
 		if s, ok := c.senders.Get(src); ok {
-			s.onAck(seq)
+			s.onAck(seq, flags&flagResent != 0)
 		}
 	case pktData:
 		if r := c.receiver(src); r != nil {

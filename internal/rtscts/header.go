@@ -69,9 +69,10 @@ const (
 	pktAck  uint8 = 2 // cumulative acknowledgment, unsequenced
 )
 
-// Fragment flags.
+// Packet flags.
 const (
-	flagFirst uint8 = 1 << 0 // first fragment: aux holds the message length
+	flagFirst  uint8 = 1 << 0 // first fragment: aux holds the message length
+	flagResent uint8 = 1 << 1 // a retransmission; on an ack: the first packet it acknowledges anew was one
 )
 
 // Message kinds carried in the first fragment's flags (bits 2..3).

@@ -38,6 +38,12 @@ type peerReceiver struct {
 	// one by one after the stream last showed a gap (see ackRunAfterGap).
 	mending int //lint:guardedby mu
 
+	// resent is flagResent of the first packet the next ack covers, which
+	// every ack echoes: the left edge, as TCP picks the timestamp it echoes
+	// (RFC 7323 §4.3), so a burst that holds a resend and then packets sent
+	// after it answers for the resend.
+	resent uint8 //lint:guardedby mu
+
 	// Where the stream stands between messages and inside one. An RTS takes
 	// it from idle to asked (its announcement is with the handler; no CTS
 	// yet) and the handler's answer from there to granted — or the RTS
@@ -330,6 +336,9 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 		return
 	}
 	r.expected++
+	if !r.ackDue {
+		r.resent = flags & flagResent
+	}
 	done, ok := r.accept(c.cfg.EagerMax, flags, aux, payload)
 	if !ok {
 		c.stats.BadLength.Add(1)
@@ -390,6 +399,6 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 func (r *peerReceiver) sendAck(c *Conn) {
 	r.ackDue = false
 	c.stats.AcksSent.Add(1)
-	putHeader(&r.ackHdr, pktAck, 0, r.expected, 0)
+	putHeader(&r.ackHdr, pktAck, r.resent, r.expected, 0)
 	_ = c.ep.SendPacket(r.src, r.ackHdr[:], nil, nil)
 }

@@ -2,7 +2,7 @@ package rtscts
 
 import (
 	"encoding/binary"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,15 +20,14 @@ const dupAckThreshold = 3
 
 // txDesc describes one sequenced packet awaiting acknowledgment: where its
 // payload lies in the message buffer, not a copy of it. sent timestamps the
-// most recent transmission; retx marks packets that have ever been
-// retransmitted, which Karn's rule excludes from RTT sampling (an ack for
-// a retransmitted packet is ambiguous — it may answer either transmission).
+// first transmission. A retransmitted packet carries flagResent in its
+// header, for the receiver to echo, and Karn's rule excludes it from RTT
+// sampling (an ack for it is ambiguous — it may answer either transmission).
 type txDesc struct {
-	hdr     [pktHeaderSize]byte // wire header, built once at first transmission
+	hdr     [pktHeaderSize]byte // wire header, built at first transmission; flagResent joins it at the first resend
 	payload []byte              // a window of owner; empty for header-only packets
 	owner   *bufpool.Buf        // the descriptor's own reference to the message buffer; nil for a message without one
 	sent    time.Time
-	retx    bool
 }
 
 // retire gives up the descriptor's reference to its message once the packet
@@ -43,13 +42,14 @@ func (d *txDesc) retire() {
 // waiting for it, the Go-Back-N window, and the retransmission timer. The
 // stream has no goroutine of its own: a packet leaves from the Send that made
 // it when the window has room, and otherwise from the receipt of the ack that
-// reopened the window or of the CTS that cleared the rendezvous; only the
-// retransmission timer runs apart. The window is self-tuning: the
-// retransmission timeout tracks the measured RTT (Jacobson/Karels), three
-// duplicate acks trigger an immediate Go-Back-N resend without waiting out
-// the timer, and the window width adapts — multiplicative decrease on any
-// retransmission, additive increase on clean ack runs — between minWindow and
-// cfg.Window.
+// reopened the window or of the CTS that cleared the rendezvous; a resend
+// leaves from the timer's callback, and the timer is armed only while a
+// packet is unacked, so an idle stream costs nothing. The window is
+// self-tuning: the retransmission timeout tracks the measured RTT
+// (Jacobson/Karels), three duplicate acks trigger an immediate Go-Back-N
+// resend without waiting out the timer, and the window width adapts —
+// multiplicative decrease on any retransmission, additive increase on clean
+// ack runs — between minWindow and cfg.Window.
 type peerSender struct {
 	c   *Conn
 	dst types.NID
@@ -82,7 +82,7 @@ type peerSender struct {
 	nextSeq  uint64    //lint:guardedby mu
 	base     uint64    //lint:guardedby mu  lowest unacked sequence
 	inFlight []txDesc  //lint:guardedby mu  ring of cfg.Window slots; packet seq lives at seq % len
-	lastSend time.Time //lint:guardedby mu
+	lastSend time.Time //lint:guardedby mu  last transmission or ack progress: the window stalls from here
 
 	// Adaptive state.
 	srtt    time.Duration //lint:guardedby mu  smoothed RTT; 0 = no samples yet
@@ -92,23 +92,30 @@ type peerSender struct {
 	ackRun  int           //lint:guardedby mu  acked pkts since last growth/retransmit
 	dupAcks int           //lint:guardedby mu  consecutive dup cumacks at base
 	recover uint64        //lint:guardedby mu  fast-retx disabled until base reaches this
+	backoff uint          //lint:guardedby mu  timeouts since the last ack progress
+	undoWnd int           //lint:guardedby mu  the window before the timeouts since the last progress; the next progress judges them
+
+	timer *time.Timer // the retransmission timer, made stopped (arm)
+	armed time.Time   //lint:guardedby mu  the timer's pending deadline; zero: not armed
+	rng   *rand.Rand  //lint:guardedby mu  backoff jitter
 
 	// Lock-free mirrors of srtt/rto/wnd for metrics exposition; written
 	// under mu, read anywhere.
 	srttNs atomic.Int64
 	rtoNs  atomic.Int64
 	wndNow atomic.Int64
-
-	done chan struct{} // closed by shutdown: the retransmission timer stops
 }
 
 func newPeerSender(c *Conn, dst types.NID) *peerSender {
-	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window), done: make(chan struct{})}
+	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window)}
 	s.rto = c.cfg.RTO
 	s.wnd = c.cfg.Window
 	s.rtoNs.Store(int64(s.rto))
 	s.wndNow.Store(int64(s.wnd))
-	go s.retransmitLoop()
+	// Seeded per stream: distinct streams draw distinct jitter.
+	s.rng = rand.New(rand.NewPCG(uint64(c.LocalNID()), uint64(dst)))
+	s.timer = time.AfterFunc(time.Hour, s.expire)
+	s.timer.Stop()
 	return s
 }
 
@@ -149,8 +156,8 @@ func (s *peerSender) shutdown() {
 	for ; s.base < s.nextSeq; s.base++ {
 		s.desc(s.base).retire()
 	}
+	s.timer.Stop()
 	s.mu.Unlock()
-	close(s.done)
 }
 
 // pump puts on the stream whatever waits for it, for as long as the window
@@ -257,7 +264,7 @@ func (s *peerSender) desc(seq uint64) *txDesc {
 //
 //lint:requires mu
 func (s *peerSender) transmit(d *txDesc) {
-	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload, d.owner) // loss is the retransmit loop's job
+	_ = s.c.ep.SendPacket(s.dst, d.hdr[:], d.payload, d.owner) // loss is the retransmission timer's job
 }
 
 // sendPacket assigns the next sequence number, records the packet's
@@ -275,6 +282,7 @@ func (s *peerSender) sendPacket(now time.Time, flags uint8, aux uint64, payload 
 	*d = txDesc{payload: payload, owner: owner, sent: now}
 	putHeader(&d.hdr, pktData, flags, seq, aux)
 	s.lastSend = now
+	s.arm(now, now.Add(s.delay()))
 	// Packet-level spans are keyed (src NID, pid 0, packet seq); pid 0
 	// distinguishes them from the (initiator NID/PID, header seq) message
 	// spans above the reliability layer.
@@ -316,27 +324,16 @@ func (s *peerSender) observeRTT(sample time.Duration) {
 // configured Window below it is its own floor.
 const minWindow = 2
 
-// shrinkWindow applies multiplicative decrease num/den, flooring at
-// minWindow, and resets the growth run. Called with mu held.
-//
-//lint:requires mu
-func (s *peerSender) shrinkWindow(num, den int) {
-	w := max(s.wnd*num/den, min(minWindow, s.c.cfg.Window))
-	if w != s.wnd {
-		s.wnd = w
-		s.wndNow.Store(int64(w))
-	}
-	s.ackRun = 0
-}
-
-// onAck processes a cumulative acknowledgment. Progress (cumAck > base)
-// releases window space, samples the RTT from the newest acked
-// never-retransmitted packet (Karn's rule), and grows the window additively
-// after a full window of clean acks; what waited for the window goes out
-// before onAck returns. A duplicate cumAck at base signals the receiver is
-// discarding out-of-order packets past a hole; the third such dup-ack fires an immediate Go-Back-N resend (fast retransmit), once per
-// outstanding window.
-func (s *peerSender) onAck(cumAck uint64) {
+// onAck processes a cumulative acknowledgment; resent says whether the first
+// packet it covers beyond the previous ack was a retransmission. Progress
+// (cumAck > base) releases window space, samples the RTT from the newest
+// acked never-retransmitted packet (Karn's rule), and grows the window
+// additively after a full window of clean acks; what waited for the window
+// goes out before onAck returns; the first progress after a timeout also
+// judges it. A duplicate cumAck at base signals the receiver is discarding
+// out-of-order packets past a hole; the third such dup-ack fires an
+// immediate Go-Back-N resend (fast retransmit), once per outstanding window.
+func (s *peerSender) onAck(cumAck uint64, resent bool) {
 	s.mu.Lock()
 	if cumAck > s.base {
 		n := min(cumAck, s.nextSeq) - s.base
@@ -344,15 +341,30 @@ func (s *peerSender) onAck(cumAck uint64) {
 		sample := time.Duration(-1)
 		for end := s.base + n; s.base < end; s.base++ {
 			d := s.desc(s.base)
-			if !d.retx {
+			if d.hdr[1]&flagResent == 0 {
 				sample = now.Sub(d.sent) // ascending, so the newest clean packet wins
 			}
 			d.retire()
 		}
 		s.lastSend = now
 		s.dupAcks = 0
+		s.backoff = 0 // the path is alive: the schedule collapses to one RTO
+		if s.undoWnd > 0 && !resent {
+			// An original transmission moved the ack on: it was on its way
+			// before the resend, so the timeout was spurious, a stall and
+			// not a loss (Eifel, RFC 3522). The window comes back, and no
+			// duplicate ack the resend draws may fire a fast retransmit of
+			// what the window sends before it is in (RFC 6582 §3.2).
+			s.wnd = s.undoWnd
+			s.wndNow.Store(int64(s.wnd))
+			s.recover = s.base + uint64(s.wnd)
+		}
+		s.undoWnd = 0
 		if sample >= 0 {
 			s.observeRTT(sample)
+		}
+		if s.base < s.nextSeq {
+			s.arm(now, now.Add(s.delay())) // earlier, when the RTO fell or the backoff reset
 		}
 		s.ackRun += int(n)
 		if s.ackRun >= s.wnd && s.wnd < s.c.cfg.Window {
@@ -371,10 +383,8 @@ func (s *peerSender) onAck(cumAck uint64) {
 	if cumAck == s.base && s.nextSeq > s.base && s.base >= s.recover {
 		s.dupAcks++
 		if s.dupAcks >= dupAckThreshold {
-			s.dupAcks = 0
 			s.recover = s.nextSeq
-			from, to := s.markRetx()
-			s.shrinkWindow(3, 4)
+			from, to := s.markRetx(3, 4)
 			s.mu.Unlock()
 			s.c.stats.FastRetransmits.Add(1)
 			s.resend(from, to, 0)
@@ -384,16 +394,25 @@ func (s *peerSender) onAck(cumAck uint64) {
 	s.mu.Unlock()
 }
 
-// markRetx flags the whole outstanding window as retransmitted (Karn) and
-// restarts the stall clock, returning the window's bounds. Called with mu
-// held.
+// markRetx readies a Go-Back-N resend of the whole outstanding window, by
+// either kind of retransmission: it flags the window retransmitted (Karn),
+// restarts the stall clock and the dup-ack count, and applies multiplicative
+// decrease num/den to the window, flooring at minWindow, which resets the
+// growth run. It returns the window's bounds. Called with mu held.
 //
 //lint:requires mu
-func (s *peerSender) markRetx() (from, to uint64) {
+func (s *peerSender) markRetx(num, den int) (from, to uint64) {
 	for seq := s.base; seq < s.nextSeq; seq++ {
-		s.desc(seq).retx = true
+		s.desc(seq).hdr[1] |= flagResent
 	}
 	s.lastSend = time.Now()
+	s.dupAcks = 0
+	w := max(s.wnd*num/den, min(minWindow, s.c.cfg.Window))
+	if w != s.wnd {
+		s.wnd = w
+		s.wndNow.Store(int64(w))
+	}
+	s.ackRun = 0
 	return s.base, s.nextSeq
 }
 
@@ -416,70 +435,60 @@ func (s *peerSender) resend(from, to uint64, delay time.Duration) {
 	}
 }
 
-// retransmitLoop implements Go-Back-N timeout recovery with capped
-// exponential backoff: the first resend fires one RTO after the window
-// stalls — where RTO is the adaptive per-peer timeout once RTT samples
-// exist, or cfg.RTO before any — and each consecutive resend without
-// window progress doubles the delay — jittered upward by up to 25% — until
-// RTOMax. Any cumulative-ack progress resets the schedule to the current
-// RTO. Backoff bounds the bandwidth a dead or partitioned peer can soak
-// up, and the jitter keeps peers that shared one loss event from
-// resynchronizing their retransmission bursts. A timeout retransmission
-// also halves the tx window (multiplicative decrease): timer expiry is the
-// strongest congestion signal the sender gets.
-func (s *peerSender) retransmitLoop() {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(s.dst)<<17))
-	s.mu.Lock()
-	delay := s.rto // current stall threshold / inter-attempt gap
-	s.mu.Unlock()
-	lastBase := uint64(0) // window base at the previous wakeup
-	timer := time.NewTimer(jitter(rng, delay/2))
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-timer.C:
-		}
-		s.mu.Lock()
-		rto := s.rto
-		if s.base != lastBase {
-			// The peer acked something since we last looked: the path is
-			// alive, so collapse the backoff schedule back to one RTO.
-			lastBase = s.base
-			delay = rto
-		}
-		stuck := s.nextSeq > s.base && time.Since(s.lastSend) >= delay
-		var from, to uint64
-		if stuck {
-			from, to = s.markRetx()
-			s.dupAcks = 0
-			s.shrinkWindow(1, 2)
-		}
-		s.mu.Unlock()
+// delay is how long the window may stall before it times out: the RTO —
+// the adaptive per-peer timeout once RTT samples exist, cfg.RTO before any —
+// doubled by each timeout since the last ack progress, up to RTOMax. Called
+// with mu held.
+//
+//lint:requires mu
+func (s *peerSender) delay() time.Duration {
+	return min(s.rto<<s.backoff, s.c.cfg.RTOMax)
+}
 
-		// Idle-granularity wakeup tracks the adaptive timeout.
-		wait := jitter(rng, rto/2)
-		if stuck {
-			s.c.stats.Backoff.Observe(int64(delay))
-			s.resend(from, to, delay)
-			delay *= 2
-			if delay > s.c.cfg.RTOMax {
-				delay = s.c.cfg.RTOMax
-			}
-			// Sleep the whole (jittered) backoff before even rechecking:
-			// a resend burst can't fire earlier than the schedule allows.
-			wait = jitter(rng, delay)
-		}
-		timer.Reset(wait)
+// arm sets the retransmission timer for deadline, unless it is already armed
+// for an earlier one: a steady stream, whose deadline only moves later, pays
+// no Reset per packet. Called with mu held.
+//
+//lint:requires mu
+func (s *peerSender) arm(now, deadline time.Time) {
+	if s.armed.IsZero() || deadline.Before(s.armed) {
+		s.armed = deadline
+		s.timer.Reset(deadline.Sub(now))
 	}
 }
 
-// jitter spreads d over [d, 1.25d) so independent senders never lock step.
-// One-sided jitter keeps d a floor: backoff guarantees are never weakened.
-func jitter(rng *rand.Rand, d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
+// expire is the retransmission timer's callback: Go-Back-N timeout recovery
+// with capped exponential backoff. The window times out once nothing has
+// been sent or acked for delay; until then the timer re-arms for that
+// moment, and with nothing in flight it lapses. Each timeout without window
+// progress doubles the delay until RTOMax, and the next one cannot come
+// before that delay. Backoff bounds the bandwidth a dead or partitioned peer
+// can soak up. A timeout retransmission also halves the tx window
+// (multiplicative decrease): timer expiry is the strongest congestion signal
+// the sender gets.
+func (s *peerSender) expire() {
+	s.mu.Lock()
+	s.armed = time.Time{}
+	if s.closed || s.base == s.nextSeq {
+		s.mu.Unlock()
+		return
 	}
-	return d + time.Duration(rng.Int63n(int64(d)/4+1))
+	now, delay := time.Now(), s.delay()
+	if due := s.lastSend.Add(delay); now.Before(due) {
+		s.arm(now, due)
+		s.mu.Unlock()
+		return
+	}
+	s.undoWnd = max(s.undoWnd, s.wnd) // the window before the first of these timeouts: without progress it only shrinks
+	from, to := s.markRetx(1, 2)
+	if delay < s.c.cfg.RTOMax {
+		s.backoff++
+	}
+	// The wait is spread over [d, 1.25d), so peers that shared one loss event
+	// do not resynchronize their resends; one-sided, it keeps d a floor.
+	next := s.delay()
+	s.arm(now, s.lastSend.Add(next+time.Duration(s.rng.Int64N(int64(next)/4+1))))
+	s.mu.Unlock()
+	s.c.stats.Backoff.Observe(int64(delay))
+	s.resend(from, to, delay)
 }

@@ -67,12 +67,12 @@ func TestFastRetransmitFiresOnThirdDupAck(t *testing.T) {
 	}
 	waitInFlight(t, c, 99, 4)
 
-	s.onAck(0)
-	s.onAck(0)
+	s.onAck(0, false)
+	s.onAck(0, false)
 	if got := c.stats.FastRetransmits.Load(); got != 0 {
 		t.Fatalf("fast retransmit fired after 2 dup acks (count %d)", got)
 	}
-	s.onAck(0)
+	s.onAck(0, false)
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmits after 3rd dup ack = %d, want 1", got)
 	}
@@ -87,32 +87,32 @@ func TestFastRetransmitFiresOnThirdDupAck(t *testing.T) {
 	// The recover guard: dup acks from our own resend burst must not
 	// re-fire until the whole outstanding window is acked.
 	for i := 0; i < 5; i++ {
-		s.onAck(0)
+		s.onAck(0, false)
 	}
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmit re-fired inside recovery (count %d)", got)
 	}
 
 	// Partial progress keeps the guard: base 2 < recover 4.
-	s.onAck(2)
+	s.onAck(2, false)
 	for i := 0; i < 4; i++ {
-		s.onAck(2)
+		s.onAck(2, false)
 	}
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmit re-fired below recover point (count %d)", got)
 	}
 
 	// Full recovery re-arms it.
-	s.onAck(4)
+	s.onAck(4, false)
 	for i := 0; i < 3; i++ {
 		if err := c.Send(99, []byte{0xAA}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitInFlight(t, c, 99, 3)
-	s.onAck(4)
-	s.onAck(4)
-	s.onAck(4)
+	s.onAck(4, false)
+	s.onAck(4, false)
+	s.onAck(4, false)
 	if got := c.stats.FastRetransmits.Load(); got != 2 {
 		t.Fatalf("fast retransmit did not re-arm after recovery (count %d)", got)
 	}
@@ -126,13 +126,13 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 		}
 	}
 	waitInFlight(t, c, 99, 4)
-	s.onAck(0)
-	s.onAck(0)
-	s.onAck(0) // fast retransmit: window 8 -> 6
+	s.onAck(0, false)
+	s.onAck(0, false)
+	s.onAck(0, false) // fast retransmit: window 8 -> 6
 	if st, _ := c.Peer(99); st.Window != 6 {
 		t.Fatalf("window = %d, want 6", st.Window)
 	}
-	s.onAck(4) // recovery complete
+	s.onAck(4, false) // recovery complete
 
 	// Each full window of clean acks grows the window by one.
 	base := uint64(4)
@@ -146,7 +146,7 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 			}
 			waitInFlight(t, c, 99, n)
 			base += uint64(n)
-			s.onAck(base)
+			s.onAck(base, false)
 			fed += n
 		}
 	}
@@ -162,7 +162,7 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 	}
 	waitInFlight(t, c, 99, 4)
 	base += 4
-	s.onAck(base)
+	s.onAck(base, false)
 	if st, _ := c.Peer(99); st.Window != 8 {
 		t.Fatalf("window exceeded ceiling: %d", st.Window)
 	}
@@ -178,10 +178,10 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 	waitInFlight(t, c, 99, 2)
 	s.mu.Lock()
 	for i := range s.inFlight {
-		s.inFlight[i].retx = true
+		s.inFlight[i].hdr[1] |= flagResent
 	}
 	s.mu.Unlock()
-	s.onAck(2)
+	s.onAck(2, false)
 	if got := c.stats.RTTSamples.Load(); got != 0 {
 		t.Fatalf("RTT sampled from retransmitted packets (%d samples)", got)
 	}
@@ -194,7 +194,7 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitInFlight(t, c, 99, 1)
-	s.onAck(3)
+	s.onAck(3, false)
 	if got := c.stats.RTTSamples.Load(); got != 1 {
 		t.Fatalf("RTT samples = %d, want 1", got)
 	}
