@@ -11,11 +11,13 @@ build:
 	$(GO) vet ./...
 
 # lint runs portalsvet, the repo's own static-analysis suite (docs/LINT.md):
-# application-bypass, lock-discipline, lock-order, zero-alloc, checked-error,
-# goroutine-lifecycle, guarded-by (atomics-only counters included), seqlock,
-# ownership-lifetime, and stale-suppression invariants. Every finding fails
-# the run; an intentional exception carries `//lint:ignore <check> <reason>`
-# at its site.
+# application-bypass, lock-discipline, lock-order, checked-error,
+# goroutine-lifecycle, guarded-by (atomics-only counters included), seqlock
+# and stale-suppression invariants. (That every pooled buffer, RCU pin and
+# arena entry comes back is checked by the tests: each test binary of a
+# package that pools exits through internal/bufpool/pooltest.) Every
+# finding fails the run; an intentional exception carries
+# `//lint:ignore <check> <reason>` at its site.
 lint:
 	$(GO) run ./cmd/portalsvet ./...
 

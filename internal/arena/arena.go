@@ -145,10 +145,8 @@ func (a *Arena[T]) reclaim() {
 // recycle (every Get advances the reclamation machinery, so limbo drains
 // even under continuous reader load), then reuses a free slot when one is
 // available and grows the arena by one doubling chunk otherwise. Every
-// entry handed out must come back through exactly one Put — the pairing
-// is machine-checked by portalsvet's ownership pass (docs/LINT.md):
-//
-//lint:resource Arena.Get -> Arena.Put
+// entry handed out must come back through exactly one Put; core's tests
+// check at each State's teardown that the live count matches its tables.
 func (a *Arena[T]) Get() *T {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -15,10 +15,9 @@
 // pool miss, not a leak). The contents of a fresh buffer are undefined —
 // callers overwrite the whole length they asked for.
 //
-// The contract is machine-checked by portalsvet's ownership pass
-// (docs/LINT.md), which holds every Get and every Retain to its Release:
-//
-//lint:resource bufpool.Get -> Buf.Release
+// Every test binary of a package that pools checks the contract at exit:
+// package pooltest fails it unless each buffer taken has had its last
+// Release (docs/LINT.md).
 package bufpool
 
 import (
@@ -71,8 +70,6 @@ func (b *Buf) Reused() bool { return !b.fresh }
 // too. Only the holder of a live reference may call it — a buffer whose last
 // reference is gone may already be somebody else's, and Retain panics rather
 // than resurrect it. Retain of nil is nil, as Release of nil is nothing.
-//
-//lint:returns-owned
 func (b *Buf) Retain() *Buf {
 	if b != nil && b.refs.Add(1) <= 1 {
 		panic(refError{op: "Retain", class: b.class})
@@ -95,10 +92,10 @@ func (b *Buf) Release() {
 	case n < 0:
 		panic(refError{op: "Release", class: b.class})
 	}
+	puts.Add(1)
 	if b.class < 0 {
 		return
 	}
-	puts.Add(1)
 	b.b = b.b[:cap(b.b)]
 	classes[b.class].Put(b)
 }
@@ -155,7 +152,8 @@ func Get(n int) *Buf {
 
 // Usage reports the cumulative pool traffic in buffers, not references:
 // total Gets, how many of those were satisfied from the pool, and how many
-// buffers their last Release has returned to it.
+// buffers have had their last Release (an oversized one counts, though it
+// is not pooled): gets − puts is the number still held.
 func Usage() (getCount, hitCount, putCount int64) {
 	return gets.Load(), hits.Load(), puts.Load()
 }

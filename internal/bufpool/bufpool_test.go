@@ -68,6 +68,13 @@ func TestUsageCounters(t *testing.T) {
 	if h1 < 1 {
 		t.Errorf("expected at least one recorded hit, have %d", h1)
 	}
+	// An oversized buffer is not pooled, but its last release still counts.
+	b = Get(maxPooled + 1)
+	b.Retain().Release()
+	b.Release()
+	if g, h, p := Usage(); g-g1 != 1 || h != h1 || p-p1 != 1 {
+		t.Errorf("oversized gets/hits/puts delta = %d/%d/%d, want 1/0/1", g-g1, h-h1, p-p1)
+	}
 }
 
 // The queue is FIFO across wrap-around and growth, hands back exactly the

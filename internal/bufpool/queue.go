@@ -19,8 +19,6 @@ type Queue struct {
 func (q *Queue) Len() int { return q.n }
 
 // Push appends b, taking ownership of it until Pop hands it back.
-//
-//lint:consumes b
 func (q *Queue) Push(b *Buf) {
 	if q.n == len(q.ring) {
 		q.grow()
@@ -31,8 +29,6 @@ func (q *Queue) Push(b *Buf) {
 
 // Pop removes and returns the oldest buffer, or nil when the queue is
 // empty. Ownership moves to the caller.
-//
-//lint:returns-owned
 func (q *Queue) Pop() *Buf {
 	if q.n == 0 {
 		return nil

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/portals"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // groups launches n members on a loopback machine.
 func groups(t *testing.T, n int) []*Group {

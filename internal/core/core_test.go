@@ -4,9 +4,13 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 var (
 	aliceID = types.ProcessID{NID: 1, PID: 10}
@@ -15,7 +19,25 @@ var (
 
 func newState(t *testing.T, id types.ProcessID) *State {
 	t.Helper()
-	return NewState(id, types.Limits{}, nil, nil)
+	return checked(t, NewState(id, types.Limits{}, nil, nil))
+}
+
+// checked has s torn down with the test, then fails the test if a pin is
+// still open or an arena holds an entry the State's tables no longer reach.
+func checked(t *testing.T, s *State) *State {
+	t.Cleanup(func() {
+		s.Close()
+		if !s.pins.Quiescent() {
+			t.Error("an RCU pin is still open at teardown")
+		}
+		if _, live := s.meArena.Stats(); live != s.mes.tab.Count() {
+			t.Errorf("%d match entries live in the arena, %d in the table", live, s.mes.tab.Count())
+		}
+		if _, live := s.mdArena.Stats(); live != s.mds.tab.Count() {
+			t.Errorf("%d descriptors live in the arena, %d in the table", live, s.mds.tab.Count())
+		}
+	})
+	return s
 }
 
 // deliver routes a set of outbound messages into the destination state and
@@ -35,6 +57,14 @@ func deliver(t *testing.T, out []Outbound, states map[types.ProcessID]*State) {
 			t.Fatalf("decode: %v", err)
 		}
 		out = append(out, dst.HandleIncoming(&h, payload)...)
+		next.Recycle()
+	}
+}
+
+// recycle returns the pooled buffers of messages a test does not pass on.
+func recycle(out ...Outbound) {
+	for i := range out {
+		out[i].Recycle()
 	}
 }
 
@@ -131,6 +161,48 @@ func TestMEInsertStaleBase(t *testing.T) {
 	}
 	if _, err := s.MEInsert(h, any, 0, 0, types.Retain, types.After); !errors.Is(err, types.ErrInvalidHandle) {
 		t.Errorf("MEInsert on stale handle = %v", err)
+	}
+}
+
+// Every call that resolves a handle closes its pin on the way out, a failed
+// lookup included: each one here is given a handle that is gone.
+func TestStaleHandlesClosePins(t *testing.T) {
+	s := newState(t, aliceID)
+	me, err := s.MEAttach(0, anyID, 0, 0, types.Retain, types.After)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, err := s.MDBind(MD{Start: make([]byte, 4), Threshold: types.ThresholdInfinite}, types.Retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MDUnlink(md); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MEUnlink(me); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"StartPut": func() error { _, err := s.StartPut(md, types.NoAckReq, bobID, 0, 0, 0, 0); return err },
+		"StartGet": func() error { _, err := s.StartGet(md, bobID, 0, 0, 0, 0); return err },
+		"MDAttach": func() error { _, err := s.MDAttach(me, MD{Start: make([]byte, 4)}, types.Retain); return err },
+		"MDUnlink": func() error { return s.MDUnlink(md) },
+		"MDUpdate": func() error { return s.MDUpdate(md, MD{Start: make([]byte, 4)}, types.InvalidHandle) },
+		"MDStatus": func() error { _, _, err := s.MDStatus(md); return err },
+		"MEInsert": func() error { _, err := s.MEInsert(me, anyID, 0, 0, types.Retain, types.After); return err },
+		"MEUnlink": func() error { return s.MEUnlink(me) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s on a handle that is gone succeeded", name)
+		}
+		if !s.pins.Quiescent() {
+			t.Fatalf("%s left a pin open", name)
+		}
+	}
+	reply := wire.ReplyFor(&wire.Header{Op: wire.OpGet, Initiator: aliceID, Target: bobID, MD: md, RLength: 4}, 4)
+	var pl Placement
+	if v := s.Resolve(&reply, &pl); v != Discard || !s.pins.Quiescent() {
+		t.Errorf("Resolve of a reply to a descriptor that is gone = %v, pins quiescent %v", v, s.pins.Quiescent())
 	}
 }
 
@@ -258,7 +330,7 @@ func TestEQAllocValidation(t *testing.T) {
 }
 
 func TestSlotExhaustion(t *testing.T) {
-	s := NewState(aliceID, types.Limits{MaxEQs: 2}, nil, nil)
+	s := checked(t, NewState(aliceID, types.Limits{MaxEQs: 2, MaxMEs: 2, MaxMDs: 2}, nil, nil))
 	if _, err := s.EQAlloc(1); err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +339,35 @@ func TestSlotExhaustion(t *testing.T) {
 	}
 	if _, err := s.EQAlloc(1); !errors.Is(err, types.ErrNoSpace) {
 		t.Errorf("EQ table overflow = %v, want ErrNoSpace", err)
+	}
+
+	// A match entry or descriptor refused for want of a slot gives its
+	// arena entry back, whichever call made it.
+	me, err := s.MEAttach(0, anyID, 0, 0, types.Retain, types.After)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachME := func() error { _, err := s.MEAttach(0, anyID, 0, 0, types.Retain, types.After); return err }
+	insertME := func() error { _, err := s.MEInsert(me, anyID, 0, 0, types.Retain, types.After); return err }
+	bindMD := func() error { _, err := s.MDBind(MD{Start: make([]byte, 4)}, types.Retain); return err }
+	attachMD := func() error { _, err := s.MDAttach(me, MD{Start: make([]byte, 4)}, types.Retain); return err }
+	for _, fill := range []func() error{insertME, bindMD, attachMD} {
+		if err := fill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, mes := s.meArena.Stats()
+	_, mds := s.mdArena.Stats()
+	for name, alloc := range map[string]func() error{"MEAttach": attachME, "MEInsert": insertME, "MDBind": bindMD, "MDAttach": attachMD} {
+		if err := alloc(); !errors.Is(err, types.ErrNoSpace) {
+			t.Errorf("%s on a full table = %v, want ErrNoSpace", name, err)
+		}
+		if _, m := s.meArena.Stats(); m != mes {
+			t.Errorf("%s refused, but the arena holds %d match entries, not %d", name, m, mes)
+		}
+		if _, d := s.mdArena.Stats(); d != mds {
+			t.Errorf("%s refused, but the arena holds %d descriptors, not %d", name, d, mds)
+		}
 	}
 }
 
@@ -323,9 +424,11 @@ func TestStartPutThresholdExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StartPut(md, types.NoAckReq, bobID, 0, 0, 0, 0); err != nil {
+	out, err := s.StartPut(md, types.NoAckReq, bobID, 0, 0, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	recycle(out)
 	if _, err := s.StartPut(md, types.NoAckReq, bobID, 0, 0, 0, 0); !errors.Is(err, types.ErrInvalidArgument) {
 		t.Errorf("put on exhausted MD = %v", err)
 	}

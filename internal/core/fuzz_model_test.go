@@ -102,7 +102,7 @@ func TestFuzzTranslationModel(t *testing.T) {
 
 func fuzzTranslation(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	st := NewState(bobID, types.Limits{MaxMEs: 128, MaxMDs: 256}, nil, nil)
+	st := checked(t, NewState(bobID, types.Limits{MaxMEs: 128, MaxMDs: 256}, nil, nil))
 	eq, err := st.EQAlloc(4096)
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,6 @@ func classify(me *matchEntry) int {
 // head (Before) or tail (After); otherwise the position is relative to
 // ref. Caller holds p.mu.
 //
-//lint:consumes me
 //lint:requires mu/memDesc.owner
 func (p *portal) attach(me *matchEntry, ref *matchEntry, pos types.InsertPosition) {
 	var prev, next *matchEntry

@@ -223,7 +223,7 @@ func TestTranslateIndexedMatchesReference(t *testing.T) {
 			default: // compare walks, then actually deliver the message
 				h, want, payload := randHeader()
 				diffTranslate(t, s, &h, want)
-				s.HandleIncoming(&h, payload)
+				recycle(s.HandleIncoming(&h, payload)...)
 			}
 			checkIndexCoherent(t, &s.table[0])
 			checkIndexCoherent(t, &s.table[1])

@@ -205,7 +205,6 @@ func (s *State) MDBind(md MD, unlinkOp types.UnlinkOption) (types.Handle, error)
 		return types.InvalidHandle, err
 	}
 	d.handle = h
-	//lint:ignore ownleak allocMD's atomic slot publish took ownership on success (MDUnlink Puts later); conditional transfer is outside the ownership model
 	return h, nil
 }
 

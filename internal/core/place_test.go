@@ -42,6 +42,7 @@ func TestPlacedPutMatchesWholeDelivery(t *testing.T) {
 			window(t, b, whole, tc.extra, eq)
 			h := putHeader(uint64(len(payload)), tc.offset, types.AckReq)
 			wantOut := b.HandleIncoming(&h, payload)
+			defer recycle(wantOut...)
 			wantEv, err := b.EQGet(eq)
 			if err != nil {
 				t.Fatal(err)
@@ -61,6 +62,7 @@ func TestPlacedPutMatchesWholeDelivery(t *testing.T) {
 				pl.WriteAt(uint64(off), payload[off:min(off+7, len(payload))])
 			}
 			gotOut := c.Commit(&pl, nil)
+			defer recycle(gotOut...)
 			gotEv, err := c.EQGet(ceq)
 			if err != nil {
 				t.Fatal(err)
@@ -201,7 +203,9 @@ func TestPlacedReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	gh, _, _ := wire.DecodeMessage(get.Msg)
+	recycle(get)
 	replies := states[bobID].HandleIncoming(&gh, nil)
+	defer recycle(replies...)
 	rh, payload, err := wire.DecodeMessage(replies[0].Msg)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +216,7 @@ func TestPlacedReply(t *testing.T) {
 	pl.WriteAt(0, payload[:4])
 	// A forged duplicate, delivered whole while the real one is landing: it
 	// is judged like any reply (and ends the get), but the record stays.
-	a.HandleIncoming(&rh, payload)
+	recycle(a.HandleIncoming(&rh, payload)...)
 	if err := a.MDUnlink(md); !errors.Is(err, types.ErrMDInUse) {
 		t.Fatalf("MDUnlink while the reply is landing = %v, want ErrMDInUse", err)
 	}
@@ -256,9 +260,11 @@ func TestPlacedReplyToFullEQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // the first reply fills the queue
-		if _, err := a.StartGet(md, bobID, 0, 0, 9, 0); err != nil {
+		get, err := a.StartGet(md, bobID, 0, 0, 9, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		recycle(get)
 		rh := wire.ReplyFor(&wire.Header{Op: wire.OpGet, Initiator: aliceID, Target: bobID, MD: md, RLength: 4}, 4)
 		var pl Placement
 		if v := a.Resolve(&rh, &pl); v != Place {

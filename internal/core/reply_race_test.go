@@ -18,7 +18,7 @@ import (
 // ErrEQDropped — an event lost after the engine decided there was room.
 func TestReplyEQSpaceRace(t *testing.T) {
 	self := types.ProcessID{NID: 1, PID: 1}
-	s := NewState(self, types.Limits{}, nil, nil)
+	s := checked(t, NewState(self, types.Limits{}, nil, nil))
 	eq, err := s.EQAlloc(1)
 	if err != nil {
 		t.Fatal(err)

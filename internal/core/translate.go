@@ -36,8 +36,6 @@ func (o *Outbound) Recycle() {
 // hand-assembled value yields nil. Afterwards Recycle is a no-op and the
 // new owner releases the buffer — this is how a delivery engine hands a
 // message to transport.Endpoint.SendBuf without a copy.
-//
-//lint:returns-owned
 func (o *Outbound) TakeBuf() *bufpool.Buf {
 	b := o.buf
 	o.buf = nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/mpi"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
@@ -14,6 +15,9 @@ import (
 	"repro/internal/transport/simnet"
 	"repro/portals"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // fastBypassConfig keeps unit-test runtime low while preserving the
 // architectural contrast: a paced fabric slow enough that message

@@ -6,9 +6,8 @@ import (
 )
 
 // The structured-flow walker: one conservative abstract interpreter over
-// Go statements, shared by every analysis that follows a per-path state
-// through a function body (the lock pass, lockdiscipline.go; the
-// ownership pass, ownership.go). The walker owns control flow — clone the
+// Go statements, for an analysis that follows a per-path state through a
+// function body (the lock pass, lockdiscipline.go). The walker owns control flow — clone the
 // state where paths fork, merge where they join, one abstract pass per
 // loop, break and continue states collected at the statement they leave
 // — and an analysis supplies only what its state means: a transfer.

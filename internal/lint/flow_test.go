@@ -2,21 +2,15 @@ package lint
 
 import "testing"
 
-// TestControlFlowSideBySide walks a mutex and a pooled buffer through
-// every construct the structured-flow walker handles, taken together and
-// given back together, so each marked line names both analyses: one
-// fixture, two transfer functions, one walker. A construct the walker
-// mishandles shows up as a line where the two disagree.
+// TestControlFlowSideBySide walks a mutex through every construct the
+// structured-flow walker handles, taken and given back, so each marked line
+// is a path the walker carries the lock out on. A construct the walker
+// mishandles shows up as a marked line without a finding, or the reverse.
 func TestControlFlowSideBySide(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
-		"repro/internal/bp": {"bp.go": bpFixture},
 		"repro/cf": {"cf.go": `package cf
 
-import (
-	"sync"
-
-	"repro/internal/bp"
-)
+import "sync"
 
 type S struct {
 	mu sync.Mutex
@@ -28,29 +22,25 @@ outer:
 	for _, x := range xs {
 		for _, y := range xs {
 			s.mu.Lock()
-			b := bp.Get(8)
 			if x == y {
 				break outer // leaves both loops holding both
 			}
-			b.Release()
 			s.mu.Unlock()
 		}
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) plainBreak(xs []int) {
 	for _, x := range xs {
 		s.mu.Lock()
-		b := bp.Get(8)
 		{
 			if x == 0 {
 				break
 			}
 		}
-		b.Release()
 		s.mu.Unlock()
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) labelledContinue(xs []int) {
 outer:
@@ -60,8 +50,6 @@ outer:
 				continue outer // nothing held: nothing to carry
 			}
 			s.mu.Lock()
-			b := bp.Get(8)
-			b.Release()
 			s.mu.Unlock()
 		}
 	}
@@ -70,79 +58,63 @@ outer:
 func (s *S) bodyFallsOffHolding(n int) {
 	for i := 0; i < n; i++ {
 		s.mu.Lock()
-		b := bp.Get(8)
-		_ = b.Len()
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) switchNoDefault(x int) {
 	s.mu.Lock()
-	b := bp.Get(8)
 	switch x {
 	case 1:
-		b.Release()
 		s.mu.Unlock()
 	case 2:
-		b.Release()
 		s.mu.Unlock()
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) switchDefault(x int) {
 	s.mu.Lock()
-	b := bp.Get(8)
 	switch x {
 	case 1:
-		return // want:lockdiscipline,ownleak
+		return // want:lockdiscipline
 	default:
-		b.Release()
 		s.mu.Unlock()
 	}
 }
 
 func (s *S) typeSwitch(v any) {
 	s.mu.Lock()
-	b := bp.Get(8)
 	switch v.(type) {
 	case int:
-		b.Release()
 		s.mu.Unlock()
 	case string:
-		b.Release()
 		s.mu.Unlock()
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) selectAllReturn() {
 	s.mu.Lock()
-	b := bp.Get(8)
 	select {
 	case <-s.ch:
-		b.Release()
 		s.mu.Unlock()
 		return
 	default:
-		return // want:lockdiscipline,ownleak
+		return // want:lockdiscipline
 	}
 }
 
 func (s *S) foreverWithBreak() {
 	for {
 		s.mu.Lock()
-		b := bp.Get(8)
 		if len(s.ch) > 0 {
 			break
 		}
-		b.Release()
 		s.mu.Unlock()
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) foreverNoBreak() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := bp.Get(8)
-	defer b.Release()
 	for {
 		if len(s.ch) > 0 {
 			return
@@ -152,23 +124,19 @@ func (s *S) foreverNoBreak() {
 
 func (s *S) ifElseBothReturn(x int) int {
 	s.mu.Lock()
-	b := bp.Get(8)
 	if x > 0 {
-		b.Release()
 		s.mu.Unlock()
 		return 1
 	} else {
-		return 2 // want:lockdiscipline,ownleak
+		return 2 // want:lockdiscipline
 	}
 }
 
 func (s *S) deferred(x int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := bp.Get(8)
-	defer b.Release()
 	if x > 0 {
-		return b.Len()
+		return 1
 	}
 	return 0
 }
@@ -176,12 +144,10 @@ func (s *S) deferred(x int) int {
 func (s *S) breakLeavesSwitch(x int) {
 	for {
 		s.mu.Lock()
-		b := bp.Get(8)
 		switch x {
 		case 1:
 			break // leaves the switch, not the loop
 		}
-		b.Release()
 		s.mu.Unlock()
 		return
 	}
@@ -190,35 +156,28 @@ func (s *S) breakLeavesSwitch(x int) {
 func (s *S) breakLeavesSelect() {
 	for {
 		s.mu.Lock()
-		b := bp.Get(8)
 		select {
 		case <-s.ch:
 			break // leaves the select, not the loop
 		default:
 		}
-		b.Release()
 		s.mu.Unlock()
 		return
 	}
 }
 `},
-	}, checksNamed("lockdiscipline", "ownleak"))
+	}, checksNamed("lockdiscipline"))
 }
 
 // TestContinueCarriesState: what a loop body still holds at a `continue`
 // reaches the loop's exit exactly as what it holds when it falls off its
-// end — a lock, or a pooled buffer. (Before the shared walker both
-// analyses dropped the state at `continue`.)
+// end. (Before the shared walker the lock pass dropped the state at
+// `continue`.)
 func TestContinueCarriesState(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
-		"repro/internal/bp": {"bp.go": bpFixture},
 		"repro/ct": {"ct.go": `package ct
 
-import (
-	"sync"
-
-	"repro/internal/bp"
-)
+import "sync"
 
 type S struct {
 	mu sync.Mutex
@@ -236,47 +195,31 @@ func (s *S) lockHeldAtContinue(xs []int) {
 	}
 } // want:lockdiscipline
 
-func bufferOwnedAtContinue(xs []int) {
-	for _, x := range xs {
-		b := bp.Get(x)
-		if x == 0 {
-			continue
-		}
-		b.Release()
-	}
-} // want:ownleak
-
 func (s *S) labelledContinue(xs []int) {
 outer:
 	for _, x := range xs {
 		for _, y := range xs {
 			s.mu.Lock()
-			b := bp.Get(y)
 			if x == y {
 				continue outer // skips the inner loop's release too
 			}
-			b.Release()
 			s.mu.Unlock()
 		}
 	}
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 
 func (s *S) settledBeforeContinue(xs []int) {
 	for _, x := range xs {
 		s.mu.Lock()
-		b := bp.Get(x)
 		if x == 0 {
-			b.Release()
 			s.mu.Unlock()
 			continue
 		}
-		s.n += b.Len()
-		b.Release()
 		s.mu.Unlock()
 	}
 }
 `},
-	}, checksNamed("lockdiscipline", "ownleak"))
+	}, checksNamed("lockdiscipline"))
 }
 
 // TestLoopWithoutConditionExitsOnlyThroughBreak is the walker's one rule
@@ -285,14 +228,9 @@ func (s *S) settledBeforeContinue(xs []int) {
 // reported the lock as still held at the unreachable end of keepsLock.)
 func TestLoopWithoutConditionExitsOnlyThroughBreak(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
-		"repro/internal/bp": {"bp.go": bpFixture},
 		"repro/fl": {"fl.go": `package fl
 
-import (
-	"sync"
-
-	"repro/internal/bp"
-)
+import "sync"
 
 type S struct {
 	mu sync.Mutex
@@ -301,10 +239,8 @@ type S struct {
 
 func (s *S) keepsLock() {
 	s.mu.Lock()
-	b := bp.Get(8)
 	for {
 		if len(s.ch) > 0 {
-			b.Release()
 			s.mu.Unlock()
 			return
 		}
@@ -313,16 +249,14 @@ func (s *S) keepsLock() {
 
 func (s *S) breakCarriesBoth() {
 	s.mu.Lock()
-	b := bp.Get(8)
 	for {
 		if len(s.ch) > 0 {
 			break
 		}
 	}
-	_ = b.Len()
-} // want:lockdiscipline,ownleak
+} // want:lockdiscipline
 `},
-	}, checksNamed("lockdiscipline", "ownleak"))
+	}, checksNamed("lockdiscipline"))
 }
 
 // TestLockPassSinksStayApart: the lock pass walks each body once for

@@ -3,9 +3,10 @@
 // defining property — application bypass (§5.1: data flows "with virtually
 // no application processing") — as concurrency discipline: the delivery
 // path never blocks, counters are atomics, locks follow one declared
-// hierarchy and guard what they say they guard, pooled buffers have one
-// owner. AllChecks is the table of checks, one line each; docs/LINT.md
-// describes them.
+// hierarchy and guard what they say they guard. (That pooled buffers, RCU
+// pins and arena entries come back is the tests' buffer ledger's claim,
+// internal/bufpool/pooltest, not a check here.) AllChecks is the table of
+// checks, one line each; docs/LINT.md describes them.
 //
 // Three pieces are shared between checks. The facts engine (summary.go,
 // callgraph.go) builds a conservative call graph over every loaded
@@ -14,8 +15,8 @@
 // locks-acquired summaries by fixpoint propagation through strongly
 // connected components; reach.go reports what the delivery path reaches
 // over it. The structured-flow walker (flow.go) is the one abstract
-// interpreter over Go statements; the lock pass (lockdiscipline.go) and
-// the ownership pass (ownership.go) are transfer functions for it.
+// interpreter over Go statements; the lock pass (lockdiscipline.go) is a
+// transfer function for it.
 //
 // The implementation uses only the Go standard library (go/ast, go/parser,
 // go/token, go/types); the module has zero external dependencies and must
@@ -59,8 +60,8 @@ type Check interface {
 }
 
 // check is one row of the registry: a named analysis and where its
-// findings come from. Checks that share a pass (the lock pass, the
-// ownership pass) name the same run function; Run keeps the row's own.
+// findings come from. Checks that share a pass (the lock pass) name the
+// same run function; Run keeps the row's own.
 type check struct {
 	name, doc string
 	run       func(*Program) []Diagnostic
@@ -82,7 +83,6 @@ func (c check) Run(p *Program) []Diagnostic {
 // AllChecks returns every check in its canonical order.
 func AllChecks() []Check {
 	fromLockPass := func(p *Program) []Diagnostic { return p.lockAnalysis().diags }
-	fromOwnPass := func(p *Program) []Diagnostic { return p.ownAnalysis().diags }
 	return []Check{
 		check{"bypassviolation", "delivery paths (internal/nicsim, internal/rtscts on* handlers) must never block", (*Program).reach},
 		check{"lockdiscipline", "no blocking while a mutex is held; every Lock has an Unlock on all paths", fromLockPass},
@@ -91,10 +91,6 @@ func AllChecks() []Check {
 		check{"goroutinelifecycle", "every goroutine in non-test code has a reachable shutdown path", goroutineLifecycle},
 		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock; counter fields and fields used with sync/atomic are never accessed plainly", fromLockPass},
 		check{"seqlock", "ring-slot fields are only touched inside the //lint:seqlock stamp protocol", fromLockPass},
-		check{"ownleak", "every acquired resource (pooled buffer, RCU pin, arena entry) is released or ownership-transferred on all paths", fromOwnPass},
-		check{"ownuseafter", "no use of a resource after its release or after its ownership was transferred", fromOwnPass},
-		check{"owndouble", "no resource is released twice (explicitly or via a deferred release)", fromOwnPass},
-		check{"ownescape", "borrowed resources never escape their call; ownership handoffs are annotated //lint:consumes", fromOwnPass},
 		// staleignore exists here to be named and documented; the detection
 		// itself runs inside Run (after suppression filtering, so a stale
 		// directive cannot suppress its own report) whenever any checks run.
@@ -128,7 +124,6 @@ type Program struct {
 	funcs      map[*types.Func]*funcSource
 	eng        *engine
 	lockRes    *lockResult
-	ownRes     *ownResult
 	dirs       map[string][]directive
 	isAnalyzed map[*Package]bool
 }

@@ -647,7 +647,7 @@ func TestRepoLedger(t *testing.T) {
 	sup, _ := prog.suppressions()
 	total := 0
 	for _, c := range AllChecks() {
-		prog.lockRes, prog.ownRes = nil, nil // time each check as if it ran alone
+		prog.lockRes = nil // time each check as if it ran alone
 		start := time.Now()
 		raw := c.Run(prog)
 		t.Logf("%-20s %5d %10v", c.Name(), len(raw), time.Since(start).Round(100*time.Microsecond))
@@ -1597,7 +1597,7 @@ func TestSARIFMarshal(t *testing.T) {
 		{File: "internal/core/state.go", Line: 12, Check: "guardedby", Message: "field accessed without mu held"},
 		{File: "internal/eventq/eventq.go", Line: 40, Check: "seqlock", Message: "write outside window"},
 		{File: "x.go", Line: 1, Check: "novelcheck", Message: "from a future version"},
-		{File: "internal/bufpool/bufpool.go", Line: 7, Check: "ownleak", Message: "bufpool.Get result leaks"},
+		{File: "internal/core/state.go", Line: 40, Check: "lockorder", Message: "undeclared lock edge"},
 	}
 	data, err := MarshalSARIF(findings)
 	if err != nil {
@@ -1649,8 +1649,7 @@ func TestSARIFMarshal(t *testing.T) {
 	for i, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = i
 	}
-	for _, want := range []string{"guardedby", "seqlock", "staleignore", "badsuppress", "novelcheck",
-		"ownleak", "ownuseafter", "owndouble", "ownescape"} {
+	for _, want := range []string{"guardedby", "seqlock", "staleignore", "badsuppress", "novelcheck", "lockorder"} {
 		if _, ok := ruleIDs[want]; !ok {
 			t.Errorf("rules missing %q", want)
 		}
@@ -1658,8 +1657,8 @@ func TestSARIFMarshal(t *testing.T) {
 	if len(run.Results) != 4 {
 		t.Fatalf("want 4 results, got %d", len(run.Results))
 	}
-	if r := run.Results[3]; r.Level != "error" || r.RuleID != "ownleak" {
-		t.Errorf("ownership finding rendered wrong: %+v", r)
+	if r := run.Results[3]; r.Level != "error" || r.RuleID != "lockorder" {
+		t.Errorf("lockorder finding rendered wrong: %+v", r)
 	}
 	if r := run.Results[0]; r.Level != "error" || r.RuleID != "guardedby" ||
 		r.Locations[0].PhysicalLocation.ArtifactLocation.URI != "internal/core/state.go" ||

@@ -8,10 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/rtscts"
 	"repro/internal/transport/simnet"
 	"repro/portals"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 func worldOn(t *testing.T, fab portals.Fabric, n int, cfg Config) *World {
 	t.Helper()

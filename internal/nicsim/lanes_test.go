@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/core"
 	"repro/internal/rtscts"
 	"repro/internal/transport"
@@ -134,7 +135,7 @@ func TestCloseDrainsLanes(t *testing.T) {
 }
 
 func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	defer net.Close()
 	n1, err := NewNode(net, 1, Config{Lanes: lanes})
 	if err != nil {
@@ -203,5 +204,5 @@ func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
 	}
 	// The packet fabrics' link goroutines let go of what they still hold on
 	// their own time.
-	await(t, "pooled buffers to come back", func() bool { return outstanding() == start })
+	await(t, "pooled buffers to come back", func() bool { return held() == 0 })
 }

@@ -357,8 +357,6 @@ var outScratch = sync.Pool{
 // it: the message's pooled buffer — every Outbound the core builds has one
 // — is handed to the transport, which owns it from here on, error or not.
 // The caller must not use or Recycle out afterwards.
-//
-//lint:consumes out
 func (n *Node) Send(out core.Outbound) error {
 	// On the delivery path this runs on a lane worker or, for an inline
 	// burst, on the fabric's delivery goroutine (transmit stage) — never on

@@ -5,10 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/core"
 	"repro/internal/transport/loopback"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 func twoNodes(t *testing.T, cfg Config) (*Node, *Node, *core.State, *core.State) {
 	t.Helper()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/core"
 	"repro/internal/rtscts"
 	"repro/internal/transport"
@@ -146,11 +147,6 @@ func await(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-func outstanding() int64 {
-	gets, _, puts := bufpool.Usage()
-	return gets - puts
 }
 
 func fill(n int, salt byte) []byte {
@@ -388,7 +384,7 @@ func TestHostileAnnouncementsThroughTheEngine(t *testing.T) {
 	} {
 		for _, lanes := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, lanes), func(t *testing.T) {
-				start := outstanding()
+				held := pooltest.Baseline(t)
 				fabric := simnet.Instant()
 				fabric.MTU = 4096
 				r := newRig(t, fabric, Config{Lanes: lanes})
@@ -413,7 +409,7 @@ func TestHostileAnnouncementsThroughTheEngine(t *testing.T) {
 				r.tx.Close()
 				r.rx.Close()
 				r.sim.Close()
-				await(t, "pooled buffers to come back", func() bool { return outstanding() == start })
+				await(t, "pooled buffers to come back", func() bool { return held() == 0 })
 			})
 		}
 	}
@@ -446,7 +442,7 @@ func TestTeardownRacesLandingFragments(t *testing.T) {
 	} {
 		for _, lanes := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, lanes), func(t *testing.T) {
-				start := outstanding()
+				held := pooltest.Baseline(t)
 				r := newRig(t, fabric, Config{Lanes: lanes})
 				var wg sync.WaitGroup
 				stop := make(chan struct{})
@@ -481,7 +477,7 @@ func TestTeardownRacesLandingFragments(t *testing.T) {
 				if err := r.rxs.MEUnlink(r.me); err != nil {
 					t.Errorf("after teardown the window is still pinned: MEUnlink = %v", err)
 				}
-				await(t, "pooled buffers to come back", func() bool { return outstanding() == start })
+				await(t, "pooled buffers to come back", func() bool { return held() == 0 })
 				snap := r.rxs.Counters().Snapshot()
 				if snap.Dropped != snap.Drops[types.DropAborted] || snap.Dropped > 1 {
 					t.Errorf("process drops %v, want at most one transfer-aborted", snap.Drops)

@@ -409,10 +409,8 @@ type Guards struct {
 // Enter opens a read-side window and returns a token to pass to Exit.
 // hint spreads unrelated readers across stripes (any cheap value — an
 // initiator NID, a lane index); correctness needs only Enter/Exit pairing.
-// Enter and Exit run per message on the delivery path. The pairing is
-// machine-checked by portalsvet's ownership pass (docs/LINT.md):
-//
-//lint:resource Guards.Enter -> Guards.Exit
+// Enter and Exit run per message on the delivery path. Core's tests check
+// the pairing: a State they tear down must be Quiescent.
 func (g *Guards) Enter(hint uint64) int {
 	e := int(g.epoch.Load() & 1)
 	s := int(hint) & (guardStripes - 1)

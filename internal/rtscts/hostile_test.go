@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 )
@@ -80,12 +81,12 @@ func TestHostileLengths(t *testing.T) {
 						c.out.Flush()
 					}
 
-					start := outstanding()
+					held := pooltest.Baseline(t)
 					feed(cut, 0, tc.flags, tc.aux, tc.payload)
 
 					st := c.Stats()
 					if tc.split != 0 {
-						if _, known := c.receivers.Get(peer); known || outstanding() != start || sink.count() != 0 {
+						if _, known := c.receivers.Get(peer); known || held() != 0 || sink.count() != 0 {
 							t.Fatal("a packet that cannot be decoded reached the stream")
 						}
 						feed(-1, 0, first(msgApp), 5, []byte("hello"))

@@ -4,32 +4,57 @@ import (
 	"bytes"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
 
-// outstanding is the number of pooled buffers acquired and not yet
-// released, process-wide.
-func outstanding() int64 {
-	gets, _, puts := bufpool.Usage()
-	return gets - puts
-}
-
-// waitBalanced waits for every buffer acquired since start to be released:
-// after Close, links and lanes drain on their own goroutines.
-func waitBalanced(t *testing.T, start int64) {
+// waitBalanced waits for every buffer acquired since the test's baseline to
+// be released: after Close, links and lanes drain on their own goroutines.
+func waitBalanced(t *testing.T, held func() int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for outstanding() != start {
+	for held() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pooled buffers outstanding: %d more than before the test", outstanding()-start)
+			t.Fatalf("pooled buffers outstanding: %d more than before the test", held())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// oversizedSent makes TestSendBufRefusalsRelease send its message longer than
+// MaxMessage once per test binary: the first 1 GiB allocation is fresh from
+// the system and never touched, but another one in the same process would
+// be zeroed first.
+var oversizedSent atomic.Bool
+
+// SendBuf takes the buffer on every path, its refusals included: a message
+// longer than MaxMessage, and one sent after Close.
+func TestSendBufRefusalsRelease(t *testing.T) {
+	held := pooltest.Baseline(t)
+	net := simnet.New(simnet.Instant())
+	defer net.Close()
+	c, err := attachSim(net, 1, Config{}, func(types.NID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !oversizedSent.Swap(true) {
+		if err := c.SendBuf(2, bufpool.Get(MaxMessage+1)); err == nil {
+			t.Error("a message longer than MaxMessage was accepted")
+		}
+	}
+	c.Close()
+	if err := c.SendBuf(2, bufpool.Get(64)); err == nil {
+		t.Error("SendBuf after Close succeeded")
+	}
+	if n := held(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after the refusals", n)
 	}
 }
 
@@ -37,7 +62,7 @@ func waitBalanced(t *testing.T, start int64) {
 // moment Send returns, while the message is still queued or being
 // retransmitted out of the layer's own buffer.
 func TestSendCopiesBeforeReturning(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Config{MTU: 512, LossRate: 0.2, Seed: 11})
 	var sb msgSink
 	a, err := attachSim(net, 1, Config{RTO: 2 * time.Millisecond, EagerMax: 1024}, func(types.NID, []byte) {})
@@ -72,7 +97,7 @@ func TestSendCopiesBeforeReturning(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // witness is a packet network that checks what the reference-carrying fabric
@@ -199,7 +224,7 @@ func (ep *witnessEP) SendPacket(dst types.NID, hdr, payload []byte, owner *bufpo
 // forced loss nearly every window is also resent while its acks are on
 // their way back.
 func TestRetransmitRacesRetiringAck(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Config{MTU: 1024, Latency: 700 * time.Microsecond})
 	pn := newWitness(t, net)
 	pn.dropFinal = true
@@ -237,7 +262,7 @@ func TestRetransmitRacesRetiringAck(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // A fabric's reference must outlive the ack that retires its message. Every
@@ -249,7 +274,7 @@ func TestRetransmitRacesRetiringAck(t *testing.T) {
 // pool, the bytes delivered are the ones first sent (witness), and afterwards
 // the pool is whole again.
 func TestLinkReferenceOutlivesRetiringAck(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Config{MTU: 1024, DupRate: 1, ReorderRate: 1, Seed: 1})
 	pn := newWitness(t, net)
 	cfg := Config{RTO: 50 * time.Millisecond, RTOMin: 50 * time.Millisecond, Window: 8}
@@ -288,7 +313,7 @@ func TestLinkReferenceOutlivesRetiringAck(t *testing.T) {
 	// acknowledge: the link is holding a packet of a retired message.
 	pinned := func() bool {
 		for calm := 0; calm < 20; calm++ {
-			if outstanding() == start {
+			if held() == 0 {
 				return false
 			}
 			time.Sleep(time.Millisecond)
@@ -319,7 +344,7 @@ func TestLinkReferenceOutlivesRetiringAck(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // The receive path reads the sender's memory, so a 256 KiB message placed
@@ -328,7 +353,7 @@ func TestLinkReferenceOutlivesRetiringAck(t *testing.T) {
 // carry the bytes of the first transmission, and every fragment must leave
 // the sink as it entered.
 func TestLossyPlacedPutReadsOnlyWhatWasSent(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Config{MTU: 4096, LossRate: 0.05, DupRate: 0.02, ReorderRate: 0.02, Seed: 23})
 	pn := newWitness(t, net)
 	cfg := Config{RTO: 5 * time.Millisecond, Window: 16}
@@ -366,5 +391,5 @@ func TestLossyPlacedPutReadsOnlyWhatWasSent(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
@@ -128,7 +129,7 @@ func pattern(n int) []byte {
 // no delivery buffer is obtained, the CTS follows the answer, and eager
 // traffic around it keeps its place in the order.
 func TestPlacedRendezvous(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	fabric := simnet.Instant()
 	fabric.MTU = 1024
 	net := simnet.New(fabric)
@@ -166,13 +167,13 @@ func TestPlacedRendezvous(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // The CTS is the handler's answer: while the announcement is unanswered the
 // peer sends nothing, and a Buffer or Discard answer is honoured as given.
 func TestCTSWaitsForTheAnswer(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Instant())
 	p := placer{hold: true}
 	b := attachPlacer(t, net, 2, Config{}, &p)
@@ -218,14 +219,14 @@ func TestCTSWaitsForTheAnswer(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // A handler that asked and then lets every announcement fall on the floor —
 // Release, no answer — gets its messages whole, and the peer is never left
 // waiting for a grant.
 func TestUnansweredAnnouncementIsBuffered(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Instant())
 	var mu sync.Mutex
 	var whole [][]byte
@@ -265,7 +266,7 @@ func TestUnansweredAnnouncementIsBuffered(t *testing.T) {
 	a.Close()
 	b.Close()
 	net.Close()
-	waitBalanced(t, start)
+	waitBalanced(t, held)
 }
 
 // Everything an announcement says is the peer's word (TestHostileLengths has
@@ -337,7 +338,7 @@ func TestHostilePlacement(t *testing.T) {
 			sinks: 1, refused: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			start := outstanding()
+			held := pooltest.Baseline(t)
 			net := simnet.New(simnet.Instant())
 			p := placer{hold: tc.hold}
 			c := attachPlacer(t, net, 1, Config{EagerMax: 4096}, &p)
@@ -405,7 +406,7 @@ func TestHostilePlacement(t *testing.T) {
 			}
 			c.Close()
 			net.Close()
-			waitBalanced(t, start)
+			waitBalanced(t, held)
 		})
 	}
 }

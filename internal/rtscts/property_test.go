@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
@@ -90,7 +91,7 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 		{name: "seed=3,slow,queuecap=4,closed-midway", cfg: simnet.Config{Seed: 3, Bandwidth: 1e6, QueueCap: 4}, closeAt: 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			start := outstanding()
+			held := pooltest.Baseline(t)
 			cfg := tc.cfg
 			cfg.MTU, cfg.LossRate, cfg.DupRate, cfg.ReorderRate = 512, 0.1, 0.1, 0.1
 			a, b, _, sb, net := pairOn(t, cfg, Config{RTO: 15 * time.Millisecond, EagerMax: 1024, Window: 16})
@@ -130,7 +131,7 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 			if st := net.Stats(); tc.cfg.QueueCap != 0 && st.TailDrops.Load() == 0 {
 				t.Error("a four-packet queue never tail-dropped")
 			}
-			waitBalanced(t, start)
+			waitBalanced(t, held)
 		})
 	}
 }

@@ -9,11 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/obs/metrics"
 	"repro/internal/transport"
 	"repro/internal/transport/simnet"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 type msgSink struct {
 	mu   sync.Mutex
@@ -67,10 +71,12 @@ func pairOn(t *testing.T, cfg simnet.Config, rcfg Config) (*Conn, *Conn, *msgSin
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { a.Close() })
 	b, err := attachSim(net, 2, rcfg, sb.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { b.Close() })
 	return a, b, &sa, &sb, net
 }
 

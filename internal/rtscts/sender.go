@@ -121,8 +121,6 @@ func newPeerSender(c *Conn, dst types.NID) *peerSender {
 
 // enqueue accepts one message for the stream, taking the buffer, and puts on
 // the stream as much of it as the window has room for before returning.
-//
-//lint:consumes buf
 func (s *peerSender) enqueue(buf *bufpool.Buf) error {
 	s.mu.Lock()
 	if s.closed {
@@ -274,7 +272,6 @@ func (s *peerSender) transmit(d *txDesc) {
 // takes it. Called with mu held.
 //
 //lint:requires mu
-//lint:consumes owner
 func (s *peerSender) sendPacket(now time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) {
 	seq := s.nextSeq
 	s.nextSeq++

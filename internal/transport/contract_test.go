@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/rtscts"
 	"repro/internal/transport"
 	"repro/internal/transport/loopback"
@@ -17,6 +18,9 @@ import (
 	"repro/internal/transport/udp"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // The seam has one send contract and one delivery contract (package
 // comment); this is the one table that holds every fabric to both.
@@ -205,11 +209,6 @@ func discard(batch []transport.Delivery) {
 	}
 }
 
-func outstanding() int64 {
-	gets, _, puts := bufpool.Usage()
-	return gets - puts
-}
-
 // The shutdown rule: Endpoint.Close returns after the handler's last call.
 // A handler parked inside a call while traffic keeps coming holds Close up;
 // once the call returns Close does too, with nothing of the handler still
@@ -217,7 +216,7 @@ func outstanding() int64 {
 func TestContractCloseWaitsForHandler(t *testing.T) {
 	for _, f := range fabrics {
 		t.Run(f.name, func(t *testing.T) {
-			start := outstanding()
+			held := pooltest.Baseline(t)
 			net := f.new()
 			defer net.Close()
 			s := &sink{t: t}
@@ -297,9 +296,9 @@ func TestContractCloseWaitsForHandler(t *testing.T) {
 			if err := net.Close(); err != nil {
 				t.Error(err)
 			}
-			for deadline := time.Now().Add(10 * time.Second); outstanding() != start; {
+			for deadline := time.Now().Add(10 * time.Second); held() != 0; {
 				if time.Now().After(deadline) {
-					t.Fatalf("pooled buffers outstanding after Close: %d", outstanding()-start)
+					t.Fatalf("pooled buffers outstanding after Close: %d", held())
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -311,7 +310,7 @@ func TestContract(t *testing.T) {
 	for _, f := range fabrics {
 		for _, form := range []string{"AttachBatch", "Attach", "Announce"} {
 			t.Run(f.name+"/"+form, func(t *testing.T) {
-				start := outstanding()
+				held := pooltest.Baseline(t)
 				net := f.new()
 				defer net.Close()
 				s := &sink{t: t, next: make(map[types.NID]uint32)}
@@ -420,9 +419,9 @@ func TestContract(t *testing.T) {
 				if err := eps[0].SendBuf(sinkNID, message(1, 0)); err == nil {
 					t.Error("SendBuf after Close succeeded")
 				}
-				for deadline := time.Now().Add(10 * time.Second); outstanding() != start; {
+				for deadline := time.Now().Add(10 * time.Second); held() != 0; {
 					if time.Now().After(deadline) {
-						t.Fatalf("pooled buffers outstanding after Close: %d", outstanding()-start)
+						t.Fatalf("pooled buffers outstanding after Close: %d", held())
 					}
 					time.Sleep(time.Millisecond)
 				}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 )
 
@@ -64,7 +65,7 @@ func returns(t *testing.T, done <-chan struct{}, what string) {
 }
 
 func TestHandoffCloseWaitsForFlush(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	p := newParker()
 	var q transport.Handoff
 	q.Init(p.handle)
@@ -81,13 +82,13 @@ func TestHandoffCloseWaitsForFlush(t *testing.T) {
 	if p.calls != 1 || p.msgs != 1 {
 		t.Errorf("handler called %d times with %d messages, want once with 1", p.calls, p.msgs)
 	}
-	if outstanding() != start {
-		t.Errorf("%d pooled buffers outstanding", outstanding()-start)
+	if held() != 0 {
+		t.Errorf("%d pooled buffers outstanding", held())
 	}
 }
 
 func TestHandoffAddAfterCloseReleases(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	var q transport.Handoff
 	q.Init(func(batch []transport.Delivery) { t.Error("handler called after Close") })
 	q.Close()
@@ -95,13 +96,13 @@ func TestHandoffAddAfterCloseReleases(t *testing.T) {
 		t.Error("Add after Close reported true")
 	}
 	q.Flush()
-	if outstanding() != start {
-		t.Errorf("%d pooled buffers outstanding", outstanding()-start)
+	if held() != 0 {
+		t.Errorf("%d pooled buffers outstanding", held())
 	}
 }
 
 func TestHandoffServeReturnsAfterClose(t *testing.T) {
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	p := newParker()
 	var q transport.Handoff
 	q.Init(p.handle)
@@ -119,7 +120,7 @@ func TestHandoffServeReturnsAfterClose(t *testing.T) {
 	if p.calls != 1 || p.msgs != 1 {
 		t.Errorf("handler called %d times with %d messages, want once with 1", p.calls, p.msgs)
 	}
-	if outstanding() != start {
-		t.Errorf("%d pooled buffers outstanding: what was pending was not released", outstanding()-start)
+	if held() != 0 {
+		t.Errorf("%d pooled buffers outstanding: what was pending was not released", held())
 	}
 }

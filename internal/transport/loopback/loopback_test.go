@@ -8,9 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // collect returns a handler that appends messages to a guarded slice.
 func collect() (transport.Handler, func() []string) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/types"
 )
 
@@ -38,7 +39,7 @@ func TestLinkAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			hdr := make([]byte, 20)
-			start := outstanding()
+			held := pooltest.Baseline(t)
 			cycle := func() {
 				buf := bufpool.Get(4000)
 				err := a.SendPacket(2, hdr, buf.Bytes(), buf)
@@ -51,7 +52,7 @@ func TestLinkAllocs(t *testing.T) {
 						t.Fatalf("delivered %d bytes, want 4020", size)
 					}
 				}
-				for outstanding() != start { // the last delivery releases after its handler returns
+				for held() != 0 { // the last delivery releases after its handler returns
 					runtime.Gosched()
 				}
 			}

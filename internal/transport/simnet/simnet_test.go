@@ -11,8 +11,12 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 type sink struct {
 	mu   sync.Mutex
@@ -33,13 +37,6 @@ func sendBody(ep *Endpoint, dst types.NID, hdr, payload []byte) error {
 	defer buf.Release()
 	copy(buf.Bytes(), payload)
 	return ep.SendPacket(dst, hdr, buf.Bytes(), buf)
-}
-
-// outstanding is the number of pooled buffers acquired and not yet released,
-// process-wide.
-func outstanding() int64 {
-	gets, _, puts := bufpool.Usage()
-	return gets - puts
 }
 
 func (s *sink) got() []string {
@@ -96,7 +93,7 @@ func TestMTUEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := outstanding()
+	held := pooltest.Baseline(t)
 	if err := sendBody(a, 2, make([]byte, 20), make([]byte, 45)); err == nil {
 		t.Error("oversized packet accepted")
 	}
@@ -115,7 +112,7 @@ func TestMTUEnforced(t *testing.T) {
 	if err := sendBody(a, 1, make([]byte, 20), make([]byte, 44)); err != nil {
 		t.Errorf("MTU-sized packet rejected: %v", err)
 	}
-	waitFor(t, func() bool { return n.Stats().Delivered.Load() == 1 && outstanding() == start })
+	waitFor(t, func() bool { return n.Stats().Delivered.Load() == 1 && held() == 0 })
 }
 
 func TestLossInjection(t *testing.T) {

@@ -84,12 +84,11 @@ type Endpoint interface {
 	// SendBuf delivers buf.Bytes() — a complete wire message — to the node
 	// dst, taking ownership of the buffer whether it returns an error or
 	// not: implementations release it or forward it as a Delivery's Buf on
-	// every path, and callers must not touch it after the call — both
-	// sides are machine-checked (docs/LINT.md). It may block for pacing or
-	// flow control but returns once the message is accepted for reliable
-	// delivery (local completion), and is safe for concurrent use.
-	//
-	//lint:consumes buf
+	// every path, and callers must not touch it after the call (each test
+	// binary checks at exit that every buffer came back, docs/LINT.md).
+	// It may block for pacing or flow control but returns once the message
+	// is accepted for reliable delivery (local completion), and is safe for
+	// concurrent use.
 	SendBuf(dst types.NID, buf *bufpool.Buf) error
 	// Send is SendBuf for a caller that keeps its bytes: msg is copied
 	// once and may be reused as soon as Send returns (SendCopy).
@@ -202,9 +201,8 @@ type Announcer interface {
 }
 
 // Announcement builds the announcement of a total-byte message whose first
-// bytes are in head; r.Answer(token, …) will be called exactly once.
-//
-//lint:consumes head
+// bytes are in head, which the Delivery takes; r.Answer(token, …) will be
+// called exactly once.
 func Announcement(src types.NID, head *bufpool.Buf, total int, r Rendezvous, token uint64) Delivery {
 	return Delivery{Src: src, Msg: head.Bytes(), Buf: head, Total: total, rdv: r, token: token}
 }
@@ -261,8 +259,6 @@ func (d *Delivery) Release() {
 // a delivery goroutine does) or sends through a SendBuf that never blocks
 // (rtscts queues). A fabric that reads and delivers on one goroutine over
 // a blocking SendBuf deadlocks under symmetric bulk traffic.
-//
-//lint:consumes batch
 type BatchHandler func(batch []Delivery)
 
 // Borrow is every fabric's Network.Attach: it adapts a Handler to the

@@ -43,9 +43,11 @@ func newLossyPair(t *testing.T, pcfg proxytest.Config, rel rtscts.Config) *lossy
 	if p.epB, err = p.nb.Attach(2, p.rxB.handler); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.epB.Close() })
 	if p.epA, err = p.na.Attach(1, p.rxA.handler); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { p.epA.Close() })
 	p.connA = p.epA.(*rtscts.Conn)
 	addrA, _ := p.na.Addr(1)
 	addrB, _ := p.nb.Addr(2)

@@ -3,15 +3,32 @@ package udp
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
+
+// attach attaches nid to n and closes the endpoint with the test, after the
+// test's deferred Network.Close: the Conn, not the Network, holds its
+// unacknowledged sends.
+func attach(t *testing.T, n *Network, nid types.NID, h func(types.NID, []byte)) (transport.Endpoint, error) {
+	ep, err := n.Attach(nid, h)
+	if err == nil {
+		t.Cleanup(func() { ep.Close() })
+	}
+	return ep, err
+}
 
 // collect is a handler that copies and queues every delivered message.
 type collect struct {
@@ -50,10 +67,10 @@ func TestSmallMessageOverRealSockets(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx collect
-	if _, err := n.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, n, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := n.Attach(1, func(types.NID, []byte) {})
+	ep, err := attach(t, n, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +88,10 @@ func TestOrderingManyMessages(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx collect
-	if _, err := n.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, n, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := n.Attach(1, func(types.NID, []byte) {})
+	ep, err := attach(t, n, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +113,10 @@ func TestLargeMessageFragmentsAndRendezvous(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx collect
-	if _, err := n.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, n, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := n.Attach(1, func(types.NID, []byte) {})
+	ep, err := attach(t, n, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +139,11 @@ func TestBidirectionalTraffic(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx1, rx2 collect
-	ep1, err := n.Attach(1, rx1.handler)
+	ep1, err := attach(t, n, 1, rx1.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep2, err := n.Attach(2, rx2.handler)
+	ep2, err := attach(t, n, 2, rx2.handler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +172,11 @@ func TestManyPeersOneSocketEach(t *testing.T) {
 	defer n.Close()
 	const peers = 8
 	var rx collect
-	if _, err := n.Attach(100, rx.handler); err != nil {
+	if _, err := attach(t, n, 100, rx.handler); err != nil {
 		t.Fatal(err)
 	}
 	for p := 1; p <= peers; p++ {
-		ep, err := n.Attach(types.NID(p), func(types.NID, []byte) {})
+		ep, err := attach(t, n, types.NID(p), func(types.NID, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +221,7 @@ func TestBatchDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := n.Attach(1, func(types.NID, []byte) {})
+	ep, err := attach(t, n, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +261,10 @@ func TestWriterCoalescesBursts(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx collect
-	if _, err := n.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, n, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
-	ep, err := n.Attach(1, func(types.NID, []byte) {})
+	ep, err := attach(t, n, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +291,7 @@ func TestBadFramesDropped(t *testing.T) {
 	n := New()
 	defer n.Close()
 	var rx collect
-	if _, err := n.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, n, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
 	addr, ok := n.Addr(2)
@@ -304,7 +321,7 @@ func TestBadFramesDropped(t *testing.T) {
 func TestUnknownDestinationFailsFast(t *testing.T) {
 	n := New()
 	defer n.Close()
-	if _, err := n.Attach(1, func(types.NID, []byte) {}); err != nil {
+	if _, err := attach(t, n, 1, func(types.NID, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	n.mu.Lock()
@@ -315,6 +332,61 @@ func TestUnknownDestinationFailsFast(t *testing.T) {
 	}
 	if n.Stats().UnknownPeers.Load() == 0 {
 		t.Fatal("unknown-peer drop not counted")
+	}
+
+	// A closed node refuses a send to a known peer too, and the frame it
+	// built goes back to the pool.
+	addr, _ := n.Addr(1)
+	if err := n.Register(42, addr); err != nil {
+		t.Fatal(err)
+	}
+	nd.Close()
+	held := pooltest.Baseline(t)
+	if err := nd.SendPacket(42, []byte("x"), nil, nil); !errors.Is(err, types.ErrClosed) {
+		t.Errorf("send from a closed node = %v, want ErrClosed", err)
+	}
+	if n := held(); n != 0 {
+		t.Errorf("%d pooled buffers outstanding after the refusal", n)
+	}
+}
+
+// A send that finds the node's queue full is dropped at the tail and
+// counted, and its frame goes back to the pool: retransmission repairs the
+// loss.
+func TestFullSendQueueDropsAtTheTail(t *testing.T) {
+	n := New()
+	defer n.Close()
+	if _, err := attach(t, n, 1, func(types.NID, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	nd := n.nodes[1]
+	n.mu.Unlock()
+	addr, _ := n.addrs.Get(1)
+	held := pooltest.Baseline(t)
+	// The writer may be starting up or draining when the queue is filled,
+	// so fill it again until a send finds it full. The filler frames are
+	// zeros: the node reads them back as bad frames and lets them go.
+	for tries := 0; n.Stats().TxDrops.Load() == 0; tries++ {
+		if tries == 100 {
+			t.Fatal("no send found the queue full")
+		}
+		nd.qmu.Lock()
+		for len(nd.sendQ) < sendQueueCap {
+			b := bufpool.Get(frameHeaderSize)
+			clear(b.Bytes())
+			nd.sendQ = append(nd.sendQ, outPkt{addr: addr, buf: b})
+		}
+		nd.qmu.Unlock()
+		if err := nd.SendPacket(1, []byte("x"), nil, nil); err != nil {
+			t.Fatalf("send into a full queue = %v, want nil", err)
+		}
+	}
+	n.Close()
+	for deadline := time.Now().Add(10 * time.Second); held() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pooled buffers outstanding after Close", held())
+		}
 	}
 }
 
@@ -327,10 +399,10 @@ func TestCrossNetworkViaRegistry(t *testing.T) {
 	nb := New()
 	defer nb.Close()
 	var rx collect
-	if _, err := nb.Attach(2, rx.handler); err != nil {
+	if _, err := attach(t, nb, 2, rx.handler); err != nil {
 		t.Fatal(err)
 	}
-	epA, err := na.Attach(1, func(types.NID, []byte) {})
+	epA, err := attach(t, na, 1, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}

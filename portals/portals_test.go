@@ -7,9 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/rtscts"
 	"repro/internal/transport/simnet"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // fabrics lists every fabric the integration tests must pass on. The
 // simulated fabric uses instant timing so the suite stays fast; timing
