@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/experiments"
@@ -25,6 +26,9 @@ var table = []experiment{
 	}},
 	{"memscale", "E5 (§4.1)", "unexpected-message memory vs peers; -gc: arena vs heap storage", memscale, []section{
 		{"E5 (§4.1): unexpected-message memory vs peers", nil},
+	}},
+	{"swarm", "PERF.md §7 (§4.1)", "closed-loop put cost vs endpoint count, uniform and hot-set", swarm, []section{
+		{"PERF.md §7 (§4.1): put cost vs endpoints (the section's table runs 1k-100k)", []string{"-endpoints", "1000,10000", "-trials", "1"}},
 	}},
 	{"collectives", "E7 (§2)", "collectives directly on Portals against the same over MPI", collectives, []section{
 		{"E7 (§2): collectives directly on Portals vs over MPI p2p", nil},
@@ -147,6 +151,47 @@ func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(w, "%-8d %-16d %-16d\n", p.Peers, p.PortalsBytes, p.VIABytes)
+		}
+		return nil
+	}
+}
+
+func swarm(fs *flag.FlagSet, c *common) func(io.Writer) error {
+	endpoints := checked(fs, "endpoints", quickOr(c, "1000,10000,100000", "1000,10000"),
+		"comma-separated endpoint counts", listOf(atLeast(1)))
+	hot := count(fs, "hot", 256, "endpoints the hot-set column puts to")
+	msgs := count(fs, "msgs", quickOr(c, 200_000, 20_000), "timed puts per column and trial")
+	trials := count(fs, "trials", quickOr(c, 3, 1), "trials per endpoint count; the best is reported")
+	fabric := checked(fs, "fabric", "loopback", "fabric: loopback or udp", func(s string) (string, error) {
+		if s != "loopback" && s != "udp" {
+			return "", fmt.Errorf("unknown fabric (loopback, udp)")
+		}
+		return s, nil
+	})
+	return func(w io.Writer) error {
+		fmt.Fprintf(w, "# Put cost vs endpoints (PERF.md §7): closed loop over %s, 10 MEs per endpoint, 16 nodes, best of %d trials (hot-spread: worst - best)\n",
+			*fabric, *trials)
+		fmt.Fprintf(w, "%-10s %-14s %-16s %-16s %-12s %s\n", "endpoints", "match-entries", "uniform(ns/msg)",
+			fmt.Sprintf("hot-%d(ns/msg)", *hot), "hot-spread", "acked")
+		for _, n := range *endpoints {
+			s, err := experiments.NewSwarm(*fabric, n)
+			if err != nil {
+				return err
+			}
+			var uniform, hotNs []float64 // ns per put, one per trial
+			for t := 0; t < *trials && err == nil; t++ {
+				var u, h float64
+				if u, err = s.Measure(*msgs, n); err == nil {
+					h, err = s.Measure(*msgs, *hot)
+				}
+				uniform, hotNs = append(uniform, u), append(hotNs, h)
+			}
+			s.Close()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%-10d %-14d %-16.0f %-16.0f %-12.0f %d/%d\n", n, s.MatchEntries,
+				slices.Min(uniform), slices.Min(hotNs), slices.Max(hotNs)-slices.Min(hotNs), s.Acked, s.Sent)
 		}
 		return nil
 	}

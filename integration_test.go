@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/rtscts"
@@ -13,6 +14,9 @@ import (
 	"repro/internal/transport/simnet"
 	"repro/portals"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // Full-stack integration: an MPI mini-application (ring halo exchange +
 // allreduce every iteration) over the LOSSY simulated Myrinet — every

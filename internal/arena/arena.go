@@ -186,13 +186,9 @@ func (a *Arena[T]) Put(p *T) {
 	a.free = append(a.free, p)
 }
 
-// Stats reports the arena's footprint: entries allocated from the heap
-// across all chunks, and entries currently live (handed out, not Put).
-func (a *Arena[T]) Stats() (capacity, live int) {
+// Live reports the entries handed out and not yet Put.
+func (a *Arena[T]) Live() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, c := range a.chunks {
-		capacity += len(c)
-	}
-	return capacity, a.live
+	return a.live
 }

@@ -33,8 +33,8 @@ func TestArenaReuseAndGrowth(t *testing.T) {
 			t.Fatalf("entry %d moved or was rewritten: %d", i, *p)
 		}
 	}
-	if cap, live := a.Stats(); cap < 100 || live != 102 { // p2, p3, and the 100 loop entries
-		t.Fatalf("stats = (%d, %d), want cap ≥ 100, live 102", cap, live)
+	if live := a.Live(); live != 102 { // p2, p3, and the 100 loop entries
+		t.Fatalf("live = %d, want 102", live)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestArenaLimboBatchesDrain(t *testing.T) {
 	for _, p := range ps {
 		a.Put(p)
 	}
-	if _, live := a.Stats(); live != 0 {
+	if live := a.Live(); live != 0 {
 		t.Fatalf("live = %d, want 0", live)
 	}
 	// Quiescent (no readers): all ten limbo entries recycle before any new

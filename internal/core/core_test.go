@@ -30,10 +30,10 @@ func checked(t *testing.T, s *State) *State {
 		if !s.pins.Quiescent() {
 			t.Error("an RCU pin is still open at teardown")
 		}
-		if _, live := s.meArena.Stats(); live != s.mes.tab.Count() {
+		if live := s.meArena.Live(); live != s.mes.tab.Count() {
 			t.Errorf("%d match entries live in the arena, %d in the table", live, s.mes.tab.Count())
 		}
-		if _, live := s.mdArena.Stats(); live != s.mds.tab.Count() {
+		if live := s.mdArena.Live(); live != s.mds.tab.Count() {
 			t.Errorf("%d descriptors live in the arena, %d in the table", live, s.mds.tab.Count())
 		}
 	})
@@ -356,16 +356,16 @@ func TestSlotExhaustion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, mes := s.meArena.Stats()
-	_, mds := s.mdArena.Stats()
+	mes := s.meArena.Live()
+	mds := s.mdArena.Live()
 	for name, alloc := range map[string]func() error{"MEAttach": attachME, "MEInsert": insertME, "MDBind": bindMD, "MDAttach": attachMD} {
 		if err := alloc(); !errors.Is(err, types.ErrNoSpace) {
 			t.Errorf("%s on a full table = %v, want ErrNoSpace", name, err)
 		}
-		if _, m := s.meArena.Stats(); m != mes {
+		if m := s.meArena.Live(); m != mes {
 			t.Errorf("%s refused, but the arena holds %d match entries, not %d", name, m, mes)
 		}
-		if _, d := s.mdArena.Stats(); d != mds {
+		if d := s.mdArena.Live(); d != mds {
 			t.Errorf("%s refused, but the arena holds %d descriptors, not %d", name, d, mds)
 		}
 	}

@@ -163,15 +163,6 @@ func (s *State) Counters() *stats.Counters { return s.counters }
 // ACL exposes the access-control list for PtlACEntry.
 func (s *State) ACL() *acl.List { return s.acl }
 
-// ResourceStats reports live resource counts and the arena footprint
-// backing them (entries of heap capacity across all chunks) — the numbers
-// `sweep memscale` and cmd/swarm use to show per-process state stays flat.
-func (s *State) ResourceStats() (mes, mds, eqs, meCap, mdCap int) {
-	meCap, _ = s.meArena.Stats()
-	mdCap, _ = s.mdArena.Stats()
-	return s.mes.tab.Count(), s.mds.tab.Count(), s.eqs.tab.Count(), meCap, mdCap
-}
-
 // Close tears down the state: all event queues are closed so waiters wake,
 // and every subsequent operation fails with ErrClosed. resMu serializes
 // the flag flip against in-flight allocs, so no queue can be created after

@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport/loopback"
 	"repro/internal/types"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 func newWorld(t *testing.T, n int, cfg Config) *World {
 	t.Helper()

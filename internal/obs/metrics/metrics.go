@@ -16,14 +16,12 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one key=value dimension attached to a series.
@@ -128,46 +126,11 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// ObserveDuration records d in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Quantile returns an upper bound on the q-quantile (0 < q ≤ 1) of the
-// observed values: the inclusive upper bound (2^i − 1) of the smallest
-// bucket whose cumulative count reaches ⌈q·count⌉. Resolution is the log2
-// bucket width — a factor of two — which is the right fidelity for
-// latency-under-overload reporting (cmd/swarm's p50/p99/p999): the
-// interesting signal is orders of magnitude, not microseconds. Returns 0
-// with no observations.
-func (h *Histogram) Quantile(q float64) int64 {
-	buckets, _, count := h.snapshot()
-	if count == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(count)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range buckets {
-		cum += c
-		if cum >= target {
-			if i == 0 {
-				return 0
-			}
-			if i >= 63 {
-				return math.MaxInt64
-			}
-			return int64(1)<<uint(i) - 1
-		}
-	}
-	return math.MaxInt64
-}
 
 // snapshot returns a consistent-enough copy for exposition (each field is
 // individually atomic; cross-field skew is acceptable for monitoring).

@@ -218,9 +218,6 @@ func (r *Recorder) Record(stage Stage, nid, pid uint32, seq, arg uint64) {
 // Conflicts reports how many records were dropped on slot contention.
 func (r *Recorder) Conflicts() uint64 { return r.conflicts.Load() }
 
-// Epoch returns the recorder's time origin (TS fields are offsets from it).
-func (r *Recorder) Epoch() time.Time { return r.epoch }
-
 // Snapshot copies out every readable record, ordered by timestamp. Slots
 // mid-write are skipped. Snapshot locks each slot briefly via the stamp, so
 // concurrent Records against a snapshotted slot may be dropped (counted as

@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool/pooltest"
 	"repro/portals"
 )
+
+// The binary fails at exit if a pooled buffer taken by a test is still out.
+func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // job launches n PEs with a region exposed per the setup func.
 func job(t *testing.T, n int) []*PE {

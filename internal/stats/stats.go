@@ -25,7 +25,7 @@ type pad [64]byte
 // (delivery lanes), send-side (application goroutines), and buffer pool —
 // with cache-line padding between groups. A delivery lane hammering Recv
 // therefore never false-shares with an application goroutine in Send.
-// Groups are padded, not individual fields: cmd/swarm instantiates one
+// Groups are padded, not individual fields: `sweep swarm` instantiates one
 // Counters per endpoint (10⁵ of them), so per-field padding would cost
 // ~1.3 KiB × 100k ≈ 130 MB for nothing — counters within one group are
 // bumped together by the same goroutine anyway. BenchmarkCountersParallel

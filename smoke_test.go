@@ -110,17 +110,6 @@ func TestExampleOverlap(t *testing.T) {
 	}
 }
 
-func TestCmdSwarm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/swarm",
-		"-endpoints", "200", "-mes", "4", "-nodes", "4", "-msgs", "5000")
-	if !strings.Contains(out, "latency p50=") || !strings.Contains(out, "acked=5000") {
-		t.Errorf("swarm output:\n%s", out)
-	}
-}
-
 func TestCmdPtlnodePair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests skipped in -short")
@@ -164,18 +153,6 @@ func TestCmdPtlnodePairUDP(t *testing.T) {
 		"-peer", "1=127.0.0.1:9921", "-mode", "ping", "-target", "1", "-count", "50", "-size", "256")
 	if !strings.Contains(out, "round trips") || !strings.Contains(out, "avg RTT") {
 		t.Errorf("ptlnode -transport udp output:\n%s", out)
-	}
-}
-
-func TestCmdSwarmUDP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests skipped in -short")
-	}
-	out := goRun(t, 120*time.Second, "./cmd/swarm", "-transport", "udp",
-		"-endpoints", "100", "-mes", "4", "-nodes", "4", "-msgs", "2000", "-warmup", "-1")
-	// Ack completeness over real datagram sockets: every put acked.
-	if !strings.Contains(out, "acked=2000") || !strings.Contains(out, "latency p50=") {
-		t.Errorf("swarm -transport udp output:\n%s", out)
 	}
 }
 
@@ -241,7 +218,7 @@ func TestCmdSweep(t *testing.T) {
 	}
 	bin := filepath.Join(t.TempDir(), "sweep")
 	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/sweep")
-	experiments := []string{"bypass", "pingpong", "memscale", "collectives", "overhead", "scaling", "collbench", "mpibench"}
+	experiments := []string{"bypass", "pingpong", "memscale", "collectives", "overhead", "scaling", "collbench", "mpibench", "swarm"}
 	for _, c := range []struct {
 		name string
 		args []string
@@ -269,15 +246,23 @@ func TestCmdSweep(t *testing.T) {
 			want: []string{"portals(bytes)"}},
 		{name: "memscale-gc", args: []string{"memscale", "-gc", "-entries", "100000"},
 			want: []string{"heap-objects", "arena"}},
+		// Every put of the sweep acked, counted off the driver's event queue:
+		// a lost ack fails the row instead of shortening the count.
+		{name: "swarm", args: []string{"swarm", "-endpoints", "200,400", "-hot", "16", "-msgs", "5000", "-trials", "1"},
+			want: []string{"hot-16(ns/msg)", "\n200 ", "\n400 ", " 11000/11000\n"}, rows: 3},
+		// The same over real kernel datagram sockets under rtscts.
+		{name: "swarm-udp", args: []string{"swarm", "-fabric", "udp", "-endpoints", "100", "-msgs", "2000", "-trials", "1"},
+			want: []string{"over udp", " 4400/4400\n"}, rows: 2},
 		{name: "mpibench", args: []string{"mpibench", "-fabric", "loopback", "-bench", "latency", "-iters", "20"},
 			want: []string{"ping-pong latency"}},
 		{name: "everything", args: []string{"-quick"},
-			want: []string{"E1 (Figure 6)", "E2", "E3", "E5", "E7", "E8", "E12", "E14", "E15", "done."}},
+			want: []string{"E1 (Figure 6)", "E2", "E3", "E5", "E7", "E8", "E12", "E14", "E15", "§7", "done."}},
 		{name: "unknown-experiment", args: []string{"nosuch"}, exit: 2, want: experiments},
 		// Counts the tables divide by are refused by the front end, in one
 		// line, not by a panic.
 		{name: "bypass-no-points", args: []string{"bypass", "-points", "0"}, exit: 2, want: []string{"-points"}, rows: 1},
 		{name: "mpibench-no-iters", args: []string{"mpibench", "-iters", "0"}, exit: 2, want: []string{"-iters"}, rows: 1},
+		{name: "swarm-tcp", args: []string{"swarm", "-fabric", "tcp"}, exit: 2, want: []string{"-fabric"}, rows: 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
