@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-sarif loc test race short bench-smoke bench-ab sweep examples ci clean trace-smoke coll-smoke alloc-smoke flake
+.PHONY: all build lint lint-sarif loc test race short bench-smoke bench-ab sched-profile sweep examples ci clean trace-smoke coll-smoke alloc-smoke flake
 
 all: build lint test
 
@@ -74,6 +74,26 @@ PAIRS ?= 10
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)$(BENCH)" || { echo "usage: make bench-ab BASE=<ref> WORKLOAD=<name>|gated [PAIRS=10] [TRACE=1]"; echo "       make bench-ab BASE=<ref> BENCH=<regexp> [PKGS=\"./pkg ...\"] [PAIRS=10]"; exit 2; }
 	TRACE=$(TRACE) bash scripts/bench-ab.sh "$(BASE)" "$(if $(BENCH),bench=$(BENCH),$(WORKLOAD))" $(PAIRS) $(if $(BENCH),$(PKGS))
+
+# sched-profile answers "who waited for a P, and who woke them": it runs the
+# benchmarks BENCH selects in one package (PKGS, default `.`) once under the
+# execution tracer and prints the top of the trace's scheduler-latency
+# profile (`go tool trace -pprof=sched`). That profile adds up the time
+# goroutines sat runnable before they ran, by the stack that made them
+# runnable: the waker's call chain (a goroutine's own, where it yielded), so a
+# frame's cumulative time is the delay of the goroutines that call woke. BENCHTIME (default 1s) is go test's
+# -benchtime; a fixed count (say 20000x) makes the totals of two trees
+# comparable.
+#   make sched-profile BENCH=PlacedBulk256K PKGS=./internal/rtscts
+# The trace, the profile and the test binary go to a throw-away directory.
+BENCHTIME ?= 1s
+sched-profile:
+	@test -n "$(BENCH)" || { echo "usage: make sched-profile BENCH=<regexp> [PKGS=<pkg>] [BENCHTIME=1s]"; exit 2; }
+	@tmp=$$(mktemp -d) && \
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -trace $$tmp/trace.out -o $$tmp/pkg.test $(or $(PKGS),.) && \
+	$(GO) tool trace -pprof=sched $$tmp/trace.out > $$tmp/sched.pprof && \
+	$(GO) tool pprof -top -cum -nodecount=25 $$tmp/sched.pprof; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # trace-smoke exercises the observability subsystem end to end: a small
 # `sweep bypass` run with the flight recorder and the metrics registry

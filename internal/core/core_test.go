@@ -23,18 +23,12 @@ func newState(t *testing.T, id types.ProcessID) *State {
 }
 
 // checked has s torn down with the test, then fails the test if a pin is
-// still open or an arena holds an entry the State's tables no longer reach.
+// still open or an arena holds an entry the State's tables no longer reach
+// (CheckTeardown).
 func checked(t *testing.T, s *State) *State {
 	t.Cleanup(func() {
-		s.Close()
-		if !s.pins.Quiescent() {
-			t.Error("an RCU pin is still open at teardown")
-		}
-		if live := s.meArena.Live(); live != s.mes.tab.Count() {
-			t.Errorf("%d match entries live in the arena, %d in the table", live, s.mes.tab.Count())
-		}
-		if live := s.mdArena.Live(); live != s.mds.tab.Count() {
-			t.Errorf("%d descriptors live in the arena, %d in the table", live, s.mds.tab.Count())
+		if err := s.CheckTeardown(); err != nil {
+			t.Error(err)
 		}
 	})
 	return s

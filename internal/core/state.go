@@ -25,6 +25,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,25 @@ func (s *State) Close() {
 			s.counters.TrigDropped()
 		}
 	}
+}
+
+// CheckTeardown closes s and reports what its teardown left behind: an RCU
+// pin still open, or a match entry or descriptor alive in its arena that the
+// State's tables no longer reach. Tests call it once whatever used the State
+// has stopped; a nil result means the State gave back everything it took.
+func (s *State) CheckTeardown() error {
+	s.Close()
+	var errs []error
+	if !s.pins.Quiescent() {
+		errs = append(errs, errors.New("an RCU pin is still open at teardown"))
+	}
+	if live, n := s.meArena.Live(), s.mes.tab.Count(); live != n {
+		errs = append(errs, fmt.Errorf("%d match entries live in the arena, %d in the table", live, n))
+	}
+	if live, n := s.mdArena.Live(), s.mds.tab.Count(); live != n {
+		errs = append(errs, fmt.Errorf("%d descriptors live in the arena, %d in the table", live, n))
+	}
+	return errors.Join(errs...)
 }
 
 // slotTable adapts one rcu.Table to Portals handles for one object kind:

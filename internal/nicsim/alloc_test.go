@@ -30,7 +30,7 @@ func TestDispatchAllocs(t *testing.T) {
 		defer n.Close()
 
 		const procs, perProc = 8, 4
-		sender := core.NewState(types.ProcessID{NID: 1, PID: 10}, types.Limits{}, nil, nil)
+		sender := newState(t, types.ProcessID{NID: 1, PID: 10})
 		src, err := sender.MDBind(core.MD{Start: []byte("payload"), Threshold: types.ThresholdInfinite}, types.Retain)
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestDispatchAllocs(t *testing.T) {
 		var landed [procs][]byte
 		for p := range wire {
 			pid := types.PID(20 + p)
-			s := core.NewState(types.ProcessID{NID: 2, PID: pid}, types.Limits{}, nil, nil)
+			s := newState(t, types.ProcessID{NID: 2, PID: pid})
 			me, err := s.MEAttach(0, types.ProcessID{NID: types.NIDAny, PID: types.PIDAny}, 0, 0, types.Retain, types.After)
 			if err != nil {
 				t.Fatal(err)

@@ -99,7 +99,7 @@ func TestIdleLaneRunsInlineInOrder(t *testing.T) {
 			}
 			defer n.Close()
 			target := types.ProcessID{NID: 100, PID: 20}
-			s := core.NewState(target, types.Limits{}, nil, nil)
+			s := newState(t, target)
 			if err := n.AddProcess(target.PID, s); err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestIdleLaneRunsInlineInOrder(t *testing.T) {
 			senders := map[types.NID]*core.State{}
 			mds := map[types.NID]types.Handle{}
 			for _, nid := range []types.NID{nidA, nidB} {
-				st := core.NewState(types.ProcessID{NID: nid, PID: 1}, types.Limits{}, nil, nil)
+				st := newState(t, types.ProcessID{NID: nid, PID: 1})
 				md, err := st.MDBind(core.MD{Start: []byte("x"), Threshold: types.ThresholdInfinite}, types.Retain)
 				if err != nil {
 					t.Fatal(err)

@@ -146,8 +146,8 @@ func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := core.NewState(types.ProcessID{NID: 1, PID: 10}, types.Limits{}, nil, nil)
-	s2 := core.NewState(types.ProcessID{NID: 2, PID: 20}, types.Limits{}, nil, nil)
+	s1 := newState(t, types.ProcessID{NID: 1, PID: 10})
+	s2 := newState(t, types.ProcessID{NID: 2, PID: 20})
 	if err := n1.AddProcess(10, s1); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,21 @@ import (
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
+// newState builds a State for the test and checks its teardown when the test
+// ends (core.State.CheckTeardown): no RCU pin open, no arena entry its tables
+// no longer reach. The node delivering into it must have stopped by then —
+// closed by a defer, or by a cleanup registered after this one.
+func newState(t *testing.T, id types.ProcessID) *core.State {
+	t.Helper()
+	s := core.NewState(id, types.Limits{}, nil, nil)
+	t.Cleanup(func() {
+		if err := s.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return s
+}
+
 func twoNodes(t *testing.T, cfg Config) (*Node, *Node, *core.State, *core.State) {
 	t.Helper()
 	net := loopback.New()
@@ -26,8 +41,8 @@ func twoNodes(t *testing.T, cfg Config) (*Node, *Node, *core.State, *core.State)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := core.NewState(types.ProcessID{NID: 1, PID: 10}, types.Limits{}, nil, nil)
-	s2 := core.NewState(types.ProcessID{NID: 2, PID: 20}, types.Limits{}, nil, nil)
+	s1 := newState(t, types.ProcessID{NID: 1, PID: 10})
+	s2 := newState(t, types.ProcessID{NID: 2, PID: 20})
 	if err := n1.AddProcess(10, s1); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +333,7 @@ func TestDuplicatePIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := core.NewState(types.ProcessID{NID: 1, PID: 5}, types.Limits{}, nil, nil)
+	s := newState(t, types.ProcessID{NID: 1, PID: 5})
 	if err := n.AddProcess(5, s); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +372,7 @@ func TestNodeCloseFailsOperations(t *testing.T) {
 	if err := n1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := core.NewState(types.ProcessID{NID: 1, PID: 77}, types.Limits{}, nil, nil)
+	s := newState(t, types.ProcessID{NID: 1, PID: 77})
 	if err := n1.AddProcess(77, s); !errors.Is(err, types.ErrClosed) {
 		t.Errorf("AddProcess after close = %v", err)
 	}

@@ -41,7 +41,7 @@ func TestPerPairOrderingAcrossLanes(t *testing.T) {
 			eqs := make(map[types.PID]types.Handle)
 			states := make(map[types.PID]*core.State)
 			for _, pid := range targetPIDs {
-				s := core.NewState(types.ProcessID{NID: 100, PID: pid}, types.Limits{}, nil, nil)
+				s := newState(t, types.ProcessID{NID: 100, PID: pid})
 				if err := tn.AddProcess(pid, s); err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +72,7 @@ func TestPerPairOrderingAcrossLanes(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer node.Close()
-				s := core.NewState(types.ProcessID{NID: types.NID(i + 1), PID: 1}, types.Limits{}, nil, nil)
+				s := newState(t, types.ProcessID{NID: types.NID(i + 1), PID: 1})
 				if err := node.AddProcess(1, s); err != nil {
 					t.Fatal(err)
 				}

@@ -51,6 +51,8 @@ func newRig(t *testing.T, fabric simnet.Config, rxCfg Config) *rig {
 	// The fabric loses nothing; keep the retransmit timer clear of host stalls.
 	net := rtscts.NewNetwork(r.sim, rtscts.Config{RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond})
 	t.Cleanup(func() { net.Close() })
+	r.txs = newState(t, rigTxID) // checked after the nodes' cleanup below has run
+	r.rxs = newState(t, rigRxID)
 	var err error
 	if r.tx, err = NewNode(net, rigTxID.NID, Config{Lanes: 1}); err != nil {
 		t.Fatal(err)
@@ -59,8 +61,6 @@ func newRig(t *testing.T, fabric simnet.Config, rxCfg Config) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.tx.Close(); r.rx.Close() })
-	r.txs = core.NewState(rigTxID, types.Limits{}, nil, nil)
-	r.rxs = core.NewState(rigRxID, types.Limits{}, nil, nil)
 	if err := r.tx.AddProcess(rigTxID.PID, r.txs); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestAnnouncedPutToRemovedProcess(t *testing.T) {
 	fabric := simnet.Instant()
 	fabric.MTU = 4096
 	r := newRig(t, fabric, Config{Lanes: 2})
-	gone := core.NewState(types.ProcessID{NID: rigRxID.NID, PID: 21}, types.Limits{}, nil, nil)
+	gone := newState(t, types.ProcessID{NID: rigRxID.NID, PID: 21})
 	if err := r.rx.AddProcess(21, gone); err != nil {
 		t.Fatal(err)
 	}

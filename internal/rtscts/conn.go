@@ -98,7 +98,10 @@ type Stats struct {
 	Placed            atomic.Int64
 	PlacedBytes       atomic.Int64
 	AnnounceDiscarded atomic.Int64
-	Backoff           metrics.Histogram
+	// StrayGrants counts CTS packets that arrived with no rendezvous message
+	// waiting for them: none held, or its grant already given.
+	StrayGrants atomic.Int64
+	Backoff     metrics.Histogram
 }
 
 // Conn is a node's reliable attachment: it implements transport.Endpoint
@@ -263,6 +266,7 @@ func (c *Conn) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_rtscts_placed_total", "announced messages written through to the handler's sink", ls, st.Placed.Load)
 	r.CounterFunc("portals_rtscts_placed_bytes_total", "message bytes written through to a sink instead of a delivery buffer", ls, st.PlacedBytes.Load)
 	r.CounterFunc("portals_rtscts_announce_discarded_total", "announced messages the handler refused; swallowed on arrival", ls, st.AnnounceDiscarded.Load)
+	r.CounterFunc("portals_rtscts_stray_cts_total", "CTS grants that arrived with no rendezvous message waiting; dropped", ls, st.StrayGrants.Load)
 	r.RegisterHistogram("portals_rtscts_backoff_ns",
 		"retransmission backoff delay per attempt (capped exponential, jittered)", ls, &st.Backoff)
 	// Window gauges aggregate across destinations: the slowest peer's SRTT

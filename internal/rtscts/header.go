@@ -16,7 +16,10 @@
 //     streaming data, so a receiver is never forced to absorb an
 //     unannounced bulk transfer, and a handler that asked
 //     (transport.Announcer) decides where an announced one lands before it
-//     moves: the grant is issued by the handler's answer.
+//     moves: the grant is issued by the handler's answer. The body leaves
+//     from the delivery of the grant, which then yields its processor once,
+//     so that the peer lands fragments while the rest of the body is sent
+//     (grantReceived); a grant nobody waits for is counted (StrayGrants).
 //
 // Per-pair state is created lazily on first communication; the interface
 // presented upward stays connectionless (§4.1).

@@ -32,9 +32,10 @@ func TestHostileLengths(t *testing.T) {
 		aux       uint64
 		payload   []byte
 		rejected  bool
-		delivered int // messages handed up by this packet
-		open      int // largest delivery buffer the packet may leave open (0: none)
-		split     int // cut the packet here and nowhere else: it must be refused undecoded
+		stray     bool // counted as a stray grant instead
+		delivered int  // messages handed up by this packet
+		open      int  // largest delivery buffer the packet may leave open (0: none)
+		split     int  // cut the packet here and nowhere else: it must be refused undecoded
 	}{
 		{name: "aux=0 empty message", flags: first(msgApp), aux: 0, delivered: 1},
 		{name: "aux=0 with payload", flags: first(msgApp), aux: 0, payload: []byte("xy"), rejected: true},
@@ -53,6 +54,7 @@ func TestHostileLengths(t *testing.T) {
 		{name: "RTS aux disagrees with payload", flags: first(msgRTS), aux: rtsSize + transport.HeadSize, payload: rts(50_000, 40), rejected: true},
 		{name: "RTS aux below the length field", flags: first(msgRTS), aux: 4, payload: []byte{0, 0, 0, 1}, rejected: true},
 		{name: "CTS with payload", flags: first(msgCTS), aux: 0, payload: []byte("x"), rejected: true},
+		{name: "CTS with nothing held", flags: first(msgCTS), aux: 0, stray: true},
 		{name: "unknown message kind", flags: first(3), aux: 64, payload: make([]byte, 64), rejected: true},
 		{name: "header straddles the split", flags: first(msgApp), aux: 5, payload: []byte("hello"), split: pktHeaderSize / 2},
 		{name: "fragment on both sides of the split", flags: first(msgApp), aux: 5, payload: []byte("hello"), split: pktHeaderSize + 2},
@@ -102,6 +104,13 @@ func TestHostileLengths(t *testing.T) {
 					if got := st.BadLength.Load(); got != wantBad {
 						t.Errorf("bad_length = %d, want %d", got, wantBad)
 					}
+					wantStray := int64(0)
+					if tc.stray {
+						wantStray = 1
+					}
+					if got := st.StrayGrants.Load(); got != wantStray {
+						t.Errorf("stray_cts = %d, want %d", got, wantStray)
+					}
 					if d, o := st.DupsDiscarded.Load(), st.OutOfOrder.Load(); d != 0 || o != 0 {
 						t.Errorf("an in-sequence packet was also counted as dup (%d) or out of order (%d)", d, o)
 					}
@@ -130,6 +139,9 @@ func TestHostileLengths(t *testing.T) {
 					}
 					if got := st.BadLength.Load(); got != wantBad {
 						t.Errorf("bad_length moved to %d on a well-formed message", got)
+					}
+					if got := st.StrayGrants.Load(); got != wantStray {
+						t.Errorf("stray_cts moved to %d on a well-formed message", got)
 					}
 				})
 			}

@@ -385,6 +385,8 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 	case doneCTS:
 		if s, ok := c.senders.Get(r.src); ok {
 			s.grantReceived()
+		} else {
+			c.stats.StrayGrants.Add(1) // we never sent there, so announced nothing
 		}
 	}
 }

@@ -440,6 +440,7 @@ func TestConnRegisterMetrics(t *testing.T) {
 	for _, want := range []string{
 		"portals_rtscts_acks_total",
 		"portals_rtscts_backoff_ns_count",
+		"portals_rtscts_stray_cts_total",
 		`node="1"`,
 	} {
 		if !strings.Contains(out, want) {

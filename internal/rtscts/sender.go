@@ -3,6 +3,7 @@ package rtscts
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,16 +226,38 @@ func (s *peerSender) nextFragment(now time.Time) {
 	}
 }
 
+// yield gives up the processor once; a variable so that a test can watch
+// when the receive path yields (grantReceived).
+var yield = runtime.Gosched
+
 // grantReceived is called by the receive path when a CTS arrives: the held
 // message goes at once, as far as the window has room. A CTS nobody is
-// waiting for is a protocol error and is ignored.
+// waiting for — no message held, or its grant already given — is a protocol
+// error: it is counted (StrayGrants) and otherwise ignored.
+//
+// Once the body's first fragments are on the fabric, the receive goroutine
+// yields, after mu is dropped. On a fabric that delivers from a goroutine
+// (simnet's link), the send woke that goroutine into this P's next slot,
+// behind this goroutine: without the yield the peer lands nothing until this
+// goroutine has finished its burst. With it, the peer
+// starts placing fragments on this P at once, and the rest of the burst moves
+// to another P, so the two ends of the transfer overlap (§5.1). A body is
+// always longer than EagerMax, so the burst is long by construction; no other
+// send path yields.
 func (s *peerSender) grantReceived() {
 	s.mu.Lock()
-	if s.held != nil && !s.granted {
-		s.granted = true
-		s.pump(time.Now())
+	if s.held == nil || s.granted {
+		s.mu.Unlock()
+		s.c.stats.StrayGrants.Add(1)
+		return
 	}
+	s.granted = true
+	s.pump(time.Now())
+	released := !s.granted // pump took the held message and sent its first fragment
 	s.mu.Unlock()
+	if released {
+		yield()
+	}
 }
 
 // oweCTS is called when an RTS has been answered, by the receive path or by

@@ -204,6 +204,87 @@ func TestOwedGrantWaitsForTheWindow(t *testing.T) {
 	}
 }
 
+// The receive goroutine yields once, with the stream's lock free, when a CTS
+// releases a held message and its first fragments go out — and on no other
+// path: not from a Send, an ack that refills the window, a grant owed to the
+// peer, or a stray CTS. The counter stands in for runtime.Gosched; each step
+// runs on the test's goroutine and its packets are in the tap when it returns.
+func TestGrantedBodyYieldsOutsideTheLock(t *testing.T) {
+	cfg := quietCfg(2)
+	cfg.EagerMax = 1024
+	net, c, wire := tappedSender(t, cfg)
+	s, err := c.sender(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yields, locked := 0, 0
+	prev := yield
+	yield = func() {
+		if s.mu.TryLock() {
+			s.mu.Unlock()
+		} else {
+			locked++
+		}
+		yields++
+	}
+	t.Cleanup(func() { yield = prev })
+
+	big := bytes.Repeat([]byte{0x5a}, 2*(net.MTU()-pktHeaderSize)+1) // three fragments, beyond EagerMax
+	rts := make([]byte, rtsSize+transport.HeadSize)
+	binary.BigEndian.PutUint64(rts, 4096)
+	send := func(msg []byte) func() {
+		return func() {
+			if err := c.Send(2, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cts := func(seq uint64) func() {
+		return func() { sendTo(net, 1, 2, pktData, flagFirst|msgCTS<<msgKindShift, seq, 0, nil) }
+	}
+	ack := func(cum uint64) func() { return func() { sendTo(net, 1, 2, pktAck, 0, cum, 0, nil) } }
+
+	for _, step := range []struct {
+		what   string
+		do     func()
+		sent   int   // sequenced packets the step puts on the fabric
+		yields int   // yields so far
+		stray  int64 // stray grants so far
+	}{
+		{"a CTS with nothing held", cts(0), 0, 0, 1},
+		{"an eager send", send([]byte("eager")), 1, 0, 1},
+		{"the peer's RTS, granted at once (oweCTS)", func() {
+			sendTo(net, 1, 2, pktData, flagFirst|msgRTS<<msgKindShift, 1, uint64(len(rts)), rts)
+		}, 1, 0, 1},
+		{"a rendezvous send into the full window (enqueue)", send(big), 0, 0, 1},
+		{"the ack that sends its RTS (onAck)", ack(2), 1, 0, 1},
+		{"the CTS that releases the body", cts(2), 1, 1, 1},
+		{"a CTS for the message already granted", cts(3), 0, 1, 2},
+		{"the ack that sends the rest of the body (onAck)", ack(4), 2, 1, 2},
+		{"the ack that empties the window", ack(6), 0, 1, 2},
+		{"an eager send", send([]byte("eager")), 1, 1, 2},
+		{"a rendezvous send, its RTS filling the window", send(big), 1, 1, 2},
+		{"a CTS while the window is full", cts(4), 0, 1, 2},
+		{"a second CTS for the held message", cts(5), 0, 1, 3},
+		{"the ack that releases the granted body (onAck)", ack(8), 2, 1, 3},
+		{"the ack that sends its last fragment", ack(10), 1, 1, 3},
+	} {
+		step.do()
+		if got := len(drainTap(t, wire)); got != step.sent {
+			t.Fatalf("%s: %d packets went out, want %d", step.what, got, step.sent)
+		}
+		if yields != step.yields {
+			t.Fatalf("%s: %d yields so far, want %d", step.what, yields, step.yields)
+		}
+		if got := c.Stats().StrayGrants.Load(); got != step.stray {
+			t.Fatalf("%s: %d stray grants so far, want %d", step.what, got, step.stray)
+		}
+	}
+	if locked != 0 {
+		t.Fatalf("%d of %d yields held the stream's lock", locked, yields)
+	}
+}
+
 // The stream toward a peer costs no goroutine: a packet leaves from a call,
 // and a resend from the retransmission timer's callback.
 func TestNoGoroutinePerPeer(t *testing.T) {

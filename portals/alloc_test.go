@@ -168,8 +168,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	})
 
 	t.Run("ctpoll", func(t *testing.T) {
-		m := NewMachine(Loopback())
-		defer m.Close()
+		m := newMachine(t, Loopback())
 		ni, err := m.NIInit(1, 1, Limits{})
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,7 @@ func TestBidirectionalBulk(t *testing.T) {
 	}
 	for _, lanes := range []int{1, 0} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			m := NewMachine(TCP().WithLanes(lanes))
-			defer m.Close()
+			m := newMachine(t, TCP().WithLanes(lanes))
 			a, err := m.NIInit(1, 1, Limits{})
 			if err != nil {
 				t.Fatal(err)

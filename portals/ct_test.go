@@ -15,8 +15,7 @@ import (
 // the arm-vs-fire race across delivery-lane counts.
 
 func TestCTBasics(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	nis, err := m.LaunchJob(1)
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +67,7 @@ func TestCTBasics(t *testing.T) {
 // into the counter: MDCTPut on the target, MDCTSend and MDCTAck on the
 // initiator, and MDCTBytes switching the increment to a byte count.
 func TestCTOptionRouting(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	nis, err := m.LaunchJob(2)
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +134,7 @@ func TestCTOptionRouting(t *testing.T) {
 func TestTriggeredArmRaceLanes(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			m := NewMachine(Loopback().WithLanes(lanes))
-			defer m.Close()
+			m := newMachine(t, Loopback().WithLanes(lanes))
 			nis, err := m.LaunchJob(2)
 			if err != nil {
 				t.Fatal(err)
@@ -221,8 +218,7 @@ func TestTriggeredArmRaceLanes(t *testing.T) {
 // triggered operations still armed discards them — they never fire, the
 // drop is accounted, and waiters wake with ErrClosed.
 func TestCTFreeWhileArmed(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	nis, err := m.LaunchJob(2)
 	if err != nil {
 		t.Fatal(err)

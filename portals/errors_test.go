@@ -13,8 +13,7 @@ import (
 // test ends.
 func twoNIs(t *testing.T, fab Fabric) (*NI, *NI) {
 	t.Helper()
-	m := NewMachine(fab)
-	t.Cleanup(func() { m.Close() })
+	m := newMachine(t, fab)
 	a, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +90,7 @@ func TestACEntryOutOfRange(t *testing.T) {
 }
 
 func TestMDSizeLimit(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	ni, err := m.NIInit(1, 1, Limits{MaxMDSize: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,27 @@ import (
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
+// newMachine builds a machine over fab that is torn down when the test ends,
+// after which the State of every interface it brought up is checked
+// (core.State.CheckTeardown): no RCU pin open, no arena entry its tables no
+// longer reach.
+func newMachine(t *testing.T, fab Fabric) *Machine {
+	t.Helper()
+	m := NewMachine(fab)
+	t.Cleanup(func() {
+		m.Close()
+		m.mu.Lock()
+		nis := m.nis
+		m.mu.Unlock()
+		for _, ni := range nis {
+			if err := ni.state.CheckTeardown(); err != nil {
+				t.Errorf("interface %v: %v", ni.self, err)
+			}
+		}
+	})
+	return m
+}
+
 // fabrics lists every fabric the integration tests must pass on. The
 // simulated fabric uses instant timing so the suite stays fast; timing
 // behaviour is covered by the benchmarks.
@@ -47,8 +68,7 @@ func armRecv(t *testing.T, ni *NI, ptl PtlIndex, bits MatchBits, size int, opts 
 func TestPutAcrossFabrics(t *testing.T) {
 	for name, fab := range fabrics() {
 		t.Run(name, func(t *testing.T) {
-			m := NewMachine(fab)
-			defer m.Close()
+			m := newMachine(t, fab)
 			rx, err := m.NIInit(1, 1, Limits{})
 			if err != nil {
 				t.Fatal(err)
@@ -83,8 +103,7 @@ func TestPutAcrossFabrics(t *testing.T) {
 func TestGetAcrossFabrics(t *testing.T) {
 	for name, fab := range fabrics() {
 		t.Run(name, func(t *testing.T) {
-			m := NewMachine(fab)
-			defer m.Close()
+			m := newMachine(t, fab)
 			server, err := m.NIInit(1, 1, Limits{})
 			if err != nil {
 				t.Fatal(err)
@@ -128,8 +147,7 @@ func TestGetAcrossFabrics(t *testing.T) {
 }
 
 func TestPutWithAckOverSimnet(t *testing.T) {
-	m := NewMachine(SimFabric(simnet.Instant(), rtscts.Config{}))
-	defer m.Close()
+	m := newMachine(t, SimFabric(simnet.Instant(), rtscts.Config{}))
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +194,7 @@ func TestPutWithAckOverSimnet(t *testing.T) {
 // unreliable network invisible to the API.
 func TestPutOverLossyFabric(t *testing.T) {
 	sim := simnet.Config{MTU: 1024, LossRate: 0.1, DupRate: 0.05, ReorderRate: 0.05, Seed: 23}
-	m := NewMachine(SimFabric(sim, rtscts.Config{RTO: 15 * time.Millisecond, EagerMax: 2048}))
-	defer m.Close()
+	m := newMachine(t, SimFabric(sim, rtscts.Config{RTO: 15 * time.Millisecond, EagerMax: 2048}))
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +226,7 @@ func TestPutOverLossyFabric(t *testing.T) {
 }
 
 func TestManyMessagesStayOrdered(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +277,7 @@ func TestManyMessagesStayOrdered(t *testing.T) {
 }
 
 func TestACEntryEndToEnd(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +319,7 @@ func TestACEntryEndToEnd(t *testing.T) {
 }
 
 func TestNICloseDropsSubsequentTraffic(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +356,7 @@ func TestNICloseDropsSubsequentTraffic(t *testing.T) {
 }
 
 func TestLaunchJob(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	nis, err := m.LaunchJob(4)
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +389,7 @@ func TestLaunchJob(t *testing.T) {
 }
 
 func TestMultipleProcessesPerNode(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	p1, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -414,8 +426,7 @@ func TestMultipleProcessesPerNode(t *testing.T) {
 }
 
 func TestStatusCounters(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	rx, err := m.NIInit(1, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -448,8 +459,7 @@ func TestStatusCounters(t *testing.T) {
 }
 
 func TestLimitsGranted(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	ni, err := m.NIInit(1, 1, Limits{MaxMEs: 10, MaxEQs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -464,8 +474,7 @@ func TestLimitsGranted(t *testing.T) {
 }
 
 func TestDuplicateNIInitSamePIDFails(t *testing.T) {
-	m := NewMachine(Loopback())
-	defer m.Close()
+	m := newMachine(t, Loopback())
 	if _, err := m.NIInit(1, 1, Limits{}); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +484,7 @@ func TestDuplicateNIInitSamePIDFails(t *testing.T) {
 }
 
 func TestMachineCloseIdempotent(t *testing.T) {
-	m := NewMachine(Loopback())
+	m := newMachine(t, Loopback())
 	if _, err := m.NIInit(1, 1, Limits{}); err != nil {
 		t.Fatal(err)
 	}
