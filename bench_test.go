@@ -313,7 +313,7 @@ func benchDeliveryLanes(b *testing.B, lanes, initiators int) {
 			s := senders[i]
 			dst := types.ProcessID{NID: 100, PID: types.PID(10 + i)}
 			for j := 0; j < per; j++ {
-				out, err := s.state.StartPut(s.md, types.NoAckReq, dst, 0, 0, 1, 0)
+				out, err := s.state.LendPut(s.md, types.NoAckReq, dst, 0, 0, 1, 0)
 				if err != nil {
 					b.Error(err)
 					return

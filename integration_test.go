@@ -15,6 +15,20 @@ import (
 	"repro/portals"
 )
 
+// newMachine builds a machine over fab whose teardown is checked when the
+// test ends (portals.Machine.CheckTeardown): no RCU pin open, no put body
+// still lent, no arena entry the tables no longer reach.
+func newMachine(t testing.TB, fab portals.Fabric) *portals.Machine {
+	t.Helper()
+	m := portals.NewMachine(fab)
+	t.Cleanup(func() {
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return m
+}
+
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
@@ -31,8 +45,7 @@ func TestFullStackLossyApplication(t *testing.T) {
 		Latency: 5 * time.Microsecond, Bandwidth: 160e6, MTU: 4096,
 		LossRate: 0.03, DupRate: 0.02, ReorderRate: 0.02, Seed: 77,
 	}
-	m := portals.NewMachine(portals.SimFabric(sim, rtscts.Config{RTO: 15 * time.Millisecond}))
-	defer m.Close()
+	m := newMachine(t, portals.SimFabric(sim, rtscts.Config{RTO: 15 * time.Millisecond}))
 	const (
 		ranks = 4
 		cells = 512
@@ -95,8 +108,7 @@ func TestFullStackLossyApplication(t *testing.T) {
 // the §2 design goal ("multiple protocols within the same process")
 // verified end to end.
 func TestProtocolCoexistence(t *testing.T) {
-	m := portals.NewMachine(portals.Loopback())
-	defer m.Close()
+	m := newMachine(t, portals.Loopback())
 	const n = 3
 	nis, err := m.LaunchJob(n)
 	if err != nil {

@@ -15,9 +15,14 @@
 // pool miss, not a leak). The contents of a fresh buffer are undefined —
 // callers overwrite the whole length they asked for.
 //
+// A Buf can also be lent memory rather than pooled memory (Buf.Lend): a
+// put's body, which is the sender's own memory descriptor. It is referenced
+// and released like any other Buf, but its last Release hands it back to its
+// lender instead of to a pool, and that return is what completes the send.
+//
 // Every test binary of a package that pools checks the contract at exit:
-// package pooltest fails it unless each buffer taken has had its last
-// Release (docs/LINT.md).
+// package pooltest fails it unless each buffer taken — pooled or lent — has
+// had its last Release (docs/LINT.md).
 package bufpool
 
 import (
@@ -48,18 +53,54 @@ var (
 	puts atomic.Int64
 )
 
-// Buf is a pooled byte buffer. The zero value is not usable; obtain one
-// from Get and hand it back with Release.
+// Buf is a pooled byte buffer, or lent memory (Lend). The zero value is
+// usable only as the header of a loan; obtain a pooled Buf from Get, and
+// hand either back with Release.
 type Buf struct {
 	b     []byte
+	segs  [][]byte     // lent memory in several segments; b is nil then
+	size  int          // the length of segs
+	ret   func()       // lent memory: called by the last Release; nil for pooled memory
 	refs  atomic.Int32 // references not yet released; Get hands out the first
-	class int8         // size-class index; -1 marks an unpooled (oversized) buffer
+	class int8         // size-class index; -1 marks an unpooled (oversized) buffer, -2 lent memory
 	fresh bool         // allocated by this Get rather than reused from the pool
 }
 
 // Bytes returns the buffer's contents: exactly the n bytes requested from
-// Get. The slice is invalid after Release.
+// Get, or the memory a Lend was given in one piece. Lent memory in several
+// segments has no one slice: Bytes is nil, and Window reads it. The slice is
+// invalid after Release.
 func (b *Buf) Bytes() []byte { return b.b }
+
+// Len is the buffer's length in bytes, every segment counted; 0 for nil.
+func (b *Buf) Len() int {
+	switch {
+	case b == nil:
+		return 0
+	case b.segs != nil:
+		return b.size
+	}
+	return len(b.b)
+}
+
+// Window returns the bytes of the buffer from offset off on, at most max of
+// them and never more than one segment holds: a fragment cut from it is a
+// slice of the memory itself. It is empty at the end, and for nil.
+func (b *Buf) Window(off, max int) []byte {
+	if b == nil {
+		return nil
+	}
+	if b.segs == nil {
+		return b.b[off:min(len(b.b), off+max)]
+	}
+	for _, seg := range b.segs {
+		if off < len(seg) {
+			return seg[off:min(len(seg), off+max)]
+		}
+		off -= len(seg)
+	}
+	return nil
+}
 
 // Reused reports whether this buffer came out of the pool rather than from
 // a fresh allocation — the per-interface pool-hit counters feed off it.
@@ -93,6 +134,11 @@ func (b *Buf) Release() {
 		panic(refError{op: "Release", class: b.class})
 	}
 	puts.Add(1)
+	if ret := b.ret; ret != nil {
+		b.b, b.segs, b.ret = nil, nil, nil
+		ret() // the header is the lender's again: b is not touched after
+		return
+	}
 	if b.class < 0 {
 		return
 	}
@@ -108,6 +154,9 @@ type refError struct {
 }
 
 func (e refError) Error() string {
+	if e.class == lentClass {
+		return fmt.Sprintf("bufpool: %s of lent memory with no reference left", e.op)
+	}
 	if e.class < 0 {
 		return fmt.Sprintf("bufpool: %s of an unpooled buffer with no reference left", e.op)
 	}
@@ -148,6 +197,58 @@ func Get(n int) *Buf {
 	b := &Buf{b: make([]byte, n, 1<<(minClassBits+c)), class: int8(c), fresh: true}
 	b.refs.Store(1)
 	return b
+}
+
+// lentClass is the class of a lent Buf, for refError.
+const lentClass = -2
+
+// Lend makes b — a header its lender owns, zero or back from its last loan —
+// a Buf over memory that is not the pool's, and returns it: mem, or, when
+// segs is non-nil, the concatenation of segs. Nothing is copied. The Buf is
+// referenced and released like a pooled one, and counted by Usage like one;
+// its last Release calls ret instead of pooling anything, on the releasing
+// goroutine — an upcall from whoever read the memory last to its owner, in
+// the way a fabric's delivery handler is one, so the releaser must hold none
+// of its own locks then. A lender keeps the header in the record of the
+// loan, and ret is bound to that record, so a loan takes nothing from a
+// pool. A lent Buf is never empty: a lender with nothing to lend keeps it.
+func (b *Buf) Lend(mem []byte, segs [][]byte, ret func()) *Buf {
+	gets.Add(1)
+	b.b, b.segs, b.size, b.ret, b.class = mem, segs, 0, ret, lentClass
+	if segs != nil {
+		b.b = nil
+		for _, s := range segs {
+			b.size += len(s)
+		}
+	}
+	b.refs.Store(1)
+	return b
+}
+
+// Lent reports whether b is lent memory (Lend) rather than the pool's.
+func (b *Buf) Lent() bool { return b != nil && b.class == lentClass }
+
+// Join returns a pooled buffer holding head's bytes followed by body's, for
+// a fabric that must carry a message in one piece, and gives up head: the
+// body is copied into head's own spare capacity when head is a pooled
+// buffer nobody else holds and it has the room — a small put's header
+// buffer does — and head and body into a new buffer otherwise, head then
+// being released. body (nil: none) is not released: the caller does that
+// once the joined message is on its way, so that whatever a lent body's
+// return sets off comes after the message it completes.
+func Join(head, body *Buf) *Buf {
+	h, total := len(head.b), len(head.b)+body.Len()
+	j := head
+	if head.class < 0 || total > cap(head.b) || head.refs.Load() != 1 {
+		j = Get(total)
+		copy(j.b, head.b)
+		head.Release()
+	}
+	j.b = j.b[:total]
+	for n := h; n < total; {
+		n += copy(j.b[n:], body.Window(n-h, total-n))
+	}
+	return j
 }
 
 // Usage reports the cumulative pool traffic in buffers, not references:

@@ -82,7 +82,8 @@ func TestUsageCounters(t *testing.T) {
 // at any depth it has already seen allocates nothing.
 func TestQueueOrderAndAllocs(t *testing.T) {
 	var q Queue
-	if q.Pop() != nil || q.Len() != 0 {
+	pop := func() *Buf { h, _ := q.Pop(); return h }
+	if pop() != nil || q.Len() != 0 {
 		t.Fatal("zero Queue is not empty")
 	}
 	bufs := make([]*Buf, 40)
@@ -93,11 +94,11 @@ func TestQueueOrderAndAllocs(t *testing.T) {
 	push := 0
 	for round := 0; round < 5; round++ { // interleave so head wraps while the ring grows
 		for i := 0; i < 8; i++ {
-			q.Push(bufs[push])
+			q.Push(bufs[push], nil)
 			push++
 		}
 		for i := 0; i < 3; i++ {
-			if q.Pop() != bufs[next] {
+			if pop() != bufs[next] {
 				t.Fatalf("pop %d out of order", next)
 			}
 			next++
@@ -107,21 +108,21 @@ func TestQueueOrderAndAllocs(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), push-next)
 	}
 	for ; next < push; next++ {
-		if q.Pop() != bufs[next] {
+		if pop() != bufs[next] {
 			t.Fatalf("pop %d out of order", next)
 		}
 	}
-	if q.Pop() != nil {
+	if pop() != nil {
 		t.Fatal("drained queue returned a buffer")
 	}
 	for _, s := range q.ring {
-		if s != nil {
+		if s != (message{}) {
 			t.Fatal("a popped slot still pins its buffer")
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		q.Push(bufs[0])
-		q.Push(bufs[1])
+		q.Push(bufs[0], nil)
+		q.Push(bufs[1], nil)
 		q.Pop()
 		q.Pop()
 	}); n != 0 {
@@ -197,5 +198,63 @@ func TestReferenceCountViolationsPanic(t *testing.T) {
 			shared.Release()
 			violation(t, "bufpool: Retain of "+tc.class+" with no reference left", func() { shared.Retain() })
 		})
+	}
+}
+
+// A lent Buf is the lender's memory, not a copy: Window cuts it without
+// spanning a segment, Join gathers it behind a head, the ledger counts it
+// like a pooled buffer, and only its last Release returns it — once.
+func TestLendReturnsOnLastRelease(t *testing.T) {
+	mem := []byte("0123456789")
+	segs := [][]byte{mem[:3], mem[3:4], mem[4:]}
+	returned := 0
+	g0, _, p0 := Usage()
+	var loan Buf
+	b := loan.Lend(nil, segs, func() { returned++ })
+	if b.Len() != len(mem) || b.Bytes() != nil {
+		t.Fatalf("Len = %d, Bytes = %q; want %d and none for a segmented loan", b.Len(), b.Bytes(), len(mem))
+	}
+	for _, w := range []struct {
+		off, max int
+		want     string
+	}{{0, 10, "012"}, {2, 10, "2"}, {3, 10, "3"}, {4, 2, "45"}, {9, 5, "9"}, {10, 5, ""}} {
+		if got := string(b.Window(w.off, w.max)); got != w.want {
+			t.Errorf("Window(%d, %d) = %q, want %q", w.off, w.max, got, w.want)
+		}
+	}
+	if w := b.Window(0, 3); &w[0] != &mem[0] {
+		t.Error("a window is not the lent memory itself")
+	}
+	head := Get(2)
+	copy(head.Bytes(), "h:")
+	j := Join(head, b.Retain())
+	if string(j.Bytes()) != "h:0123456789" {
+		t.Errorf("Join = %q", j.Bytes())
+	}
+	j.Release()
+	b.Release()
+	if returned != 0 {
+		t.Fatal("returned while a reference was left")
+	}
+	b.Release()
+	if returned != 1 {
+		t.Fatalf("returned %d times, want once", returned)
+	}
+	if g, _, p := Usage(); g-g0 != 2 || p-p0 != 2 {
+		t.Errorf("ledger moved %d gets, %d puts; want 2 and 2 (the loan, and the head it was joined into)", g-g0, p-p0)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a Release beyond the last did not panic")
+			}
+		}()
+		b.Release()
+	}()
+	back := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		loan.Lend(mem, nil, back).Release()
+	}); n != 0 && !RaceEnabled {
+		t.Errorf("a loan allocates %v times", n)
 	}
 }

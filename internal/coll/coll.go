@@ -270,7 +270,14 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	}
 	extra := g.size - pow2
 	tmp := make([]float64, len(vec))
-	out := make([]byte, 8*len(vec))
+	// A put's body is read out of this memory until the fabric is done with
+	// it, which can be after the partner's contribution for the same phase
+	// has arrived (a rendezvous body, a retransmission): each phase encodes
+	// into its own slice.
+	out := make([]byte, g.phases*8*len(vec))
+	encode := func(phase int) []byte {
+		return EncodeF64(vec, out[phase*8*len(vec):])
+	}
 
 	combineFrom := func(phase int) error {
 		if err := g.waitBits(bits(opAllred, gen, phase)); err != nil {
@@ -283,7 +290,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 
 	if g.rank >= pow2 {
 		// Fold in, then wait for the folded-out result.
-		if err := g.put(g.rank-pow2, bits(opAllred, gen, 0), EncodeF64(vec, out), g.arOffset(gen, 0)); err != nil {
+		if err := g.put(g.rank-pow2, bits(opAllred, gen, 0), encode(0), g.arOffset(gen, 0)); err != nil {
 			return err
 		}
 		last := g.phases - 1
@@ -300,7 +307,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	}
 	for p, dist := 1, 1; dist < pow2; p, dist = p+1, dist*2 {
 		partner := g.rank ^ dist
-		if err := g.put(partner, bits(opAllred, gen, p), EncodeF64(vec, out), g.arOffset(gen, p)); err != nil {
+		if err := g.put(partner, bits(opAllred, gen, p), encode(p), g.arOffset(gen, p)); err != nil {
 			return err
 		}
 		if err := combineFrom(p); err != nil {
@@ -309,7 +316,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	}
 	if g.rank < extra {
 		last := g.phases - 1
-		if err := g.put(g.rank+pow2, bits(opAllred, gen, last), EncodeF64(vec, out), g.arOffset(gen, last)); err != nil {
+		if err := g.put(g.rank+pow2, bits(opAllred, gen, last), encode(last), g.arOffset(gen, last)); err != nil {
 			return err
 		}
 	}

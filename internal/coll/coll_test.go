@@ -9,8 +9,24 @@ import (
 	"time"
 
 	"repro/internal/bufpool/pooltest"
+	"repro/internal/rtscts"
+	"repro/internal/transport/simnet"
 	"repro/portals"
 )
+
+// newMachine builds a machine over fab whose teardown is checked when the
+// test ends (portals.Machine.CheckTeardown): no RCU pin open, no put body
+// still lent, no arena entry the tables no longer reach.
+func newMachine(t testing.TB, fab portals.Fabric) *portals.Machine {
+	t.Helper()
+	m := portals.NewMachine(fab)
+	t.Cleanup(func() {
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return m
+}
 
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
@@ -18,8 +34,13 @@ func TestMain(m *testing.M) { pooltest.Main(m) }
 // groups launches n members on a loopback machine.
 func groups(t *testing.T, n int) []*Group {
 	t.Helper()
-	m := portals.NewMachine(portals.Loopback())
-	t.Cleanup(func() { m.Close() })
+	return groupsOn(t, portals.Loopback(), n)
+}
+
+// groupsOn launches n members on a machine over fab.
+func groupsOn(t *testing.T, fab portals.Fabric, n int) []*Group {
+	t.Helper()
+	m := newMachine(t, fab)
 	nis, err := m.LaunchJob(n)
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +108,39 @@ func TestAllreduceSum(t *testing.T) {
 				}
 				if vec[0] != want || vec[1] != float64(n) {
 					return fmt.Errorf("rank %d: %v, want [%v %v]", g.Rank(), vec, want, n)
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// A put's body is lent to the fabric, not copied: over rtscts a vector of
+// MaxVec doubles is a rendezvous message, read out of the sender's memory
+// after the CTS and again for every retransmission — possibly after the
+// partner's contribution for the same phase has arrived. A phase that
+// encoded into the memory an earlier phase still sends from would hand the
+// partner the wrong values; on a lossy fabric that shows.
+func TestAllreduceLossyRendezvous(t *testing.T) {
+	sim := simnet.Config{MTU: 4096, LossRate: 0.05, Seed: 31}
+	for _, n := range []int{3, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			gs := groupsOn(t, portals.SimFabric(sim, rtscts.DefaultConfig()), n)
+			const width = 4096 // Config.MaxVec's default
+			runAll(t, gs, func(g *Group) error {
+				vec := make([]float64, width)
+				for iter := 0; iter < 4; iter++ {
+					for i := range vec {
+						vec[i] = float64(g.Rank()*width + i + iter)
+					}
+					if err := g.Allreduce(vec, Sum); err != nil {
+						return err
+					}
+					for i, got := range vec {
+						if want := float64(n*(i+iter) + width*n*(n-1)/2); got != want {
+							return fmt.Errorf("rank %d iter %d: element %d = %v, want %v", g.Rank(), iter, i, got, want)
+						}
+					}
 				}
 				return nil
 			})
@@ -198,8 +252,7 @@ func TestMixedCollectives(t *testing.T) {
 }
 
 func TestSizeLimits(t *testing.T) {
-	m := portals.NewMachine(portals.Loopback())
-	defer m.Close()
+	m := newMachine(t, portals.Loopback())
 	nis, err := m.LaunchJob(2)
 	if err != nil {
 		t.Fatal(err)

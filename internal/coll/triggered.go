@@ -20,9 +20,10 @@
 // safety argument is different because fires happen on lanes, concurrent
 // with the host: a slot may be reused only once every READER of it has
 // finished, and the evidence is counters whose increments are ordered
-// after the read. Concretely: startPut copies the payload out of the
-// descriptor BEFORE its MDCTSend increment lands, so waiting for the
-// send-counter (ctASent/ctBSent) proves the slot's bytes left it; and
+// after the read. Concretely: a put's payload is lent to the fabric, which
+// reads it where it lies, and its MDCTSend increment lands only when the
+// fabric gives it back for good, so waiting for the send-counter
+// (ctASent/ctBSent) proves nothing reads the slot any more; and
 // a delivery's MDCTPut increment lands after the payload write, so a
 // crossed threshold proves the data is visible.
 package coll

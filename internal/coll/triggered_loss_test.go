@@ -28,8 +28,7 @@ func TestTriggeredUDPLoss(t *testing.T) {
 		t.Run(fmt.Sprintf("drop=%g", drop), func(t *testing.T) {
 			rel := rtscts.Config{Window: 16, RTO: 50 * time.Millisecond, RTOMin: 2 * time.Millisecond}
 			net := udp.NewWithConfig(udp.Config{Reliability: rel})
-			m := portals.NewMachine(portals.CustomFabric("udp", net).WithLanes(1))
-			t.Cleanup(func() { m.Close() })
+			m := newMachine(t, portals.CustomFabric("udp", net).WithLanes(1))
 			nis, err := m.LaunchJob(n)
 			if err != nil {
 				t.Fatal(err)

@@ -18,8 +18,7 @@ func tgroups(t *testing.T, n int, lanes ...int) []*TGroup {
 	if len(lanes) > 0 {
 		f = f.WithLanes(lanes[0])
 	}
-	m := portals.NewMachine(f)
-	t.Cleanup(func() { m.Close() })
+	m := newMachine(t, f)
 	nis, err := m.LaunchJob(n)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/eventq"
@@ -27,12 +28,17 @@ func (s *State) lookupMDOpen(md types.Handle) (*memDesc, error) {
 	return d, nil
 }
 
-// StartPut builds the wire message for a put operation (Figure 1). The
-// descriptor's entire region is sent, as PtlPut specifies; the returned
-// Outbound is ready for the transport. A send event is posted to the
-// descriptor's event queue immediately — the message is encoded (the DMA
-// analogue) before return, so the buffer is reusable.
-func (s *State) StartPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
+// LendPut builds a put operation (Figure 1) the way a NIC sends one: the
+// wire header in a pooled buffer, and the payload lent out of the
+// descriptor's memory instead of copied (Outbound.TakeBody). The
+// descriptor's entire region is sent, as PtlPut specifies. The send
+// completes when the body comes back — when the fabric has read the
+// region for the last time, retransmissions included: only then are the
+// send event posted and the MDCTSend counter bumped, and only then may the
+// region be reused. Until then the lend counts as an operation in flight:
+// MDUnlink and MDUpdate answer ErrMDInUse, and an auto-unlink waits for
+// the return. A 0-byte put lends nothing and completes here.
+func (s *State) LendPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
 	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
 	out, err := s.startPut(md, ack, target, ptl, cookie, bits, remoteOffset)
 	if err != nil {
@@ -41,7 +47,24 @@ func (s *State) StartPut(md types.Handle, ack types.AckRequest, target types.Pro
 	return out, nil
 }
 
-// startPut is StartPut returning bare sentinel errors: it is also the body
+// StartPut is LendPut with the body joined to the header in one pooled
+// buffer, so Msg is the whole wire message and the send has completed — its
+// event posted — by the time StartPut returns. It is for a caller that
+// carries the message itself, without a fabric to lend the body to.
+func (s *State) StartPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
+	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
+	out, err := s.LendPut(md, ack, target, ptl, cookie, bits, remoteOffset)
+	if err != nil || out.ln == nil {
+		return out, err
+	}
+	body := out.TakeBody(nil)
+	out.buf = bufpool.Join(out.buf, body)
+	out.Msg = out.buf.Bytes()
+	body.Release()
+	return out, nil
+}
+
+// startPut is LendPut returning bare sentinel errors: it is also the body
 // of a fired TriggeredPut, which runs on the delivery lanes, so the whole
 // function — failure paths included — stays allocation-free.
 func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
@@ -68,33 +91,104 @@ func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.Pro
 	h.Seq = s.nextSeq()
 	trace.Record(trace.StageTxEnqueue,
 		uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), size)
-	// Gather header+payload straight into a pooled buffer: a transport that
-	// implements SendBuf (loopback) carries this exact buffer to the target
-	// delivery engine, making the gather the only initiator-side copy.
-	b := bufpool.Get(wire.HeaderSize + int(size))
+	b := bufpool.Get(wire.HeaderSize)
 	s.counters.Pool(b.Reused())
-	n := h.Encode(b.Bytes())
-	d.view.readInto(b.Bytes()[n:], 0)
+	h.Encode(b.Bytes())
 	s.counters.Send(int(size))
 	d.consume()
+	out := Outbound{Dst: target, Msg: b.Bytes(), buf: b}
+	if size == 0 {
+		s.sendDone(d, ptl, bits, 0, h.Seq)
+		return out, nil
+	}
+	ln, _ := lendPool.Get().(*lend)
+	if ln == nil {
+		ln = new(lend)
+		ln.back = ln.returned
+	}
+	ln.s, ln.d, ln.ptl, ln.bits, ln.size, ln.seq = s, d, ptl, bits, size, h.Seq
+	d.lent++
+	s.lent.Add(1)
+	ln.body.Lend(d.view.flat, d.view.segments, ln.back)
+	out.ln = ln
+	return out, nil
+}
+
+// sendDone completes a put on its descriptor: the send event, the MDCTSend
+// count — before a possible unlink, so the increment still lands for
+// fire-and-forget descriptors — and Figure 4's unlink step.
+//
+//lint:requires memDesc.owner/portal.mu
+func (s *State) sendDone(d *memDesc, ptl types.PtlIndex, bits types.MatchBits, size uint64, seq uint32) {
 	if q := s.eqFor(d.md.EQ); q != nil {
 		q.Post(eventq.Event{
 			Type:      types.EventSend,
 			Initiator: s.self,
 			PtlIndex:  ptl,
 			MatchBits: bits,
-			RLength:   h.RLength,
-			MLength:   h.RLength,
+			RLength:   size,
+			MLength:   size,
 			MD:        d.handle,
 			UserPtr:   d.md.UserPtr,
-			MsgSeq:    uint64(h.Seq),
+			MsgSeq:    uint64(seq),
 		})
 	}
-	// Local send completion counts (MDCTSend) before a possible unlink so
-	// the increment still lands for fire-and-forget descriptors.
 	s.ctIncMD(d.md.CT, d.md.Options, types.MDCTSend, size)
 	s.unlinkIfSpent(d)
-	return Outbound{Dst: target, Msg: b.Bytes(), buf: b}, nil
+}
+
+// lend is one put's body on loan to the fabric. Its descriptor cannot be
+// unlinked or updated while it is out (memDesc.lent), so d stays valid until
+// the return.
+type lend struct {
+	body bufpool.Buf // the loan itself (Buf.Lend); its last Release calls back
+	back func()      // ln.returned, bound once per record: a loan allocates nothing
+	s    *State
+	d    *memDesc
+	tx   Sender // transmits what the completion fires (Outbound.TakeBody)
+	ptl  types.PtlIndex
+	bits types.MatchBits
+	size uint64
+	seq  uint32
+}
+
+// lendPool recycles lend records with their headers. It has no New hook:
+// the record's callback leads back to startPut, which a pool initializer
+// may not (an initialization cycle); startPut makes a missing one.
+var lendPool sync.Pool
+
+// fireScratch pools the slices a return's triggered operations are
+// collected in.
+var fireScratch = sync.Pool{New: func() any {
+	s := make([]Outbound, 0, 4)
+	return &s
+}}
+
+// returned completes the put of a lend when the fabric releases its body
+// for the last time. The fabric does that outside its own locks
+// (transport.Endpoint), so the triggered operations the completion fires
+// are transmitted right here, by whoever caused the crossing — the same
+// rule as any FireTriggered drain.
+func (ln *lend) returned() {
+	s, d, tx := ln.s, ln.d, ln.tx
+	d.owner.Lock()
+	d.lent--
+	s.sendDone(d, ln.ptl, ln.bits, ln.size, ln.seq)
+	d.owner.Unlock()
+	s.lent.Add(-1)
+	ln.s, ln.d, ln.tx = nil, nil, nil
+	lendPool.Put(ln)
+	if tx == nil || s.trigPending.Load() == nil {
+		return
+	}
+	sp := fireScratch.Get().(*[]Outbound)
+	outs := s.FireTriggered((*sp)[:0])
+	for i := range outs {
+		_ = tx.Send(outs[i]) // a fired put has no caller to report to (fireOp)
+		outs[i] = Outbound{}
+	}
+	*sp = outs[:0]
+	fireScratch.Put(sp)
 }
 
 // StartGet builds the wire message for a get operation (Figure 2). The

@@ -59,15 +59,17 @@ type memDesc struct {
 	localOffset uint64 //lint:guardedby owner,portal.mu,State.bindMu
 	pending     int    //lint:guardedby owner,portal.mu,State.bindMu  operations awaiting a remote response
 	landing     int    //lint:guardedby owner,portal.mu,State.bindMu  placements between resolve and commit (place.go)
+	lent        int    //lint:guardedby owner,portal.mu,State.bindMu  put bodies the fabric still reads (LendPut)
 	unlinked    bool   //lint:guardedby owner,portal.mu,State.bindMu
 }
 
-// inFlight counts what pins the descriptor: gets awaiting their reply and
-// announced messages landing in it. While it is non-zero the descriptor is
-// not unlinked, by the application or by the engine.
+// inFlight counts what pins the descriptor: gets awaiting their reply,
+// announced messages landing in it, and put bodies lent out of it. While it
+// is non-zero the descriptor is not unlinked, by the application or by the
+// engine.
 //
 //lint:requires owner/portal.mu
-func (d *memDesc) inFlight() int { return d.pending + d.landing }
+func (d *memDesc) inFlight() int { return d.pending + d.landing + d.lent }
 
 // active reports whether the descriptor still accepts operations.
 //
@@ -237,8 +239,9 @@ func (s *State) MDUnlink(h types.Handle) error {
 // valid handle and that queue has pending events, the update is refused so
 // the caller can first drain them — this is the primitive MPI uses to
 // safely shrink/repoint receive buffers. It is also refused, with
-// ErrMDInUse, while an announced message is landing in the descriptor: the
-// fragments still to come were resolved against the region as it is.
+// ErrMDInUse, while an announced message is landing in the descriptor or a
+// put's body is lent out of it: the fragments still to come were resolved
+// against the region as it is, and the fabric still reads it.
 func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
 	pin := s.pins.Enter(uint64(h.Index))
 	d, ok := s.lookupMD(h)
@@ -253,8 +256,8 @@ func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
-	if d.landing > 0 {
-		return fmt.Errorf("%w: %d transfers landing, update refused", types.ErrMDInUse, d.landing)
+	if n := d.landing + d.lent; n > 0 {
+		return fmt.Errorf("%w: %d transfers landing or lent, update refused", types.ErrMDInUse, n)
 	}
 	s.resMu.Lock()
 	if testEQ.IsValid() {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/acl"
 	"repro/internal/arena"
@@ -95,6 +96,10 @@ type State struct {
 	// (ct.go). Delivery lanes drain it at the tail of HandleIncomingInto;
 	// application-side counter advances drain it through the portals layer.
 	trigPending atomic.Pointer[ctr]
+
+	// lent counts put bodies out on loan to a fabric (LendPut) and not yet
+	// returned.
+	lent atomic.Int64
 
 	// closed flips once, under resMu; hot paths read it with one atomic
 	// load (no lock).
@@ -193,15 +198,26 @@ func (s *State) Close() {
 	}
 }
 
+// lentGrace is how long CheckTeardown waits for lent bodies to come back: a
+// fabric's link may give one back just after its Close, as it does a pooled
+// buffer, and the wait is the buffer ledger's (pooltest).
+var lentGrace = 10 * time.Second
+
 // CheckTeardown closes s and reports what its teardown left behind: an RCU
-// pin still open, or a match entry or descriptor alive in its arena that the
-// State's tables no longer reach. Tests call it once whatever used the State
+// pin still open, a put body still lent to a fabric, or a match entry or
+// descriptor alive in its arena that the State's tables no longer reach. Tests call it once whatever used the State
 // has stopped; a nil result means the State gave back everything it took.
 func (s *State) CheckTeardown() error {
 	s.Close()
 	var errs []error
 	if !s.pins.Quiescent() {
 		errs = append(errs, errors.New("an RCU pin is still open at teardown"))
+	}
+	for deadline := time.Now().Add(lentGrace); s.lent.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := s.lent.Load(); n != 0 {
+		errs = append(errs, fmt.Errorf("%d put bodies still lent at teardown", n))
 	}
 	if live, n := s.meArena.Live(), s.mes.tab.Count(); live != n {
 		errs = append(errs, fmt.Errorf("%d match entries live in the arena, %d in the table", live, n))

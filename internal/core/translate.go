@@ -11,15 +11,19 @@ import (
 // Outbound is a fully-encoded protocol message the delivery engine must
 // transmit on behalf of this process (an acknowledgment or a reply —
 // §4.3's "activities attributed to a process may ... be performed ... on
-// behalf of the process", i.e. application bypass).
+// behalf of the process", i.e. application bypass) — or a put from
+// LendPut, whose Msg is only the wire header: its payload is a body lent
+// out of the memory descriptor (TakeBody).
 type Outbound struct {
 	Dst types.ProcessID
 	Msg []byte
 
 	buf *bufpool.Buf // pooled backing for Msg; nil when Msg is plainly allocated
+	ln  *lend        // LendPut: the payload's loan out of the descriptor; nil otherwise
 }
 
-// Recycle returns the message's pooled buffer, if any; it is a no-op for
+// Recycle returns the message's pooled buffer, if any, and a lent body,
+// which completes the put without a Sender; it is a no-op for
 // plainly-allocated messages. Call it exactly once, after the transport's
 // Send has returned (transports must not retain msg past Send — see
 // internal/transport). Msg is invalid afterwards.
@@ -29,6 +33,7 @@ func (o *Outbound) Recycle() {
 		o.buf = nil
 		o.Msg = nil
 	}
+	o.TakeBody(nil).Release()
 }
 
 // TakeBuf transfers ownership of the message's pooled buffer to the
@@ -40,6 +45,26 @@ func (o *Outbound) TakeBuf() *bufpool.Buf {
 	b := o.buf
 	o.buf = nil
 	return b
+}
+
+// TakeBody transfers ownership of a put's lent body to the caller, nil if
+// there is none: the new owner releases it when nothing reads the
+// descriptor's memory for this put any more, and that release completes
+// the send (LendPut). tx is what transmits the triggered operations the
+// completion fires; nil leaves them for the next FireTriggered drain.
+func (o *Outbound) TakeBody(tx Sender) *bufpool.Buf {
+	ln := o.ln
+	if ln == nil {
+		return nil
+	}
+	ln.tx = tx
+	o.ln = nil
+	return &ln.body
+}
+
+// Sender transmits what the engine produced (nicsim.Node).
+type Sender interface {
+	Send(Outbound) error
 }
 
 // HandleIncoming processes one incoming message per the §4.8 receive rules

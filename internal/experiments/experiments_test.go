@@ -16,6 +16,20 @@ import (
 	"repro/portals"
 )
 
+// newMachine builds a machine over fab whose teardown is checked when the
+// test ends (portals.Machine.CheckTeardown): no RCU pin open, no put body
+// still lent, no arena entry the tables no longer reach.
+func newMachine(t testing.TB, fab portals.Fabric) *portals.Machine {
+	t.Helper()
+	m := portals.NewMachine(fab)
+	t.Cleanup(func() {
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return m
+}
+
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
@@ -151,8 +165,7 @@ func TestBandwidthDefaultsCount(t *testing.T) {
 func TestMemScaleTrend(t *testing.T) {
 	const credits, bufSize = 16, 32 * 1024
 	measure := func(n int) MemScalePoint {
-		m := portals.NewMachine(portals.Loopback())
-		defer m.Close()
+		m := newMachine(t, portals.Loopback())
 		p, err := MemScale(m, n, mpi.Config{}, credits, bufSize)
 		if err != nil {
 			t.Fatal(err)

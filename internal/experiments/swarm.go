@@ -155,7 +155,7 @@ func (s *Swarm) pass(msgs, pick int) error {
 			return err
 		}
 		tgt, bits := s.targets[s.rnd.Intn(pick)], types.MatchBits(s.rnd.Intn(swarmMEs))
-		out, err := s.drv.StartPut(s.md, types.AckReq, tgt, 0, 0, bits, 0)
+		out, err := s.drv.LendPut(s.md, types.AckReq, tgt, 0, 0, bits, 0)
 		if err == nil {
 			s.Sent++
 			err = s.nodes[len(s.nodes)-1].Send(out)

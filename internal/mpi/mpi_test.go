@@ -14,13 +14,26 @@ import (
 	"repro/portals"
 )
 
+// newMachine builds a machine over fab whose teardown is checked when the
+// test ends (portals.Machine.CheckTeardown): no RCU pin open, no put body
+// still lent, no arena entry the tables no longer reach.
+func newMachine(t testing.TB, fab portals.Fabric) *portals.Machine {
+	t.Helper()
+	m := portals.NewMachine(fab)
+	t.Cleanup(func() {
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
+	return m
+}
+
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
 func worldOn(t *testing.T, fab portals.Fabric, n int, cfg Config) *World {
 	t.Helper()
-	m := portals.NewMachine(fab)
-	t.Cleanup(func() { m.Close() })
+	m := newMachine(t, fab)
 	w, err := NewWorld(m, n, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,7 @@ import (
 // tags, same ranks, different contexts (§2: Portals was "designed to
 // efficiently support multiple protocols within the same process").
 func TestCommunicatorContextIsolation(t *testing.T) {
-	m := portals.NewMachine(portals.Loopback())
-	defer m.Close()
+	m := newMachine(t, portals.Loopback())
 	nis, err := m.LaunchJob(2)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +77,7 @@ func TestCommunicatorContextIsolation(t *testing.T) {
 // communicator's traffic, even when the other comm's message arrives
 // first and sits unexpected.
 func TestWildcardDoesNotCrossContexts(t *testing.T) {
-	m := portals.NewMachine(portals.Loopback())
-	defer m.Close()
+	m := newMachine(t, portals.Loopback())
 	nis, err := m.LaunchJob(2)
 	if err != nil {
 		t.Fatal(err)

@@ -67,9 +67,12 @@ func (c *Comm) WinCreate(base []byte) (*Win, error) {
 	return w, nil
 }
 
-// Put transfers data into rank dst's window at a byte offset. Local
-// buffer reuse is immediate (the engine copied at initiation); REMOTE
-// completion is guaranteed only after the next Fence.
+// Put transfers data into rank dst's window at a byte offset. As with
+// MPI_Put, data must not be modified until the next Fence: the put's body
+// is read out of data where it is, possibly after Put has returned (a
+// rendezvous body waits for its CTS), and Fence returns only once every
+// put is acknowledged — which the target does after it holds the whole
+// body. REMOTE completion is likewise guaranteed only after the next Fence.
 func (w *Win) Put(dst int, offset uint64, data []byte) error {
 	if err := w.c.checkPeer(dst, "window target"); err != nil {
 		return err

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/rtscts"
+	"repro/internal/transport/simnet"
+	"repro/portals"
 )
 
 func TestWinPutGetFence(t *testing.T) {
@@ -180,6 +184,52 @@ func TestWinCreateCollective(t *testing.T) {
 		}
 		if err := win.Fence(); err != nil {
 			return err
+		}
+		return win.Free()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A window put above the fabric's eager limit is a rendezvous: its body is
+// read out of data after Put has returned. So the contract is MPI_Put's —
+// data stays untouched until the next Fence — and once Fence returns, data
+// may be rewritten without the target seeing it, retransmissions included.
+func TestWinRendezvousPutDataReusableAfterFence(t *testing.T) {
+	sim := simnet.Config{MTU: 4096, LossRate: 0.05, Seed: 41}
+	w := worldOn(t, portals.SimFabric(sim, rtscts.DefaultConfig()), 2, Config{})
+	const size = 64 * 1024
+	err := w.Run(func(c *Comm) error {
+		base := make([]byte, size)
+		win, err := c.WinCreate(base)
+		if err != nil {
+			return err
+		}
+		peer := 1 - c.Rank()
+		data := make([]byte, size)
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := range data {
+				data[i] = byte(i*7 + epoch*31 + c.Rank())
+			}
+			if err := win.Put(peer, 0, data); err != nil {
+				return err
+			}
+			if err := win.Fence(); err != nil {
+				return err
+			}
+			for i := range data {
+				data[i] = 0xEE
+			}
+			for i, got := range base {
+				if want := byte(i*7 + epoch*31 + peer); got != want {
+					return fmt.Errorf("rank %d epoch %d: window[%d] = %#x, want %#x", c.Rank(), epoch, i, got, want)
+				}
+			}
+			// The peer's next epoch writes into base: check before it starts.
+			if err := win.Fence(); err != nil {
+				return err
+			}
 		}
 		return win.Free()
 	})

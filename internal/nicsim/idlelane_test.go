@@ -39,8 +39,9 @@ func (f *ackFabric) Send(dst types.NID, msg []byte) error { return transport.Sen
 func (f *ackFabric) LocalNID() types.NID                  { return 100 }
 func (f *ackFabric) Close() error                         { return nil }
 
-func (f *ackFabric) SendBuf(_ types.NID, buf *bufpool.Buf) error {
+func (f *ackFabric) SendBuf(_ types.NID, buf, body *bufpool.Buf) error {
 	defer buf.Release()
+	defer body.Release()
 	h, _, err := wire.DecodeMessage(buf.Bytes())
 	if err != nil {
 		return err

@@ -87,7 +87,7 @@ func TestMultiLanePutsDeliver(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < msgs; i++ {
-				out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 5, 0)
+				out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 5, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +173,7 @@ func closeUnderFire(t *testing.T, net transport.Network, lanes int) {
 					return
 				default:
 				}
-				out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 0, 0)
+				out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 0, 0)
 				if err != nil {
 					return
 				}

@@ -14,8 +14,9 @@
 // (transport.BatchHandler); every message is admitted, hashed by (source
 // NID, target PID) onto a delivery lane, and the batch's group for each
 // lane is handed off in one piece. Out: Send gives the transport the
-// message's pooled buffer (transport.Endpoint.SendBuf). Nothing is copied
-// on either side of the engine.
+// message's pooled buffer and, for a put, the body lent out of the memory
+// descriptor (transport.Endpoint.SendBuf). Nothing is copied on either side
+// of the engine.
 //
 // Direct placement: a node asks every fabric that can for announcements
 // (transport.Announcer). An announced message comes in as two entries of
@@ -355,8 +356,10 @@ var outScratch = sync.Pool{
 
 // Send transmits an initiator-side or engine-generated message, CONSUMING
 // it: the message's pooled buffer — every Outbound the core builds has one
-// — is handed to the transport, which owns it from here on, error or not.
-// The caller must not use or Recycle out afterwards.
+// — and a put's lent body are handed to the transport, which owns them from
+// here on, error or not. The body's return completes the put, and what the
+// completion fires is sent through n. The caller must not use or Recycle
+// out afterwards.
 func (n *Node) Send(out core.Outbound) error {
 	// On the delivery path this runs on a lane worker or, for an inline
 	// burst, on the fabric's delivery goroutine (transmit stage) — never on
@@ -365,7 +368,7 @@ func (n *Node) Send(out core.Outbound) error {
 	// bypass holds. The peer's readers never wait for its engine, so the
 	// write waits for the network only.
 	//lint:ignore bypassviolation tcp's SendBuf writes to its socket synchronously; loopback and rtscts queue the buffer
-	return n.ep.SendBuf(out.Dst.NID, out.TakeBuf())
+	return n.ep.SendBuf(out.Dst.NID, out.TakeBuf(), out.TakeBody(n))
 }
 
 // admit runs the §4.8 admission checks — decodable, valid local target —

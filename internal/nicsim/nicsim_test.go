@@ -78,7 +78,7 @@ func TestEndToEndPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 7, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestApplicationBypassDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestAckFlowsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.AckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 3, 0)
+	out, err := s1.LendPut(src, types.AckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBadTargetPIDDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 999}, 0, 0, 0, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 999}, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestWrongNIDDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 1, PID: 20}, 0, 0, 0, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 1, PID: 20}, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestInterruptModelCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestNICOffloadNoInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRemoveProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s1.StartPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
+	out, err := s1.LendPut(src, types.NoAckReq, types.ProcessID{NID: 2, PID: 20}, 0, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestPerPairOrderingAcrossLanes(t *testing.T) {
 					for k := 0; k < msgs*len(targetPIDs); k++ {
 						pid := targetPIDs[rng.Intn(len(targetPIDs))]
 						bits := types.MatchBits(sent[i][pid])
-						out, err := s.StartPut(md, types.NoAckReq, types.ProcessID{NID: 100, PID: pid}, 0, 0, bits, 0)
+						out, err := s.LendPut(md, types.NoAckReq, types.ProcessID{NID: 100, PID: pid}, 0, 0, bits, 0)
 						if err != nil {
 							t.Errorf("initiator %d: StartPut: %v", i, err)
 							return

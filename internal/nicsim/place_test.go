@@ -95,21 +95,21 @@ func (r *rig) put(data []byte, offset uint64, ack types.AckRequest, pid types.PI
 }
 
 func (r *rig) tryPut(data []byte, offset uint64, ack types.AckRequest, pid types.PID) error {
-	md, err := r.txs.MDBind(core.MD{Start: data, Threshold: types.ThresholdInfinite, EQ: r.txeq}, types.Retain)
+	// An unacknowledged put's source unlinks itself once the fabric is done
+	// reading it; an acknowledged one stays, for the ack names it.
+	desc, unlink := core.MD{Start: data, Threshold: types.ThresholdInfinite, EQ: r.txeq}, types.Retain
+	if ack == types.NoAckReq {
+		desc.Threshold, unlink = 1, types.Unlink
+	}
+	md, err := r.txs.MDBind(desc, unlink)
 	if err != nil {
 		return err
 	}
-	out, err := r.txs.StartPut(md, ack, types.ProcessID{NID: rigRxID.NID, PID: pid}, 0, 0, rigBits, offset)
+	out, err := r.txs.LendPut(md, ack, types.ProcessID{NID: rigRxID.NID, PID: pid}, 0, 0, rigBits, offset)
 	if err != nil {
 		return err
 	}
-	if err := r.tx.Send(out); err != nil {
-		return err
-	}
-	if ack == types.AckReq {
-		return nil // the ack names the descriptor
-	}
-	return r.txs.MDUnlink(md) // the message is encoded: the source is free
+	return r.tx.Send(out)
 }
 
 func (r *rig) rxStats() *rtscts.Stats { return r.rx.ep.(*rtscts.Conn).Stats() }
@@ -503,7 +503,7 @@ func TestPlacedPutAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycle := func() {
-		out, err := r.txs.StartPut(md, types.AckReq, rigRxID, 0, 0, rigBits, 0)
+		out, err := r.txs.LendPut(md, types.AckReq, rigRxID, 0, 0, rigBits, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

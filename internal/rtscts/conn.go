@@ -325,20 +325,30 @@ func (c *Conn) Send(dst types.NID, msg []byte) error {
 	return transport.SendCopy(c, dst, msg)
 }
 
-// SendBuf is Send without the copy: the per-peer sender fragments buf in
-// place and releases it when the last fragment is acknowledged — or here,
-// on every path that fails.
-func (c *Conn) SendBuf(dst types.NID, buf *bufpool.Buf) error {
-	if n := len(buf.Bytes()); n > MaxMessage {
-		buf.Release()
+// SendBuf is Send without the copy: the per-peer sender fragments head and
+// body in place and releases each when its last fragment is acknowledged —
+// or here, on every path that fails. An eager message is joined into one
+// buffer here, and its body released once the message is queued: on the
+// caller's goroutine, before SendBuf returns.
+func (c *Conn) SendBuf(dst types.NID, head, body *bufpool.Buf) error {
+	n := len(head.Bytes()) + body.Len()
+	if n > MaxMessage {
+		head.Release()
+		body.Release()
 		return fmt.Errorf("rtscts: message of %d bytes exceeds the %d-byte limit", n, MaxMessage)
 	}
 	s, err := c.sender(dst)
 	if err != nil {
-		buf.Release()
+		head.Release()
+		body.Release()
 		return err
 	}
-	return s.enqueue(buf)
+	if body == nil || n > c.cfg.EagerMax {
+		return s.enqueue(head, body)
+	}
+	err = s.enqueue(bufpool.Join(head, body), nil)
+	body.Release()
+	return err
 }
 
 // deliver queues one completed message for the flush that ends the burst.

@@ -26,16 +26,21 @@
 //
 // # Who owns the bytes
 //
-// A message crosses the layer as one pooled buffer in and one pooled buffer
-// out — or, placed, no buffer out at all — and rtscts itself never holds a
-// packet-sized buffer. What lies between is the fabric's business: one that
+// A message crosses the layer as one pooled buffer in — or, for a put, a
+// pooled head and a body lent out of the sender's memory descriptor
+// (bufpool.Buf.Lend) — and one pooled buffer out — or, placed, no buffer out at
+// all — and rtscts itself never holds a packet-sized buffer. What lies between is the fabric's business: one that
 // carries packets by reference (simnet) copies nothing, so the receive side
 // below reads the sender's own message buffer; one that must frame a
 // datagram for the kernel (udp) makes the only copy between the two.
 //
-//   - Send side. SendBuf takes the caller's buffer (Send copies once into a
-//     pooled buffer and then is SendBuf). The buffer is cut into fragments
-//     by SendBuf itself when the window has room, and otherwise by the
+//   - Send side. SendBuf takes the caller's buffers (Send copies once into a
+//     pooled buffer and then is SendBuf); a message within EagerMax is
+//     joined into one buffer there and its body returned at once, while a
+//     rendezvous message keeps its body, its head going as a fragment of its
+//     own. The buffers are cut into fragments — windows of one of them, of
+//     one segment of a body, never of two — by SendBuf itself when the
+//     window has room, and otherwise by the
 //     receipt of the ack or CTS that reopened it; it waits in the per-peer
 //     queue while the window is full or an earlier message holds the
 //     stream. The window holds descriptors — prebuilt header,
@@ -45,10 +50,13 @@
 //     held, and a descriptor is retired — by the cumulative ack that covers
 //     it, or by shutdown — under the same lock, so the reference the fabric
 //     is shown is live for the length of the call, which is all SendPacket
-//     asks. The memory returns to the pool with its last reference: the
-//     descriptors' or, when a packet is still queued, held for reordering or
-//     duplicated on a link after the ack that retired its message, the
-//     fabric's. Every failure path of SendBuf releases the buffer too.
+//     asks. The memory returns to the pool, or a lent body to its
+//     descriptor, with its last reference: the descriptors' or, when a
+//     packet is still queued, held for reordering or duplicated on a link
+//     after the ack that retired its message, the fabric's. The
+//     descriptors' references are dropped after the window lock, since a
+//     body's return completes its put and may send to this very peer.
+//     Every failure path of SendBuf releases the buffers too.
 //   - Receive side. A message's first fragment obtains the pooled delivery
 //     buffer and each fragment is copied straight to its offset. On
 //     completion the buffer leaves as an owned transport.Delivery; the batch

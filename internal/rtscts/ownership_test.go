@@ -45,12 +45,12 @@ func TestSendBufRefusalsRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !oversizedSent.Swap(true) {
-		if err := c.SendBuf(2, bufpool.Get(MaxMessage+1)); err == nil {
+		if err := c.SendBuf(2, bufpool.Get(MaxMessage+1), nil); err == nil {
 			t.Error("a message longer than MaxMessage was accepted")
 		}
 	}
 	c.Close()
-	if err := c.SendBuf(2, bufpool.Get(64)); err == nil {
+	if err := c.SendBuf(2, bufpool.Get(64), nil); err == nil {
 		t.Error("SendBuf after Close succeeded")
 	}
 	if n := held(); n != 0 {
@@ -118,6 +118,7 @@ type witness struct {
 	sums    map[pktKey]uint32 // payload checksum of each data packet's first transmission
 	resent  int               // later transmissions, each checked against the first
 	arrived []pktKey          // data packets in the order the fabric delivered them
+	finals  []uint64          // the sequence number of each application message's final fragment
 }
 
 type pktKey struct {
@@ -199,6 +200,9 @@ func (ep *witnessEP) SendPacket(dst types.NID, hdr, payload []byte, owner *bufpo
 			if ep.left > 0 {
 				ep.left -= uint64(len(payload))
 				drop = w.dropFinal && ep.left == 0
+				if ep.left == 0 {
+					w.finals = append(w.finals, seq)
+				}
 			}
 		} else {
 			w.resent++
@@ -387,6 +391,73 @@ func TestLossyPlacedPutReadsOnlyWhatWasSent(t *testing.T) {
 	}
 	if resent, _ := pn.counts(); resent == 0 || a.Stats().Retransmits.Load() == 0 {
 		t.Errorf("the witness saw %d retransmissions and the sender counted %d: nothing was tested", resent, a.Stats().Retransmits.Load())
+	}
+	a.Close()
+	b.Close()
+	net.Close()
+	waitBalanced(t, held)
+}
+
+// A put's body is lent to the fabric, not copied: over a lossy fabric every
+// transmission of a placed 256 KiB body reads the sender's region itself
+// (witness), and the region comes back — the return that completes the put
+// — only once the ack covering the body's final fragment is in, and outside
+// the stream's lock (the return reads the stream's state). What the region
+// holds after its return is not what the target holds.
+func TestLossyPlacedLendReturnsAfterLastAck(t *testing.T) {
+	held := pooltest.Baseline(t)
+	net := simnet.New(simnet.Config{MTU: 4096, LossRate: 0.05, DupRate: 0.02, ReorderRate: 0.02, Seed: 29})
+	pn := newWitness(t, net)
+	cfg := Config{RTO: 5 * time.Millisecond, Window: 16}
+	var p placer
+	b, err := Attach(pn, 2, cfg, p.batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Announce()
+	a, err := Attach(pn, 1, cfg, transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const puts, headLen = 4, transport.HeadSize
+	msg := pattern(headLen + 256<<10)
+	var returned atomic.Int32
+	regions := make([][]byte, puts)
+	loans := make([]bufpool.Buf, puts)
+	for i := range regions {
+		regions[i] = append([]byte(nil), msg[headLen:]...)
+		back := func() {
+			st, _ := a.Peer(2)
+			pn.mu.Lock()
+			final := pn.finals[i]
+			pn.mu.Unlock()
+			if st.Base <= final {
+				t.Errorf("body %d returned with its final fragment %d unacknowledged (window base %d)", i, final, st.Base)
+			}
+			for j := range regions[i] {
+				regions[i][j] = ^regions[i][j] // the region is the application's again
+			}
+			returned.Add(1)
+		}
+		head := bufpool.Get(headLen)
+		copy(head.Bytes(), msg)
+		if err := a.SendBuf(2, head, loans[i].Lend(regions[i], nil, back)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 60*time.Second, func() bool { return p.count() == puts && returned.Load() == puts })
+	p.mu.Lock()
+	for i, got := range p.whole {
+		if !bytes.Equal(got, msg) {
+			t.Errorf("placed message %d does not hold what was sent", i)
+		}
+	}
+	p.mu.Unlock()
+	if got := b.Stats().Placed.Load(); got != puts {
+		t.Errorf("%d messages placed, want %d", got, puts)
+	}
+	if resent, _ := pn.counts(); resent == 0 {
+		t.Error("the witness saw no retransmission: nothing was tested")
 	}
 	a.Close()
 	b.Close()

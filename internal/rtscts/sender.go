@@ -20,23 +20,27 @@ import (
 const dupAckThreshold = 3
 
 // txDesc describes one sequenced packet awaiting acknowledgment: where its
-// payload lies in the message buffer, not a copy of it. sent timestamps the
-// first transmission. A retransmitted packet carries flagResent in its
-// header, for the receiver to echo, and Karn's rule excludes it from RTT
-// sampling (an ack for it is ambiguous — it may answer either transmission).
+// payload lies in the message's head buffer or lent body, not a copy of
+// it. sent timestamps the first transmission. A retransmitted packet
+// carries flagResent in its header, for the receiver to echo, and Karn's
+// rule excludes it from RTT sampling (an ack for it is ambiguous — it may
+// answer either transmission).
 type txDesc struct {
 	hdr     [pktHeaderSize]byte // wire header, built at first transmission; flagResent joins it at the first resend
 	payload []byte              // a window of owner; empty for header-only packets
-	owner   *bufpool.Buf        // the descriptor's own reference to the message buffer; nil for a message without one
+	owner   *bufpool.Buf        // the descriptor's own reference to the buffer payload lies in; nil for none
 	sent    time.Time
 }
 
-// retire gives up the descriptor's reference to its message once the packet
-// is acknowledged or abandoned.
-func (d *txDesc) retire() {
-	d.payload = nil
-	d.owner.Release()
-	d.owner = nil
+// retire takes the descriptor's reference to its message once the packet is
+// acknowledged or abandoned, appending it to dead: the caller releases it
+// after dropping mu, because the last release of a lent body completes its
+// put, and the completion may send to this very peer.
+func (d *txDesc) retire(dead *[]*bufpool.Buf) {
+	if d.owner != nil {
+		*dead = append(*dead, d.owner)
+	}
+	d.payload, d.owner = nil, nil
 }
 
 // peerSender owns the reliable stream toward one destination: the messages
@@ -72,12 +76,22 @@ type peerSender struct {
 
 	// What waits for the window (pump), in the order it goes out. The queue
 	// is unbounded, so Send never blocks: local completion = accepted here.
-	queue   bufpool.Queue //lint:guardedby mu  messages not begun
-	cur     *bufpool.Buf  //lint:guardedby mu  the message whose fragments are going out
-	curOff  int           //lint:guardedby mu  bytes of cur already sequenced
-	held    *bufpool.Buf  //lint:guardedby mu  announced by our RTS, waiting for its CTS
-	granted bool          //lint:guardedby mu  held's CTS arrived
-	owedCTS int           //lint:guardedby mu  RTS announcements from the peer not yet granted
+	// A message is a head buffer and, for a put, the body lent out of the
+	// sender's memory descriptor; its fragments are windows of the one and
+	// then of the other, none spanning both.
+	queue    bufpool.Queue //lint:guardedby mu  messages not begun
+	cur      *bufpool.Buf  //lint:guardedby mu  the head of the message whose fragments are going out
+	curBody  *bufpool.Buf  //lint:guardedby mu  its lent body; nil for none
+	curOff   int           //lint:guardedby mu  bytes of cur and curBody already sequenced
+	held     *bufpool.Buf  //lint:guardedby mu  announced by our RTS, waiting for its CTS
+	heldBody *bufpool.Buf  //lint:guardedby mu  held's lent body; nil for none
+	granted  bool          //lint:guardedby mu  held's CTS arrived
+	owedCTS  int           //lint:guardedby mu  RTS announcements from the peer not yet granted
+
+	// acked holds the references onAck retired until it has dropped mu and
+	// releases them. Only onAck touches it, and one goroutine at a time
+	// feeds the acks of a peer (PacketHandler).
+	acked []*bufpool.Buf
 
 	// Window state.
 	nextSeq  uint64    //lint:guardedby mu
@@ -120,25 +134,26 @@ func newPeerSender(c *Conn, dst types.NID) *peerSender {
 	return s
 }
 
-// enqueue accepts one message for the stream, taking the buffer, and puts on
-// the stream as much of it as the window has room for before returning.
-func (s *peerSender) enqueue(buf *bufpool.Buf) error {
+// enqueue accepts one message for the stream, taking head and body, and puts
+// on the stream as much of it as the window has room for before returning.
+func (s *peerSender) enqueue(head, body *bufpool.Buf) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		buf.Release()
+		head.Release()
+		body.Release()
 		return types.ErrClosed
 	}
-	s.queue.Push(buf)
+	s.queue.Push(head, body)
 	s.pump(time.Now())
 	s.mu.Unlock()
 	return nil
 }
 
-// shutdown stops the sender and returns every buffer it still holds to the
-// pool: the messages waiting for the window and the in-flight ones. Nothing
-// is recorded or transmitted behind the sweep: pump and resend check closed
-// under the same lock.
+// shutdown stops the sender and gives back every buffer it still holds: the
+// messages waiting for the window and the in-flight ones, released once mu
+// is dropped (retire). Nothing is recorded or transmitted behind the sweep:
+// pump and resend check closed under the same lock.
 func (s *peerSender) shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -146,17 +161,21 @@ func (s *peerSender) shutdown() {
 		return
 	}
 	s.closed = true
+	var dead []*bufpool.Buf
 	for s.queue.Len() > 0 {
-		s.queue.Pop().Release()
+		head, body := s.queue.Pop()
+		dead = append(dead, head, body)
 	}
-	s.cur.Release()
-	s.held.Release()
-	s.cur, s.held = nil, nil
+	dead = append(dead, s.cur, s.curBody, s.held, s.heldBody)
+	s.cur, s.curBody, s.held, s.heldBody = nil, nil, nil, nil
 	for ; s.base < s.nextSeq; s.base++ {
-		s.desc(s.base).retire()
+		s.desc(s.base).retire(&dead)
 	}
 	s.timer.Stop()
 	s.mu.Unlock()
+	for _, b := range dead {
+		b.Release()
+	}
 }
 
 // pump puts on the stream whatever waits for it, for as long as the window
@@ -184,22 +203,28 @@ func (s *peerSender) pump(now time.Time) {
 			if !s.granted {
 				return
 			}
-			s.cur, s.curOff, s.held, s.granted = s.held, 0, nil, false
+			s.cur, s.curBody, s.curOff = s.held, s.heldBody, 0
+			s.held, s.heldBody, s.granted = nil, nil, false
 		case s.queue.Len() > 0:
-			msg := s.queue.Pop()
-			if len(msg.Bytes()) <= s.c.cfg.EagerMax {
-				s.cur, s.curOff = msg, 0
+			head, body := s.queue.Pop()
+			total := len(head.Bytes()) + body.Len()
+			if total <= s.c.cfg.EagerMax {
+				s.cur, s.curBody, s.curOff = head, body, 0
 				continue
 			}
 			// Rendezvous: announce, then hold the message for the grant. An
-			// RTS is one packet (Attach checks the MTU for it).
-			head := msg.Bytes()[:min(len(msg.Bytes()), transport.HeadSize)]
-			rts := bufpool.Get(rtsSize + len(head))
-			binary.BigEndian.PutUint64(rts.Bytes(), uint64(len(msg.Bytes())))
-			copy(rts.Bytes()[rtsSize:], head)
-			s.sendPacket(now, flagFirst|msgRTS<<msgKindShift, uint64(len(rts.Bytes())), rts.Bytes(), rts)
+			// RTS is one packet (Attach checks the MTU for it): the length,
+			// then the message's first HeadSize bytes.
+			rts := bufpool.Get(rtsSize + min(total, transport.HeadSize))
+			b := rts.Bytes()
+			binary.BigEndian.PutUint64(b, uint64(total))
+			n := rtsSize + copy(b[rtsSize:], head.Bytes())
+			for n < len(b) {
+				n += copy(b[n:], body.Window(n-rtsSize-len(head.Bytes()), len(b)-n))
+			}
+			s.sendPacket(now, flagFirst|msgRTS<<msgKindShift, uint64(len(b)), b, rts)
 			s.c.stats.RTSSent.Add(1)
-			s.held = msg
+			s.held, s.heldBody = head, body
 		default:
 			return
 		}
@@ -207,22 +232,31 @@ func (s *peerSender) pump(now time.Time) {
 }
 
 // nextFragment sends the next fragment of cur: its descriptor gets a window
-// of the message buffer and a reference of its own, and the stream's
-// reference is released with the last fragment. Called with mu held.
+// of the head buffer or of the lent body, never of both, and a reference of
+// its own to that one, and the stream's references are released with the
+// last fragment — never the last references, since that fragment's
+// descriptor holds one. A put's head, its wire header, is thus a fragment of
+// its own. Called with mu held.
 //
 //lint:requires mu
 func (s *peerSender) nextFragment(now time.Time) {
-	msg := s.cur.Bytes()
+	head := s.cur.Bytes()
+	total := len(head) + s.curBody.Len()
 	var flags uint8
 	var aux uint64
 	if s.curOff == 0 {
-		flags, aux = flagFirst|msgApp<<msgKindShift, uint64(len(msg))
+		flags, aux = flagFirst|msgApp<<msgKindShift, uint64(total)
 	}
-	end := min(len(msg), s.curOff+s.c.mtu-pktHeaderSize)
-	s.sendPacket(now, flags, aux, msg[s.curOff:end], s.cur.Retain())
-	if s.curOff = end; end == len(msg) {
+	room := s.c.mtu - pktHeaderSize
+	owner, payload := s.cur, head[min(s.curOff, len(head)):min(len(head), s.curOff+room)]
+	if s.curOff >= len(head) && s.curBody != nil {
+		owner, payload = s.curBody, s.curBody.Window(s.curOff-len(head), room)
+	}
+	s.sendPacket(now, flags, aux, payload, owner.Retain())
+	if s.curOff += len(payload); s.curOff == total {
 		s.cur.Release()
-		s.cur = nil
+		s.curBody.Release()
+		s.cur, s.curBody = nil, nil
 	}
 }
 
@@ -364,7 +398,7 @@ func (s *peerSender) onAck(cumAck uint64, resent bool) {
 			if d.hdr[1]&flagResent == 0 {
 				sample = now.Sub(d.sent) // ascending, so the newest clean packet wins
 			}
-			d.retire()
+			d.retire(&s.acked)
 		}
 		s.lastSend = now
 		s.dupAcks = 0
@@ -394,6 +428,11 @@ func (s *peerSender) onAck(cumAck uint64, resent bool) {
 		}
 		s.pump(now)
 		s.mu.Unlock()
+		for i, b := range s.acked {
+			b.Release()
+			s.acked[i] = nil
+		}
+		s.acked = s.acked[:0] // amortized: it stops growing at the window
 		return
 	}
 	// Duplicate cumulative ack at the window base with data outstanding:

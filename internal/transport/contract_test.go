@@ -83,6 +83,27 @@ func message(src types.NID, seq uint32) *bufpool.Buf {
 	return b
 }
 
+// send sends message(src, seq) to dst the ways a sender can: whole in its
+// pooled buffer, or, for every other message, as a 16-byte head and a body
+// lent out of memory the sender keeps — one piece or, every fourth message,
+// three segments. The buffer ledger (pooltest) sees every lent body come
+// back.
+func send(ep transport.Endpoint, dst, src types.NID, seq uint32) error {
+	m := message(src, seq)
+	if seq%2 == 0 || len(m.Bytes()) <= 16 {
+		return ep.SendBuf(dst, m, nil)
+	}
+	kept := append([]byte(nil), m.Bytes()[16:]...)
+	head := bufpool.Get(16)
+	copy(head.Bytes(), m.Bytes())
+	m.Release()
+	var segs [][]byte
+	if seq%4 == 3 {
+		segs = [][]byte{kept[:len(kept)/3], kept[len(kept)/3 : len(kept)/2], kept[len(kept)/2:]}
+	}
+	return ep.SendBuf(dst, head, new(bufpool.Buf).Lend(kept, segs, func() {}))
+}
+
 // intact reports whether msg is exactly message(src, seq) for its stamp.
 func intact(from types.NID, msg []byte) (seq uint32, ok bool) {
 	if len(msg) < 8 || types.NID(binary.BigEndian.Uint32(msg[0:])) != from {
@@ -253,7 +274,7 @@ func TestContractCloseWaitsForHandler(t *testing.T) {
 						return
 					default:
 					}
-					if src.SendBuf(sinkNID, message(1, seq)) != nil {
+					if src.SendBuf(sinkNID, message(1, seq), nil) != nil {
 						return
 					}
 					runtime.Gosched()
@@ -344,7 +365,7 @@ func TestContract(t *testing.T) {
 					go func(ep transport.Endpoint) {
 						defer wg.Done()
 						for seq := uint32(0); seq < perSource; seq++ {
-							if err := ep.SendBuf(sinkNID, message(nid, seq)); err != nil {
+							if err := send(ep, sinkNID, nid, seq); err != nil {
 								t.Errorf("source %d seq %d: %v", nid, seq, err)
 								return
 							}
@@ -404,7 +425,7 @@ func TestContract(t *testing.T) {
 					t.Error(err)
 				}
 				for _, dst := range []types.NID{50, 999} {
-					if err := eps[0].SendBuf(dst, message(1, 0)); f.knowsPeers && err == nil {
+					if err := eps[0].SendBuf(dst, message(1, 0), nil); f.knowsPeers && err == nil {
 						t.Errorf("SendBuf to unattached NID %d succeeded", dst)
 					}
 				}
@@ -416,7 +437,7 @@ func TestContract(t *testing.T) {
 				if err := net.Close(); err != nil {
 					t.Error(err)
 				}
-				if err := eps[0].SendBuf(sinkNID, message(1, 0)); err == nil {
+				if err := eps[0].SendBuf(sinkNID, message(1, 0), nil); err == nil {
 					t.Error("SendBuf after Close succeeded")
 				}
 				for deadline := time.Now().Add(10 * time.Second); held() != 0; {

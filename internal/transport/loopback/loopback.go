@@ -117,9 +117,12 @@ func (ep *endpoint) Send(dst types.NID, msg []byte) error {
 
 // SendBuf puts the sender's pooled buffer straight into dst's queue — no
 // copy, no pool round trip — to come out the other side as the Delivery's
-// Buf. Unknown destinations are an error so misconfigured jobs fail loudly
-// in tests. Ownership of buf is the transport's from here on, error or not.
-func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
+// Buf; a lent body is joined to it first and returned once the message is
+// queued. Unknown destinations are an error so misconfigured jobs fail
+// loudly in tests. Ownership of both buffers is the transport's from here
+// on, error or not.
+func (ep *endpoint) SendBuf(dst types.NID, buf, body *bufpool.Buf) error {
+	defer body.Release()
 	ep.net.mu.Lock()
 	target, ok := ep.net.nodes[dst]
 	closed := ep.net.closed
@@ -131,6 +134,9 @@ func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	if !ok {
 		buf.Release()
 		return fmt.Errorf("loopback: %w: nid %d", types.ErrProcessNotFound, dst)
+	}
+	if body != nil {
+		buf = bufpool.Join(buf, body)
 	}
 	if !target.out.Add(transport.Delivery{Src: ep.nid, Msg: buf.Bytes(), Buf: buf}) {
 		ep.net.stats.Dropped.Add(1)

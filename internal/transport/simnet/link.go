@@ -25,7 +25,8 @@ import (
 // releases that reference. Duplication is a second reference to the same
 // bytes. A queued packet therefore pins its message buffer; on a link with no
 // QueueCap what that can hold is bounded by the sender's window, which pins
-// the same buffers until they are acknowledged anyway.
+// the same buffers until they are acknowledged anyway. The one packet that
+// can stay on an idle link, a reorder hold, never pins lent memory (unlend).
 type link struct {
 	net      *Network
 	src, dst types.NID
@@ -110,15 +111,19 @@ func (l *link) enqueue(hdr, payload []byte, owner *bufpool.Buf) {
 	l.cond.Signal()
 }
 
+// shutdown closes the link and releases what it still queues, after the
+// lock: the last release of a lent body completes a put, which may send
+// again.
 func (l *link) shutdown() {
 	l.mu.Lock()
 	l.closed.Store(true)
-	for i := range l.queue {
-		l.queue[i].owner.Release()
-	}
+	queue := l.queue
 	l.queue = nil
 	l.mu.Unlock()
 	l.cond.Signal()
+	for i := range queue {
+		queue[i].owner.Release()
+	}
 }
 
 // run is the link's goroutine: take everything queued, forward it, end the burst.
@@ -147,7 +152,8 @@ func (l *link) run() {
 // forward applies fault injection to one packet and delivers what is left
 // of it, taking over p's reference. Loss removes the packet; duplication
 // delivers it twice, on a reference of its own; reordering holds the last
-// packet of the lot until the next one has passed.
+// packet of the lot until the next one has passed, on a pooled copy if the
+// payload is lent (unlend).
 func (l *link) forward(p *inflight) {
 	cfg := &l.net.cfg
 	if cfg.QueueCap > 0 {
@@ -178,12 +184,28 @@ func (l *link) forward(p *inflight) {
 		l.net.stats.Reordered.Add(1)
 	case cfg.ReorderRate > 0 && l.rng.Float64() < cfg.ReorderRate:
 		l.held, l.holding = *last, true
+		l.unlend(&l.held)
 	default:
 		l.deliver(last)
 	}
 	if last != p {
 		l.dup = inflight{}
 	}
+}
+
+// unlend gives a held packet whose payload is lent memory (bufpool.Buf.Lend)
+// a pooled copy of its own, and lets the loan go. A hold lasts until the next
+// packet on the link, which may never come — behind a put's last fragment
+// the link can stay idle — and a put completes only when its body is back.
+// The copy is of the bytes first sent: a loan's bytes do not change.
+func (l *link) unlend(p *inflight) {
+	if !p.owner.Lent() {
+		return
+	}
+	b := bufpool.Get(len(p.payload))
+	copy(b.Bytes(), p.payload)
+	p.owner.Release()
+	p.payload, p.owner = b.Bytes(), b
 }
 
 // deliver puts one packet on the wire — it starts serializing when it

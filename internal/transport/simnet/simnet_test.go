@@ -638,3 +638,45 @@ func TestFlushBeforeWaitingForTheWire(t *testing.T) {
 		t.Fatalf("events %q, want a flush after each spaced packet (\"pfpfpf\")", got)
 	}
 }
+
+// A reorder hold lasts until the next packet on the link, which may never
+// come: behind a put's last fragment the link can stay idle. A held packet
+// whose payload is lent memory — a put's body, whose return completes the
+// put — is therefore held as a copy: the loan comes back at once, and the
+// packet, delivered late, carries the bytes first sent.
+func TestReorderHoldReturnsALoan(t *testing.T) {
+	n := New(Config{MTU: 64, ReorderRate: 1, Seed: 1}) // the first packet of each pair is held
+	defer n.Close()
+	var s sink
+	a, err := n.Attach(1, func(types.NID, []byte, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Attach(2, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	mem := []byte("first sent")
+	returned := make(chan struct{}, 1)
+	var loan bufpool.Buf
+	body := loan.Lend(mem, nil, func() { returned <- struct{}{} })
+	if err := a.SendPacket(2, []byte{'1'}, mem, body); err != nil {
+		t.Fatal(err)
+	}
+	body.Release()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reorder hold kept a lent payload while the link was idle")
+	}
+	copy(mem, "rewritten!") // the memory is its lender's again
+	if got := s.got(); len(got) != 0 {
+		t.Fatalf("delivered %q before its successor passed", got)
+	}
+	if err := a.SendPacket(2, []byte{'2'}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(s.got()) == 2 })
+	if got := s.got(); !slices.Equal(got, []string{"2", "1first sent"}) {
+		t.Errorf("delivered %q, want the successor, then the held packet as first sent", got)
+	}
+}

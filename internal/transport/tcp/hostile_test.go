@@ -107,7 +107,8 @@ func TestHostileFraming(t *testing.T) {
 
 // TestRoundTripAllocs holds the steady-state tcp path — SendBuf, frame
 // write, read into a pooled buffer, hand-off, and the same again in the
-// other direction — to zero allocations per round trip.
+// other direction — to zero allocations per round trip. One way the message
+// is a head and a lent body, written in one writev from where they lie.
 func TestRoundTripAllocs(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -128,7 +129,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	b, err = n.AttachBatch(2, func(batch []transport.Delivery) {
 		for i := range batch {
 			// The delivered buffer is ours: send it straight back.
-			if err := b.SendBuf(batch[i].Src, batch[i].Buf); err != nil {
+			if err := b.SendBuf(batch[i].Src, batch[i].Buf, nil); err != nil {
 				t.Error(err)
 			}
 		}
@@ -136,8 +137,11 @@ func TestRoundTripAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, returned := make([]byte, 48), 0
+	var loan bufpool.Buf // back from each write before the next round trip lends it again
+	back2 := func() { returned++ }
 	roundTrip := func() {
-		if err := a.SendBuf(2, bufpool.Get(64)); err != nil {
+		if err := a.SendBuf(2, bufpool.Get(16), loan.Lend(body, nil, back2)); err != nil {
 			t.Fatal(err)
 		}
 		<-back
@@ -147,5 +151,8 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(500, roundTrip); got != 0 {
 		t.Errorf("tcp round trip allocates %.2f objects, want 0", got)
+	}
+	if returned != 100+501 {
+		t.Errorf("%d bodies returned by the write, want %d", returned, 100+501)
 	}
 }

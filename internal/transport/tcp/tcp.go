@@ -8,8 +8,9 @@
 // the layer above. Messages are length-prefixed frames; per-pair ordering
 // follows from using one cached connection per directed pair.
 //
-// SendBuf writes the frame synchronously and then releases the buffer, so a
-// write error reaches the sender — and a full socket blocks it. Each inbound
+// SendBuf writes the frame — head and a lent body in one writev, no copy —
+// synchronously and then releases the buffers, so a write error reaches the
+// sender — and a full socket blocks it. Each inbound
 // connection has a read goroutine that reads every frame straight into the
 // pooled buffer that is delivered, and does nothing else: it queues the frame
 // on the endpoint's transport.Handoff and goes back to its socket. The
@@ -219,7 +220,9 @@ type endpoint struct {
 type sendConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	hdr  [4]byte // length-prefix scratch, written under mu
+	hdr  [4]byte     // length-prefix scratch, written under mu
+	iov  net.Buffers // the frame's pieces for one writev, written under mu
+	vec  [4][]byte   // iov's backing for a frame of up to four pieces
 }
 
 func (ep *endpoint) LocalNID() types.NID { return ep.nid }
@@ -295,14 +298,17 @@ func (ep *endpoint) Send(dst types.NID, msg []byte) error {
 	return transport.SendCopy(ep, dst, msg)
 }
 
-// SendBuf frames buf onto the cached connection to dst, dialing on first
-// use. The write is synchronous — an error here is the socket's — and the
-// buffer is released when it returns.
-func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
-	defer buf.Release()
-	msg := buf.Bytes()
-	if len(msg) > maxFrame {
-		return fmt.Errorf("tcp: message of %d bytes exceeds frame limit", len(msg))
+// SendBuf frames head and body onto the cached connection to dst, dialing
+// on first use: length prefix, head and the body's bytes where they lie, in
+// one writev. The write is synchronous — an error here is the socket's —
+// and both buffers are released when it returns, after the connection's
+// lock.
+func (ep *endpoint) SendBuf(dst types.NID, head, body *bufpool.Buf) error {
+	defer body.Release()
+	defer head.Release()
+	n := len(head.Bytes()) + body.Len()
+	if n > maxFrame {
+		return fmt.Errorf("tcp: message of %d bytes exceeds frame limit", n)
 	}
 	sc, err := ep.connTo(dst)
 	if err != nil {
@@ -310,14 +316,18 @@ func (ep *endpoint) SendBuf(dst types.NID, buf *bufpool.Buf) error {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	binary.BigEndian.PutUint32(sc.hdr[:], uint32(len(msg)))
-	//lint:ignore lockdiscipline sc.mu is this connection's write-serialization lock: it exists precisely to be held across the frame write so frames from concurrent senders never interleave; it guards nothing else and cannot participate in a cycle
-	if _, err := sc.conn.Write(sc.hdr[:]); err != nil {
-		ep.dropConn(dst, sc)
-		return fmt.Errorf("tcp: send to %d: %w", dst, err)
+	binary.BigEndian.PutUint32(sc.hdr[:], uint32(n))
+	// A body in more segments than vec has room for costs an allocation.
+	sc.iov = append(sc.vec[:0], sc.hdr[:], head.Bytes())
+	for off := 0; off < body.Len(); {
+		w := body.Window(off, body.Len()-off)
+		sc.iov = append(sc.iov, w)
+		off += len(w)
 	}
-	//lint:ignore lockdiscipline same write-serialization lock as above; the frame header and payload must be written atomically with respect to other senders
-	if _, err := sc.conn.Write(msg); err != nil {
+	//lint:ignore lockdiscipline sc.mu is this connection's write-serialization lock: it exists precisely to be held across the frame write so frames from concurrent senders never interleave; it guards nothing else and cannot participate in a cycle
+	_, err = sc.iov.WriteTo(sc.conn)
+	clear(sc.vec[:]) // pins nothing once the frame is written
+	if err != nil {
 		ep.dropConn(dst, sc)
 		return fmt.Errorf("tcp: send to %d: %w", dst, err)
 	}

@@ -7,10 +7,17 @@
 // There is one send contract and one delivery contract, and every fabric
 // implements exactly those:
 //
-//   - Send side, Endpoint.SendBuf: the caller hands over a pooled buffer
-//     holding a complete wire message and loses it at the call. The fabric
-//     queues, fragments or writes out of that buffer and releases it when
-//     the message is done with — or at once, when the call fails.
+//   - Send side, Endpoint.SendBuf: the caller hands over a message as a
+//     pooled buffer holding its head and, optionally, a body lent out of the
+//     sender's memory (bufpool.Buf.Lend: a put's payload, read where it is), and
+//     loses both at the call. The fabric queues, fragments or writes out of
+//     them and releases each when it is done with — or at once, when the
+//     call fails. A body's last release completes the sender's operation
+//     (its send event), and that completion may send again, on this very
+//     endpoint: a fabric releases a body outside its own locks, and after
+//     the message it belongs to is on its way. A fabric that must carry a
+//     message in one piece joins head and body (bufpool.Join) and releases
+//     the body as soon as the joined message is queued.
 //   - Receive side, BatchHandler: the fabric hands up batches of Delivery,
 //     each message in a pooled buffer the handler now owns, batches for one
 //     endpoint serial and in per-(source, destination) order. A
@@ -28,18 +35,20 @@
 //
 //   - loopback: in-process FIFO queues (always reliable). SendBuf moves the
 //     sender's buffer into the destination queue; it comes out as the
-//     Delivery's Buf — no copy at all.
+//     Delivery's Buf — no copy at all, but for the join of a lent body.
 //   - simnet + rtscts: an unreliable packet network (loss, duplication,
 //     reordering, latency, bandwidth pacing) with a sliding-window RTS/CTS
 //     reliability layer on top — the analogue of the Cplant Myrinet MCP +
 //     RTS/CTS kernel module stack (§3). rtscts fragments out of the sent
-//     buffer and reassembles into the delivered one — or, for a message
-//     it announced and the handler placed, writes each fragment through to
-//     the handler's sink (Placement, below).
+//     buffer and the lent body, joining only an eager message, and
+//     reassembles into the delivered one — or, for a message it announced
+//     and the handler placed, writes each fragment through to the
+//     handler's sink (Placement, below).
 //   - udp: the same rtscts engine over one kernel UDP socket per node —
 //     connectionless, peer state is exactly the rtscts window.
 //   - tcp: kernel TCP sockets, the paper's reference implementation.
-//     SendBuf writes the frame synchronously and releases; each frame is
+//     SendBuf writes the frame — head and body in one writev — synchronously
+//     and releases; each frame is
 //     read straight into the pooled buffer that is delivered, by a reader
 //     that only queues it for the endpoint's delivery goroutine.
 //
@@ -81,15 +90,17 @@ type Handler func(src types.NID, msg []byte)
 
 // Endpoint is a node's attachment to a network.
 type Endpoint interface {
-	// SendBuf delivers buf.Bytes() — a complete wire message — to the node
-	// dst, taking ownership of the buffer whether it returns an error or
-	// not: implementations release it or forward it as a Delivery's Buf on
-	// every path, and callers must not touch it after the call (each test
-	// binary checks at exit that every buffer came back, docs/LINT.md).
-	// It may block for pacing or flow control but returns once the message
-	// is accepted for reliable delivery (local completion), and is safe for
-	// concurrent use.
-	SendBuf(dst types.NID, buf *bufpool.Buf) error
+	// SendBuf delivers a wire message — head.Bytes() followed by body's
+	// bytes, body nil for none — to the node dst, taking ownership of both
+	// buffers whether it returns an error or not: implementations release
+	// them or forward head as a Delivery's Buf on every path, and callers
+	// must not touch them after the call (each test binary checks at exit
+	// that every buffer came back, docs/LINT.md). body is released outside
+	// the fabric's locks and after the message is queued or written: its
+	// last release may send again through this endpoint. SendBuf may block
+	// for pacing or flow control but returns once the message is accepted
+	// for reliable delivery, and is safe for concurrent use.
+	SendBuf(dst types.NID, head, body *bufpool.Buf) error
 	// Send is SendBuf for a caller that keeps its bytes: msg is copied
 	// once and may be reused as soon as Send returns (SendCopy).
 	Send(dst types.NID, msg []byte) error
@@ -106,7 +117,7 @@ type Endpoint interface {
 func SendCopy(ep Endpoint, dst types.NID, msg []byte) error {
 	buf := bufpool.Get(len(msg))
 	copy(buf.Bytes(), msg)
-	return ep.SendBuf(dst, buf)
+	return ep.SendBuf(dst, buf, nil)
 }
 
 // Network is a fabric nodes attach to.

@@ -48,7 +48,8 @@ const (
 	// queue is full increments the counter's FAILURE count instead.
 	MDCTReply
 	// MDCTSend counts local send completion of outgoing puts from this
-	// descriptor (fires alongside EventSend).
+	// descriptor: the network has read the payload for the last time,
+	// retransmissions included (fires alongside EventSend).
 	MDCTSend
 	// MDCTBytes switches the counter's unit from operations to manipulated
 	// bytes (PTL_MD_EVENT_CT_BYTES): each counted completion adds mlength
@@ -110,8 +111,9 @@ const (
 	EventReply
 	// EventAck records arrival of a put acknowledgment at the initiator.
 	EventAck
-	// EventSend records local completion of an outgoing put request (the
-	// message left the initiator; its buffer may be reused).
+	// EventSend records local completion of an outgoing put request: the
+	// network read the payload out of the descriptor for the last time,
+	// so its buffer may be reused; until then the descriptor is in use.
 	EventSend
 	// EventUnlink records automatic unlinking of a memory descriptor.
 	EventUnlink

@@ -1,6 +1,7 @@
 package portals
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -236,6 +237,23 @@ func (m *Machine) Close() error {
 		n.Close()
 	}
 	return m.net.Close()
+}
+
+// CheckTeardown closes the machine and reports, interface by interface, what
+// the teardown left behind (core.State.CheckTeardown): an RCU pin still
+// open, a put body still lent to the fabric, or an arena entry the tables no
+// longer reach. Tests call it once whatever used the machine has stopped.
+func (m *Machine) CheckTeardown() error {
+	errs := []error{m.Close()}
+	m.mu.Lock()
+	nis := m.nis
+	m.mu.Unlock()
+	for _, ni := range nis {
+		if err := ni.state.CheckTeardown(); err != nil {
+			errs = append(errs, fmt.Errorf("interface %v: %w", ni.self, err))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // RegisterMetrics exposes every layer of this machine through one obs

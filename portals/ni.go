@@ -109,21 +109,26 @@ func (ni *NI) ACEntry(index ACIndex, id ProcessID, ptl PtlIndex) error {
 // Put transmits the descriptor's region to the target (PtlPut, Figure 1).
 // The payload is matched at the target by (ptl, bits) under the cookie's
 // access check; offset applies when the matched descriptor manages
-// offsets remotely. With AckReq an acknowledgment event arrives on the
-// descriptor's event queue once the target delivers the data.
+// offsets remotely. The network reads the region where it is: the send
+// event arrives once it has done so for the last time, and until then the
+// region must not change and the descriptor is in use. With AckReq an
+// acknowledgment event arrives on the descriptor's event queue once the
+// target delivers the data.
 func (ni *NI) Put(md Handle, ack AckRequest, target ProcessID,
 	ptl PtlIndex, cookie ACIndex, bits MatchBits, offset uint64) error {
 	if ni.closed.Load() {
 		return ErrClosed
 	}
-	out, err := ni.state.StartPut(md, ack, target, ptl, cookie, bits, offset)
+	out, err := ni.state.LendPut(md, ack, target, ptl, cookie, bits, offset)
 	if err != nil {
 		return err
 	}
 	if err := ni.node.Send(out); err != nil {
 		return err
 	}
-	// The send-side counting event (MDCTSend) may have crossed a threshold.
+	// A 0-byte put completes in LendPut, so its send-side counting event
+	// (MDCTSend) may have crossed a threshold; a lent body's return
+	// transmits what its own completion fires.
 	return ni.drainTriggered()
 }
 

@@ -17,20 +17,14 @@ func TestMain(m *testing.M) { pooltest.Main(m) }
 
 // newMachine builds a machine over fab that is torn down when the test ends,
 // after which the State of every interface it brought up is checked
-// (core.State.CheckTeardown): no RCU pin open, no arena entry its tables no
-// longer reach.
+// (Machine.CheckTeardown): no RCU pin open, no put body still lent, no arena
+// entry its tables no longer reach.
 func newMachine(t *testing.T, fab Fabric) *Machine {
 	t.Helper()
 	m := NewMachine(fab)
 	t.Cleanup(func() {
-		m.Close()
-		m.mu.Lock()
-		nis := m.nis
-		m.mu.Unlock()
-		for _, ni := range nis {
-			if err := ni.state.CheckTeardown(); err != nil {
-				t.Errorf("interface %v: %v", ni.self, err)
-			}
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
 		}
 	})
 	return m

@@ -85,8 +85,8 @@ done < <(sites)
 # Use after release: rtscts.Conn.SendBuf gives its buffer up, then queues it;
 # MDAttach reads the entry after closing its pin; unlinkMD reads the
 # descriptor after putting it back.
-run use-rel internal/rtscts/conn.go SendBuf '/^\treturn s\.enqueue(buf)$/i\
-\tbuf.Release()'
+run use-rel internal/rtscts/conn.go SendBuf '/^\t\treturn s\.enqueue(head, body)$/i\
+\t\thead.Release()'
 run use-pin internal/core/md.go MDAttach '/^func (s \*State) MDAttach/,/^}/{/^\tgone := entry\.unlinked$/{N;s/\(.*\)\n\(.*\)/\2\n\1/;}}'
 run use-arena internal/core/md.go unlinkMD '/^func (s \*State) unlinkMD/,/^}/{/^\ts\.mdArena\.Put(d)$/d;/^\th, userPtr, eqh := /i\
 \ts.mdArena.Put(d)
