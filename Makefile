@@ -11,13 +11,14 @@ build:
 	$(GO) vet ./...
 
 # lint runs portalsvet, the repo's own static-analysis suite (docs/LINT.md):
-# application-bypass, lock-discipline, lock-order, checked-error,
-# goroutine-lifecycle, guarded-by (atomics-only counters included), seqlock
-# and stale-suppression invariants. (That every pooled buffer, RCU pin and
-# arena entry comes back is checked by the tests: each test binary of a
-# package that pools exits through internal/bufpool/pooltest.) Every
-# finding fails the run; an intentional exception carries
-# `//lint:ignore <check> <reason>` at its site.
+# application-bypass, lock-discipline, lock-order, checked-error and
+# guarded-by (atomics-only counters included) invariants, and
+# stale-suppression. (That every pooled buffer, RCU pin and arena entry
+# comes back, and that every goroutine a test starts has ended, is checked
+# by the tests: each test binary of a package that pools exits through
+# internal/bufpool/pooltest. The seqlock protocol is held by the ring
+# packages' tests under -race.) Every finding fails the run; an intentional
+# exception carries `//lint:ignore <check> <reason>` at its site.
 lint:
 	$(GO) run ./cmd/portalsvet ./...
 

@@ -1,8 +1,7 @@
 // Command portalsvet runs the repo's custom static-analysis suite: the
 // named checks enforcing the Portals concurrency invariants (application
-// bypass, lock discipline, lock ordering, static zero-alloc proofs,
-// guarded fields and atomics-only counters, the seqlock protocol, checked
-// errors, goroutine lifecycle, and buffer ownership). See docs/LINT.md
+// bypass, lock discipline, lock ordering, guarded fields and atomics-only
+// counters, and checked errors). See docs/LINT.md
 // and internal/lint.
 //
 // Usage:

@@ -22,7 +22,8 @@
 //
 // Every test binary of a package that pools checks the contract at exit:
 // package pooltest fails it unless each buffer taken — pooled or lent — has
-// had its last Release (docs/LINT.md).
+// had its last Release, and unless every goroutine its tests started has
+// ended (docs/LINT.md).
 package bufpool
 
 import (
@@ -47,10 +48,14 @@ var classes [numClasses]sync.Pool
 
 // Package-level traffic counters, so the pool hit rate is observable no
 // matter which subsystem is calling (sync/atomic, as hot-path counters are).
+// A loan is not pool traffic: it never hits or misses, so it is counted in
+// a pair of its own.
 var (
-	gets atomic.Int64
-	hits atomic.Int64
-	puts atomic.Int64
+	gets     atomic.Int64
+	hits     atomic.Int64
+	puts     atomic.Int64
+	lent     atomic.Int64
+	returned atomic.Int64
 )
 
 // Buf is a pooled byte buffer, or lent memory (Lend). The zero value is
@@ -133,12 +138,13 @@ func (b *Buf) Release() {
 	case n < 0:
 		panic(refError{op: "Release", class: b.class})
 	}
-	puts.Add(1)
 	if ret := b.ret; ret != nil {
+		returned.Add(1)
 		b.b, b.segs, b.ret = nil, nil, nil
 		ret() // the header is the lender's again: b is not touched after
 		return
 	}
+	puts.Add(1)
 	if b.class < 0 {
 		return
 	}
@@ -205,15 +211,15 @@ const lentClass = -2
 // Lend makes b — a header its lender owns, zero or back from its last loan —
 // a Buf over memory that is not the pool's, and returns it: mem, or, when
 // segs is non-nil, the concatenation of segs. Nothing is copied. The Buf is
-// referenced and released like a pooled one, and counted by Usage like one;
-// its last Release calls ret instead of pooling anything, on the releasing
-// goroutine — an upcall from whoever read the memory last to its owner, in
-// the way a fabric's delivery handler is one, so the releaser must hold none
-// of its own locks then. A lender keeps the header in the record of the
+// referenced and released like a pooled one, and counted by Loans, not by
+// Usage; its last Release calls ret instead of pooling anything, on the
+// releasing goroutine — an upcall from whoever read the memory last to its
+// owner, in the way a fabric's delivery handler is one, so the releaser
+// must hold none of its own locks then. A lender keeps the header in the record of the
 // loan, and ret is bound to that record, so a loan takes nothing from a
 // pool. A lent Buf is never empty: a lender with nothing to lend keeps it.
 func (b *Buf) Lend(mem []byte, segs [][]byte, ret func()) *Buf {
-	gets.Add(1)
+	lent.Add(1)
 	b.b, b.segs, b.size, b.ret, b.class = mem, segs, 0, ret, lentClass
 	if segs != nil {
 		b.b = nil
@@ -254,7 +260,13 @@ func Join(head, body *Buf) *Buf {
 // Usage reports the cumulative pool traffic in buffers, not references:
 // total Gets, how many of those were satisfied from the pool, and how many
 // buffers have had their last Release (an oversized one counts, though it
-// is not pooled): gets − puts is the number still held.
+// is not pooled): gets − puts is the number still held. Loans are not in it.
 func Usage() (getCount, hitCount, putCount int64) {
 	return gets.Load(), hits.Load(), puts.Load()
+}
+
+// Loans reports the cumulative loans (Lend) and how many of them have had
+// their last Release: lentCount − returnedCount is the number still out.
+func Loans() (lentCount, returnedCount int64) {
+	return lent.Load(), returned.Load()
 }

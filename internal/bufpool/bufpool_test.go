@@ -202,13 +202,15 @@ func TestReferenceCountViolationsPanic(t *testing.T) {
 }
 
 // A lent Buf is the lender's memory, not a copy: Window cuts it without
-// spanning a segment, Join gathers it behind a head, the ledger counts it
-// like a pooled buffer, and only its last Release returns it — once.
+// spanning a segment, Join gathers it behind a head, Loans counts it apart
+// from the pool's traffic (a loan is neither a hit nor a miss), and only its
+// last Release returns it — once.
 func TestLendReturnsOnLastRelease(t *testing.T) {
 	mem := []byte("0123456789")
 	segs := [][]byte{mem[:3], mem[3:4], mem[4:]}
 	returned := 0
 	g0, _, p0 := Usage()
+	l0, r0 := Loans()
 	var loan Buf
 	b := loan.Lend(nil, segs, func() { returned++ })
 	if b.Len() != len(mem) || b.Bytes() != nil {
@@ -236,12 +238,18 @@ func TestLendReturnsOnLastRelease(t *testing.T) {
 	if returned != 0 {
 		t.Fatal("returned while a reference was left")
 	}
+	if l, r := Loans(); l-l0 != 1 || r != r0 {
+		t.Errorf("with one reference left: Loans moved %d lent, %d returned; want 1 and 0", l-l0, r-r0)
+	}
 	b.Release()
 	if returned != 1 {
 		t.Fatalf("returned %d times, want once", returned)
 	}
-	if g, _, p := Usage(); g-g0 != 2 || p-p0 != 2 {
-		t.Errorf("ledger moved %d gets, %d puts; want 2 and 2 (the loan, and the head it was joined into)", g-g0, p-p0)
+	if g, _, p := Usage(); g-g0 != 1 || p-p0 != 1 {
+		t.Errorf("Usage moved %d gets, %d puts; want 1 and 1 (the head the loan was joined into, not the loan)", g-g0, p-p0)
+	}
+	if l, r := Loans(); l-l0 != 1 || r-r0 != 1 {
+		t.Errorf("Loans moved %d lent, %d returned; want 1 and 1", l-l0, r-r0)
 	}
 	func() {
 		defer func() {

@@ -53,8 +53,6 @@ type Event struct {
 // slot is one ring cell. seq carries the seqlock stamp for the cell's
 // current occupant: writeStamp(p) while position p's event is being
 // written, doneStamp(p) once it is complete. Zero means never written.
-//
-//lint:seqlock seq
 type slot struct {
 	seq atomic.Uint64
 	ev  Event

@@ -33,8 +33,6 @@ type transfer[S any] interface {
 	// itself: an if or for condition, a switch tag, one case list, a range
 	// operand.
 	eval(st S, exprs ...ast.Expr) S
-	// refine narrows the two successor states of a branch on cond.
-	refine(cond ast.Expr, ifTrue, ifFalse S)
 	// waits is told of each statement that waits on channels by itself —
 	// a select, a range — with the state it would park in.
 	waits(s ast.Stmt, st S)
@@ -142,7 +140,6 @@ func (f *flow[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		}
 		st = f.ops.eval(st, s.Cond)
 		thenSt, elseSt := st.clone(), st.clone()
-		f.ops.refine(s.Cond, thenSt, elseSt)
 		thenEnd, thenTerm := f.stmts(s.Body.List, thenSt)
 		elseEnd, elseTerm := elseSt, false
 		if s.Else != nil {
@@ -249,7 +246,6 @@ func (f *flow[S]) loop(s ast.Stmt, st S, label string) (S, bool) {
 	defer f.pop()
 
 	var body *ast.BlockStmt
-	var cond ast.Expr
 	forever := false
 	switch s := s.(type) {
 	case *ast.ForStmt:
@@ -259,16 +255,13 @@ func (f *flow[S]) loop(s ast.Stmt, st S, label string) (S, bool) {
 		if s.Cond != nil {
 			st = f.ops.eval(st, s.Cond)
 		}
-		cond, body, forever = s.Cond, s.Body, s.Cond == nil
+		body, forever = s.Body, s.Cond == nil
 	case *ast.RangeStmt:
 		st = f.ops.eval(st, s.X)
 		f.ops.waits(s, st)
 		body = s.Body
 	}
 	bodySt, exitSt := st.clone(), st.clone()
-	if cond != nil {
-		f.ops.refine(cond, bodySt, exitSt)
-	}
 	end, terminated := f.stmts(body.List, bodySt)
 	var outs []S
 	if !forever {

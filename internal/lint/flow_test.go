@@ -260,18 +260,15 @@ func (s *S) breakCarriesBoth() {
 }
 
 // TestLockPassSinksStayApart: the lock pass walks each body once for
-// lockdiscipline, lockorder, guardedby and seqlock together. What a
-// //lint:requires annotation or a seqlock stamp window grants is visible
-// to the guard checks only: a function that blocks, or takes another
-// lock, under a lock its caller holds is judged at the caller's site.
+// lockdiscipline, lockorder and guardedby together. What a
+// //lint:requires annotation grants is visible to the guard check only: a
+// function that blocks, or takes another lock, under a lock its caller
+// holds is judged at the caller's site.
 func TestLockPassSinksStayApart(t *testing.T) {
 	runFixture(t, map[string]map[string]string{
 		"repro/sk": {"sk.go": `package sk
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 //lint:lockrank A.mu < B.mu
 
@@ -303,27 +300,8 @@ func (a *A) caller(b *B) {
 func (a *A) callerUnlocked(b *B) {
 	a.bump(b) // want:guardedby
 }
-
-//lint:seqlock stamp
-type slot struct {
-	stamp atomic.Uint64
-	val   uint64
-}
-
-// publish leaves with the stamp window open on one path: a seqlock
-// matter, never "stamp may still be held".
-func publish(s *slot, seq uint64, ch chan int) {
-	s.stamp.Store(2*seq + 1)
-	s.val = seq
-	<-ch
-	if seq == 0 {
-		return
-	}
-	s.stamp.Store(2*seq + 2)
-	s.val = 0 // want:seqlock
-}
 `},
-	}, checksNamed("lockdiscipline", "lockorder", "guardedby", "seqlock"))
+	}, checksNamed("lockdiscipline", "lockorder", "guardedby"))
 }
 
 // TestLockDisciplineReceiverChain: a call in the receiver position of a

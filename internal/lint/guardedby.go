@@ -14,17 +14,10 @@ import (
 // and one passed to a sync/atomic function anywhere in the module, must
 // be accessed through sync/atomic everywhere (guards.go, atomicGuard).
 // Accesses to freshly constructed, not-yet-published objects are exempt.
-//
-// seqlock verifies //lint:seqlock slot-struct annotations in the same
-// pass: fields of a stamped ring slot may only be written between an odd
-// stamp store (or a winning CompareAndSwap) and the matching even store,
-// and only read while the stamp is known open or validated (the stamp
-// protocol itself lives in seqlock.go).
 
 // grants seeds a declaration's entry lock state from its //lint:requires
-// annotation — callers promise the named classes are held; a class that
-// names a //lint:seqlock stamp grants an open write window instead — and
-// returns the receiver's type, whose methods may touch confined fields.
+// annotation — callers promise the named classes are held — and returns
+// the receiver's type, whose methods may touch confined fields.
 // The declaration's synchronous literals start from the same grants
 // (funcBody.inherits).
 func (a *lockPass) grants(fn *ast.FuncDecl) (lockSet, *types.TypeName) {
@@ -37,12 +30,8 @@ func (a *lockPass) grants(fn *ast.FuncDecl) (lockSet, *types.TypeName) {
 		return entry, nil
 	}
 	for _, class := range a.tbl.requires[obj] {
-		if a.tbl.seqClasses[class] != nil {
-			entry[seqOpenKey(class)] = heldLock{pos: fn.Pos(), class: class, granted: true}
-		} else {
-			// deferred: a caller-held lock needs no release here.
-			entry[reqKey(class)] = heldLock{pos: fn.Pos(), class: class, deferred: true, granted: true}
-		}
+		// deferred: a caller-held lock needs no release here.
+		entry[reqKey(class)] = heldLock{pos: fn.Pos(), class: class, deferred: true, granted: true}
 	}
 	var recv *types.TypeName
 	if n := recvNamed(obj); n != nil {
@@ -51,11 +40,9 @@ func (a *lockPass) grants(fn *ast.FuncDecl) (lockSet, *types.TypeName) {
 	return entry, recv
 }
 
-// Lock-set keys for granted entries. They live in the same lockSet as
-// real mutexes, sharing clone/merge/branching.
-func reqKey(class string) string      { return "req:" + class }
-func seqOpenKey(class string) string  { return "seq:" + class }
-func seqValidKey(class string) string { return "seqv:" + class }
+// reqKey is the lock-set key of a granted //lint:requires entry. It lives
+// in the same lockSet as real mutexes, sharing clone/merge/branching.
+func reqKey(class string) string { return "req:" + class }
 
 // markWrite flags a direct field selector appearing in write position
 // (assignment LHS, ++/--, or address-taken) before the flow scans it.
@@ -67,7 +54,7 @@ func (a *lockPass) markWrite(e ast.Expr) {
 
 // heldAny reports whether any held lock in st satisfies the given class
 // alternatives, and whether one of them is held for writing (not an
-// RLock/validated stamp read).
+// RLock).
 func heldAny(st lockSet, classes []string) (held, writer bool) {
 	for _, l := range st {
 		if classCovered(l.class, classes) {
@@ -108,9 +95,8 @@ func (a *lockPass) access(sel *ast.SelectorExpr, st lockSet) {
 		return
 	}
 	fg := a.tbl.guardFor(a.pkg.Info, sel, obj)
-	sd := a.tbl.protectedBy(a.pkg.Info, sel, obj)
 	ag, atomicOnly := a.tbl.atomicOnly[obj]
-	if fg == nil && sd == nil && !atomicOnly {
+	if fg == nil && !atomicOnly {
 		return
 	}
 	if freshBase(a.pkg.Info, a.fresh, sel.X) {
@@ -122,9 +108,6 @@ func (a *lockPass) access(sel *ast.SelectorExpr, st lockSet) {
 	}
 	if fg != nil {
 		a.checkGuarded(sel, obj, fg, st, write)
-	}
-	if sd != nil {
-		a.checkSeqProtected(sel, obj, sd, st, write)
 	}
 }
 
@@ -155,20 +138,6 @@ func (a *lockPass) checkGuarded(sel *ast.SelectorExpr, obj *types.Var, fg *field
 	}
 }
 
-func (a *lockPass) checkSeqProtected(sel *ast.SelectorExpr, obj *types.Var, sd *seqlockDecl, st lockSet, write bool) {
-	held, writer := heldAny(st, []string{sd.class})
-	switch {
-	case write && !writer:
-		a.reportf("seqlock", sel.Pos(),
-			"write to %s.%s outside an open stamp window (odd %s store or winning CompareAndSwap)",
-			sd.owner, obj.Name(), sd.class)
-	case !write && !held:
-		a.reportf("seqlock", sel.Pos(),
-			"read of %s.%s without %s validation (open window or stamp-validate loop)",
-			sd.owner, obj.Name(), sd.class)
-	}
-}
-
 func guardList(classes []string) string {
 	switch len(classes) {
 	case 0:
@@ -183,20 +152,9 @@ func guardList(classes []string) string {
 	return out
 }
 
-// callHook runs after a call's callee is resolved: stamp stores update
-// the seqlock window state, and //lint:requires contracts are checked at
-// every call site.
+// callHook runs after a call's callee is resolved: //lint:requires
+// contracts are checked at every call site.
 func (a *lockPass) callHook(c *ast.CallExpr, fn *types.Func, st lockSet) lockSet {
-	if fn != nil && pkgPathOf(fn) == "sync/atomic" {
-		if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-				if sd := a.tbl.stampFor(a.pkg.Info, inner); sd != nil {
-					return a.stampOp(c, sel.Sel.Name, sd, st)
-				}
-			}
-		}
-		return st
-	}
 	if fn == nil {
 		return st
 	}
@@ -209,11 +167,7 @@ func (a *lockPass) callHook(c *ast.CallExpr, fn *types.Func, st lockSet) lockSet
 	}
 	for _, class := range req {
 		if held, _ := heldAny(st, strings.Split(class, "/")); !held {
-			check := "guardedby"
-			if a.tbl.seqClasses[class] != nil {
-				check = "seqlock"
-			}
-			a.reportf(check, c.Pos(), "call to %s requires %s held (//lint:requires)", funcLabel(fn), class)
+			a.reportf("guardedby", c.Pos(), "call to %s requires %s held (//lint:requires)", funcLabel(fn), class)
 		}
 	}
 	return st
@@ -249,8 +203,8 @@ func freshBase(info *types.Info, fresh map[types.Object]bool, e ast.Expr) bool {
 
 // collectFresh prepasses one function body for locals bound to freshly
 // constructed objects (composite literals, new(T), make, zero-value var
-// declarations): accesses through them predate publication, so guard and
-// seqlock obligations do not apply. A later rebinding to anything
+// declarations): accesses through them predate publication, so guard
+// obligations do not apply. A later rebinding to anything
 // non-fresh removes the exemption for the whole function (conservative:
 // early accesses may be flagged and need a suppression).
 func collectFresh(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {

@@ -13,7 +13,6 @@ import (
 //
 //	//lint:guardedby <guard>[,<guard>...]   on a struct field
 //	//lint:requires <class>[,<class>...]    on a function or method
-//	//lint:seqlock <stampField>             on a slot struct type
 //
 // A guard is the keyword "confined" (the field belongs to a documented
 // single-goroutine type: it may only be touched from the declaring type's
@@ -28,8 +27,7 @@ import (
 //
 // //lint:requires seeds the annotated function's entry lock state with the
 // named classes: the function documents that its callers hold those locks,
-// and every call site is checked for them in turn. A class that names a
-// //lint:seqlock stamp ("slot.seq") grants an open write stamp instead.
+// and every call site is checked for them in turn.
 //
 // A requires class may itself be an alternation, "a/b" — the caller holds
 // AT LEAST ONE of the alternatives, without the function knowing which.
@@ -37,12 +35,6 @@ import (
 // either its portal's mu or State.bindMu): the body may only rely on the
 // alternation as a whole, so a held "a/b" satisfies a guard exactly when
 // EVERY alternative appears in the guard's list.
-//
-// //lint:seqlock declares the ring-slot protocol used by eventq and
-// obs/trace: every non-stamp field of the struct may only be written
-// between an odd stamp store (or a winning stamp CompareAndSwap) and the
-// matching even store, and only read under an open stamp or after a
-// stamp-validate loop.
 //
 // Two kinds of field are guarded by sync/atomic with no annotation at all
 // (atomicGuard), and a field of a sync/atomic type needs none: the
@@ -85,15 +77,6 @@ type atomicGuard struct {
 	why   string
 }
 
-// seqlockDecl is one parsed //lint:seqlock annotation: the slot struct,
-// its stamp field, and the stamp's lock class.
-type seqlockDecl struct {
-	owner string
-	stamp string
-	class string // owner + "." + stamp
-	pos   token.Pos
-}
-
 // guardTables indexes every annotation in the loaded module, and the
 // fields guarded by sync/atomic without one. Built once per Program and
 // read-only afterwards.
@@ -101,17 +84,11 @@ type guardTables struct {
 	fields       map[*types.Var]*fieldGuard
 	fieldsByName map[guardKey]*fieldGuard
 
-	stamps       map[*types.Var]*seqlockDecl
-	stampsByName map[guardKey]*seqlockDecl
-	protected    map[*types.Var]*seqlockDecl
-	protByName   map[guardKey]*seqlockDecl
-	seqClasses   map[string]*seqlockDecl
-
 	requires map[*types.Func][]string
 
 	atomicOnly map[*types.Var]atomicGuard // touched through sync/atomic only
 
-	diags []Diagnostic // malformed annotations, tagged guardedby/seqlock
+	diags []Diagnostic // malformed annotations
 }
 
 // buildGuardTables parses every annotation across all loaded packages.
@@ -121,11 +98,6 @@ func buildGuardTables(p *Program) *guardTables {
 	t := &guardTables{
 		fields:       make(map[*types.Var]*fieldGuard),
 		fieldsByName: make(map[guardKey]*fieldGuard),
-		stamps:       make(map[*types.Var]*seqlockDecl),
-		stampsByName: make(map[guardKey]*seqlockDecl),
-		protected:    make(map[*types.Var]*seqlockDecl),
-		protByName:   make(map[guardKey]*seqlockDecl),
-		seqClasses:   make(map[string]*seqlockDecl),
 		requires:     make(map[*types.Func][]string),
 		atomicOnly:   make(map[*types.Var]atomicGuard),
 	}
@@ -162,15 +134,8 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl) 
 		if !ok {
 			continue
 		}
-		doc := ts.Doc
-		if doc == nil && len(d.Specs) == 1 {
-			doc = d.Doc
-		}
 		st, isStruct := ts.Type.(*ast.StructType)
 		tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-		if args, pos, ok := directiveIn(doc, "seqlock"); ok {
-			t.collectSeqlock(p, pkg, ts, st, tn, args, pos, isStruct)
-		}
 		if !isStruct || tn == nil {
 			continue
 		}
@@ -185,52 +150,6 @@ func (t *guardTables) collectTypeDecl(p *Program, pkg *Package, d *ast.GenDecl) 
 					continue
 				}
 				t.collectGuardedBy(p, pkg, ts, st, tn, fld, args, pos)
-			}
-		}
-	}
-}
-
-func (t *guardTables) collectSeqlock(p *Program, pkg *Package, ts *ast.TypeSpec, st *ast.StructType,
-	tn *types.TypeName, args string, pos token.Pos, isStruct bool) {
-	bad := func(msg string) { t.report(p, pkg, pos, "seqlock", msg) }
-	fields := strings.Fields(args)
-	if len(fields) < 1 {
-		bad("malformed //lint:seqlock directive: want \"//lint:seqlock stampField\"")
-		return
-	}
-	if !isStruct || tn == nil {
-		bad("//lint:seqlock applies to struct type declarations only")
-		return
-	}
-	stamp := fields[0]
-	var stampVar *types.Var
-	for _, fld := range st.Fields.List {
-		for _, name := range fld.Names {
-			if name.Name == stamp {
-				stampVar, _ = pkg.Info.Defs[name].(*types.Var)
-			}
-		}
-	}
-	if stampVar == nil {
-		bad("//lint:seqlock names " + stamp + ", which is not a field of " + tn.Name())
-		return
-	}
-	if !isSyncAtomicNamed(stampVar.Type()) {
-		bad("//lint:seqlock stamp field " + stamp + " must be a sync/atomic type")
-		return
-	}
-	decl := &seqlockDecl{owner: tn.Name(), stamp: stamp, class: tn.Name() + "." + stamp, pos: pos}
-	t.stamps[stampVar] = decl
-	t.stampsByName[guardKey{tn, stamp}] = decl
-	t.seqClasses[decl.class] = decl
-	for _, fld := range st.Fields.List {
-		for _, name := range fld.Names {
-			if name.Name == stamp {
-				continue
-			}
-			if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-				t.protected[v] = decl
-				t.protByName[guardKey{tn, name.Name}] = decl
 			}
 		}
 	}
@@ -494,38 +413,6 @@ func (t *guardTables) guardFor(info *types.Info, sel *ast.SelectorExpr, obj *typ
 	if len(t.fieldsByName) > 0 {
 		if k, ok := selOrigin(info, sel, obj); ok {
 			return t.fieldsByName[k]
-		}
-	}
-	return nil
-}
-
-// protectedBy returns the //lint:seqlock declaration protecting a selected
-// field (nil for the stamp itself and for unannotated structs).
-func (t *guardTables) protectedBy(info *types.Info, sel *ast.SelectorExpr, obj *types.Var) *seqlockDecl {
-	if d := t.protected[obj]; d != nil {
-		return d
-	}
-	if len(t.protByName) > 0 {
-		if k, ok := selOrigin(info, sel, obj); ok {
-			return t.protByName[k]
-		}
-	}
-	return nil
-}
-
-// stampFor returns the //lint:seqlock declaration whose stamp field the
-// selection names, or nil.
-func (t *guardTables) stampFor(info *types.Info, sel *ast.SelectorExpr) *seqlockDecl {
-	obj, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() {
-		return nil
-	}
-	if d := t.stamps[obj]; d != nil {
-		return d
-	}
-	if len(t.stampsByName) > 0 {
-		if k, ok := selOrigin(info, sel, obj); ok {
-			return t.stampsByName[k]
 		}
 	}
 	return nil

@@ -88,9 +88,7 @@ func AllChecks() []Check {
 		check{"lockdiscipline", "no blocking while a mutex is held; every Lock has an Unlock on all paths", fromLockPass},
 		check{"lockorder", "every lock-acquisition edge is declared by //lint:lockrank and respects the DAG", lockOrder},
 		check{"checkederr", "error results of the portals API and internal/core are never discarded", checkedErr},
-		check{"goroutinelifecycle", "every goroutine in non-test code has a reachable shutdown path", goroutineLifecycle},
 		check{"guardedby", "every access to a //lint:guardedby field holds a declared lock; counter fields and fields used with sync/atomic are never accessed plainly", fromLockPass},
-		check{"seqlock", "ring-slot fields are only touched inside the //lint:seqlock stamp protocol", fromLockPass},
 		// staleignore exists here to be named and documented; the detection
 		// itself runs inside Run (after suppression filtering, so a stale
 		// directive cannot suppress its own report) whenever any checks run.

@@ -133,6 +133,11 @@ func (c *Conn) onData() {
 
 // notDelivery is not an on* handler; blocking here is fine.
 func (c *Conn) notDelivery() { <-c.ch }
+
+// onAck waits in the handler itself (an Attach gate folded into it).
+func (c *Conn) onAck() {
+	<-c.ch // want:bypassviolation
+}
 `},
 		"repro/internal/nicsim": {"node.go": `package nicsim
 
@@ -246,6 +251,13 @@ func (s *S) suppressed() {
 	s.mu.Lock()
 	//lint:ignore lockdiscipline suppression fixture
 	<-s.ch
+	s.mu.Unlock()
+}
+
+// closeUnderLock waits for its workers while it holds the lock.
+func (s *S) closeUnderLock(wg *sync.WaitGroup) {
+	s.mu.Lock()
+	wg.Wait() // want:lockdiscipline
 	s.mu.Unlock()
 }
 `},
@@ -390,9 +402,23 @@ func (s *State) Put() error  { return nil }
 func (s *State) Count() int  { return 0 }
 func Standalone() (int, error) { return 0, nil }
 `},
+		"repro/portals": {"ni.go": `package portals
+
+type NI struct{}
+
+func (ni *NI) MEUnlink(h int) error { return nil }
+`},
 		"repro/app": {"app.go": `package app
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/portals"
+)
+
+// free drops the error that says the entry is still in use.
+func free(ni *portals.NI) {
+	ni.MEUnlink(1) // want:checkederr
+}
 
 func use(s *core.State) {
 	s.Put() // want:checkederr
@@ -407,196 +433,6 @@ func use(s *core.State) {
 }
 `},
 	}, checksNamed("checkederr"))
-}
-
-func TestGoroutineLifecycle(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/gr": {"gr.go": `package gr
-
-func work() {}
-
-func leak() {
-	go func() { // want:goroutinelifecycle
-		for {
-			work()
-		}
-	}()
-}
-
-func leakNamed() {
-	go spin() // want:goroutinelifecycle
-}
-
-func spin() {
-	for {
-		work()
-	}
-}
-
-func okSelect(done chan struct{}) {
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			work()
-		}
-	}()
-}
-
-func okBreak(n int) {
-	go func() {
-		for {
-			if n > 0 {
-				break
-			}
-		}
-	}()
-}
-
-func okRunsToCompletion() {
-	go func() {
-		for i := 0; i < 3; i++ {
-			work()
-		}
-	}()
-}
-
-func innerBreakDoesNotCount() {
-	go func() { // want:goroutinelifecycle
-		for {
-			for {
-				break
-			}
-		}
-	}()
-}
-
-func suppressed() {
-	//lint:ignore goroutinelifecycle suppression fixture
-	go func() {
-		for {
-			work()
-		}
-	}()
-}
-`},
-	}, checksNamed("goroutinelifecycle"))
-}
-
-func TestGoroutineLifecycleRangeChannel(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/wp": {"wp.go": `package wp
-
-import "sync"
-
-func work(int) {}
-
-// The lane worker-pool shutdown pattern: range over a dispatch channel
-// that Stop closes after which the wait-group drains. No finding.
-type Pool struct {
-	ch chan int
-	wg sync.WaitGroup
-}
-
-func NewPool() *Pool {
-	p := &Pool{ch: make(chan int)}
-	p.wg.Add(1)
-	go p.worker()
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for m := range p.ch {
-		work(m)
-	}
-}
-
-func (p *Pool) Stop() {
-	close(p.ch)
-	p.wg.Wait()
-}
-
-// Same shape, but nothing ever closes the field channel: flagged.
-type Leaky struct{ ch chan int }
-
-func NewLeaky() *Leaky {
-	l := &Leaky{ch: make(chan int)}
-	go l.worker() // want:goroutinelifecycle
-	return l
-}
-
-func (l *Leaky) worker() {
-	for m := range l.ch {
-		work(m)
-	}
-}
-
-// A body that can leave the loop is its own shutdown path.
-type Bail struct{ ch chan int }
-
-func NewBail() *Bail {
-	b := &Bail{ch: make(chan int)}
-	go func() {
-		for m := range b.ch {
-			if m < 0 {
-				return
-			}
-			work(m)
-		}
-	}()
-	return b
-}
-
-// Package-level dispatch channel, never closed: flagged.
-var feed = make(chan int)
-
-func leakPackageChan() {
-	go func() { // want:goroutinelifecycle
-		for m := range feed {
-			work(m)
-		}
-	}()
-}
-
-// A parameter channel may be closed by any caller — not enforceable.
-func drain(ch chan int) {
-	go func() {
-		for m := range ch {
-			work(m)
-		}
-	}()
-}
-
-// Ranging over a slice terminates by itself.
-func finite(xs []int) {
-	go func() {
-		for _, x := range xs {
-			work(x)
-		}
-	}()
-}
-
-// Suppression still works for the range form.
-type Quiet struct{ ch chan int }
-
-func NewQuiet() *Quiet {
-	q := &Quiet{ch: make(chan int)}
-	//lint:ignore goroutinelifecycle suppression fixture
-	go q.worker()
-	return q
-}
-
-func (q *Quiet) worker() {
-	for m := range q.ch {
-		work(m)
-	}
-}
-`},
-	}, checksNamed("goroutinelifecycle"))
 }
 
 func TestBadSuppressDirective(t *testing.T) {
@@ -1406,96 +1242,6 @@ func hushed(p *PE) {
 	}, checksNamed("guardedby"))
 }
 
-func TestSeqlock(t *testing.T) {
-	runFixture(t, map[string]map[string]string{
-		"repro/sq": {"sq.go": `package sq
-
-import "sync/atomic"
-
-// slot is a seqlock-stamped ring slot: odd stamp = writer owns it.
-//
-//lint:seqlock stamp
-type slot struct {
-	stamp atomic.Uint64
-	val   uint64
-}
-
-func publish(s *slot, seq uint64) {
-	s.stamp.Store(2*seq + 1)
-	s.val = seq
-	s.stamp.Store(2*seq + 2)
-}
-
-func badWrite(s *slot, seq uint64) {
-	s.val = seq // want:seqlock
-}
-
-func badRead(s *slot) uint64 {
-	return s.val // want:seqlock
-}
-
-func writeAfterClose(s *slot, seq uint64) {
-	s.stamp.Store(2*seq + 1)
-	s.val = seq
-	s.stamp.Store(2*seq + 2)
-	s.val = 0 // want:seqlock
-}
-
-func readValidated(s *slot, seq uint64) (uint64, bool) {
-	if s.stamp.Load() != 2*seq+2 {
-		return 0, false
-	}
-	v := s.val
-	if s.stamp.Load() != 2*seq+2 {
-		return 0, false
-	}
-	return v, true
-}
-
-func writeUnderValidation(s *slot, seq uint64) {
-	if s.stamp.Load() == 2*seq+2 {
-		s.val = 9 // want:seqlock
-	}
-}
-
-func casWrite(s *slot, seq uint64) {
-	if !s.stamp.CompareAndSwap(2*seq, 2*seq+1) {
-		return
-	}
-	s.val = seq
-	s.stamp.Store(2*seq + 2)
-}
-
-// fill documents that its caller opened the window.
-//
-//lint:requires slot.stamp
-func fill(s *slot, v uint64) { s.val = v }
-
-func opens(s *slot, seq uint64) {
-	s.stamp.Store(2*seq + 1)
-	fill(s, seq)
-	s.stamp.Store(2*seq + 2)
-}
-
-func noWindow(s *slot, v uint64) {
-	fill(s, v) // want:seqlock
-}
-
-// Constructor exemption: the slot is not published yet.
-func fresh() *slot {
-	s := &slot{}
-	s.val = 1
-	return s
-}
-
-func hushed(s *slot) uint64 {
-	//lint:ignore seqlock fixture: torn read tolerated here
-	return s.val
-}
-`},
-	}, checksNamed("seqlock"))
-}
-
 // TestStaleIgnore: a directive whose check fires nothing on its line is
 // itself reported; used directives and unknown-name directives behave as
 // documented; subset runs (of checks or of packages) don't judge.
@@ -1595,7 +1341,7 @@ func f() {}
 func TestSARIFMarshal(t *testing.T) {
 	findings := []Finding{
 		{File: "internal/core/state.go", Line: 12, Check: "guardedby", Message: "field accessed without mu held"},
-		{File: "internal/eventq/eventq.go", Line: 40, Check: "seqlock", Message: "write outside window"},
+		{File: "internal/mpi/win.go", Line: 40, Check: "checkederr", Message: "error result discarded"},
 		{File: "x.go", Line: 1, Check: "novelcheck", Message: "from a future version"},
 		{File: "internal/core/state.go", Line: 40, Check: "lockorder", Message: "undeclared lock edge"},
 	}
@@ -1649,10 +1395,19 @@ func TestSARIFMarshal(t *testing.T) {
 	for i, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = i
 	}
-	for _, want := range []string{"guardedby", "seqlock", "staleignore", "badsuppress", "novelcheck", "lockorder"} {
-		if _, ok := ruleIDs[want]; !ok {
-			t.Errorf("rules missing %q", want)
+	// The rules are the registered checks, badsuppress, and the check of a
+	// finding no check owns — nothing else.
+	want := []string{"badsuppress", "novelcheck"}
+	for _, c := range AllChecks() {
+		want = append(want, c.Name())
+	}
+	for _, id := range want {
+		if _, ok := ruleIDs[id]; !ok {
+			t.Errorf("rules missing %q", id)
 		}
+	}
+	if len(ruleIDs) != len(want) {
+		t.Errorf("rules %v, want exactly %v", ruleIDs, want)
 	}
 	if len(run.Results) != 4 {
 		t.Fatalf("want 4 results, got %d", len(run.Results))

@@ -25,9 +25,8 @@ import (
 // classified lock is held, directly or through a callee's locks-acquired
 // summary (validated against the declared hierarchy in lockorder.go).
 //
-// guardedby and seqlock get every field selection checked against the
-// guard tables (guards.go) under the current lock set (guardedby.go,
-// seqlock.go).
+// guardedby gets every field selection checked against the guard tables
+// (guards.go) under the current lock set (guardedby.go).
 
 // heldLock is the state of one mutex expression within a function.
 type heldLock struct {
@@ -36,10 +35,10 @@ type heldLock struct {
 	deferred bool      // a defer Unlock covers release (still held for blocking checks)
 	class    string    // lock class (lockClassOf) for lock-order edges
 	// granted marks an entry that stands for a promise rather than a Lock
-	// call in this body — a //lint:requires class the caller holds, a
-	// seqlock stamp window. guardedby and seqlock consult it;
-	// lockdiscipline and lockorder judge this body's own acquisitions and
-	// pass over it (the caller's site is where holding it is judged).
+	// call in this body — a //lint:requires class the caller holds.
+	// guardedby consults it; lockdiscipline and lockorder judge this
+	// body's own acquisitions and pass over it (the caller's site is where
+	// holding it is judged).
 	granted bool
 }
 
@@ -67,10 +66,10 @@ func (s lockSet) merge(b lockSet) lockSet {
 }
 
 // lockResult is the outcome of the lock pass, cached on the Program so
-// lockdiscipline, lockorder, guardedby and seqlock pay for one traversal
-// between them.
+// lockdiscipline, lockorder and guardedby pay for one traversal between
+// them.
 type lockResult struct {
-	diags []Diagnostic // lockdiscipline, guardedby and seqlock findings
+	diags []Diagnostic // lockdiscipline and guardedby findings
 	edges orderSink    // lockorder's acquisition edges
 }
 

@@ -49,6 +49,8 @@ func twoNodes(t *testing.T, cfg Config) (*Node, *Node, *core.State, *core.State)
 	if err := n2.AddProcess(20, s2); err != nil {
 		t.Fatal(err)
 	}
+	// Registered last, so the nodes stop before the states' teardown checks.
+	t.Cleanup(func() { n1.Close(); n2.Close() })
 	return n1, n2, s1, s2
 }
 
@@ -263,6 +265,7 @@ func TestUndecodableTrafficDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer n1.Close()
 	raw, err := net.Attach(99, func(types.NID, []byte) {})
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +336,7 @@ func TestDuplicatePIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer n.Close()
 	s := newState(t, types.ProcessID{NID: 1, PID: 5})
 	if err := n.AddProcess(5, s); err != nil {
 		t.Fatal(err)

@@ -110,8 +110,6 @@ type Entry struct {
 
 // slot pairs a record with its seqlock stamp (see the package comment for
 // the protocol).
-//
-//lint:seqlock stamp
 type slot struct {
 	stamp atomic.Uint64
 	rec   Entry

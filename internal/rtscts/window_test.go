@@ -355,13 +355,14 @@ func (ep *fakeBurstEP) dispatch() {
 }
 
 func (ep *fakeBurstEP) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool.Buf) error {
+	cp := append(append([]byte(nil), hdr...), payload...)
+	// Under the lock, so that Close cannot close the queue in between.
 	ep.net.mu.Lock()
+	defer ep.net.mu.Unlock()
 	peer := ep.net.nodes[dst]
-	ep.net.mu.Unlock()
 	if peer == nil {
 		return nil // unreachable peer: silent loss
 	}
-	cp := append(append([]byte(nil), hdr...), payload...)
 	select {
 	case peer.ch <- fakeBurstPkt{src: ep.nid, data: cp}:
 	default: // queue full: tail drop
@@ -370,7 +371,17 @@ func (ep *fakeBurstEP) SendPacket(dst types.NID, hdr, payload []byte, _ *bufpool
 }
 
 func (ep *fakeBurstEP) LocalNID() types.NID { return ep.nid }
-func (ep *fakeBurstEP) Close() error        { return nil }
+
+// Close detaches the endpoint and ends its dispatcher.
+func (ep *fakeBurstEP) Close() error {
+	ep.net.mu.Lock()
+	defer ep.net.mu.Unlock()
+	if ep.net.nodes[ep.nid] == ep {
+		delete(ep.net.nodes, ep.nid)
+		close(ep.ch)
+	}
+	return nil
+}
 
 func TestBatchModeDeliversPooledBatches(t *testing.T) {
 	net := newFakeBurstNet()

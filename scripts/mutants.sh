@@ -1,24 +1,45 @@
 #!/usr/bin/env bash
-# mutants.sh — the release-site mutation run behind docs/LINT.md's ledger
-# table: which check catches a lost, early or doubled release.
+# mutants.sh — the mutation runs behind docs/LINT.md's ledger: which
+# mechanism, a portalsvet check or the tests, catches a given defect.
 #
 # It copies the working tree into a scratch directory and, one mutant at a
-# time, applies the mutant, runs the check and restores the file. A mutant is
-#   - one release site turned into a no-op (`_ = x`): every `.Release()`,
-#     `pins.Exit` and arena `Put` outside tests, benchmark/ and internal/lint,
-#     as the three git grep commands below list them;
-#   - or one of six hand-written mutants, a use-after-release and a
-#     double release for each family (pooled buffer, RCU pin, arena entry).
+# time, applies the mutant, runs the check command and restores the file.
+# The mutants come in families, each named by its id prefix:
+#   rel, pin, arena, use-, dbl-   the release sites (the ownership pass's
+#       trial): every `.Release()`, `pins.Exit` and arena `Put` outside
+#       tests, benchmark/ and internal/lint turned into a no-op (`_ = x`),
+#       as the three git grep commands below list them, and six written by
+#       hand, a use after release and a double release per family;
+#   byp   a blocking call in an on* delivery handler (bypassviolation);
+#   lkd   an Unlock dropped on one path, or a wait under a lock
+#         (lockdiscipline);
+#   lko   two acquisitions against their //lint:lockrank (lockorder);
+#   gby   a //lint:guardedby field touched outside its lock (guardedby);
+#   seq   a stamp-ring slot touched outside its stamp (seqlock, retired:
+#         the ring packages' tests catch every one under -race);
+#   cke   an error of the portals API or of core dropped (checkederr);
+#   gor   a loop's shutdown arm removed (goroutinelifecycle, retired to
+#         the goroutine half of the tests' ledger).
 # The check defaults to tier-1 (go build ./... && go test ./...) with a
 # timeout, so a mutant that hangs a test fails it, and -failfast, so the
 # run stops at its first failing test (the verdict is the same, and far
 # sooner). Each mutant prints one line:
 #   id <TAB> file:line <TAB> caught|missed <TAB> what failed
 # where "what failed" is, per failing package, its first failing test, a
-# panic, a hang or the ledger's exit check (see failures below).
+# panic, a hang or the ledger's exit check (see failures below); for a
+# portalsvet run, the checks that reported.
 #
 # Usage: bash scripts/mutants.sh [id-regexp [check-command]]
-# e.g.   bash scripts/mutants.sh '^pin' 'go test -count=1 ./internal/core'
+# A family's columns of docs/LINT.md's check trial, e.g. the gor family's:
+# the check (run it in a checkout that still has the check), the tests —
+# tier-1, then -race, leaving out the three tests that run the analyzer
+# itself — and, for a mutant both miss, make flake over its package:
+#   bash scripts/mutants.sh '^gor' 'go run ./cmd/portalsvet ./...'
+#   S="-skip '^(TestCmdPortalsvet|TestRepoIsClean|TestRepoLedger)\$'"
+#   bash scripts/mutants.sh '^gor' "go build ./... && go test -failfast -timeout 120s $S ./... && go test -race -failfast -timeout 120s $S ./..."
+#   bash scripts/mutants.sh '^lko-core$' 'make flake FLAKEPKGS=./internal/core RUN=. COUNT=20'
+# and one package's tests alone:
+#   bash scripts/mutants.sh '^pin' 'go test -count=1 ./internal/core'
 set -u
 only=${1:-.}
 check=${2:-'go build ./... && go test -failfast -timeout 300s ./...'}
@@ -95,3 +116,67 @@ run use-arena internal/core/md.go unlinkMD '/^func (s \*State) unlinkMD/,/^}/{/^
 run dbl-rel internal/core/translate.go Recycle 's/^\(\t\t\)o\.buf\.Release()$/&\n&/'
 run dbl-pin internal/core/initiate.go startPut '/^func (s \*State) startPut/,/^}/{s/^\ts\.pins\.Exit(pin)$/&\n&/;}'
 run dbl-arena internal/core/me.go unlinkME '/^func (s \*State) unlinkME/,/^}/{s/^\ts\.meArena\.Put(me)$/&\n&/;}'
+
+# The check families. A mutant is a defect of the kind its check exists to
+# catch, at a real site of the check.
+
+# bypassviolation: the delivery handlers block. nicsim's onBatch sleeps to
+# pace a burst bigger than a lane; rtscts' onPacket waits at Attach's gate
+# (gatedPacket's, folded in); the grant's yield becomes a sleep.
+run byp-nicsim internal/nicsim/nicsim.go onBatch '/^func (n \*Node) onBatch(/a\
+\tif len(batch) > laneDepth {\
+\t\ttime.Sleep(time.Microsecond)\
+\t}'
+run byp-gate internal/rtscts/conn.go onPacket '/^func (c \*Conn) onPacket(/a\
+\t<-c.ready'
+run byp-yield internal/rtscts/sender.go grantReceived 's/^\t\tyield()$/\t\ttime.Sleep(time.Microsecond)/'
+
+# lockdiscipline: an early return keeps its lock (rtscts onData on a closed
+# receiver, core MDUpdate refused for pending events, a second nicsim
+# Close), or nicsim's Close waits for its lanes under the node lock.
+run lkd-rtscts internal/rtscts/receiver.go onData '/^func (c \*Conn) onData(/,/^}/{/^\tif r\.closed {$/{n;/^\t\tr\.mu\.Unlock()$/d;};}'
+run lkd-core internal/core/md.go MDUpdate '/^\t\tif q\.Pending() > 0 {$/{n;/^\t\t\ts\.resMu\.Unlock()$/d;}'
+run lkd-nicsim internal/nicsim/nicsim.go Close '/^func (n \*Node) Close() error {$/,/^}/{/^\tif n\.closed {$/{n;/^\t\tn\.mu\.Unlock()$/d;};}'
+run lkd-wait internal/nicsim/nicsim.go Close '/^func (n \*Node) Close() error {$/,/^}/{/^\tn\.procs\.Clear()$/{n;/^\tn\.mu\.Unlock()$/d;};s/^\tn\.wg\.Wait()$/&\n\tn.mu.Unlock()/;}'
+
+# lockorder: rtscts lists a receiver for the flush's ack under its own mu
+# (declared Conn.ackMu < peerReceiver.mu); core closes a counter's parker
+# under ctr.mu (declared sole); tcp's Close takes each connection's write
+# lock under the endpoint's (declared sendConn.mu < endpoint.mu).
+run lko-rtscts internal/rtscts/receiver.go onData '/^func (c \*Conn) onData(/,/^}/{/^\tr\.mu\.Unlock()$/{N;s/^\tr\.mu\.Unlock()\n\tif listed {$/\tif listed {/;};/^\t\tc\.ackMu\.Unlock()$/{N;s/\n\t}$/\n\t}\n\tr.mu.Unlock()/;};}'
+run lko-core internal/core/ct.go close '/^func (c \*ctr) close() int {$/,/^}/{/^\tc\.mu\.Unlock()$/{N;s/^\tc\.mu\.Unlock()\n\tc\.park\.Close()$/\tc.park.Close()\n\tc.mu.Unlock()/;};}'
+run lko-tcp internal/transport/tcp/tcp.go Close '/^func (ep \*endpoint) Close() error {$/,/^}/{s/^\t\tconns = append(conns, sc)$/\t\tsc.mu.Lock()\n&\n\t\tsc.mu.Unlock()/;}'
+
+# guardedby: one field each of rtscts (peerSender.owedCTS, counted before
+# the lock), core (memDesc.unlinked, read before the owner lock) and nicsim
+# (Node.closed, a fast-fail read before the lock).
+run gby-rtscts internal/rtscts/sender.go oweCTS '/^func (s \*peerSender) oweCTS() {$/,/^}/{/^\ts\.mu\.Lock()$/{N;s/^\ts\.mu\.Lock()\n\ts\.owedCTS++$/\ts.owedCTS++\n\ts.mu.Lock()/;};}'
+run gby-core internal/core/md.go MDStatus '/^func (s \*State) MDStatus(/,/^}/{/^\td\.owner\.Lock()$/{N;N;s/^\td\.owner\.Lock()\n\tdefer d\.owner\.Unlock()\n\tgone := d\.unlinked$/\tgone := d.unlinked\n\td.owner.Lock()\n\tdefer d.owner.Unlock()/;};}'
+run gby-nicsim internal/nicsim/nicsim.go AddProcess '/^func (n \*Node) AddProcess(/,/^}/{/^\tn\.mu\.Lock()$/{N;N;N;N;s/^\tn\.mu\.Lock()\n\tdefer n\.mu\.Unlock()\n\(\tif n\.closed {\n\t\treturn types\.ErrClosed\n\t}\)$/\1\n\tn.mu.Lock()\n\tdefer n.mu.Unlock()/;};}'
+
+# seqlock: eventq publishes an event's stamp before its body, and Get reads
+# the body before the stamp says it is there; the flight recorder stamps a
+# record done before writing it, and Snapshot copies one it has not locked.
+run seq-publish internal/eventq/eventq.go publish '/^func (q \*Queue) publish(/,/^}/{/^\tsl\.ev = \*ev$/d;s/^\tsl\.seq\.Store(doneStamp(pos))$/&\n\tsl.ev = *ev/;}'
+run seq-get internal/eventq/eventq.go Get '/^\t\*ev = sl\.ev$/d;/^\t\/\/ The position is claimed but its event may still be in flight$/i\
+\t*ev = sl.ev'
+run seq-record internal/obs/trace/trace.go Record '/^\ts\.rec = Entry{/{N;s/^\(\ts\.rec = Entry{[^\n]*\)\n\(\ts\.stamp\.Store(doneStamp(p))\)$/\2\n\1/;}'
+run seq-snapshot internal/obs/trace/trace.go Snapshot '/^\t\t\trec := s\.rec$/d;s/^\t\t\tif !s\.stamp\.CompareAndSwap(st, st+1) {$/\t\t\trec := s.rec\n&/'
+# The fifth: the recorder's write stamp is even, so no window ever opens.
+run seq-parity internal/obs/trace/trace.go writeStamp 's/^func writeStamp(p uint64) uint64 { return 2\*p + 1 }$/func writeStamp(p uint64) uint64 { return 2*p + 2 }/'
+
+# checkederr: the portals MDUnlink wrapper drops core's error; mpi drops
+# the MEUnlink error that says a receive lost its race, and Win.Free the
+# one that says the window is still in use; coll drops CTFree's.
+run cke-portals portals/ni.go MDUnlink 's/^func (ni \*NI) MDUnlink(md Handle) error { return ni\.state\.MDUnlink(md) }$/func (ni *NI) MDUnlink(md Handle) error { ni.state.MDUnlink(md); return nil }/'
+run cke-mpi internal/mpi/progress.go consumeRec 's/^\tif err := c\.ni\.MEUnlink(req\.me); err != nil {$/\tif c.ni.MEUnlink(req.me); false {/'
+run cke-win internal/mpi/win.go Free '/^func (w \*Win) Free() error {$/,/^}/{/^\tif err := w\.c\.ni\.MEUnlink(w\.me); err != nil {$/{N;N;s/.*/\tw.c.ni.MEUnlink(w.me)/;};}'
+run cke-coll internal/coll/triggered.go Close '/^\t\tif err := t\.ni\.CTFree(ct); err != nil \&\& first == nil {$/{N;N;s/.*/\t\tt.ni.CTFree(ct)/;}'
+
+# goroutinelifecycle: simnet's link goroutine waits for packets and never
+# for the close; udp's writer likewise; nicsim's Close never closes the
+# lanes' channels; the fabrics' Handoff.Serve loop ignores the close.
+run gor-simnet internal/transport/simnet/link.go run '/^func (l \*link) run() {$/,/^}/{s/^\tfor !l\.closed\.Load() {$/\tfor {/;s/^\t\tfor len(l\.queue) == 0 \&\& !l\.closed\.Load() {$/\t\tfor len(l.queue) == 0 {/;}'
+run gor-udp internal/transport/udp/udp.go writeLoop 's/^\t\tfor len(nd\.sendQ) == 0 \&\& !nd\.closed {$/\t\tfor len(nd.sendQ) == 0 {/'
+run gor-nicsim internal/nicsim/nicsim.go Close '/^func (n \*Node) Close() error {$/,/^}/{/^\tfor _, ln := range n\.lanes {$/{N;N;d;};}'
+run gor-handoff internal/transport/transport.go deliver '/^func (q \*Handoff) deliver(/,/^}/{s/^\tfor !q\.closed {$/\tfor {/;}'

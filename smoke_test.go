@@ -199,7 +199,7 @@ func TestCmdPortalsvet(t *testing.T) {
 		t.Skip("smoke tests skipped in -short")
 	}
 	out := goRun(t, 300*time.Second, "./cmd/portalsvet", "-list")
-	for _, check := range []string{"bypassviolation", "lockdiscipline", "guardedby", "checkederr", "goroutinelifecycle"} {
+	for _, check := range []string{"bypassviolation", "lockdiscipline", "lockorder", "guardedby", "checkederr"} {
 		if !strings.Contains(out, check) {
 			t.Errorf("portalsvet -list missing %q:\n%s", check, out)
 		}
