@@ -55,16 +55,9 @@ func (s *State) eqRes(h types.Handle) *eventq.Queue {
 	return q
 }
 
-// eqFor resolves a handle to its queue. Retained as the historical name
-// for call sites outside the resource files; identical to eqRes now that
-// resolution is lock-free.
-func (s *State) eqFor(h types.Handle) *eventq.Queue {
-	return s.eqRes(h)
-}
-
 // lookupEQ resolves a handle to its queue or an error.
 func (s *State) lookupEQ(h types.Handle) (*eventq.Queue, error) {
-	q := s.eqFor(h)
+	q := s.eqRes(h)
 	if q == nil {
 		return nil, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}

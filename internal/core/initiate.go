@@ -70,16 +70,16 @@ func (s *State) StartPut(md types.Handle, ack types.AckRequest, target types.Pro
 func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.ProcessID,
 	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
 
-	pin := s.pins.Enter(uint64(md.Index))
+	s.pins.Enter()
 	d, err := s.lookupMDOpen(md)
 	if err != nil {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return Outbound{}, err
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return Outbound{}, types.ErrInvalidHandle
 	}
@@ -120,7 +120,7 @@ func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.Pro
 //
 //lint:requires memDesc.owner/portal.mu
 func (s *State) sendDone(d *memDesc, ptl types.PtlIndex, bits types.MatchBits, size uint64, seq uint32) {
-	if q := s.eqFor(d.md.EQ); q != nil {
+	if q := s.eqRes(d.md.EQ); q != nil {
 		q.Post(eventq.Event{
 			Type:      types.EventSend,
 			Initiator: s.self,
@@ -210,16 +210,16 @@ func (s *State) StartGet(md types.Handle, target types.ProcessID,
 func (s *State) startGet(md types.Handle, target types.ProcessID,
 	ptl types.PtlIndex, cookie types.ACIndex, bits types.MatchBits, remoteOffset uint64) (Outbound, error) {
 
-	pin := s.pins.Enter(uint64(md.Index))
+	s.pins.Enter()
 	d, err := s.lookupMDOpen(md)
 	if err != nil {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return Outbound{}, err
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return Outbound{}, types.ErrInvalidHandle
 	}

@@ -156,17 +156,17 @@ func (s *State) lookupMD(h types.Handle) (*memDesc, bool) {
 // threshold unlinks the descriptor (Figure 4's unlink step) or leaves it
 // inactive but linked.
 func (s *State) MDAttach(me types.Handle, md MD, unlinkOp types.UnlinkOption) (types.Handle, error) {
-	pin := s.pins.Enter(uint64(me.Index))
+	s.pins.Enter()
 	entry, ok := s.lookupME(me)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return types.InvalidHandle, fmt.Errorf("%w: %v", types.ErrInvalidHandle, me)
 	}
 	p := &s.table[entry.ptlIndex]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	gone := entry.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return types.InvalidHandle, fmt.Errorf("%w: %v", types.ErrInvalidHandle, me)
 	}
@@ -214,16 +214,16 @@ func (s *State) MDBind(md MD, unlinkOp types.UnlinkOption) (types.Handle, error)
 // the descriptor has operations in flight — §4.7: "the memory descriptor
 // must not be unlinked until the reply is received".
 func (s *State) MDUnlink(h types.Handle) error {
-	pin := s.pins.Enter(uint64(h.Index))
+	s.pins.Enter()
 	d, ok := s.lookupMD(h)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
@@ -243,16 +243,16 @@ func (s *State) MDUnlink(h types.Handle) error {
 // put's body is lent out of it: the fragments still to come were resolved
 // against the region as it is, and the fabric still reads it.
 func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
-	pin := s.pins.Enter(uint64(h.Index))
+	s.pins.Enter()
 	d, ok := s.lookupMD(h)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
@@ -286,16 +286,16 @@ func (s *State) MDUpdate(h types.Handle, newMD MD, testEQ types.Handle) error {
 // MDStatus reports a descriptor's remaining threshold and local offset;
 // tests and higher layers use it to observe consumption.
 func (s *State) MDStatus(h types.Handle) (threshold int32, localOffset uint64, err error) {
-	pin := s.pins.Enter(uint64(h.Index))
+	s.pins.Enter()
 	d, ok := s.lookupMD(h)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return 0, 0, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return 0, 0, fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}

@@ -83,17 +83,17 @@ func (s *State) MEInsert(base types.Handle, matchID types.ProcessID,
 	matchBits, ignoreBits types.MatchBits, unlink types.UnlinkOption,
 	pos types.InsertPosition) (types.Handle, error) {
 
-	pin := s.pins.Enter(uint64(base.Index))
+	s.pins.Enter()
 	ref, ok := s.lookupME(base)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return types.InvalidHandle, fmt.Errorf("%w: %v", types.ErrInvalidHandle, base)
 	}
 	p := &s.table[ref.ptlIndex]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	gone := ref.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return types.InvalidHandle, fmt.Errorf("%w: %v not in its match list", types.ErrInvalidHandle, base)
 	}
@@ -143,17 +143,17 @@ func (s *State) allocME(me *matchEntry) (types.Handle, error) {
 // handles of) any memory descriptors still attached; attached descriptors
 // are released as in PtlMEUnlink, which frees the whole chain.
 func (s *State) MEUnlink(h types.Handle) error {
-	pin := s.pins.Enter(uint64(h.Index))
+	s.pins.Enter()
 	me, ok := s.lookupME(h)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
 	p := &s.table[me.ptlIndex]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	gone := me.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		return fmt.Errorf("%w: %v", types.ErrInvalidHandle, h)
 	}
@@ -171,7 +171,7 @@ func (s *State) MEUnlink(h types.Handle) error {
 	}
 	s.resMu.Unlock()
 	// Slots are released (stale handles miss); the records themselves may
-	// be recycled only after a grace period — Put parks them in limbo.
+	// be recycled only once no pin is open — Put parks them in limbo.
 	for _, md := range me.mds {
 		s.mdArena.Put(md)
 	}

@@ -96,17 +96,17 @@ func (s *State) Resolve(h *wire.Header, pl *Placement) Verdict {
 		*pl = Placement{h: *h, d: d, offset: offset, mlength: mlength}
 		return Place
 	case wire.OpReply:
-		pin := s.pins.Enter(uint64(h.Initiator.NID))
+		s.pins.Enter()
 		d, ok := s.lookupMD(h.MD)
 		if !ok {
-			s.pins.Exit(pin)
+			s.pins.Exit()
 			s.counters.Drop(types.DropMDGone)
 			return Discard
 		}
 		d.owner.Lock()
 		defer d.owner.Unlock()
 		gone := d.unlinked
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		if gone {
 			s.counters.Drop(types.DropMDGone)
 			return Discard

@@ -106,8 +106,10 @@ type State struct {
 	closed atomic.Bool
 
 	// pins delimits handle-resolution bridge windows (lookup → owner lock
-	// → unlinked re-check); the arenas defer entry reuse until no window
-	// that could hold a released entry remains open (docs/PERF.md §7).
+	// → unlinked re-check); the arenas reuse a released entry only at a
+	// moment with no window open (docs/PERF.md §7). Every put opens one,
+	// so its counters sit on a cache line of their own, apart from
+	// trigPending and closed, which the lanes read per message.
 	pins rcu.Guards
 
 	// meArena/mdArena back the match-entry and descriptor records: a few
@@ -269,8 +271,9 @@ func (t *slotTable[T]) lookup(h types.Handle) (*T, bool) {
 }
 
 // release frees a slot and bumps its generation, so every stale handle
-// misses from this point on. Entry memory must not be reused until a
-// grace period has passed (the arenas' Gate handles this).
+// misses from this point on. Entry memory must not be reused while a pin
+// opened before the release is still open: the arenas reuse it only at a
+// moment with no pin open.
 //
 //lint:requires State.resMu
 func (t *slotTable[T]) release(h types.Handle) bool {

@@ -213,7 +213,7 @@ func (s *State) finishOperation(d *memDesc, evType types.EventType, h *wire.Head
 	if d.md.Options&types.MDManageRemote == 0 {
 		d.localOffset = offset + mlength
 	}
-	if q := s.eqFor(d.md.EQ); q != nil {
+	if q := s.eqRes(d.md.EQ); q != nil {
 		q.Post(eventq.Event{
 			Type:      evType,
 			Initiator: h.Initiator,
@@ -364,23 +364,23 @@ func (s *State) recvAck(h *wire.Header) {
 	// Bridge from the lock-free handle lookup to the descriptor's owner
 	// lock (docs/PERF.md §7): the pins window keeps the record from being
 	// recycled until unlinked has been re-checked under the lock.
-	pin := s.pins.Enter(uint64(h.Initiator.NID))
+	s.pins.Enter()
 	d, ok := s.lookupMD(h.MD)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		s.counters.Drop(types.DropEQGone)
 		return
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		s.counters.Drop(types.DropEQGone)
 		return
 	}
 	countsCT := d.md.Options&types.MDCTAck != 0 && d.md.CT.IsValid()
-	q := s.eqFor(d.md.EQ)
+	q := s.eqRes(d.md.EQ)
 	if q == nil && !countsCT {
 		s.counters.Drop(types.DropEQGone)
 		return
@@ -428,17 +428,17 @@ func (s *State) recvAck(h *wire.Header) {
 // between (place.go). The queue is judged at commit, after the write: a
 // reply dropped for a full queue has left its bytes in the descriptor.
 func (s *State) recvReply(h *wire.Header, payload []byte) {
-	pin := s.pins.Enter(uint64(h.Initiator.NID))
+	s.pins.Enter()
 	d, ok := s.lookupMD(h.MD)
 	if !ok {
-		s.pins.Exit(pin)
+		s.pins.Exit()
 		s.counters.Drop(types.DropMDGone)
 		return
 	}
 	d.owner.Lock()
 	defer d.owner.Unlock()
 	gone := d.unlinked
-	s.pins.Exit(pin)
+	s.pins.Exit()
 	if gone {
 		s.counters.Drop(types.DropMDGone)
 		return
@@ -471,7 +471,7 @@ func (s *State) commitReply(d *memDesc, h *wire.Header, mlength uint64) {
 	}
 	var res eventq.Reservation
 	room := true
-	if q := s.eqFor(d.md.EQ); q != nil {
+	if q := s.eqRes(d.md.EQ); q != nil {
 		res, room = q.ReserveIfSpace()
 	}
 	if room {

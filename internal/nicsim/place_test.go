@@ -45,11 +45,20 @@ type rig struct {
 	txeq     types.Handle // acks
 }
 
+// rigRTS is the rig's reliability layer. The fabric loses nothing; keep the
+// retransmit timer clear of host stalls.
+var rigRTS = rtscts.Config{RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond}
+
 func newRig(t *testing.T, fabric simnet.Config, rxCfg Config) *rig {
 	t.Helper()
-	r := &rig{t: t, sim: simnet.New(fabric), win: make([]byte, rigWinSize)}
-	// The fabric loses nothing; keep the retransmit timer clear of host stalls.
-	net := rtscts.NewNetwork(r.sim, rtscts.Config{RTO: 200 * time.Millisecond, RTOMin: 200 * time.Millisecond})
+	sim := simnet.New(fabric)
+	return attachRig(t, sim, rtscts.NewNetwork(sim, rigRTS), rxCfg)
+}
+
+// attachRig builds the rig on net, which runs rtscts over sim.
+func attachRig(t *testing.T, sim *simnet.Network, net transport.Network, rxCfg Config) *rig {
+	t.Helper()
+	r := &rig{t: t, sim: sim, win: make([]byte, rigWinSize)}
 	t.Cleanup(func() { net.Close() })
 	r.txs = newState(t, rigTxID) // checked after the nodes' cleanup below has run
 	r.rxs = newState(t, rigRxID)
@@ -443,7 +452,10 @@ func TestTeardownRacesLandingFragments(t *testing.T) {
 		for _, lanes := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/lanes=%d", tc.name, lanes), func(t *testing.T) {
 				held := pooltest.Baseline(t)
-				r := newRig(t, fabric, Config{Lanes: lanes})
+				sim := simnet.New(fabric)
+				hold := &finalHold{sim: sim, rx: rigRxID.NID}
+				r := attachRig(t, sim, hold, Config{Lanes: lanes})
+				defer hold.release()
 				var wg sync.WaitGroup
 				stop := make(chan struct{})
 				wg.Add(1)
@@ -466,9 +478,16 @@ func TestTeardownRacesLandingFragments(t *testing.T) {
 					}
 				}()
 				// The action runs while a body lands, with one placement
-				// committed before it and more to come behind.
-				await(t, "a landing behind a commit", func() bool { return r.rxStats().Placed.Load() >= 1 && r.landing() })
+				// committed before it and more to come behind. The landing
+				// stays open until the held final fragment is let go.
+				await(t, "a placement committed", func() bool { return r.rxStats().Placed.Load() >= 1 })
+				hold.arm()
+				await(t, "a final fragment held back", hold.holding)
+				if !r.landing() {
+					t.Fatal("a body's final fragment is held back, yet no placement is open on the window")
+				}
 				tc.do(r)
+				hold.release()
 				close(stop)
 				wg.Wait()
 				r.tx.Close()
@@ -485,6 +504,96 @@ func TestTeardownRacesLandingFragments(t *testing.T) {
 			})
 		}
 	}
+}
+
+// finalHold is rtscts over simnet with a valve: once armed, it holds back the
+// final fragment of the next put body bound for rx, so that body's placement
+// stays resolved and uncommitted until release sends the fragment on. Copies
+// the sender retransmits meanwhile are lost. A body is the lent buffer a put
+// lends the fabric (core.LendPut); its final fragment is the one whose
+// payload ends where the body does.
+type finalHold struct {
+	sim *simnet.Network
+	rx  types.NID
+
+	mu    sync.Mutex
+	armed bool
+	held  *heldFragment
+}
+
+type heldFragment struct {
+	ep       rtscts.PacketEndpoint
+	dst      types.NID
+	hdr, pay []byte
+	owner    *bufpool.Buf
+}
+
+func (f *finalHold) AttachBatch(nid types.NID, bh transport.BatchHandler) (transport.Endpoint, error) {
+	return rtscts.Attach(f, nid, rigRTS, bh)
+}
+
+func (f *finalHold) Attach(nid types.NID, h transport.Handler) (transport.Endpoint, error) {
+	return f.AttachBatch(nid, transport.Borrow(h))
+}
+
+func (f *finalHold) Close() error { return f.sim.Close() }
+
+func (f *finalHold) AttachPacket(nid types.NID, h rtscts.PacketHandler, flush func()) (rtscts.PacketEndpoint, error) {
+	ep, err := f.sim.AttachBurst(nid, simnet.PacketHandler(h), flush)
+	if err != nil {
+		return nil, err
+	}
+	return holdEndpoint{ep, f}, nil
+}
+
+func (f *finalHold) MTU() int { return f.sim.MTU() }
+
+func (f *finalHold) arm() {
+	f.mu.Lock()
+	f.armed = true
+	f.mu.Unlock()
+}
+
+func (f *finalHold) holding() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.held != nil
+}
+
+// release sends the held fragment on, if any, and lets every later one
+// through. A fabric closed meanwhile refuses it, which loses it.
+func (f *finalHold) release() {
+	f.mu.Lock()
+	p := f.held
+	f.held, f.armed = nil, false
+	f.mu.Unlock()
+	if p != nil {
+		_ = p.ep.SendPacket(p.dst, p.hdr, p.pay, p.owner)
+		p.owner.Release()
+	}
+}
+
+type holdEndpoint struct {
+	rtscts.PacketEndpoint
+	f *finalHold
+}
+
+func (ep holdEndpoint) SendPacket(dst types.NID, hdr, payload []byte, owner *bufpool.Buf) error {
+	if f := ep.f; dst == f.rx && owner.Lent() && len(payload) > 0 {
+		body := owner.Bytes()
+		if &payload[len(payload)-1] == &body[len(body)-1] {
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			switch {
+			case f.held != nil:
+				return nil // a retransmission of the held fragment: lost
+			case f.armed:
+				f.held = &heldFragment{ep.PacketEndpoint, dst, bytes.Clone(hdr), payload, owner.Retain()}
+				return nil
+			}
+		}
+	}
+	return ep.PacketEndpoint.SendPacket(dst, hdr, payload, owner)
 }
 
 // TestPlacedPutAllocs holds the whole placed path — announcement, resolve,

@@ -17,15 +17,11 @@
 //     whole. Readers Get with one atomic load; writers (externally
 //     serialized) copy, mutate, and Store.
 //
-//   - Guards: striped enter/exit counters, in two parity sets, that
-//     delimit read-side critical sections. A writer that wants to recycle
-//     memory a reader might still hold (arena-backed entries,
-//     internal/arena) parks it until either Quiescent() observes a moment
-//     with no reader inside a guard window, or enough Advance() grace
-//     periods — parity flips that each wait out one retiring stripe set —
-//     have completed. The flips are what guarantee reclamation progress
-//     under dense overlapping reader traffic, where a global reader-free
-//     instant may never be observable.
+//   - Guards: one enter/exit counter pair that delimits read-side
+//     critical sections. A writer that wants to recycle memory a reader
+//     might still hold (arena-backed entries, internal/arena) parks it
+//     until Quiescent() observes a moment with no reader inside a guard
+//     window.
 package rcu
 
 import (
@@ -354,127 +350,46 @@ func (m *Map[K, V]) Range(f func(K, V) bool) {
 
 // --------------------------------------------------------------- Guards --
 
-// guardStripes spreads Enter/Exit traffic over several counter pairs so
-// concurrent readers (delivery lanes) don't serialize on one cache line.
-// guardStripes = 1<<guardStripeBits; Enter's token packs (parity, stripe).
-const (
-	guardStripeBits = 2
-	guardStripes    = 1 << guardStripeBits
-)
-
-type guardStripe struct {
-	in  atomic.Int64
-	out atomic.Int64
-}
+// cacheLine is the pad on each side of Guards' counters.
+const cacheLine = 64
 
 // Guards delimits read-side critical sections for deferred reclamation:
 // a reader brackets the window between resolving a handle and validating
-// the entry under its owner lock with Enter/Exit; a reclaimer uses
-// Quiescent (an instantaneous global check) or Advance (per-parity grace
-// periods) as proof that no reader holds a pointer obtained before the
-// resources in question were released.
+// the entry under its owner lock with Enter/Exit; a reclaimer takes a
+// Quiescent observation as proof that no reader holds a pointer obtained
+// before the resources in question were released.
 //
-// The core argument is the classic asymmetric-counter one (userspace
-// RCU): Enter bumps in, Exit bumps out, and a scan sums out counters
-// BEFORE in counters. With sequentially-consistent atomics, outSum ==
-// inSum can only be observed if every Enter that happened before the in
-// scan had its Exit happen before the out scan. Readers the scan missed
-// entered after it and cannot hold a previously-released pointer: the
-// release (generation bump) was published before the scan, so their later
-// Lookup misses.
+// The argument is the classic asymmetric-counter one (userspace RCU):
+// Enter bumps in, Exit bumps out, and Quiescent loads out BEFORE in. With
+// sequentially-consistent atomics, out == in can only be observed if every
+// Enter that happened before the in load had its Exit happen before the
+// out load. Readers the check missed entered after it and cannot hold a
+// previously-released pointer: the release (generation bump) was published
+// before the check, so their later Lookup misses.
 //
-// A single global scan can starve: under dense overlapping reader traffic
-// out == in may never be observed even though every individual window is
-// short. Guards therefore keeps TWO stripe sets (parities). Readers enter
-// the parity named by epoch; Advance scans only the retiring parity — the
-// one new readers no longer join — so its counters must balance once its
-// last reader exits, no matter how dense current traffic is. Each
-// successful scan increments the grace-period counter and flips epoch,
-// retiring the other parity in turn. That guarantees reclamation
-// progress; see arena.Arena for how the counter is consumed.
+// Every put's initiator path writes both counters, and delivery lanes read
+// State fields next to them on every message, so the pair sits on a cache
+// line of its own: the pads keep any neighbouring field off the lines in
+// and out touch, wherever the struct lands.
 type Guards struct {
-	// epoch selects the parity new readers enter; written only inside
-	// Advance's polling window.
-	epoch atomic.Uint64
-	// drains counts completed grace periods. Consecutive completions scan
-	// alternating parities (each one flips epoch).
-	drains atomic.Uint64
-	// polling is a try-lock (0/1) serializing Advance's scan-and-flip;
-	// contenders skip rather than wait, keeping Advance non-blocking.
-	polling atomic.Uint32
-
-	stripes [2][guardStripes]guardStripe
+	_   [cacheLine]byte
+	in  atomic.Int64
+	out atomic.Int64
+	_   [cacheLine]byte
 }
 
-// Enter opens a read-side window and returns a token to pass to Exit.
-// hint spreads unrelated readers across stripes (any cheap value — an
-// initiator NID, a lane index); correctness needs only Enter/Exit pairing.
-// Enter and Exit run per message on the delivery path. Core's tests check
-// the pairing: a State they tear down must be Quiescent.
-func (g *Guards) Enter(hint uint64) int {
-	e := int(g.epoch.Load() & 1)
-	s := int(hint) & (guardStripes - 1)
-	g.stripes[e][s].in.Add(1)
-	return e<<guardStripeBits | s
-}
+// Enter opens a read-side window. Enter and Exit run per message on the
+// delivery path. Core's tests check the pairing: a State they tear down
+// must be Quiescent.
+func (g *Guards) Enter() { g.in.Add(1) }
 
-// Exit closes a window opened by Enter. The token remembers the parity
-// the window was opened under, so an exit lands on the same counter pair
-// even if the epoch has flipped since.
-func (g *Guards) Exit(token int) {
-	g.stripes[token>>guardStripeBits][token&(guardStripes-1)].out.Add(1)
-}
+// Exit closes a window opened by Enter.
+func (g *Guards) Exit() { g.out.Add(1) }
 
-// Quiescent reports whether a reader-free moment was observed, across
-// both parities. False negatives are fine (the caller retries or falls
-// back to Advance); false positives cannot happen (see the type comment).
+// Quiescent reports whether a reader-free moment was observed. False
+// negatives are fine (the caller retries later); false positives cannot
+// happen (see the type comment).
 func (g *Guards) Quiescent() bool {
-	var out int64
-	for p := range g.stripes {
-		for i := range g.stripes[p] {
-			out += g.stripes[p][i].out.Load()
-		}
-	}
-	var in int64
-	for p := range g.stripes {
-		for i := range g.stripes[p] {
-			in += g.stripes[p][i].in.Load()
-		}
-	}
-	return out == in
-}
-
-// Advance attempts to complete the in-flight grace period — scan the
-// retiring parity, and if it has drained, bump the counter and flip the
-// epoch so the other parity starts retiring — and returns the number of
-// grace periods completed so far. It never blocks: concurrent callers
-// skip the scan and just read the counter.
-//
-// What the counter proves: a scan only covers releases published before
-// it began, and one scan only covers one parity. A reclaimer that read
-// the counter as s AFTER its releases may trust count s+2 and s+3 to
-// have scanned entirely after those releases (completion s+1's scan may
-// have begun earlier, but s+2's began after s+1's increment, which is
-// after the reclaimer's read) — and being consecutive they covered both
-// parities. Hence the rule: entries released before a read of s are
-// recyclable once the counter reaches s+3 (arena.graceLag).
-func (g *Guards) Advance() uint64 {
-	if g.polling.CompareAndSwap(0, 1) {
-		cur := g.epoch.Load()
-		old := (cur + 1) & 1 // the parity new readers no longer enter
-		var out int64
-		for i := range g.stripes[old] {
-			out += g.stripes[old][i].out.Load()
-		}
-		var in int64
-		for i := range g.stripes[old] {
-			in += g.stripes[old][i].in.Load()
-		}
-		if out == in {
-			g.drains.Add(1)
-			g.epoch.Store(cur + 1)
-		}
-		g.polling.Store(0)
-	}
-	return g.drains.Load()
+	out := g.out.Load() // before in: see the type comment
+	return out == g.in.Load()
 }

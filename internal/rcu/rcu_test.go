@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestChunkOfRoundTrip(t *testing.T) {
@@ -283,26 +284,47 @@ func TestGuardsQuiescence(t *testing.T) {
 	if !g.Quiescent() {
 		t.Fatal("fresh guards not quiescent")
 	}
-	s := g.Enter(7)
+	g.Enter()
 	if g.Quiescent() {
 		t.Fatal("quiescent while a reader is inside")
 	}
-	g.Exit(s)
+	g.Exit()
 	if !g.Quiescent() {
 		t.Fatal("not quiescent after exit")
 	}
-	// Stripes balance independently: pairing is what matters.
-	a, b := g.Enter(0), g.Enter(1)
+	// Overlapping windows: quiescent only once the last one closes.
+	g.Enter()
+	g.Enter()
 	if g.Quiescent() {
 		t.Fatal("quiescent with two readers inside")
 	}
-	g.Exit(b)
+	g.Exit()
 	if g.Quiescent() {
 		t.Fatal("quiescent with one reader inside")
 	}
-	g.Exit(a)
+	g.Exit()
 	if !g.Quiescent() {
 		t.Fatal("not quiescent after both exits")
+	}
+}
+
+// TestGuardsPadding: in and out share no 64-byte line with whatever field
+// sits next to a Guards, wherever the struct lands. A full line of pad
+// before in and after out guarantees that at any alignment. Every put
+// writes both counters while delivery lanes read the State fields around
+// them; without the pads, whether the two share a line depends on where
+// the fields before them happen to end.
+func TestGuardsPadding(t *testing.T) {
+	var g Guards
+	const line = 64
+	if unsafe.Offsetof(g.out) < unsafe.Offsetof(g.in) {
+		t.Fatal("out precedes in: the bounds below check the wrong ends")
+	}
+	if before := unsafe.Offsetof(g.in); before < line {
+		t.Errorf("%d bytes precede in: a field before a Guards can share its line", before)
+	}
+	if after := unsafe.Sizeof(g) - unsafe.Offsetof(g.out) - unsafe.Sizeof(g.out); after < line {
+		t.Errorf("%d bytes follow out: a field after a Guards can share its line", after)
 	}
 }
 
@@ -353,32 +375,5 @@ func TestTableIndexBounds(t *testing.T) {
 	// not a panic.
 	if _, ok := tab.Lookup(maxSlots-1, 0); ok {
 		t.Fatal("Lookup of a never-allocated high index hit")
-	}
-}
-
-// TestGuardsAdvance: grace periods must keep completing under
-// continuously overlapping readers — the load pattern where a global
-// reader-free instant (Quiescent) is never observable. Each Advance scans
-// only the retiring parity, which new readers no longer join, so the
-// counter keeps moving as long as individual windows close.
-func TestGuardsAdvance(t *testing.T) {
-	var g Guards
-	start := g.Advance() // empty parities drain trivially
-	cur := g.Enter(0)
-	for i := 0; i < 8; i++ {
-		nxt := g.Enter(uint64(i)) // overlap: enter the next window before leaving the current
-		g.Exit(cur)
-		cur = nxt
-		if g.Quiescent() {
-			t.Fatal("test invariant broken: globally quiescent mid-handoff")
-		}
-		g.Advance()
-	}
-	if d := g.Advance(); d < start+3 {
-		t.Fatalf("grace periods stalled under overlapping readers: %d after start %d", d, start)
-	}
-	g.Exit(cur)
-	if !g.Quiescent() {
-		t.Fatal("not quiescent after the last reader exited")
 	}
 }

@@ -22,7 +22,6 @@ func (c *Counters) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_recv_bytes_total", "payload bytes delivered into memory descriptors", ls, c.recvBytes.Load)
 	r.CounterFunc("portals_send_msgs_total", "requests initiated by this interface", ls, c.sendMsgs.Load)
 	r.CounterFunc("portals_send_bytes_total", "payload bytes sent by this interface", ls, c.sendBytes.Load)
-	r.CounterFunc("portals_copy_bytes_total", "bytes through intermediate protocol buffers (zero for Portals payload)", ls, c.copies.Load)
 	r.CounterFunc("portals_interrupts_total", "host interrupts taken on the receive path", ls, c.interrupt.Load)
 	r.CounterFunc("portals_acks_total", "acknowledgments generated", ls, c.acks.Load)
 	r.CounterFunc("portals_replies_total", "replies generated", ls, c.replies.Load)

@@ -1,7 +1,7 @@
 // Package stats provides the per-interface counters the paper requires
 // (§4.8's dropped-message count, split by reason) plus the accounting we
-// add to make architectural claims measurable: memory copies on each path,
-// host interrupts taken, and bytes moved.
+// add to make architectural claims measurable: host interrupts taken and
+// bytes moved.
 package stats
 
 import (
@@ -35,7 +35,6 @@ type Counters struct {
 	drops      [types.NumDropReasons]atomic.Int64
 	recvMsgs   atomic.Int64
 	recvBytes  atomic.Int64
-	copies     atomic.Int64 // protocol-level buffer copies (not the final user-buffer landing)
 	interrupt  atomic.Int64 // host interrupts taken on the receive path
 	acks       atomic.Int64
 	replies    atomic.Int64
@@ -101,12 +100,6 @@ func (c *Counters) Send(bytes int) {
 	c.sendBytes.Add(int64(bytes))
 }
 
-// Copy records n bytes passing through an intermediate protocol buffer.
-// The Portals path never calls this for payload data; the GM-style eager
-// path calls it once per bounce-buffered message. This is how we make the
-// zero-copy claim (§5.1) measurable.
-func (c *Counters) Copy(bytes int) { c.copies.Add(int64(bytes)) }
-
 // Interrupt records one host interrupt taken to process an incoming
 // message (the cost OS-bypass exists to avoid, §5.1).
 func (c *Counters) Interrupt() { c.interrupt.Add(1) }
@@ -159,7 +152,6 @@ type Snapshot struct {
 	RecvBytes  int64
 	SendMsgs   int64
 	SendBytes  int64
-	CopyBytes  int64
 	Interrupts int64
 	Acks       int64
 	Replies    int64
@@ -190,7 +182,6 @@ func (c *Counters) Snapshot() Snapshot {
 	s.RecvBytes = c.recvBytes.Load()
 	s.SendMsgs = c.sendMsgs.Load()
 	s.SendBytes = c.sendBytes.Load()
-	s.CopyBytes = c.copies.Load()
 	s.Interrupts = c.interrupt.Load()
 	s.Acks = c.acks.Load()
 	s.Replies = c.replies.Load()
@@ -210,8 +201,8 @@ func (c *Counters) Snapshot() Snapshot {
 // String renders the snapshot compactly for NIStatus-style debugging.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "recv=%d/%dB send=%d/%dB copies=%dB intr=%d acks=%d replies=%d dropped=%d",
-		s.RecvMsgs, s.RecvBytes, s.SendMsgs, s.SendBytes, s.CopyBytes, s.Interrupts, s.Acks, s.Replies, s.Dropped)
+	fmt.Fprintf(&b, "recv=%d/%dB send=%d/%dB intr=%d acks=%d replies=%d dropped=%d",
+		s.RecvMsgs, s.RecvBytes, s.SendMsgs, s.SendBytes, s.Interrupts, s.Acks, s.Replies, s.Dropped)
 	if s.MatchWalks > 0 {
 		fmt.Fprintf(&b, " walk=%d/%d idx=%d/%d", s.MatchSteps, s.MatchWalks, s.IndexHits, s.IndexMisses)
 	}

@@ -446,10 +446,6 @@ func TestStatusCounters(t *testing.T) {
 	if s := rx.Status(); s.RecvMsgs != 1 || s.RecvBytes != 7 {
 		t.Errorf("rx status: %+v", s)
 	}
-	// Zero copies on the Portals receive path — the zero-copy claim.
-	if s := rx.Status(); s.CopyBytes != 0 {
-		t.Errorf("protocol copies on Portals path: %d bytes", s.CopyBytes)
-	}
 }
 
 func TestLimitsGranted(t *testing.T) {

@@ -6,8 +6,9 @@
 # time, applies the mutant, runs the check command and restores the file.
 # The mutants come in families, each named by its id prefix:
 #   rel, pin, arena, use-, dbl-   the release sites (the ownership pass's
-#       trial): every `.Release()`, `pins.Exit` and arena `Put` outside
-#       tests, benchmark/ and internal/lint turned into a no-op (`_ = x`),
+#       trial): every `.Release()`, `pins.Exit()` and arena `Put` outside
+#       tests, benchmark/ and internal/lint turned into a no-op (`_ = x`;
+#       `_ = &s.pins` for a pin, which names nothing to release),
 #       as the three git grep commands below list them, and six written by
 #       hand, a use after release and a double release per family;
 #   byp   a blocking call in an on* delivery handler (bypassviolation);
@@ -97,7 +98,7 @@ while read -r fam loc; do
 	file=${loc%%:*} rest=${loc#*:} line=${rest%%:*}
 	case $fam in
 	rel) s="${line}s/^\([[:space:]]*\)\(defer \)\{0,1\}\(.*\)\.Release()\(.*\)\$/\1_ = \3\4/" ;;
-	pin) s="${line}s/^\([[:space:]]*\)s\.pins\.Exit(\([a-z]*\))\$/\1_ = \2/" ;;
+	pin) s="${line}s/^\([[:space:]]*\)s\.pins\.Exit()\$/\1_ = \&s.pins/" ;;
 	arena) s="${line}s/^\([[:space:]]*\)s\.[a-z]*Arena\.Put(\([a-z]*\))\$/\1_ = \2/" ;;
 	esac
 	run "$fam$n" "$file" "$line" "$s"
@@ -114,7 +115,7 @@ run use-arena internal/core/md.go unlinkMD '/^func (s \*State) unlinkMD/,/^}/{/^
 }'
 # Double release: Outbound.Recycle, startPut's pin, unlinkME's entry.
 run dbl-rel internal/core/translate.go Recycle 's/^\(\t\t\)o\.buf\.Release()$/&\n&/'
-run dbl-pin internal/core/initiate.go startPut '/^func (s \*State) startPut/,/^}/{s/^\ts\.pins\.Exit(pin)$/&\n&/;}'
+run dbl-pin internal/core/initiate.go startPut '/^func (s \*State) startPut/,/^}/{s/^\ts\.pins\.Exit()$/&\n&/;}'
 run dbl-arena internal/core/me.go unlinkME '/^func (s \*State) unlinkME/,/^}/{s/^\ts\.meArena\.Put(me)$/&\n&/;}'
 
 # The check families. A mutant is a defect of the kind its check exists to
