@@ -8,7 +8,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestReplyEQSpaceRace is the regression test for the HasSpace/Post TOCTOU
+// TestReplyEQSpaceRace is the regression test for a check-then-post TOCTOU
 // in the reply path. Two memory descriptors with *different* owner locks
 // (one free-floating under bindMu, one attached under its portal's mutex)
 // share a one-slot event queue, and two goroutines deliver a reply to each

@@ -54,6 +54,7 @@ import (
 //lint:lockrank memDesc.owner < State.resMu
 //lint:lockrank portal.mu < Queue.mu
 //lint:lockrank memDesc.owner < Queue.mu
+//lint:lockrank State.resMu < Queue.mu
 //lint:lockrank portal.mu < List.mu
 //lint:lockrank State.resMu < Table.wmu
 //lint:lockrank portal.mu < Table.wmu

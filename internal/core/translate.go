@@ -416,10 +416,9 @@ func (s *State) recvAck(h *wire.Header) {
 // event queue in the memory descriptor has no space and is not null. ...
 // Every memory descriptor accepts and truncates incoming reply messages."
 //
-// The space check and the event post are one atomic reservation
-// (eventq.ReserveIfSpace). A HasSpace-then-Post pair has a TOCTOU window:
-// two delivery lanes replying into the last event slot could both pass
-// HasSpace and then overwrite each other's event — the §4.8 rule says the
+// The space check and the event post are one call (eventq.PostIfSpace):
+// two delivery lanes replying into the last event slot must not both see
+// room and then overwrite each other's event — the §4.8 rule says the
 // *reply* is dropped when the queue is full, never an already-posted
 // event.
 //
@@ -469,17 +468,9 @@ func (s *State) commitReply(d *memDesc, h *wire.Header, mlength uint64) {
 	if d.pending > 0 {
 		d.pending--
 	}
-	var res eventq.Reservation
 	room := true
 	if q := s.eqRes(d.md.EQ); q != nil {
-		res, room = q.ReserveIfSpace()
-	}
-	if room {
-		// The reply closes the span opened at StartGet: key by (self, seq).
-		trace.Record(trace.StageAck,
-			uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), mlength)
-		s.counters.Recv(int(mlength))
-		res.Publish(eventq.Event{
+		room = q.PostIfSpace(eventq.Event{
 			Type:      types.EventReply,
 			Initiator: h.Initiator,
 			RLength:   h.RLength,
@@ -487,6 +478,12 @@ func (s *State) commitReply(d *memDesc, h *wire.Header, mlength uint64) {
 			MD:        d.handle,
 			UserPtr:   d.md.UserPtr,
 		})
+	}
+	if room {
+		// The reply closes the span opened at StartGet: key by (self, seq).
+		trace.Record(trace.StageAck,
+			uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), mlength)
+		s.counters.Recv(int(mlength))
 		// Reply data is in place: count the completion.
 		s.ctIncMD(d.md.CT, d.md.Options, types.MDCTReply, mlength)
 	} else {

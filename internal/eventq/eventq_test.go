@@ -67,24 +67,6 @@ func TestCircularOverrun(t *testing.T) {
 	}
 }
 
-func TestHasSpace(t *testing.T) {
-	q := New(2)
-	if !q.HasSpace() {
-		t.Error("new queue should have space")
-	}
-	q.Post(ev(0))
-	q.Post(ev(1))
-	if q.HasSpace() {
-		t.Error("full queue reports space")
-	}
-	if _, err := q.Get(); err != nil {
-		t.Fatal(err)
-	}
-	if !q.HasSpace() {
-		t.Error("queue with one free slot reports no space")
-	}
-}
-
 func TestPending(t *testing.T) {
 	q := New(4)
 	if q.Pending() != 0 {

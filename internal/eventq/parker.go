@@ -15,8 +15,6 @@ import (
 // A parked waiter sleeps on one channel receive: its timeout and Close reach
 // it as Wakes too, the timeout from the Parker's one timer, armed for the
 // earliest deadline of any waiter that parked since it last fired.
-//
-//lint:lockrank Queue.mu < Parker.mu
 type Parker struct {
 	gen     atomic.Int64           // bumped by every Wake
 	waiters atomic.Pointer[waiter] // parked, each woken once; stored under mu

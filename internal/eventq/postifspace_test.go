@@ -34,10 +34,10 @@ func TestPostIfSpace(t *testing.T) {
 }
 
 // TestPostIfSpaceLostSpaceInterleaving is the TOCTOU regression test: with
-// a HasSpace-then-Post pair, two producers racing for the queue's single
-// free slot can both pass the check, and the loser overwrites an
-// unconsumed event (the consumer sees ErrEQDropped). The atomic
-// reservation must admit exactly one and never overrun.
+// a space check apart from the post, two producers racing for the queue's
+// single free slot can both pass the check, and the loser overwrites an
+// unconsumed event (the consumer sees ErrEQDropped). PostIfSpace must admit
+// exactly one and never overrun.
 func TestPostIfSpaceLostSpaceInterleaving(t *testing.T) {
 	const rounds = 2000
 	for r := 0; r < rounds; r++ {
@@ -84,39 +84,8 @@ func TestPostIfSpaceClosed(t *testing.T) {
 	}
 }
 
-func TestReservePublish(t *testing.T) {
-	q := New(4)
-	r, ok := q.ReserveIfSpace()
-	if !ok {
-		t.Fatal("reserve refused on empty queue")
-	}
-	if q.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (reservation counts as produced)", q.Pending())
-	}
-	done := make(chan Event, 1)
-	go func() {
-		ev, err := q.Wait()
-		if err != nil {
-			t.Errorf("Wait: %v", err)
-		}
-		done <- ev
-	}()
-	r.Publish(Event{MLength: 9})
-	ev := <-done
-	if ev.MLength != 9 || ev.Sequence != 0 {
-		t.Fatalf("event = %+v", ev)
-	}
-	// The zero reservation is inert.
-	var zero Reservation
-	zero.Publish(Event{MLength: 1})
-	if q.Pending() != 0 {
-		t.Fatalf("inert Publish produced an event")
-	}
-}
-
-// TestConcurrentPostUniqueSequences drives the lock-free fast path from
-// many producers: every post must land in a distinct slot with a distinct
-// sequence number.
+// TestConcurrentPostUniqueSequences posts from many producers: every post
+// must land in a distinct slot with a distinct sequence number.
 func TestConcurrentPostUniqueSequences(t *testing.T) {
 	const producers = 8
 	const per = 500
@@ -148,8 +117,8 @@ func TestConcurrentPostUniqueSequences(t *testing.T) {
 	}
 }
 
-// TestConcurrentOverrun hammers a tiny queue through the overwrite slow
-// path with concurrent fast producers and checks the invariants: the
+// TestConcurrentOverrun hammers a tiny queue through the overwrite path
+// with concurrent producers and checks the invariants: the
 // consumer is told about the overrun exactly once, surviving events come
 // out in ascending sequence order, and exactly capacity events survive.
 func TestConcurrentOverrun(t *testing.T) {

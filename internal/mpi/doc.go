@@ -41,7 +41,10 @@
 // event ordered before any event of the new entry, so the drain sees it
 // first and, when it matches, atomically disarms the entry (unlink) and
 // takes the earlier message — restoring MPI's arrival-order matching
-// without a lock shared with the delivery engine.
+// without a lock shared with the delivery engine. A message that raced
+// into an entry the library was disarming is requeued when its event
+// drains, in its arrival place, and a receive being armed takes it the
+// same way.
 //
 // # Threading
 //

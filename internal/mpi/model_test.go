@@ -179,3 +179,30 @@ func testMatchingSeed(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 }
+
+// TestRequeuedLoserGoesToTheArmingReceive replays the interleaving behind
+// a TestRandomizedMatchingModel failure (seed 42: "receive 29 (tag 2): got
+// msg 1042, model says 1041"). Message B raced into an armed receive r1
+// that an older unexpected message then completed, so B is requeued when
+// its event drains. When that happens inside a later Irecv's arming drain,
+// the new receive r2 must take B, ahead of every message that arrived
+// after B. The drain is driven by hand: no fabric can hold B inside Irecv.
+func TestRequeuedLoserGoesToTheArmingReceive(t *testing.T) {
+	c := world(t, 1).Comm(0)
+	buf := make([]byte, 8)
+	r2, err := c.Irecv(buf, AnySource, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := &Request{c: c, done: true, fixup: true, fixupSave: []byte("message B")}
+	c.armingReq = r2
+	c.handle(portals.Event{Type: portals.EventPut, UserPtr: r1,
+		MatchBits: encBits(false, c.ctx, 0, 2), MLength: 8, RLength: 8})
+	c.armingReq = nil
+	if !r2.done || string(buf) != "message " {
+		t.Fatalf("arming receive: done=%v buf=%q; want B's bytes", r2.done, buf)
+	}
+	if len(c.unexpected) != 0 {
+		t.Fatalf("%d unexpected records left; B should have gone to the arming receive", len(c.unexpected))
+	}
+}

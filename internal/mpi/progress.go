@@ -60,7 +60,14 @@ func (c *Comm) handleOverflowPut(ob *overflowBuf, ev portals.Event) {
 		c.rotateOverflow(ob, ev.Offset+ev.MLength)
 	}
 
-	if r := c.armingReq; r != nil && !r.done && !r.getSeen && envelopeMatches(r.wantSrc, r.wantTag, src, tag) {
+	c.arrived(rec)
+}
+
+// arrived files an unexpected message in arrival order, unless the receive
+// Irecv is arming matches it: that receive was posted after the message
+// arrived, so it takes the message.
+func (c *Comm) arrived(rec *uexRec) {
+	if r := c.armingReq; r != nil && !r.done && !r.getSeen && envelopeMatches(r.wantSrc, r.wantTag, rec.src, rec.tag) {
 		c.consumeRec(r, rec)
 		return
 	}
@@ -139,7 +146,9 @@ func (c *Comm) handleRecvEvent(req *Request, ev portals.Event) {
 		}
 		if req.fixup {
 			// This is m2, the message that raced into buf and lost; it is
-			// requeued in its true arrival position (now). If it was a
+			// requeued in its true arrival position (now) — and so, like
+			// an overflow arrival, it goes to a receive being armed before
+			// any message that arrived after it. If it was a
 			// long message delivered only partially (buf too small), the
 			// snapshot is incomplete — but the sender saw a partial ack
 			// and still holds the data, so requeue it as a fetchable long
@@ -151,9 +160,9 @@ func (c *Comm) handleRecvEvent(req *Request, ev portals.Event) {
 				rec.data = req.fixupSave[:min(int(ev.MLength), len(req.fixupSave))]
 				rec.dataReady = true
 			}
-			c.unexpected = append(c.unexpected, rec)
 			req.fixup = false
 			req.fixupSave = nil
+			c.arrived(rec)
 			return
 		}
 		st := Status{Source: src, Tag: tag, Count: int(ev.MLength)}

@@ -3,9 +3,8 @@
 // match-start/match-done → deliver → event-post → ack.
 //
 // Records land in sharded power-of-two ring buffers written with a single
-// atomic reservation plus a per-slot seqlock stamp — the same design as the
-// PR-3 event ring (internal/eventq) — so Record on a delivery path is
-// lock-free and 0 allocs/op, and a disabled tracer costs one atomic load
+// atomic reservation plus a per-slot seqlock stamp, so Record on a delivery
+// path is lock-free and 0 allocs/op, and a disabled tracer costs one atomic load
 // and a predicted branch. Spans are keyed by (initiator NID/PID, seq):
 // message-level stages use the wire header's Seq assigned at StartPut /
 // StartGet, packet-level stages (wire-tx, loss, retransmit) use transport

@@ -76,7 +76,8 @@ func chunkStart(c int) uint32 { return minChunk * ((1 << uint(c)) - 1) }
 // Go atomics are sequentially consistent, so if the re-validation still
 // sees the wanted state, no release had been published when val was
 // loaded — the value belongs to the wanted generation. This is the same
-// stamp-check-read-recheck shape as the eventq/trace seqlocks.
+// stamp-check-read-recheck shape as the flight recorder's seqlock
+// (internal/obs/trace).
 type tslot[T any] struct {
 	state atomic.Uint64
 	val   atomic.Pointer[T]

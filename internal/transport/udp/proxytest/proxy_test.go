@@ -64,6 +64,13 @@ func send(t *testing.T, addr string, pkts int) {
 	}
 }
 
+// await polls until done reports true or d has passed.
+func await(done func() bool, d time.Duration) {
+	for deadline := time.Now().Add(d); !done() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitCount(t *testing.T, s *sink, atLeast int, d time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -102,9 +109,7 @@ func TestDropRateRoughlyHonored(t *testing.T) {
 	// 872 of 1000 at GOMAXPROCS=8 on two cores), and that loss is not the
 	// relay's.
 	processed := func() int64 { return r.Stats().Dropped.Load() + r.Stats().Forwarded.Load() }
-	for deadline := time.Now().Add(5 * time.Second); processed() < 1000 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
+	await(func() bool { return processed() >= 1000 }, 5*time.Second)
 	dropped := r.Stats().Dropped.Load()
 	n := dropped + r.Stats().Forwarded.Load()
 	if n < 500 {
@@ -123,9 +128,18 @@ func TestDuplicationDeliversExtras(t *testing.T) {
 	}
 	defer r.Close()
 	send(t, r.Addr(), 400)
-	waitCount(t, s, 500, 10*time.Second) // ~600 expected with dup 0.5
-	if r.Stats().Duplicated.Load() == 0 {
-		t.Fatal("no duplicates produced")
+	// Judged on the relay's counters, not on the sink: the kernel may shed
+	// loopback datagrams on either side of the relay. Each datagram that
+	// reached it is forwarded once, and once more when duplicated.
+	st := r.Stats()
+	received := func() int64 { return st.Forwarded.Load() - st.Duplicated.Load() }
+	await(func() bool { return received() >= 400 }, 5*time.Second)
+	n, dup := received(), st.Duplicated.Load()
+	if n < 200 {
+		t.Fatalf("relay received %d/400", n)
+	}
+	if dup < n*35/100 || dup > n*65/100 {
+		t.Fatalf("duplicated %d of %d at rate 0.5", dup, n)
 	}
 }
 
@@ -137,10 +151,18 @@ func TestReorderSwapsNeighbors(t *testing.T) {
 	}
 	defer r.Close()
 	send(t, r.Addr(), 300)
-	waitCount(t, s, 300, 10*time.Second)
-	if r.Stats().Reordered.Load() == 0 {
+	// The relay is judged on its counters and the swaps on what reached the
+	// sink, however many that was: the kernel may shed loopback datagrams
+	// on either side of the relay.
+	st := r.Stats()
+	await(func() bool { return st.Forwarded.Load() >= 300 }, 5*time.Second)
+	if n := st.Forwarded.Load(); n < 150 {
+		t.Fatalf("relay forwarded %d/300", n)
+	}
+	if st.Reordered.Load() == 0 {
 		t.Fatal("no reordering produced")
 	}
+	await(func() bool { return int64(s.count()) >= st.Forwarded.Load() }, time.Second)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	swaps := 0
@@ -150,7 +172,7 @@ func TestReorderSwapsNeighbors(t *testing.T) {
 		}
 	}
 	if swaps == 0 {
-		t.Fatal("packets arrived fully ordered despite reorder=0.4")
+		t.Fatalf("%d datagrams arrived fully ordered despite reorder=0.4", len(s.pkts))
 	}
 }
 
