@@ -16,8 +16,7 @@ build:
 # stale-suppression. (That every pooled buffer, RCU pin and arena entry
 # comes back, and that every goroutine a test starts has ended, is checked
 # by the tests: each test binary of a package that pools exits through
-# internal/bufpool/pooltest. The flight recorder's seqlock protocol is held
-# by its tests under -race.) Every finding fails the run; an intentional
+# internal/bufpool/pooltest.) Every finding fails the run; an intentional
 # exception carries `//lint:ignore <check> <reason>` at its site.
 lint:
 	$(GO) run ./cmd/portalsvet ./...
@@ -148,7 +147,7 @@ alloc-smoke:
 # when an earlier one failed, so one invocation gives the whole tally.
 # RUN=<regexp> repeats only the tests of FLAKEPKGS it matches, e.g.
 #   make flake RUN=TestTeardownRacesLandingFragments COUNT=600
-FLAKEPKGS ?= ./internal/eventq ./internal/core ./internal/nicsim ./internal/transport/... ./internal/rtscts ./internal/mpi ./portals
+FLAKEPKGS ?= ./internal/eventq ./internal/core ./internal/nicsim ./internal/transport/... ./internal/rtscts ./internal/mpi ./internal/obs/trace ./portals
 COUNT ?= 20
 flake:
 	@fail=0; for p in 1 2 8; do \

@@ -168,7 +168,7 @@ func fabricFlag(fs *flag.FlagSet, def string) *string {
 func (c *common) capture() (finish func(w io.Writer) error) {
 	var rec *trace.Recorder
 	if c.traceOut != "" {
-		rec = trace.Enable(trace.Config{})
+		rec = trace.Enable()
 	}
 	if c.metricsOut != "" {
 		c.reg = metrics.NewRegistry()

@@ -68,7 +68,6 @@ type Buf struct {
 	ret   func()       // lent memory: called by the last Release; nil for pooled memory
 	refs  atomic.Int32 // references not yet released; Get hands out the first
 	class int8         // size-class index; -1 marks an unpooled (oversized) buffer, -2 lent memory
-	fresh bool         // allocated by this Get rather than reused from the pool
 }
 
 // Bytes returns the buffer's contents: exactly the n bytes requested from
@@ -106,10 +105,6 @@ func (b *Buf) Window(off, max int) []byte {
 	}
 	return nil
 }
-
-// Reused reports whether this buffer came out of the pool rather than from
-// a fresh allocation — the per-interface pool-hit counters feed off it.
-func (b *Buf) Reused() bool { return !b.fresh }
 
 // Retain takes one more reference to the buffer and returns it: the memory
 // now outlives the caller's own Release, until the new reference is released
@@ -185,7 +180,7 @@ func Get(n int) *Buf {
 	if n > maxPooled {
 		// Jumbo buffers are deliberately unpooled; callers sized for the fast
 		// path never hit this.
-		b := &Buf{b: make([]byte, n), class: -1, fresh: true}
+		b := &Buf{b: make([]byte, n), class: -1}
 		b.refs.Store(1)
 		return b
 	}
@@ -194,13 +189,12 @@ func Get(n int) *Buf {
 	if v := classes[c].Get(); v != nil {
 		b := v.(*Buf)
 		b.b = b.b[:n]
-		b.fresh = false
 		b.refs.Store(1)
 		hits.Add(1)
 		return b
 	}
 	// A miss is the warm-up allocation the steady state amortizes away.
-	b := &Buf{b: make([]byte, n, 1<<(minClassBits+c)), class: int8(c), fresh: true}
+	b := &Buf{b: make([]byte, n, 1<<(minClassBits+c)), class: int8(c)}
 	b.refs.Store(1)
 	return b
 }

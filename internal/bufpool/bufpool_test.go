@@ -19,8 +19,10 @@ func TestGetSizesAndReuse(t *testing.T) {
 	for try := 0; try < 20 && !reused; try++ {
 		b := Get(512)
 		b.Release()
+		_, h0, _ := Usage()
 		b2 := Get(300) // same 512-byte class
-		reused = b2.Reused()
+		_, h1, _ := Usage()
+		reused = h1-h0 == 1
 		if len(b2.Bytes()) != 300 {
 			t.Errorf("buffer len = %d, want 300", len(b2.Bytes()))
 		}
@@ -32,11 +34,12 @@ func TestGetSizesAndReuse(t *testing.T) {
 }
 
 func TestOversizedUnpooled(t *testing.T) {
+	_, h0, _ := Usage()
 	b := Get(maxPooled + 1)
 	if len(b.Bytes()) != maxPooled+1 {
 		t.Fatalf("len = %d", len(b.Bytes()))
 	}
-	if b.Reused() {
+	if _, h1, _ := Usage(); h1 != h0 {
 		t.Error("oversized buffer cannot be a pool hit")
 	}
 	b.Release() // must be a safe no-op

@@ -92,7 +92,6 @@ func (s *State) startPut(md types.Handle, ack types.AckRequest, target types.Pro
 	trace.Record(trace.StageTxEnqueue,
 		uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), size)
 	b := bufpool.Get(wire.HeaderSize)
-	s.counters.Pool(b.Reused())
 	h.Encode(b.Bytes())
 	s.counters.Send(int(size))
 	d.consume()
@@ -231,7 +230,6 @@ func (s *State) startGet(md types.Handle, target types.ProcessID,
 	trace.Record(trace.StageTxEnqueue,
 		uint32(s.self.NID), uint32(s.self.PID), uint64(h.Seq), d.view.size())
 	b := bufpool.Get(wire.HeaderSize)
-	s.counters.Pool(b.Reused())
 	h.Encode(b.Bytes())
 	s.counters.Send(0)
 	d.consume()

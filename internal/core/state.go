@@ -48,6 +48,8 @@ import (
 // (Arena.mu) are leaves below everything: they serialize one slot or
 // free-list update and call nothing. So is a Parker's lock (Parker.mu):
 // event posts and counter increments wake waiters under delivery locks.
+// The flight recorder's lock (Recorder.mu) is the bottom of the hierarchy:
+// delivery paths record under their locks, and Record calls nothing.
 //
 //lint:lockrank portal.mu < State.resMu
 //lint:lockrank State.bindMu < State.resMu
@@ -66,6 +68,8 @@ import (
 //lint:lockrank State.resMu < Arena.mu
 //lint:lockrank portal.mu < Parker.mu
 //lint:lockrank memDesc.owner < Parker.mu
+//lint:lockrank portal.mu < Recorder.mu
+//lint:lockrank memDesc.owner < Recorder.mu
 
 // State holds everything Figure 3 depicts for one process: the portal
 // table, match entries, memory descriptors, event queues, and the ACL,

@@ -279,7 +279,6 @@ func (s *State) commitPut(d *memDesc, h *wire.Header, offset, mlength uint64) (a
 func (s *State) ackPut(h *wire.Header, mlength uint64, out []Outbound) []Outbound {
 	ack := wire.AckFor(h, mlength)
 	b := bufpool.Get(wire.HeaderSize)
-	s.counters.Pool(b.Reused())
 	wire.EncodeMessageInto(b.Bytes(), &ack, nil)
 	s.counters.Ack()
 	return append(out, Outbound{Dst: ack.Target, Msg: b.Bytes(), buf: b})
@@ -339,7 +338,6 @@ func (s *State) recvGet(h *wire.Header, out []Outbound) []Outbound {
 	// operation). The reply is gathered straight into a pooled buffer.
 	reply := wire.ReplyFor(h, mlength)
 	b := bufpool.Get(wire.HeaderSize + int(mlength))
-	s.counters.Pool(b.Reused())
 	n := reply.Encode(b.Bytes())
 	d.view.readInto(b.Bytes()[n:], offset)
 	trace.Record(trace.StageDeliver,

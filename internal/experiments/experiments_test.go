@@ -245,7 +245,7 @@ func TestOffloadHidesCollectiveLatency(t *testing.T) {
 	type side func(portals.Fabric, int, time.Duration, OffloadConfig) (map[string]time.Duration, error)
 	// firedInBurns runs one side under the flight recorder.
 	firedInBurns := func(run side) (times map[string]time.Duration, inside, burns int) {
-		rec := trace.Enable(trace.Config{})
+		rec := trace.Enable()
 		defer trace.Disable()
 		times, err := run(fab, procs, burn, cfg)
 		if err != nil {

@@ -175,7 +175,7 @@ func TestIdleLaneRunsInlineInOrder(t *testing.T) {
 			}
 			idle := func() bool { return n.lanes[laneA].pending.Load() == 0 }
 
-			rec := trace.Enable(trace.Config{})
+			rec := trace.Enable()
 			defer trace.Disable()
 			bursts0 := n.burstSizes.Count()
 

@@ -7,11 +7,11 @@ import "sync/atomic"
 // atomic pointer load and a predicted branch.
 var active atomic.Pointer[Recorder]
 
-// Enable installs a fresh recorder built from cfg and returns it. Any
-// previous recorder is detached (its records remain snapshot-able by
-// whoever holds the pointer).
-func Enable(cfg Config) *Recorder {
-	r := New(cfg)
+// Enable installs a fresh recorder and returns it. Any previous recorder
+// is detached (its records remain snapshot-able by whoever holds the
+// pointer).
+func Enable() *Recorder {
+	r := New()
 	active.Store(r)
 	return r
 }

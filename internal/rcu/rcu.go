@@ -75,9 +75,8 @@ func chunkStart(c int) uint32 { return minChunk * ((1 << uint(c)) - 1) }
 // A reader validates state == want, loads val, and re-validates state.
 // Go atomics are sequentially consistent, so if the re-validation still
 // sees the wanted state, no release had been published when val was
-// loaded — the value belongs to the wanted generation. This is the same
-// stamp-check-read-recheck shape as the flight recorder's seqlock
-// (internal/obs/trace).
+// loaded — the value belongs to the wanted generation: a seqlock's
+// stamp-check-read-recheck shape, with the generation as the stamp.
 type tslot[T any] struct {
 	state atomic.Uint64
 	val   atomic.Pointer[T]

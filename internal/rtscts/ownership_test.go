@@ -28,14 +28,9 @@ func waitBalanced(t *testing.T, held func() int64) {
 	}
 }
 
-// oversizedSent makes TestSendBufRefusalsRelease send its message longer than
-// MaxMessage once per test binary: the first 1 GiB allocation is fresh from
-// the system and never touched, but another one in the same process would
-// be zeroed first.
-var oversizedSent atomic.Bool
-
-// SendBuf takes the buffer on every path, its refusals included: a message
-// longer than MaxMessage, and one sent after Close.
+// SendBuf takes both buffers on every path, its refusals included: a
+// message longer than MaxMessage, and one sent after Close. Each body is
+// lent, so its return to the lender is what shows it was released.
 func TestSendBufRefusalsRelease(t *testing.T) {
 	held := pooltest.Baseline(t)
 	net := simnet.New(simnet.Instant())
@@ -44,14 +39,27 @@ func TestSendBufRefusalsRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oversizedSent.Swap(true) {
-		if err := c.SendBuf(2, bufpool.Get(MaxMessage+1), nil); err == nil {
-			t.Error("a message longer than MaxMessage was accepted")
-		}
+	// MaxMessage/1 MiB + 1 segments of one 1 MiB slice: a body longer than
+	// MaxMessage without a 1 GiB allocation.
+	mem := make([]byte, 1<<20)
+	segs := make([][]byte, MaxMessage/len(mem)+1)
+	for i := range segs {
+		segs[i] = mem
+	}
+	var loan bufpool.Buf
+	lent0, back0 := bufpool.Loans()
+	if err := c.SendBuf(2, bufpool.Get(64), loan.Lend(nil, segs, func() {})); err == nil {
+		t.Error("a message longer than MaxMessage was accepted")
+	}
+	if lent, back := bufpool.Loans(); lent-lent0 != 1 || back-back0 != 1 {
+		t.Errorf("over MaxMessage: loans lent/returned delta = %d/%d, want 1/1", lent-lent0, back-back0)
 	}
 	c.Close()
-	if err := c.SendBuf(2, bufpool.Get(64), nil); err == nil {
+	if err := c.SendBuf(2, bufpool.Get(64), loan.Lend(mem, nil, func() {})); err == nil {
 		t.Error("SendBuf after Close succeeded")
+	}
+	if lent, back := bufpool.Loans(); lent-lent0 != 2 || back-back0 != 2 {
+		t.Errorf("after Close: loans lent/returned delta = %d/%d, want 2/2", lent-lent0, back-back0)
 	}
 	if n := held(); n != 0 {
 		t.Errorf("%d pooled buffers outstanding after the refusals", n)

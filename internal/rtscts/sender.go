@@ -66,11 +66,12 @@ type peerSender struct {
 	// sequenced packets on the stream, which keeps the fragments of one
 	// message contiguous (the receiver reassembles one message at a time).
 	// SendPacket never blocks and never calls back, so the fabric's locks
-	// simply nest inside.
+	// simply nest inside, as does the flight recorder's.
 	//
 	//lint:lockrank peerSender.mu < Network.mu
 	//lint:lockrank peerSender.mu < link.mu
 	//lint:lockrank peerSender.mu < node.qmu
+	//lint:lockrank peerSender.mu < Recorder.mu
 	mu     sync.Mutex
 	closed bool //lint:guardedby mu
 

@@ -29,8 +29,6 @@ func (c *Counters) RegisterMetrics(r *metrics.Registry, ls metrics.Labels) {
 	r.CounterFunc("portals_match_steps_total", "match entries examined across all walks", ls, c.matchSteps.Load)
 	r.CounterFunc("portals_match_index_hits_total", "walks resolved from a hash bucket", ls, c.indexHits.Load)
 	r.CounterFunc("portals_match_index_misses_total", "walks resolved from the wildcard list or unmatched", ls, c.indexMisses.Load)
-	r.CounterFunc("portals_bufpool_hits_total", "pooled buffers reused", ls, c.poolHits.Load)
-	r.CounterFunc("portals_bufpool_misses_total", "pooled buffers freshly allocated", ls, c.poolMisses.Load)
 	r.CounterFunc("portals_ct_increments_total", "counting-event advances (core/ct.go)", ls, c.ctIncs.Load)
 	r.CounterFunc("portals_trig_armed_total", "triggered operations armed on counters", ls, c.trigArmed.Load)
 	r.CounterFunc("portals_trig_fired_total", "triggered operations fired on the delivery path", ls, c.trigFired.Load)

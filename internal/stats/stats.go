@@ -22,8 +22,8 @@ type pad [64]byte
 // methods are safe for concurrent use; reads are approximate snapshots.
 //
 // Layout: fields are grouped by which path bumps them — receive-side
-// (delivery lanes), send-side (application goroutines), and buffer pool —
-// with cache-line padding between groups. A delivery lane hammering Recv
+// (delivery lanes) and send-side (application goroutines) — with
+// cache-line padding between groups. A delivery lane hammering Recv
 // therefore never false-shares with an application goroutine in Send.
 // Groups are padded, not individual fields: `sweep swarm` instantiates one
 // Counters per endpoint (10⁵ of them), so per-field padding would cost
@@ -57,10 +57,6 @@ type Counters struct {
 	sendMsgs  atomic.Int64
 	sendBytes atomic.Int64
 	_         pad
-
-	// Buffer pool: bumped from both sides, but only on pool traffic.
-	poolHits   atomic.Int64 // pooled buffers reused on this interface's paths
-	poolMisses atomic.Int64 // pooled buffers freshly allocated
 }
 
 // Drop records a discarded incoming message (§4.8: "the incoming message is
@@ -134,16 +130,6 @@ func (c *Counters) TrigFired() { c.trigFired.Add(1) }
 
 func (c *Counters) TrigDropped() { c.trigDropped.Add(1) }
 
-// Pool records one buffer-pool request on this interface's paths: reused
-// says whether it was satisfied from the pool (hit) or freshly allocated.
-func (c *Counters) Pool(reused bool) {
-	if reused {
-		c.poolHits.Add(1)
-	} else {
-		c.poolMisses.Add(1)
-	}
-}
-
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
 	Drops      map[types.DropReason]int64
@@ -160,8 +146,6 @@ type Snapshot struct {
 	MatchSteps  int64
 	IndexHits   int64
 	IndexMisses int64
-	PoolHits    int64
-	PoolMisses  int64
 
 	CTIncs      int64
 	TrigArmed   int64
@@ -189,8 +173,6 @@ func (c *Counters) Snapshot() Snapshot {
 	s.MatchSteps = c.matchSteps.Load()
 	s.IndexHits = c.indexHits.Load()
 	s.IndexMisses = c.indexMisses.Load()
-	s.PoolHits = c.poolHits.Load()
-	s.PoolMisses = c.poolMisses.Load()
 	s.CTIncs = c.ctIncs.Load()
 	s.TrigArmed = c.trigArmed.Load()
 	s.TrigFired = c.trigFired.Load()
@@ -205,9 +187,6 @@ func (s Snapshot) String() string {
 		s.RecvMsgs, s.RecvBytes, s.SendMsgs, s.SendBytes, s.Interrupts, s.Acks, s.Replies, s.Dropped)
 	if s.MatchWalks > 0 {
 		fmt.Fprintf(&b, " walk=%d/%d idx=%d/%d", s.MatchSteps, s.MatchWalks, s.IndexHits, s.IndexMisses)
-	}
-	if s.PoolHits+s.PoolMisses > 0 {
-		fmt.Fprintf(&b, " pool=%d/%d", s.PoolHits, s.PoolHits+s.PoolMisses)
 	}
 	if s.CTIncs+s.TrigArmed > 0 {
 		fmt.Fprintf(&b, " ct=%d trig=%d/%d/%d", s.CTIncs, s.TrigArmed, s.TrigFired, s.TrigDropped)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/bufpool/pooltest"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -102,6 +103,36 @@ func TestHostileFraming(t *testing.T) {
 	}
 	if g, _, p := bufpool.Usage(); g-p != gets0-puts0 {
 		t.Errorf("pooled buffers outstanding: %d", (g-p)-(gets0-puts0))
+	}
+}
+
+// TestTruncatedFrameReleases cuts a frame off mid-body: the pooled buffer
+// the endpoint took for the frame comes back when its read fails, and
+// nothing is delivered.
+func TestTruncatedFrameReleases(t *testing.T) {
+	n := New()
+	defer n.Close()
+	var s sink
+	if _, err := n.Attach(2, s.handler); err != nil {
+		t.Fatal(err)
+	}
+	held := pooltest.Baseline(t)
+	gets, _, _ := bufpool.Usage()
+	c := dialRaw(t, n, 2)
+	if err := writeHello(c, 7); err != nil {
+		t.Fatal(err)
+	}
+	var frame [8]byte
+	binary.BigEndian.PutUint32(frame[0:], 64) // a 64-byte body, of which 4 come
+	copy(frame[4:], "part")
+	if _, err := c.Write(frame[:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { g, _, _ := bufpool.Usage(); return g == gets+1 })
+	c.Close()
+	waitFor(t, func() bool { return held() == 0 })
+	if got := s.count(); got != 0 {
+		t.Errorf("%d messages delivered from a truncated frame, want 0", got)
 	}
 }
 

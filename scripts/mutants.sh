@@ -16,8 +16,6 @@
 #         (lockdiscipline);
 #   lko   two acquisitions against their //lint:lockrank (lockorder);
 #   gby   a //lint:guardedby field touched outside its lock (guardedby);
-#   seq   a stamp-ring slot touched outside its stamp (seqlock, retired:
-#         the flight recorder's tests catch every one under -race);
 #   cke   an error of the portals API or of core dropped (checkederr);
 #   gor   a loop's shutdown arm removed (goroutinelifecycle, retired to
 #         the goroutine half of the tests' ledger).
@@ -150,19 +148,13 @@ run lko-tcp internal/transport/tcp/tcp.go Close '/^func (ep \*endpoint) Close() 
 
 # guardedby: one field each of rtscts (peerSender.owedCTS, counted before
 # the lock), core (memDesc.unlinked, read before the owner lock), nicsim
-# (Node.closed, a fast-fail read before the lock) and eventq (Queue.produced,
-# stepped after the unlock).
+# (Node.closed, a fast-fail read before the lock), eventq (Queue.produced,
+# stepped after the unlock) and the flight recorder (Recorder.pos, likewise).
 run gby-rtscts internal/rtscts/sender.go oweCTS '/^func (s \*peerSender) oweCTS() {$/,/^}/{/^\ts\.mu\.Lock()$/{N;s/^\ts\.mu\.Lock()\n\ts\.owedCTS++$/\ts.owedCTS++\n\ts.mu.Lock()/;};}'
 run gby-core internal/core/md.go MDStatus '/^func (s \*State) MDStatus(/,/^}/{/^\td\.owner\.Lock()$/{N;N;s/^\td\.owner\.Lock()\n\tdefer d\.owner\.Unlock()\n\tgone := d\.unlinked$/\tgone := d.unlinked\n\td.owner.Lock()\n\tdefer d.owner.Unlock()/;};}'
 run gby-nicsim internal/nicsim/nicsim.go AddProcess '/^func (n \*Node) AddProcess(/,/^}/{/^\tn\.mu\.Lock()$/{N;N;N;N;s/^\tn\.mu\.Lock()\n\tdefer n\.mu\.Unlock()\n\(\tif n\.closed {\n\t\treturn types\.ErrClosed\n\t}\)$/\1\n\tn.mu.Lock()\n\tdefer n.mu.Unlock()/;};}'
 run gby-eventq internal/eventq/eventq.go post '/^func (q \*Queue) post(/,/^}/{/^\tq\.ring\[q\.produced%n\] = ev$/{n;N;s/^\tq\.produced++\n\tq\.mu\.Unlock()$/\tq.mu.Unlock()\n\tq.produced++/;};}'
-
-# seqlock: the flight recorder stamps a record done before writing it, and
-# Snapshot copies one it has not locked.
-run seq-record internal/obs/trace/trace.go Record '/^\ts\.rec = Entry{/{N;s/^\(\ts\.rec = Entry{[^\n]*\)\n\(\ts\.stamp\.Store(doneStamp(p))\)$/\2\n\1/;}'
-run seq-snapshot internal/obs/trace/trace.go Snapshot '/^\t\t\trec := s\.rec$/d;s/^\t\t\tif !s\.stamp\.CompareAndSwap(st, st+1) {$/\t\t\trec := s.rec\n&/'
-# The fifth: the recorder's write stamp is even, so no window ever opens.
-run seq-parity internal/obs/trace/trace.go writeStamp 's/^func writeStamp(p uint64) uint64 { return 2\*p + 1 }$/func writeStamp(p uint64) uint64 { return 2*p + 2 }/'
+run gby-trace internal/obs/trace/trace.go Record '/^func (r \*Recorder) Record(/,/^}/{/^\tr\.pos++$/{N;s/^\tr\.pos++\n\tr\.mu\.Unlock()$/\tr.mu.Unlock()\n\tr.pos++/;};}'
 
 # checkederr: the portals MDUnlink wrapper drops core's error; mpi drops
 # the MEUnlink error that says a receive lost its race, and Win.Free the
