@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,8 +25,8 @@ var table = []experiment{
 		{"E3 (§3): ping-pong latency (paper: <20µs on Myrinet MCP)", nil},
 		{"E8 (§3): bandwidth vs message size over simulated Myrinet", []string{"-bw"}},
 	}},
-	{"memscale", "E5 (§4.1)", "unexpected-message memory vs peers; -gc: arena vs heap storage", memscale, []section{
-		{"E5 (§4.1): unexpected-message memory vs peers", nil},
+	{"memscale", "E5 (§4.1)", "unexpected-message memory vs peers, -fabric: and per fabric stream; -gc: arena vs heap storage", memscale, []section{
+		{"E5 (§4.1): unexpected-message memory vs peers, and what a simnet stream keeps", []string{"-fabric", "simnet"}},
 	}},
 	{"swarm", "PERF.md §7 (§4.1)", "closed-loop put cost vs endpoint count, uniform and hot-set", swarm, []section{
 		{"PERF.md §7 (§4.1): put cost vs endpoints (the section's table runs 1k-100k)", []string{"-endpoints", "1000,10000", "-trials", "1"}},
@@ -118,12 +119,24 @@ func pingpong(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	}
 }
 
+// streamNodes is the largest node count memscale's -fabric columns are
+// measured at: n nodes open n(n-1) streams, and 32 nodes' 992 streams show
+// the per-stream cost as well as 256 nodes' 65 280 would, which on simnet
+// would also park 65 280 link goroutines.
+const streamNodes = 32
+
 func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	credits := count(fs, "credits", 16, "pre-posted receive buffers per VIA connection")
 	bufSize := count(fs, "bufsize", 32*1024, "VIA eager buffer size in bytes")
 	maxPeers := count(fs, "maxpeers", quickOr(c, 256, 32), "largest peer count to measure")
 	gc := fs.Bool("gc", false, "measure GC cost of arena vs per-object match-entry storage instead")
 	entries := count(fs, "entries", quickOr(c, 1_000_000, 100_000), "live records for the -gc comparison")
+	fabric := checked(fs, "fabric", "none", "also measure the idle cost of a stream on a reliable fabric: none, simnet or udp", func(s string) (string, error) {
+		if s != "none" && s != "simnet" && s != "udp" {
+			return "", fmt.Errorf("unknown fabric (none, simnet, udp)")
+		}
+		return s, nil
+	})
 	return func(w io.Writer) error {
 		if *gc {
 			fmt.Fprintf(w, "# GC cost of %d live match-entry records, per storage layout (PR 7, docs/PERF.md §7)\n", *entries)
@@ -140,17 +153,35 @@ func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 		fmt.Fprintf(w, "# Unexpected-message memory vs peers (E5, §4.1)\n")
 		fmt.Fprintf(w, "# VIA model: %d credits × %d B per connection; Portals: application-sized pool\n",
 			*credits, *bufSize)
-		fmt.Fprintf(w, "%-8s %-16s %-16s\n", "peers", "portals(bytes)", "via(bytes)")
+		header := fmt.Sprintf("%-8s %-16s %-16s", "peers", "portals(bytes)", "via(bytes)")
+		if *fabric != "none" {
+			fmt.Fprintf(w, "# %s: heap and goroutines one idle stream keeps, after one message per ordered pair of peers+1 nodes (to %d nodes)\n",
+				*fabric, streamNodes)
+			header += fmt.Sprintf(" %-20s %s", *fabric+"(B/stream)", "goroutines/stream")
+		}
+		fmt.Fprintln(w, header)
 		for n := 2; n-1 <= *maxPeers; n *= 2 {
 			m := portals.NewMachine(portals.Loopback())
 			p, err := experiments.MemScale(m, n, mpi.Config{}, *credits, *bufSize)
-			if cerr := m.Close(); err == nil {
+			if cerr := m.CheckTeardown(); err == nil {
 				err = cerr
 			}
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-8d %-16d %-16d\n", p.Peers, p.PortalsBytes, p.VIABytes)
+			row := fmt.Sprintf("%-8d %-16d %-16d", p.Peers, p.PortalsBytes, p.VIABytes)
+			switch {
+			case *fabric == "none":
+			case n > streamNodes:
+				row += fmt.Sprintf(" %-20s %s", "-", "-")
+			default:
+				s, err := experiments.StreamCost(*fabric, n)
+				if err != nil {
+					return err
+				}
+				row += fmt.Sprintf(" %-20.0f %.2f", s.HeapPerStream, s.GoroutinesPerStream)
+			}
+			fmt.Fprintln(w, row)
 		}
 		return nil
 	}
@@ -294,13 +325,13 @@ func mpibench(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	})
 	iters := count(fs, "iters", quickOr(c, 200, 50), "iterations per size")
 	window := count(fs, "window", 32, "in-flight messages for bw/rate")
-	return func(w io.Writer) error {
+	return func(w io.Writer) (err error) {
 		fab, err := fabricByName(*fabric, 0)
 		if err != nil {
 			return err
 		}
 		m := portals.NewMachine(fab)
-		defer m.Close()
+		defer func() { err = errors.Join(err, m.CheckTeardown()) }()
 		world, err := mpi.NewWorld(m, 2, mpi.Config{})
 		if err != nil {
 			return err

@@ -44,11 +44,13 @@ func (q *Queue) Pop() (head, body *Buf) {
 	return m.head, m.body
 }
 
-// grow doubles the ring, unwrapping the queued buffers to its front.
+// grow doubles the ring, unwrapping the queued buffers to its front. It
+// starts at two messages: a queue is an rtscts stream's, and a stream that
+// sends one message at a time never outgrows them.
 func (q *Queue) grow() {
 	size := 2 * len(q.ring)
 	if size == 0 {
-		size = 8
+		size = 2
 	}
 	// The ring grows only when the backlog outgrows it; a steady queue
 	// reuses its slots.

@@ -190,9 +190,9 @@ func figure5[R any](c mpiStack[R], waitAll func(...R) error, cfg BypassConfig, w
 	return time.Since(tA), err
 }
 
-func figure5OnPortals(work time.Duration, cfg BypassConfig, iter int) (time.Duration, error) {
+func figure5OnPortals(work time.Duration, cfg BypassConfig, iter int) (_ time.Duration, err error) {
 	m := portals.NewMachine(portals.SimFabric(cfg.Net, cfg.Rel))
-	defer m.Close()
+	defer teardown(m, &err)
 	w, err := mpi.NewWorld(m, 2, mpi.Config{})
 	if err != nil {
 		return 0, err

@@ -143,14 +143,14 @@ func newGroup(maxVec int) func(*portals.NI, int, []portals.ProcessID) (*coll.Gro
 // timeOffloaded and timeHostDriven are the two arms of E15. Burn spans are
 // keyed (NID, PID, seq); the per-op seq offsets keep the barrier and
 // allreduce iterations of both arms on distinct trace spans.
-func timeOffloaded(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (map[string]time.Duration, error) {
+func timeOffloaded(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (_ map[string]time.Duration, err error) {
 	j, err := launch(fab, n, cfg.Metrics, func(ni *portals.NI, r int, ids []portals.ProcessID) (*coll.TGroup, error) {
 		return coll.NewTGroup(ni, r, ids, coll.Config{MaxVec: cfg.Vec})
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer j.close()
+	defer teardown(j.machine, &err)
 	return j.timeColl(cfg.Iters, cfg.Vec,
 		func(tg *coll.TGroup, r, i int) error {
 			if err := tg.BarrierStart(); err != nil {
@@ -168,12 +168,12 @@ func timeOffloaded(fab portals.Fabric, n int, burn time.Duration, cfg OffloadCon
 		})
 }
 
-func timeHostDriven(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (map[string]time.Duration, error) {
+func timeHostDriven(fab portals.Fabric, n int, burn time.Duration, cfg OffloadConfig) (_ map[string]time.Duration, err error) {
 	j, err := launch(fab, n, nil, newGroup(cfg.Vec))
 	if err != nil {
 		return nil, err
 	}
-	defer j.close()
+	defer teardown(j.machine, &err)
 	return j.timeColl(cfg.Iters, cfg.Vec,
 		func(g *coll.Group, r, i int) error {
 			burnSpan(j.ids[r], uint64(2_000_000+i), burn)
@@ -201,14 +201,14 @@ func OffloadSweep(fab portals.Fabric, procCounts []int, burns []time.Duration, c
 	return out, nil
 }
 
-func timeOverMPI(fab portals.Fabric, n, iters, vec int) (map[string]time.Duration, error) {
+func timeOverMPI(fab portals.Fabric, n, iters, vec int) (_ map[string]time.Duration, err error) {
 	j, err := launch(fab, n, nil, func(ni *portals.NI, r int, ids []portals.ProcessID) (*mpi.Comm, error) {
 		return mpi.New(ni, r, ids, 1, mpi.Config{})
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer j.close()
+	defer teardown(j.machine, &err)
 	return j.timeColl(iters, vec,
 		func(c *mpi.Comm, _, _ int) error { return c.Barrier() },
 		func(c *mpi.Comm, _, _ int, v []float64) error { return c.Allreduce(v, mpi.Sum) })

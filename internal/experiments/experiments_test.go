@@ -186,6 +186,38 @@ func TestMemScaleTrend(t *testing.T) {
 	}
 }
 
+// E5's fabric column: what one message per ordered pair leaves behind on a
+// reliable fabric, once every window has drained. A stream holds a window
+// ring sized to its own traffic, not to the window, so an idle stream keeps
+// ≈ 2.3 KiB (7.4 KiB while the ring was allocated whole); on simnet it
+// keeps its link's goroutine, on udp none.
+func TestStreamCostFollowsTraffic(t *testing.T) {
+	for _, c := range []struct {
+		fabric     string
+		goroutines float64
+	}{{"simnet", 1}, {"udp", 0}} {
+		p, err := StreamCost(c.fabric, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d streams, %.0f B and %.2f goroutines each", c.fabric, p.Streams, p.HeapPerStream, p.GoroutinesPerStream)
+		if p.Streams != 32*31 {
+			t.Errorf("%s: %d streams at 32 nodes, want %d", c.fabric, p.Streams, 32*31)
+		}
+		// Generous against the heap's noise, and still far below a stream
+		// that allocates its whole window ring.
+		if p.HeapPerStream > 4096 {
+			t.Errorf("%s: an idle stream keeps %.0f B of heap, want ≈ 2.3 KiB", c.fabric, p.HeapPerStream)
+		}
+		if d := p.GoroutinesPerStream - c.goroutines; d < -0.05 || d > 0.05 {
+			t.Errorf("%s: %.2f goroutines per stream, want %.0f", c.fabric, p.GoroutinesPerStream, c.goroutines)
+		}
+	}
+	if _, err := StreamCost("tcp", 2); err == nil {
+		t.Error("StreamCost accepted a fabric without rtscts")
+	}
+}
+
 func TestCollAblation(t *testing.T) {
 	points, err := CollAblation(portals.Loopback(), 4, 20, 8)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -34,14 +35,13 @@ type job[G any] struct {
 
 // launch brings up a fresh machine on fab, launches n processes and builds
 // each rank's member. reg, when non-nil, receives every layer's counters of
-// the machine. The caller closes the job.
+// the machine. The caller shuts the machine down (teardown).
 func launch[G any](fab portals.Fabric, n int, reg *metrics.Registry,
 	member func(ni *portals.NI, rank int, ids []portals.ProcessID) (G, error)) (*job[G], error) {
 	j := &job[G]{machine: portals.NewMachine(fab), ids: make([]portals.ProcessID, n), members: make([]G, n)}
 	var err error
 	if j.nis, err = j.machine.LaunchJob(n); err != nil {
-		j.close()
-		return nil, err
+		return nil, errors.Join(err, j.machine.CheckTeardown())
 	}
 	if reg != nil {
 		j.machine.RegisterMetrics(reg)
@@ -51,17 +51,18 @@ func launch[G any](fab portals.Fabric, n int, reg *metrics.Registry,
 	}
 	for r, ni := range j.nis {
 		if j.members[r], err = member(ni, r, j.ids); err != nil {
-			j.close()
-			return nil, err
+			return nil, errors.Join(err, j.machine.CheckTeardown())
 		}
 	}
 	return j, nil
 }
 
-// close shuts the machine down. Its error is dropped: the measurement is
-// over (or launch already has the error that matters), and no caller could
-// act on a failed teardown.
-func (j *job[G]) close() { _ = j.machine.Close() }
+// teardown shuts m down through its teardown check (Machine.CheckTeardown)
+// and joins what the check found — an RCU pin left open, a put body still
+// lent, an arena entry no table reaches — to *err: a measurement taken on a
+// machine that leaks is not reported as a clean one. Deferred by every
+// experiment that builds its own machine.
+func teardown(m *portals.Machine, err *error) { *err = errors.Join(*err, m.CheckTeardown()) }
 
 // run executes iters repetitions of step on every rank concurrently (one
 // goroutine per rank, the in-process analogue of one process per node) and

@@ -1,11 +1,19 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arena"
 	"repro/internal/mpi"
+	"repro/internal/rtscts"
+	"repro/internal/transport"
+	"repro/internal/transport/simnet"
+	"repro/internal/transport/udp"
+	"repro/internal/types"
 	"repro/portals"
 )
 
@@ -72,6 +80,111 @@ func MemScale(m *portals.Machine, n int, mpiCfg mpi.Config, credits, bufSize int
 		PortalsBytes: w.Comm(0).UnexpectedBytes(),
 		VIABytes:     viaConnectionTable(n-1, credits, bufSize),
 	}, nil
+}
+
+// The fabric's side of E5. Portals keeps no per-peer state of its own, but
+// a reliable fabric does: each ordered pair of nodes that has exchanged a
+// message holds a stream — the rtscts sender and receiver, and whatever the
+// packet fabric keeps per destination (on simnet, a link and its goroutine).
+// StreamCost counts what one message per pair leaves behind once every
+// window has drained: the per-connection cost the paper holds against VIA,
+// paid here for every peer ever contacted.
+
+// StreamPoint is the idle cost of one stream at a node count.
+type StreamPoint struct {
+	Nodes, Streams      int
+	HeapPerStream       float64 // bytes of live heap
+	GoroutinesPerStream float64
+}
+
+// StreamCost attaches n nodes to fabric — "simnet" (zero-wire simnet under
+// rtscts) or "udp" (kernel sockets under rtscts) — and has every node send
+// one 8-byte message to every other. Once all n(n-1) messages are delivered
+// and every window has drained, the heap (HeapAlloc after two collections)
+// and the goroutines added since the nodes were attached are divided by the
+// n(n-1) streams the traffic opened.
+func StreamCost(fabric string, n int) (p StreamPoint, err error) {
+	var net transport.Network
+	switch fabric {
+	case "simnet":
+		net = rtscts.NewNetwork(simnet.New(simnet.Instant()), rtscts.DefaultConfig())
+	case "udp":
+		net = udp.New()
+	default:
+		return p, fmt.Errorf("memscale: unknown fabric %q (simnet or udp)", fabric)
+	}
+	var delivered atomic.Int64
+	conns := make([]*rtscts.Conn, 0, n)
+	defer func() {
+		errs := []error{err}
+		for _, c := range conns {
+			errs = append(errs, c.Close())
+		}
+		err = errors.Join(append(errs, net.Close())...)
+	}()
+	for nid := 1; nid <= n; nid++ {
+		ep, err := net.AttachBatch(types.NID(nid), transport.Borrow(func(types.NID, []byte) { delivered.Add(1) }))
+		if err != nil {
+			return p, err
+		}
+		conns = append(conns, ep.(*rtscts.Conn))
+	}
+	heap, goroutines := idleFootprint()
+	msg := make([]byte, 8)
+	for i, c := range conns {
+		for j := range conns {
+			if i == j {
+				continue
+			}
+			if err := c.Send(types.NID(j+1), msg); err != nil {
+				return p, err
+			}
+		}
+	}
+	p = StreamPoint{Nodes: n, Streams: n * (n - 1)}
+	drained := func() bool {
+		if delivered.Load() != int64(p.Streams) {
+			return false
+		}
+		for i, c := range conns {
+			for j := range conns {
+				if st, _ := c.Peer(types.NID(j + 1)); i != j && st.InFlight != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !drained(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return p, fmt.Errorf("memscale: %d of %d messages delivered, windows not drained after 10s", delivered.Load(), p.Streams)
+		}
+	}
+	heapAfter, goroutinesAfter := idleFootprint()
+	p.HeapPerStream = float64(int64(heapAfter)-int64(heap)) / float64(p.Streams)
+	p.GoroutinesPerStream = float64(goroutinesAfter-goroutines) / float64(p.Streams)
+	return p, nil
+}
+
+// idleFootprint reads the live heap after two collections (the second
+// empties what sync.Pool's victim cache kept through the first) and the
+// goroutine count, once the count has held still for 10 ms (or after a
+// second): a fabric closed just before may still be winding its goroutines
+// down.
+func idleFootprint() (heap uint64, goroutines int) {
+	goroutines = runtime.NumGoroutine()
+	for settled, waited := 0, 0; settled < 10 && waited < 1000; waited++ {
+		time.Sleep(time.Millisecond)
+		settled++
+		if g := runtime.NumGoroutine(); g != goroutines {
+			goroutines, settled = g, 0
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, goroutines
 }
 
 // The storage comparison behind docs/PERF.md §7: populate N match-entry

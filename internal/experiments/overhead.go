@@ -79,14 +79,14 @@ func computeLoop(iters int) time.Duration {
 // ReceiveOverhead measures compute slowdown under incoming traffic for
 // one NIC model. It sets GOMAXPROCS to 1 while it runs (the single-CPU
 // host), so nothing else in the process should be timing itself meanwhile.
-func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg OverheadConfig) (OverheadResult, error) {
+func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg OverheadConfig) (_ OverheadResult, err error) {
 	if cfg.ComputeIters <= 0 {
 		cfg = DefaultOverheadConfig()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The standard Myrinet-class fabric under the given NIC processing model.
 	m := portals.NewMachine(portals.Myrinet().WithNIC(model, interruptCost))
-	defer m.Close()
+	defer teardown(m, &err)
 	rx, err := m.NIInit(1, 1, portals.Limits{})
 	if err != nil {
 		return OverheadResult{}, err

@@ -67,12 +67,12 @@ func awaitPut(ni *portals.NI, eq portals.Handle) error {
 
 // PingPong measures half-round-trip latency for Size-byte Portals puts
 // over the given fabric.
-func PingPong(fab portals.Fabric, cfg PingPongConfig) (time.Duration, error) {
+func PingPong(fab portals.Fabric, cfg PingPongConfig) (_ time.Duration, err error) {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 100
 	}
 	m := portals.NewMachine(fab)
-	defer m.Close()
+	defer teardown(m, &err)
 	a, err := m.NIInit(1, 1, portals.Limits{})
 	if err != nil {
 		return 0, err
@@ -147,12 +147,12 @@ type BandwidthPoint struct {
 // given size streamed over raw Portals puts (E8: §3's packet-pipelining
 // claim, and the transport's eager/rendezvous crossover). A non-positive
 // count selects 64.
-func Bandwidth(fab portals.Fabric, size, count int) (BandwidthPoint, error) {
+func Bandwidth(fab portals.Fabric, size, count int) (_ BandwidthPoint, err error) {
 	if count <= 0 {
 		count = 64
 	}
 	m := portals.NewMachine(fab)
-	defer m.Close()
+	defer teardown(m, &err)
 	tx, err := m.NIInit(1, 1, portals.Limits{})
 	if err != nil {
 		return BandwidthPoint{}, err

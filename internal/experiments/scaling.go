@@ -50,12 +50,12 @@ func BarrierScaling(fab portals.Fabric, sizes []int, iters int) ([]ScalePoint, e
 	return out, nil
 }
 
-func timeBarriers(fab portals.Fabric, n, iters int) (time.Duration, float64, error) {
+func timeBarriers(fab portals.Fabric, n, iters int) (_ time.Duration, _ float64, err error) {
 	j, err := launch(fab, n, nil, newGroup(0))
 	if err != nil {
 		return 0, 0, err
 	}
-	defer j.close()
+	defer teardown(j.machine, &err)
 	barrier := func(g *coll.Group, _, _ int) error { return g.Barrier() }
 	sends := func() (total int64) {
 		for _, ni := range j.nis {

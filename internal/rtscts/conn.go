@@ -195,7 +195,7 @@ func (c *Conn) flush() {
 	for i, r := range c.ackDue {
 		r.mu.Lock()
 		if r.ackDue {
-			r.sendAck(c)
+			r.sendAck(c, 0)
 		}
 		r.mu.Unlock()
 		c.ackDue[i] = nil
@@ -221,6 +221,7 @@ type PeerState struct {
 	RTO      time.Duration // current adaptive retransmission timeout
 	Window   int           // current tx window (packets)
 	InFlight int           // unacked packets outstanding
+	Ring     int           // descriptors the stream holds for them: grown on demand, never shrunk
 	Base     uint64        // lowest unacked sequence
 	NextSeq  uint64        // next sequence to assign
 }
@@ -239,6 +240,7 @@ func (c *Conn) Peer(dst types.NID) (st PeerState, ok bool) {
 		RTO:      s.rto,
 		Window:   s.wnd,
 		InFlight: int(s.nextSeq - s.base),
+		Ring:     len(s.inFlight),
 		Base:     s.base,
 		NextSeq:  s.nextSeq,
 	}
@@ -428,7 +430,7 @@ func (c *Conn) onPacket(src types.NID, hdr, payload []byte) {
 	switch kind {
 	case pktAck:
 		if s, ok := c.senders.Get(src); ok {
-			s.onAck(seq, flags&flagResent != 0)
+			s.onAck(seq, flags)
 		}
 	case pktData:
 		if r := c.receiver(src); r != nil {

@@ -45,17 +45,20 @@
 //     queue while the window is full or an earlier message holds the
 //     stream. The window holds descriptors — prebuilt header,
 //     payload window, and a reference (bufpool.Buf.Retain) to the buffer the
-//     window lies in — not packets. Every transmission, first or repeated,
-//     hands the fabric that window and that buffer with the window lock
-//     held, and a descriptor is retired — by the cumulative ack that covers
-//     it, or by shutdown — under the same lock, so the reference the fabric
-//     is shown is live for the length of the call, which is all SendPacket
-//     asks. The memory returns to the pool, or a lent body to its
-//     descriptor, with its last reference: the descriptors' or, when a
-//     packet is still queued, held for reordering or duplicated on a link
-//     after the ack that retired its message, the fabric's. The
-//     descriptors' references are dropped after the window lock, since a
-//     body's return completes its put and may send to this very peer.
+//     window lies in — not packets, in a ring that starts at two descriptors
+//     and doubles, up to the window, when a packet finds it full (grow), so
+//     a stream holds what its own traffic needed. Every transmission, first
+//     or repeated, hands the fabric that window and that buffer with the
+//     window lock held, and a descriptor is retired — by the cumulative ack
+//     that covers it, or by shutdown — under the same lock, so the
+//     reference the fabric is shown is live for the length of the call,
+//     which is all SendPacket asks. The memory returns to the pool, or a
+//     lent body to its descriptor, with its last reference: the
+//     descriptors' or, when a packet is still queued, held for reordering
+//     or duplicated on a link after the ack that retired its message, the
+//     fabric's. The descriptors' references are dropped after the window
+//     lock, since a body's return completes its put and may send to this
+//     very peer.
 //     Every failure path of SendBuf releases the buffers too.
 //   - Receive side. A message's first fragment obtains the pooled delivery
 //     buffer and each fragment is copied straight to its offset. On
@@ -84,6 +87,7 @@ const (
 const (
 	flagFirst  uint8 = 1 << 0 // first fragment: aux holds the message length
 	flagResent uint8 = 1 << 1 // a retransmission; on an ack: the first packet it acknowledges anew was one
+	flagDSACK  uint8 = 1 << 2 // on an ack: it answers a duplicate of a packet already accepted (RFC 2883); on data the bit is the message kind's
 )
 
 // Message kinds carried in the first fragment's flags (bits 2..3).

@@ -310,11 +310,13 @@ func (r *peerReceiver) shutdown() {
 // (Conn.flush). Only a stream that is mending a gap has its fragments
 // acked one by one, for a while (ackRunAfterGap). Duplicates and
 // out-of-order packets are answered at once, with a duplicate ack that
-// speeds sender recovery — three of them fire the peer's fast retransmit —
-// preceded by the ack the run before them is owed, so that it is the
-// duplicate that repeats. An in-sequence fragment with impossible framing
-// is consumed and counted, not refused: the stream moves on, and only the
-// peer's own message is lost.
+// speeds sender recovery — three of them past a hole fire the peer's fast
+// retransmit — preceded by the ack the run before them is owed, so that it
+// is the duplicate that repeats. The answer to a duplicate is marked
+// (flagDSACK): the packet was here already, which is no evidence of a hole,
+// and the peer must not count it toward a fast retransmit. An in-sequence
+// fragment with impossible framing is consumed and counted, not refused:
+// the stream moves on, and only the peer's own message is lost.
 func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []byte) {
 	r.mu.Lock()
 	if r.closed {
@@ -322,15 +324,17 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 		return
 	}
 	if seq != r.expected {
+		var dup uint8
 		if seq < r.expected {
 			c.stats.DupsDiscarded.Add(1)
+			dup = flagDSACK
 		} else {
 			c.stats.OutOfOrder.Add(1)
 		}
 		if r.ackDue {
-			r.sendAck(c)
+			r.sendAck(c, 0)
 		}
-		r.sendAck(c)
+		r.sendAck(c, dup)
 		r.mending = ackRunAfterGap
 		r.mu.Unlock()
 		return
@@ -366,7 +370,7 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 	listed := false
 	if r.mending > 0 {
 		r.mending--
-		r.sendAck(c)
+		r.sendAck(c, 0)
 	} else if !r.ackDue {
 		r.ackDue, listed = true, true
 	}
@@ -392,15 +396,15 @@ func (c *Conn) onData(r *peerReceiver, flags uint8, seq, aux uint64, payload []b
 }
 
 // sendAck transmits the stream's cumulative acknowledgment, which settles
-// whatever ack the receiver owed. Acks are unsequenced, unreliable and
-// header-only; a lost ack is repaired by the next one or by
-// retransmission. Called with mu held: the header is built in the
-// receiver's own scratch.
+// whatever ack the receiver owed; dup is flagDSACK when it answers a
+// duplicate, 0 otherwise. Acks are unsequenced, unreliable and header-only;
+// a lost ack is repaired by the next one or by retransmission. Called with
+// mu held: the header is built in the receiver's own scratch.
 //
 //lint:requires mu
-func (r *peerReceiver) sendAck(c *Conn) {
+func (r *peerReceiver) sendAck(c *Conn, dup uint8) {
 	r.ackDue = false
 	c.stats.AcksSent.Add(1)
-	putHeader(&r.ackHdr, pktAck, r.resent, r.expected, 0)
+	putHeader(&r.ackHdr, pktAck, r.resent|dup, r.expected, 0)
 	_ = c.ep.SendPacket(r.src, r.ackHdr[:], nil, nil)
 }

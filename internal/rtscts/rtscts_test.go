@@ -202,6 +202,61 @@ func TestMixedEagerAndRendezvousStayOrdered(t *testing.T) {
 	}
 }
 
+// The window ring grows while its packets are in flight and lost: every
+// descriptor moves to its new slot, so what a resend reads is the packet it
+// resends, and every message arrives intact, in order and exactly once, with
+// every buffer given back.
+func TestRingGrowsMidWindowUnderLoss(t *testing.T) {
+	held := pooltest.Baseline(t)
+	net := simnet.New(simnet.Config{MTU: 256, LossRate: 0.05, DupRate: 0.02, ReorderRate: 0.02, Seed: 17})
+	cfg := Config{Window: 64, RTO: 20 * time.Millisecond, EagerMax: 1024}
+	var sb msgSink
+	b, err := attachSim(net, 2, cfg, sb.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := attachSim(net, 1, cfg, func(types.NID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 30; i++ {
+		n := 100 // eager
+		if i%3 == 0 {
+			n = 8192 // rendezvous, 36 fragments
+		}
+		msg := pattern(n)
+		msg[0] = byte(i)
+		want = append(want, msg)
+		if err := a.Send(2, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 30*time.Second, func() bool {
+		st, _ := a.Peer(2)
+		return sb.count() >= len(want) && st.InFlight == 0
+	})
+	if sb.count() != len(want) {
+		t.Fatalf("%d messages delivered, want exactly %d", sb.count(), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(sb.get(i), want[i]) {
+			t.Fatalf("message %d reordered or corrupted (%d bytes, want %d)", i, len(sb.get(i)), len(want[i]))
+		}
+	}
+	st, _ := a.Peer(2)
+	if st.Ring <= 2 || st.Ring > cfg.Window {
+		t.Errorf("ring of %d descriptors, want grown past 2 and at most the window (%d)", st.Ring, cfg.Window)
+	}
+	if a.Stats().Retransmits.Load() == 0 {
+		t.Error("no retransmissions under 5% loss: the grown ring was never read by a resend")
+	}
+	a.Close()
+	b.Close()
+	net.Close()
+	waitBalanced(t, held)
+}
+
 func TestRecoveryFromLoss(t *testing.T) {
 	cfg := simnet.Config{MTU: 1024, LossRate: 0.15, Seed: 11}
 	a, _, _, sb, _ := pairOn(t, cfg, Config{RTO: 20 * time.Millisecond, EagerMax: 1 << 20})

@@ -97,7 +97,7 @@ type peerSender struct {
 	// Window state.
 	nextSeq  uint64    //lint:guardedby mu
 	base     uint64    //lint:guardedby mu  lowest unacked sequence
-	inFlight []txDesc  //lint:guardedby mu  ring of cfg.Window slots; packet seq lives at seq % len
+	inFlight []txDesc  //lint:guardedby mu  ring of unacked packets, seq at seq % len; grows to cfg.Window at most (grow)
 	lastSend time.Time //lint:guardedby mu  last transmission or ack progress: the window stalls from here
 
 	// Adaptive state.
@@ -123,7 +123,7 @@ type peerSender struct {
 }
 
 func newPeerSender(c *Conn, dst types.NID) *peerSender {
-	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, c.cfg.Window)}
+	s := &peerSender{c: c, dst: dst, inFlight: make([]txDesc, min(ringStart, c.cfg.Window))}
 	s.rto = c.cfg.RTO
 	s.wnd = c.cfg.Window
 	s.rtoNs.Store(int64(s.rto))
@@ -307,6 +307,27 @@ func (s *peerSender) oweCTS() {
 	s.mu.Unlock()
 }
 
+// ringStart is the window ring a stream starts with, in descriptors: enough
+// for a stream with one packet in flight at a time — a ping-pong, a one-off
+// message — and a grant sent beside it.
+const ringStart = 2
+
+// grow doubles the window ring, up to cfg.Window, for a packet that finds it
+// full, moving each in-flight descriptor from seq % old to seq % new. The
+// ring never shrinks: a stream holds the descriptors its own peak needed, so
+// an idle or lightly used stream holds a few, and a steady one allocates
+// nothing. pump sends only while fewer than wnd ≤ cfg.Window packets are in
+// flight, so a full ring is always short of cfg.Window. Called with mu held.
+//
+//lint:requires mu
+func (s *peerSender) grow() {
+	ring := make([]txDesc, min(2*len(s.inFlight), s.c.cfg.Window))
+	for seq := s.base; seq < s.nextSeq; seq++ {
+		ring[seq%uint64(len(ring))] = *s.desc(seq)
+	}
+	s.inFlight = ring
+}
+
 // desc is the window slot of packet seq. Called with mu held.
 //
 //lint:requires mu
@@ -332,6 +353,9 @@ func (s *peerSender) transmit(d *txDesc) {
 //lint:requires mu
 func (s *peerSender) sendPacket(now time.Time, flags uint8, aux uint64, payload []byte, owner *bufpool.Buf) {
 	seq := s.nextSeq
+	if seq-s.base == uint64(len(s.inFlight)) {
+		s.grow()
+	}
 	s.nextSeq++
 	d := s.desc(seq)
 	*d = txDesc{payload: payload, owner: owner, sent: now}
@@ -379,8 +403,9 @@ func (s *peerSender) observeRTT(sample time.Duration) {
 // configured Window below it is its own floor.
 const minWindow = 2
 
-// onAck processes a cumulative acknowledgment; resent says whether the first
-// packet it covers beyond the previous ack was a retransmission. Progress
+// onAck processes a cumulative acknowledgment; flags are its header's:
+// flagResent says whether the first packet it covers beyond the previous ack
+// was a retransmission, flagDSACK that it answers a duplicate. Progress
 // (cumAck > base) releases window space, samples the RTT from the newest
 // acked never-retransmitted packet (Karn's rule), and grows the window
 // additively after a full window of clean acks; what waited for the window
@@ -388,7 +413,11 @@ const minWindow = 2
 // judges it. A duplicate cumAck at base signals the receiver is discarding
 // out-of-order packets past a hole; the third such dup-ack fires an
 // immediate Go-Back-N resend (fast retransmit), once per outstanding window.
-func (s *peerSender) onAck(cumAck uint64, resent bool) {
+// An ack that answers a duplicate is no such evidence — the receiver already
+// had the packet, typically from a resend of a window it partly had — so it
+// never counts toward the three, or one needless resend would set off the
+// next (RFC 2883).
+func (s *peerSender) onAck(cumAck uint64, flags uint8) {
 	s.mu.Lock()
 	if cumAck > s.base {
 		n := min(cumAck, s.nextSeq) - s.base
@@ -404,7 +433,7 @@ func (s *peerSender) onAck(cumAck uint64, resent bool) {
 		s.lastSend = now
 		s.dupAcks = 0
 		s.backoff = 0 // the path is alive: the schedule collapses to one RTO
-		if s.undoWnd > 0 && !resent {
+		if s.undoWnd > 0 && flags&flagResent == 0 {
 			// An original transmission moved the ack on: it was on its way
 			// before the resend, so the timeout was spurious, a stall and
 			// not a loss (Eifel, RFC 3522). The window comes back, and no
@@ -440,7 +469,7 @@ func (s *peerSender) onAck(cumAck uint64, resent bool) {
 	// the receiver saw something past a hole. Count toward fast
 	// retransmit, but only once per window (NewReno-style recover guard —
 	// dup-acks generated by our own resend burst must not re-fire it).
-	if cumAck == s.base && s.nextSeq > s.base && s.base >= s.recover {
+	if cumAck == s.base && s.nextSeq > s.base && s.base >= s.recover && flags&flagDSACK == 0 {
 		s.dupAcks++
 		if s.dupAcks >= dupAckThreshold {
 			s.recover = s.nextSeq

@@ -286,7 +286,8 @@ func TestGrantedBodyYieldsOutsideTheLock(t *testing.T) {
 }
 
 // The stream toward a peer costs no goroutine: a packet leaves from a call,
-// and a resend from the retransmission timer's callback.
+// and a resend from the retransmission timer's callback. Nor does it cost a
+// whole window of descriptors: one message in flight holds a ring of two.
 func TestNoGoroutinePerPeer(t *testing.T) {
 	net := newFakeBurstNet()
 	const peers = 32
@@ -308,6 +309,11 @@ func TestNoGoroutinePerPeer(t *testing.T) {
 	// is far outside it.
 	if grew := runtime.NumGoroutine() - before; grew > peers/4 {
 		t.Fatalf("first contact with %d peers started %d goroutines, want none", peers, grew)
+	}
+	for p := 0; p < peers; p++ {
+		if st, _ := c.Peer(types.NID(100 + p)); st.InFlight != 1 || st.Ring > 2 {
+			t.Fatalf("peer %d: %d packets in flight in a ring of %d; want 1 in at most 2", p, st.InFlight, st.Ring)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ func TestDeadlineFollowsFallingRTO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.onAck(1, false) // a sample of microseconds
+	s.onAck(1, 0) // a sample of microseconds
 	s.mu.Lock()
 	rto, lastSend, armed := s.rto, s.lastSend, s.armed
 	s.mu.Unlock()
@@ -77,7 +77,7 @@ func TestDeadlineFollowsFallingRTO(t *testing.T) {
 // timeout costs one window of resends. When the resend itself moves the ack
 // on, the timeout was a loss, and the window stays halved.
 func TestSpuriousTimeoutIsUndone(t *testing.T) {
-	for _, resent := range []bool{false, true} {
+	for _, resent := range []uint8{0, flagResent} {
 		c, s := blackholeConn(t, quietCfg(8))
 		send := func() {
 			for i := 0; i < 8; i++ {
@@ -95,16 +95,16 @@ func TestSpuriousTimeoutIsUndone(t *testing.T) {
 			t.Fatalf("timeout: window %d, %d resent; want 4 and the whole window (8)", st.Window, c.Stats().Retransmits.Load())
 		}
 		s.onAck(2, resent)
-		want := map[bool]int{false: 8, true: 4}[resent]
+		want := map[uint8]int{0: 8, flagResent: 4}[resent]
 		if st, _ := c.Peer(99); st.Window != want {
-			t.Fatalf("resent=%v: window %d after the first ack, want %d", resent, st.Window, want)
+			t.Fatalf("resent=%#x: window %d after the first ack, want %d", resent, st.Window, want)
 		}
-		if resent {
+		if resent != 0 {
 			continue
 		}
 		send()
 		for i := 0; i < 3; i++ {
-			s.onAck(2, false) // the resend's duplicates, answered
+			s.onAck(2, 0) // the resend's duplicates, answered
 		}
 		if n, f := c.Stats().Retransmits.Load(), c.Stats().FastRetransmits.Load(); n != 8 || f != 0 {
 			t.Fatalf("after a spurious timeout: %d resent, %d fast retransmits; want one window (8) and none", n, f)
@@ -116,7 +116,7 @@ func TestSpuriousTimeoutIsUndone(t *testing.T) {
 // retransmission, which is how a sender tells a spurious timeout. It is the
 // first, not the last: a resend followed in the same burst by packets sent
 // after it answers for the resend. A duplicate's answer repeats the echo of
-// the ack it repeats.
+// the ack it repeats, and is marked as a duplicate's.
 func TestAckEchoesTheResendFlag(t *testing.T) {
 	net := newFakeBurstNet()
 	acks := net.tap(1)
@@ -137,7 +137,7 @@ func TestAckEchoesTheResendFlag(t *testing.T) {
 		{[]pkt{{0, 0}}, 0},
 		{[]pkt{{1, flagResent}, {2, 0}}, flagResent},
 		{[]pkt{{3, 0}, {4, flagResent}}, 0},
-		{[]pkt{{1, flagResent}}, 0}, // a duplicate
+		{[]pkt{{1, flagResent}}, flagDSACK}, // a duplicate
 	} {
 		for _, p := range step.burst {
 			data := dataPkt(p.seq, 1, []byte{0})

@@ -67,12 +67,12 @@ func TestFastRetransmitFiresOnThirdDupAck(t *testing.T) {
 	}
 	waitInFlight(t, c, 99, 4)
 
-	s.onAck(0, false)
-	s.onAck(0, false)
+	s.onAck(0, 0)
+	s.onAck(0, 0)
 	if got := c.stats.FastRetransmits.Load(); got != 0 {
 		t.Fatalf("fast retransmit fired after 2 dup acks (count %d)", got)
 	}
-	s.onAck(0, false)
+	s.onAck(0, 0)
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmits after 3rd dup ack = %d, want 1", got)
 	}
@@ -87,32 +87,32 @@ func TestFastRetransmitFiresOnThirdDupAck(t *testing.T) {
 	// The recover guard: dup acks from our own resend burst must not
 	// re-fire until the whole outstanding window is acked.
 	for i := 0; i < 5; i++ {
-		s.onAck(0, false)
+		s.onAck(0, 0)
 	}
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmit re-fired inside recovery (count %d)", got)
 	}
 
 	// Partial progress keeps the guard: base 2 < recover 4.
-	s.onAck(2, false)
+	s.onAck(2, 0)
 	for i := 0; i < 4; i++ {
-		s.onAck(2, false)
+		s.onAck(2, 0)
 	}
 	if got := c.stats.FastRetransmits.Load(); got != 1 {
 		t.Fatalf("fast retransmit re-fired below recover point (count %d)", got)
 	}
 
 	// Full recovery re-arms it.
-	s.onAck(4, false)
+	s.onAck(4, 0)
 	for i := 0; i < 3; i++ {
 		if err := c.Send(99, []byte{0xAA}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitInFlight(t, c, 99, 3)
-	s.onAck(4, false)
-	s.onAck(4, false)
-	s.onAck(4, false)
+	s.onAck(4, 0)
+	s.onAck(4, 0)
+	s.onAck(4, 0)
 	if got := c.stats.FastRetransmits.Load(); got != 2 {
 		t.Fatalf("fast retransmit did not re-arm after recovery (count %d)", got)
 	}
@@ -126,13 +126,13 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 		}
 	}
 	waitInFlight(t, c, 99, 4)
-	s.onAck(0, false)
-	s.onAck(0, false)
-	s.onAck(0, false) // fast retransmit: window 8 -> 6
+	s.onAck(0, 0)
+	s.onAck(0, 0)
+	s.onAck(0, 0) // fast retransmit: window 8 -> 6
 	if st, _ := c.Peer(99); st.Window != 6 {
 		t.Fatalf("window = %d, want 6", st.Window)
 	}
-	s.onAck(4, false) // recovery complete
+	s.onAck(4, 0) // recovery complete
 
 	// Each full window of clean acks grows the window by one.
 	base := uint64(4)
@@ -146,7 +146,7 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 			}
 			waitInFlight(t, c, 99, n)
 			base += uint64(n)
-			s.onAck(base, false)
+			s.onAck(base, 0)
 			fed += n
 		}
 	}
@@ -162,7 +162,7 @@ func TestWindowRegrowsOnCleanAckRuns(t *testing.T) {
 	}
 	waitInFlight(t, c, 99, 4)
 	base += 4
-	s.onAck(base, false)
+	s.onAck(base, 0)
 	if st, _ := c.Peer(99); st.Window != 8 {
 		t.Fatalf("window exceeded ceiling: %d", st.Window)
 	}
@@ -181,7 +181,7 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 		s.inFlight[i].hdr[1] |= flagResent
 	}
 	s.mu.Unlock()
-	s.onAck(2, false)
+	s.onAck(2, 0)
 	if got := c.stats.RTTSamples.Load(); got != 0 {
 		t.Fatalf("RTT sampled from retransmitted packets (%d samples)", got)
 	}
@@ -194,7 +194,7 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitInFlight(t, c, 99, 1)
-	s.onAck(3, false)
+	s.onAck(3, 0)
 	if got := c.stats.RTTSamples.Load(); got != 1 {
 		t.Fatalf("RTT samples = %d, want 1", got)
 	}
@@ -604,6 +604,118 @@ func TestOutOfOrderInsideBurstAcksImmediately(t *testing.T) {
 	}
 	if n := sc.Stats().Retransmits.Load(); n != 4 {
 		t.Fatalf("go-back-n resent %d packets, want the outstanding 4", n)
+	}
+}
+
+// A fast retransmit of a window the receiver partly had draws duplicates,
+// and their answers must not fire the next one: once the ack of what the
+// receiver had moves the window base to the recover point, three answers at
+// the new base would otherwise read as three duplicate acks past a hole and
+// resend the next window, whose answers would resend the one after. The
+// answers are marked (flagDSACK); the sender takes their cumulative
+// progress and counts none of them.
+func TestNeedlessFastRetransmitSetsOffNoOther(t *testing.T) {
+	netA, netB := newFakeBurstNet(), newFakeBurstNet()
+	data, acks := netA.tap(2), netB.tap(1)
+	sc, err := Attach(netA, 1, quietCfg(8), transport.Borrow(func(types.NID, []byte) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var got msgSink
+	rc, err := Attach(netB, 2, quietCfg(8), transport.Borrow(got.handler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	send := func(from, n int) [][]byte {
+		for i := from; i < from+n; i++ {
+			if err := sc.Send(2, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var pkts [][]byte
+		for len(pkts) < n {
+			pkts = append(pkts, (<-data).data)
+		}
+		return pkts
+	}
+	feed, toSender := netB.node(2), func(ack []byte) { netA.node(1).h(2, ack, nil) }
+	takeAcks := func() (out [][]byte) {
+		for len(acks) > 0 {
+			out = append(out, (<-acks).data)
+		}
+		return out
+	}
+
+	orig := send(0, 4)
+	for _, p := range orig[:3] {
+		feed.h(1, p, nil)
+	}
+	feed.flush()
+	held := takeAcks() // [3], still on its way when the duplicates below arrive
+	// Three duplicates at 0, as a reordered burst draws them: the sender
+	// resends the whole window, of which the receiver has all but packet 3.
+	var dup [pktHeaderSize]byte
+	putHeader(&dup, pktAck, 0, 0, 0)
+	for i := 0; i < 3; i++ {
+		toSender(dup[:])
+	}
+	if n, f := sc.Stats().Retransmits.Load(), sc.Stats().FastRetransmits.Load(); n != 4 || f != 1 {
+		t.Fatalf("forced fast retransmit: %d resent, %d fired; want 4 and 1", n, f)
+	}
+	var resent [][]byte
+	for len(resent) < 4 {
+		resent = append(resent, (<-data).data)
+	}
+	for _, a := range held {
+		toSender(a)
+	}
+	next := send(4, 4) // the window reopened: 3..7 in flight
+
+	feed.h(1, orig[3], nil)
+	feed.flush()
+	takeAcks() // [4], lost
+	for _, p := range resent {
+		feed.h(1, p, nil)
+	}
+	answers := takeAcks()
+	if len(answers) != 4 {
+		t.Fatalf("four duplicates drew %d answers, want 4", len(answers))
+	}
+	for i, a := range answers {
+		if _, flags, seq, _, _, err := decodePacket(a, nil); err != nil || seq != 4 || flags&flagDSACK == 0 {
+			t.Fatalf("answer %d to a duplicate: ack %d, flags %#x (err %v); want 4 with flagDSACK", i, seq, flags, err)
+		}
+		toSender(a)
+	}
+	if st, _ := sc.Peer(2); st.Base != 4 || st.NextSeq != 8 {
+		t.Fatalf("after the answers: base %d, next %d; want their progress taken (4, 8)", st.Base, st.NextSeq)
+	}
+	if n, f := sc.Stats().Retransmits.Load(), sc.Stats().FastRetransmits.Load(); n != 4 || f != 1 {
+		t.Fatalf("the answers to duplicates resent %d more packets in %d more fast retransmits; want one window (4) in all", n-4, f-1)
+	}
+
+	for _, p := range next {
+		feed.h(1, p, nil)
+	}
+	feed.flush()
+	for _, a := range takeAcks() {
+		toSender(a)
+	}
+	if st, _ := sc.Peer(2); st.InFlight != 0 {
+		t.Fatalf("%d packets still in flight after the last ack", st.InFlight)
+	}
+	if got.count() != 8 {
+		t.Fatalf("%d messages delivered, want 8", got.count())
+	}
+	for i := 0; i < 8; i++ {
+		if m := got.get(i); len(m) != 1 || m[0] != byte(i) {
+			t.Fatalf("message %d = %v, want [%d]", i, m, i)
+		}
+	}
+	if n := rc.Stats().DupsDiscarded.Load(); n != 4 {
+		t.Fatalf("DupsDiscarded = %d, want 4", n)
 	}
 }
 

@@ -14,11 +14,18 @@ import (
 // The binary fails at exit if a pooled buffer taken by a test is still out.
 func TestMain(m *testing.M) { pooltest.Main(m) }
 
-// job launches n PEs with a region exposed per the setup func.
+// job launches n PEs with a region exposed per the setup func, on a machine
+// whose teardown is checked when the test ends (portals.Machine.CheckTeardown):
+// no RCU pin open, no put body still lent, no arena entry the tables no
+// longer reach.
 func job(t *testing.T, n int) []*PE {
 	t.Helper()
 	m := portals.NewMachine(portals.Loopback())
-	t.Cleanup(func() { m.Close() })
+	t.Cleanup(func() {
+		if err := m.CheckTeardown(); err != nil {
+			t.Error(err)
+		}
+	})
 	nis, err := m.LaunchJob(n)
 	if err != nil {
 		t.Fatal(err)

@@ -275,6 +275,11 @@ func TestWriterCoalescesBursts(t *testing.T) {
 		}
 	}
 	rx.waitFor(t, count, 30*time.Second)
+	// The writer counts a burst once its syscall has returned, which can be
+	// after the peer has delivered it: wait for the count to catch up.
+	for deadline := time.Now().Add(5 * time.Second); n.Stats().Sent.Load() < count && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	sent, bursts := n.Stats().Sent.Load(), n.Stats().SendBursts.Load()
 	if sent < count {
 		t.Fatalf("sent %d datagrams for %d messages", sent, count)

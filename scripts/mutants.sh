@@ -18,7 +18,9 @@
 #   gby   a //lint:guardedby field touched outside its lock (guardedby);
 #   cke   an error of the portals API or of core dropped (checkederr);
 #   gor   a loop's shutdown arm removed (goroutinelifecycle, retired to
-#         the goroutine half of the tests' ledger).
+#         the goroutine half of the tests' ledger);
+#   ring  the rtscts window ring's growth broken (no check; tier-1 or
+#         make alloc-smoke must catch each).
 # The check defaults to tier-1 (go build ./... && go test ./...) with a
 # timeout, so a mutant that hangs a test fails it, and -failfast, so the
 # run stops at its first failing test (the verdict is the same, and far
@@ -171,3 +173,11 @@ run gor-simnet internal/transport/simnet/link.go run '/^func (l \*link) run() {$
 run gor-udp internal/transport/udp/udp.go writeLoop 's/^\t\tfor len(nd\.sendQ) == 0 \&\& !nd\.closed {$/\t\tfor len(nd.sendQ) == 0 {/'
 run gor-nicsim internal/nicsim/nicsim.go Close '/^func (n \*Node) Close() error {$/,/^}/{/^\tfor _, ln := range n\.lanes {$/{N;N;d;};}'
 run gor-handoff internal/transport/transport.go deliver '/^func (q \*Handoff) deliver(/,/^}/{s/^\tfor !q\.closed {$/\tfor {/;}'
+
+# The window ring (rtscts peerSender.grow): growth that copies the slots
+# without moving each descriptor to seq % new; growth capped below the live
+# window; a ring given up when the window drains, so that every message
+# allocates a new one.
+run ring-index internal/rtscts/sender.go grow '/^func (s \*peerSender) grow() {$/,/^}/{/^\tfor seq := s\.base; seq < s\.nextSeq; seq++ {$/{N;N;s/.*/\tcopy(ring, s.inFlight)/;};}'
+run ring-cap internal/rtscts/sender.go grow '/^func (s \*peerSender) grow() {$/,/^}/{s/^\tring := make(\[\]txDesc, min(2\*len(s\.inFlight), s\.c\.cfg\.Window))$/\tring := make([]txDesc, min(2*len(s.inFlight), s.c.cfg.Window\/2))/;}'
+run ring-free internal/rtscts/sender.go onAck '/^func (s \*peerSender) onAck(/,/^}/{s/^\t\ts\.lastSend = now$/&\n\t\tif s.base == s.nextSeq {\n\t\t\ts.inFlight = make([]txDesc, min(ringStart, s.c.cfg.Window))\n\t\t}/;}'

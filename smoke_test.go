@@ -244,6 +244,13 @@ func TestCmdSweep(t *testing.T) {
 			want: []string{"MB/s", "elapsed"}},
 		{name: "memscale", args: []string{"memscale", "-maxpeers", "8"},
 			want: []string{"portals(bytes)"}},
+		// The fabric's idle stream beside them: simnet keeps one link
+		// goroutine per stream, udp none, and a row past -nodes is not
+		// measured.
+		{name: "memscale-simnet", args: []string{"memscale", "-fabric", "simnet", "-maxpeers", "8"},
+			want: []string{"simnet(B/stream)", "goroutines/stream", "\n7 ", " 1.00\n"}, rows: 4},
+		{name: "memscale-udp", args: []string{"memscale", "-fabric", "udp", "-maxpeers", "63"},
+			want: []string{"udp(B/stream)", "\n31 ", " 0.00\n", "\n63 ", "-\n"}, rows: 7},
 		{name: "memscale-gc", args: []string{"memscale", "-gc", "-entries", "100000"},
 			want: []string{"heap-objects", "arena"}},
 		// Every put of the sweep acked, counted off the driver's event queue:
