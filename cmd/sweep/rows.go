@@ -25,8 +25,8 @@ var table = []experiment{
 		{"E3 (§3): ping-pong latency (paper: <20µs on Myrinet MCP)", nil},
 		{"E8 (§3): bandwidth vs message size over simulated Myrinet", []string{"-bw"}},
 	}},
-	{"memscale", "E5 (§4.1)", "unexpected-message memory vs peers, -fabric: and per fabric stream; -gc: arena vs heap storage", memscale, []section{
-		{"E5 (§4.1): unexpected-message memory vs peers, and what a simnet stream keeps", []string{"-fabric", "simnet"}},
+	{"memscale", "E5 (§4.1)", "unexpected-message memory vs peers, and what a fabric stream keeps; -gc: arena vs heap storage", memscale, []section{
+		{"E5 (§4.1): unexpected-message memory vs peers, and what a simnet or udp stream keeps", nil},
 	}},
 	{"swarm", "PERF.md §7 (§4.1)", "closed-loop put cost vs endpoint count, uniform and hot-set", swarm, []section{
 		{"PERF.md §7 (§4.1): put cost vs endpoints (the section's table runs 1k-100k)", []string{"-endpoints", "1000,10000", "-trials", "1"}},
@@ -119,11 +119,14 @@ func pingpong(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	}
 }
 
-// streamNodes is the largest node count memscale's -fabric columns are
+// streamNodes is the largest node count memscale's fabric columns are
 // measured at: n nodes open n(n-1) streams, and 32 nodes' 992 streams show
 // the per-stream cost as well as 256 nodes' 65 280 would, which on simnet
 // would also park 65 280 link goroutines.
 const streamNodes = 32
+
+// streamFabrics are the reliable fabrics memscale measures a stream on.
+var streamFabrics = []string{"simnet", "udp"}
 
 func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	credits := count(fs, "credits", 16, "pre-posted receive buffers per VIA connection")
@@ -131,12 +134,6 @@ func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 	maxPeers := count(fs, "maxpeers", quickOr(c, 256, 32), "largest peer count to measure")
 	gc := fs.Bool("gc", false, "measure GC cost of arena vs per-object match-entry storage instead")
 	entries := count(fs, "entries", quickOr(c, 1_000_000, 100_000), "live records for the -gc comparison")
-	fabric := checked(fs, "fabric", "none", "also measure the idle cost of a stream on a reliable fabric: none, simnet or udp", func(s string) (string, error) {
-		if s != "none" && s != "simnet" && s != "udp" {
-			return "", fmt.Errorf("unknown fabric (none, simnet, udp)")
-		}
-		return s, nil
-	})
 	return func(w io.Writer) error {
 		if *gc {
 			fmt.Fprintf(w, "# GC cost of %d live match-entry records, per storage layout (PR 7, docs/PERF.md §7)\n", *entries)
@@ -153,13 +150,13 @@ func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 		fmt.Fprintf(w, "# Unexpected-message memory vs peers (E5, §4.1)\n")
 		fmt.Fprintf(w, "# VIA model: %d credits × %d B per connection; Portals: application-sized pool\n",
 			*credits, *bufSize)
-		header := fmt.Sprintf("%-8s %-16s %-16s", "peers", "portals(bytes)", "via(bytes)")
-		if *fabric != "none" {
-			fmt.Fprintf(w, "# %s: heap and goroutines one idle stream keeps, after one message per ordered pair of peers+1 nodes (to %d nodes)\n",
-				*fabric, streamNodes)
-			header += fmt.Sprintf(" %-20s %s", *fabric+"(B/stream)", "goroutines/stream")
+		fmt.Fprintf(w, "# simnet, udp: heap and goroutines one idle rtscts stream keeps, after one message per ordered pair of peers+1 nodes (to %d nodes)\n",
+			streamNodes)
+		fmt.Fprintf(w, "%-8s %-16s %-16s", "peers", "portals(bytes)", "via(bytes)")
+		for _, f := range streamFabrics {
+			fmt.Fprintf(w, " %18s %20s", f+"(B/stream)", f+"(goroutines)")
 		}
-		fmt.Fprintln(w, header)
+		fmt.Fprintln(w)
 		for n := 2; n-1 <= *maxPeers; n *= 2 {
 			m := portals.NewMachine(portals.Loopback())
 			p, err := experiments.MemScale(m, n, mpi.Config{}, *credits, *bufSize)
@@ -169,19 +166,19 @@ func memscale(fs *flag.FlagSet, c *common) func(io.Writer) error {
 			if err != nil {
 				return err
 			}
-			row := fmt.Sprintf("%-8d %-16d %-16d", p.Peers, p.PortalsBytes, p.VIABytes)
-			switch {
-			case *fabric == "none":
-			case n > streamNodes:
-				row += fmt.Sprintf(" %-20s %s", "-", "-")
-			default:
-				s, err := experiments.StreamCost(*fabric, n)
+			fmt.Fprintf(w, "%-8d %-16d %-16d", p.Peers, p.PortalsBytes, p.VIABytes)
+			for _, f := range streamFabrics {
+				if n > streamNodes {
+					fmt.Fprintf(w, " %18s %20s", "-", "-")
+					continue
+				}
+				s, err := experiments.StreamCost(f, n)
 				if err != nil {
 					return err
 				}
-				row += fmt.Sprintf(" %-20.0f %.2f", s.HeapPerStream, s.GoroutinesPerStream)
+				fmt.Fprintf(w, " %18.0f %20.2f", s.HeapPerStream, s.GoroutinesPerStream)
 			}
-			fmt.Fprintln(w, row)
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
